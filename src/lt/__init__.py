@@ -11,6 +11,7 @@ from .entailment import (
     SearchReport,
     algebra_entails,
     find_countermodel,
+    find_labelled_countermodel,
     grz_formula,
     labelled_entails,
     local_entails,
@@ -25,6 +26,7 @@ from .errors import (
     LTError,
     ParseError,
     PrincipalVariableError,
+    ReplayError,
 )
 from .proofcheck import Assume, CheckResult, Derivation, Rule, RuleName, check, taut_oracle
 from .ptplus import (

@@ -17,10 +17,10 @@ import time
 from .algebra import Algebra, Denotation
 from .entailment import (
     DEFAULT_CAP,
-    Countermodel,
+    SearchReport,
     default_max_n,
     find_countermodel,
-    labelled_entails,
+    find_labelled_countermodel,
 )
 from .errors import BudgetExceededError, LTError, ParseError
 from .proofcheck import check, load_assumptions, load_derivation
@@ -72,10 +72,6 @@ def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
     return Homomorphism(algebra, assignment)
 
 
-def _countermodel_obj(cm: Countermodel) -> dict:
-    return cm.to_json_obj()
-
-
 # -- subcommand handlers
 
 
@@ -111,6 +107,29 @@ def _read_premises_file(path: str):
     return tuple(out)
 
 
+_STATUS = {
+    "countermodel": ("countermodel", EXIT_NEGATIVE),
+    "exhausted": ("entailed_up_to_n", EXIT_OK),
+    "budget_exceeded": ("budget_exceeded", EXIT_BUDGET),
+}
+
+
+def _emit_search(
+    report: SearchReport, fields: dict, note: str | None, started: float, timing: bool
+) -> int:
+    status, code = _STATUS[report.status]
+    cm = report.countermodel
+    n = report.completed_n if cm is None else cm.algebra.n
+    verdict: dict = {"status": status, "n": n, **fields}
+    if cm is not None:
+        verdict["countermodel"] = cm.to_json_obj()
+        verdict["witness"] = verdict["countermodel"]["witness"]
+    if note:
+        verdict["note"] = note
+    _emit(_elapsed_field(verdict, started, timing))
+    return code
+
+
 def _cmd_entail(args) -> int:
     started = time.monotonic()
     if args.premises_file:
@@ -127,60 +146,21 @@ def _cmd_entail(args) -> int:
         cap=args.cap,
         jobs=args.jobs,
     )
-    verdict: dict = {
-        "status": "countermodel" if report.status == "countermodel" else (
-            "entailed_up_to_n" if report.status == "exhausted" else "budget_exceeded"
-        ),
-        "n": report.completed_n if report.countermodel is None else report.countermodel.algebra.n,
-        "max_n": max_n,
-        "class": args.class_restriction,
-        "cap": args.cap,
-        "jobs": args.jobs,
-    }
-    if report.countermodel is not None:
-        verdict["countermodel"] = _countermodel_obj(report.countermodel)
-        verdict["witness"] = verdict["countermodel"]["witness"]
-    if report.note:
-        verdict["note"] = report.note
-    _emit(_elapsed_field(verdict, started, args.timing))
-    if report.status == "countermodel":
-        return EXIT_NEGATIVE
-    if report.status == "budget_exceeded":
-        return EXIT_BUDGET
-    return EXIT_OK
+    fields = {"max_n": max_n, "class": args.class_restriction, "cap": args.cap, "jobs": args.jobs}
+    return _emit_search(report, fields, report.note, started, args.timing)
 
 
 def _cmd_lentail(args) -> int:
     started = time.monotonic()
     gamma, conclusion = parse_labelled_query(args.query)
     max_n = args.max_n if args.max_n is not None else default_max_n()
-    verdict: dict = {
-        "status": "entailed_up_to_n",
-        "n": -1,
-        "max_n": max_n,
-        "cap": args.cap,
-        "jobs": args.jobs,
-    }
-    code = EXIT_OK
-    for n in range(max_n + 1):
-        try:
-            entailed, cm = labelled_entails(n, gamma, conclusion, cap=args.cap, jobs=args.jobs)
-        except BudgetExceededError as exc:
-            verdict["status"] = "budget_exceeded"
-            verdict["note"] = str(exc)
-            code = EXIT_BUDGET
-            break
-        if not entailed:
-            assert cm is not None
-            verdict["status"] = "countermodel"
-            verdict["n"] = n
-            verdict["countermodel"] = _countermodel_obj(cm)
-            verdict["witness"] = verdict["countermodel"]["witness"]
-            code = EXIT_NEGATIVE
-            break
-        verdict["n"] = n
-    _emit(_elapsed_field(verdict, started, args.timing))
-    return code
+    report = find_labelled_countermodel(
+        gamma, conclusion, max_n=max_n, cap=args.cap, jobs=args.jobs
+    )
+    # a labelled verdict carries a note only when the cap stopped the search
+    note = report.note if report.status == "budget_exceeded" else None
+    fields = {"max_n": max_n, "cap": args.cap, "jobs": args.jobs}
+    return _emit_search(report, fields, note, started, args.timing)
 
 
 def _cmd_check_proof(args) -> int:
@@ -220,12 +200,22 @@ def _cmd_pt_entail(args) -> int:
 def _load_hom_file(path: str) -> Homomorphism:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    algebra = Algebra(int(obj["n"]))
+    if not isinstance(obj, dict):
+        raise LTError("homomorphism file must hold a JSON object {n, assignment}")
+    n = obj.get("n")
+    if type(n) is not int:
+        raise LTError(f"homomorphism file needs an integer n, got {n!r}")
+    algebra = Algebra(n)
     assignment = {}
-    for name, bits in obj.get("assignment", {}).items():
+    entries = obj.get("assignment", {})
+    if not isinstance(entries, dict):
+        raise LTError("assignment in homomorphism file must be a JSON object")
+    for name, bits in entries.items():
         if not name.startswith("P") or not name[1:].isdigit():
             raise LTError(f"bad variable name {name!r} in homomorphism file")
-        assignment[int(name[1:])] = Denotation.from_strings(algebra, list(bits))
+        if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
+            raise LTError(f"denotation of {name} must be a list of element strings")
+        assignment[int(name[1:])] = Denotation.from_strings(algebra, bits)
     return Homomorphism(algebra, assignment)
 
 
@@ -269,6 +259,16 @@ def _cmd_classes_principal_check(args) -> int:
     return EXIT_OK if principal else EXIT_NEGATIVE
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+JOBS_HELP = "scan workers, at least 1; at most one process per CPU is started"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="lt", description="Workbench for the logic of teams."
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--premises-file", dest="premises_file", default=None)
     p.add_argument("query", help="'phi1, phi2 |- psi', or just psi with --premises-file")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lentail", help="labelled countermodel search")
     p.add_argument("--max-n", type=int, dest="max_n", default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
     p.add_argument("--timing", action="store_true")
     p.add_argument("query", help="'a1:phi1, a2:phi2 |- b:psi'")
     p.set_defaults(handler=_cmd_lentail)
@@ -375,3 +375,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

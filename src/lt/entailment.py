@@ -3,38 +3,56 @@
 Entailment at a fixed algebra size quantifies over every assignment of
 denotations to the free variables; a countermodel is an assignment plus
 a witness element lying in the intersection of the premise denotations
-but not in the conclusion's.  Enumeration order is canonical (variables
-ascending, denotation bitsets as integers ascending), so the reported
-countermodel is always the least one and runs are byte-reproducible,
-with or without worker parallelism.  Searching all finite sizes is sound
-for refutation but cannot certify full entailment: some non-validities
-need an infinite (non-complete) algebra.
+but not in the conclusion's.
+
+A query is compiled once, for every algebra size, into a `Program`: one
+children-first instruction list in which each shared subterm is stored
+once (hash-consing).  Each instruction is tagged with the position of
+the last variable or label atom it reads; constants get level -1 and
+are computed once per algebra.  The kernel `_scan` enumerates the
+positions like an odometer in canonical order (variables ascending,
+then label atoms, the first most significant, values ascending) and,
+when digit p changes, re-runs only the instructions of level >= p.
+Premises are intersected in order as soon as their level is reached,
+and an empty intersection skips the rest of its level and every deeper
+digit, so the conclusion's instructions run only while the premises
+known so far intersect.  The countermodel reported is the least one,
+with or without workers, and it is replayed through the tree-walking
+evaluator first.  Searching all finite sizes is sound for refutation
+but cannot certify full entailment: some non-validities need an
+infinite (non-complete) algebra.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Algebra, iter_bits
-from .errors import BudgetExceededError
-from .semantics import (
-    Homomorphism,
-    LabelValuation,
-    eval_core_bits,
-    eval_label,
-    evaluate,
-    satisfies,
-)
+from .errors import BudgetExceededError, EvalError, ReplayError
+from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
     Derived,
     DerivedTag,
+    ExtAnd,
+    ExtBot,
     ExtNot,
+    ExtOr,
     Formula,
+    IntAnd,
+    IntBot,
+    IntNot,
     IntOr,
     LabelledFormula,
+    LAnd,
+    LAtom,
+    LBot,
+    LNot,
+    LOr,
     Var,
     expand,
     free_vars,
@@ -116,102 +134,245 @@ def local_counterexample(
     return next(iter_bits(bad))
 
 
-def _denotation_domain(alg: Algebra, class_restriction: str) -> list[int]:
+# -- the compiled program
+
+# Opcodes.  An instruction (opcode, a, b) computes the value of its slot
+# from the values of slots a and b; a unary operation repeats its operand.
+# _ANY is the full carrier if its operand is non-empty, _ALL if it is the
+# full carrier, and both are empty otherwise.  A label atom takes the
+# singleton of its element as value, so labels compile to internal
+# connectives.
+_OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL = range(8)
+_ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
+_COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
+_BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
+_LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
+
+
+class Program:
+    """A query compiled, once for every algebra size, to straight-line code.
+
+    Slot p < k holds position p, the next three slots the constants, and
+    slot `base + i` instruction i; equal instructions share one slot
+    (hash-consing).  `levels[slot]` is the last position the slot reads,
+    -1 for none.  A guard slot holds the intersection of a prefix of the
+    premises, and `bad` the premise intersection minus the conclusion."""
+
+    def __init__(self, variables, atoms, labelled: bool):
+        self.variables = tuple(sorted(frozenset().union(*variables)))
+        self.atoms = tuple(sorted(frozenset().union(*atoms)))
+        self.labelled = labelled
+        self.positions = {
+            **{(Var, v): i for i, v in enumerate(self.variables)},
+            **{(LAtom, a): i for i, a in enumerate(self.atoms, len(self.variables))},
+        }
+        self.constants = len(self.positions)
+        self.base = self.constants + 3
+        self.levels: list[int] = [*range(len(self.positions)), -1, -1, -1]
+        self.code: list[tuple[int, int, int]] = []
+        self.slots: dict[tuple[int, int, int], int] = {}
+        self.guards: set[int] = set()
+        self.inter: int | None = None  # the intersection of the premises so far
+        self.bad = -1
+
+    def emit(self, op: int, a: int, b: int) -> int:
+        if op in _COMMUTATIVE and a > b:
+            a, b = b, a
+        slot = self.slots.get((op, a, b))
+        if slot is None:
+            slot = self.slots[op, a, b] = self.base + len(self.code)
+            self.code.append((op, a, b))
+            self.levels.append(max(self.levels[a], self.levels[b]))
+        return slot
+
+    def term(self, root) -> int:
+        """The slot of an expanded formula or a label, compiled children
+        first without recursion."""
+        order, todo = [], [root]
+        while todo:  # node, right subtree, left subtree: reversed, children first
+            order.append(node := todo.pop())
+            if isinstance(node, (ExtNot, IntNot, LNot)):
+                todo.append(node.child)
+            elif type(node) in _BINARY:
+                todo += (node.left, node.right)
+        out: list[int] = []
+        for node in reversed(order):
+            kind = type(node)
+            if kind in _BINARY:
+                right = out.pop()
+                out.append(self.emit(_BINARY[kind], out.pop(), right))
+            elif kind is ExtNot:
+                out.append(self.emit(_XOR, self.constants + _FULL, out.pop()))
+            elif kind is IntNot or kind is LNot:
+                out.append(self.emit(_INOT, out[-1], out.pop()))
+            elif kind in _LEAVES:
+                out.append(self.constants + _LEAVES[kind])
+            elif kind is Var or kind is LAtom:
+                out.append(self.positions[kind, node.index])
+            else:
+                raise EvalError(f"derived connective {node.tag.value} in a compiled query")
+        return out[0]
+
+    def premise(self, slot: int) -> None:
+        """Intersect a premise into the guard chain; compile premises in
+        order and the conclusion after them, so their instructions run
+        in that order at each level."""
+        self.inter = slot if self.inter is None else self.emit(_AND, self.inter, slot)
+        self.guards.add(self.inter)
+
+    def conclude(self, slot: int) -> "Program":
+        self.bad = self.emit(_XOR, self.constants + _FULL, slot)
+        if self.inter is not None:
+            self.bad = self.emit(_AND, self.inter, self.bad)
+        return self
+
+
+def _compile_entailment(premises, conclusion, filters=()) -> Program:
+    """Compile premises |- conclusion.  A filter acts as a premise that
+    admits a homomorphism only where it denotes the full carrier."""
+    core = [expand(f) for f in (*filters, *premises, conclusion)]
+    c = Program(map(free_vars, core), (), labelled=False)
+    for i, f in enumerate(core[:-1]):
+        slot = c.term(f)
+        c.premise(c.emit(_ALL, slot, slot) if i < len(filters) else slot)
+    return c.conclude(c.term(core[-1]))
+
+
+def _compile_labelled(gamma, conclusion) -> Program:
+    """Compile a labelled entailment: a premise a : phi holds where a's
+    element lies in phi's denotation, and the conclusion b : psi fails at
+    b's element when that lies outside psi's denotation."""
+    query = [(lf.label, expand(lf.formula)) for lf in (*gamma, conclusion)]
+    c = Program((free_vars(f) for _, f in query), (label_atoms(a) for a, _ in query), True)
+    *premises, (b, psi) = query
+    for a, f in premises:
+        meet = c.emit(_AND, c.term(f), c.term(a))
+        c.premise(c.emit(_ANY, meet, meet))
+    c.premise(c.term(b))
+    return c.conclude(c.term(psi))
+
+
+# -- the scan kernel and the deepening driver
+
+
+def _domains(program: Program, alg: Algebra, class_restriction: str) -> list[Sequence[int]]:
+    """The values of each position, ascending."""
     if class_restriction == "principal_variables":
-        return sorted(alg.principal_ideal(a) for a in alg.elements())
-    if class_restriction == "all":
-        return list(range(alg.full + 1))
-    raise ValueError(f"unknown class restriction {class_restriction!r}")
+        variable: Sequence[int] = sorted(alg.principal_ideal(a) for a in alg.elements())
+    elif class_restriction == "all":
+        variable = range(alg.full + 1)
+    else:
+        raise ValueError(f"unknown class restriction {class_restriction!r}")
+    singletons = [1 << e for e in alg.elements()]
+    return [variable] * len(program.variables) + [singletons] * len(program.atoms)
 
 
-def _decode(index: int, domains: Sequence[Sequence[int]]) -> list[int]:
-    # digits of index, first domain most significant
-    out = [0] * len(domains)
-    for j in range(len(domains) - 1, -1, -1):
-        base = len(domains[j])
-        out[j] = domains[j][index % base]
-        index //= base
-    return out
+def _run(segments, vals: list[int]) -> bool:
+    """Run one level's instructions; False as soon as a guard is empty."""
+    for block, guard in segments:
+        for op, dst, a, b in block:
+            vals[dst] = op(vals[a], vals[b])
+        if guard is not None and not vals[guard]:
+            return False
+    return True
 
 
-def _scan_algebra(args) -> tuple[int, tuple[int, ...], int] | None:
-    n, class_restriction, variables, premises, conclusion, start, stop = args
+def _scan(args) -> tuple[tuple[int, ...], int] | None:
+    """The kernel.  Scan, in canonical order, the assignments whose first
+    position takes a value with index in [start, stop), and return the
+    least violating one as (position values, witness element), or None."""
+    program, n, class_restriction, start, stop = args
     alg = Algebra(n)
-    domain = _denotation_domain(alg, class_restriction)
-    domains = [domain] * len(variables)
     full = alg.full
-    for idx in range(start, stop):
-        values = _decode(idx, domains)
-        env = dict(zip(variables, values))
-        inter = full
-        for p in premises:
-            inter &= eval_core_bits(alg, env, p)
-            if inter == 0:
-                break
-        else:
-            bad = inter & ~eval_core_bits(alg, env, conclusion)
-            if bad:
-                return idx, tuple(values), next(iter_bits(bad))
+    ops = (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
+           lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+           lambda x, _: full if x == full else 0)
+    domains = _domains(program, alg, class_restriction)
+    vals = [0] * len(domains) + [0, alg.int_bot(), full] + [0] * len(program.code)
+    levels: list[list] = [[[[], None]] for _ in range(len(domains) + 1)]  # -1.. as [block, guard]
+    for slot, (op, a, b) in enumerate(program.code, program.base):
+        segments = levels[program.levels[slot] + 1]
+        segments[-1][0].append((ops[op], slot, a, b))
+        if slot in program.guards:
+            segments[-1][1] = slot
+            segments.append([[], None])
+    state = (domains, levels, vals, program.bad)
+    if _run(levels[0], vals) and (
+        _odometer(0, domains[0][start:stop], state) if domains else vals[program.bad]
+    ):
+        bad = vals[program.bad]
+        return tuple(vals[: len(domains)]), (bad & -bad).bit_length() - 1
     return None
 
 
-def _scan_labelled(args) -> tuple[int, tuple[int, ...], tuple[int, ...], int] | None:
-    n, variables, atoms, gamma, conclusion, start, stop = args
+def _odometer(p: int, values: Sequence[int], state: tuple) -> bool:
+    """Turn digit p through the values and each deeper digit through its
+    whole domain, running a level whenever its digit changes; True at the
+    first violation, with the assignment left in the position slots."""
+    domains, levels, vals, bad = state
+    for value in values:
+        vals[p] = value
+        if _run(levels[p + 1], vals) and (
+            _odometer(p + 1, domains[p + 1], state) if p + 1 < len(domains) else vals[bad]
+        ):
+            return True
+    return False
+
+
+def _run_scan(base_args: tuple, values: int, total: int, jobs: int):
+    """Scan; on up to `jobs` workers, each taking chunks of the first
+    position's values, when the total is large."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or total <= 4096:
+        return _scan(base_args + (0, values))
+    chunk = -(-values // (workers * 4))
+    chunks = [base_args + (s, min(s + chunk, values)) for s in range(0, values, chunk)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for hit in pool.map(_scan, chunks):  # in chunk order: the first hit is the least
+            if hit is not None:
+                pool.shutdown(cancel_futures=True)
+                return hit
+    return None
+
+
+def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: int):
+    """The least countermodel at algebra size n, or None."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
     alg = Algebra(n)
-    den_domain = list(range(alg.full + 1))
-    elem_domain = list(alg.elements())
-    domains = [den_domain] * len(variables) + [elem_domain] * len(atoms)
-    nv = len(variables)
-    for idx in range(start, stop):
-        values = _decode(idx, domains)
-        env = dict(zip(variables, values[:nv]))
-        lenv = dict(zip(atoms, values[nv:]))
-        ok = True
-        for label, formula in gamma:
-            element = _label_bits(alg, lenv, label)
-            if eval_core_bits(alg, env, formula) >> element & 1 == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        b_label, psi = conclusion
-        element = _label_bits(alg, lenv, b_label)
-        if eval_core_bits(alg, env, psi) >> element & 1 == 0:
-            return idx, tuple(values[:nv]), tuple(values[nv:]), element
-    return None
-
-
-def _label_bits(alg: Algebra, lenv: dict[int, int], label) -> int:
-    return eval_label(LabelValuation(alg, lenv), label)
-
-
-def _run_scan(scan_fn, base_args, total: int, jobs: int):
-    if jobs <= 1 or total <= 4096:
-        return scan_fn(base_args + (0, total))
-    chunk = -(-total // (jobs * 4))
-    chunks = [base_args + (s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        futures = [pool.submit(scan_fn, c) for c in chunks]
-        # consume in chunk order: the first hit is the global minimum
-        for i, future in enumerate(futures):
-            result = future.result()
-            if result is not None:
-                for later in futures[i + 1 :]:
-                    later.cancel()
-                return result
-        return None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _check_budget(total: int, cap: int, n: int) -> None:
+    domains = _domains(program, alg, class_restriction)
+    total = math.prod(map(len, domains))
     if total > cap:
-        raise BudgetExceededError(
-            f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}",
-            checked=0,
-            total=total,
-        )
+        message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
+        raise BudgetExceededError(message, checked=0, total=total)
+    first = len(domains[0]) if domains else 1
+    hit = _run_scan((program, n, class_restriction), first, total, jobs)
+    if hit is None:
+        return None
+    values, witness = hit
+    hom = Homomorphism.from_bits(alg, dict(zip(program.variables, values)))
+    elements = [v.bit_length() - 1 for v in values[len(program.variables) :]]
+    labels = LabelValuation(alg, dict(zip(program.atoms, elements)))
+    return Countermodel(hom, witness, labels if program.labelled else None)
+
+
+def _deepen(program: Program, replays, max_n: int, class_restriction: str, cap: int, jobs: int):
+    """Iterative deepening over algebra sizes 0..max_n; a countermodel is
+    reported only after `replays` has re-checked it."""
+    if not 0 <= max_n <= MAX_N:
+        raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
+    for n in range(max_n + 1):
+        try:
+            cm = _decide(program, n, class_restriction, cap, jobs)
+        except BudgetExceededError as exc:
+            return SearchReport("budget_exceeded", max_n, n - 1, note=str(exc))
+        if cm is not None:
+            if not replays(cm):
+                raise ReplayError(
+                    f"internal error: the countermodel at n={n} does not replay: {cm.to_json_obj()}"
+                )
+            return SearchReport("countermodel", max_n, n, countermodel=cm)
+    return SearchReport("exhausted", max_n, max_n, note=NOTE_FINITE_SCOPE)
 
 
 def algebra_entails(
@@ -229,28 +390,8 @@ def algebra_entails(
     over all denotations, or only over principal ideals when
     class_restriction="principal_variables".
     """
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
-    alg = Algebra(n)
-    premises_core = tuple(expand(p) for p in premises)
-    conclusion_core = expand(conclusion)
-    variables = tuple(
-        sorted(frozenset().union(*(free_vars(p) for p in premises_core), free_vars(conclusion_core)))
-    )
-    domain_size = len(_denotation_domain(alg, class_restriction))
-    total = domain_size ** len(variables)
-    _check_budget(total, cap, n)
-    hit = _run_scan(
-        _scan_algebra,
-        (n, class_restriction, variables, premises_core, conclusion_core),
-        total,
-        jobs,
-    )
-    if hit is None:
-        return True, None
-    _, values, witness = hit
-    hom = Homomorphism.from_bits(alg, dict(zip(variables, values)))
-    return False, Countermodel(hom, witness)
+    cm = _decide(_compile_entailment(premises, conclusion), n, class_restriction, cap, jobs)
+    return cm is None, cm
 
 
 def labelled_entails(
@@ -263,36 +404,8 @@ def labelled_entails(
 ) -> tuple[bool, Countermodel | None]:
     """Decide a labelled entailment at algebra size n, quantifying over both
     the variable assignment and the label valuation."""
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
-    alg = Algebra(n)
-    gamma_core = tuple((lf.label, expand(lf.formula)) for lf in gamma)
-    concl_core = (conclusion.label, expand(conclusion.formula))
-    variables = tuple(
-        sorted(
-            frozenset().union(
-                *(free_vars(f) for _, f in gamma_core), free_vars(concl_core[1])
-            )
-        )
-    )
-    atoms = tuple(
-        sorted(
-            frozenset().union(
-                *(label_atoms(lbl) for lbl, _ in gamma_core), label_atoms(concl_core[0])
-            )
-        )
-    )
-    total = ((alg.full + 1) ** len(variables)) * (alg.size ** len(atoms))
-    _check_budget(total, cap, n)
-    hit = _run_scan(
-        _scan_labelled, (n, variables, atoms, gamma_core, concl_core), total, jobs
-    )
-    if hit is None:
-        return True, None
-    _, var_values, atom_values, witness = hit
-    hom = Homomorphism.from_bits(alg, dict(zip(variables, var_values)))
-    valuation = LabelValuation(alg, dict(zip(atoms, atom_values)))
-    return False, Countermodel(hom, witness, labels=valuation)
+    cm = _decide(_compile_labelled(gamma, conclusion), n, "all", cap, jobs)
+    return cm is None, cm
 
 
 def find_countermodel(
@@ -305,30 +418,22 @@ def find_countermodel(
     jobs: int = 1,
 ) -> SearchReport:
     """Search algebra sizes 0, 1, ..., max_n for a countermodel."""
-    if not 0 <= max_n <= MAX_N:
-        raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
-    completed = -1
-    for n in range(max_n + 1):
-        try:
-            entailed, cm = algebra_entails(
-                n, premises, conclusion, class_restriction, cap=cap, jobs=jobs
-            )
-        except BudgetExceededError as exc:
-            return SearchReport(
-                status="budget_exceeded",
-                max_n=max_n,
-                completed_n=completed,
-                note=str(exc),
-            )
-        if not entailed:
-            assert cm is not None and replay(cm, premises, conclusion)
-            return SearchReport(
-                status="countermodel", max_n=max_n, completed_n=n, countermodel=cm
-            )
-        completed = n
-    return SearchReport(
-        status="exhausted", max_n=max_n, completed_n=completed, note=NOTE_FINITE_SCOPE
-    )
+    program = _compile_entailment(premises, conclusion)
+    replays = lambda cm: replay(cm, premises, conclusion)
+    return _deepen(program, replays, max_n, class_restriction, cap, jobs)
+
+
+def find_labelled_countermodel(
+    gamma: Sequence[LabelledFormula],
+    conclusion: LabelledFormula,
+    *,
+    max_n: int = DEFAULT_MAX_N,
+    cap: int = DEFAULT_CAP,
+    jobs: int = 1,
+) -> SearchReport:
+    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel."""
+    replays = lambda cm: replay_labelled(cm, gamma, conclusion)
+    return _deepen(_compile_labelled(gamma, conclusion), replays, max_n, "all", cap, jobs)
 
 
 def replay(cm: Countermodel, premises: Sequence[Formula], conclusion: Formula) -> bool:
@@ -363,10 +468,6 @@ def pva_axioms(var_indices: Iterable[int]) -> list[Formula]:
     ]
 
 
-def box_formulas(formulas: Iterable[Formula]) -> list[Formula]:
-    return [Derived(DerivedTag.BOX, (f,)) for f in formulas]
-
-
 def verify_box_internalisation(
     n: int,
     pi: Sequence[Formula],
@@ -377,42 +478,10 @@ def verify_box_internalisation(
 ) -> bool:
     """Check, by double enumeration at size n, that prefixing box(pi) to the
     premises is equivalent to restricting to homomorphisms validating pi."""
-    boxed_side, _ = algebra_entails(
-        n, list(box_formulas(pi)) + list(premises), conclusion, cap=cap
-    )
-
-    alg = Algebra(n)
-    pi_core = tuple(expand(f) for f in pi)
-    premises_core = tuple(expand(p) for p in premises)
-    conclusion_core = expand(conclusion)
-    variables = tuple(
-        sorted(
-            frozenset().union(
-                *(free_vars(f) for f in pi_core + premises_core),
-                free_vars(conclusion_core),
-            )
-        )
-    )
-    total = (alg.full + 1) ** len(variables)
-    _check_budget(total, cap, n)
-    domains = [list(range(alg.full + 1))] * len(variables)
-    restricted_side = True
-    for idx in range(total):
-        env = dict(zip(variables, _decode(idx, domains)))
-        if any(eval_core_bits(alg, env, f) != alg.full for f in pi_core):
-            continue
-        inter = alg.full
-        for p in premises_core:
-            inter &= eval_core_bits(alg, env, p)
-        if inter & ~eval_core_bits(alg, env, conclusion_core):
-            restricted_side = False
-            break
-    return boxed_side == restricted_side
-
-
-def order_diamond(formula: Formula) -> Formula:
-    """Possibility over the algebra's partial order: the downward closure."""
-    return Derived(DerivedTag.DOWN, (formula,))
+    boxed = [Derived(DerivedTag.BOX, (f,)) for f in pi]
+    boxed_side, _ = algebra_entails(n, boxed + list(premises), conclusion, cap=cap)
+    restricted = _decide(_compile_entailment(premises, conclusion, pi), n, "all", cap, 1)
+    return boxed_side == (restricted is None)
 
 
 def order_box(formula: Formula) -> Formula:

@@ -42,3 +42,8 @@ class FragmentError(LTError):
 
 class PrincipalVariableError(LTError):
     """A homomorphism was required to have principal variables but does not."""
+
+
+class ReplayError(LTError):
+    """A countermodel reported by the search failed its independent
+    re-evaluation: an internal fault, never a logical verdict."""

@@ -71,6 +71,12 @@ class LabelValuation:
 def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:
     """Evaluate a core formula to a denotation bitset.  env maps variable
     indices to denotation bitsets; unbound variables are an error."""
+    return _eval_bits(algebra, env, formula, False)
+
+
+def _eval_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula, native: bool) -> int:
+    """The one tree walker: derived connectives are computed directly at the
+    set level when native is set, and are an error otherwise."""
     if isinstance(f := formula, Var):
         try:
             return env[f.index]
@@ -81,75 +87,47 @@ def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -
     if isinstance(f, IntBot):
         return algebra.int_bot()
     if isinstance(f, ExtNot):
-        return algebra.ext_not(eval_core_bits(algebra, env, f.child))
+        return algebra.ext_not(_eval_bits(algebra, env, f.child, native))
     if isinstance(f, IntNot):
-        return algebra.int_not(eval_core_bits(algebra, env, f.child))
+        return algebra.int_not(_eval_bits(algebra, env, f.child, native))
     if isinstance(f, ExtOr):
-        return eval_core_bits(algebra, env, f.left) | eval_core_bits(algebra, env, f.right)
+        return _eval_bits(algebra, env, f.left, native) | _eval_bits(algebra, env, f.right, native)
     if isinstance(f, ExtAnd):
-        return eval_core_bits(algebra, env, f.left) & eval_core_bits(algebra, env, f.right)
+        return _eval_bits(algebra, env, f.left, native) & _eval_bits(algebra, env, f.right, native)
     if isinstance(f, IntOr):
         return algebra.int_or(
-            eval_core_bits(algebra, env, f.left), eval_core_bits(algebra, env, f.right)
+            _eval_bits(algebra, env, f.left, native), _eval_bits(algebra, env, f.right, native)
         )
     if isinstance(f, IntAnd):
         return algebra.int_and(
-            eval_core_bits(algebra, env, f.left), eval_core_bits(algebra, env, f.right)
+            _eval_bits(algebra, env, f.left, native), _eval_bits(algebra, env, f.right, native)
         )
-    raise EvalError(f"derived connective {f.tag.value} in core evaluation; expand first")  # type: ignore[union-attr]
-
-
-def eval_native_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:
-    """Evaluate with derived connectives computed directly at the set level."""
-    if isinstance(f := formula, Derived):
-        tag = f.tag
-        if tag is DerivedTag.EXT_TOP:
-            return algebra.full
-        if tag is DerivedTag.INT_TOP:
-            return algebra.int_top()
-        if tag is DerivedTag.NB:
-            return algebra.ext_not(algebra.int_bot())
-        args = [eval_native_bits(algebra, env, a) for a in f.args]
-        if tag is DerivedTag.DOWN:
-            return algebra.down_closure(args[0])
-        if tag is DerivedTag.UP:
-            return algebra.up_closure(args[0])
-        if tag is DerivedTag.DIAMOND:
-            return algebra.full if args[0] else 0
-        if tag is DerivedTag.BOX:
-            return algebra.full if args[0] == algebra.full else 0
-        if tag is DerivedTag.STRICT_NOT:
-            return algebra.strict_neg(args[0])
-        if tag is DerivedTag.IMPLIES:
-            return algebra.ext_not(args[0]) | args[1]
-        assert tag is DerivedTag.CIRCLE_STAR
-        nb = algebra.ext_not(algebra.int_bot())
-        return algebra.int_or(args[0] & nb, args[1] & nb)
-    if isinstance(f, Var):
-        try:
-            return env[f.index]
-        except KeyError:
-            raise EvalError(f"unbound variable P{f.index}") from None
-    if isinstance(f, ExtBot):
-        return 0
-    if isinstance(f, IntBot):
-        return algebra.int_bot()
-    if isinstance(f, ExtNot):
-        return algebra.ext_not(eval_native_bits(algebra, env, f.child))
-    if isinstance(f, IntNot):
-        return algebra.int_not(eval_native_bits(algebra, env, f.child))
-    if isinstance(f, ExtOr):
-        return eval_native_bits(algebra, env, f.left) | eval_native_bits(algebra, env, f.right)
-    if isinstance(f, ExtAnd):
-        return eval_native_bits(algebra, env, f.left) & eval_native_bits(algebra, env, f.right)
-    if isinstance(f, IntOr):
-        return algebra.int_or(
-            eval_native_bits(algebra, env, f.left), eval_native_bits(algebra, env, f.right)
-        )
-    assert isinstance(f, IntAnd)
-    return algebra.int_and(
-        eval_native_bits(algebra, env, f.left), eval_native_bits(algebra, env, f.right)
-    )
+    assert isinstance(f, Derived)
+    tag = f.tag
+    if not native:
+        raise EvalError(f"derived connective {tag.value} in core evaluation; expand first")
+    if tag is DerivedTag.EXT_TOP:
+        return algebra.full
+    if tag is DerivedTag.INT_TOP:
+        return algebra.int_top()
+    if tag is DerivedTag.NB:
+        return algebra.ext_not(algebra.int_bot())
+    args = [_eval_bits(algebra, env, a, native) for a in f.args]
+    if tag is DerivedTag.DOWN:
+        return algebra.down_closure(args[0])
+    if tag is DerivedTag.UP:
+        return algebra.up_closure(args[0])
+    if tag is DerivedTag.DIAMOND:
+        return algebra.full if args[0] else 0
+    if tag is DerivedTag.BOX:
+        return algebra.full if args[0] == algebra.full else 0
+    if tag is DerivedTag.STRICT_NOT:
+        return algebra.strict_neg(args[0])
+    if tag is DerivedTag.IMPLIES:
+        return algebra.ext_not(args[0]) | args[1]
+    assert tag is DerivedTag.CIRCLE_STAR
+    nb = algebra.ext_not(algebra.int_bot())
+    return algebra.int_or(args[0] & nb, args[1] & nb)
 
 
 def evaluate(
@@ -170,12 +148,8 @@ def evaluate(
         hit = cache.get(formula)
         if hit is not None:
             return hit
-    env = hom.bits_env()
-    if native_derived:
-        bits = eval_native_bits(hom.algebra, env, formula)
-    else:
-        bits = eval_core_bits(hom.algebra, env, expand(formula))
-    out = Denotation(hom.algebra, bits)
+    tree = formula if native_derived else expand(formula)
+    out = Denotation(hom.algebra, _eval_bits(hom.algebra, hom.bits_env(), tree, native_derived))
     if cache is not None:
         cache[formula] = out
     return out

@@ -3,9 +3,27 @@
 Denotations are modelled as frozensets of element integers and every
 operator is computed directly from its defining comprehension, so these
 stay independent of the bitset implementation they are used to check.
+Only the formula and label syntax is shared with the workbench.
 """
 
 from __future__ import annotations
+
+from lt.syntax import (
+    DerivedTag,
+    ExtAnd,
+    ExtBot,
+    ExtNot,
+    ExtOr,
+    IntAnd,
+    IntBot,
+    IntNot,
+    IntOr,
+    LAtom,
+    LBot,
+    LNot,
+    LOr,
+    Var,
+)
 
 
 def all_elements(n: int) -> frozenset[int]:
@@ -66,3 +84,64 @@ def join_of(x: frozenset[int]) -> int:
 def is_principal_ideal(x: frozenset[int], n: int) -> bool:
     # nonempty, and equal to the set of submasks of its own join
     return bool(x) and x == principal_ideal(join_of(x), n)
+
+
+
+def evaluate(formula, env: dict[int, frozenset[int]], n: int) -> frozenset[int]:
+    """A formula's denotation, every connective (derived ones too)
+    computed from its definition on frozensets."""
+    ev = lambda f: evaluate(f, env, n)
+    full = all_elements(n)
+    f = formula
+    if isinstance(f, Var):
+        return env[f.index]
+    if isinstance(f, ExtBot):
+        return frozenset()
+    if isinstance(f, IntBot):
+        return frozenset({0})
+    if isinstance(f, ExtNot):
+        return ext_not(ev(f.child), n)
+    if isinstance(f, IntNot):
+        return int_not(ev(f.child), n)
+    if isinstance(f, ExtOr):
+        return ev(f.left) | ev(f.right)
+    if isinstance(f, ExtAnd):
+        return ev(f.left) & ev(f.right)
+    if isinstance(f, IntOr):
+        return int_or(ev(f.left), ev(f.right))
+    if isinstance(f, IntAnd):
+        return int_and(ev(f.left), ev(f.right))
+    tag, args = f.tag, [ev(a) for a in f.args]
+    nonzero = full - {0}
+    if tag is DerivedTag.EXT_TOP:
+        return full
+    if tag is DerivedTag.INT_TOP:
+        return frozenset({(1 << n) - 1})
+    if tag is DerivedTag.NB:
+        return nonzero
+    if tag is DerivedTag.DOWN:
+        return down_closure(args[0], n)
+    if tag is DerivedTag.UP:
+        return up_closure(args[0], n)
+    if tag is DerivedTag.DIAMOND:
+        return full if args[0] else frozenset()
+    if tag is DerivedTag.BOX:
+        return full if args[0] == full else frozenset()
+    if tag is DerivedTag.STRICT_NOT:
+        return strict_neg(args[0], n)
+    if tag is DerivedTag.IMPLIES:
+        return (full - args[0]) | args[1]
+    assert tag is DerivedTag.CIRCLE_STAR
+    return int_or(args[0] & nonzero, args[1] & nonzero)
+
+
+def evaluate_label(label, lenv: dict[int, int], n: int) -> int:
+    """A label's element, evaluated classically."""
+    if isinstance(label, LAtom):
+        return lenv[label.index]
+    if isinstance(label, LBot):
+        return 0
+    if isinstance(label, LNot):
+        return ((1 << n) - 1) ^ evaluate_label(label.child, lenv, n)
+    x, y = evaluate_label(label.left, lenv, n), evaluate_label(label.right, lenv, n)
+    return x | y if isinstance(label, LOr) else x & y

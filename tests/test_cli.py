@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from lt.cli import main
 
@@ -217,6 +218,24 @@ class TestBridge:
         code, _, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
         assert code == 2
         assert "principal" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            [2, ["00", "01"]],  # not an object
+            {"assignment": {"P0": ["00", "01"]}},  # no n
+            {"n": "2", "assignment": {}},  # n not an integer
+            {"n": 2, "assignment": ["00"]},  # assignment not an object
+            {"n": 2, "assignment": {"P0": "00"}},  # denotation not a list
+            {"n": 2, "assignment": {"P0": [0, 1]}},  # elements not strings
+        ],
+    )
+    def test_malformed_hom_file_is_error(self, capsys, tmp_path, content):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps(content))
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestClasses:

@@ -1,0 +1,350 @@
+"""The compiled scan against a brute-force scan on the frozenset oracle.
+
+Each query is decided both ways and compared as (entailed, least
+countermodel as JSON), so the verdict, the assignment and the witness
+must all agree.  The oracle enumerates plainly in canonical order:
+variables ascending, then label atoms, the first most significant.
+"""
+
+import gc
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+import reference as ref
+from lt import entailment
+from lt.algebra import Algebra
+from lt.cli import main
+from lt.entailment import (
+    algebra_entails,
+    find_countermodel,
+    find_labelled_countermodel,
+    labelled_entails,
+    verify_box_internalisation,
+)
+from lt.errors import ReplayError
+from lt.syntax import (
+    Derived,
+    DerivedTag,
+    LabelledFormula,
+    free_vars,
+    label_atoms,
+    parse_entailment_query,
+    parse_labelled_query,
+)
+
+from helpers import random_formula, random_label
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _element(a: int, n: int) -> str:
+    return format(a, f"0{n}b") if n else ""
+
+
+def _domain(n: int, klass: str) -> list[frozenset[int]]:
+    if klass == "principal_variables":
+        return sorted((ref.principal_ideal(a, n) for a in range(1 << n)), key=ref.to_bits)
+    return [ref.from_bits(b, n) for b in range(1 << (1 << n))]
+
+
+def _assignment(env: dict, n: int) -> dict:
+    return {f"P{v}": [_element(a, n) for a in sorted(d)] for v, d in sorted(env.items())}
+
+
+def brute(n, premises, conclusion, klass="all", filters=()):
+    """(entailed, least countermodel) by plain enumeration; a filter admits
+    only the assignments under which it denotes the full carrier."""
+    formulas = [*filters, *premises, conclusion]
+    variables = sorted(frozenset().union(*map(free_vars, formulas)))
+    full = ref.all_elements(n)
+    for values in itertools.product(_domain(n, klass), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if any(ref.evaluate(f, env, n) != full for f in filters):
+            continue
+        inter = full
+        for p in premises:
+            inter &= ref.evaluate(p, env, n)
+        bad = inter - ref.evaluate(conclusion, env, n)
+        if bad:
+            witness = _element(min(bad), n)
+            return False, {"n": n, "assignment": _assignment(env, n), "witness": witness}
+    return True, None
+
+
+def brute_labelled(n, gamma, conclusion):
+    items = [*gamma, conclusion]
+    variables = sorted(frozenset().union(*(free_vars(lf.formula) for lf in items)))
+    atoms = sorted(frozenset().union(*(label_atoms(lf.label) for lf in items)))
+    for values in itertools.product(_domain(n, "all"), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        dens = [ref.evaluate(lf.formula, env, n) for lf in items]
+        for elements in itertools.product(range(1 << n), repeat=len(atoms)):
+            lenv = dict(zip(atoms, elements))
+            at = [ref.evaluate_label(lf.label, lenv, n) for lf in items]
+            if all(e in d for e, d in zip(at, dens[:-1])) and at[-1] not in dens[-1]:
+                return False, {
+                    "n": n,
+                    "assignment": _assignment(env, n),
+                    "witness": _element(at[-1], n),
+                    "label_assignment": {f"p{a}": _element(e, n) for a, e in lenv.items()},
+                }
+    return True, None
+
+
+def _json(result):
+    entailed, cm = result
+    return entailed, None if cm is None else cm.to_json_obj()
+
+
+def _query(text):
+    premises, conclusion = parse_entailment_query(text)
+    return list(premises), conclusion
+
+
+# Fixed queries: premises that empty the intersection at once, at an outer
+# variable, or only at the innermost one; shared subterms; constants only.
+FIXED = [
+    "ibot |- i! ibot",
+    "bot |- P0",
+    "P0 & !P0 |- P1",
+    "P0, !P0 |- P1 i& P2",
+    "ibot & P1, P0 |- P0 i& P1",
+    "P0, P1 |- P0 & P1",
+    "P0 i& P1 |- P0 & P1",
+    "P0 i| P1 |- P0 | P1",
+    "P2, P0 i| P1 |- (P0 | P1) & P2",
+    "|- box (P0 -> P1) -> (box P0 -> box P1)",
+    "|- (P0 i& P1) & down P1 -> down P1 & (P1 i& P0)",
+    "|- P0 -> ~ ~ P0",
+    "|- ~ ~ P0 -> P0",
+    "dia P0 |- box dia P0",
+    "P0 o* P1 |- P1 o* P0",
+    "nb, itop |- top",
+]
+
+
+@pytest.mark.parametrize("text", FIXED)
+def test_fixed_queries_exhaustive(text):
+    premises, conclusion = _query(text)
+    for n in (0, 1, 2):
+        for klass in ("all", "principal_variables"):
+            got = _json(algebra_entails(n, premises, conclusion, klass))
+            assert got == brute(n, premises, conclusion, klass), (text, n, klass)
+
+
+def test_random_queries_exhaustive(seed):
+    rng = random.Random(seed + 61)
+    for i in range(150):
+        n, n_vars = (0, 1, 2)[i % 3], rng.choice((1, 2, 2, 3))
+        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(3))]
+        conclusion = random_formula(rng, 3, n_vars)
+        klass = rng.choice(("all", "principal_variables"))
+        got = _json(algebra_entails(n, premises, conclusion, klass))
+        assert got == brute(n, premises, conclusion, klass), (premises, conclusion, n, klass)
+
+
+def test_random_queries_n3(seed):
+    rng = random.Random(seed + 62)
+    for i in range(12):
+        if i % 2:  # principal ideals: 8 values per variable
+            n_vars, klass = rng.choice((2, 3)), "principal_variables"
+        else:
+            n_vars, klass = 1, "all"
+        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(3))]
+        conclusion = random_formula(rng, 3, n_vars)
+        got = _json(algebra_entails(3, premises, conclusion, klass))
+        assert got == brute(3, premises, conclusion, klass), (premises, conclusion, klass)
+
+
+def test_labelled_exhaustive(seed):
+    rng = random.Random(seed + 63)
+    cases = [parse_labelled_query(t) for t in (
+        "p0 : P0 i& P1 |- p0 : P0 & P1",
+        "p0 : P0, p1 : P1 |- p0 & p1 : P0 i& P1",
+        "p0 : P0, p1 : P1 |- p0 | p1 : P0 i| P1",
+        "p0 : P0 |- !p0 : P0",
+        "F : P0 |- F : P1",
+    )]
+    for _ in range(25):
+        n_vars, n_atoms = rng.choice((1, 2)), rng.choice((1, 2))
+        gamma = [
+            LabelledFormula(random_label(rng, 2, n_atoms), random_formula(rng, 2, n_vars))
+            for _ in range(rng.randrange(3))
+        ]
+        conclusion = LabelledFormula(random_label(rng, 2, n_atoms), random_formula(rng, 2, n_vars))
+        cases.append((gamma, conclusion))
+    for gamma, conclusion in cases:
+        for n in (0, 1, 2):
+            got = _json(labelled_entails(n, gamma, conclusion))
+            assert got == brute_labelled(n, gamma, conclusion), (gamma, conclusion, n)
+
+
+def test_box_internalisation_restricted_side(seed):
+    rng = random.Random(seed + 64)
+    for _ in range(40):
+        n = rng.choice((0, 1, 2))
+        pi = [random_formula(rng, 2, 2) for _ in range(rng.randrange(1, 3))]
+        premises = [random_formula(rng, 2, 2) for _ in range(rng.randrange(2))]
+        conclusion = random_formula(rng, 2, 2)
+        program = entailment._compile_entailment(premises, conclusion, pi)
+        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP, 1)
+        restricted = brute(n, premises, conclusion, filters=pi)
+        assert _json((cm is None, cm)) == restricted
+        boxed = brute(n, [Derived(DerivedTag.BOX, (f,)) for f in pi] + premises, conclusion)
+        assert verify_box_internalisation(n, pi, premises, conclusion) == (
+            boxed[0] == restricted[0]
+        )
+
+
+def test_conclusion_skipped_under_empty_intersection(monkeypatch):
+    # the premises are intersected in order, before the conclusion, at the
+    # innermost level too; here it is empty for every assignment
+    def refuse(*args):
+        raise AssertionError("conclusion evaluated")
+
+    monkeypatch.setattr(Algebra, "int_or", refuse)
+    for text in ("P0 & !P0 |- P0 i| P1", "P1, !P1 |- P0 i| P1"):
+        assert algebra_entails(2, *_query(text))[0]
+
+
+def test_scan_frees_its_algebra(monkeypatch):
+    # an algebra's memo tables must go when the scan returns, not at the
+    # next cyclic collection, or peak memory grows with every query
+    made = []
+
+    class Tracked(Algebra):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(entailment, "Algebra", Tracked)
+    gc.disable()
+    try:
+        report = find_countermodel(*_query("P0 & P1 |- P0 i& P1"), max_n=2)
+        assert report.status == "exhausted" and made
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
+def test_ranges_merge_to_the_least(seed):
+    # any split of the first variable's values into ranges, scanned in
+    # order, finds the hit that one scan of all of them finds
+    rng = random.Random(seed + 65)
+    for _ in range(30):
+        n, n_vars = rng.choice(((2, 2), (3, 1)))
+        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(3))]
+        program = entailment._compile_entailment(premises, random_formula(rng, 3, n_vars))
+        values = 1 << (1 << n) if program.variables else 1
+        whole = entailment._scan((program, n, "all", 0, values))
+        cuts = sorted(rng.sample(range(1, values), min(5, values - 1)))
+        hits = [
+            entailment._scan((program, n, "all", lo, hi))
+            for lo, hi in zip([0, *cuts], [*cuts, values])
+        ]
+        assert next((h for h in hits if h is not None), None) == whole
+
+
+def test_jobs_two_matches_one_at_n3():
+    # the least countermodel lies in the last chunk: P0 must be the full set
+    premises, conclusion = _query("box P0 |- P1")
+    one = algebra_entails(3, premises, conclusion, jobs=1)
+    two = algebra_entails(3, premises, conclusion, jobs=2)
+    assert not one[0] and _json(one) == _json(two)
+    assert one[1].hom.assignment[0].bits == one[1].algebra.full
+
+
+def test_jobs_two_matches_one_cli(capsys):
+    argv = ["entail", "--max-n", "3", "P0 & P1 |- P0 i& P1"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    sequential = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--jobs", "2"]) == 0
+    parallel = json.loads(capsys.readouterr().out)
+    assert sequential["n"] == 3 and {**sequential, "jobs": 2} == parallel
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and runs
+    the chunks in this process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        _FakePool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+def test_pool_capped_at_cpu_count(monkeypatch, capsys):
+    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _FakePool.workers = []
+    assert main(["entail", "--max-n", "3", "--jobs", "64", "P0, P1 |- P0 & P1"]) == 0
+    assert _FakePool.workers == [2]  # only n = 3 has more than 4096 homomorphisms
+    assert json.loads(capsys.readouterr().out)["jobs"] == 64  # the requested value
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_jobs_below_one_rejected(value, capsys):
+    for command in ("entail", "lentail"):
+        query = "P0 |- P0" if command == "entail" else "p0 : P0 |- p0 : P0"
+        assert main([command, "--jobs", value, query]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def _wrong_hit(args):
+    # a countermodel that cannot replay: every value 0, or the singleton of
+    # element 0 for a label atom, and witness element 0
+    program = args[0]
+    return (0,) * len(program.variables) + (1,) * len(program.atoms), 0
+
+
+def test_wrong_countermodel_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(entailment, "_scan", _wrong_hit)
+    with pytest.raises(ReplayError):
+        find_countermodel(*_query("P0 |- P0"))
+    with pytest.raises(ReplayError):
+        find_labelled_countermodel(*parse_labelled_query("p0 : P0 |- p0 : P0"))
+    assert main(["entail", "P0 |- P0"]) == 2
+    assert main(["lentail", "p0 : P0 |- p0 : P0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("does not replay") == 2
+
+
+def test_python_dash_o_module_entry():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    refuted = run("-m", "lt", "entail", "ibot |- i! ibot")
+    assert refuted.returncode == 1
+    assert json.loads(refuted.stdout)["countermodel"] == {"n": 1, "assignment": {}, "witness": "0"}
+    # with replay forced to fail, the countermodel is refused even under -O
+    patched = run(
+        "-c",
+        "import runpy, sys, lt.entailment as e; e.replay = lambda *a: False; "
+        "sys.argv = ['lt', 'entail', 'ibot |- i! ibot']; "
+        "runpy.run_module('lt', run_name='__main__')",
+    )
+    assert patched.returncode == 2 and patched.stdout == ""
+    assert "does not replay" in patched.stderr
+    parsed = run("-m", "lt", "parse", "P0")
+    assert parsed.returncode == 0 and parsed.stdout == "Var(index=0)\n"
