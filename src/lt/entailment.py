@@ -7,20 +7,25 @@ but not in the conclusion's.
 
 A query is compiled once, for every algebra size, into a `Program`: one
 children-first instruction list in which each shared subterm is stored
-once (hash-consing).  Each instruction is tagged with the position of
-the last variable or label atom it reads; constants get level -1 and
-are computed once per algebra.  The kernel `_scan` enumerates the
-positions like an odometer in canonical order (variables ascending,
-then label atoms, the first most significant, values ascending) and,
-when digit p changes, re-runs only the instructions of level >= p.
-Premises are intersected in order as soon as their level is reached,
-and an empty intersection skips the rest of its level and every deeper
-digit, so the conclusion's instructions run only while the premises
-known so far intersect.  The countermodel reported is the least one,
-with or without workers, and it is replayed through the tree-walking
-evaluator first.  Searching all finite sizes is sound for refutation
-but cannot certify full entailment: some non-validities need an
-infinite (non-complete) algebra.
+once (hash-consing).  `!bot` folds to the full-carrier constant, and an
+internal meet or join with it compiles to a closure opcode, since
+int_and(x, full) = down_closure(x) and int_or(x, full) = up_closure(x).
+`_DOWN` and `_UP` look the closure up in a table over the whole domain
+up to n = 3 and run the algebra's shift-and-mask kernels at n = 4.  Each
+instruction is tagged with the position of the last variable or label
+atom it reads; constants get level -1 and are computed once per algebra.
+The kernel `_scan` enumerates the positions like an odometer in
+canonical order (variables ascending, then label atoms, the first most
+significant, values ascending) and, when digit p changes, re-runs only
+the instructions of level >= p.  Premises are intersected in order as
+soon as their level is reached, and an empty intersection skips the
+rest of its level and every deeper digit, so the conclusion's
+instructions run only while the premises known so far intersect.  The
+countermodel reported is the least one, with or without workers, and
+it is replayed through the tree-walking evaluator first.  Searching all
+finite sizes is sound for refutation but cannot certify full
+entailment: some non-validities need an infinite (non-complete)
+algebra.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .syntax import (
     expand,
     free_vars,
     label_atoms,
+    postorder,
 )
 
 DEFAULT_MAX_N = 3
@@ -139,12 +145,19 @@ def local_counterexample(
 # Opcodes.  An instruction (opcode, a, b) computes the value of its slot
 # from the values of slots a and b; a unary operation repeats its operand.
 # _ANY is the full carrier if its operand is non-empty, _ALL if it is the
-# full carrier, and both are empty otherwise.  A label atom takes the
-# singleton of its element as value, so labels compile to internal
-# connectives.
-_OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL = range(8)
+# full carrier, and both are empty otherwise.  _DOWN and _UP are the
+# order closures, which is what x i& top and x i| top compute.  A label
+# atom takes the singleton of its element as value, so labels compile to
+# internal connectives.
+_OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL, _DOWN, _UP = range(10)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
+_CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
+# Up to this algebra size a scan reads the closures from tables over the
+# whole domain of 2^(2^n) denotations: 256 entries at n = 3.  At n = 4 a
+# table holds 65,536, costs as many closures as a one-variable scan
+# computes and is built again for every --jobs chunk, so shifts run.
+_TABLE_MAX_N = 3
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -188,21 +201,20 @@ class Program:
     def term(self, root) -> int:
         """The slot of an expanded formula or a label, compiled children
         first without recursion."""
-        order, todo = [], [root]
-        while todo:  # node, right subtree, left subtree: reversed, children first
-            order.append(node := todo.pop())
-            if isinstance(node, (ExtNot, IntNot, LNot)):
-                todo.append(node.child)
-            elif type(node) in _BINARY:
-                todo += (node.left, node.right)
         out: list[int] = []
-        for node in reversed(order):
+        zero, full = self.constants + _ZERO, self.constants + _FULL
+        for node in postorder(root):
             kind = type(node)
             if kind in _BINARY:
-                right = out.pop()
-                out.append(self.emit(_BINARY[kind], out.pop(), right))
+                op, right, left = _BINARY[kind], out.pop(), out.pop()
+                if op in _CLOSURES and full in (left, right):
+                    x = right if left == full else left
+                    out.append(self.emit(_CLOSURES[op], x, x))
+                else:
+                    out.append(self.emit(op, left, right))
             elif kind is ExtNot:
-                out.append(self.emit(_XOR, self.constants + _FULL, out.pop()))
+                child = out.pop()
+                out.append(full if child == zero else self.emit(_XOR, full, child))
             elif kind is IntNot or kind is LNot:
                 out.append(self.emit(_INOT, out[-1], out.pop()))
             elif kind in _LEAVES:
@@ -284,9 +296,15 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     program, n, class_restriction, start, stop = args
     alg = Algebra(n)
     full = alg.full
+    if n <= _TABLE_MAX_N:
+        downs = [alg.down_closure(x) for x in range(full + 1)]
+        ups = [alg.up_closure(x) for x in range(full + 1)]
+        down, up = (lambda x, _: downs[x]), (lambda x, _: ups[x])
+    else:
+        down, up = (lambda x, _: alg.down_closure(x)), (lambda x, _: alg.up_closure(x))
     ops = (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-           lambda x, _: full if x == full else 0)
+           lambda x, _: full if x == full else 0, down, up)
     domains = _domains(program, alg, class_restriction)
     vals = [0] * len(domains) + [0, alg.int_bot(), full] + [0] * len(program.code)
     levels: list[list] = [[[[], None]] for _ in range(len(domains) + 1)]  # -1.. as [block, guard]

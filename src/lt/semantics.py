@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import Algebra, Denotation
-from .errors import EvalError
+from .errors import AlgebraMismatchError, EvalError
 from .syntax import (
     Derived,
     DerivedTag,
@@ -36,6 +36,7 @@ from .syntax import (
     LOr,
     Var,
     expand,
+    postorder,
     substitute,
 )
 
@@ -50,7 +51,7 @@ class Homomorphism:
     def __post_init__(self):
         for v, d in self.assignment.items():
             if d.algebra != self.algebra:
-                raise ValueError(f"assignment for P{v} targets a different algebra")
+                raise AlgebraMismatchError(f"assignment for P{v} targets a different algebra")
 
     @classmethod
     def from_bits(cls, algebra: Algebra, bits_by_var: Mapping[int, int]) -> "Homomorphism":
@@ -75,44 +76,56 @@ def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -
 
 
 def _eval_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula, native: bool) -> int:
-    """The one tree walker: derived connectives are computed directly at the
-    set level when native is set, and are an error otherwise."""
-    if isinstance(f := formula, Var):
-        try:
-            return env[f.index]
-        except KeyError:
-            raise EvalError(f"unbound variable P{f.index}") from None
-    if isinstance(f, ExtBot):
-        return 0
-    if isinstance(f, IntBot):
-        return algebra.int_bot()
-    if isinstance(f, ExtNot):
-        return algebra.ext_not(_eval_bits(algebra, env, f.child, native))
-    if isinstance(f, IntNot):
-        return algebra.int_not(_eval_bits(algebra, env, f.child, native))
-    if isinstance(f, ExtOr):
-        return _eval_bits(algebra, env, f.left, native) | _eval_bits(algebra, env, f.right, native)
-    if isinstance(f, ExtAnd):
-        return _eval_bits(algebra, env, f.left, native) & _eval_bits(algebra, env, f.right, native)
-    if isinstance(f, IntOr):
-        return algebra.int_or(
-            _eval_bits(algebra, env, f.left, native), _eval_bits(algebra, env, f.right, native)
-        )
-    if isinstance(f, IntAnd):
-        return algebra.int_and(
-            _eval_bits(algebra, env, f.left, native), _eval_bits(algebra, env, f.right, native)
-        )
-    assert isinstance(f, Derived)
-    tag = f.tag
-    if not native:
-        raise EvalError(f"derived connective {tag.value} in core evaluation; expand first")
+    """The one tree walker, children first without recursion: derived
+    connectives are computed directly at the set level when native is
+    set, and are an error otherwise."""
+    out: list[int] = []
+    full = algebra.full
+    for f in postorder(formula):
+        kind = type(f)
+        if kind is Var:
+            try:
+                out.append(env[f.index])
+            except KeyError:
+                raise EvalError(f"unbound variable P{f.index}") from None
+        elif kind is ExtNot:
+            out[-1] ^= full
+        elif kind is ExtAnd:
+            right = out.pop()
+            out[-1] &= right
+        elif kind is ExtOr:
+            right = out.pop()
+            out[-1] |= right
+        elif kind is IntAnd:
+            right = out.pop()
+            out[-1] = algebra.int_and(out[-1], right)
+        elif kind is IntOr:
+            right = out.pop()
+            out[-1] = algebra.int_or(out[-1], right)
+        elif kind is IntNot:
+            out[-1] = algebra.int_not(out[-1])
+        elif kind is ExtBot:
+            out.append(0)
+        elif kind is IntBot:
+            out.append(algebra.int_bot())
+        else:
+            assert kind is Derived
+            if not native:
+                raise EvalError(f"derived connective {f.tag.value} in core evaluation; expand first")
+            split = len(out) - len(f.args)
+            args, out[split:] = out[split:], ()
+            out.append(_native(algebra, f.tag, args))
+    return out[0]
+
+
+def _native(algebra: Algebra, tag: DerivedTag, args: list[int]) -> int:
+    """One derived connective at the set level, over evaluated arguments."""
     if tag is DerivedTag.EXT_TOP:
         return algebra.full
     if tag is DerivedTag.INT_TOP:
         return algebra.int_top()
     if tag is DerivedTag.NB:
         return algebra.ext_not(algebra.int_bot())
-    args = [_eval_bits(algebra, env, a, native) for a in f.args]
     if tag is DerivedTag.DOWN:
         return algebra.down_closure(args[0])
     if tag is DerivedTag.UP:

@@ -192,51 +192,38 @@ def equality(a: Label, b: Label) -> LabelledFormula:
 
 def free_vars(formula: Formula) -> frozenset[int]:
     """Indices of the propositional variables occurring in the formula."""
-    out: set[int] = set()
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Var):
-            out.add(f.index)
-        elif isinstance(f, (ExtNot, IntNot)):
-            stack.append(f.child)
-        elif isinstance(f, (ExtOr, ExtAnd, IntOr, IntAnd)):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Derived):
-            stack.extend(f.args)
-    return frozenset(out)
+    return frozenset(f.index for f in postorder(formula) if isinstance(f, Var))
 
 
 def label_atoms(label: Label) -> frozenset[int]:
     """Indices of the atomic labels occurring in the label."""
-    out: set[int] = set()
-    stack = [label]
-    while stack:
-        a = stack.pop()
-        if isinstance(a, LAtom):
-            out.add(a.index)
-        elif isinstance(a, LNot):
-            stack.append(a.child)
-        elif isinstance(a, (LOr, LAnd)):
-            stack.append(a.left)
-            stack.append(a.right)
-    return frozenset(out)
+    return frozenset(a.index for a in postorder(label) if isinstance(a, LAtom))
 
 
 def is_core(formula: Formula) -> bool:
     """True iff the formula contains no derived connectives."""
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Derived):
-            return False
-        if isinstance(f, (ExtNot, IntNot)):
-            stack.append(f.child)
-        elif isinstance(f, (ExtOr, ExtAnd, IntOr, IntAnd)):
-            stack.append(f.left)
-            stack.append(f.right)
-    return True
+    return not any(isinstance(f, Derived) for f in postorder(formula))
+
+
+_UNARY_NODES = frozenset((ExtNot, IntNot, LNot))
+_BINARY_NODES = frozenset((ExtOr, ExtAnd, IntOr, IntAnd, LOr, LAnd))
+
+
+def postorder(root):
+    """The nodes of a formula or label, each after its children (left
+    before right), listed without recursion."""
+    order, todo = [], [root]
+    while todo:  # node, right subtree, left subtree: reversed, children first
+        order.append(node := todo.pop())
+        kind = type(node)
+        if kind in _BINARY_NODES:
+            todo += (node.left, node.right)
+        elif kind in _UNARY_NODES:
+            todo.append(node.child)
+        elif kind is Derived:
+            todo += node.args
+    order.reverse()
+    return order
 
 
 def expand(formula: Formula) -> Formula:
@@ -247,23 +234,25 @@ def expand(formula: Formula) -> Formula:
     x -> y = !x | y, ~x = !up(down x & nb),
     x o* y = (x & nb) i| (y & nb).
     """
-    if isinstance(f := formula, (ExtBot, IntBot, Var)):
-        return f
-    if isinstance(f, ExtNot):
-        return ExtNot(expand(f.child))
-    if isinstance(f, IntNot):
-        return IntNot(expand(f.child))
-    if isinstance(f, ExtOr):
-        return ExtOr(expand(f.left), expand(f.right))
-    if isinstance(f, ExtAnd):
-        return ExtAnd(expand(f.left), expand(f.right))
-    if isinstance(f, IntOr):
-        return IntOr(expand(f.left), expand(f.right))
-    if isinstance(f, IntAnd):
-        return IntAnd(expand(f.left), expand(f.right))
-    assert isinstance(f, Derived)
-    tag = f.tag
-    args = tuple(expand(a) for a in f.args)
+    out: list[Formula] = []
+    for f in postorder(formula):
+        kind = type(f)
+        if kind in _BINARY_NODES:
+            right = out.pop()
+            out[-1] = kind(out[-1], right)
+        elif kind in _UNARY_NODES:
+            out[-1] = kind(out[-1])
+        elif kind is not Derived:
+            out.append(f)
+        else:
+            split = len(out) - len(f.args)
+            args, out[split:] = out[split:], ()
+            out.append(_expand_derived(f.tag, args))
+    return out[0]
+
+
+def _expand_derived(tag: DerivedTag, args: list[Formula]) -> Formula:
+    """One derived connective over expanded arguments."""
     if tag is DerivedTag.EXT_TOP:
         return TOP_CORE
     if tag is DerivedTag.NB:

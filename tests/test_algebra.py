@@ -1,97 +1,104 @@
+import copy
 import random
 
 import pytest
 
 import reference as ref
-from lt.algebra import Algebra, Denotation, ext_bot, full_set, int_bot, principal_ideal
+from lt.algebra import Algebra, Denotation, ext_bot, full_set, principal_ideal
 from lt.errors import AlgebraMismatchError
+from lt.semantics import Homomorphism
 
 
-def D(n, *elements):
-    alg = Algebra(n)
+def D(*elements):
     bits = 0
     for e in elements:
         bits |= 1 << e
-    return Denotation(alg, bits)
+    return bits
 
 
 class TestExternalOps:
     def test_complement_of_empty(self):
         alg = Algebra(2)
-        assert ext_bot(alg).ext_not() == full_set(alg)
+        assert alg.ext_not(0) == alg.full
 
     def test_meet_with_complement(self):
-        d = D(2, 1, 3)
-        assert d.ext_and(d.ext_not()).bits == 0
+        alg = Algebra(2)
+        d = D(1, 3)
+        assert alg.ext_and(d, alg.ext_not(d)) == 0
 
     def test_union(self):
-        assert D(1, 0).ext_or(D(1, 1)) == D(1, 0, 1)
+        assert Algebra(1).ext_or(D(0), D(1)) == D(0, 1)
 
     def test_mismatch(self):
+        # a homomorphism combines the denotations of its variables
         with pytest.raises(AlgebraMismatchError):
-            D(1, 0).ext_or(D(2, 0))
+            Homomorphism(Algebra(1), {0: Denotation(Algebra(1), D(0)), 1: Denotation(Algebra(2), D(0))})
 
 
 class TestInternalOps:
     def test_int_or_bot_top(self):
-        assert int_bot(Algebra(1)).int_or(D(1, 1)) == D(1, 1)
+        alg = Algebra(1)
+        assert alg.int_or(alg.int_bot(), D(1)) == D(1)
 
     def test_empty_operand(self):
-        x = D(2, 1, 2)
-        empty = ext_bot(Algebra(2))
-        assert x.int_and(empty).bits == 0
-        assert x.int_or(empty).bits == 0
-        assert empty.int_not().bits == 0
+        alg = Algebra(2)
+        x = D(1, 2)
+        assert alg.int_and(x, 0) == 0
+        assert alg.int_or(x, 0) == 0
+        assert alg.int_not(0) == 0
 
     def test_int_or_pairs(self):
         # all four pairs over {01, 10}: 01|01=01, 01|10=11, 10|01=11, 10|10=10
-        x = D(2, 0b01, 0b10)
-        assert x.int_or(x) == D(2, 0b01, 0b10, 0b11)
+        x = D(0b01, 0b10)
+        assert Algebra(2).int_or(x, x) == D(0b01, 0b10, 0b11)
 
     def test_int_not_involution(self, seed):
         rng = random.Random(seed + 21)
         alg = Algebra(3)
         for _ in range(100):
-            d = Denotation(alg, rng.randrange(alg.full + 1))
-            assert d.int_not().int_not() == d
+            d = rng.randrange(alg.full + 1)
+            assert alg.int_not(alg.int_not(d)) == d
 
 
 class TestClosures:
     def test_empty(self):
         alg = Algebra(2)
-        assert ext_bot(alg).down_closure().bits == 0
-        assert ext_bot(alg).up_closure().bits == 0
+        assert alg.down_closure(0) == 0
+        assert alg.up_closure(0) == 0
 
     def test_down_of_top(self):
-        assert D(2, 0b11).down_closure() == full_set(Algebra(2))
+        alg = Algebra(2)
+        assert alg.down_closure(D(0b11)) == alg.full
 
     def test_up_of_bot(self):
-        assert D(2, 0b00).up_closure() == full_set(Algebra(2))
+        alg = Algebra(2)
+        assert alg.up_closure(D(0b00)) == alg.full
 
     def test_monotone_idempotent_extensive(self, seed):
         rng = random.Random(seed + 22)
         alg = Algebra(3)
         for _ in range(150):
-            x = Denotation(alg, rng.randrange(alg.full + 1))
-            y = Denotation(alg, x.bits | rng.randrange(alg.full + 1))
-            for close in ("down_closure", "up_closure"):
-                cx = getattr(x, close)()
-                cy = getattr(y, close)()
-                assert cx.bits & x.bits == x.bits  # extensive
-                assert getattr(cx, close)() == cx  # idempotent
-                assert cx.bits & cy.bits == cx.bits  # monotone
+            x = rng.randrange(alg.full + 1)
+            y = x | rng.randrange(alg.full + 1)
+            for close in (alg.down_closure, alg.up_closure):
+                cx = close(x)
+                cy = close(y)
+                assert cx & x == x  # extensive
+                assert close(cx) == cx  # idempotent
+                assert cx & cy == cx  # monotone
 
 
 class TestStrictNeg:
     def test_empty_gives_everything(self):
-        assert ext_bot(Algebra(2)).strict_neg() == full_set(Algebra(2))
+        alg = Algebra(2)
+        assert alg.strict_neg(0) == alg.full
 
     def test_n1_top(self):
-        assert D(1, 1).strict_neg() == D(1, 0)
+        assert Algebra(1).strict_neg(D(1)) == D(0)
 
     def test_n2_single(self):
         # elements b with b & 01 == 00: {00, 10}
-        assert D(2, 0b01).strict_neg() == D(2, 0b00, 0b10)
+        assert Algebra(2).strict_neg(D(0b01)) == D(0b00, 0b10)
 
     def test_triple_equals_single(self):
         # exhaustive over every denotation at n <= 2
@@ -113,13 +120,14 @@ class TestStrictNeg:
 
 class TestPrincipalIdeals:
     def test_examples(self):
-        assert D(2, 0b00, 0b01).is_principal_ideal()  # max 01
-        assert not D(2, 0b01, 0b10).is_principal_ideal()  # 00 missing
-        assert not ext_bot(Algebra(2)).is_principal_ideal()
-        assert principal_ideal(Algebra(2), 0b11) == full_set(Algebra(2))
+        alg = Algebra(2)
+        assert Denotation(alg, D(0b00, 0b01)).is_principal_ideal()  # max 01
+        assert not Denotation(alg, D(0b01, 0b10)).is_principal_ideal()  # 00 missing
+        assert not ext_bot(alg).is_principal_ideal()
+        assert principal_ideal(alg, 0b11) == full_set(alg)
 
     def test_join_of(self):
-        assert D(2, 0b01, 0b10).join_of() == 0b11
+        assert Denotation(Algebra(2), D(0b01, 0b10)).join_of() == 0b11
         assert ext_bot(Algebra(2)).join_of() == 0
 
     def test_against_oracle(self):
@@ -131,37 +139,69 @@ class TestPrincipalIdeals:
 
 
 class TestAgainstSetOracle:
-    """Exhaustive comparison of every operator with the comprehension-based
-    oracle at n <= 2, spot checks at n = 3."""
+    """Every shift-and-mask kernel against the comprehension-based oracle:
+    exhaustively at n <= 3, on seeded operands up to n = 8 that include
+    the empty set, singletons, principal ideals and the full set."""
 
-    def _pairs(self, n):
+    SAMPLES = {4: 300, 5: 200, 6: 100, 7: 60, 8: 40}
+
+    def _values(self, n, rng):
         alg = Algebra(n)
-        if n <= 2:
-            space = range(alg.full + 1)
-            return alg, [(x, y) for x in space for y in space]
-        rng = random.Random(23)
-        return alg, [
-            (rng.randrange(alg.full + 1), rng.randrange(alg.full + 1)) for _ in range(300)
-        ]
+        if n <= 3:
+            return list(range(alg.full + 1))
+        edges = [0, alg.full, 1, 1 << alg.top, 1 << rng.randrange(alg.size)]
+        ideals = [ref.to_bits(ref.principal_ideal(rng.randrange(alg.size), n)) for _ in range(5)]
+        dense = [rng.getrandbits(alg.size) for _ in range(self.SAMPLES[n])]
+        sparse = [rng.getrandbits(alg.size) & rng.getrandbits(alg.size) for _ in range(10)]
+        return edges + ideals + dense + sparse
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def _pairs(self, n, rng):
+        values = self._values(n, rng)
+        if n <= 3:
+            return [(x, y) for x in values for y in values]
+        edges, full = values[:10], values[1]
+        return (
+            [(x, y) for x in edges for y in edges]
+            + [(x, full) for x in values[10:30]]  # x i& top, x i| top: the closure opcodes
+            + [(rng.choice(values), rng.choice(values)) for _ in range(self.SAMPLES[n])]
+        )
+
+    @pytest.mark.parametrize("n", range(9))
     def test_unary(self, n):
-        alg, pairs = self._pairs(n)
-        for x, _ in pairs:
+        alg = Algebra(n)
+        for x in self._values(n, random.Random(23 + n)):
             sx = ref.from_bits(x, n)
             assert alg.ext_not(x) == ref.to_bits(ref.ext_not(sx, n))
             assert alg.int_not(x) == ref.to_bits(ref.int_not(sx, n))
             assert alg.down_closure(x) == ref.to_bits(ref.down_closure(sx, n))
             assert alg.up_closure(x) == ref.to_bits(ref.up_closure(sx, n))
             assert alg.strict_neg(x) == ref.to_bits(ref.strict_neg(sx, n))
+            assert alg.join_of(x) == ref.join_of(sx)
+            assert alg.is_principal_ideal(x) == ref.is_principal_ideal(sx, n)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", range(9))
     def test_binary(self, n):
-        alg, pairs = self._pairs(n)
-        for x, y in pairs:
-            sx, sy = ref.from_bits(x, n), ref.from_bits(y, n)
+        alg = Algebra(n)
+        sets = {}
+        for x, y in self._pairs(n, random.Random(23 + n)):
+            sx = sets.setdefault(x, ref.from_bits(x, n))
+            sy = sets.setdefault(y, ref.from_bits(y, n))
             assert alg.int_or(x, y) == ref.to_bits(ref.int_or(sx, sy))
             assert alg.int_and(x, y) == ref.to_bits(ref.int_and(sx, sy))
+
+    def test_state_fixed_at_construction(self, seed):
+        rng = random.Random(seed + 26)
+        alg = Algebra(4)
+        before = copy.deepcopy(vars(alg))
+        for _ in range(2_000):  # 12,000 kernel calls
+            x, y = rng.getrandbits(alg.size), rng.getrandbits(alg.size)
+            alg.int_or(x, y)
+            alg.int_and(x, y)
+            alg.int_not(x)
+            alg.strict_neg(x)
+            alg.down_closure(x)
+            alg.up_closure(y)
+        assert vars(alg) == before
 
 
 class TestBooleanIdentities:
@@ -169,14 +209,14 @@ class TestBooleanIdentities:
         rng = random.Random(seed + 24)
         alg = Algebra(3)
         for _ in range(200):
-            x = Denotation(alg, rng.randrange(alg.full + 1))
-            y = Denotation(alg, rng.randrange(alg.full + 1))
-            z = Denotation(alg, rng.randrange(alg.full + 1))
-            assert x.ext_or(y) == y.ext_or(x)
-            assert x.ext_and(y.ext_or(z)) == x.ext_and(y).ext_or(x.ext_and(z))
-            assert x.ext_or(x.ext_not()) == full_set(alg)
-            assert x.ext_not().ext_not() == x
-            assert x.ext_and(x) == x
+            x = rng.randrange(alg.full + 1)
+            y = rng.randrange(alg.full + 1)
+            z = rng.randrange(alg.full + 1)
+            assert alg.ext_or(x, y) == alg.ext_or(y, x)
+            assert alg.ext_and(x, alg.ext_or(y, z)) == alg.ext_or(alg.ext_and(x, y), alg.ext_and(x, z))
+            assert alg.ext_or(x, alg.ext_not(x)) == alg.full
+            assert alg.ext_not(alg.ext_not(x)) == x
+            assert alg.ext_and(x, x) == x
 
 
 class TestTextForm:

@@ -79,6 +79,12 @@ class TestEntail:
             '}\n'
         )
 
+    def test_deep_strict_negation(self, capsys):
+        # expand and the tree walker that replays the countermodel do not recurse
+        code, out, _ = run(capsys, "entail", "--max-n", "1", "|- " + "~ " * 600 + "P0")
+        assert code == 1
+        assert json.loads(out)["countermodel"] == {"n": 1, "assignment": {"P0": []}, "witness": "1"}
+
     def test_entailed_exit_0(self, capsys):
         code, out, _ = run(capsys, "entail", "--max-n", "2", "|- P0 -> ~ ~ P0")
         assert code == 0

@@ -140,6 +140,28 @@ def test_fixed_queries_exhaustive(text):
             assert got == brute(n, premises, conclusion, klass), (text, n, klass)
 
 
+@pytest.mark.parametrize(
+    "text, sizes",
+    [
+        ("|- ~ ~ P0 -> P0", (3, 4)),
+        ("up P0 |- down P0", (3, 4)),
+        ("dia P0 |- box dia P0", (3,)),
+        ("|- down P0 -> up P0", (3,)),
+    ],
+)
+def test_full_operands_compile_to_closures(text, sizes):
+    # expand spells down, up, dia, box and ~ with x i& top and x i| top;
+    # they run as closure opcodes, from a table up to n = 3, by shifts at n = 4
+    premises, conclusion = _query(text)
+    program = entailment._compile_entailment(premises, conclusion)
+    full = program.constants + entailment._FULL
+    internal = (entailment._IAND, entailment._IOR)
+    assert not [(op, a, b) for op, a, b in program.code if op in internal and full in (a, b)]
+    assert {entailment._DOWN, entailment._UP} <= {op for op, _, _ in program.code}
+    for n in sizes:
+        assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion)
+
+
 def test_random_queries_exhaustive(seed):
     rng = random.Random(seed + 61)
     for i in range(150):
