@@ -28,6 +28,7 @@ from .ptplus import PTDenotation, format_team, f_map, pt_entails, pt_eval, verif
 from .semantics import Homomorphism, evaluate
 from .syntax import (
     format_formula,
+    formula_repr,
     parse_entailment_query,
     parse_formula,
     parse_labelled_query,
@@ -77,7 +78,7 @@ def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
 
 def _cmd_parse(args) -> int:
     formula = parse_formula(args.expr)
-    print(repr(formula))
+    print(formula_repr(formula))
     return EXIT_OK
 
 

@@ -26,14 +26,34 @@ it is replayed through the tree-walking evaluator first.  Searching all
 finite sizes is sound for refutation but cannot certify full
 entailment: some non-validities need an infinite (non-complete)
 algebra.
+
+Symmetry.  A permutation of the n atoms is an automorphism of 2^n, and
+it lifts to denotations; every connective, internal or external,
+commutes with it, and it fixes the constants (the empty set, {bottom},
+the full carrier).  It also maps each kind of domain onto itself: all
+denotations, principal ideals, and the singletons that label atoms take.
+So the permutation of a countermodel, witness included, is again one,
+and countermodels come in orbits.  The scan visits only lex-leaders,
+the assignments least in canonical order within their orbit (Crawford,
+Ginsberg, Luks and Roy, KR 1996): digit p takes only the values least in
+their orbit under G_p, where G_0 is all n! permutations and G_{p+1} the
+members of G_p that fix the value of digit p.  If the least
+countermodel broke this at digit p, a member of G_p would give one
+equal to it before p and smaller at p.  So it is visited, and as the
+visited assignments keep their order it is the first hit; the witness
+is then computed from it as before.  One variable at n = 4 takes 3,984
+values instead of 65,536.  The cap counts every homomorphism, not only
+the lex-leaders, so budget verdicts do not depend on the reduction.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -264,11 +284,73 @@ def _compile_labelled(gamma, conclusion) -> Program:
     return c.conclude(c.term(psi))
 
 
+# -- symmetry: the atom permutations
+
+
+class _Symmetry:
+    """The n! permutations of the atoms of 2^n, acting on denotations.
+
+    Permutation 0 is the identity, and a group is the ascending tuple of
+    its members' indices.  `tables[i]` maps a denotation to its image
+    under permutation i a byte at a time: the low byte through the first
+    array, the high byte (at n = 4) through the second."""
+
+    def __init__(self, n: int):
+        self.denotations = 1 << (1 << n)
+        self.group = tuple(range(math.factorial(n)))
+        self.tables: list[tuple[array, ...]] = []
+        for perm in itertools.permutations(range(n)):
+            moves = [0]  # the image of each element, built by doubling over the atoms
+            for atom in perm:
+                moves += [m | 1 << atom for m in moves]
+            tables = []
+            for chunk in (moves[:8], moves[8:]):
+                table = [0]
+                for m in chunk:
+                    table += [t | 1 << m for t in table]
+                tables.append(array("H", table))
+            self.tables.append(tuple(tables))
+        self._minima: dict[tuple[str, tuple[int, ...]], array] = {}
+
+    def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
+        """The members of the group that fix the value."""
+        tables = self.tables
+        return tuple(
+            i for i in group if tables[i][0][value & 255] | tables[i][1][value >> 8] == value
+        )
+
+    def minima(self, kind: str, domain: Sequence[int], group: tuple[int, ...]) -> Sequence[int]:
+        """The values of the domain that are least in their orbit under the
+        group, ascending; the domain itself when the group is trivial."""
+        if len(group) == 1:
+            return domain
+        found = self._minima.get((kind, group))
+        if found is None:
+            found, seen = array("H"), bytearray(self.denotations)
+            tables = [self.tables[i] for i in group]
+            for value in domain:  # ascending, so the first of an orbit is its least
+                if not seen[value]:
+                    found.append(value)
+                    low, high = value & 255, value >> 8
+                    for lows, highs in tables:
+                        seen[lows[low] | highs[high]] = 1
+            self._minima[kind, group] = found
+        return found
+
+
+@functools.cache
+def _symmetry(n: int) -> _Symmetry:
+    """Built on first use of each algebra size, then kept for the process."""
+    return _Symmetry(n)
+
+
 # -- the scan kernel and the deepening driver
 
 
-def _domains(program: Program, alg: Algebra, class_restriction: str) -> list[Sequence[int]]:
-    """The values of each position, ascending."""
+def _domains(
+    program: Program, alg: Algebra, class_restriction: str
+) -> list[tuple[str, Sequence[int]]]:
+    """The kind and the values of each position, ascending."""
     if class_restriction == "principal_variables":
         variable: Sequence[int] = sorted(alg.principal_ideal(a) for a in alg.elements())
     elif class_restriction == "all":
@@ -276,7 +358,9 @@ def _domains(program: Program, alg: Algebra, class_restriction: str) -> list[Seq
     else:
         raise ValueError(f"unknown class restriction {class_restriction!r}")
     singletons = [1 << e for e in alg.elements()]
-    return [variable] * len(program.variables) + [singletons] * len(program.atoms)
+    return [(class_restriction, variable)] * len(program.variables) + [
+        ("atoms", singletons)
+    ] * len(program.atoms)
 
 
 def _run(segments, vals: list[int]) -> bool:
@@ -290,9 +374,10 @@ def _run(segments, vals: list[int]) -> bool:
 
 
 def _scan(args) -> tuple[tuple[int, ...], int] | None:
-    """The kernel.  Scan, in canonical order, the assignments whose first
-    position takes a value with index in [start, stop), and return the
-    least violating one as (position values, witness element), or None."""
+    """The kernel.  Scan, in canonical order, the lex-leader assignments
+    whose first position takes its value with index in [start, stop) of
+    the orbit minima under all permutations, and return the least
+    violating one as (position values, witness element), or None."""
     program, n, class_restriction, start, stop = args
     alg = Algebra(n)
     full = alg.full
@@ -314,34 +399,51 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
         if slot in program.guards:
             segments[-1][1] = slot
             segments.append([[], None])
-    state = (domains, levels, vals, program.bad)
+    sym = _symmetry(n)
+    state = (domains, sym, levels, vals, program.bad)
     if _run(levels[0], vals) and (
-        _odometer(0, domains[0][start:stop], state) if domains else vals[program.bad]
+        _odometer(0, sym.minima(*domains[0], sym.group)[start:stop], sym.group, state)
+        if domains
+        else vals[program.bad]
     ):
         bad = vals[program.bad]
         return tuple(vals[: len(domains)]), (bad & -bad).bit_length() - 1
     return None
 
 
-def _odometer(p: int, values: Sequence[int], state: tuple) -> bool:
-    """Turn digit p through the values and each deeper digit through its
-    whole domain, running a level whenever its digit changes; True at the
-    first violation, with the assignment left in the position slots."""
-    domains, levels, vals, bad = state
+def _odometer(p: int, values: Sequence[int], group: tuple[int, ...], state: tuple) -> bool:
+    """Turn digit p through the values, and each deeper digit through the
+    orbit minima of its domain under the stabiliser of the digits before
+    it, running a level whenever its digit changes; True at the first
+    violation, with the assignment left in the position slots."""
+    domains, sym, levels, vals, bad = state
+    level, last = levels[p + 1], p + 1 == len(domains)
     for value in values:
         vals[p] = value
-        if _run(levels[p + 1], vals) and (
-            _odometer(p + 1, domains[p + 1], state) if p + 1 < len(domains) else vals[bad]
-        ):
-            return True
+        if _run(level, vals):
+            if last:
+                if vals[bad]:
+                    return True
+            else:
+                inner = sym.stabiliser(group, value)
+                if _odometer(p + 1, sym.minima(*domains[p + 1], inner), inner, state):
+                    return True
     return False
 
 
-def _run_scan(base_args: tuple, values: int, total: int, jobs: int):
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on first use: the import
+    costs about 2.5 MB, and most scans never open a pool."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
+
+
+def _run_scan(base_args: tuple, values: int, work: int, jobs: int):
     """Scan; on up to `jobs` workers, each taking chunks of the first
-    position's values, when the total is large."""
+    position's orbit minima, when the assignments left are many."""
     workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or total <= 4096:
+    if workers <= 1 or work <= 4096:
         return _scan(base_args + (0, values))
     chunk = -(-values // (workers * 4))
     chunks = [base_args + (s, min(s + chunk, values)) for s in range(0, values, chunk)]
@@ -354,17 +456,22 @@ def _run_scan(base_args: tuple, values: int, total: int, jobs: int):
 
 
 def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: int):
-    """The least countermodel at algebra size n, or None."""
+    """The least countermodel at algebra size n, or None.  The cap counts
+    every homomorphism, not only the lex-leaders that are scanned."""
     if not 0 <= n <= MAX_N:
         raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
     alg = Algebra(n)
     domains = _domains(program, alg, class_restriction)
-    total = math.prod(map(len, domains))
+    total = math.prod(len(values) for _, values in domains)
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, checked=0, total=total)
-    first = len(domains[0]) if domains else 1
-    hit = _run_scan((program, n, class_restriction), first, total, jobs)
+    first, work = 1, 1
+    if domains:  # the first digit's orbit minima, each with at most every later digit's values
+        sym = _symmetry(n)
+        first = len(sym.minima(*domains[0], sym.group))
+        work = total // len(domains[0][1]) * first
+    hit = _run_scan((program, n, class_restriction), first, work, jobs)
     if hit is None:
         return None
     values, witness = hit

@@ -208,33 +208,53 @@ def open_assumptions(d: Derivation, path: tuple[int, ...] = ()) -> set[tuple[str
     return {(aid, lf) for aid, lf in opens.items()}
 
 
-def _walk(node: Derivation, path: tuple[int, ...], state: _State) -> dict[str, LabelledFormula]:
-    if isinstance(node, Assume):
-        if not is_core(node.formula.formula):
+def _postorder(root: Derivation, path: tuple[int, ...]) -> list[tuple[Derivation, tuple[int, ...]]]:
+    """The nodes of a derivation with their paths, each after its premises
+    (in premise order), listed without recursion."""
+    order, todo = [], [(root, path)]
+    while todo:  # node, then its premises last first: reversed, children first
+        order.append(item := todo.pop())
+        node, at = item
+        if isinstance(node, Rule):
+            todo += ((p, at + (i,)) for i, p in enumerate(node.premises))
+    order.reverse()
+    return order
+
+
+def _walk(root: Derivation, root_path: tuple[int, ...], state: _State) -> dict[str, LabelledFormula]:
+    """Check every node, premises first, and return the assumptions open
+    at the root."""
+    results: list[dict[str, LabelledFormula]] = []
+    for node, path in _postorder(root, root_path):
+        if isinstance(node, Assume):
+            if not is_core(node.formula.formula):
+                raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
+            seen = state.ids.get(node.id)
+            if seen is None:
+                state.ids[node.id] = node.formula
+            elif seen != node.formula:
+                raise _Violation(
+                    path, "discharge", f"assumption id {node.id!r} is reused with a different formula"
+                )
+            results.append({node.id: node.formula})
+            continue
+
+        split = len(results) - len(node.premises)
+        opens, results[split:] = results[split:], ()
+        if not is_core(node.conclusion.formula):
             raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
-        seen = state.ids.get(node.id)
-        if seen is None:
-            state.ids[node.id] = node.formula
-        elif seen != node.formula:
-            raise _Violation(
-                path, "discharge", f"assumption id {node.id!r} is reused with a different formula"
-            )
-        return {node.id: node.formula}
 
-    opens = [_walk(p, path + (i,), state) for i, p in enumerate(node.premises)]
-    if not is_core(node.conclusion.formula):
-        raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
+        discharges = node.discharges if node.discharges else ((),) * len(node.premises)
+        if len(discharges) != len(node.premises):
+            raise _Violation(path, "discharge", "one discharge id list is required per premise")
 
-    discharges = node.discharges if node.discharges else ((),) * len(node.premises)
-    if len(discharges) != len(node.premises):
-        raise _Violation(path, "discharge", "one discharge id list is required per premise")
+        _check_rule(node, path, opens, discharges, state)
 
-    _check_rule(node, path, opens, discharges, state)
-
-    merged: dict[str, LabelledFormula] = {}
-    for sub in opens:
-        merged.update(sub)
-    return merged
+        merged: dict[str, LabelledFormula] = {}
+        for sub in opens:
+            merged.update(sub)
+        results.append(merged)
+    return results[0]
 
 
 def _premise_conclusions(node: Rule) -> list[LabelledFormula]:
@@ -254,12 +274,7 @@ def _need(cond: bool, path, reason: str, message: str) -> None:
 
 
 def _subtree_ids(node: Derivation) -> set[str]:
-    if isinstance(node, Assume):
-        return {node.id}
-    out: set[str] = set()
-    for p in node.premises:
-        out |= _subtree_ids(p)
-    return out
+    return {d.id for d, _ in _postorder(node, ()) if isinstance(d, Assume)}
 
 
 def _discharge(
@@ -508,21 +523,76 @@ def _check_rule(node: Rule, path, opens, discharges, state: _State) -> None:
 
 
 def derivation_from_json(obj) -> Derivation:
-    if not isinstance(obj, dict):
-        raise LTError("a derivation node must be a JSON object")
-    if "assume" in obj:
-        if "id" not in obj:
-            raise LTError("an assumption needs an 'id'")
-        return Assume(str(obj["id"]), parse_labelled(obj["assume"]))
-    try:
-        name = RuleName(obj["rule"])
-    except (KeyError, ValueError) as exc:
-        raise LTError(f"bad or missing rule name: {obj.get('rule')!r}") from exc
-    conclusion = parse_labelled(obj["conclusion"])
-    premises = tuple(derivation_from_json(p) for p in obj.get("premises", []))
-    discharges = tuple(tuple(str(i) for i in ids) for ids in obj.get("discharges", []))
-    fresh = tuple(_parse_fresh_atom(a) for a in obj.get("fresh", []))
-    return Rule(name, conclusion, premises, discharges, fresh)
+    """Build a derivation from its JSON form without recursion.  A node of
+    the wrong shape raises LTError naming its JSON path, as in
+    `$.premises[0].conclusion`."""
+    order, todo = [], [(obj, "$")]
+    while todo:  # node, then its premises last first: reversed, children first
+        order.append(item := todo.pop())
+        node, where = item
+        if not isinstance(node, dict):
+            raise LTError(f"{where}: a derivation node must be a JSON object")
+        if "assume" not in node:
+            premises = _json_list(node.get("premises", []), f"{where}.premises")
+            todo += ((p, f"{where}.premises[{i}]") for i, p in enumerate(premises))
+    built: list[Derivation] = []
+    for node, where in reversed(order):
+        if "assume" in node:
+            if "id" not in node:
+                raise LTError(f"{where}: an assumption needs an 'id'")
+            formula = parse_labelled(_json_string(node["assume"], f"{where}.assume"))
+            built.append(Assume(_json_id(node["id"], f"{where}.id"), formula))
+            continue
+        try:
+            name = RuleName(node["rule"])
+        except (KeyError, ValueError) as exc:
+            raise LTError(f"{where}: bad or missing rule name: {node.get('rule')!r}") from exc
+        if "conclusion" not in node:
+            raise LTError(f"{where}: a rule needs a 'conclusion'")
+        conclusion = parse_labelled(_json_string(node["conclusion"], f"{where}.conclusion"))
+        discharges = _json_list(node.get("discharges", []), f"{where}.discharges")
+        discharges = tuple(
+            tuple(
+                _json_id(aid, f"{where}.discharges[{i}][{j}]")
+                for j, aid in enumerate(_json_list(ids, f"{where}.discharges[{i}]"))
+            )
+            for i, ids in enumerate(discharges)
+        )
+        fresh = tuple(
+            _parse_fresh_atom(_json_string(atom, f"{where}.fresh[{i}]"))
+            for i, atom in enumerate(_json_list(node.get("fresh", []), f"{where}.fresh"))
+        )
+        split = len(built) - len(node.get("premises", []))
+        premises, built[split:] = tuple(built[split:]), ()
+        built.append(Rule(name, conclusion, premises, discharges, fresh))
+    return built[0]
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _json_string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise LTError(f"{where}: must be a string, got {_json_type(value)}")
+    return value
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise LTError(f"{where}: must be an array, got {_json_type(value)}")
+    return value
+
+
+def _json_id(value, where: str) -> str:
+    """An assumption id: a string, or an integer taken as its decimal text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise LTError(f"{where}: an assumption id must be a string, got {_json_type(value)}")
+    return str(value)
 
 
 def _parse_fresh_atom(text: str) -> int:
@@ -551,7 +621,11 @@ def derivation_to_json(d: Derivation):
 
 def load_derivation(path: str | Path) -> Derivation:
     with open(path, encoding="utf-8") as fh:
-        return derivation_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise LTError(f"{path}: the proof JSON is nested too deeply to load") from None
+    return derivation_from_json(obj)
 
 
 def load_assumptions(path: str | Path) -> list[LabelledFormula]:

@@ -622,79 +622,85 @@ def _binop_symbol(f: Formula) -> str | None:
     return None
 
 
+def _paren(text: str, node: Formula, unless_op: str | None = None) -> str:
+    """A subformula's text, parenthesised if it is a binary formula with an
+    operator other than `unless_op`."""
+    sym = _binop_symbol(node)
+    return f"({text})" if sym is not None and sym != unless_op else text
+
+
 def format_formula(f: Formula) -> str:
-    if isinstance(f, ExtBot):
-        return "bot"
-    if isinstance(f, IntBot):
-        return "ibot"
-    if isinstance(f, Var):
-        return f"P{f.index}"
-    if isinstance(f, ExtNot):
-        return "!" + _operand(f.child)
-    if isinstance(f, IntNot):
-        return "i!" + _operand(f.child)
-    sym = _binop_symbol(f)
-    if sym is not None:
-        if isinstance(f, Derived):
-            left, right = f.args
+    """The formula's text, built children first without recursion."""
+    out: list[str] = []
+    for node in postorder(f):
+        kind, sym = type(node), _binop_symbol(node)
+        if sym is not None:
+            left, right = node.args if kind is Derived else (node.left, node.right)
+            right_text = out.pop()
+            if sym == "->":  # right-associative
+                out[-1] = f"{_paren(out[-1], left)} -> {_paren(right_text, right, sym)}"
+            else:
+                out[-1] = f"{_paren(out[-1], left, sym)} {sym} {_paren(right_text, right)}"
+        elif kind is ExtNot or kind is IntNot:
+            out[-1] = ("!" if kind is ExtNot else "i!") + _paren(out[-1], node.child)
+        elif kind is ExtBot or kind is IntBot:
+            out.append("bot" if kind is ExtBot else "ibot")
+        elif kind is Var:
+            out.append(f"P{node.index}")
+        elif not node.args:
+            out.append(node.tag.value)
         else:
-            left, right = f.left, f.right  # type: ignore[attr-defined]
-        assoc_side = right if sym == "->" else left
-        other_side = left if sym == "->" else right
-        assoc = _wrap(assoc_side, unless_op=sym)
-        other = _wrap(other_side, unless_op=None)
-        if sym == "->":
-            return f"{other} {sym} {assoc}"
-        return f"{assoc} {sym} {other}"
-    assert isinstance(f, Derived)
-    if ARITY[f.tag] == 0:
-        return f.tag.value
-    if f.tag is DerivedTag.STRICT_NOT:
-        return "~" + _operand(f.args[0])
-    return f.tag.value + " " + _operand(f.args[0])
-
-
-def _wrap(f: Formula, unless_op: str | None) -> str:
-    sym = _binop_symbol(f)
-    text = format_formula(f)
-    if sym is not None and sym != unless_op:
-        return f"({text})"
-    return text
-
-
-def _operand(f: Formula) -> str:
-    text = format_formula(f)
-    if _binop_symbol(f) is not None:
-        return f"({text})"
-    return text
+            spaced = "" if node.tag is DerivedTag.STRICT_NOT else " "
+            out[-1] = node.tag.value + spaced + _paren(out[-1], node.args[0])
+    return out[0]
 
 
 def format_label(a: Label) -> str:
-    if isinstance(a, LBot):
-        return "F"
-    if isinstance(a, LAtom):
-        return f"p{a.index}"
-    if isinstance(a, LNot):
-        inner = format_label(a.child)
-        if isinstance(a.child, (LOr, LAnd)):
-            return f"!({inner})"
-        return "!" + inner
-    if isinstance(a, LAnd):
-        left = format_label(a.left)
-        if isinstance(a.left, LOr):
-            left = f"({left})"
-        right = format_label(a.right)
-        if isinstance(a.right, (LOr, LAnd)):
-            right = f"({right})"
-        return f"{left} & {right}"
-    assert isinstance(a, LOr)
-    left = format_label(a.left)
-    if isinstance(a.left, LAnd):
-        left = f"({left})"
-    right = format_label(a.right)
-    if isinstance(a.right, (LOr, LAnd)):
-        right = f"({right})"
-    return f"{left} | {right}"
+    """The label's text, built children first without recursion.  A binary
+    label is parenthesised under !, as a right operand, and as the left
+    operand of the other connective."""
+    out: list[str] = []
+    for node in postorder(a):
+        kind = type(node)
+        if kind is LBot:
+            out.append("F")
+        elif kind is LAtom:
+            out.append(f"p{node.index}")
+        elif kind is LNot:
+            out[-1] = "!" + (f"({out[-1]})" if type(node.child) in (LOr, LAnd) else out[-1])
+        else:
+            right = out.pop()
+            left = out[-1]
+            if type(node.left) is (LOr if kind is LAnd else LAnd):
+                left = f"({left})"
+            if type(node.right) in (LOr, LAnd):
+                right = f"({right})"
+            out[-1] = f"{left} {'&' if kind is LAnd else '|'} {right}"
+    return out[0]
+
+
+def formula_repr(root) -> str:
+    """repr() of a formula or label, the dataclass repr, built children
+    first without recursion, so that a deep formula prints too."""
+    out: list[str] = []
+    for node in postorder(root):
+        kind = type(node)
+        name = kind.__name__
+        if kind in _BINARY_NODES:
+            right = out.pop()
+            out[-1] = f"{name}(left={out[-1]}, right={right})"
+        elif kind in _UNARY_NODES:
+            out[-1] = f"{name}(child={out[-1]})"
+        elif kind is Derived:
+            split = len(out) - len(node.args)
+            args, out[split:] = out[split:], ()
+            tail = "," if len(args) == 1 else ""
+            out.append(f"Derived(tag={node.tag!r}, args=({', '.join(args)}{tail}))")
+        elif kind is Var or kind is LAtom:
+            out.append(f"{name}(index={node.index!r})")
+        else:
+            out.append(f"{name}()")
+    return out[0]
 
 
 def format_labelled(lf: LabelledFormula) -> str:

@@ -25,6 +25,20 @@ class TestParseExpand:
         assert code == 2
         assert "offset 5" in err
 
+    def test_deep_strict_negation_expand(self, capsys):
+        # the printer does not recurse: 600 ~ expand to some 3,000 levels
+        code, out, _ = run(capsys, "expand", "~ " * 600 + "P0")
+        expected = "P0"
+        for _ in range(600):
+            expected = f"!((({expected} i& !bot) & !ibot) i| !bot)"
+        assert code == 0 and out == expected + "\n"
+
+    def test_deep_strict_negation_parse(self, capsys):
+        code, out, _ = run(capsys, "parse", "~ " * 600 + "P0")
+        assert code == 0
+        tag = "Derived(tag=<DerivedTag.STRICT_NOT: '~'>, args=("
+        assert out == tag * 600 + "Var(index=0)" + ",))" * 600 + "\n"
+
     def test_expand_dia(self, capsys):
         code, out, _ = run(capsys, "expand", "dia P0")
         assert code == 0
@@ -179,6 +193,28 @@ class TestCheckProof:
         code, out, _ = run(capsys, "check-proof", str(CORPUS / "fig1.json"))
         assert code == 1
         assert json.loads(out)["reason"] == "open-assumption"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rule": "AndE_L", "premises": [' * 2000 + "{}" + "]}" * 2000,
+             "nested too deeply to load"),
+            (json.dumps({"rule": "AndE_L", "premises": [{"assume": "p1 : P0", "id": "u1"}]}),
+             "$: a rule needs a 'conclusion'"),
+            (json.dumps({"rule": "AndI", "conclusion": "p1 : P0", "premises": 3}),
+             "$.premises: must be an array, got a number"),
+            (json.dumps({"rule": "IAndE", "conclusion": "p1 : P0", "premises": [], "fresh": [1, 2]}),
+             "$.fresh[0]: must be a string, got a number"),
+            (json.dumps({"assume": 5, "id": "u1"}), "$.assume: must be a string, got a number"),
+        ],
+        ids=["nested-2000-deep", "no-conclusion", "premises-3", "fresh-numbers", "assume-5"],
+    )
+    def test_malformed_proof_file_is_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "proof.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_missing_file_is_error(self, capsys):
         code, _, err = run(capsys, "check-proof", "no-such-file.json")

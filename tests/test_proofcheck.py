@@ -333,3 +333,46 @@ class TestFreshness:
         )
         result = check(root, [g1.formula, stray.formula])
         assert not result.ok and result.reason == "freshness"
+
+
+class TestJsonShape:
+    def _and_comm(self):
+        return json.loads((CORPUS / "and_comm.json").read_text())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["premises"][1].update(conclusion=["p0 : P0"]),
+             "$.premises[1].conclusion: must be a string, got an array"),
+            (lambda d: d["premises"][0]["premises"][0].update(id=None),
+             "$.premises[0].premises[0].id: an assumption id must be a string, got null"),
+            (lambda d: d.update(discharges=[[], [{}]]),
+             "$.discharges[1][0]: an assumption id must be a string, got an object"),
+            (lambda d: d.update(discharges="g1"), "$.discharges: must be an array, got a string"),
+            (lambda d: d["premises"].append(7), "$.premises[2]: a derivation node must be a JSON object"),
+        ],
+    )
+    def test_bad_field_names_its_path(self, edit, message):
+        obj = self._and_comm()
+        edit(obj)
+        with pytest.raises(LTError) as exc:
+            derivation_from_json(obj)
+        assert str(exc.value) == message
+
+    def test_integer_ids_still_read_as_text(self):
+        obj = self._and_comm()
+        for leaf in (obj["premises"][0]["premises"][0], obj["premises"][1]["premises"][0]):
+            leaf["id"] = 7
+        d = derivation_from_json(obj)
+        assert d.premises[0].premises[0].id == "7"
+        assert check(d, load_assumptions(CORPUS / "and_comm.assumptions")).ok
+
+    def test_deep_derivation_checked_without_recursion(self):
+        # 1,500 nested AndE_L over one assumption, more than the recursion
+        # limit allows: the conclusions do not match, and the violation at
+        # the innermost rule is reported
+        node = {"assume": "p0 : P0 & P0", "id": "u"}
+        for _ in range(1500):
+            node = {"rule": "AndE_L", "conclusion": "p0 : P1", "premises": [node]}
+        result = check(derivation_from_json(node), [])
+        assert not result.ok and result.reason == "shape" and result.path == (0,) * 1499

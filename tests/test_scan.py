@@ -9,6 +9,7 @@ variables ascending, then label atoms, the first most significant.
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -34,9 +35,12 @@ from lt.syntax import (
     Derived,
     DerivedTag,
     LabelledFormula,
+    LAtom,
     free_vars,
     label_atoms,
     parse_entailment_query,
+    parse_formula,
+    parse_labelled,
     parse_labelled_query,
 )
 
@@ -59,13 +63,16 @@ def _assignment(env: dict, n: int) -> dict:
     return {f"P{v}": [_element(a, n) for a in sorted(d)] for v, d in sorted(env.items())}
 
 
-def brute(n, premises, conclusion, klass="all", filters=()):
+def brute(n, premises, conclusion, klass="all", filters=(), limit=None):
     """(entailed, least countermodel) by plain enumeration; a filter admits
-    only the assignments under which it denotes the full carrier."""
+    only the assignments under which it denotes the full carrier.  With a
+    limit, only that many assignments are tried, and None means that none
+    of them is a countermodel."""
     formulas = [*filters, *premises, conclusion]
     variables = sorted(frozenset().union(*map(free_vars, formulas)))
     full = ref.all_elements(n)
-    for values in itertools.product(_domain(n, klass), repeat=len(variables)):
+    assignments = itertools.product(_domain(n, klass), repeat=len(variables))
+    for values in itertools.islice(assignments, limit):
         env = dict(zip(variables, values))
         if any(ref.evaluate(f, env, n) != full for f in filters):
             continue
@@ -76,14 +83,17 @@ def brute(n, premises, conclusion, klass="all", filters=()):
         if bad:
             witness = _element(min(bad), n)
             return False, {"n": n, "assignment": _assignment(env, n), "witness": witness}
-    return True, None
+    return (True, None) if limit is None else None
 
 
-def brute_labelled(n, gamma, conclusion):
+def brute_labelled(n, gamma, conclusion, limit=None):
+    """As brute, with the label atoms enumerated after the variables; the
+    limit counts variable assignments."""
     items = [*gamma, conclusion]
     variables = sorted(frozenset().union(*(free_vars(lf.formula) for lf in items)))
     atoms = sorted(frozenset().union(*(label_atoms(lf.label) for lf in items)))
-    for values in itertools.product(_domain(n, "all"), repeat=len(variables)):
+    assignments = itertools.product(_domain(n, "all"), repeat=len(variables))
+    for values in itertools.islice(assignments, limit):
         env = dict(zip(variables, values))
         dens = [ref.evaluate(lf.formula, env, n) for lf in items]
         for elements in itertools.product(range(1 << n), repeat=len(atoms)):
@@ -96,7 +106,7 @@ def brute_labelled(n, gamma, conclusion):
                     "witness": _element(at[-1], n),
                     "label_assignment": {f"p{a}": _element(e, n) for a, e in lenv.items()},
                 }
-    return True, None
+    return (True, None) if limit is None else None
 
 
 def _json(result):
@@ -226,6 +236,205 @@ def test_box_internalisation_restricted_side(seed):
         )
 
 
+# -- symmetry: the scan visits only the lex-leader assignments, in which
+# each value is the least of its orbit under the atom permutations that
+# fix every value before it
+
+
+def _atom_perms(n: int) -> list[tuple[int, ...]]:
+    """Each permutation of the atoms, as the map it induces on elements."""
+    return [
+        tuple(sum(1 << p[i] for i in range(n) if a >> i & 1) for a in range(1 << n))
+        for p in itertools.permutations(range(n))
+    ]
+
+
+def _image(perm, x: frozenset[int]) -> frozenset[int]:
+    return frozenset(perm[a] for a in x)
+
+
+def _needs_stabiliser(cm: dict) -> bool:
+    """Whether a value after the first is not the least of its orbit under
+    every atom permutation, so that only a stabiliser admits it."""
+    n = cm["n"]
+    parse = lambda texts: frozenset(int(t, 2) if t else 0 for t in texts)
+    values = [parse(d) for d in cm["assignment"].values()]
+    values += [parse([e]) for e in cm.get("label_assignment", {}).values()]
+    perms = _atom_perms(n)
+    return any(
+        min(ref.to_bits(_image(p, x)) for p in perms) < ref.to_bits(x) for x in values[1:]
+    )
+
+
+def _refuted(rng, draw, want: int) -> list:
+    """Draw queries until `want` are refuted by the oracle within its limit,
+    at least half of them by a countermodel that needs a stabiliser."""
+    cases, deep = [], 0
+    while len(cases) < want:
+        query, expected = draw()
+        if expected is None or expected[0]:
+            continue
+        needs = _needs_stabiliser(expected[1])
+        if needs or 2 * deep >= want:
+            cases.append((query, expected))
+            deep += needs
+    return cases
+
+
+def _pins(rng, n_vars: int) -> list:
+    """Premises that give two or more variables nonzero members, each
+    meeting the next one's only at bottom, so that no value of the least
+    countermodel after the first is invariant; or none, half the time."""
+    if n_vars < 2 or rng.random() < 0.5:
+        return []
+    chosen = rng.sample(range(n_vars), rng.randrange(2, n_vars + 1))
+    pins = [parse_formula(f"dia (P{i} & nb)") for i in chosen]
+    return pins + [parse_formula(f"box (P{i} i& P{j} -> ibot)") for i, j in zip(chosen, chosen[1:])]
+
+
+def test_refuted_multi_variable(seed):
+    rng = random.Random(seed + 66)
+    shapes = [(2, 2, "all"), (2, 3, "all"), (3, 2, "all"),
+              (2, 3, "principal_variables"), (3, 3, "principal_variables")]
+
+    def draw():
+        n, n_vars, klass = rng.choice(shapes)
+        premises = _pins(rng, n_vars) + [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(2))]
+        rng.shuffle(premises)
+        query = (n, premises, random_formula(rng, 3, n_vars), klass)
+        return query, brute(*query, limit=3000)
+
+    for (n, premises, conclusion, klass), expected in _refuted(rng, draw, 24):
+        got = _json(algebra_entails(n, premises, conclusion, klass))
+        assert got == expected, (premises, conclusion, n, klass)
+
+
+def test_refuted_labelled(seed):
+    rng = random.Random(seed + 67)
+
+    def draw():
+        n, n_vars, n_atoms = rng.choice(((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2)))
+        gamma = [
+            LabelledFormula(random_label(rng, 2, n_atoms), random_formula(rng, 2, n_vars))
+            for _ in range(rng.randrange(2))
+        ]
+        if n_atoms == 2 and rng.random() < 0.5:  # two distinct atoms of the algebra
+            gamma += [parse_labelled(t) for t in ("p0 : nb", "p1 : nb", "p0 & p1 : ibot")]
+        else:
+            gamma += [LabelledFormula(LAtom(0), f) for f in _pins(rng, n_vars)]
+        rng.shuffle(gamma)
+        conclusion = LabelledFormula(random_label(rng, 2, n_atoms), random_formula(rng, 2, n_vars))
+        return (n, gamma, conclusion), brute_labelled(n, gamma, conclusion, limit=300)
+
+    for (n, gamma, conclusion), expected in _refuted(rng, draw, 16):
+        assert _json(labelled_entails(n, gamma, conclusion)) == expected, (gamma, conclusion, n)
+
+
+def test_refuted_box_internalisation_filters(seed):
+    rng = random.Random(seed + 68)
+
+    def draw():
+        n, n_vars = rng.choice(((2, 2), (2, 3), (3, 2)))
+        # a filter admits the homomorphisms under which it is the full
+        # carrier, so a pin, which is full or empty, serves as one
+        pi = _pins(rng, n_vars) + [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(2))]
+        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(2))]
+        query = (n, pi, premises, random_formula(rng, 2, n_vars))
+        return query, brute(n, premises, query[3], filters=pi, limit=3000)
+
+    for (n, pi, premises, conclusion), expected in _refuted(rng, draw, 12):
+        program = entailment._compile_entailment(premises, conclusion, pi)
+        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP, 1)
+        assert _json((cm is None, cm)) == expected, (pi, premises, conclusion, n)
+
+
+def _kinds(n: int) -> dict[str, list[int]]:
+    return {
+        "all": list(range(1 << (1 << n))),
+        "principal_variables": [ref.to_bits(x) for x in _domain(n, "principal_variables")],
+        "atoms": [1 << e for e in range(1 << n)],
+    }
+
+
+@pytest.mark.parametrize(
+    "n, text, klass",
+    [
+        (2, "|- (P0 & P1 & P2) | !(P0 & P1 & P2)", "all"),
+        (3, "|- (P0 & P1) | !(P0 & P1)", "all"),
+        (3, "|- (P0 & P1 & P2) | !(P0 & P1 & P2)", "principal_variables"),
+        (2, "|- p0 & p1 & p2 : P0 | !P0", None),
+        (3, "|- p0 & p1 : P0 | !P0", None),
+    ],
+)
+def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass):
+    # an entailed query without premises, so the scan visits every
+    # lex-leader; at each digit the group is the atom permutations fixing
+    # the digits before it, computed here, and every orbit of the digit's
+    # domain under it gives exactly one value, the orbit's least
+    perms, kinds, seen = _atom_perms(n), _kinds(n), []
+    odometer = entailment._odometer
+
+    def spy(p, values, group, state):
+        domains, vals = state[0], state[3]
+        prefix = [ref.from_bits(v, n) for v in vals[:p]]
+        fixing = [g for g in perms if all(_image(g, x) == x for x in prefix)]
+        assert len(group) == len(fixing), (prefix, group)
+        orbits = {
+            frozenset(ref.to_bits(_image(g, ref.from_bits(x, n))) for g in fixing)
+            for x in kinds[domains[p][0]]
+        }
+        assert list(values) == sorted(map(min, orbits)), prefix
+        if p and len(group) == 1:
+            assert values is domains[p][1]  # the domain itself, not a copy
+        seen.append(len(fixing))
+        return odometer(p, values, group, state)
+
+    monkeypatch.setattr(entailment, "_odometer", spy)
+    if klass is None:
+        assert labelled_entails(n, *parse_labelled_query(text))[0]
+    else:
+        assert algebra_entails(n, *_query(text), klass)[0]
+    assert 1 in seen and max(seen) == len(perms)  # the chain reaches the trivial group
+
+
+def test_orbit_counts_by_burnside():
+    # the number of orbits is the mean number of points a permutation
+    # fixes: 2^c denotations for c cycles on the elements, and as many
+    # principal ideals, or singletons, as elements
+    def cycles(perm):
+        seen, count = set(), 0
+        for a in range(len(perm)):
+            count += a not in seen
+            while a not in seen:
+                seen.add(a)
+                a = perm[a]
+        return count
+
+    def burnside(n, kinds):
+        fixed = lambda p, kind: 2 ** cycles(p) if kind == "all" else sum(p[a] == a for a in range(len(p)))
+        perms = _atom_perms(n)
+        total = sum(math.prod(fixed(p, kind) for kind in kinds) for p in perms)
+        assert total % len(perms) == 0
+        return total // len(perms)
+
+    for n, orbits in ((2, 12), (3, 80), (4, 3984)):
+        assert burnside(n, ["all"]) == orbits
+        sym = entailment._symmetry(n)
+        assert len(sym.minima("all", range(1 << (1 << n)), sym.group)) == orbits
+    # the walk of the stabiliser chain visits one lex-leader per orbit of
+    # pairs: 160 and 13,056 pairs of denotations at n = 2 and 3
+    for n in (2, 3):
+        sym = entailment._symmetry(n)
+        domains = _kinds(n)
+        for first, second in (("all", "all"), ("principal_variables", "atoms")):
+            walked = sum(
+                len(sym.minima(second, domains[second], sym.stabiliser(sym.group, v)))
+                for v in sym.minima(first, domains[first], sym.group)
+            )
+            assert walked == burnside(n, [first, second])
+    assert burnside(2, ["all", "all"]) == 160 and burnside(3, ["all", "all"]) == 13056
+
+
 def test_conclusion_skipped_under_empty_intersection(monkeypatch):
     # the premises are intersected in order, before the conclusion, at the
     # innermost level too; here it is empty for every assignment
@@ -322,6 +531,24 @@ def test_pool_capped_at_cpu_count(monkeypatch, capsys):
     assert main(["entail", "--max-n", "3", "--jobs", "64", "P0, P1 |- P0 & P1"]) == 0
     assert _FakePool.workers == [2]  # only n = 3 has more than 4096 homomorphisms
     assert json.loads(capsys.readouterr().out)["jobs"] == 64  # the requested value
+
+
+def test_pool_opened_on_the_work_left(monkeypatch, capsys):
+    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _FakePool.workers = []
+    # one variable at n = 4: 65,536 homomorphisms but 3,984 lex-leaders
+    assert main(["entail", "--max-n", "4", "--jobs", "2", "|- P0 -> ~ ~ P0"]) == 0
+    assert _FakePool.workers == []
+    capsys.readouterr()
+    # two variables at n = 3: 80 orbit minima for the first, each with at
+    # most 256 values of the second, in chunks of the first variable's
+    # values; the least countermodel is in the last
+    premises, conclusion = _query("box P0 |- P1")
+    one = _json(algebra_entails(3, premises, conclusion, jobs=1))
+    assert _FakePool.workers == []
+    two = _json(algebra_entails(3, premises, conclusion, jobs=2))
+    assert _FakePool.workers == [2] and not one[0] and one == two
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])

@@ -25,6 +25,7 @@ from lt.syntax import (
     equality_label,
     expand,
     format_formula,
+    formula_repr,
     format_label,
     format_labelled,
     free_vars,
@@ -220,3 +221,38 @@ class TestRoundTrip:
         for _ in range(100):
             lf = LabelledFormula(random_label(rng, 3, 3), random_formula(rng, 3, 3))
             assert parse_labelled(format_labelled(lf)) == lf
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("P0 -> P1 -> P2", "P0 -> P1 -> P2"),
+            ("(P0 -> P1) -> P2", "(P0 -> P1) -> P2"),
+            ("P0 & (P1 & P2)", "P0 & (P1 & P2)"),
+            ("!(P0 | P1) i| i!P2", "!(P0 | P1) i| i!P2"),
+            ("~ (P0 i& P1) o* box P2", "~(P0 i& P1) o* box P2"),
+            ("dia (P0 -> P1) & up ~P0", "dia (P0 -> P1) & up ~P0"),
+            ("top -> itop i& nb", "top -> (itop i& nb)"),
+        ],
+    )
+    def test_formula_text(self, text, printed):
+        assert format_formula(parse_formula(text)) == printed
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("!(p0 & p1)", "!(p0 & p1)"),
+            ("(p0 | p1) & p2", "(p0 | p1) & p2"),
+            ("p0 | p1 & p2", "p0 | (p1 & p2)"),
+            ("(p0 & p1) | !F", "(p0 & p1) | !F"),
+            ("p0 & (p1 & p2)", "p0 & (p1 & p2)"),
+        ],
+    )
+    def test_label_text(self, text, printed):
+        assert format_label(parse_label(text)) == printed
+
+    def test_repr_without_recursion_matches_repr(self, seed):
+        rng = random.Random(seed + 16)
+        for _ in range(300):
+            f, a = random_formula(rng, 4, 3), random_label(rng, 4, 3)
+            assert formula_repr(f) == repr(f)
+            assert formula_repr(a) == repr(a)
