@@ -4,12 +4,15 @@ Verdicts are printed as JSON with a stable key order so identical runs
 are byte-identical; timing is only included when --timing is given.
 Exit codes: 0 = positive logical result, 1 = negative logical result
 (countermodel, counterexample or proof violation), 2 = usage or parse
-error, 3 = budget exhausted.
+error, 3 = budget exhausted, 4 = internal error (an unexpected exception,
+reported on one line of stderr).  The argument parser is built once per
+process, on the first call of `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(obj) -> None:
@@ -355,10 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on the first call and reused for the
+    rest of the process: parsing leaves it unchanged (`--assign` appends
+    to a copy of its default, and handlers are bound by `set_defaults`)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
@@ -372,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     except (LTError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a fault of the workbench, never a verdict
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

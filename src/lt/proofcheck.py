@@ -605,18 +605,26 @@ def _parse_fresh_atom(text: str) -> int:
 
 
 def derivation_to_json(d: Derivation):
-    if isinstance(d, Assume):
-        return {"assume": format_labelled(d.formula), "id": d.id}
-    obj = {
-        "rule": d.name.value,
-        "conclusion": format_labelled(d.conclusion),
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
-    if any(d.discharges):
-        obj["discharges"] = [list(ids) for ids in d.discharges]
-    if d.fresh:
-        obj["fresh"] = [f"p{i}" for i in d.fresh]
-    return obj
+    """The JSON object of a derivation, built premises first without
+    recursion."""
+    out: list[dict] = []
+    for node, _ in _postorder(d, ()):
+        if isinstance(node, Assume):
+            out.append({"assume": format_labelled(node.formula), "id": node.id})
+            continue
+        split = len(out) - len(node.premises)
+        obj = {
+            "rule": node.name.value,
+            "conclusion": format_labelled(node.conclusion),
+            "premises": out[split:],
+        }
+        del out[split:]
+        if any(node.discharges):
+            obj["discharges"] = [list(ids) for ids in node.discharges]
+        if node.fresh:
+            obj["fresh"] = [f"p{i}" for i in node.fresh]
+        out.append(obj)
+    return out[0]
 
 
 def load_derivation(path: str | Path) -> Derivation:

@@ -27,7 +27,6 @@ from .syntax import (
     IntBot,
     IntNot,
     IntOr,
-    LAnd,
     LAtom,
     Label,
     LabelledFormula,
@@ -174,21 +173,25 @@ def eval_native_derived(hom: Homomorphism, tag: DerivedTag, *args: Formula) -> D
 
 
 def eval_label(valuation: LabelValuation, label: Label) -> int:
-    """Classical evaluation of a label to an element of the algebra."""
+    """Classical evaluation of a label to an element of the algebra,
+    children first without recursion."""
     alg = valuation.algebra
-    if isinstance(a := label, LAtom):
-        try:
-            return valuation.assignment[a.index]
-        except KeyError:
-            raise EvalError(f"unbound label atom p{a.index}") from None
-    if isinstance(a, LBot):
-        return 0
-    if isinstance(a, LNot):
-        return alg.complement(eval_label(valuation, a.child))
-    if isinstance(a, LOr):
-        return eval_label(valuation, a.left) | eval_label(valuation, a.right)
-    assert isinstance(a, LAnd)
-    return eval_label(valuation, a.left) & eval_label(valuation, a.right)
+    out: list[int] = []
+    for a in postorder(label):
+        kind = type(a)
+        if kind is LAtom:
+            try:
+                out.append(valuation.assignment[a.index])
+            except KeyError:
+                raise EvalError(f"unbound label atom p{a.index}") from None
+        elif kind is LBot:
+            out.append(0)
+        elif kind is LNot:
+            out[-1] = alg.complement(out[-1])
+        else:
+            right = out.pop()
+            out[-1] = out[-1] | right if kind is LOr else out[-1] & right
+    return out[0]
 
 
 def satisfies(valuation: LabelValuation, hom: Homomorphism, lf: LabelledFormula) -> bool:

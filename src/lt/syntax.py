@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ParseError
 
@@ -300,16 +300,21 @@ def substitute(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up"}
+_KEYWORDS = {"bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F"}
 
+# One match per token, whitespace before it included; a variable or label
+# atom name is matched whole before the general `name`, which is then a
+# keyword or an unknown word.  `eof` is the empty match at the end.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<arrow>->)
+    r"""\s*(?:
+        (?P<arrow>->)
       | (?P<turnstile>\|-)
       | (?P<ibang>i!)
       | (?P<iamp>i&)
       | (?P<ipipe>i\|)
       | (?P<ostar>o\*)
+      | (?P<var>P[0-9]+)
+      | (?P<latom>p[0-9]+)
       | (?P<name>[A-Za-z]+[0-9]*)
       | (?P<bang>!)
       | (?P<amp>&)
@@ -320,13 +325,14 @@ _TOKEN_RE = re.compile(
       | (?P<comma>,)
       | (?P<colon>:)
       | (?P<equals>=)
-    """,
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -334,39 +340,99 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        word = m.group()
+        word, pos = m.group(kind), m.start(kind)
         if kind == "name":
-            if word in _KEYWORDS:
-                kind = word
-            elif word == "F":
-                kind = "F"
-            elif re.fullmatch(r"P[0-9]+", word):
-                kind = "var"
-            elif re.fullmatch(r"p[0-9]+", word):
-                kind = "latom"
-            else:
+            if word not in _KEYWORDS:
                 raise ParseError(f"unknown word {word!r}", pos)
-        if kind != "ws":
-            tokens.append(_Token(kind, word, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+            kind = word
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        tokens.append(_Token(kind, word, pos))
+        if kind == "eof":  # after trailing whitespace, `eof` would match twice
+            break
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent; one level holds operators of equal precedence
-# and a chain must use a single operator, otherwise parentheses are required)
+# Parser.  The grammar is read as recursive descent would read it, one token
+# of lookahead, but nesting lives on an explicit stack of parenthesis levels,
+# so that no input depth costs a Python frame.  One level of precedence holds
+# operators of equal precedence and a chain must use a single operator,
+# otherwise parentheses are required.
 
-_CONJ_OPS = {"amp": ExtAnd, "iamp": IntAnd}
-_DISJ_OPS = {"pipe": ExtOr, "ipipe": IntOr, "ostar": None}  # o* builds Derived
-_FORMULA_ATOM_EXPECT = ("bot", "ibot", "top", "itop", "nb", "P<digits>", "'('")
-_LABEL_ATOM_EXPECT = ("F", "p<digits>", "'('")
+
+def _derived_unary(tag: DerivedTag):
+    return lambda child: Derived(tag, (child,))
+
+
+class _Grammar(NamedTuple):
+    """One expression language: its prefix operators, atoms (with the
+    expected set reported when no atom is found), conjunction-level and
+    disjunction-level operators by token kind, and whether '->' exists."""
+
+    prefix: dict
+    atoms: dict
+    atom_expect: tuple[str, ...]
+    conj: dict
+    disj: dict
+    arrow: bool
+
+
+_FORMULA = _Grammar(
+    prefix={
+        "bang": ExtNot,
+        "ibang": IntNot,
+        "tilde": _derived_unary(DerivedTag.STRICT_NOT),
+        **{kind: _derived_unary(DerivedTag(kind)) for kind in ("box", "dia", "down", "up")},
+    },
+    atoms={
+        "bot": lambda text: ExtBot(),
+        "ibot": lambda text: IntBot(),
+        "top": lambda text: Derived(DerivedTag.EXT_TOP),
+        "itop": lambda text: Derived(DerivedTag.INT_TOP),
+        "nb": lambda text: Derived(DerivedTag.NB),
+        "var": lambda text: Var(int(text[1:])),
+    },
+    atom_expect=("bot", "ibot", "top", "itop", "nb", "P<digits>", "'('"),
+    conj={"amp": ExtAnd, "iamp": IntAnd},
+    disj={
+        "pipe": ExtOr,
+        "ipipe": IntOr,
+        "ostar": lambda left, right: Derived(DerivedTag.CIRCLE_STAR, (left, right)),
+    },
+    arrow=True,
+)
+_LABEL = _Grammar(
+    prefix={"bang": LNot},
+    atoms={"F": lambda text: LBot(), "latom": lambda text: LAtom(int(text[1:]))},
+    atom_expect=("F", "p<digits>", "'('"),
+    conj={"amp": LAnd},
+    disj={"pipe": LOr},
+    arrow=False,
+)
+
+
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    return ParseError(
+        f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
+        tok.pos,
+        expected,
+    )
+
+
+class _Level:
+    """The open state of one parenthesis level: prefix operators waiting
+    for their operand, the left side and operator of the open conjunction
+    and disjunction chains, and the left operands of a '->' chain."""
+
+    __slots__ = ("prefixes", "conj", "conj_kind", "disj", "disj_kind", "arrows")
+
+    def __init__(self):
+        self.prefixes: list = []
+        self.conj = self.conj_kind = self.disj = self.disj_kind = None
+        self.arrows: list = []
 
 
 class _Parser:
@@ -385,147 +451,90 @@ class _Parser:
     def expect(self, kind: str, description: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                tok.pos,
-                (description,),
-            )
+            raise _unexpected(tok, (description,))
         return self.next()
 
-    # -- formulas
-
     def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "arrow":
-            self.next()
-            right = self.formula()
-            return Derived(DerivedTag.IMPLIES, (left, right))
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        kind = self.peek().kind
-        if kind not in _DISJ_OPS:
-            return left
-        while self.peek().kind == kind:
-            self.next()
-            right = self.conj()
-            if kind == "ostar":
-                left = Derived(DerivedTag.CIRCLE_STAR, (left, right))
-            else:
-                left = _DISJ_OPS[kind](left, right)
-        nxt = self.peek()
-        if nxt.kind in _DISJ_OPS:
-            raise ParseError(
-                f"mixing {nxt.text!r} with a different disjunction-level operator "
-                "requires parentheses",
-                nxt.pos,
-                (self.tokens[self.i - 2].text,),
-            )
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        kind = self.peek().kind
-        if kind not in _CONJ_OPS:
-            return left
-        while self.peek().kind == kind:
-            self.next()
-            left = _CONJ_OPS[kind](left, self.unary())
-        nxt = self.peek()
-        if nxt.kind in _CONJ_OPS:
-            raise ParseError(
-                f"mixing {nxt.text!r} with a different conjunction-level operator "
-                "requires parentheses",
-                nxt.pos,
-                (self.tokens[self.i - 2].text,),
-            )
-        return left
-
-    def unary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "bang":
-            self.next()
-            return ExtNot(self.unary())
-        if kind == "ibang":
-            self.next()
-            return IntNot(self.unary())
-        if kind == "tilde":
-            self.next()
-            return Derived(DerivedTag.STRICT_NOT, (self.unary(),))
-        if kind in ("box", "dia", "down", "up"):
-            self.next()
-            tag = DerivedTag(kind)
-            return Derived(tag, (self.unary(),))
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "bot":
-            self.next()
-            return ExtBot()
-        if tok.kind == "ibot":
-            self.next()
-            return IntBot()
-        if tok.kind == "top":
-            self.next()
-            return Derived(DerivedTag.EXT_TOP)
-        if tok.kind == "itop":
-            self.next()
-            return Derived(DerivedTag.INT_TOP)
-        if tok.kind == "nb":
-            self.next()
-            return Derived(DerivedTag.NB)
-        if tok.kind == "var":
-            self.next()
-            return Var(int(tok.text[1:]))
-        if tok.kind == "lpar":
-            self.next()
-            inner = self.formula()
-            self.expect("rpar", "')'")
-            return inner
-        raise ParseError(
-            f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            tok.pos,
-            _FORMULA_ATOM_EXPECT,
-        )
-
-    # -- labels
+        """formula := disj ['->' formula]; disj := conj (op conj)*;
+        conj := unary (op unary)*; unary := prefix* (atom | '(' formula ')')."""
+        return self._nested(_FORMULA)
 
     def label(self) -> Label:
-        left = self.label_conj()
-        while self.peek().kind == "pipe":
-            self.next()
-            left = LOr(left, self.label_conj())
-        return left
+        """label := conj ('|' conj)*; conj := unary ('&' unary)*;
+        unary := '!'* (atom | '(' label ')')."""
+        return self._nested(_LABEL)
 
-    def label_conj(self) -> Label:
-        left = self.label_unary()
-        while self.peek().kind == "amp":
-            self.next()
-            left = LAnd(left, self.label_unary())
-        return left
+    def _nested(self, grammar: _Grammar):
+        """Read unary operands and hand each to `_close`.  A '(' opens a
+        level; once a level's formula is complete, it takes its ')' and
+        the formula is an operand of the level below.  The outermost
+        level's formula is the result."""
+        tokens, levels = self.tokens, [_Level()]
+        while True:
+            level = levels[-1]
+            tok = tokens[self.i]
+            while tok.kind in grammar.prefix:
+                level.prefixes.append(grammar.prefix[tok.kind])
+                self.i += 1
+                tok = tokens[self.i]
+            if tok.kind == "lpar":
+                self.i += 1
+                levels.append(_Level())
+                continue
+            make = grammar.atoms.get(tok.kind)
+            if make is None:
+                raise _unexpected(tok, grammar.atom_expect)
+            self.i += 1
+            value = self._close(grammar, level, make(tok.text))
+            while value is not None:
+                if len(levels) == 1:
+                    return value
+                levels.pop()
+                self.expect("rpar", "')'")
+                value = self._close(grammar, levels[-1], value)
 
-    def label_unary(self) -> Label:
-        tok = self.peek()
-        if tok.kind == "bang":
-            self.next()
-            return LNot(self.label_unary())
-        if tok.kind == "F":
-            self.next()
-            return LBot()
-        if tok.kind == "latom":
-            self.next()
-            return LAtom(int(tok.text[1:]))
-        if tok.kind == "lpar":
-            self.next()
-            inner = self.label()
-            self.expect("rpar", "')'")
-            return inner
-        raise ParseError(
-            f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            tok.pos,
-            _LABEL_ATOM_EXPECT,
+    def _close(self, grammar: _Grammar, level: _Level, value):
+        """Apply the level's pending prefixes to an operand and extend its
+        chains: None while an operator asks for another operand, else the
+        level's whole formula."""
+        prefixes = level.prefixes
+        while prefixes:
+            value = prefixes.pop()(value)
+        kind = self.tokens[self.i].kind
+        if level.conj_kind is not None:
+            value = grammar.conj[level.conj_kind](level.conj, value)
+            if kind != level.conj_kind and kind in grammar.conj:
+                raise self._mixing("conjunction")
+        if kind in grammar.conj:
+            level.conj, level.conj_kind = value, kind
+            self.i += 1
+            return None
+        level.conj_kind = None
+        if level.disj_kind is not None:
+            value = grammar.disj[level.disj_kind](level.disj, value)
+            if kind != level.disj_kind and kind in grammar.disj:
+                raise self._mixing("disjunction")
+        if kind in grammar.disj:
+            level.disj, level.disj_kind = value, kind
+            self.i += 1
+            return None
+        level.disj_kind = None
+        if kind == "arrow" and grammar.arrow:  # right-associative: fold at the end
+            level.arrows.append(value)
+            self.i += 1
+            return None
+        arrows = level.arrows
+        while arrows:
+            value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
+        return value
+
+    def _mixing(self, level_name: str) -> ParseError:
+        nxt = self.tokens[self.i]
+        return ParseError(
+            f"mixing {nxt.text!r} with a different {level_name}-level operator "
+            "requires parentheses",
+            nxt.pos,
+            (self.tokens[self.i - 2].text,),
         )
 
     # -- labelled formulas and queries
@@ -539,11 +548,7 @@ class _Parser:
         if tok.kind == "equals":
             self.next()
             return equality(label, self.label())
-        raise ParseError(
-            f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            tok.pos,
-            ("':'", "'='"),
-        )
+        raise _unexpected(tok, ("':'", "'='"))
 
     def eof(self) -> None:
         tok = self.peek()

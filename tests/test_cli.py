@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from lt import cli
 from lt.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -163,6 +164,12 @@ class TestLentail:
         assert code == 0
         assert json.loads(out)["status"] == "entailed_up_to_n"
 
+    def test_deep_label(self, capsys):
+        # the label evaluator behind replay does not recurse
+        shallow = run(capsys, "lentail", "--max-n", "2", "|- !p0 : P0")
+        deep = run(capsys, "lentail", "--max-n", "2", "|- " + "!" * 4001 + "p0 : P0")
+        assert shallow[0] == 1 and deep == shallow
+
 
 class TestCheckProof:
     def test_fig1_ok(self, capsys):
@@ -300,3 +307,94 @@ class TestUsage:
 
     def test_missing_args(self, capsys):
         assert main(["eval"]) == 2
+
+
+class TestSharedParser:
+    """`main` builds its argument parser once and reuses it."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        calls, build = [], cli.build_parser
+
+        def spy():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["parse", "P0"], ["frobnicate"], ["eval", "--n", "1", "P0"], ["expand", "dia P0"]):
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_assign_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "eval", "--n", "1", "--assign", "P0=[1]", "P0")
+        assert code == 0 and json.loads(out)["denotation"] == ["1"]
+        code, out, err = run(capsys, "eval", "--n", "1", "P0")
+        assert code == 2 and out == "" and "unbound variable" in err
+
+    def test_usage_error_does_not_leak(self, capsys):
+        expected = run(capsys, "entail", "ibot |- i! ibot")
+        assert run(capsys, "entail", "--class", "bogus", "ibot |- i! ibot")[0] == 2
+        assert run(capsys, "entail", "ibot |- i! ibot") == expected
+
+    def test_jobs_does_not_leak(self, capsys):
+        assert run(capsys, "entail", "--jobs", "0", "|- P0")[0] == 2
+        code, out, _ = run(capsys, "entail", "ibot |- i! ibot")
+        assert code == 1 and '"jobs": 1' in out
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
+        def boom(formula):
+            raise RuntimeError("kernel fault\nsecond line")
+
+        monkeypatch.setattr(cli, "formula_repr", boom)
+        code, out, err = run(capsys, "parse", "P0")
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert err == "internal error: RuntimeError: kernel fault second line\n"
+
+
+def _crash_argv(which, tmp_path):
+    """The argv of the benchmark's crash input `which` (bench/gen.py
+    `k_crash`), with fixed sizes; each once raised out of `main`."""
+    if which == 0:  # 3,000-conjunct chain with an unbound variable
+        return ["eval", "--n", "1", " & ".join(["P4"] * 3100)]
+    if which == 1:  # 5,000 nested !
+        return ["eval", "--n", "1", "!" * 5100 + "P4"]
+    if which == 2:  # 600 nested ~ under entail, with an absurd --jobs
+        return ["entail", "--jobs", "0", "|- " + "~ " * 620 + "P4"]
+    if which == 3:  # 3,000 nested parentheses
+        return ["eval", "--n", "1", "(" * 3100 + "P4" + ")" * 3100]
+    path = tmp_path / f"crash{which}.json"
+    concl = "p7 : P0 & P1"
+    if which == 4:
+        text = '{"rule": "AndE_L", "premises": [' * 2100 + "{}" + "]}" * 2100
+    elif which == 5:
+        text = json.dumps({"rule": "OrI_L", "premises": [{"assume": concl, "id": "u4"}]})
+    elif which == 6:
+        text = json.dumps({"rule": "AndI", "conclusion": concl, "premises": 42})
+    elif which == 7:
+        text = json.dumps({"rule": "IAndE", "conclusion": concl, "premises": [], "fresh": [3, 17]})
+    elif which == 8:
+        text = json.dumps({"assume": 512, "id": "u4"})
+    elif which == 9:
+        text = json.dumps({"assignment": {"P4": ["00", "11"]}})
+    else:
+        text = json.dumps([2, ["00", "11"]])
+    path.write_text(text)
+    if which <= 8:
+        return ["check-proof", str(path)]
+    return ["bridge", "verify-f", str(path), "--k", "1"]
+
+
+@pytest.mark.parametrize("which", range(11))
+def test_crash_input_exits_2(capsys, tmp_path, which):
+    code, out, err = run(capsys, *_crash_argv(which, tmp_path))
+    assert code == 2 and out == ""
+    assert err and "internal error" not in err

@@ -376,3 +376,14 @@ class TestJsonShape:
             node = {"rule": "AndE_L", "conclusion": "p0 : P1", "premises": [node]}
         result = check(derivation_from_json(node), [])
         assert not result.ok and result.reason == "shape" and result.path == (0,) * 1499
+
+    def test_deep_derivation_to_json_without_recursion(self):
+        node = {"assume": "p0 : P0 & P0", "id": "u"}
+        for _ in range(1500):
+            node = {"rule": "AndE_L", "conclusion": "p0 : P1", "premises": [node]}
+        obj = derivation_to_json(derivation_from_json(node))
+        for _ in range(1500):  # `==` on the whole object would recurse
+            assert obj.keys() == {"rule", "conclusion", "premises"}
+            assert (obj["rule"], obj["conclusion"], len(obj["premises"])) == ("AndE_L", "p0 : P1", 1)
+            obj = obj["premises"][0]
+        assert obj == {"assume": "p0 : P0 & P0", "id": "u"}

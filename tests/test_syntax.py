@@ -97,6 +97,94 @@ class TestParseExamples:
         with pytest.raises(ParseError):
             parse_formula("P0 P1")
 
+    # The error of each path through the lexer and the parser, as the
+    # recursive-descent parser reported it: message, offset and expected set.
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_formula, "P0 & | P1", "syntax error at offset 5: got '|' (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_formula, "P0 & P1 i& P2", "syntax error at offset 8: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: &)"),
+            (parse_formula, "(P0) & (P1) i& P2", "syntax error at offset 12: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: P1)"),
+            (parse_formula, "P0 i| P1 | P2", "syntax error at offset 9: mixing '|' with a different disjunction-level operator requires parentheses (expected: i|)"),
+            (parse_formula, "P0 | P1 o* P2", "syntax error at offset 8: mixing 'o*' with a different disjunction-level operator requires parentheses (expected: |)"),
+            (parse_formula, "!(P0 -> P1", "syntax error at offset 10: unexpected end of input (expected: ')')"),
+            (parse_formula, "((P0)", "syntax error at offset 5: unexpected end of input (expected: ')')"),
+            (parse_formula, "P0 )", "syntax error at offset 3: trailing input ')' (expected: end of input)"),
+            (parse_formula, "P0 ->", "syntax error at offset 5: unexpected end of input (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_formula, "box", "syntax error at offset 3: unexpected end of input (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_formula, "", "syntax error at offset 0: unexpected end of input (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_formula, "P0 # P1", "syntax error at offset 3: unexpected character '#'"),
+            (parse_formula, "P0 & Q1", "syntax error at offset 5: unknown word 'Q1'"),
+            (parse_formula, "p0", "syntax error at offset 0: got 'p0' (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_label, "p0 & (p1 | F", "syntax error at offset 12: unexpected end of input (expected: ')')"),
+            (parse_label, "!!", "syntax error at offset 2: unexpected end of input (expected: F, p<digits>, '(')"),
+            (parse_label, "p0 i& p1", "syntax error at offset 3: trailing input 'i&' (expected: end of input)"),
+            (parse_label, "P0", "syntax error at offset 0: got 'P0' (expected: F, p<digits>, '(')"),
+            (parse_labelled, "p0 P0", "syntax error at offset 3: got 'P0' (expected: ':', '=')"),
+            (parse_labelled, "p0 : P0 &", "syntax error at offset 9: unexpected end of input (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
+            (parse_entailment_query, "P0, P1", "syntax error at offset 6: unexpected end of input (expected: '|-')"),
+            (parse_entailment_query, "P0 |- P1 , P2", "syntax error at offset 9: trailing input ',' (expected: end of input)"),
+            (parse_labelled_query, "p0 : P0 |- p1", "syntax error at offset 13: unexpected end of input (expected: ':', '=')"),
+            (parse_labelled_query, "p0 = |- p0 : P0", "syntax error at offset 5: got '|-' (expected: F, p<digits>, '(')"),
+        ],
+    )
+    def test_error_messages(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_trailing_whitespace_and_adjacent_words(self):
+        assert parse_formula(" P0 &\tP1 \n") == ExtAnd(Var(0), Var(1))
+        with pytest.raises(ParseError) as err:
+            parse_formula("P1x")  # a variable, then the unknown word 'x'
+        assert (err.value.offset, str(err.value)) == (2, "syntax error at offset 2: unknown word 'x'")
+
+
+def _spine(node, step, depth):
+    """Follow `step` from node `depth` times, without recursion."""
+    for _ in range(depth):
+        node = step(node)
+    return node
+
+
+class TestDeepInput:
+    """Nesting depth costs the parser no Python frames."""
+
+    def test_prefix_runs(self):
+        f = parse_formula("!" * 5000 + "P3")
+        assert _spine(f, lambda g: g.child, 5000) == Var(3)
+        ops = ["!", "i!", "~", "box", "dia", "down", "up"] * 800
+        f = parse_formula(" ".join(ops) + " P0")
+        node = f
+        for op in ops:
+            expected = {"!": ExtNot, "i!": IntNot}.get(op, Derived)
+            assert type(node) is expected
+            node = node.child if expected is not Derived else node.args[0]
+        assert node == Var(0)
+
+    def test_parentheses(self):
+        assert parse_formula("(" * 3000 + "P0" + ")" * 3000) == Var(0)
+        f = parse_formula("!(" * 2000 + "P0 & P1" + ")" * 2000)
+        assert _spine(f, lambda g: g.child, 2000) == ExtAnd(Var(0), Var(1))
+        with pytest.raises(ParseError) as err:
+            parse_formula("(" * 3000 + "P0" + ")" * 2999)
+        assert err.value.offset == 3000 + 2 + 2999 and err.value.expected == ("')'",)
+
+    def test_chains(self):
+        f = parse_formula(" -> ".join(f"P{i}" for i in range(3000)))  # right-associative
+        assert _spine(f, lambda g: g.args[1], 2999) == Var(2999)
+        assert f.args[0] == Var(0)
+        f = parse_formula(" i| ".join(f"P{i}" for i in range(3000)))  # left-associative
+        assert _spine(f, lambda g: g.left, 2999) == Var(0)
+        assert f.right == Var(2999)
+
+    def test_labels(self):
+        a = parse_label("!" * 5000 + "(" * 3000 + "p1" + ")" * 3000)
+        assert _spine(a, lambda b: b.child, 5000) == LAtom(1)
+        lf = parse_labelled("(" * 3000 + "p0 & p1" + ")" * 3000 + " : " + "~ " * 3000 + "P0")
+        assert lf.label == LAnd(LAtom(0), LAtom(1))
+        assert _spine(lf.formula, lambda g: g.args[0], 3000) == Var(0)
+
 
 class TestLabels:
     def test_parse(self):
