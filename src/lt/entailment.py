@@ -10,17 +10,28 @@ children-first instruction list in which each shared subterm is stored
 once (hash-consing).  `!bot` folds to the full-carrier constant, and an
 internal meet or join with it compiles to a closure opcode, since
 int_and(x, full) = down_closure(x) and int_or(x, full) = up_closure(x).
-`_DOWN` and `_UP` look the closure up in a table over the whole domain
-up to n = 3 and run the algebra's shift-and-mask kernels at n = 4.  Each
-instruction is tagged with the position of the last variable or label
-atom it reads; constants get level -1 and are computed once per algebra.
-The kernel `_scan` enumerates the positions like an odometer in
-canonical order (variables ascending, then label atoms, the first most
-significant, values ascending) and, when digit p changes, re-runs only
-the instructions of level >= p.  Premises are intersected in order as
-soon as their level is reached, and an empty intersection skips the
-rest of its level and every deeper digit, so the conclusion's
-instructions run only while the premises known so far intersect.  The
+Each instruction is tagged with the position of the last variable or
+label atom it reads; constants get level -1 and are computed once per
+algebra.  The instructions are grouped by level once per query
+(`Program.plan`).  The kernel `_scan` enumerates the positions like an
+odometer in canonical order (variables ascending, then label atoms, the
+first most significant, values ascending) and, when digit p changes,
+re-runs only the instructions of level >= p.  Premises are intersected
+in order as soon as their level is reached, and an empty intersection
+skips the rest of its level and every deeper digit, so the conclusion's
+instructions run only while the premises known so far intersect.
+
+The last digit, when it ranges over all denotations at n >= 3, runs as
+one column: once per setting of the earlier digits, each of its
+instructions computes a list over all the digit's values at once, and a
+guard there cuts the lists to the entries where it is non-empty.  The
+values ascend, so the first non-empty entry of `bad` is the least
+violation.  Up to n = 3, int_not and the closures are read from
+256-entry byte tables.  So are int_and and int_or, from two 65,536-entry
+byte tables indexed by x << 2^n | y, in a scan whose work (the first
+digit's orbit minima times the values of every later digit) exceeds
+4,096.  At n = 4 the algebra's shift-and-mask kernels run.  The tables
+are built once per process and size, and hold bytes only.  The
 countermodel reported is the least one, with or without workers, and
 it is replayed through the tree-walking evaluator first.  Searching all
 finite sizes is sound for refutation but cannot certify full
@@ -55,6 +66,7 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 from .algebra import Algebra, iter_bits
@@ -173,11 +185,16 @@ _OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL, _DOWN, _UP = range(10)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
-# Up to this algebra size a scan reads the closures from tables over the
-# whole domain of 2^(2^n) denotations: 256 entries at n = 3.  At n = 4 a
-# table holds 65,536, costs as many closures as a one-variable scan
-# computes and is built again for every --jobs chunk, so shifts run.
+# Up to this algebra size a scan reads the closures and int_not from
+# tables over the whole domain of 2^(2^n) denotations, 256 entries at
+# n = 3, and a large scan reads int_and and int_or from tables over every
+# pair, 65,536 entries.  Each is built once per process and size.  At
+# n = 4 a closure table holds 65,536 entries, 16 times the closures a
+# one-variable scan computes, and a pair table 2^32, so shifts run.
 _TABLE_MAX_N = 3
+# A scan whose work (see _extent) exceeds this reads the pair tables and
+# may open a pool of workers; below it neither pays for itself.
+_LARGE_WORK = 4096
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -257,6 +274,47 @@ class Program:
         if self.inter is not None:
             self.bad = self.emit(_AND, self.inter, self.bad)
         return self
+
+    @functools.cached_property
+    def plan(self) -> list[list[tuple[list, int | None]]]:
+        """The instructions grouped by level for the kernel, once per query:
+        `plan[level + 1]` lists the level's segments (block, guard), the
+        instructions (op, slot, a, b) that run before the guard slot is
+        tested, the last segment with guard None.  In a binary instruction
+        of the last level, an operand of an earlier level, if any, is a,
+        so that a column kernel finds the single value first."""
+        levels, last = self.levels, self.constants - 1
+        plan: list[list] = [[([], None)] for _ in range(self.constants + 1)]
+        for slot, (op, a, b) in enumerate(self.code, self.base):
+            level = levels[slot]
+            if level == last and levels[a] == last != levels[b]:
+                a, b = b, a  # every binary opcode is commutative
+            segments = plan[level + 1]
+            segments[-1][0].append((op, slot, a, b))
+            if slot in self.guards:
+                segments[-1] = (segments[-1][0], slot)
+                segments.append(([], None))
+        return plan
+
+    @functools.cached_property
+    def column_plan(self) -> tuple[list[list[int]], dict[int, list[int]]]:
+        """For the last level run as a column: per segment, the slots of
+        the level, the last position among them, that are computed and
+        still read when its guard is tested, which the guard cuts to the
+        live entries; and per instruction slot, the slots of the level
+        that no later instruction reads, freed once it has run."""
+        last, segments = self.constants - 1, self.plan[-1]
+        drops, read = {}, {self.bad}
+        for block, _ in reversed(segments):
+            for _, slot, a, b in reversed(block):
+                drops[slot] = sorted({x for x in (a, b) if self.levels[x] == last != x} - read)
+                read.update((a, b))
+        keeps, live = [], {last}
+        for block, _ in segments:
+            for _, slot, _, _ in block:
+                live = live - set(drops[slot]) | {slot}
+            keeps.append(sorted(live))
+        return keeps, drops
 
 
 def _compile_entailment(premises, conclusion, filters=()) -> Program:
@@ -363,6 +421,92 @@ def _domains(
     ] * len(program.atoms)
 
 
+@functools.cache
+def _unary_tables(n: int) -> tuple[bytes, bytes, bytes]:
+    """int_not, down_closure and up_closure of every denotation at
+    n <= 3, as bytes indexed by the denotation."""
+    alg = Algebra(n)
+    inot, down, up = (bytes(map(f, range(alg.full + 1)))
+                      for f in (alg.int_not, alg.down_closure, alg.up_closure))
+    return inot, down, up
+
+
+@functools.cache
+def _pair_tables(n: int) -> tuple[bytes, bytes]:
+    """int_and and int_or of every pair of denotations at n <= 3, as bytes
+    indexed by x << 2^n | y.  Row x is row x ^ low, for the least member
+    low of x, joined bytewise with the row of {low}: op(x, y) is
+    op(x ^ low, y) | op({low}, y).  A row is kept as one integer whose
+    byte y is op(x, y), so that one | joins two rows."""
+    alg = Algebra(n)
+    count = alg.full + 1
+    tables = []
+    for op in (alg.int_and, alg.int_or):
+        singles = [
+            int.from_bytes(bytes(op(1 << a, y) for y in range(count)), "little")
+            for a in alg.elements()
+        ]
+        rows = [0]
+        for x in range(1, count):
+            low = x & -x
+            rows.append(rows[x ^ low] | singles[low.bit_length() - 1])
+        tables.append(b"".join(row.to_bytes(count, "little") for row in rows))
+    return tables[0], tables[1]
+
+
+def _kernels(alg: Algebra, large: bool) -> tuple[list, dict]:
+    """Per opcode, the function f(x, y) that computes one value; and, up
+    to n = 3, the tables that f reads: int_not and the closures per
+    denotation and, in a large scan, int_and and int_or per pair."""
+    n, full, width = alg.n, alg.full, alg.size
+    scalar = [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
+              lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+              lambda x, _: full if x == full else 0,
+              lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
+    tables: dict[int, bytes] = {}
+    if n <= _TABLE_MAX_N:
+        tables = dict(zip((_INOT, _DOWN, _UP), _unary_tables(n)))
+        if large:
+            tables.update(zip((_IAND, _IOR), _pair_tables(n)))
+    for op, t in tables.items():
+        if op >= _INOT:  # the unary opcodes come last
+            scalar[op] = lambda x, _, t=t: t[x]
+        else:
+            scalar[op] = lambda x, y, t=t: t[x << width | y]
+    return scalar, tables
+
+
+def _column_kernel(op: int, pair: bool, alg: Algebra, kernels: tuple[list, dict]):
+    """The function computing a column of the last digit with the opcode:
+    from one column, for a unary opcode; from two, for a pair; else from
+    a value and a column."""
+    (scalar, tables), width = kernels, alg.size
+    f, t = scalar[op], tables.get(op)
+    if op >= _INOT:
+        kernel = {_INOT: alg.int_not, _DOWN: alg.down_closure, _UP: alg.up_closure}.get(op)
+        u = kernel if t is None else t.__getitem__
+        if u is None:  # _ANY and _ALL
+            return lambda xs, _: list(map(f, xs, xs))
+        return lambda xs, _: list(map(u, xs))
+    if pair:
+        if t is not None:
+            return lambda xs, ys: [t[x << width | y] for x, y in zip(xs, ys)]
+        return lambda xs, ys: list(map(f, xs, ys))
+    if t is not None:
+        return lambda x, ys: list(map(t[x << width : x + 1 << width].__getitem__, ys))
+    return lambda x, ys: list(map(f, repeat(x), ys))
+
+
+def _extent(domains, n: int) -> tuple[int, int]:
+    """The number of orbit minima of the first digit, and the work of a
+    scan: that number times the values of every later digit."""
+    if not domains:
+        return 1, 1
+    sym = _symmetry(n)
+    first = len(sym.minima(*domains[0], sym.group))
+    return first, first * math.prod(len(values) for _, values in domains[1:])
+
+
 def _run(segments, vals: list[int]) -> bool:
     """Run one level's instructions; False as soon as a guard is empty."""
     for block, guard in segments:
@@ -380,27 +524,28 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     violating one as (position values, witness element), or None."""
     program, n, class_restriction, start, stop = args
     alg = Algebra(n)
-    full = alg.full
-    if n <= _TABLE_MAX_N:
-        downs = [alg.down_closure(x) for x in range(full + 1)]
-        ups = [alg.up_closure(x) for x in range(full + 1)]
-        down, up = (lambda x, _: downs[x]), (lambda x, _: ups[x])
-    else:
-        down, up = (lambda x, _: alg.down_closure(x)), (lambda x, _: alg.up_closure(x))
-    ops = (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-           lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-           lambda x, _: full if x == full else 0, down, up)
     domains = _domains(program, alg, class_restriction)
-    vals = [0] * len(domains) + [0, alg.int_bot(), full] + [0] * len(program.code)
-    levels: list[list] = [[[[], None]] for _ in range(len(domains) + 1)]  # -1.. as [block, guard]
-    for slot, (op, a, b) in enumerate(program.code, program.base):
-        segments = levels[program.levels[slot] + 1]
-        segments[-1][0].append((ops[op], slot, a, b))
-        if slot in program.guards:
-            segments[-1][1] = slot
-            segments.append([[], None])
+    kernels = _kernels(alg, n <= _TABLE_MAX_N and _extent(domains, n)[1] > _LARGE_WORK)
+    scalar, plan = kernels[0], program.plan
+    # The last digit runs as one column when it ranges over all 2^(2^n)
+    # denotations at n >= 3.  A column of at most 16 values, as at n = 2
+    # or for a principal-ideal or label-atom digit, does not pay for its
+    # lists, and loses the early stop at a countermodel.
+    column = len(domains) - 1 if n >= 3 and domains and domains[-1][0] == "all" else -1
+    levels: list[list] = [
+        [([(scalar[op], dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
+        for segments in (plan[:-1] if column >= 0 else plan)
+    ]
+    if column >= 0:
+        keeps, drops = program.column_plan
+        levels.append([
+            ([(_column_kernel(op, program.levels[a] == column, alg, kernels),
+               dst, a, b, drops[dst]) for op, dst, a, b in block], guard, keep)
+            for (block, guard), keep in zip(plan[-1], keeps)
+        ])
+    vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     sym = _symmetry(n)
-    state = (domains, sym, levels, vals, program.bad)
+    state = (domains, sym, levels, vals, program.bad, column)
     if _run(levels[0], vals) and (
         _odometer(0, sym.minima(*domains[0], sym.group)[start:stop], sym.group, state)
         if domains
@@ -416,7 +561,9 @@ def _odometer(p: int, values: Sequence[int], group: tuple[int, ...], state: tupl
     orbit minima of its domain under the stabiliser of the digits before
     it, running a level whenever its digit changes; True at the first
     violation, with the assignment left in the position slots."""
-    domains, sym, levels, vals, bad = state
+    domains, sym, levels, vals, bad, column = state
+    if p == column:
+        return _column(p, values, levels[p + 1], vals, bad)
     level, last = levels[p + 1], p + 1 == len(domains)
     for value in values:
         vals[p] = value
@@ -431,6 +578,33 @@ def _odometer(p: int, values: Sequence[int], group: tuple[int, ...], state: tupl
     return False
 
 
+def _column(p: int, values: Sequence[int], segments, vals: list, bad: int) -> bool:
+    """Run the last digit's level once for all its values: each slot of
+    the level holds a list with one entry per value still live.  A guard
+    cuts these lists to the entries where it is non-empty.  The values
+    ascend, so the first non-empty entry of `bad` is the least violation;
+    True there, with its value and its `bad` entry left in the slots."""
+    vals[p] = values
+    for block, guard, keep in segments:
+        for op, dst, a, b, drop in block:
+            vals[dst] = op(vals[a], vals[b])
+            for slot in drop:
+                vals[slot] = None
+        if guard is not None:
+            live = vals[guard]
+            if not any(live):
+                return False
+            if 0 in live:
+                for slot in keep:
+                    vals[slot] = list(compress(vals[slot], live))
+    hits = vals[bad]
+    if not any(hits):
+        return False
+    i = next(i for i, hit in enumerate(hits) if hit)
+    vals[p], vals[bad] = vals[p][i], hits[i]
+    return True
+
+
 def ProcessPoolExecutor(max_workers: int):
     """A concurrent.futures process pool, imported on first use: the import
     costs about 2.5 MB, and most scans never open a pool."""
@@ -443,7 +617,7 @@ def _run_scan(base_args: tuple, values: int, work: int, jobs: int):
     """Scan; on up to `jobs` workers, each taking chunks of the first
     position's orbit minima, when the assignments left are many."""
     workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or work <= 4096:
+    if workers <= 1 or work <= _LARGE_WORK:
         return _scan(base_args + (0, values))
     chunk = -(-values // (workers * 4))
     chunks = [base_args + (s, min(s + chunk, values)) for s in range(0, values, chunk)]
@@ -466,11 +640,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: in
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, checked=0, total=total)
-    first, work = 1, 1
-    if domains:  # the first digit's orbit minima, each with at most every later digit's values
-        sym = _symmetry(n)
-        first = len(sym.minima(*domains[0], sym.group))
-        work = total // len(domains[0][1]) * first
+    first, work = _extent(domains, n)
     hit = _run_scan((program, n, class_restriction), first, work, jobs)
     if hit is None:
         return None

@@ -5,6 +5,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import Algebra, Denotation, ext_bot, full_set, principal_ideal
+from lt.entailment import _pair_tables, _unary_tables
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -202,6 +203,36 @@ class TestAgainstSetOracle:
             alg.down_closure(x)
             alg.up_closure(y)
         assert vars(alg) == before
+
+
+class TestScanTables:
+    """The byte tables that the scan reads up to n = 3: int_not and the
+    closures of each denotation, int_and and int_or of each pair at
+    x << 2^n | y."""
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_against_kernels(self, n):
+        alg = Algebra(n)
+        domain = range(alg.full + 1)
+        tables = _unary_tables(n)
+        for table, op in zip(tables, (alg.int_not, alg.down_closure, alg.up_closure)):
+            assert type(table) is bytes and list(table) == list(map(op, domain))
+        iand, ior = _pair_tables(n)
+        assert type(iand) is type(ior) is bytes and len(iand) == len(ior) == len(domain) ** 2
+        for x in domain:
+            row = slice(x << alg.size, x + 1 << alg.size)
+            assert list(iand[row]) == [alg.int_and(x, y) for y in domain]
+            assert list(ior[row]) == [alg.int_or(x, y) for y in domain]
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_against_oracle(self, n):
+        domain = range(1 << (1 << n))
+        sets = [ref.from_bits(x, n) for x in domain]
+        iand, ior = _pair_tables(n)
+        for x in domain:
+            for y in domain:
+                assert iand[x << (1 << n) | y] == ref.to_bits(ref.int_and(sets[x], sets[y]))
+                assert ior[x << (1 << n) | y] == ref.to_bits(ref.int_or(sets[x], sets[y]))
 
 
 class TestBooleanIdentities:

@@ -446,6 +446,96 @@ def test_conclusion_skipped_under_empty_intersection(monkeypatch):
         assert algebra_entails(2, *_query(text))[0]
 
 
+# -- the column: from n = 3, a last digit that ranges over all denotations
+# runs once for all its values, each instruction over a list of them
+
+# The least countermodel's last value is at the first, a middle (41 of
+# 80) or the last index of its column, the orbit minima under the group
+# fixing the values before it.
+COLUMN_HITS = [
+    ("|- P0", "first"),
+    ("box (P0 -> ibot | itop), box (ibot | itop -> P0) |- bot", "middle"),
+    ("box P0 |- ibot", "last"),
+    ("|- P0 | P1", "first"),
+    ("box (P0 -> ibot), box (ibot -> P0) |- P1", "first"),
+    ("box (P0 -> ibot), box (ibot -> P0), box (P1 -> ibot | itop), box (ibot | itop -> P1) |- bot",
+     "middle"),
+    ("box P1 |- P0 & !P0", "last"),
+]
+
+
+def _column_calls(monkeypatch) -> list[tuple[int, list[int]]]:
+    """Record the opcode and the second operand, a column, of every
+    column instruction run."""
+    calls, kernel = [], entailment._column_kernel
+
+    def spy(op, pair, alg, kernels):
+        f = kernel(op, pair, alg, kernels)
+
+        def run(x, ys):
+            calls.append((op, list(ys)))
+            return f(x, ys)
+
+        return run
+
+    monkeypatch.setattr(entailment, "_column_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("text, where", COLUMN_HITS)
+def test_column_least_hit(monkeypatch, text, where):
+    premises, conclusion = _query(text)
+    for n in (2, 3):
+        calls = _column_calls(monkeypatch)
+        got = _json(algebra_entails(n, premises, conclusion))
+        assert got == brute(n, premises, conclusion), n
+        assert bool(calls) == (n == 3)  # a column holds up to 256 values at n = 3, 16 at n = 2
+    values = [ref.to_bits(frozenset(int(e, 2) for e in d)) for d in got[1]["assignment"].values()]
+    sym = entailment._symmetry(3)
+    group = sym.stabiliser(sym.group, values[0]) if len(values) == 2 else sym.group
+    column = list(sym.minima("all", range(256), group))
+    index = column.index(values[-1])
+    assert where == ("first" if index == 0 else "last" if index == len(column) - 1 else "middle")
+
+
+def test_column_guards_cut_the_column(monkeypatch):
+    calls = _column_calls(monkeypatch)
+    # the guard dia P1 cuts the empty set, the first value, from the
+    # column before the conclusion runs over the rest
+    premises, conclusion = _query("dia P1 |- (P1 i& P0) | (P1 i| P0)")
+    assert _json(algebra_entails(3, premises, conclusion)) == brute(3, premises, conclusion)
+    assert any(0 in ys for op, ys in calls if op == entailment._DOWN)
+    internal = [ys for op, ys in calls if op == entailment._IOR]
+    assert internal and not any(0 in ys for ys in internal)
+    # dia (P1 & nb) cuts the first two values, so the least hit, the third
+    # value of the column, is the first entry left
+    premises, conclusion = _query("dia (P1 & nb), P0 i& P1 |- P0 & P1")
+    got = _json(algebra_entails(3, premises, conclusion))
+    assert got == brute(3, premises, conclusion) and got[1]["assignment"]["P1"] == ["001"]
+    # P1 & !P1 empties the whole column: the conclusion never runs
+    calls.clear()
+    assert algebra_entails(3, *_query("P1, !P1 |- P0 i| P1"))[0]
+    assert calls and entailment._IOR not in {op for op, _ in calls}
+
+
+def test_column_chunks_under_jobs(monkeypatch, seed):
+    # one variable under --jobs 2: each chunk is a slice of the column,
+    # and the first hit in chunk order is the one a single scan finds
+    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = random.Random(seed + 69)
+    queries = [_query("box P0 |- ibot"), _query(COLUMN_HITS[1][0])]
+    queries += [([random_formula(rng, 2, 1)], random_formula(rng, 3, 1)) for _ in range(6)]
+    for premises, conclusion in queries:
+        program = entailment._compile_entailment(premises, conclusion)
+        whole = entailment._scan((program, 3, "all", 0, 80))
+        _FakePool.workers = []
+        chunked = entailment._run_scan((program, 3, "all"), 80, entailment._LARGE_WORK + 1, 2)
+        assert _FakePool.workers == [2] and chunked == whole, (premises, conclusion)
+        cm = entailment._decide(program, 3, "all", entailment.DEFAULT_CAP, 1)
+        assert _json((cm is None, cm)) == brute(3, premises, conclusion), (premises, conclusion)
+
+
 def test_scan_frees_its_algebra(monkeypatch):
     # an algebra's memo tables must go when the scan returns, not at the
     # next cyclic collection, or peak memory grows with every query
@@ -461,6 +551,28 @@ def test_scan_frees_its_algebra(monkeypatch):
     try:
         report = find_countermodel(*_query("P0 & P1 |- P0 i& P1"), max_n=2)
         assert report.status == "exhausted" and made
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
+def test_tables_hold_no_algebra(monkeypatch):
+    # the tables kept per size for the process are plain bytes: an
+    # algebra made to build them goes when they are built
+    made = []
+
+    class Tracked(Algebra):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(entailment, "Algebra", Tracked)
+    entailment._unary_tables.cache_clear()
+    entailment._pair_tables.cache_clear()
+    gc.disable()
+    try:
+        assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
+        assert entailment._pair_tables.cache_info().currsize == 1 and made
         assert all(ref() is None for ref in made)
     finally:
         gc.enable()
