@@ -265,8 +265,12 @@ class Program:
     def premise(self, slot: int) -> None:
         """Intersect a premise into the guard chain; compile premises in
         order and the conclusion after them, so their instructions run
-        in that order at each level."""
-        self.inter = slot if self.inter is None else self.emit(_AND, self.inter, slot)
+        in that order at each level.  Only an instruction's slot is tested
+        as a guard, so a position or a constant is met with itself."""
+        if self.inter is None:
+            self.inter = slot if slot >= self.base else self.emit(_AND, slot, slot)
+        else:
+            self.inter = self.emit(_AND, self.inter, slot)
         self.guards.add(self.inter)
 
     def conclude(self, slot: int) -> "Program":
@@ -547,7 +551,7 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     sym = _symmetry(n)
     state = (domains, sym, levels, vals, program.bad, column)
     if _run(levels[0], vals) and (
-        _odometer(0, sym.minima(*domains[0], sym.group)[start:stop], sym.group, state)
+        _odometer(sym.minima(*domains[0], sym.group)[start:stop], sym.group, state)
         if domains
         else vals[program.bad]
     ):
@@ -556,25 +560,31 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
-def _odometer(p: int, values: Sequence[int], group: tuple[int, ...], state: tuple) -> bool:
-    """Turn digit p through the values, and each deeper digit through the
+def _odometer(values: Sequence[int], group: tuple[int, ...], state: tuple) -> bool:
+    """Turn digit 0 through the values, and each deeper digit through the
     orbit minima of its domain under the stabiliser of the digits before
     it, running a level whenever its digit changes; True at the first
-    violation, with the assignment left in the position slots."""
+    violation, with the assignment left in the position slots.  The
+    digits in turn are a stack of (digit, values left, group)."""
     domains, sym, levels, vals, bad, column = state
-    if p == column:
-        return _column(p, values, levels[p + 1], vals, bad)
-    level, last = levels[p + 1], p + 1 == len(domains)
-    for value in values:
-        vals[p] = value
-        if _run(level, vals):
-            if last:
-                if vals[bad]:
-                    return True
-            else:
-                inner = sym.stabiliser(group, value)
-                if _odometer(p + 1, sym.minima(*domains[p + 1], inner), inner, state):
-                    return True
+    last, stack = len(domains) - 1, [(0, values, group)]
+    while stack:
+        p, values, group = stack.pop()
+        if p == column:
+            if _column(p, values, levels[p + 1], vals, bad):
+                return True
+            continue
+        values, level = iter(values), levels[p + 1]
+        for value in values:
+            vals[p] = value
+            if _run(level, vals):
+                if p == last:
+                    if vals[bad]:
+                        return True
+                else:
+                    inner = sym.stabiliser(group, value)
+                    stack += (p, values, group), (p + 1, sym.minima(*domains[p + 1], inner), inner)
+                    break
     return False
 
 

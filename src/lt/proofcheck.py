@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import BudgetExceededError, LTError
+from .semantics import label_bits
 from .syntax import (
     ExtAnd,
     ExtBot,
@@ -40,7 +40,6 @@ from .syntax import (
     LAnd,
     LAtom,
     Label,
-    LBot,
     LNot,
     LOr,
     equality_label,
@@ -116,22 +115,12 @@ class _Violation(Exception):
 # Classical tautology oracle for labels
 
 
-def _label_truth(label: Label, env: Mapping[int, bool]) -> bool:
-    if isinstance(a := label, LAtom):
-        return env[a.index]
-    if isinstance(a, LBot):
-        return False
-    if isinstance(a, LNot):
-        return not _label_truth(a.child, env)
-    if isinstance(a, LOr):
-        return _label_truth(a.left, env) or _label_truth(a.right, env)
-    assert isinstance(a, LAnd)
-    return _label_truth(a.left, env) and _label_truth(a.right, env)
-
-
 def taut_oracle(hypotheses: Iterable[Label], target: Label) -> bool:
     """True iff the conjunction of the hypotheses classically entails the
-    target, decided by truth table over the occurring atoms (at most 20)."""
+    target, decided by truth table over the occurring atoms (at most 20).
+    The table over m atoms is the Boolean algebra of 2^m-bit sets, one
+    bit per row: atom j denotes the rows whose bit j is set, 2^j clear
+    rows then 2^j set ones, repeated, and each label is evaluated once."""
     hyps = list(hypotheses)
     atoms = sorted(frozenset().union(*(label_atoms(h) for h in hyps), label_atoms(target)))
     if len(atoms) > TAUT_ATOM_BUDGET:
@@ -139,11 +128,17 @@ def taut_oracle(hypotheses: Iterable[Label], target: Label) -> bool:
             f"{len(atoms)} label atoms exceed the tautology budget of {TAUT_ATOM_BUDGET}",
             total=1 << len(atoms),
         )
-    for values in product((False, True), repeat=len(atoms)):
-        env = dict(zip(atoms, values))
-        if all(_label_truth(h, env) for h in hyps) and not _label_truth(target, env):
-            return False
-    return True
+    rows = 1 << len(atoms)
+    env = {}
+    for j, atom in enumerate(atoms):
+        mask = ((1 << (1 << j)) - 1) << (1 << j)
+        while mask.bit_length() < rows:
+            mask |= mask << mask.bit_length()
+        env[atom] = mask
+    top = meet = (1 << rows) - 1
+    for h in hyps:
+        meet &= label_bits(env, h, top)
+    return meet & ~label_bits(env, target, top) == 0
 
 
 # ---------------------------------------------------------------------------

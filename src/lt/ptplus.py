@@ -38,7 +38,7 @@ from .syntax import (
     IntBot,
     IntOr,
     Var,
-    free_vars,
+    postorder,
 )
 
 MAX_K = 3
@@ -72,80 +72,87 @@ def format_team(team: int, k: int) -> list[str]:
 def is_pt_formula(formula: Formula) -> bool:
     """True iff the formula lies in the PT+ fragment: variables, strict
     negation on variables only, ibot, nb, i|, &, | and the o* sugar."""
-    if isinstance(f := formula, (Var, IntBot)):
-        return True
-    if isinstance(f, Derived):
-        if f.tag is DerivedTag.NB:
-            return True
-        if f.tag is DerivedTag.STRICT_NOT:
-            return isinstance(f.args[0], Var)
-        if f.tag is DerivedTag.CIRCLE_STAR:
-            return is_pt_formula(f.args[0]) and is_pt_formula(f.args[1])
-        return False
-    if isinstance(f, (IntOr, ExtAnd, ExtOr)):
-        return is_pt_formula(f.left) and is_pt_formula(f.right)
-    return False
+    return _in_fragment(postorder(formula))
 
 
-def _check_pt(formula: Formula, k: int) -> None:
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
-    if not is_pt_formula(formula):
-        raise FragmentError("formula is outside the PT+ fragment")
-    high = [v for v in free_vars(formula) if v >= k]
-    if high:
-        raise FragmentError(f"variable P{min(high)} needs k > {min(high)}")
+def _in_fragment(nodes: list[Formula]) -> bool:
+    """True iff every node of the list is allowed in PT+."""
+    for f in nodes:
+        kind = type(f)
+        if kind is Derived:
+            if f.tag is DerivedTag.STRICT_NOT:
+                if type(f.args[0]) is not Var:
+                    return False
+            elif f.tag is not DerivedTag.NB and f.tag is not DerivedTag.CIRCLE_STAR:
+                return False
+        elif kind not in (Var, IntBot, IntOr, ExtAnd, ExtOr):
+            return False
+    return True
 
 
 def pt_eval(formula: Formula, k: int, cache: dict[Formula, int] | None = None) -> PTDenotation:
     """Denotation of a PT+ formula over teams of k-variable valuations.
-    The optional cache (valid for this k only) is shared across calls."""
-    _check_pt(formula, k)
-    if cache is None:
-        cache = {}
-    return PTDenotation(k, _pt_bits(formula, k, cache))
+    The optional cache (valid for this k only) is shared across calls and
+    holds whole formulas: without one, no formula is hashed."""
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
+    nodes = postorder(formula)
+    if not _in_fragment(nodes):
+        raise FragmentError("formula is outside the PT+ fragment")
+    high = [f.index for f in nodes if type(f) is Var and f.index >= k]
+    if high:
+        raise FragmentError(f"variable P{min(high)} needs k > {min(high)}")
+    bits = None if cache is None else cache.get(formula)
+    if bits is None:
+        bits = _pt_bits(nodes, k)
+        if cache is not None:
+            cache[formula] = bits
+    return PTDenotation(k, bits)
 
 
-def _pt_bits(f: Formula, k: int, cache: dict[Formula, int]) -> int:
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    n_val = 1 << k              # number of valuations
-    n_team = 1 << n_val         # number of teams
-    if isinstance(f, Var):
-        bits = _subteams(_true_team(f.index, k), n_team)
-    elif isinstance(f, IntBot):
-        bits = 1  # {empty team}
-    elif isinstance(f, Derived) and f.tag is DerivedTag.NB:
-        bits = ((1 << n_team) - 1) ^ 1  # every non-empty team
-    elif isinstance(f, Derived) and f.tag is DerivedTag.STRICT_NOT:
-        index = f.args[0].index  # type: ignore[attr-defined]
-        bits = _subteams(((1 << n_val) - 1) ^ _true_team(index, k), n_team)
-    elif isinstance(f, Derived) and f.tag is DerivedTag.CIRCLE_STAR:
-        nb = ((1 << n_team) - 1) ^ 1
-        left = _pt_bits(f.args[0], k, cache) & nb
-        right = _pt_bits(f.args[1], k, cache) & nb
-        bits = _pair_unions(left, right)
-    elif isinstance(f, IntOr):
-        bits = _pair_unions(_pt_bits(f.left, k, cache), _pt_bits(f.right, k, cache))
-    elif isinstance(f, ExtAnd):
-        bits = _pt_bits(f.left, k, cache) & _pt_bits(f.right, k, cache)
-    else:
-        assert isinstance(f, ExtOr)
-        bits = _pt_bits(f.left, k, cache) | _pt_bits(f.right, k, cache)
-    cache[f] = bits
-    return bits
+def _pt_bits(nodes: list[Formula], k: int) -> int:
+    """The team bitset of a PT+ formula from its nodes in postorder."""
+    valuations = (1 << (1 << k)) - 1  # the team of every valuation
+    nb = (1 << valuations + 1) - 2  # every non-empty team
+    out: list[int] = []
+    for f in nodes:
+        kind = type(f)
+        if kind is Var:
+            out.append(_subteams(_true_team(f.index, k), k))
+        elif kind is IntBot:
+            out.append(1)  # {empty team}
+        elif kind is ExtAnd:
+            right = out.pop()
+            out[-1] &= right
+        elif kind is ExtOr:
+            right = out.pop()
+            out[-1] |= right
+        elif kind is IntOr:
+            right = out.pop()
+            out[-1] = _pair_unions(out[-1], right)
+        elif f.tag is DerivedTag.NB:
+            out.append(nb)
+        elif f.tag is DerivedTag.STRICT_NOT:
+            index = f.args[0].index  # type: ignore[attr-defined]
+            out[-1] = _subteams(valuations ^ _true_team(index, k), k)
+        else:  # o*
+            right = out.pop()
+            out[-1] = _pair_unions(out[-1] & nb, right & nb)
+    return out[0]
 
 
+@lru_cache(maxsize=None)
 def _true_team(i: int, k: int) -> int:
     """The team of valuations that set variable i to 1."""
     return sum(1 << s for s in range(1 << k) if s >> i & 1)
 
 
-def _subteams(vmask: int, n_team: int) -> int:
-    """Bitset of all teams contained in vmask."""
+@lru_cache(maxsize=None)
+def _subteams(vmask: int, k: int) -> int:
+    """Bitset of all teams over k variables contained in vmask: kept, as
+    each variable's denotation and its strict negation's, once per k."""
     bits = 0
-    for team in range(n_team):
+    for team in range(1 << (1 << k)):
         if team & vmask == team:
             bits |= 1 << team
     return bits
@@ -153,10 +160,10 @@ def _subteams(vmask: int, n_team: int) -> int:
 
 def _pair_unions(x: int, y: int) -> int:
     """{X ∪ Y | X in x, Y in y} over team bitsets."""
+    ys = list(iter_bits(y))
     out = 0
-    for a in iter_bits(x):
-        for b in iter_bits(y):
-            out |= 1 << (a | b)
+    for team in {a | b for a in iter_bits(x) for b in ys}:
+        out |= 1 << team
     return out
 
 
@@ -165,12 +172,11 @@ def pt_entails(
 ) -> tuple[bool, int | None]:
     """Subset check over PT+ denotations; on failure also the least
     counter-team (a team bitset)."""
-    cache: dict[Formula, int] = {}
     n_team = 1 << (1 << k)
     inter = (1 << n_team) - 1
     for p in premises:
-        inter &= pt_eval(p, k, cache).bits
-    bad = inter & ~pt_eval(conclusion, k, cache).bits
+        inter &= pt_eval(p, k).bits
+    bad = inter & ~pt_eval(conclusion, k).bits
     if bad == 0:
         return True, None
     return False, next(iter_bits(bad))

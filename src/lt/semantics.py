@@ -36,7 +36,6 @@ from .syntax import (
     Var,
     expand,
     postorder,
-    substitute,
 )
 
 
@@ -167,27 +166,27 @@ def evaluate(
     return out
 
 
-def eval_native_derived(hom: Homomorphism, tag: DerivedTag, *args: Formula) -> Denotation:
-    """Apply one derived connective natively to natively evaluated arguments."""
-    return evaluate(hom, Derived(tag, tuple(args)), native_derived=True)
-
-
 def eval_label(valuation: LabelValuation, label: Label) -> int:
-    """Classical evaluation of a label to an element of the algebra,
-    children first without recursion."""
-    alg = valuation.algebra
+    """Classical evaluation of a label to an element of the algebra."""
+    return label_bits(valuation.assignment, label, valuation.algebra.top)
+
+
+def label_bits(env: Mapping[int, int], label: Label, top: int) -> int:
+    """The one label walker, children first without recursion: a label
+    evaluated in the Boolean algebra of the bitsets below `top`, each
+    atom taking its value from env and ! complementing within top."""
     out: list[int] = []
     for a in postorder(label):
         kind = type(a)
         if kind is LAtom:
             try:
-                out.append(valuation.assignment[a.index])
+                out.append(env[a.index])
             except KeyError:
                 raise EvalError(f"unbound label atom p{a.index}") from None
         elif kind is LBot:
             out.append(0)
         elif kind is LNot:
-            out[-1] = alg.complement(out[-1])
+            out[-1] ^= top
         else:
             right = out.pop()
             out[-1] = out[-1] | right if kind is LOr else out[-1] & right
@@ -206,7 +205,5 @@ def compose(hom: Homomorphism, sigma: Mapping[int, Formula]) -> Homomorphism:
     """The homomorphism H∘σ: each variable goes to H's value of its σ-image,
     so eval(compose(H, σ), φ) = eval(H, substitute(φ, σ)) for every formula."""
     domain = set(hom.assignment) | set(sigma)
-    assignment = {
-        v: evaluate(hom, substitute(Var(v), sigma)) for v in sorted(domain)
-    }
+    assignment = {v: evaluate(hom, sigma.get(v, Var(v))) for v in sorted(domain)}
     return Homomorphism(hom.algebra, assignment)

@@ -234,6 +234,17 @@ def expand(formula: Formula) -> Formula:
     x -> y = !x | y, ~x = !up(down x & nb),
     x o* y = (x & nb) i| (y & nb).
     """
+    return _rebuild(formula, {}, True)
+
+
+def substitute(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
+    """Homomorphic replacement of variables; unmapped variables are unchanged."""
+    return _rebuild(formula, mapping, False)
+
+
+def _rebuild(formula: Formula, mapping: Mapping[int, Formula], expanding: bool) -> Formula:
+    """The formula rebuilt children first without recursion: each variable
+    through the mapping, each derived connective expanded or kept."""
     out: list[Formula] = []
     for f in postorder(formula):
         kind = type(f)
@@ -242,12 +253,14 @@ def expand(formula: Formula) -> Formula:
             out[-1] = kind(out[-1], right)
         elif kind in _UNARY_NODES:
             out[-1] = kind(out[-1])
+        elif kind is Var:
+            out.append(mapping.get(f.index, f))
         elif kind is not Derived:
             out.append(f)
         else:
             split = len(out) - len(f.args)
             args, out[split:] = out[split:], ()
-            out.append(_expand_derived(f.tag, args))
+            out.append(_expand_derived(f.tag, args) if expanding else Derived(f.tag, tuple(args)))
     return out[0]
 
 
@@ -273,28 +286,6 @@ def _expand_derived(tag: DerivedTag, args: list[Formula]) -> Formula:
         return ExtNot(IntOr(ExtAnd(IntAnd(args[0], TOP_CORE), NB_CORE), TOP_CORE))
     assert tag is DerivedTag.CIRCLE_STAR
     return IntOr(ExtAnd(args[0], NB_CORE), ExtAnd(args[1], NB_CORE))
-
-
-def substitute(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
-    """Homomorphic replacement of variables; unmapped variables are unchanged."""
-    if isinstance(f := formula, Var):
-        return mapping.get(f.index, f)
-    if isinstance(f, (ExtBot, IntBot)):
-        return f
-    if isinstance(f, ExtNot):
-        return ExtNot(substitute(f.child, mapping))
-    if isinstance(f, IntNot):
-        return IntNot(substitute(f.child, mapping))
-    if isinstance(f, ExtOr):
-        return ExtOr(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, ExtAnd):
-        return ExtAnd(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, IntOr):
-        return IntOr(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, IntAnd):
-        return IntAnd(substitute(f.left, mapping), substitute(f.right, mapping))
-    assert isinstance(f, Derived)
-    return Derived(f.tag, tuple(substitute(a, mapping) for a in f.args))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ Only the formula and label syntax is shared with the workbench.
 
 from __future__ import annotations
 
+import itertools
+
 from lt.syntax import (
     DerivedTag,
     ExtAnd,
@@ -23,6 +25,7 @@ from lt.syntax import (
     LNot,
     LOr,
     Var,
+    label_atoms,
 )
 
 
@@ -145,3 +148,27 @@ def evaluate_label(label, lenv: dict[int, int], n: int) -> int:
         return ((1 << n) - 1) ^ evaluate_label(label.child, lenv, n)
     x, y = evaluate_label(label.left, lenv, n), evaluate_label(label.right, lenv, n)
     return x | y if isinstance(label, LOr) else x & y
+
+
+def _python_label(label) -> str:
+    """A label as a Python boolean expression over names p<i>."""
+    if isinstance(label, LAtom):
+        return f"p{label.index}"
+    if isinstance(label, LBot):
+        return "False"
+    if isinstance(label, LNot):
+        return f"(not {_python_label(label.child)})"
+    op = "or" if isinstance(label, LOr) else "and"
+    return f"({_python_label(label.left)} {op} {_python_label(label.right)})"
+
+
+def taut(hypotheses, target) -> bool:
+    """Whether the conjunction of the hypotheses classically entails the
+    target, row by row over the truth table of the occurring atoms: one
+    Python function of the atoms, called once per row, all false first
+    and all true last."""
+    atoms = sorted(frozenset().union(*map(label_atoms, (*hypotheses, target))))
+    params = ", ".join(f"p{a}" for a in atoms)
+    premise = " and ".join(map(_python_label, hypotheses)) or "True"
+    row_holds = eval(f"lambda {params}: not ({premise}) or {_python_label(target)}")
+    return all(row_holds(*row) for row in itertools.product((False, True), repeat=len(atoms)))

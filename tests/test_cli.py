@@ -398,3 +398,53 @@ def test_crash_input_exits_2(capsys, tmp_path, which):
     code, out, err = run(capsys, *_crash_argv(which, tmp_path))
     assert code == 2 and out == ""
     assert err and "internal error" not in err
+
+
+def _taut_proof(path, label: str) -> str:
+    path.write_text(json.dumps({"rule": "Taut", "conclusion": f"{label} : i!ibot", "premises": []}))
+    return str(path)
+
+
+def _verdict(result):
+    code, out, err = result
+    obj = json.loads(out)
+    return code, obj["status"], obj.get("reason"), err
+
+
+_WIDE_LABEL = " | ".join(f"p{i}" for i in range(1200))
+
+
+@pytest.mark.parametrize(
+    "deep, shallow",
+    [
+        (("check-proof", "!" * 3000 + "(p1 | !p1)"), ("check-proof", "p1 | !p1")),
+        (("check-proof", "!" * 3001 + "(p1 | !p1)"), ("check-proof", "!(p1 | !p1)")),
+        (("check-proof", " | ".join(["p1"] * 3000) + " | !p1"), ("check-proof", "p1 | !p1")),
+        (("check-proof", " | ".join(["p1"] * 3000)), ("check-proof", "p1")),
+        (("pt", "eval", "--k", "1", " & ".join(["P0"] * 3000)), ("pt", "eval", "--k", "1", "P0")),
+        (("pt", "entail", "--k", "1", "|- " + " | ".join(["P0"] * 3000)),
+         ("pt", "entail", "--k", "1", "|- P0")),
+        (("pt", "entail", "--k", "2", " & ".join(["P1"] * 3000) + " |- P1 i| nb"),
+         ("pt", "entail", "--k", "2", "P1 |- P1 i| nb")),
+        (("lentail", "--max-n", "0", f"|- {_WIDE_LABEL} : P0"),
+         ("lentail", "--max-n", "0", "|- p0 | p1 : P0")),
+        (("lentail", "--max-n", "0", f"|- {_WIDE_LABEL} : P0 | !P0"),
+         ("lentail", "--max-n", "0", "|- p0 | p1 : P0 | !P0")),
+    ],
+    ids=["taut-3000-not", "taut-3001-not", "taut-3000-or-valid", "taut-3000-or-invalid",
+         "pt-eval-3000-and", "pt-entail-3000-or", "pt-entail-3000-and-premise",
+         "lentail-1200-atoms-refuted", "lentail-1200-atoms-valid"],
+)
+def test_deep_input_gives_the_verdict_of_its_shallow_form(capsys, tmp_path, deep, shallow):
+    # thousands of nodes deep, or 1,200 label atoms to turn as digits:
+    # no walk recurses, so each exits 0 or 1 as its shallow form does
+    results = []
+    for name, argv in (("deep", deep), ("shallow", shallow)):
+        if argv[0] == "check-proof":
+            argv = ("check-proof", _taut_proof(tmp_path / f"{name}.json", argv[1]))
+        results.append(run(capsys, *argv))
+    assert results[0][0] in (0, 1)
+    if deep[0] == "pt":
+        assert results[0] == results[1]
+    else:
+        assert _verdict(results[0]) == _verdict(results[1])

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,17 @@ from lt.syntax import (
     LabelledFormula,
     LAnd,
     LAtom,
-        LOr,
+    LBot,
+    LNot,
+    LOr,
     Var,
     equality_label,
     parse_label,
     parse_labelled,
 )
+
+import reference as ref
+from helpers import random_label
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -57,8 +63,44 @@ class TestTautOracle:
 
     def test_budget(self):
         wide = parse_label(" | ".join(f"p{i}" for i in range(21)))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             taut_oracle([], wide)
+        assert info.value.total == 2**21
+
+    def test_agrees_with_the_row_loop_reference(self, seed):
+        # seeded labels over up to 6 atoms; a target joined with one of
+        # the hypotheses is entailed, so both verdicts occur
+        rng = random.Random(seed + 71)
+        verdicts = []
+        for _ in range(300):
+            hyps = [random_label(rng, 3, 6) for _ in range(rng.randrange(3))]
+            target = random_label(rng, 4, 6)
+            if hyps and rng.random() < 0.5:
+                target = LOr(target, rng.choice(hyps))
+            verdicts.append(ref.taut(hyps, target))
+            assert taut_oracle(hyps, target) == verdicts[-1], (hyps, target)
+        assert 50 < sum(verdicts) < 250
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 20])
+    def test_falsified_only_on_the_last_row(self, seed, m):
+        # m atoms in a seeded order; the target fails only where every
+        # atom is true, the last row, and the hypotheses hold there
+        rng = random.Random(seed + 72 + m)
+        atoms = [LAtom(i) for i in rng.sample(range(40), m)]
+        every = atoms[0]
+        for atom in atoms[1:]:
+            every = LAnd(every, atom)
+        hyps = rng.sample(atoms, rng.randrange(m + 1))
+        target = LNot(every)
+        assert not ref.taut(hyps, target) and not taut_oracle(hyps, target)
+        valid = LOr(target, rng.choice(atoms))
+        assert ref.taut(hyps, valid) and taut_oracle(hyps, valid)
+
+    def test_no_atoms(self):
+        F, T = LBot(), LNot(LBot())
+        cases = [([], F), ([], T), ([F], F), ([T], F), ([T, T], T)]
+        assert [taut_oracle(*case) for case in cases] == [False, True, True, False, True]
+        assert [ref.taut(*case) for case in cases] == [False, True, True, False, True]
 
 
 class TestCorpus:

@@ -370,26 +370,41 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
     # an entailed query without premises, so the scan visits every
     # lex-leader; at each digit the group is the atom permutations fixing
     # the digits before it, computed here, and every orbit of the digit's
-    # domain under it gives exactly one value, the orbit's least
+    # domain under it gives exactly one value, the orbit's least.  The
+    # scan takes digit p's values from `minima`, under the group that
+    # `stabiliser` returned for the value of digit p - 1 (all n!
+    # permutations at digit 0), so the spies rebuild the digits before p
     perms, kinds, seen = _atom_perms(n), _kinds(n), []
-    odometer = entailment._odometer
+    chain = []  # per digit before the current one: (group returned, value)
+    stabiliser, minima = entailment._Symmetry.stabiliser, entailment._Symmetry.minima
 
-    def spy(p, values, group, state):
-        domains, vals = state[0], state[3]
-        prefix = [ref.from_bits(v, n) for v in vals[:p]]
+    def stabiliser_spy(self, group, value):
+        while chain and chain[-1][0] is not group:
+            chain.pop()
+        inner = stabiliser(self, group, value)
+        chain.append((inner, value))
+        return inner
+
+    def minima_spy(self, kind, domain, group):
+        if group is self.group:
+            chain.clear()
+        assert not chain or chain[-1][0] is group
+        values = minima(self, kind, domain, group)
+        prefix = [ref.from_bits(v, n) for _, v in chain]
         fixing = [g for g in perms if all(_image(g, x) == x for x in prefix)]
         assert len(group) == len(fixing), (prefix, group)
         orbits = {
             frozenset(ref.to_bits(_image(g, ref.from_bits(x, n))) for g in fixing)
-            for x in kinds[domains[p][0]]
+            for x in kinds[kind]
         }
         assert list(values) == sorted(map(min, orbits)), prefix
-        if p and len(group) == 1:
-            assert values is domains[p][1]  # the domain itself, not a copy
+        if len(group) == 1:
+            assert values is domain  # the domain itself, not a copy
         seen.append(len(fixing))
-        return odometer(p, values, group, state)
+        return values
 
-    monkeypatch.setattr(entailment, "_odometer", spy)
+    monkeypatch.setattr(entailment._Symmetry, "stabiliser", stabiliser_spy)
+    monkeypatch.setattr(entailment._Symmetry, "minima", minima_spy)
     if klass is None:
         assert labelled_entails(n, *parse_labelled_query(text))[0]
     else:
@@ -516,6 +531,38 @@ def test_column_guards_cut_the_column(monkeypatch):
     calls.clear()
     assert algebra_entails(3, *_query("P1, !P1 |- P0 i| P1"))[0]
     assert calls and entailment._IOR not in {op for op, _ in calls}
+
+
+def test_a_bare_first_premise_is_a_guard(monkeypatch):
+    # a first premise that is a position or a constant has no instruction
+    # of its own, so it is guarded as its meet with itself: P1 cuts the
+    # empty set from its column before the conclusion's i| runs ...
+    calls = _column_calls(monkeypatch)
+    premises, conclusion = _query("P1 |- (P1 i& P0) | (P1 i| P0)")
+    got = _json(algebra_entails(3, premises, conclusion))
+    assert got == brute(3, premises, conclusion, limit=300)
+    internal = [ys for op, ys in calls if op == entailment._IOR]
+    assert internal and not any(0 in ys for ys in internal)
+    # ... and bot empties the intersection before any digit turns
+    scanned = []
+    monkeypatch.setattr(entailment, "_odometer", lambda *args: scanned.append(args))
+    for n in (2, 3):
+        assert algebra_entails(n, *_query("bot |- (P0 i& P1) | (P1 i| P0)"))[0]
+    assert not scanned
+
+
+@pytest.mark.parametrize("text", [
+    "P1 |- (P1 i& P0) | (P1 i| P0)",
+    "P0 |- P0 i& P1",
+    "P0, P1 |- P0 i& P1",
+    "ibot |- P0 | !(P0 i| P1)",
+    "top |- P0 i| P1",
+    "bot, P0 |- P0 i| P1",
+])
+def test_bare_first_premise_verdicts(text):
+    premises, conclusion = _query(text)
+    for n in (0, 1, 2):
+        assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion), n
 
 
 def test_column_chunks_under_jobs(monkeypatch, seed):

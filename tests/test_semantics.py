@@ -9,12 +9,12 @@ from lt.semantics import (
     LabelValuation,
     compose,
     eval_label,
-    eval_native_derived,
     evaluate,
     satisfies,
 )
 from lt.syntax import (
-        DerivedTag,
+    Derived,
+    DerivedTag,
     IntBot,
     LabelledFormula,
     LAtom,
@@ -72,20 +72,24 @@ class TestEvaluate:
         assert evaluate(h, f, cache=cache) == evaluate(h, f)
 
 
+def native(h, tag, *args):
+    return evaluate(h, Derived(tag, args), native_derived=True)
+
+
 class TestNativeDerived:
     def test_strict_not(self):
         h = hom(1, P0=0b10)
-        assert eval_native_derived(h, DerivedTag.STRICT_NOT, Var(0)).to_strings() == ["0"]
+        assert native(h, DerivedTag.STRICT_NOT, Var(0)).to_strings() == ["0"]
 
     def test_dia_of_empty(self):
         h = hom(1, P0=0)
-        assert eval_native_derived(h, DerivedTag.DIAMOND, Var(0)).bits == 0
+        assert native(h, DerivedTag.DIAMOND, Var(0)).bits == 0
 
     def test_down_matches_expansion(self):
         h = hom(2, P0=1 << 0b11)
-        native = eval_native_derived(h, DerivedTag.DOWN, Var(0))
-        assert native.bits == h.algebra.full
-        assert native == evaluate(h, parse_formula("P0 i& top"))
+        native_down = native(h, DerivedTag.DOWN, Var(0))
+        assert native_down.bits == h.algebra.full
+        assert native_down == evaluate(h, parse_formula("P0 i& top"))
 
     def test_coherence_randomized(self, seed):
         # 500 seeded (formula, homomorphism) pairs at n <= 2

@@ -276,6 +276,14 @@ class TestSubstitute:
             DerivedTag.BOX, (IntBot(),)
         )
 
+    def test_deep_chain(self):
+        # a 3,000-node chain is rebuilt by a loop, not by recursion
+        deep, image = Var(0), Var(2)
+        for _ in range(3000):
+            deep, image = IntOr(deep, Var(1)), IntOr(image, Var(1))
+        assert format_formula(substitute(deep, {0: Var(2)})) == format_formula(image)
+        assert format_formula(substitute(deep, {})) == format_formula(deep)
+
     def test_random_homomorphism_law(self, seed):
         rng = random.Random(seed + 12)
         for _ in range(200):
