@@ -27,15 +27,16 @@ instructions computes a list over all the digit's values at once, and a
 guard there cuts the lists to the entries where it is non-empty.  The
 values ascend, so the first non-empty entry of `bad` is the least
 violation.  Up to n = 3, int_not and the closures are read from
-256-entry byte tables.  So are int_and and int_or, from two 65,536-entry
-byte tables indexed by x << 2^n | y, in a scan whose work (the first
-digit's orbit minima times the values of every later digit) exceeds
-4,096.  At n = 4 the algebra's shift-and-mask kernels run.  The tables
-are built once per process and size, and hold bytes only.  The
-countermodel reported is the least one, with or without workers, and
-it is replayed through the tree-walking evaluator first.  Searching all
-finite sizes is sound for refutation but cannot certify full
-entailment: some non-validities need an infinite (non-complete)
+256-entry byte tables.  So are int_and and int_or, from two byte tables
+indexed by x << 2^n | y: in every scan at n <= 2, where they hold at
+most 256 entries, and at n = 3, where they hold 65,536, in a scan whose
+work (the first digit's orbit minima times the values of every later
+digit) exceeds 4,096.  At n = 4 the algebra's shift-and-mask kernels
+run.  The tables are built once per process and size, and hold bytes
+only.  The countermodel reported is the least one, with or without
+workers, and it is replayed through the tree-walking evaluator first.
+Searching all finite sizes is sound for refutation but cannot certify
+full entailment: some non-validities need an infinite (non-complete)
 algebra.
 
 Symmetry.  A permutation of the n atoms is an automorphism of 2^n, and
@@ -187,13 +188,14 @@ _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # Up to this algebra size a scan reads the closures and int_not from
 # tables over the whole domain of 2^(2^n) denotations, 256 entries at
-# n = 3, and a large scan reads int_and and int_or from tables over every
-# pair, 65,536 entries.  Each is built once per process and size.  At
-# n = 4 a closure table holds 65,536 entries, 16 times the closures a
+# n = 3, and int_and and int_or from tables over every pair, 256 entries
+# at n = 2 and 65,536 at n = 3.  Each is built once per process and size.
+# At n = 4 a closure table holds 65,536 entries, 16 times the closures a
 # one-variable scan computes, and a pair table 2^32, so shifts run.
 _TABLE_MAX_N = 3
-# A scan whose work (see _extent) exceeds this reads the pair tables and
-# may open a pool of workers; below it neither pays for itself.
+# A scan whose work (see _extent) exceeds this may open a pool of workers
+# and, at n = 3, reads the pair tables; below it neither pays for itself.
+# At n <= 2 every scan reads the pair tables.
 _LARGE_WORK = 4096
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
@@ -458,10 +460,10 @@ def _pair_tables(n: int) -> tuple[bytes, bytes]:
     return tables[0], tables[1]
 
 
-def _kernels(alg: Algebra, large: bool) -> tuple[list, dict]:
+def _kernels(alg: Algebra, pairs: bool) -> tuple[list, dict]:
     """Per opcode, the function f(x, y) that computes one value; and, up
     to n = 3, the tables that f reads: int_not and the closures per
-    denotation and, in a large scan, int_and and int_or per pair."""
+    denotation and, if `pairs`, int_and and int_or per pair."""
     n, full, width = alg.n, alg.full, alg.size
     scalar = [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
               lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
@@ -470,7 +472,7 @@ def _kernels(alg: Algebra, large: bool) -> tuple[list, dict]:
     tables: dict[int, bytes] = {}
     if n <= _TABLE_MAX_N:
         tables = dict(zip((_INOT, _DOWN, _UP), _unary_tables(n)))
-        if large:
+        if pairs:
             tables.update(zip((_IAND, _IOR), _pair_tables(n)))
     for op, t in tables.items():
         if op >= _INOT:  # the unary opcodes come last
@@ -529,7 +531,8 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     program, n, class_restriction, start, stop = args
     alg = Algebra(n)
     domains = _domains(program, alg, class_restriction)
-    kernels = _kernels(alg, n <= _TABLE_MAX_N and _extent(domains, n)[1] > _LARGE_WORK)
+    pairs = n < _TABLE_MAX_N or n == _TABLE_MAX_N and _extent(domains, n)[1] > _LARGE_WORK
+    kernels = _kernels(alg, pairs)
     scalar, plan = kernels[0], program.plan
     # The last digit runs as one column when it ranges over all 2^(2^n)
     # denotations at n >= 3.  A column of at most 16 values, as at n = 2

@@ -158,8 +158,10 @@ def _subteams(vmask: int, k: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=4096)
 def _pair_unions(x: int, y: int) -> int:
-    """{X ∪ Y | X in x, Y in y} over team bitsets."""
+    """{X ∪ Y | X in x, Y in y} over team bitsets: kept, as a sweep over
+    the PT+ formulas meets each operand pair dozens of times."""
     ys = list(iter_bits(y))
     out = 0
     for team in {a | b for a in iter_bits(x) for b in ys}:

@@ -20,6 +20,14 @@ requires parentheses.  Labels use F (falsum), p<digits>, !, & and | with
 the same conventions.  A labelled formula is "<label> : <formula>"; the
 equality sugar "a = b" stands for (a <-> b) : itop with a <-> b spelled
 (a | !b) & (!a | b).
+
+The front end is linear in the input.  One `findall` splits the text
+into (whitespace, token) pairs and a dict gives each token its kind; the
+parser reads the list of kinds, keeps nesting on an explicit stack, and
+builds each distinct atom once.  An error's offset is summed from the
+pairs only when the error is raised.  `expand` and `substitute` keep
+every node whose children come back unchanged, so a formula with nothing
+to rewrite comes back as the identical object.
 """
 
 from __future__ import annotations
@@ -217,7 +225,8 @@ def postorder(root):
         order.append(node := todo.pop())
         kind = type(node)
         if kind in _BINARY_NODES:
-            todo += (node.left, node.right)
+            todo.append(node.left)
+            todo.append(node.right)
         elif kind in _UNARY_NODES:
             todo.append(node.child)
         elif kind is Derived:
@@ -244,15 +253,20 @@ def substitute(formula: Formula, mapping: Mapping[int, Formula]) -> Formula:
 
 def _rebuild(formula: Formula, mapping: Mapping[int, Formula], expanding: bool) -> Formula:
     """The formula rebuilt children first without recursion: each variable
-    through the mapping, each derived connective expanded or kept."""
+    through the mapping, each derived connective expanded or kept.  A node
+    whose rebuilt children are the identical objects is kept itself, so a
+    formula with nothing to rewrite comes back as the same object, and
+    only the paths above a rewritten node are built anew."""
     out: list[Formula] = []
     for f in postorder(formula):
         kind = type(f)
         if kind in _BINARY_NODES:
             right = out.pop()
-            out[-1] = kind(out[-1], right)
+            left = out[-1]
+            out[-1] = f if left is f.left and right is f.right else kind(left, right)
         elif kind in _UNARY_NODES:
-            out[-1] = kind(out[-1])
+            child = out[-1]
+            out[-1] = f if child is f.child else kind(child)
         elif kind is Var:
             out.append(mapping.get(f.index, f))
         elif kind is not Derived:
@@ -260,7 +274,11 @@ def _rebuild(formula: Formula, mapping: Mapping[int, Formula], expanding: bool) 
         else:
             split = len(out) - len(f.args)
             args, out[split:] = out[split:], ()
-            out.append(_expand_derived(f.tag, args) if expanding else Derived(f.tag, tuple(args)))
+            if expanding:
+                out.append(_expand_derived(f.tag, args))
+            else:
+                kept = all(a is b for a, b in zip(args, f.args))
+                out.append(f if kept else Derived(f.tag, tuple(args)))
     return out[0]
 
 
@@ -291,59 +309,46 @@ def _expand_derived(tag: DerivedTag, args: list[Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F"}
-
-# One match per token, whitespace before it included; a variable or label
-# atom name is matched whole before the general `name`, which is then a
-# keyword or an unknown word.  `eof` is the empty match at the end.
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<arrow>->)
-      | (?P<turnstile>\|-)
-      | (?P<ibang>i!)
-      | (?P<iamp>i&)
-      | (?P<ipipe>i\|)
-      | (?P<ostar>o\*)
-      | (?P<var>P[0-9]+)
-      | (?P<latom>p[0-9]+)
-      | (?P<name>[A-Za-z]+[0-9]*)
-      | (?P<bang>!)
-      | (?P<amp>&)
-      | (?P<pipe>\|)
-      | (?P<tilde>~)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<comma>,)
-      | (?P<colon>:)
-      | (?P<equals>=)
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )""",
-    re.VERBOSE,
-)
+# One match per token: the whitespace before it, then the token, tried in
+# this order.  A word is matched whole, so "P1x" is "P1" then "x", and any
+# other character is a token of its own.  The scan stops where trailing
+# whitespace begins (tried from each of its positions it would cost the
+# square of its length); the lexer adds the `eof` token.
+_LEXEME_RE = re.compile(r"(\s*)(->|\|-|i!|i&|i\||o\*|[A-Za-z]+[0-9]*|\S)")
+_KINDS = {
+    "->": "arrow", "|-": "turnstile", "i!": "ibang", "i&": "iamp", "i|": "ipipe",
+    "o*": "ostar", "!": "bang", "&": "amp", "|": "pipe", "~": "tilde", "(": "lpar",
+    ")": "rpar", ",": "comma", ":": "colon", "=": "equals",
+    **{word: word for word in ("bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F")},
+}
+_ATOM_KINDS = {"P": "var", "p": "latom"}  # with digits after the letter
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+def _lex(text: str) -> tuple[list[str], list[str], list[tuple[str, str]]]:
+    """The token kinds and texts, each list ending with `eof`, and the
+    (whitespace, token) pairs that the offset of an error is summed from.
+    No object is made per token but its text and the pair."""
+    lexemes = _LEXEME_RE.findall(text, 0, len(text.rstrip()))
+    texts = [word for _, word in lexemes]
+    table = dict(_KINDS)  # and each other word, classified once: an atom or None
+    for word in set(texts).difference(_KINDS):
+        table[word] = _ATOM_KINDS.get(word[0]) if word[1:].isdigit() else None
+    kinds = list(map(table.__getitem__, texts))
+    if None in kinds:
+        i = kinds.index(None)
+        word = texts[i]
+        what = "unknown word" if word.isascii() and word[0].isalpha() else "unexpected character"
+        raise ParseError(f"{what} {word!r}", _offset(text, lexemes, i))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts, lexemes
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        word, pos = m.group(kind), m.start(kind)
-        if kind == "name":
-            if word not in _KEYWORDS:
-                raise ParseError(f"unknown word {word!r}", pos)
-            kind = word
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", pos)
-        tokens.append(_Token(kind, word, pos))
-        if kind == "eof":  # after trailing whitespace, `eof` would match twice
-            break
-    return tokens
+def _offset(text: str, lexemes: list[tuple[str, str]], i: int) -> int:
+    """The offset of token i, summed only when an error reports it."""
+    if i == len(lexemes):
+        return len(text)
+    return sum(len(space) + len(word) for space, word in lexemes[:i]) + len(lexemes[i][0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,45 +410,29 @@ _LABEL = _Grammar(
 )
 
 
-def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
-    return ParseError(
-        f"got {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-        tok.pos,
-        expected,
-    )
-
-
-class _Level:
-    """The open state of one parenthesis level: prefix operators waiting
-    for their operand, the left side and operator of the open conjunction
-    and disjunction chains, and the left operands of a '->' chain."""
-
-    __slots__ = ("prefixes", "conj", "conj_kind", "disj", "disj_kind", "arrows")
-
-    def __init__(self):
-        self.prefixes: list = []
-        self.conj = self.conj_kind = self.disj = self.disj_kind = None
-        self.arrows: list = []
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts, self.lexemes = _lex(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at the current token."""
+        return ParseError(message, _offset(self.text, self.lexemes, self.i), expected)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        i = self.i
+        if self.kinds[i] == "eof":
+            return self.error("unexpected end of input", expected)
+        return self.error(f"got {self.texts[i]!r}", expected)
+
+    def peek(self) -> str:
+        return self.kinds[self.i]
+
+    def expect(self, kind: str, description: str) -> None:
+        if self.kinds[self.i] != kind:
+            raise self.unexpected((description,))
         self.i += 1
-        return tok
-
-    def expect(self, kind: str, description: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise _unexpected(tok, (description,))
-        return self.next()
 
     def formula(self) -> Formula:
         """formula := disj ['->' formula]; disj := conj (op conj)*;
@@ -456,113 +445,116 @@ class _Parser:
         return self._nested(_LABEL)
 
     def _nested(self, grammar: _Grammar):
-        """Read unary operands and hand each to `_close`.  A '(' opens a
-        level; once a level's formula is complete, it takes its ')' and
-        the formula is an operand of the level below.  The outermost
-        level's formula is the result."""
-        tokens, levels = self.tokens, [_Level()]
+        """Read unary operands, each completing the open chains of its
+        level: its pending prefix operators, then the open conjunction,
+        disjunction and '->' chains as far as the next token closes them.
+        A '(' saves the level's state on the stack and opens a new one;
+        once a level's formula is complete, it takes its ')' and is an
+        operand of the level below.  The outermost level's formula is the
+        result.  Equal atoms are built once and shared."""
+        kinds, texts, i = self.kinds, self.texts, self.i
+        prefix, atoms, conj, disj = grammar.prefix, grammar.atoms, grammar.conj, grammar.disj
+        arrow = "arrow" if grammar.arrow else None
+        stack: list[tuple] = []
+        leaves: dict = {}
+        prefixes: list = []
+        arrows: list = []
+        conj_left = conj_kind = disj_left = disj_kind = None
         while True:
-            level = levels[-1]
-            tok = tokens[self.i]
-            while tok.kind in grammar.prefix:
-                level.prefixes.append(grammar.prefix[tok.kind])
-                self.i += 1
-                tok = tokens[self.i]
-            if tok.kind == "lpar":
-                self.i += 1
-                levels.append(_Level())
+            kind = kinds[i]
+            while kind in prefix:
+                prefixes.append(prefix[kind])
+                i += 1
+                kind = kinds[i]
+            if kind == "lpar":
+                stack.append((prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind))
+                prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = [], [], None, None, None, None
+                i += 1
                 continue
-            make = grammar.atoms.get(tok.kind)
-            if make is None:
-                raise _unexpected(tok, grammar.atom_expect)
-            self.i += 1
-            value = self._close(grammar, level, make(tok.text))
-            while value is not None:
-                if len(levels) == 1:
+            value = leaves.get(texts[i])
+            if value is None:
+                make = atoms.get(kind)
+                if make is None:
+                    self.i = i
+                    raise self.unexpected(grammar.atom_expect)
+                value = leaves[texts[i]] = make(texts[i])
+            i += 1
+            while True:  # close the operand in its level, and each level it completes
+                while prefixes:
+                    value = prefixes.pop()(value)
+                kind = kinds[i]
+                if conj_kind is not None:
+                    value = conj[conj_kind](conj_left, value)
+                    if kind != conj_kind and kind in conj:
+                        self.i = i
+                        raise self._mixing("conjunction")
+                if kind in conj:
+                    conj_left, conj_kind = value, kind
+                    break
+                conj_kind = None
+                if disj_kind is not None:
+                    value = disj[disj_kind](disj_left, value)
+                    if kind != disj_kind and kind in disj:
+                        self.i = i
+                        raise self._mixing("disjunction")
+                if kind in disj:
+                    disj_left, disj_kind = value, kind
+                    break
+                disj_kind = None
+                if kind == arrow:  # right-associative: fold at the end
+                    arrows.append(value)
+                    break
+                while arrows:
+                    value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
+                self.i = i
+                if not stack:
                     return value
-                levels.pop()
                 self.expect("rpar", "')'")
-                value = self._close(grammar, levels[-1], value)
-
-    def _close(self, grammar: _Grammar, level: _Level, value):
-        """Apply the level's pending prefixes to an operand and extend its
-        chains: None while an operator asks for another operand, else the
-        level's whole formula."""
-        prefixes = level.prefixes
-        while prefixes:
-            value = prefixes.pop()(value)
-        kind = self.tokens[self.i].kind
-        if level.conj_kind is not None:
-            value = grammar.conj[level.conj_kind](level.conj, value)
-            if kind != level.conj_kind and kind in grammar.conj:
-                raise self._mixing("conjunction")
-        if kind in grammar.conj:
-            level.conj, level.conj_kind = value, kind
-            self.i += 1
-            return None
-        level.conj_kind = None
-        if level.disj_kind is not None:
-            value = grammar.disj[level.disj_kind](level.disj, value)
-            if kind != level.disj_kind and kind in grammar.disj:
-                raise self._mixing("disjunction")
-        if kind in grammar.disj:
-            level.disj, level.disj_kind = value, kind
-            self.i += 1
-            return None
-        level.disj_kind = None
-        if kind == "arrow" and grammar.arrow:  # right-associative: fold at the end
-            level.arrows.append(value)
-            self.i += 1
-            return None
-        arrows = level.arrows
-        while arrows:
-            value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
-        return value
+                i += 1
+                prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = stack.pop()
+            i += 1  # past the operator that asks for the next operand
 
     def _mixing(self, level_name: str) -> ParseError:
-        nxt = self.tokens[self.i]
-        return ParseError(
-            f"mixing {nxt.text!r} with a different {level_name}-level operator "
+        return self.error(
+            f"mixing {self.texts[self.i]!r} with a different {level_name}-level operator "
             "requires parentheses",
-            nxt.pos,
-            (self.tokens[self.i - 2].text,),
+            (self.texts[self.i - 2],),
         )
 
     # -- labelled formulas and queries
 
     def labelled(self) -> LabelledFormula:
         label = self.label()
-        tok = self.peek()
-        if tok.kind == "colon":
-            self.next()
+        kind = self.peek()
+        if kind == "colon":
+            self.i += 1
             return LabelledFormula(label, self.formula())
-        if tok.kind == "equals":
-            self.next()
+        if kind == "equals":
+            self.i += 1
             return equality(label, self.label())
-        raise _unexpected(tok, ("':'", "'='"))
+        raise self.unexpected(("':'", "'='"))
 
     def eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("end of input",))
+        if self.peek() != "eof":
+            raise self.error(f"trailing input {self.texts[self.i]!r}", ("end of input",))
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     f = p.formula()
     p.eof()
     return f
 
 
 def parse_label(text: str) -> Label:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     a = p.label()
     p.eof()
     return a
 
 
 def parse_labelled(text: str) -> LabelledFormula:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     lf = p.labelled()
     p.eof()
     return lf
@@ -570,12 +562,12 @@ def parse_labelled(text: str) -> LabelledFormula:
 
 def parse_entailment_query(text: str) -> tuple[tuple[Formula, ...], Formula]:
     """Parse "phi1, phi2 |- psi" (premises may be empty: "|- psi")."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     premises: list[Formula] = []
-    if p.peek().kind != "turnstile":
+    if p.peek() != "turnstile":
         premises.append(p.formula())
-        while p.peek().kind == "comma":
-            p.next()
+        while p.peek() == "comma":
+            p.i += 1
             premises.append(p.formula())
     p.expect("turnstile", "'|-'")
     conclusion = p.formula()
@@ -585,12 +577,12 @@ def parse_entailment_query(text: str) -> tuple[tuple[Formula, ...], Formula]:
 
 def parse_labelled_query(text: str) -> tuple[tuple[LabelledFormula, ...], LabelledFormula]:
     """Parse "a1:phi1, a2:phi2 |- b:psi" (premises may be empty)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     premises: list[LabelledFormula] = []
-    if p.peek().kind != "turnstile":
+    if p.peek() != "turnstile":
         premises.append(p.labelled())
-        while p.peek().kind == "comma":
-            p.next()
+        while p.peek() == "comma":
+            p.i += 1
             premises.append(p.labelled())
     p.expect("turnstile", "'|-'")
     conclusion = p.labelled()

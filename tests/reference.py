@@ -3,14 +3,20 @@
 Denotations are modelled as frozensets of element integers and every
 operator is computed directly from its defining comprehension, so these
 stay independent of the bitset implementation they are used to check.
-Only the formula and label syntax is shared with the workbench.
+Only the formula and label syntax, and ParseError, are shared with the
+workbench.  The lexer the parser used before the one-`findall` lexer,
+and an expansion that builds every node anew, are kept here as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+
+from lt.errors import ParseError
 
 from lt.syntax import (
+    Derived,
     DerivedTag,
     ExtAnd,
     ExtBot,
@@ -20,6 +26,7 @@ from lt.syntax import (
     IntBot,
     IntNot,
     IntOr,
+    LAnd,
     LAtom,
     LBot,
     LNot,
@@ -172,3 +179,89 @@ def taut(hypotheses, target) -> bool:
     premise = " and ".join(map(_python_label, hypotheses)) or "True"
     row_holds = eval(f"lambda {params}: not ({premise}) or {_python_label(target)}")
     return all(row_holds(*row) for row in itertools.product((False, True), repeat=len(atoms)))
+
+
+# The lexer as the parser used it before the one-`findall` lexer: one
+# match per token, whitespace before it included; a variable or label atom
+# name is matched whole before the general `name`, which is then a keyword
+# or an unknown word.  `eof` is the empty match at the end.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<arrow>->)
+      | (?P<turnstile>\|-)
+      | (?P<ibang>i!)
+      | (?P<iamp>i&)
+      | (?P<ipipe>i\|)
+      | (?P<ostar>o\*)
+      | (?P<var>P[0-9]+)
+      | (?P<latom>p[0-9]+)
+      | (?P<name>[A-Za-z]+[0-9]*)
+      | (?P<bang>!)
+      | (?P<amp>&)
+      | (?P<pipe>\|)
+      | (?P<tilde>~)
+      | (?P<lpar>\()
+      | (?P<rpar>\))
+      | (?P<comma>,)
+      | (?P<colon>:)
+      | (?P<equals>=)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+_KEYWORDS = {"bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F"}
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of every token, ending with `eof`; raises the
+    ParseError of the first unknown word or unexpected character."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word, pos = m.group(kind), m.start(kind)
+        if kind == "name":
+            if word not in _KEYWORDS:
+                raise ParseError(f"unknown word {word!r}", pos)
+            kind = word
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        tokens.append((kind, word, pos))
+        if kind == "eof":  # after trailing whitespace, `eof` would match twice
+            break
+    return tokens
+
+
+_REBUILT = {ExtNot, IntNot, ExtOr, ExtAnd, IntOr, IntAnd, LNot, LOr, LAnd}
+
+
+def expand_rebuilt(formula):
+    """Every derived connective rewritten to core syntax, by the
+    definitions in lt.syntax.expand, and every other node built anew."""
+    kind = type(formula)
+    if kind in _REBUILT:
+        return kind(*map(expand_rebuilt, formula.__dict__.values()))
+    if kind is not Derived:
+        return kind(*formula.__dict__.values())
+    args = [expand_rebuilt(a) for a in formula.args]
+    top, nb = ExtNot(ExtBot()), ExtNot(IntBot())
+    tag = formula.tag
+    if tag is DerivedTag.EXT_TOP:
+        return top
+    if tag is DerivedTag.NB:
+        return nb
+    if tag is DerivedTag.INT_TOP:
+        return IntNot(IntBot())
+    if tag is DerivedTag.DOWN:
+        return IntAnd(args[0], top)
+    if tag is DerivedTag.UP:
+        return IntOr(args[0], top)
+    if tag is DerivedTag.DIAMOND:
+        return IntOr(IntAnd(args[0], top), top)
+    if tag is DerivedTag.BOX:
+        return ExtNot(IntOr(IntAnd(ExtNot(args[0]), top), top))
+    if tag is DerivedTag.IMPLIES:
+        return ExtOr(ExtNot(args[0]), args[1])
+    if tag is DerivedTag.STRICT_NOT:
+        return ExtNot(IntOr(ExtAnd(IntAnd(args[0], top), nb), top))
+    return IntOr(ExtAnd(args[0], nb), ExtAnd(args[1], nb))

@@ -400,6 +400,13 @@ def test_crash_input_exits_2(capsys, tmp_path, which):
     assert err and "internal error" not in err
 
 
+@pytest.mark.parametrize("which", (0, 1, 3))
+def test_deep_crash_input_bytes(capsys, which):
+    # the chain, the prefix run and the parentheses parse, and evaluation
+    # then stops at the unbound variable
+    assert run(capsys, *_crash_argv(which, None)) == (2, "", "error: unbound variable P4\n")
+
+
 def _taut_proof(path, label: str) -> str:
     path.write_text(json.dumps({"rule": "Taut", "conclusion": f"{label} : i!ibot", "premises": []}))
     return str(path)

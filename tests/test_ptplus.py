@@ -251,3 +251,20 @@ class TestFRepresentation:
             k = rng.choice((1, 2))
             h = random_principal_hom(rng, Algebra(m), range(k))
             assert verify_f_representation(h, k, depth=2)
+
+
+def test_pair_unions_are_computed_once_per_operand_pair(monkeypatch):
+    # the k = 2 criterion-9 sweep: the union of each distinct operand pair
+    # is computed once, every later meeting is a cache hit
+    from lt import ptplus
+
+    cached = ptplus._pair_unions
+    calls = []
+    monkeypatch.setattr(ptplus, "_pair_unions", lambda x, y: calls.append((x, y)) or cached(x, y))
+    cached.cache_clear()
+    cache = {}
+    for f in enumerate_pt_formulas(2, 3):
+        pt_eval(f, 2, cache)
+    info = cached.cache_info()
+    assert len(calls) > 10 * len(set(calls))
+    assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))

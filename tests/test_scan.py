@@ -625,6 +625,28 @@ def test_tables_hold_no_algebra(monkeypatch):
         gc.enable()
 
 
+def test_small_scans_read_the_pair_tables(monkeypatch, seed):
+    # at n <= 2 every scan reads i& and i| from the pair tables, however
+    # little its work; the verdicts stay the oracle's
+    read = []
+    tables = entailment._pair_tables
+    monkeypatch.setattr(entailment, "_pair_tables", lambda n: read.append(n) or tables(n))
+    premises, conclusion = _query("P0 i& P1, P2 |- (P1 i& P0) i| P2")
+    program = entailment._compile_entailment(premises, conclusion)
+    domains = entailment._domains(program, Algebra(2), "all")
+    assert entailment._extent(domains, 2)[1] == 3072 <= entailment._LARGE_WORK
+    assert _json(algebra_entails(2, premises, conclusion)) == brute(2, premises, conclusion)
+    assert read == [2]
+    rng = random.Random(seed + 86)
+    for _ in range(20):
+        n = rng.choice((0, 1, 2))
+        premises = [random_formula(rng, 2, 2) for _ in range(rng.randrange(3))]
+        conclusion = random_formula(rng, 3, 2)
+        read.clear()
+        assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion)
+        assert read == [n]
+
+
 def test_ranges_merge_to_the_least(seed):
     # any split of the first variable's values into ranges, scanned in
     # order, finds the hit that one scan of all of them finds
