@@ -23,18 +23,31 @@ instructions run only while the premises known so far intersect.
 
 The last digit, when it ranges over all denotations at n >= 3, runs as
 one column: once per setting of the earlier digits, each of its
-instructions computes a list over all the digit's values at once, and a
-guard there cuts the lists to the entries where it is non-empty.  The
-values ascend, so the first non-empty entry of `bad` is the least
-violation.  Up to n = 3, int_not and the closures are read from
-256-entry byte tables.  So are int_and and int_or, from two byte tables
-indexed by x << 2^n | y: in every scan at n <= 2, where they hold at
-most 256 entries, and at n = 3, where they hold 65,536, in a scan whose
-work (the first digit's orbit minima times the values of every later
-digit) exceeds 4,096.  At n = 4 the algebra's shift-and-mask kernels
-run.  The tables are built once per process and size, and hold bytes
-only.  The countermodel reported is the least one, with or without
-workers, and it is replayed through the tree-walking evaluator first.
+instructions computes one Python integer holding a lane of w = 2^n bits
+per value of the digit, 8 at n = 3 and 16 at n = 4, the values
+ascending.  An external connective is one integer operation on it, a
+value of an earlier level broadcast to every lane by a multiplication.
+Every internal connective is a pointwise image, so int_not, the
+closures, _ANY, and int_and or int_or with one operand fixed distribute
+over union: f(x | y) = f(x) | f(y).  Such an f is known from its images
+of the bytes of a lane, and runs on every lane at once through
+bytes.translate with 256-byte tables, one at n = 3 and four at n = 4
+(Lamport, CACM 1975).  _ALL is the complement of _ANY of the complement.
+For two columns, op(x, y) is the union over the elements a of x of
+op({a}, y), so int_and and int_or join, per element a, the translation
+of y kept to the lanes whose x holds a.  A guard is empty when its
+integer is 0; a lane it empties is empty in `bad`, which meets every
+guard, so the lowest set bit of `bad` is the least violation: its lane
+gives the value and its offset the witness.  Up to n = 3 the other
+levels read int_not and the closures from 256-entry byte tables.  So
+are int_and and int_or, from two byte tables indexed by x << 2^n | y: in
+every scan at n <= 2, where they hold at most 256 entries, and at
+n = 3, where they hold 65,536, in a scan whose work (the first digit's
+orbit minima times the values of every later digit) exceeds 4,096.  At
+n = 4 the algebra's shift-and-mask kernels run there.  The tables are
+built once per process and size, a column's tables of a row once per
+scan, and hold bytes only.  The countermodel reported is the least one, with or without workers, and
+it is replayed through the tree-walking evaluator first.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -65,9 +78,9 @@ import itertools
 import math
 import operator
 import os
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 from .algebra import Algebra, iter_bits
@@ -190,8 +203,8 @@ _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # tables over the whole domain of 2^(2^n) denotations, 256 entries at
 # n = 3, and int_and and int_or from tables over every pair, 256 entries
 # at n = 2 and 65,536 at n = 3.  Each is built once per process and size.
-# At n = 4 a closure table holds 65,536 entries, 16 times the closures a
-# one-variable scan computes, and a pair table 2^32, so shifts run.
+# At n = 4 a closure table holds 65,536 entries and a pair table 2^32, so
+# shifts run outside the column, which reads a byte of a lane at a time.
 _TABLE_MAX_N = 3
 # A scan whose work (see _extent) exceeds this may open a pool of workers
 # and, at n = 3, reads the pair tables; below it neither pays for itself.
@@ -301,26 +314,6 @@ class Program:
                 segments[-1] = (segments[-1][0], slot)
                 segments.append(([], None))
         return plan
-
-    @functools.cached_property
-    def column_plan(self) -> tuple[list[list[int]], dict[int, list[int]]]:
-        """For the last level run as a column: per segment, the slots of
-        the level, the last position among them, that are computed and
-        still read when its guard is tested, which the guard cuts to the
-        live entries; and per instruction slot, the slots of the level
-        that no later instruction reads, freed once it has run."""
-        last, segments = self.constants - 1, self.plan[-1]
-        drops, read = {}, {self.bad}
-        for block, _ in reversed(segments):
-            for _, slot, a, b in reversed(block):
-                drops[slot] = sorted({x for x in (a, b) if self.levels[x] == last != x} - read)
-                read.update((a, b))
-        keeps, live = [], {last}
-        for block, _ in segments:
-            for _, slot, _, _ in block:
-                live = live - set(drops[slot]) | {slot}
-            keeps.append(sorted(live))
-        return keeps, drops
 
 
 def _compile_entailment(premises, conclusion, filters=()) -> Program:
@@ -460,47 +453,176 @@ def _pair_tables(n: int) -> tuple[bytes, bytes]:
     return tables[0], tables[1]
 
 
-def _kernels(alg: Algebra, pairs: bool) -> tuple[list, dict]:
-    """Per opcode, the function f(x, y) that computes one value; and, up
-    to n = 3, the tables that f reads: int_not and the closures per
-    denotation and, if `pairs`, int_and and int_or per pair."""
+def _kernels(alg: Algebra, pairs: bool) -> list:
+    """Per opcode, the function f(x, y) that computes one value.  Up to
+    n = 3, f reads int_not and the closures from tables per denotation
+    and, if `pairs`, int_and and int_or from tables per pair."""
     n, full, width = alg.n, alg.full, alg.size
     scalar = [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
               lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
               lambda x, _: full if x == full else 0,
               lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
-    tables: dict[int, bytes] = {}
     if n <= _TABLE_MAX_N:
-        tables = dict(zip((_INOT, _DOWN, _UP), _unary_tables(n)))
-        if pairs:
-            tables.update(zip((_IAND, _IOR), _pair_tables(n)))
-    for op, t in tables.items():
-        if op >= _INOT:  # the unary opcodes come last
+        for op, t in zip((_INOT, _DOWN, _UP), _unary_tables(n)):
             scalar[op] = lambda x, _, t=t: t[x]
-        else:
-            scalar[op] = lambda x, y, t=t: t[x << width | y]
-    return scalar, tables
+        if pairs:
+            for op, t in zip((_IAND, _IOR), _pair_tables(n)):
+                scalar[op] = lambda x, y, t=t: t[x << width | y]
+    return scalar
 
 
-def _column_kernel(op: int, pair: bool, alg: Algebra, kernels: tuple[list, dict]):
-    """The function computing a column of the last digit with the opcode:
-    from one column, for a unary opcode; from two, for a pair; else from
-    a value and a column."""
-    (scalar, tables), width = kernels, alg.size
-    f, t = scalar[op], tables.get(op)
+# -- the column: the last digit's values as the lanes of one integer
+
+_TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
+
+
+class _Lanes:
+    """A column of `count` lanes of w bits, lane i at bits w*i up: its
+    byte length, and the constants its instructions broadcast and mask
+    with.  Packing goes through little-endian bytes, so lane i is
+    x >> w*i & (2^w - 1) on any host."""
+
+    def __init__(self, count: int, w: int):
+        self.w, self.length = w, count * w >> 3
+        self.full = (1 << count * w) - 1
+        self.ones = self.full // ((1 << w) - 1)  # 1 in every lane
+        self.low = self.ones * 255  # the low byte of every lane
+        self.high = self.low << 8
+
+    def pack(self, values: Iterable[int]) -> int:
+        lanes = array(_TYPECODES[self.w], values)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return int.from_bytes(lanes, "little")
+
+    def translate(self, x: int, tables: tuple[bytes, ...]) -> int:
+        """f of every lane, for f read from its tables (see _lane_tables)."""
+        data = x.to_bytes(self.length, "little")
+        if self.w == 8:
+            return int.from_bytes(data.translate(tables[0]), "little")
+        ll, lh, hl, hh = (int.from_bytes(data.translate(t), "little") for t in tables)
+        low, high = self.low, self.high
+        return ll & low | hh & high | (lh & low) << 8 | (hl & high) >> 8
+
+
+def _lane_tables(f, w: int) -> tuple[bytes, ...]:
+    """A function f on w-bit denotations with f(x | y) = f(x) | f(y), so
+    f(0) = 0, as 256-byte tables for bytes.translate: per byte k of the
+    input, low first, and per byte j of the output, the table whose entry
+    b is byte j of f(b << 8k).  f of a lane is the join of these."""
+    tables = []
+    for shift in range(0, w, 8):
+        images = [0]
+        for bit in range(shift, shift + 8):
+            image = f(1 << bit)
+            images += [i | image for i in images]
+        tables += [bytes(i >> out & 255 for i in images) for out in range(0, w, 8)]
+    return tuple(tables)
+
+
+@functools.cache
+def _column_tables(n: int, op: int) -> tuple | list:
+    """The lane tables of an opcode at n = 3 and 4, built on first use:
+    of its function, for a unary opcode, and for an internal binary one
+    of y -> op({a}, y) for each element a.  Each is a pointwise image, or
+    for _ANY empty exactly on the empty set, so it distributes over
+    union."""
+    alg = Algebra(n)
+    if op in (_IAND, _IOR):
+        f = alg.int_and if op == _IAND else alg.int_or
+        return [_lane_tables(functools.partial(f, 1 << a), alg.size) for a in alg.elements()]
+    ops = {_INOT: alg.int_not, _DOWN: alg.down_closure, _UP: alg.up_closure,
+           _ANY: lambda x: alg.full if x else 0}
+    return _lane_tables(ops[op], alg.size)
+
+
+def _column_kernel(op: int, pair: bool, alg: Algebra, pairs: dict[int, bytes]):
+    """The function f(a, b, lanes) that runs the opcode on a column: on
+    one column, for a unary opcode; on two, for a pair; else on a value
+    and a column.  An external opcode is one integer operation, with the
+    value broadcast to every lane.  A unary opcode, or int_and or int_or
+    of a value x and a column, translates the lanes through the tables of
+    a function that distributes over union: for x, a row of the pair
+    table at n = 3 if `pairs` holds it, else tables built once per x.
+    int_and and int_or of two columns join, per element a, op({a}, y) in
+    the lanes whose x holds a: op(x, y) is the union of these."""
+    if op <= _XOR:
+        f = (operator.or_, operator.and_, operator.xor)[op]
+        if pair:
+            return lambda x, y, _: f(x, y)
+        return lambda x, y, lanes: f(x * lanes.ones, y)
     if op >= _INOT:
-        kernel = {_INOT: alg.int_not, _DOWN: alg.down_closure, _UP: alg.up_closure}.get(op)
-        u = kernel if t is None else t.__getitem__
-        if u is None:  # _ANY and _ALL
-            return lambda xs, _: list(map(f, xs, xs))
-        return lambda xs, _: list(map(u, xs))
+        tables = _column_tables(alg.n, _ANY if op == _ALL else op)
+        if op == _ALL:  # full exactly where not ANY of the complement
+            return lambda x, _, lanes: lanes.full ^ lanes.translate(lanes.full ^ x, tables)
+        return lambda x, _, lanes: lanes.translate(x, tables)
+    w = alg.size
     if pair:
-        if t is not None:
-            return lambda xs, ys: [t[x << width | y] for x, y in zip(xs, ys)]
-        return lambda xs, ys: list(map(f, xs, ys))
-    if t is not None:
-        return lambda x, ys: list(map(t[x << width : x + 1 << width].__getitem__, ys))
-    return lambda x, ys: list(map(f, repeat(x), ys))
+        singles, lane = _column_tables(alg.n, op), (1 << w) - 1
+
+        def columns(x, y, lanes):
+            out = 0
+            for a, tables in enumerate(singles):
+                holds = x >> a & lanes.ones  # 1 in the lanes whose x holds a
+                if holds:
+                    out |= lanes.translate(y, tables) & holds * lane
+            return out
+
+        return columns
+    table = pairs.get(op)
+    if table is not None:
+        return lambda x, y, lanes: lanes.translate(y, (table[x << w : x + 1 << w],))
+    f, rows = alg.int_and if op == _IAND else alg.int_or, {}
+
+    def row(x, y, lanes):
+        tables = rows.get(x)
+        if tables is None:
+            tables = rows[x] = _lane_tables(functools.partial(f, x), w)
+        return lanes.translate(y, tables)
+
+    return row
+
+
+class _Column:
+    """The last digit's level, run once for all the digit's values: each
+    slot of the level holds one integer with a lane of w = 2^n bits per
+    value, ascending, and each instruction is a few C-level operations
+    on it.  The packed values are kept for the scan, per group."""
+
+    def __init__(self, alg: Algebra, segments, levels: list[int], p: int, pairs: bool):
+        self.w = alg.size
+        tables = dict(zip((_IAND, _IOR), _pair_tables(alg.n))) if pairs else {}
+        self.segments = [
+            ([(_column_kernel(op, levels[a] == p, alg, tables), dst, a, b)
+              for op, dst, a, b in block], guard)
+            for block, guard in segments
+        ]
+        self._lanes: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
+
+    def run(self, p: int, values: Sequence[int], group, vals: list, bad: int) -> bool:
+        """Run the level for all the values.  A guard is empty when its
+        integer is 0; a lane it empties is empty in `bad` too, as `bad`
+        is met with every guard.  The values ascend, so the lowest set
+        bit of `bad` is the least violation: True there, with its value
+        and its lane of `bad` left in the slots."""
+        # In a scan the digit's values are set by the group: the minima
+        # under it, or for a first digit the scan's one range of them
+        found = self._lanes.get(group)
+        if found is None:
+            lanes = _Lanes(len(values), self.w)
+            found = self._lanes[group] = lanes, lanes.pack(values)
+        lanes, vals[p] = found
+        for block, guard in self.segments:
+            for kernel, dst, a, b in block:
+                vals[dst] = kernel(vals[a], vals[b], lanes)
+            if guard is not None and not vals[guard]:
+                return False
+        hits = vals[bad]
+        if not hits:
+            return False
+        lane = ((hits & -hits).bit_length() - 1) // self.w
+        vals[p], vals[bad] = values[lane], hits >> lane * self.w & (1 << self.w) - 1
+        return True
 
 
 def _extent(domains, n: int) -> tuple[int, int]:
@@ -532,24 +654,18 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     alg = Algebra(n)
     domains = _domains(program, alg, class_restriction)
     pairs = n < _TABLE_MAX_N or n == _TABLE_MAX_N and _extent(domains, n)[1] > _LARGE_WORK
-    kernels = _kernels(alg, pairs)
-    scalar, plan = kernels[0], program.plan
+    scalar, plan = _kernels(alg, pairs), program.plan
     # The last digit runs as one column when it ranges over all 2^(2^n)
     # denotations at n >= 3.  A column of at most 16 values, as at n = 2
     # or for a principal-ideal or label-atom digit, does not pay for its
-    # lists, and loses the early stop at a countermodel.
+    # set-up, and loses the early stop at a countermodel.
     column = len(domains) - 1 if n >= 3 and domains and domains[-1][0] == "all" else -1
-    levels: list[list] = [
+    levels: list = [
         [([(scalar[op], dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
         for segments in (plan[:-1] if column >= 0 else plan)
     ]
     if column >= 0:
-        keeps, drops = program.column_plan
-        levels.append([
-            ([(_column_kernel(op, program.levels[a] == column, alg, kernels),
-               dst, a, b, drops[dst]) for op, dst, a, b in block], guard, keep)
-            for (block, guard), keep in zip(plan[-1], keeps)
-        ])
+        levels.append(_Column(alg, plan[-1], program.levels, column, pairs))
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     sym = _symmetry(n)
     state = (domains, sym, levels, vals, program.bad, column)
@@ -574,7 +690,7 @@ def _odometer(values: Sequence[int], group: tuple[int, ...], state: tuple) -> bo
     while stack:
         p, values, group = stack.pop()
         if p == column:
-            if _column(p, values, levels[p + 1], vals, bad):
+            if levels[p + 1].run(p, values, group, vals, bad):
                 return True
             continue
         values, level = iter(values), levels[p + 1]
@@ -591,33 +707,6 @@ def _odometer(values: Sequence[int], group: tuple[int, ...], state: tuple) -> bo
     return False
 
 
-def _column(p: int, values: Sequence[int], segments, vals: list, bad: int) -> bool:
-    """Run the last digit's level once for all its values: each slot of
-    the level holds a list with one entry per value still live.  A guard
-    cuts these lists to the entries where it is non-empty.  The values
-    ascend, so the first non-empty entry of `bad` is the least violation;
-    True there, with its value and its `bad` entry left in the slots."""
-    vals[p] = values
-    for block, guard, keep in segments:
-        for op, dst, a, b, drop in block:
-            vals[dst] = op(vals[a], vals[b])
-            for slot in drop:
-                vals[slot] = None
-        if guard is not None:
-            live = vals[guard]
-            if not any(live):
-                return False
-            if 0 in live:
-                for slot in keep:
-                    vals[slot] = list(compress(vals[slot], live))
-    hits = vals[bad]
-    if not any(hits):
-        return False
-    i = next(i for i, hit in enumerate(hits) if hit)
-    vals[p], vals[bad] = vals[p][i], hits[i]
-    return True
-
-
 def ProcessPoolExecutor(max_workers: int):
     """A concurrent.futures process pool, imported on first use: the import
     costs about 2.5 MB, and most scans never open a pool."""
@@ -629,8 +718,8 @@ def ProcessPoolExecutor(max_workers: int):
 def _run_scan(base_args: tuple, values: int, work: int, jobs: int):
     """Scan; on up to `jobs` workers, each taking chunks of the first
     position's orbit minima, when the assignments left are many."""
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or work <= _LARGE_WORK:
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 and work > _LARGE_WORK else 1
+    if workers <= 1:
         return _scan(base_args + (0, values))
     chunk = -(-values // (workers * 4))
     chunks = [base_args + (s, min(s + chunk, values)) for s in range(0, values, chunk)]

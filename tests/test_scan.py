@@ -462,7 +462,8 @@ def test_conclusion_skipped_under_empty_intersection(monkeypatch):
 
 
 # -- the column: from n = 3, a last digit that ranges over all denotations
-# runs once for all its values, each instruction over a list of them
+# runs once for all its values, each instruction over one integer with a
+# lane per value
 
 # The least countermodel's last value is at the first, a middle (41 of
 # 80) or the last index of its column, the orbit minima under the group
@@ -479,22 +480,58 @@ COLUMN_HITS = [
 ]
 
 
-def _column_calls(monkeypatch) -> list[tuple[int, list[int]]]:
-    """Record the opcode and the second operand, a column, of every
-    column instruction run."""
-    calls, kernel = [], entailment._column_kernel
+def _lanes(x: int, lanes) -> list[int]:
+    """The lanes of a column integer, lowest first."""
+    return [x >> lanes.w * i & (1 << lanes.w) - 1 for i in range(lanes.length * 8 // lanes.w)]
 
-    def spy(op, pair, alg, kernels):
-        f = kernel(op, pair, alg, kernels)
 
-        def run(x, ys):
-            calls.append((op, list(ys)))
-            return f(x, ys)
+def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]]]]:
+    """Record every column instruction run, per run of the column: its
+    opcode, its slot, and the lanes of its second operand and of its
+    result."""
+    runs = []
 
-        return run
+    class Spy(entailment._Column):
+        def __init__(self, alg, segments, levels, p, pairs):
+            super().__init__(alg, segments, levels, p, pairs)
 
-    monkeypatch.setattr(entailment, "_column_kernel", spy)
-    return calls
+            def record(op, dst, kernel):
+                def run(x, y, lanes):
+                    out = kernel(x, y, lanes)
+                    runs[-1].append((op, dst, _lanes(y, lanes), _lanes(out, lanes)))
+                    return out
+
+                return run
+
+            self.segments = [
+                ([(record(op, dst, kernel), dst, a, b)
+                  for (op, dst, a, b), (kernel, *_) in zip(block, built)], guard)
+                for (block, guard), (built, _) in zip(segments, self.segments)
+            ]
+
+        def run(self, *args):
+            runs.append([])
+            return super().run(*args)
+
+    monkeypatch.setattr(entailment, "_Column", Spy)
+    return runs
+
+
+def _guards_hold(runs, premises, conclusion) -> bool:
+    """Whether, in every run of the column, a lane that a guard of the
+    column empties is empty in `bad`; and whether some such lane is
+    outside the conclusion there, so that without the guard it would hit."""
+    program = entailment._compile_entailment(premises, conclusion)
+    _, _, outside = program.code[program.bad - program.base]  # bad = inter & (full ^ conclusion)
+    needed = False
+    for run in runs:
+        slots = {dst: out for _, dst, _, out in run}
+        for guard in program.guards & slots.keys():
+            for i, lane in enumerate(slots[guard]):
+                if lane == 0 and program.bad in slots:
+                    assert slots[program.bad][i] == 0
+                    needed = needed or slots[outside][i] != 0
+    return needed
 
 
 @pytest.mark.parametrize("text, where", COLUMN_HITS)
@@ -514,35 +551,42 @@ def test_column_least_hit(monkeypatch, text, where):
 
 
 def test_column_guards_cut_the_column(monkeypatch):
-    calls = _column_calls(monkeypatch)
-    # the guard dia P1 cuts the empty set, the first value, from the
-    # column before the conclusion runs over the rest
+    runs = _column_calls(monkeypatch)
+    # the guard dia P1 empties the lane of the empty set, the first
+    # value, where the conclusion fails: that lane never produces the hit
     premises, conclusion = _query("dia P1 |- (P1 i& P0) | (P1 i| P0)")
-    assert _json(algebra_entails(3, premises, conclusion)) == brute(3, premises, conclusion)
-    assert any(0 in ys for op, ys in calls if op == entailment._DOWN)
-    internal = [ys for op, ys in calls if op == entailment._IOR]
-    assert internal and not any(0 in ys for ys in internal)
-    # dia (P1 & nb) cuts the first two values, so the least hit, the third
-    # value of the column, is the first entry left
+    got = _json(algebra_entails(3, premises, conclusion))
+    assert got == brute(3, premises, conclusion) and got[1]["assignment"]["P1"] != []
+    assert any(0 in ys for run in runs for op, _, ys, _ in run if op == entailment._DOWN)
+    assert _guards_hold(runs, premises, conclusion)
+    # dia (P1 & nb) empties the first two lanes, so the least hit is in
+    # the third lane, the third value of the column
+    runs.clear()
     premises, conclusion = _query("dia (P1 & nb), P0 i& P1 |- P0 & P1")
     got = _json(algebra_entails(3, premises, conclusion))
     assert got == brute(3, premises, conclusion) and got[1]["assignment"]["P1"] == ["001"]
-    # P1 & !P1 empties the whole column: the conclusion never runs
-    calls.clear()
-    assert algebra_entails(3, *_query("P1, !P1 |- P0 i| P1"))[0]
-    assert calls and entailment._IOR not in {op for op, _ in calls}
+    assert _guards_hold(runs, premises, conclusion)
+    # P1 & !P1 empties every lane: each run of the column stops at that
+    # guard, before the conclusion's instructions run
+    runs.clear()
+    premises, conclusion = _query("P1, !P1 |- P0 i| P1")
+    assert algebra_entails(3, premises, conclusion)[0]
+    guards = entailment._compile_entailment(premises, conclusion).guards
+    assert runs and all(run[-1][1] in guards and not any(run[-1][3]) for run in runs)
+    assert entailment._IOR not in {op for run in runs for op, *_ in run}
 
 
 def test_a_bare_first_premise_is_a_guard(monkeypatch):
     # a first premise that is a position or a constant has no instruction
-    # of its own, so it is guarded as its meet with itself: P1 cuts the
-    # empty set from its column before the conclusion's i| runs ...
-    calls = _column_calls(monkeypatch)
+    # of its own, so it is guarded as its meet with itself: P1 empties the
+    # lane of the empty set, where the conclusion's i| fails ...
+    runs = _column_calls(monkeypatch)
     premises, conclusion = _query("P1 |- (P1 i& P0) | (P1 i| P0)")
     got = _json(algebra_entails(3, premises, conclusion))
     assert got == brute(3, premises, conclusion, limit=300)
-    internal = [ys for op, ys in calls if op == entailment._IOR]
-    assert internal and not any(0 in ys for ys in internal)
+    program = entailment._compile_entailment(premises, conclusion)
+    assert program.slots[entailment._AND, 1, 1] in program.guards
+    assert _guards_hold(runs, premises, conclusion)
     # ... and bot empties the intersection before any digit turns
     scanned = []
     monkeypatch.setattr(entailment, "_odometer", lambda *args: scanned.append(args))
@@ -730,6 +774,22 @@ def test_pool_opened_on_the_work_left(monkeypatch, capsys):
     assert _FakePool.workers == []
     two = _json(algebra_entails(3, premises, conclusion, jobs=2))
     assert _FakePool.workers == [2] and not one[0] and one == two
+
+
+def test_cpu_count_read_only_for_a_pool(monkeypatch):
+    # the CPU count is read only when a pool may open: with --jobs above
+    # 1 and work above _LARGE_WORK
+    reads = []
+    monkeypatch.setattr(os, "cpu_count", lambda: reads.append(1) or 2)
+    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
+    _FakePool.workers = []
+    program = entailment._compile_entailment(*_query("box P0 |- P1"))
+    large = entailment._LARGE_WORK + 1
+    whole = entailment._run_scan((program, 3, "all"), 80, large, 1)
+    assert entailment._run_scan((program, 3, "all"), 80, large - 1, 2) == whole
+    assert reads == [] and _FakePool.workers == []
+    assert entailment._run_scan((program, 3, "all"), 80, large, 2) == whole
+    assert reads == [1] and _FakePool.workers == [2]
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
