@@ -9,9 +9,12 @@ REV and N times in this checkout, alternating which side runs first, and
 writes BENCH_<NAME>.json at the root of this checkout.  Each end-to-end
 metric of BENCHMARK.json gets one row: the median, quartiles and runs of
 each side, and in how many pairs the change read better.  With
---traced N, each per-layer metric, and the self time of each layer in
-the trace (`self_s.<layer>`), gets one row with the values of N traced
-runs (`--trace 1`) per side, also alternating.
+--traced N, each per-layer metric, the self time of each layer in the
+trace (`self_s.<layer>`) and its share of the run's total traced self
+time (`share.<layer>`) get one row with the values of N traced runs
+(`--trace 1`) per side, also alternating.  Traced times are raw, so a
+swing in host speed moves every `self_s` row alike; it cancels out of
+the shares.
 
 The parent runs from a temporary export of the files committed at REV
 (`git archive`), removed afterwards; the change runs in this checkout,
@@ -52,10 +55,17 @@ def _spread(runs: list[float]) -> dict:
             "runs": [round(r, 6) for r in runs]}
 
 
+def shares(self_s: dict[str, float]) -> dict[str, float]:
+    """Each layer's self time over the total self time of the run."""
+    total = sum(self_s.values())
+    return {layer: seconds / total if total else 0.0 for layer, seconds in self_s.items()}
+
+
 def run_bench(tree: str, workload: str, seed: int, trace: int) -> dict:
     """One run of bench/run.py in the checkout: its last line of output,
-    with the self time of each layer that a traced run prints added to
-    its metrics as `self_s.<layer>`."""
+    with the self time of each layer that a traced run prints, and its
+    share of the run's, added to its metrics as `self_s.<layer>` and
+    `share.<layer>`."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -64,10 +74,14 @@ def run_bench(tree: str, workload: str, seed: int, trace: int) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"bench/run.py failed in {tree}:\n{done.stderr[-2000:]}")
     out = json.loads(lines[-1])
+    self_s = {}
     for line in lines:
         if line.startswith("  self time "):
             layer, seconds = line.split()[2:4]
-            out["metrics"][f"self_s.{layer}"] = {"value": float(seconds), "unit": "s"}
+            self_s[layer] = float(seconds)
+    for layer, share in shares(self_s).items():
+        out["metrics"][f"self_s.{layer}"] = {"value": self_s[layer], "unit": "s"}
+        out["metrics"][f"share.{layer}"] = {"value": share, "unit": "ratio"}
     return out
 
 
@@ -139,8 +153,12 @@ def main(argv: list[str] | None = None) -> int:
                 key = {"workload": workload, "seed": 0, "trace": 1}
                 runs = paired(parent, workload, 0, 1, args.traced)
                 layers = sorted({m for r in runs[0] + runs[1] for m in r["metrics"]
-                                 if m.startswith("self_s.")})
-                self_times = [{"name": m, "unit": "s", "better": "lower"} for m in layers]
+                                 if m.startswith(("self_s.", "share."))})
+                self_times = [{"name": m, "unit": "s" if m.startswith("self_s.") else "ratio",
+                               "better": "lower"} for m in layers]
+                for run in runs[0] + runs[1]:  # a layer one side lacks took no time there
+                    for m in self_times:
+                        run["metrics"].setdefault(m["name"], {"value": 0.0, "unit": m["unit"]})
                 per_layer += _rows(benchmark["per_layer"] + self_times, key, *runs, traced=True)
     report = {
         "label": args.label,
@@ -157,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
                   "and quartiles of each side, and in how many pairs the change read better; "
                   "`correct` over every run of both sides, `failed` summed over them. "
                   f"Per-layer rows: {args.traced} traced runs per side, alternating, each "
-                  "value listed.",
+                  "value listed; `share.<layer>` is the layer's self time over the run's "
+                  "total traced self time, so a host-speed swing cancels out of it.",
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }

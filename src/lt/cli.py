@@ -25,7 +25,7 @@ from .entailment import (
     find_countermodel,
     find_labelled_countermodel,
 )
-from .errors import BudgetExceededError, LTError, ParseError
+from .errors import BudgetExceededError, LTError, ParseError, load_json
 from .proofcheck import check, load_assumptions, load_derivation
 from .ptplus import PTDenotation, format_team, f_map, pt_entails, pt_eval, verify_f_representation
 from .semantics import Homomorphism, evaluate
@@ -204,7 +204,7 @@ def _cmd_pt_entail(args) -> int:
 
 def _load_hom_file(path: str) -> Homomorphism:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = load_json(fh.read(), path)
     if not isinstance(obj, dict):
         raise LTError("homomorphism file must hold a JSON object {n, assignment}")
     n = obj.get("n")
@@ -247,11 +247,10 @@ def _cmd_bridge_verify_f(args) -> int:
 
 def _cmd_classes_principal_check(args) -> int:
     algebra = Algebra(args.n)
-    try:
-        texts = json.loads(args.denotation)
-    except json.JSONDecodeError as exc:
-        raise LTError(f"denotation must be JSON like [\"01\",\"10\"]: {exc}") from None
-    d = Denotation.from_strings(algebra, [str(t) for t in texts])
+    texts = load_json(args.denotation, "denotation")
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise LTError('denotation must be a JSON array of element strings, like ["01","10"]')
+    d = Denotation.from_strings(algebra, texts)
     principal = d.is_principal_ideal()
     obj = {
         "n": args.n,

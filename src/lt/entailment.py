@@ -33,21 +33,22 @@ over union: f(x | y) = f(x) | f(y).  Such an f is known from its images
 of the bytes of a lane, and runs on every lane at once through
 bytes.translate with 256-byte tables, one at n = 3 and four at n = 4
 (Lamport, CACM 1975).  _ALL is the complement of _ANY of the complement.
-For two columns, op(x, y) is the union over the elements a of x of
-op({a}, y), so int_and and int_or join, per element a, the translation
-of y kept to the lanes whose x holds a.  A guard is empty when its
-integer is 0; a lane it empties is empty in `bad`, which meets every
-guard, so the lowest set bit of `bad` is the least violation: its lane
-gives the value and its offset the witness.  Up to n = 3 the other
-levels read int_not and the closures from 256-entry byte tables.  So
-are int_and and int_or, from two byte tables indexed by x << 2^n | y: in
-every scan at n <= 2, where they hold at most 256 entries, and at
-n = 3, where they hold 65,536, in a scan whose work (the first digit's
-orbit minima times the values of every later digit) exceeds 4,096.  At
-n = 4 the algebra's shift-and-mask kernels run there.  The tables are
-built once per process and size, a column's tables of a row once per
-scan, and hold bytes only.  The countermodel reported is the least one, with or without workers, and
-it is replayed through the tree-walking evaluator first.
+op(x, y) is the union over the elements a of x of op({a}, y): for two
+columns, int_and and int_or join, per a, the translation of y kept to
+the lanes whose x holds a; for a value x, they read row x of a pair
+table at n = 3, and at n = 4 the tables of op({a}, y) joined over x.
+A guard is empty when its integer is 0; a lane it empties is empty in
+`bad`, which meets every guard, so the lowest set bit of `bad` is the
+least violation: its lane gives the value and its offset the witness.
+
+Up to n = 3 the other levels read int_not and the closures from the
+same tables, and int_and and int_or from two pair tables built from
+them, indexed by x << 2^n | y; at n = 4 the algebra's kernels run there.
+A scan binds the kernel of an opcode when an instruction first needs
+it, so each table is built on first use, once per process and size.
+The tables hold bytes only.  The countermodel reported is the least
+one, with or without workers, and it is replayed through the
+tree-walking evaluator first.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -201,14 +202,14 @@ _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # Up to this algebra size a scan reads the closures and int_not from
 # tables over the whole domain of 2^(2^n) denotations, 256 entries at
-# n = 3, and int_and and int_or from tables over every pair, 256 entries
-# at n = 2 and 65,536 at n = 3.  Each is built once per process and size.
+# n = 3, and int_and and int_or from tables over every pair, 65,536
+# entries at n = 3, each built on first use and kept for the process.
 # At n = 4 a closure table holds 65,536 entries and a pair table 2^32, so
 # shifts run outside the column, which reads a byte of a lane at a time.
 _TABLE_MAX_N = 3
-# A scan whose work (see _extent) exceeds this may open a pool of workers
-# and, at n = 3, reads the pair tables; below it neither pays for itself.
-# At n <= 2 every scan reads the pair tables.
+# A scan whose work, the first digit's orbit minima times the values of
+# every later digit, exceeds this may open a pool of workers; below it
+# a pool does not pay for itself.
 _LARGE_WORK = 4096
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
@@ -420,55 +421,27 @@ def _domains(
     ] * len(program.atoms)
 
 
-@functools.cache
-def _unary_tables(n: int) -> tuple[bytes, bytes, bytes]:
-    """int_not, down_closure and up_closure of every denotation at
-    n <= 3, as bytes indexed by the denotation."""
-    alg = Algebra(n)
-    inot, down, up = (bytes(map(f, range(alg.full + 1)))
-                      for f in (alg.int_not, alg.down_closure, alg.up_closure))
-    return inot, down, up
+def _binder(bind):
+    """bind(*key), computed on the first call with each key and then kept."""
+    bound: dict = {}
+    return lambda *key: bound[key] if key in bound else bound.setdefault(key, bind(*key))
 
 
-@functools.cache
-def _pair_tables(n: int) -> tuple[bytes, bytes]:
-    """int_and and int_or of every pair of denotations at n <= 3, as bytes
-    indexed by x << 2^n | y.  Row x is row x ^ low, for the least member
-    low of x, joined bytewise with the row of {low}: op(x, y) is
-    op(x ^ low, y) | op({low}, y).  A row is kept as one integer whose
-    byte y is op(x, y), so that one | joins two rows."""
-    alg = Algebra(n)
-    count = alg.full + 1
-    tables = []
-    for op in (alg.int_and, alg.int_or):
-        singles = [
-            int.from_bytes(bytes(op(1 << a, y) for y in range(count)), "little")
-            for a in alg.elements()
-        ]
-        rows = [0]
-        for x in range(1, count):
-            low = x & -x
-            rows.append(rows[x ^ low] | singles[low.bit_length() - 1])
-        tables.append(b"".join(row.to_bytes(count, "little") for row in rows))
-    return tables[0], tables[1]
-
-
-def _kernels(alg: Algebra, pairs: bool) -> list:
-    """Per opcode, the function f(x, y) that computes one value.  Up to
-    n = 3, f reads int_not and the closures from tables per denotation
-    and, if `pairs`, int_and and int_or from tables per pair."""
-    n, full, width = alg.n, alg.full, alg.size
-    scalar = [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-              lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-              lambda x, _: full if x == full else 0,
-              lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
-    if n <= _TABLE_MAX_N:
-        for op, t in zip((_INOT, _DOWN, _UP), _unary_tables(n)):
-            scalar[op] = lambda x, _, t=t: t[x]
-        if pairs:
-            for op, t in zip((_IAND, _IOR), _pair_tables(n)):
-                scalar[op] = lambda x, y, t=t: t[x << width | y]
-    return scalar
+def _kernel(alg: Algebra, op: int):
+    """The function f(x, y) that computes one value of the opcode.  Up to
+    n = 3, f reads int_not and the closures from their _column_tables,
+    and int_and and int_or from _pair_tables."""
+    n, full = alg.n, alg.full
+    if n <= _TABLE_MAX_N and op in (_IAND, _IOR):
+        table, w = _pair_tables(n)[op == _IOR], alg.size
+        return lambda x, y: table[x << w | y]
+    if n <= _TABLE_MAX_N and op in (_INOT, _DOWN, _UP):
+        table = _column_tables(n, op)[0]
+        return lambda x, _: table[x]
+    return (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
+            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+            lambda x, _: full if x == full else 0,
+            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x))[op]
 
 
 # -- the column: the last digit's values as the lanes of one integer
@@ -507,13 +480,14 @@ class _Lanes:
 
 def _lane_tables(f, w: int) -> tuple[bytes, ...]:
     """A function f on w-bit denotations with f(x | y) = f(x) | f(y), so
-    f(0) = 0, as 256-byte tables for bytes.translate: per byte k of the
-    input, low first, and per byte j of the output, the table whose entry
-    b is byte j of f(b << 8k).  f of a lane is the join of these."""
+    f(0) = 0, as tables for bytes.translate: per byte k of the input, low
+    first, and per byte j of the output, the table whose entry b is byte j
+    of f(b << 8k).  f of a lane is the join of these.  Below w = 8 there
+    is one table, of 2^w entries."""
     tables = []
     for shift in range(0, w, 8):
         images = [0]
-        for bit in range(shift, shift + 8):
+        for bit in range(shift, min(shift + 8, w)):
             image = f(1 << bit)
             images += [i | image for i in images]
         tables += [bytes(i >> out & 255 for i in images) for out in range(0, w, 8)]
@@ -521,31 +495,60 @@ def _lane_tables(f, w: int) -> tuple[bytes, ...]:
 
 
 @functools.cache
-def _column_tables(n: int, op: int) -> tuple | list:
-    """The lane tables of an opcode at n = 3 and 4, built on first use:
-    of its function, for a unary opcode, and for an internal binary one
-    of y -> op({a}, y) for each element a.  Each is a pointwise image, or
-    for _ANY empty exactly on the empty set, so it distributes over
-    union."""
+def _column_tables(n: int, op: int) -> tuple:
+    """The lane tables of an opcode, built on first use: of its function,
+    for a unary opcode, and for an internal binary one of y -> op({a}, y)
+    for each element a, the one place where op({a}, y) is computed.  Each
+    is a pointwise image, or for _ANY empty exactly on the empty set, so
+    it distributes over union.  Up to n = 3 the first table of each maps
+    a denotation to its image."""
     alg = Algebra(n)
     if op in (_IAND, _IOR):
         f = alg.int_and if op == _IAND else alg.int_or
-        return [_lane_tables(functools.partial(f, 1 << a), alg.size) for a in alg.elements()]
+        return tuple(_lane_tables(functools.partial(f, 1 << a), alg.size) for a in alg.elements())
     ops = {_INOT: alg.int_not, _DOWN: alg.down_closure, _UP: alg.up_closure,
            _ANY: lambda x: alg.full if x else 0}
     return _lane_tables(ops[op], alg.size)
 
 
-def _column_kernel(op: int, pair: bool, alg: Algebra, pairs: dict[int, bytes]):
+@functools.cache
+def _pair_tables(n: int) -> tuple[bytes, bytes]:
+    """int_and and int_or of every pair of denotations at n <= 3, as bytes
+    indexed by x << 2^n | y.  Row x is row x ^ low, for the least member
+    low of x, joined bytewise with the row of {low} from _column_tables:
+    op(x, y) is op(x ^ low, y) | op({low}, y).  A row is kept as one
+    integer whose byte y is op(x, y), so that one | joins two rows."""
+    count = 1 << (1 << n)
+    tables = []
+    for op in (_IAND, _IOR):
+        singles = [int.from_bytes(single[0], "little") for single in _column_tables(n, op)]
+        rows = [0]
+        for x in range(1, count):
+            low = x & -x
+            rows.append(rows[x ^ low] | singles[low.bit_length() - 1])
+        tables.append(b"".join(row.to_bytes(count, "little") for row in rows))
+    return tables[0], tables[1]
+
+
+def _joined_tables(singles: tuple, x: int) -> tuple[bytes, ...]:
+    """The lane tables of y -> op(x, y), from those of y -> op({a}, y):
+    op(x, y) is their union over the elements a of x, table by table."""
+    joined = [0] * len(singles[0])
+    for a in iter_bits(x):
+        for i, table in enumerate(singles[a]):
+            joined[i] |= int.from_bytes(table, "little")
+    return tuple(j.to_bytes(256, "little") for j in joined)
+
+
+def _column_kernel(alg: Algebra, op: int, pair: bool):
     """The function f(a, b, lanes) that runs the opcode on a column: on
     one column, for a unary opcode; on two, for a pair; else on a value
     and a column.  An external opcode is one integer operation, with the
     value broadcast to every lane.  A unary opcode, or int_and or int_or
     of a value x and a column, translates the lanes through the tables of
-    a function that distributes over union: for x, a row of the pair
-    table at n = 3 if `pairs` holds it, else tables built once per x.
-    int_and and int_or of two columns join, per element a, op({a}, y) in
-    the lanes whose x holds a: op(x, y) is the union of these."""
+    a function that distributes over union: for x, row x of the pair
+    table at n = 3, at n = 4 the joined tables.  int_and and int_or of two
+    columns join, per element a, op({a}, y) in the lanes whose x holds a."""
     if op <= _XOR:
         f = (operator.or_, operator.and_, operator.xor)[op]
         if pair:
@@ -557,30 +560,24 @@ def _column_kernel(op: int, pair: bool, alg: Algebra, pairs: dict[int, bytes]):
             return lambda x, _, lanes: lanes.full ^ lanes.translate(lanes.full ^ x, tables)
         return lambda x, _, lanes: lanes.translate(x, tables)
     w = alg.size
-    if pair:
-        singles, lane = _column_tables(alg.n, op), (1 << w) - 1
-
-        def columns(x, y, lanes):
-            out = 0
-            for a, tables in enumerate(singles):
-                holds = x >> a & lanes.ones  # 1 in the lanes whose x holds a
-                if holds:
-                    out |= lanes.translate(y, tables) & holds * lane
-            return out
-
-        return columns
-    table = pairs.get(op)
-    if table is not None:
+    if alg.n <= _TABLE_MAX_N and not pair:
+        table = _pair_tables(alg.n)[op == _IOR]
         return lambda x, y, lanes: lanes.translate(y, (table[x << w : x + 1 << w],))
-    f, rows = alg.int_and if op == _IAND else alg.int_or, {}
+    singles = _column_tables(alg.n, op)
+    if not pair:
+        row = _binder(functools.partial(_joined_tables, singles))
+        return lambda x, y, lanes: lanes.translate(y, row(x))
+    lane = (1 << w) - 1
 
-    def row(x, y, lanes):
-        tables = rows.get(x)
-        if tables is None:
-            tables = rows[x] = _lane_tables(functools.partial(f, x), w)
-        return lanes.translate(y, tables)
+    def columns(x, y, lanes):
+        out = 0
+        for a, tables in enumerate(singles):
+            holds = x >> a & lanes.ones  # 1 in the lanes whose x holds a
+            if holds:
+                out |= lanes.translate(y, tables) & holds * lane
+        return out
 
-    return row
+    return columns
 
 
 class _Column:
@@ -589,12 +586,11 @@ class _Column:
     value, ascending, and each instruction is a few C-level operations
     on it.  The packed values are kept for the scan, per group."""
 
-    def __init__(self, alg: Algebra, segments, levels: list[int], p: int, pairs: bool):
+    def __init__(self, alg: Algebra, segments, levels: list[int], p: int):
         self.w = alg.size
-        tables = dict(zip((_IAND, _IOR), _pair_tables(alg.n))) if pairs else {}
+        kernel = _binder(functools.partial(_column_kernel, alg))
         self.segments = [
-            ([(_column_kernel(op, levels[a] == p, alg, tables), dst, a, b)
-              for op, dst, a, b in block], guard)
+            ([(kernel(op, levels[a] == p), dst, a, b) for op, dst, a, b in block], guard)
             for block, guard in segments
         ]
         self._lanes: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
@@ -625,16 +621,6 @@ class _Column:
         return True
 
 
-def _extent(domains, n: int) -> tuple[int, int]:
-    """The number of orbit minima of the first digit, and the work of a
-    scan: that number times the values of every later digit."""
-    if not domains:
-        return 1, 1
-    sym = _symmetry(n)
-    first = len(sym.minima(*domains[0], sym.group))
-    return first, first * math.prod(len(values) for _, values in domains[1:])
-
-
 def _run(segments, vals: list[int]) -> bool:
     """Run one level's instructions; False as soon as a guard is empty."""
     for block, guard in segments:
@@ -653,19 +639,18 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     program, n, class_restriction, start, stop = args
     alg = Algebra(n)
     domains = _domains(program, alg, class_restriction)
-    pairs = n < _TABLE_MAX_N or n == _TABLE_MAX_N and _extent(domains, n)[1] > _LARGE_WORK
-    scalar, plan = _kernels(alg, pairs), program.plan
+    plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
     # The last digit runs as one column when it ranges over all 2^(2^n)
     # denotations at n >= 3.  A column of at most 16 values, as at n = 2
     # or for a principal-ideal or label-atom digit, does not pay for its
     # set-up, and loses the early stop at a countermodel.
     column = len(domains) - 1 if n >= 3 and domains and domains[-1][0] == "all" else -1
     levels: list = [
-        [([(scalar[op], dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
+        [([(kernel(op), dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
         for segments in (plan[:-1] if column >= 0 else plan)
     ]
     if column >= 0:
-        levels.append(_Column(alg, plan[-1], program.levels, column, pairs))
+        levels.append(_Column(alg, plan[-1], program.levels, column))
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     sym = _symmetry(n)
     state = (domains, sym, levels, vals, program.bad, column)
@@ -742,8 +727,10 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: in
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, checked=0, total=total)
-    first, work = _extent(domains, n)
-    hit = _run_scan((program, n, class_restriction), first, work, jobs)
+    sym = _symmetry(n)
+    first = len(sym.minima(*domains[0], sym.group)) if domains else 1
+    later = total // len(domains[0][1]) if domains else 1  # values of every later digit
+    hit = _run_scan((program, n, class_restriction), first, first * later, jobs)
     if hit is None:
         return None
     values, witness = hit

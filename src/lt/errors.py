@@ -1,6 +1,9 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the reader of JSON
+input, which turns malformed or too deeply nested JSON into one of them."""
 
 from __future__ import annotations
+
+import json
 
 
 class LTError(Exception):
@@ -47,3 +50,14 @@ class PrincipalVariableError(LTError):
 class ReplayError(LTError):
     """A countermodel reported by the search failed its independent
     re-evaluation: an internal fault, never a logical verdict."""
+
+
+def load_json(text: str, source: str):
+    """JSON text from outside the program as Python objects; malformed
+    text, or a nesting too deep for the decoder, raises LTError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LTError(f"{source}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise LTError(f"{source}: the JSON is nested too deeply to load") from None

@@ -19,13 +19,12 @@ not discharged by the node itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
 
-from .errors import BudgetExceededError, LTError
+from .errors import BudgetExceededError, LTError, load_json
 from .semantics import label_bits
 from .syntax import (
     ExtAnd,
@@ -624,11 +623,8 @@ def derivation_to_json(d: Derivation):
 
 def load_derivation(path: str | Path) -> Derivation:
     with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise LTError(f"{path}: the proof JSON is nested too deeply to load") from None
-    return derivation_from_json(obj)
+        text = fh.read()
+    return derivation_from_json(load_json(text, str(path)))
 
 
 def load_assumptions(path: str | Path) -> list[LabelledFormula]:

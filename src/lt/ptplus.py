@@ -42,6 +42,7 @@ from .syntax import (
 )
 
 MAX_K = 3
+MAX_DEPTH = 3  # c_4 = c_3 + 3 c_3^2 formulas: over a million even at k = 0
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,8 @@ def _pt_dag(k: int, depth: int) -> tuple[tuple[Formula, ...], tuple[tuple, ...]]
     """All PT+ formulas over variables below k up to the given depth, as a
     shared-children list plus an op table referring to children by index,
     so sweeps can evaluate each formula with one operator application."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     formulas: list[Formula] = []
     ops: list[tuple] = []
     for i in range(k):

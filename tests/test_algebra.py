@@ -5,7 +5,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import Algebra, Denotation, ext_bot, full_set, principal_ideal
-from lt.entailment import _pair_tables, _unary_tables
+from lt.entailment import _DOWN, _INOT, _UP, _column_tables, _pair_tables
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -207,16 +207,19 @@ class TestAgainstSetOracle:
 
 class TestScanTables:
     """The byte tables that the scan reads up to n = 3: int_not and the
-    closures of each denotation, int_and and int_or of each pair at
-    x << 2^n | y."""
+    closures of each denotation, the first of their column tables, and
+    int_and and int_or of each pair at x << 2^n | y."""
+
+    UNARY = {_INOT: ("int_not", ref.int_not), _DOWN: ("down_closure", ref.down_closure),
+             _UP: ("up_closure", ref.up_closure)}
 
     @pytest.mark.parametrize("n", range(4))
     def test_against_kernels(self, n):
         alg = Algebra(n)
         domain = range(alg.full + 1)
-        tables = _unary_tables(n)
-        for table, op in zip(tables, (alg.int_not, alg.down_closure, alg.up_closure)):
-            assert type(table) is bytes and list(table) == list(map(op, domain))
+        for op, (name, _) in self.UNARY.items():
+            table = _column_tables(n, op)[0]
+            assert type(table) is bytes and list(table) == list(map(getattr(alg, name), domain))
         iand, ior = _pair_tables(n)
         assert type(iand) is type(ior) is bytes and len(iand) == len(ior) == len(domain) ** 2
         for x in domain:
@@ -228,6 +231,9 @@ class TestScanTables:
     def test_against_oracle(self, n):
         domain = range(1 << (1 << n))
         sets = [ref.from_bits(x, n) for x in domain]
+        for op, (_, oracle) in self.UNARY.items():
+            table = _column_tables(n, op)[0]
+            assert list(table) == [ref.to_bits(oracle(x, n)) for x in sets]
         iand, ior = _pair_tables(n)
         for x in domain:
             for y in domain:

@@ -1,5 +1,6 @@
 """The summary that scripts/bench_pairs.py writes per metric, on fixed
-numbers: quartiles by the exclusive method, and the pairs won."""
+numbers: quartiles by the exclusive method, the pairs won, and each
+layer's share of a traced run's self time."""
 
 import importlib.util
 import json
@@ -31,12 +32,23 @@ def test_a_tie_is_not_a_win_and_one_run_is_its_own_spread():
     assert row["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}
 
 
+def test_shares_cancel_a_host_speed_swing():
+    # every layer twice as slow, as on a slower host: the same shares
+    assert bench_pairs.shares({"syntax": 1.0, "cli": 3.0}) == {"syntax": 0.25, "cli": 0.75}
+    assert bench_pairs.shares({"syntax": 2.0, "cli": 6.0}) == {"syntax": 0.25, "cli": 0.75}
+    assert bench_pairs.shares({"syntax": 0.0}) == {"syntax": 0.0}
+
+
 # A stand-in for bench/run.py: one end-to-end and one per-layer metric,
-# and with --trace 1 the self time of one layer, as bench/run.py prints it.
+# and with --trace 1 the self time of each layer, as bench/run.py prints
+# it; the change has a layer, errors, that the parent lacks.
 _FAKE_RUN = '''import json, sys
 WALL = {wall}
 if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    print("  self time cli        %10.4f s" % 0.5)
     print("  self time syntax     %10.4f s" % (WALL / 4))
+    if WALL < 2:
+        print("  self time errors     %10.4f s" % 0.25)
 print(json.dumps({{"correct": True, "failed": 0, "metrics": {{
     "wall_s": {{"value": WALL, "unit": "s"}},
     "syntax.parse_us": {{"value": WALL * 10, "unit": "us"}}}}}}))
@@ -71,6 +83,13 @@ def test_the_parent_runs_from_its_commit_and_the_change_from_the_tree(tmp_path, 
     assert row["change_better_in_pairs"] == "3/3" and row["correct"] and row["failed"] == 0
     traced = {r["metric"]: (r["parent"], r["change"]) for r in report["per_layer"]}
     assert traced == {"syntax.parse_us": ([20.0] * 2, [10.0] * 2),
-                      "self_s.syntax": ([0.5] * 2, [0.25] * 2)}
+                      "self_s.syntax": ([0.5] * 2, [0.25] * 2),
+                      "self_s.cli": ([0.5] * 2, [0.5] * 2),
+                      "self_s.errors": ([0.0] * 2, [0.25] * 2),
+                      "share.syntax": ([0.5] * 2, [0.25] * 2),
+                      "share.cli": ([0.5] * 2, [0.5] * 2),
+                      "share.errors": ([0.0] * 2, [0.25] * 2)}
+    units = {r["metric"]: r["unit"] for r in report["per_layer"]}
+    assert units["self_s.cli"] == "s" and units["share.cli"] == "ratio"
     parents = set(exports) - {str(tmp_path)}
     assert len(parents) == 1 and not os.path.exists(parents.pop())

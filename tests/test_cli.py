@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lt import cli
+from lt import cli, ptplus
 from lt.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -286,6 +286,25 @@ class TestBridge:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_deep_hom_file_is_error(self, capsys, tmp_path):
+        hfile = tmp_path / "h.json"
+        hfile.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply to load" in err
+
+    @pytest.mark.parametrize("depth", ["0", "-3", "4"])
+    def test_depth_outside_1_to_3_is_error(self, capsys, tmp_path, monkeypatch, depth):
+        # refused before any formula is built: depth 4 would build
+        # 1,087,814 of them even at k = 0
+        monkeypatch.setattr(ptplus, "IntBot", None)
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"]}}))
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1", "--depth", depth)
+        assert code == 2 and out == ""
+        assert err == f"error: depth must be in 1..3, got {depth}\n"
+
 
 class TestClasses:
     def test_principal(self, capsys):
@@ -299,6 +318,20 @@ class TestClasses:
         code, out, _ = run(capsys, "classes", "principal-check", "--n", "2", '["01","10"]')
         assert code == 1
         assert json.loads(out)["is_principal_ideal"] is False
+
+    @pytest.mark.parametrize(
+        "denotation, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply to load"),
+            ("5", "must be a JSON array of element strings"),
+            ('{"01": 1}', "must be a JSON array of element strings"),
+        ],
+        ids=["array-100000-deep", "number", "object"],
+    )
+    def test_malformed_denotation_is_error(self, capsys, denotation, message):
+        code, out, err = run(capsys, "classes", "principal-check", "--n", "2", denotation)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 class TestUsage:

@@ -1,13 +1,15 @@
-"""The column's lane kernels against the scalar kernels.
+"""The column's lane kernels against the Algebra methods.
 
 From n = 3 the scan's last digit runs as one integer with a lane of 2^n
 bits per value.  Every column opcode is checked here lane by lane
-against the function the other levels run on one value: at n = 3 on
-every denotation and, for the forms with a value operand, every value,
-and at n = 4 on every denotation for the unary opcodes and on seeded
-operands for the rest.
+against the Algebra method it stands for, applied to one value: at
+n = 3 on every denotation and, for the forms with a value operand,
+every value, and at n = 4 on every denotation for the unary opcodes and
+on seeded operands for the rest.  The reference reads none of the
+scan's tables.
 """
 
+import operator
 import random
 import sys
 import types
@@ -30,8 +32,18 @@ def _decode(x: int, count: int, w: int) -> list[int]:
     return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
 
 
-def _run(op, pair, alg, tables, x, y, lanes, count):
-    kernel = entailment._column_kernel(op, pair, alg, tables)
+def _scalar(alg: Algebra) -> list:
+    """Per opcode, the function f(x, y) on one value, from the Algebra
+    methods; a unary opcode ignores y."""
+    full = alg.full
+    return [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
+            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+            lambda x, _: full if x == full else 0,
+            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
+
+
+def _run(op, pair, alg, x, y, lanes, count):
+    kernel = entailment._column_kernel(alg, op, pair)
     return _decode(kernel(x, y, lanes), count, alg.size)
 
 
@@ -64,43 +76,46 @@ def test_pack_swaps_on_a_big_endian_host(monkeypatch, w):
         assert _decode(_Lanes(3, w).pack(values), 3, w) == [swap(v) for v in values]
 
 
-@pytest.mark.parametrize("pairs", [False, True])
-def test_n3_every_opcode_on_every_denotation(pairs):
+@pytest.mark.parametrize("pair", [False, True])
+def test_n3_every_opcode_on_every_denotation(pair):
+    """With pair false, the forms on a value and a column, for every
+    value; with pair true, the forms on two columns, over every pair.  A
+    unary opcode reads one column under either flag."""
     alg = Algebra(3)
-    scalar = entailment._kernels(alg, pairs)
-    tables = dict(zip(INTERNAL, entailment._pair_tables(3))) if pairs else {}
+    scalar = _scalar(alg)
     domain = range(256)
     lanes = _Lanes(256, 8)
     column = lanes.pack(domain)
     for op in UNARY:
-        got = _run(op, True, alg, tables, column, column, lanes, 256)
+        got = _run(op, pair, alg, column, column, lanes, 256)
         assert got == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
-        # a value and a column, for every value
-        for x in domain:
-            got = _run(op, False, alg, tables, x, column, lanes, 256)
-            assert got == [scalar[op](x, y) for y in domain], (op, x)
-        # two columns, over every pair: lane i pairs (i + k) % 256 with i
+        if not pair:
+            for x in domain:
+                got = _run(op, False, alg, x, column, lanes, 256)
+                assert got == [scalar[op](x, y) for y in domain], (op, x)
+            continue
+        # lane i pairs (i + k) % 256 with i
         for k in domain:
             xs = [(y + k) % 256 for y in domain]
-            got = _run(op, True, alg, tables, lanes.pack(xs), column, lanes, 256)
+            got = _run(op, True, alg, lanes.pack(xs), column, lanes, 256)
             assert got == list(map(scalar[op], xs, domain)), (op, k)
 
 
 def test_n4_unary_opcodes_on_every_denotation():
     alg = Algebra(4)
-    scalar = entailment._kernels(alg, False)
+    scalar = _scalar(alg)
     domain = range(1 << 16)
     lanes = _Lanes(len(domain), 16)
     column = lanes.pack(domain)
     for op in UNARY:
-        got = _run(op, True, alg, {}, column, column, lanes, len(domain))
+        got = _run(op, True, alg, column, column, lanes, len(domain))
         assert got == [scalar[op](y, y) for y in domain], op
 
 
 def test_n4_pairs_on_seeded_operands(seed):
     alg = Algebra(4)
-    scalar = entailment._kernels(alg, False)
+    scalar = _scalar(alg)
     rng = random.Random(seed + 94)
     count = 3000
     ys = [0, alg.full, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(count - 3)]
@@ -112,8 +127,8 @@ def test_n4_pairs_on_seeded_operands(seed):
     lanes = _Lanes(count, 16)
     x, y = lanes.pack(xs), lanes.pack(ys)
     for op in EXTERNAL + INTERNAL:
-        got = _run(op, True, alg, {}, x, y, lanes, count)
+        got = _run(op, True, alg, x, y, lanes, count)
         assert got == list(map(scalar[op], xs, ys)), op
         for value in [0, alg.full, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(5)]:
-            got = _run(op, False, alg, {}, value, y, lanes, count)
+            got = _run(op, False, alg, value, y, lanes, count)
             assert got == [scalar[op](value, v) for v in ys], (op, value)

@@ -6,6 +6,7 @@ must all agree.  The oracle enumerates plainly in canonical order:
 variables ascending, then label atoms, the first most significant.
 """
 
+import functools
 import gc
 import itertools
 import json
@@ -492,8 +493,8 @@ def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]
     runs = []
 
     class Spy(entailment._Column):
-        def __init__(self, alg, segments, levels, p, pairs):
-            super().__init__(alg, segments, levels, p, pairs)
+        def __init__(self, alg, segments, levels, p):
+            super().__init__(alg, segments, levels, p)
 
             def record(op, dst, kernel):
                 def run(x, y, lanes):
@@ -658,7 +659,7 @@ def test_tables_hold_no_algebra(monkeypatch):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(entailment, "Algebra", Tracked)
-    entailment._unary_tables.cache_clear()
+    entailment._column_tables.cache_clear()
     entailment._pair_tables.cache_clear()
     gc.disable()
     try:
@@ -669,26 +670,30 @@ def test_tables_hold_no_algebra(monkeypatch):
         gc.enable()
 
 
-def test_small_scans_read_the_pair_tables(monkeypatch, seed):
-    # at n <= 2 every scan reads i& and i| from the pair tables, however
-    # little its work; the verdicts stay the oracle's
-    read = []
-    tables = entailment._pair_tables
-    monkeypatch.setattr(entailment, "_pair_tables", lambda n: read.append(n) or tables(n))
-    premises, conclusion = _query("P0 i& P1, P2 |- (P1 i& P0) i| P2")
-    program = entailment._compile_entailment(premises, conclusion)
-    domains = entailment._domains(program, Algebra(2), "all")
-    assert entailment._extent(domains, 2)[1] == 3072 <= entailment._LARGE_WORK
-    assert _json(algebra_entails(2, premises, conclusion)) == brute(2, premises, conclusion)
-    assert read == [2]
-    rng = random.Random(seed + 86)
-    for _ in range(20):
-        n = rng.choice((0, 1, 2))
-        premises = [random_formula(rng, 2, 2) for _ in range(rng.randrange(3))]
-        conclusion = random_formula(rng, 3, 2)
-        read.clear()
-        assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion)
-        assert read == [n]
+def test_pair_tables_built_on_first_use(monkeypatch):
+    # a scan builds the pair tables when it first binds an instruction
+    # that reads them: not for one variable at n = 3 or 4, whose i& and i|
+    # run column by column, and once in two scans each of a
+    # principal-variable query at n = 3, which runs i| on single values,
+    # and of a query with a value-by-column i&
+    built = []
+    build = entailment._pair_tables.__wrapped__
+    monkeypatch.setattr(entailment, "_pair_tables",
+                        functools.cache(lambda n: built.append(n) or build(n)))
+    one = _query("|- (P0 i& i! P0) i| up P0 -> P0")
+    for n in (3, 4):
+        assert _json(algebra_entails(n, *one)) == brute(n, *one)
+    assert built == []
+    principal = _query("|- (P0 i| ~P0) & (P1 i| ~P1)")
+    two = _query("P0 i& P1 |- P0")
+    program = entailment._compile_entailment(*two)
+    assert any(op == entailment._IAND and program.levels[a] == 0
+               for block, _ in program.plan[-1] for op, _, a, _ in block)
+    for query, klass in ((principal, "principal_variables"), (two, "all")):
+        entailment._pair_tables.cache_clear()
+        for _ in range(2):
+            assert _json(algebra_entails(3, *query, klass)) == brute(3, *query, klass)
+    assert built == [3, 3]
 
 
 def test_ranges_merge_to_the_least(seed):
