@@ -71,17 +71,8 @@ class Algebra:
 
     # -- element operations
 
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
     def complement(self, a: int) -> int:
         return self.top ^ a
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & b == a
 
     def elements(self) -> range:
         return range(self.size)

@@ -263,7 +263,7 @@ def _cmd_classes_principal_check(args) -> int:
     return EXIT_OK if principal else EXIT_NEGATIVE
 
 
-def _jobs(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -307,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "principal_variables"],
         default="all",
     )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--premises-file", dest="premises_file", default=None)
     p.add_argument("query", help="'phi1, phi2 |- psi', or just psi with --premises-file")
@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lentail", help="labelled countermodel search")
     p.add_argument("--max-n", type=int, dest="max_n", default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=_jobs, default=1, help=JOBS_HELP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--timing", action="store_true")
     p.add_argument("query", help="'a1:phi1, a2:phi2 |- b:psi'")
     p.set_defaults(handler=_cmd_lentail)

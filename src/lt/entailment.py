@@ -20,6 +20,9 @@ re-runs only the instructions of level >= p.  Premises are intersected
 in order as soon as their level is reached, and an empty intersection
 skips the rest of its level and every deeper digit, so the conclusion's
 instructions run only while the premises known so far intersect.
+`Program.run` computes every slot at one fixed assignment instead, with
+the scan's kernels: the PT+ sweep of `verify_f_representation` runs the
+enumerated formulas that way, compiled as one program.
 
 The last digit, when it ranges over all denotations at n >= 3, runs as
 one column: once per setting of the earlier digits, each of its
@@ -82,7 +85,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Algebra, iter_bits
 from .errors import BudgetExceededError, EvalError, ReplayError
@@ -199,6 +202,7 @@ def local_counterexample(
 _OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL, _DOWN, _UP = range(10)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
+_EXTERNAL = (operator.or_, operator.and_, operator.xor)  # _OR, _AND, _XOR
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # Up to this algebra size a scan reads the closures and int_not from
 # tables over the whole domain of 2^(2^n) denotations, 256 entries at
@@ -251,32 +255,53 @@ class Program:
             self.levels.append(max(self.levels[a], self.levels[b]))
         return slot
 
+    def node(self, kind, *children: int) -> int:
+        """The slot of a core formula or label node of class `kind` over
+        its children's slots, the one place a class becomes an opcode:
+        `!bot` folds to the full-carrier constant, and an internal meet or
+        join with it to a closure.  A variable or label atom is a position."""
+        zero, full = self.constants + _ZERO, self.constants + _FULL
+        if kind in _BINARY:
+            op, (left, right) = _BINARY[kind], children
+            if op in _CLOSURES and full in children:
+                x = right if left == full else left
+                return self.emit(_CLOSURES[op], x, x)
+            return self.emit(op, left, right)
+        if kind in _LEAVES:
+            return self.constants + _LEAVES[kind]
+        (child,) = children
+        if kind is ExtNot:
+            return full if child == zero else self.emit(_XOR, full, child)
+        return self.emit(_INOT, child, child)  # IntNot, LNot
+
     def term(self, root) -> int:
         """The slot of an expanded formula or a label, compiled children
         first without recursion."""
         out: list[int] = []
-        zero, full = self.constants + _ZERO, self.constants + _FULL
         for node in postorder(root):
             kind = type(node)
-            if kind in _BINARY:
-                op, right, left = _BINARY[kind], out.pop(), out.pop()
-                if op in _CLOSURES and full in (left, right):
-                    x = right if left == full else left
-                    out.append(self.emit(_CLOSURES[op], x, x))
-                else:
-                    out.append(self.emit(op, left, right))
-            elif kind is ExtNot:
-                child = out.pop()
-                out.append(full if child == zero else self.emit(_XOR, full, child))
-            elif kind is IntNot or kind is LNot:
-                out.append(self.emit(_INOT, out[-1], out.pop()))
-            elif kind in _LEAVES:
-                out.append(self.constants + _LEAVES[kind])
-            elif kind is Var or kind is LAtom:
+            if kind is Var or kind is LAtom:
                 out.append(self.positions[kind, node.index])
-            else:
+            elif kind is Derived:
                 raise EvalError(f"derived connective {node.tag.value} in a compiled query")
+            else:
+                split = len(out) - (2 if kind in _BINARY else 0 if kind in _LEAVES else 1)
+                out[split:] = [self.node(kind, *out[split:])]
         return out[0]
+
+    def run(self, alg: Algebra, env: Mapping[int, int]) -> list[int]:
+        """The value of every slot of a program without label atoms at one
+        assignment of its variables, each instruction through the scalar
+        kernel that a scan binds for it."""
+        try:
+            vals = [env[v] for v in self.variables]
+        except KeyError as exc:
+            raise EvalError(f"unbound variable P{exc.args[0]}") from None
+        vals += 0, alg.int_bot(), alg.full
+        kernel = _binder(functools.partial(_kernel, alg))
+        for op, a, b in self.code:
+            vals.append(kernel(op)(vals[a], vals[b]))
+        return vals
 
     def premise(self, slot: int) -> None:
         """Intersect a premise into the guard chain; compile premises in
@@ -428,20 +453,26 @@ def _binder(bind):
 
 
 def _kernel(alg: Algebra, op: int):
-    """The function f(x, y) that computes one value of the opcode.  Up to
-    n = 3, f reads int_not and the closures from their _column_tables,
-    and int_and and int_or from _pair_tables."""
+    """The function f(x, y) that computes one value of the opcode; a unary
+    one ignores y.  Up to n = 3, f reads int_not and the closures from
+    their _column_tables, and int_and and int_or from _pair_tables."""
+    if op <= _XOR:
+        return _EXTERNAL[op]
     n, full = alg.n, alg.full
-    if n <= _TABLE_MAX_N and op in (_IAND, _IOR):
-        table, w = _pair_tables(n)[op == _IOR], alg.size
-        return lambda x, y: table[x << w | y]
-    if n <= _TABLE_MAX_N and op in (_INOT, _DOWN, _UP):
+    if op == _ANY:
+        return lambda x, _: full if x else 0
+    if op == _ALL:
+        return lambda x, _: full if x == full else 0
+    if op == _IAND or op == _IOR:
+        if n <= _TABLE_MAX_N:
+            table, w = _pair_tables(n)[op == _IOR], alg.size
+            return lambda x, y: table[x << w | y]
+        return alg.int_or if op == _IOR else alg.int_and
+    if n <= _TABLE_MAX_N:
         table = _column_tables(n, op)[0]
         return lambda x, _: table[x]
-    return (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-            lambda x, _: full if x == full else 0,
-            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x))[op]
+    f = alg.int_not if op == _INOT else alg.down_closure if op == _DOWN else alg.up_closure
+    return lambda x, _: f(x)
 
 
 # -- the column: the last digit's values as the lanes of one integer
@@ -550,7 +581,7 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
     table at n = 3, at n = 4 the joined tables.  int_and and int_or of two
     columns join, per element a, op({a}, y) in the lanes whose x holds a."""
     if op <= _XOR:
-        f = (operator.or_, operator.and_, operator.xor)[op]
+        f = _EXTERNAL[op]
         if pair:
             return lambda x, y, _: f(x, y)
         return lambda x, y, lanes: f(x * lanes.ones, y)
@@ -726,7 +757,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: in
     total = math.prod(len(values) for _, values in domains)
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
-        raise BudgetExceededError(message, checked=0, total=total)
+        raise BudgetExceededError(message, total=total)
     sym = _symmetry(n)
     first = len(sym.minima(*domains[0], sym.group)) if domains else 1
     later = total // len(domains[0][1]) if domains else 1  # values of every later digit

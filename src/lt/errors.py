@@ -33,8 +33,7 @@ class AlgebraMismatchError(LTError):
 class BudgetExceededError(LTError):
     """An enumeration or decision procedure exceeded its configured budget."""
 
-    def __init__(self, message: str, checked: int = 0, total: int | None = None):
-        self.checked = checked
+    def __init__(self, message: str, total: int | None = None):
         self.total = total
         super().__init__(message)
 

@@ -17,16 +17,19 @@ inside the valuation model by mapping each atom to the valuation that
 records which variable denotations contain its singleton.  Every
 algebra in this workbench is already a powerset algebra, so the
 embedding step of the general representation argument is the identity
-and only this map is needed.
+and only this map is needed.  `verify_f_representation` checks it on
+every PT+ formula up to a depth: the formulas compile, as `expand`
+spells them, into one `Program` of the scan, which runs under H and under
+H_V.  `pt_eval` stays an independent oracle for the algebra semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from .algebra import Algebra, Denotation, iter_bits
+from .entailment import Program
 from .errors import FragmentError, PrincipalVariableError
 from .semantics import Homomorphism
 from .syntax import (
@@ -38,6 +41,7 @@ from .syntax import (
     IntBot,
     IntOr,
     Var,
+    expand,
     postorder,
 )
 
@@ -70,6 +74,12 @@ def format_team(team: int, k: int) -> list[str]:
     return [format_valuation(s, k) for s in iter_bits(team)]
 
 
+def _check_k(k: int) -> None:
+    """Refuse a k outside 0..MAX_K before any team bitset is built."""
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
+
+
 def is_pt_formula(formula: Formula) -> bool:
     """True iff the formula lies in the PT+ fragment: variables, strict
     negation on variables only, ibot, nb, i|, &, | and the o* sugar."""
@@ -95,8 +105,7 @@ def pt_eval(formula: Formula, k: int, cache: dict[Formula, int] | None = None) -
     """Denotation of a PT+ formula over teams of k-variable valuations.
     The optional cache (valid for this k only) is shared across calls and
     holds whole formulas: without one, no formula is hashed."""
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
+    _check_k(k)
     nodes = postorder(formula)
     if not _in_fragment(nodes):
         raise FragmentError("formula is outside the PT+ fragment")
@@ -175,6 +184,7 @@ def pt_entails(
 ) -> tuple[bool, int | None]:
     """Subset check over PT+ denotations; on failure also the least
     counter-team (a team bitset)."""
+    _check_k(k)
     n_team = 1 << (1 << k)
     inter = (1 << n_team) - 1
     for p in premises:
@@ -189,8 +199,7 @@ def build_hv(k: int) -> Homomorphism:
     """The valuation homomorphism at truncation k: over the algebra whose
     atoms are the 2^k valuations, each variable goes to the principal
     ideal of the team of valuations satisfying it."""
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
+    _check_k(k)
     alg = Algebra(1 << k)
     assignment = {
         i: Denotation(alg, alg.principal_ideal(_true_team(i, k))) for i in range(k)
@@ -227,8 +236,7 @@ class FMap:
 def f_map(hom: Homomorphism, k: int) -> FMap:
     """Build the representation map for a principal-variable homomorphism
     whose variables all lie below k."""
-    if not 0 <= k <= MAX_K:
-        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
+    _check_k(k)
     if any(v >= k for v in hom.assignment):
         raise ValueError("homomorphism assigns a variable at or above k")
     if not has_principal_variables(hom):
@@ -248,37 +256,28 @@ def f_map(hom: Homomorphism, k: int) -> FMap:
 
 
 @lru_cache(maxsize=None)
-def _pt_dag(k: int, depth: int) -> tuple[tuple[Formula, ...], tuple[tuple, ...]]:
-    """All PT+ formulas over variables below k up to the given depth, as a
-    shared-children list plus an op table referring to children by index,
-    so sweeps can evaluate each formula with one operator application."""
+def _pt_dag(k: int, depth: int) -> tuple[tuple[Formula, ...], Program, tuple[int, ...]]:
+    """All PT+ formulas over variables below k up to the given depth,
+    children shared, compiled into one `Program`, and each formula's slot
+    in it.  A leaf compiles through its expansion, and each connective of
+    the enumeration is one node over its operands' slots, so formulas
+    equal up to the order of a connective's operands share a slot."""
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     formulas: list[Formula] = []
-    ops: list[tuple] = []
     for i in range(k):
-        formulas.append(Var(i))
-        ops.append(("var", i))
-        formulas.append(Derived(DerivedTag.STRICT_NOT, (Var(i),)))
-        ops.append(("nvar", i))
-    formulas.append(IntBot())
-    ops.append(("ibot",))
-    formulas.append(Derived(DerivedTag.NB))
-    ops.append(("nb",))
-    previous = range(len(formulas))
+        formulas += Var(i), Derived(DerivedTag.STRICT_NOT, (Var(i),))
+    formulas += IntBot(), Derived(DerivedTag.NB)
+    program = Program([range(k)], (), labelled=False)
+    slots = [program.term(expand(leaf)) for leaf in formulas]
     for _ in range(depth - 1):
-        start = len(formulas)
-        for li in previous:
-            for ri in previous:
-                formulas.append(IntOr(formulas[li], formulas[ri]))
-                ops.append(("ior", li, ri))
-                formulas.append(ExtAnd(formulas[li], formulas[ri]))
-                ops.append(("and", li, ri))
-                formulas.append(ExtOr(formulas[li], formulas[ri]))
-                ops.append(("or", li, ri))
-        previous = range(len(formulas))
-        assert start <= len(formulas)
-    return tuple(formulas), tuple(ops)
+        previous = len(formulas)
+        for li in range(previous):
+            for ri in range(previous):
+                for kind in (IntOr, ExtAnd, ExtOr):
+                    formulas.append(kind(formulas[li], formulas[ri]))
+                    slots.append(program.node(kind, slots[li], slots[ri]))
+    return tuple(formulas), program, tuple(slots)
 
 
 def enumerate_pt_formulas(k: int, depth: int) -> tuple[Formula, ...]:
@@ -287,54 +286,29 @@ def enumerate_pt_formulas(k: int, depth: int) -> tuple[Formula, ...]:
     return _pt_dag(k, depth)[0]
 
 
-def _dag_eval(alg: Algebra, env: Mapping[int, int], ops: tuple[tuple, ...]) -> list[int]:
-    """Evaluate every op-table entry to a denotation bitset, in order."""
-    nb = alg.ext_not(alg.int_bot())
-    values: list[int] = []
-    append = values.append
-    int_or = alg.int_or
-    for op in ops:
-        kind = op[0]
-        if kind == "ior":
-            append(int_or(values[op[1]], values[op[2]]))
-        elif kind == "and":
-            append(values[op[1]] & values[op[2]])
-        elif kind == "or":
-            append(values[op[1]] | values[op[2]])
-        elif kind == "var":
-            append(env[op[1]])
-        elif kind == "nvar":
-            append(alg.strict_neg(env[op[1]]))
-        elif kind == "ibot":
-            append(alg.int_bot())
-        else:
-            append(nb)
-    return values
-
-
 @lru_cache(maxsize=None)
-def _hv_dag_values(k: int, depth: int) -> tuple[int, ...]:
+def _hv_classes(k: int, depth: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The distinct slots of the PT+ formulas, grouped by value under H_V."""
     hv = build_hv(k)
-    return tuple(_dag_eval(hv.algebra, hv.bits_env(), _pt_dag(k, depth)[1]))
+    _, program, slots = _pt_dag(k, depth)
+    values = program.run(hv.algebra, hv.bits_env())
+    classes: dict[int, list[int]] = {}
+    for slot in dict.fromkeys(slots):
+        classes.setdefault(values[slot], []).append(slot)
+    return tuple((bits, tuple(members)) for bits, members in classes.items())
 
 
 def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3) -> bool:
     """Exhaustively check that membership transfers along the representation
     map: X in H(phi) iff lift(X) in H_V(phi), for every element X and every
-    PT+ formula up to the given depth."""
+    PT+ formula up to the given depth.  H and H_V run the one program of
+    the formulas, and are compared at the formulas' slots only: the other
+    slots, inside the expansion of ~, lie outside PT+."""
     fmap = f_map(hom, k)
-    alg = hom.algebra
-    lifts = [fmap.lift(x) for x in range(alg.size)]
-    hom_values = _dag_eval(alg, hom.bits_env(), _pt_dag(k, depth)[1])
-    hv_values = _hv_dag_values(k, depth)
-    pulled: dict[int, int] = {}
-    for hbits, hvbits in zip(hom_values, hv_values):
-        back = pulled.get(hvbits)
-        if back is None:
-            back = 0
-            for x in range(alg.size):
-                back |= (hvbits >> lifts[x] & 1) << x
-            pulled[hvbits] = back
-        if back != hbits:
+    lifts = [fmap.lift(x) for x in range(hom.algebra.size)]
+    hom_values = _pt_dag(k, depth)[1].run(hom.algebra, hom.bits_env())
+    for hvbits, slots in _hv_classes(k, depth):
+        back = sum((hvbits >> lift & 1) << x for x, lift in enumerate(lifts))
+        if any(hom_values[slot] != back for slot in slots):
             return False
     return True

@@ -250,6 +250,12 @@ class TestPt:
         code, _, err = run(capsys, "pt", "eval", "--k", "1", "box P0")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["-1", "4", "5", "9"])
+    def test_entail_k_outside_0_to_3_is_error(self, capsys, k):
+        # refused before any team bitset is built: k = 5 would need 2^32 bits
+        code, out, err = run(capsys, "pt", "entail", "--k", k, "|- P0")
+        assert (code, out, err) == (2, "", f"error: k must be in 0..3, got {k}\n")
+
 
 class TestBridge:
     def test_verify_f_ok(self, capsys, tmp_path):
@@ -293,6 +299,12 @@ class TestBridge:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply to load" in err
+
+    def test_unassigned_variable_below_k_is_error(self, capsys, tmp_path):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"]}}))
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "2")
+        assert (code, out, err) == (2, "", "error: unbound variable P1\n")
 
     @pytest.mark.parametrize("depth", ["0", "-3", "4"])
     def test_depth_outside_1_to_3_is_error(self, capsys, tmp_path, monkeypatch, depth):
@@ -375,6 +387,18 @@ class TestSharedParser:
         expected = run(capsys, "entail", "ibot |- i! ibot")
         assert run(capsys, "entail", "--class", "bogus", "ibot |- i! ibot")[0] == 2
         assert run(capsys, "entail", "ibot |- i! ibot") == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("entail", "--cap", "0", "|- P0"),
+        ("lentail", "--cap", "-5", "p0 : P0 |- p0 : P0"),
+        ("lentail", "--jobs", "0", "p0 : P0 |- p0 : P0"),
+    ])
+    def test_count_flag_below_1_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lt {argv[0]}: error: argument {argv[1]}: must be at least 1, got {argv[2]}"
+        ]
 
     def test_jobs_does_not_leak(self, capsys):
         assert run(capsys, "entail", "--jobs", "0", "|- P0")[0] == 2

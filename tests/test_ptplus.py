@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,13 +16,14 @@ from lt.ptplus import (
     pt_entails,
     pt_eval,
 )
-from lt.semantics import Homomorphism, evaluate
+from lt.semantics import Homomorphism, eval_core_bits, evaluate
 from lt.syntax import (
     Derived,
     DerivedTag,
     ExtAnd,
             IntOr,
                 Var,
+    expand,
     parse_formula,
 )
 
@@ -268,3 +270,29 @@ def test_pair_unions_are_computed_once_per_operand_pair(monkeypatch):
     info = cached.cache_info()
     assert len(calls) > 10 * len(set(calls))
     assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
+
+
+@pytest.mark.parametrize("k, depth", [(0, 2), (1, 2), (2, 2), (1, 3)])
+def test_program_slots_match_the_tree_walker(seed, k, depth):
+    # each enumerated formula's slot in the one compiled PT+ program, run
+    # at a fixed assignment, against what `evaluate` computes for it: the
+    # tree walk of its expansion.  Every homomorphism at m <= 2, seeded
+    # ones at m = 3 that need not be principal, and H_V.
+    from lt import ptplus
+
+    formulas, program, slots = ptplus._pt_dag(k, depth)
+    cores = [expand(f) for f in formulas]
+    homs = [
+        Homomorphism.from_bits(alg, dict(enumerate(bits)))
+        for alg in map(Algebra, range(3))
+        for bits in itertools.product(range(alg.full + 1), repeat=k)
+    ]
+    rng, alg = random.Random(seed + 11 * k + depth), Algebra(3)
+    homs += [Homomorphism.from_bits(alg, {i: rng.randrange(alg.full + 1) for i in range(k)})
+             for _ in range(4)]
+    homs.append(build_hv(k))
+    for hom in homs:
+        env = hom.bits_env()
+        values = program.run(hom.algebra, env)
+        for f, core, slot in zip(formulas, cores, slots):
+            assert values[slot] == eval_core_bits(hom.algebra, env, core), (env, f)
