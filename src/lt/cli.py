@@ -35,6 +35,7 @@ from .syntax import (
     parse_entailment_query,
     parse_formula,
     parse_labelled_query,
+    parse_lines,
 )
 
 EXIT_OK = 0
@@ -102,16 +103,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_premises_file(path: str):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_formula(line))
-    return tuple(out)
-
-
 _STATUS = {
     "countermodel": ("countermodel", EXIT_NEGATIVE),
     "exhausted": ("entailed_up_to_n", EXIT_OK),
@@ -138,7 +129,7 @@ def _emit_search(
 def _cmd_entail(args) -> int:
     started = time.monotonic()
     if args.premises_file:
-        premises = _read_premises_file(args.premises_file)
+        premises = parse_lines(args.premises_file, parse_formula)
         conclusion = parse_formula(args.query)
     else:
         premises, conclusion = parse_entailment_query(args.query)
@@ -264,13 +255,16 @@ def _cmd_classes_principal_check(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-JOBS_HELP = "scan workers, at least 1; at most one process per CPU is started"
+JOBS_HELP = "at least 1, and echoed in the verdict; the scan runs in this process"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,8 +49,8 @@ same tables, and int_and and int_or from two pair tables built from
 them, indexed by x << 2^n | y; at n = 4 the algebra's kernels run there.
 A scan binds the kernel of an opcode when an instruction first needs
 it, so each table is built on first use, once per process and size.
-The tables hold bytes only.  The countermodel reported is the least
-one, with or without workers, and it is replayed through the
+The tables hold bytes only.  The scan runs in the calling process, and
+the countermodel it reports is the least one, replayed through the
 tree-walking evaluator first.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
@@ -162,7 +162,6 @@ class SearchReport:
     """Outcome of an iterative-deepening countermodel search."""
 
     status: str  # "countermodel" | "exhausted" | "budget_exceeded"
-    max_n: int
     completed_n: int  # largest size fully scanned
     countermodel: Countermodel | None = None
     note: str | None = None
@@ -211,10 +210,6 @@ _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # At n = 4 a closure table holds 65,536 entries and a pair table 2^32, so
 # shifts run outside the column, which reads a byte of a lane at a time.
 _TABLE_MAX_N = 3
-# A scan whose work, the first digit's orbit minima times the values of
-# every later digit, exceeds this may open a pool of workers; below it
-# a pool does not pay for itself.
-_LARGE_WORK = 4096
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -632,8 +627,7 @@ class _Column:
         is met with every guard.  The values ascend, so the lowest set
         bit of `bad` is the least violation: True there, with its value
         and its lane of `bad` left in the slots."""
-        # In a scan the digit's values are set by the group: the minima
-        # under it, or for a first digit the scan's one range of them
+        # the digit's values are the minima under the group
         found = self._lanes.get(group)
         if found is None:
             lanes = _Lanes(len(values), self.w)
@@ -662,12 +656,10 @@ def _run(segments, vals: list[int]) -> bool:
     return True
 
 
-def _scan(args) -> tuple[tuple[int, ...], int] | None:
-    """The kernel.  Scan, in canonical order, the lex-leader assignments
-    whose first position takes its value with index in [start, stop) of
-    the orbit minima under all permutations, and return the least
-    violating one as (position values, witness element), or None."""
-    program, n, class_restriction, start, stop = args
+def _scan(program: Program, n: int, class_restriction: str):
+    """The kernel.  Scan the lex-leader assignments in canonical order,
+    and return the least violating one as (position values, witness
+    element), or None."""
     alg = Algebra(n)
     domains = _domains(program, alg, class_restriction)
     plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
@@ -685,24 +677,20 @@ def _scan(args) -> tuple[tuple[int, ...], int] | None:
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     sym = _symmetry(n)
     state = (domains, sym, levels, vals, program.bad, column)
-    if _run(levels[0], vals) and (
-        _odometer(sym.minima(*domains[0], sym.group)[start:stop], sym.group, state)
-        if domains
-        else vals[program.bad]
-    ):
+    if _run(levels[0], vals) and (_odometer(state) if domains else vals[program.bad]):
         bad = vals[program.bad]
         return tuple(vals[: len(domains)]), (bad & -bad).bit_length() - 1
     return None
 
 
-def _odometer(values: Sequence[int], group: tuple[int, ...], state: tuple) -> bool:
-    """Turn digit 0 through the values, and each deeper digit through the
-    orbit minima of its domain under the stabiliser of the digits before
-    it, running a level whenever its digit changes; True at the first
+def _odometer(state: tuple) -> bool:
+    """Turn each digit through the orbit minima of its domain under the
+    stabiliser of the digits before it, all n! permutations for digit 0,
+    running a level whenever its digit changes; True at the first
     violation, with the assignment left in the position slots.  The
     digits in turn are a stack of (digit, values left, group)."""
     domains, sym, levels, vals, bad, column = state
-    last, stack = len(domains) - 1, [(0, values, group)]
+    last, stack = len(domains) - 1, [(0, sym.minima(*domains[0], sym.group), sym.group)]
     while stack:
         p, values, group = stack.pop()
         if p == column:
@@ -723,31 +711,7 @@ def _odometer(values: Sequence[int], group: tuple[int, ...], state: tuple) -> bo
     return False
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A concurrent.futures process pool, imported on first use: the import
-    costs about 2.5 MB, and most scans never open a pool."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-
-    return executor(max_workers=max_workers)
-
-
-def _run_scan(base_args: tuple, values: int, work: int, jobs: int):
-    """Scan; on up to `jobs` workers, each taking chunks of the first
-    position's orbit minima, when the assignments left are many."""
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 and work > _LARGE_WORK else 1
-    if workers <= 1:
-        return _scan(base_args + (0, values))
-    chunk = -(-values // (workers * 4))
-    chunks = [base_args + (s, min(s + chunk, values)) for s in range(0, values, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for hit in pool.map(_scan, chunks):  # in chunk order: the first hit is the least
-            if hit is not None:
-                pool.shutdown(cancel_futures=True)
-                return hit
-    return None
-
-
-def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: int):
+def _decide(program: Program, n: int, class_restriction: str, cap: int):
     """The least countermodel at algebra size n, or None.  The cap counts
     every homomorphism, not only the lex-leaders that are scanned."""
     if not 0 <= n <= MAX_N:
@@ -758,10 +722,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: in
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, total=total)
-    sym = _symmetry(n)
-    first = len(sym.minima(*domains[0], sym.group)) if domains else 1
-    later = total // len(domains[0][1]) if domains else 1  # values of every later digit
-    hit = _run_scan((program, n, class_restriction), first, first * later, jobs)
+    hit = _scan(program, n, class_restriction)
     if hit is None:
         return None
     values, witness = hit
@@ -771,23 +732,23 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int, jobs: in
     return Countermodel(hom, witness, labels if program.labelled else None)
 
 
-def _deepen(program: Program, replays, max_n: int, class_restriction: str, cap: int, jobs: int):
+def _deepen(program: Program, replays, max_n: int, class_restriction: str, cap: int):
     """Iterative deepening over algebra sizes 0..max_n; a countermodel is
     reported only after `replays` has re-checked it."""
     if not 0 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
     for n in range(max_n + 1):
         try:
-            cm = _decide(program, n, class_restriction, cap, jobs)
+            cm = _decide(program, n, class_restriction, cap)
         except BudgetExceededError as exc:
-            return SearchReport("budget_exceeded", max_n, n - 1, note=str(exc))
+            return SearchReport("budget_exceeded", n - 1, note=str(exc))
         if cm is not None:
             if not replays(cm):
                 raise ReplayError(
                     f"internal error: the countermodel at n={n} does not replay: {cm.to_json_obj()}"
                 )
-            return SearchReport("countermodel", max_n, n, countermodel=cm)
-    return SearchReport("exhausted", max_n, max_n, note=NOTE_FINITE_SCOPE)
+            return SearchReport("countermodel", n, countermodel=cm)
+    return SearchReport("exhausted", max_n, note=NOTE_FINITE_SCOPE)
 
 
 def algebra_entails(
@@ -803,9 +764,10 @@ def algebra_entails(
 
     Returns (True, None) or (False, least countermodel).  Variables range
     over all denotations, or only over principal ideals when
-    class_restriction="principal_variables".
+    class_restriction="principal_variables".  The scan runs in the
+    calling process; `jobs` is accepted and does not change it.
     """
-    cm = _decide(_compile_entailment(premises, conclusion), n, class_restriction, cap, jobs)
+    cm = _decide(_compile_entailment(premises, conclusion), n, class_restriction, cap)
     return cm is None, cm
 
 
@@ -818,8 +780,9 @@ def labelled_entails(
     jobs: int = 1,
 ) -> tuple[bool, Countermodel | None]:
     """Decide a labelled entailment at algebra size n, quantifying over both
-    the variable assignment and the label valuation."""
-    cm = _decide(_compile_labelled(gamma, conclusion), n, "all", cap, jobs)
+    the variable assignment and the label valuation, in the calling
+    process; `jobs` is accepted and does not change the scan."""
+    cm = _decide(_compile_labelled(gamma, conclusion), n, "all", cap)
     return cm is None, cm
 
 
@@ -832,10 +795,11 @@ def find_countermodel(
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a countermodel."""
+    """Search algebra sizes 0, 1, ..., max_n for a countermodel, in the
+    calling process; `jobs` is accepted and does not change the scan."""
     program = _compile_entailment(premises, conclusion)
     replays = lambda cm: replay(cm, premises, conclusion)
-    return _deepen(program, replays, max_n, class_restriction, cap, jobs)
+    return _deepen(program, replays, max_n, class_restriction, cap)
 
 
 def find_labelled_countermodel(
@@ -846,9 +810,11 @@ def find_labelled_countermodel(
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel."""
+    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel,
+    in the calling process; `jobs` is accepted and does not change the
+    scan."""
     replays = lambda cm: replay_labelled(cm, gamma, conclusion)
-    return _deepen(_compile_labelled(gamma, conclusion), replays, max_n, "all", cap, jobs)
+    return _deepen(_compile_labelled(gamma, conclusion), replays, max_n, "all", cap)
 
 
 def replay(cm: Countermodel, premises: Sequence[Formula], conclusion: Formula) -> bool:
@@ -895,7 +861,7 @@ def verify_box_internalisation(
     premises is equivalent to restricting to homomorphisms validating pi."""
     boxed = [Derived(DerivedTag.BOX, (f,)) for f in pi]
     boxed_side, _ = algebra_entails(n, boxed + list(premises), conclusion, cap=cap)
-    restricted = _decide(_compile_entailment(premises, conclusion, pi), n, "all", cap, 1)
+    restricted = _decide(_compile_entailment(premises, conclusion, pi), n, "all", cap)
     return boxed_side == (restricted is None)
 
 

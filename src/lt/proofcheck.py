@@ -46,6 +46,7 @@ from .syntax import (
     is_core,
     label_atoms,
     parse_labelled,
+    parse_lines,
 )
 
 TAUT_ATOM_BUDGET = 20
@@ -629,10 +630,4 @@ def load_derivation(path: str | Path) -> Derivation:
 
 def load_assumptions(path: str | Path) -> list[LabelledFormula]:
     """One labelled formula per non-empty line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_labelled(line))
-    return out
+    return parse_lines(path, parse_labelled)

@@ -560,6 +560,13 @@ def parse_labelled(text: str) -> LabelledFormula:
     return lf
 
 
+def parse_lines(path, parse) -> list:
+    """One item per non-empty line of a text file, read by `parse` from
+    the line with its surrounding whitespace stripped."""
+    with open(path, encoding="utf-8") as fh:
+        return [parse(line) for line in map(str.strip, fh) if line]
+
+
 def parse_entailment_query(text: str) -> tuple[tuple[Formula, ...], Formula]:
     """Parse "phi1, phi2 |- psi" (premises may be empty: "|- psi")."""
     p = _Parser(text)

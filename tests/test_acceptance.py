@@ -229,8 +229,8 @@ def test_criterion_12_determinism(capsys):
         ("entail", "--max-n", "3", "|- P0 -> ~ ~ P0"),
         ("entail", "--max-n", "2", "|- ~ ~ P0 -> P0"),
         ("entail", "--max-n", "2", "--jobs", "4", "P0 & P1, P2 |- P3"),
-        # entailed with four variables: the n=2 scan is large enough that
-        # the worker pool really engages
+        # entailed with four variables: the whole n=2 scan runs, and the
+        # verdict echoes --jobs
         ("entail", "--max-n", "2", "--jobs", "4", "P0, P1, P2 |- P0 & P1 & P2 & (P3 -> P3)"),
         ("entail", "--class", "principal_variables", "--max-n", "2", "|- P0 i| ~P0"),
         ("lentail", "--max-n", "2", "p0 : P0 i& P1 |- p0 : P0 & P1"),

@@ -126,6 +126,23 @@ class TestEntail:
         code, out, _ = run(capsys, "entail", "--premises-file", str(pfile), "P0 & P1")
         assert code == 0
 
+    def test_line_files_report_offsets_within_the_line(self, capsys, tmp_path):
+        # --premises-file and --assumptions go through one line reader:
+        # blank lines are skipped, and a syntax error's offset counts from
+        # the start of the stripped line
+        pfile = tmp_path / "premises.txt"
+        pfile.write_text("P0\n\n   P0 &\n")
+        afile = tmp_path / "gamma.txt"
+        afile.write_text("p0 : P0\n\n   p0 : P0 &\n")
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps({"assume": "p0 : P0", "id": "a"}))
+        code, out, err = run(capsys, "entail", "--premises-file", str(pfile), "P0")
+        assert code == 2 and out == "" and "syntax error at offset 4:" in err
+        code, out, err = run(capsys, "check-proof", str(proof), "--assumptions", str(afile))
+        assert code == 2 and out == "" and "syntax error at offset 9:" in err
+        pfile.write_text("\n  P0  \n\nP1\n")
+        assert run(capsys, "entail", "--premises-file", str(pfile), "P0 & P1")[0] == 0
+
     def test_env_max_n(self, capsys, monkeypatch):
         monkeypatch.setenv("LT_MAX_N", "1")
         code, out, _ = run(capsys, "entail", "|- P0 -> ~ ~ P0")
@@ -146,7 +163,7 @@ class TestEntail:
         assert sequential[0] == parallel[0] == 1
         # repeated identical runs are byte-identical
         assert parallel[1] == parallel_again[1]
-        # and the logical payload does not depend on the worker count
+        # and the logical payload does not depend on --jobs
         strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "jobs"}
         assert strip(sequential[1]) == strip(parallel[1])
 
@@ -398,6 +415,18 @@ class TestSharedParser:
         assert code == 2 and out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"lt {argv[0]}: error: argument {argv[1]}: must be at least 1, got {argv[2]}"
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ("entail", "--cap", "x", "|- P0"),
+        ("entail", "--jobs", "x", "|- P0"),
+        ("lentail", "--jobs", "1.5", "p0 : P0 |- p0 : P0"),
+    ])
+    def test_count_flag_not_an_integer_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "_positive_int" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lt {argv[0]}: error: argument {argv[1]}: must be an integer, got {argv[2]!r}"
         ]
 
     def test_jobs_does_not_leak(self, capsys):

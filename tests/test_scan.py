@@ -6,6 +6,7 @@ must all agree.  The oracle enumerates plainly in canonical order:
 variables ascending, then label atoms, the first most significant.
 """
 
+import concurrent.futures
 import functools
 import gc
 import itertools
@@ -228,7 +229,7 @@ def test_box_internalisation_restricted_side(seed):
         premises = [random_formula(rng, 2, 2) for _ in range(rng.randrange(2))]
         conclusion = random_formula(rng, 2, 2)
         program = entailment._compile_entailment(premises, conclusion, pi)
-        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP, 1)
+        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP)
         restricted = brute(n, premises, conclusion, filters=pi)
         assert _json((cm is None, cm)) == restricted
         boxed = brute(n, [Derived(DerivedTag.BOX, (f,)) for f in pi] + premises, conclusion)
@@ -345,7 +346,7 @@ def test_refuted_box_internalisation_filters(seed):
 
     for (n, pi, premises, conclusion), expected in _refuted(rng, draw, 12):
         program = entailment._compile_entailment(premises, conclusion, pi)
-        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP, 1)
+        cm = entailment._decide(program, n, "all", entailment.DEFAULT_CAP)
         assert _json((cm is None, cm)) == expected, (pi, premises, conclusion, n)
 
 
@@ -610,22 +611,14 @@ def test_bare_first_premise_verdicts(text):
         assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion), n
 
 
-def test_column_chunks_under_jobs(monkeypatch, seed):
-    # one variable under --jobs 2: each chunk is a slice of the column,
-    # and the first hit in chunk order is the one a single scan finds
-    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_one_variable_column_at_n3(seed):
+    # one variable at n = 3 is a single column over the 80 orbit minima
     rng = random.Random(seed + 69)
     queries = [_query("box P0 |- ibot"), _query(COLUMN_HITS[1][0])]
     queries += [([random_formula(rng, 2, 1)], random_formula(rng, 3, 1)) for _ in range(6)]
     for premises, conclusion in queries:
-        program = entailment._compile_entailment(premises, conclusion)
-        whole = entailment._scan((program, 3, "all", 0, 80))
-        _FakePool.workers = []
-        chunked = entailment._run_scan((program, 3, "all"), 80, entailment._LARGE_WORK + 1, 2)
-        assert _FakePool.workers == [2] and chunked == whole, (premises, conclusion)
-        cm = entailment._decide(program, 3, "all", entailment.DEFAULT_CAP, 1)
-        assert _json((cm is None, cm)) == brute(3, premises, conclusion), (premises, conclusion)
+        got = _json(algebra_entails(3, premises, conclusion))
+        assert got == brute(3, premises, conclusion), (premises, conclusion)
 
 
 def test_scan_frees_its_algebra(monkeypatch):
@@ -696,26 +689,8 @@ def test_pair_tables_built_on_first_use(monkeypatch):
     assert built == [3, 3]
 
 
-def test_ranges_merge_to_the_least(seed):
-    # any split of the first variable's values into ranges, scanned in
-    # order, finds the hit that one scan of all of them finds
-    rng = random.Random(seed + 65)
-    for _ in range(30):
-        n, n_vars = rng.choice(((2, 2), (3, 1)))
-        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(3))]
-        program = entailment._compile_entailment(premises, random_formula(rng, 3, n_vars))
-        values = 1 << (1 << n) if program.variables else 1
-        whole = entailment._scan((program, n, "all", 0, values))
-        cuts = sorted(rng.sample(range(1, values), min(5, values - 1)))
-        hits = [
-            entailment._scan((program, n, "all", lo, hi))
-            for lo, hi in zip([0, *cuts], [*cuts, values])
-        ]
-        assert next((h for h in hits if h is not None), None) == whole
-
-
 def test_jobs_two_matches_one_at_n3():
-    # the least countermodel lies in the last chunk: P0 must be the full set
+    # the least countermodel sets P0 to the full set, the last orbit minimum
     premises, conclusion = _query("box P0 |- P1")
     one = algebra_entails(3, premises, conclusion, jobs=1)
     two = algebra_entails(3, premises, conclusion, jobs=2)
@@ -732,69 +707,27 @@ def test_jobs_two_matches_one_cli(capsys):
     assert sequential["n"] == 3 and {**sequential, "jobs": 2} == parallel
 
 
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records the worker count and runs
-    the chunks in this process."""
+def test_jobs_open_no_pool(monkeypatch, capsys):
+    # --jobs is validated and echoed, and nothing else: the scan starts no
+    # process and reads no CPU count, and the verdict is the same for any
+    # value; the entailed queries scan 2^16 or more homomorphisms at n = 3
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan must run in the calling process")
 
-    workers: list[int] = []
-
-    def __init__(self, max_workers):
-        _FakePool.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-    def shutdown(self, **kwargs):
-        pass
-
-
-def test_pool_capped_at_cpu_count(monkeypatch, capsys):
-    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _FakePool.workers = []
-    assert main(["entail", "--max-n", "3", "--jobs", "64", "P0, P1 |- P0 & P1"]) == 0
-    assert _FakePool.workers == [2]  # only n = 3 has more than 4096 homomorphisms
-    assert json.loads(capsys.readouterr().out)["jobs"] == 64  # the requested value
-
-
-def test_pool_opened_on_the_work_left(monkeypatch, capsys):
-    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _FakePool.workers = []
-    # one variable at n = 4: 65,536 homomorphisms but 3,984 lex-leaders
-    assert main(["entail", "--max-n", "4", "--jobs", "2", "|- P0 -> ~ ~ P0"]) == 0
-    assert _FakePool.workers == []
-    capsys.readouterr()
-    # two variables at n = 3: 80 orbit minima for the first, each with at
-    # most 256 values of the second, in chunks of the first variable's
-    # values; the least countermodel is in the last
-    premises, conclusion = _query("box P0 |- P1")
-    one = _json(algebra_entails(3, premises, conclusion, jobs=1))
-    assert _FakePool.workers == []
-    two = _json(algebra_entails(3, premises, conclusion, jobs=2))
-    assert _FakePool.workers == [2] and not one[0] and one == two
-
-
-def test_cpu_count_read_only_for_a_pool(monkeypatch):
-    # the CPU count is read only when a pool may open: with --jobs above
-    # 1 and work above _LARGE_WORK
-    reads = []
-    monkeypatch.setattr(os, "cpu_count", lambda: reads.append(1) or 2)
-    monkeypatch.setattr(entailment, "ProcessPoolExecutor", _FakePool)
-    _FakePool.workers = []
-    program = entailment._compile_entailment(*_query("box P0 |- P1"))
-    large = entailment._LARGE_WORK + 1
-    whole = entailment._run_scan((program, 3, "all"), 80, large, 1)
-    assert entailment._run_scan((program, 3, "all"), 80, large - 1, 2) == whole
-    assert reads == [] and _FakePool.workers == []
-    assert entailment._run_scan((program, 3, "all"), 80, large, 2) == whole
-    assert reads == [1] and _FakePool.workers == [2]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    for argv in (
+        ["entail", "--max-n", "3", "P0, P1 |- P0 & P1"],
+        ["entail", "--max-n", "3", "box P0 |- P1"],
+        ["lentail", "--max-n", "3", "p0 : P0 & P1 |- p0 : P1 & P0"],
+        ["lentail", "--max-n", "3", "p0 : P0, p1 : P1 |- p0 : P1"],
+    ):
+        verdicts = []
+        for jobs in ("1", "2", "64"):
+            assert main(argv[:1] + ["--jobs", jobs] + argv[1:]) in (0, 1), (argv, jobs)
+            verdicts.append(json.loads(capsys.readouterr().out))
+        assert [v.pop("jobs") for v in verdicts] == [1, 2, 64], argv
+        assert verdicts[0] == verdicts[1] == verdicts[2], argv
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -805,10 +738,9 @@ def test_jobs_below_one_rejected(value, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
-def _wrong_hit(args):
+def _wrong_hit(program, n, class_restriction):
     # a countermodel that cannot replay: every value 0, or the singleton of
     # element 0 for a label atom, and witness element 0
-    program = args[0]
     return (0,) * len(program.variables) + (1,) * len(program.atoms), 0
 
 
