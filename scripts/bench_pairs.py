@@ -18,9 +18,11 @@ the shares.
 
 The parent runs from a temporary export of the files committed at REV
 (`git archive`), removed afterwards; the change runs in this checkout,
-as its files stand.  Every run is made with PYTHONDONTWRITEBYTECODE=1,
-so every cold import compiles the sources.  Nothing under bench/ is read
-but its output.
+as its files stand.  Every run is made with PYTHONDONTWRITEBYTECODE=1
+and its own fresh, empty PYTHONPYCACHEPREFIX, so that no bytecode is
+read or written: every cold import compiles its sources on both sides,
+even where a `__pycache__` lies in the checkout.  Nothing under bench/
+is read but its output.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def run_bench(tree: str, workload: str, seed: int, trace: int) -> dict:
     `share.<layer>`."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.rstrip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"bench/run.py failed in {tree}:\n{done.stderr[-2000:]}")
@@ -169,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "note": "end-to-end times are scaled to the reference host by "
                             "bench/hostspeed.py, traced (per-layer) times are raw. "
-                            "PYTHONDONTWRITEBYTECODE=1, so every cold import compiles src/."},
+                            "PYTHONDONTWRITEBYTECODE=1 and a fresh, empty PYTHONPYCACHEPREFIX "
+                            "per run, so every cold import compiles its sources."},
         "method": f"scripts/bench_pairs.py: end-to-end rows, {args.pairs} pairs of parent and "
                   "change runs per workload and seed, alternating which runs first; median "
                   "and quartiles of each side, and in how many pairs the change read better; "

@@ -17,7 +17,6 @@ and on seeded pairs up to n = 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 MAX_ATOMS = 8
@@ -29,6 +28,14 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def same_fields(a, b) -> bool:
+    """The `__eq__` of a value class: true for another instance of the
+    class whose fields, named in `__slots__`, are equal."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(getattr(a, name) == getattr(b, name) for name in a.__slots__)
 
 
 class Algebra:
@@ -193,16 +200,18 @@ class Algebra:
         return bits
 
 
-@dataclass(frozen=True)
 class Denotation:
     """A member of the powerset of the algebra, as an immutable value."""
 
-    algebra: Algebra
-    bits: int
+    __slots__ = ("algebra", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits <= self.algebra.full:
+    def __init__(self, algebra: Algebra, bits: int):
+        if not 0 <= bits <= algebra.full:
             raise ValueError("denotation bits out of range for the algebra")
+        self.algebra = algebra
+        self.bits = bits
+
+    __eq__ = same_fields
 
     def __contains__(self, element: int) -> bool:
         return self.bits >> element & 1 == 1

@@ -84,10 +84,9 @@ import operator
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, iter_bits
+from .algebra import Algebra, iter_bits, same_fields
 from .errors import BudgetExceededError, EvalError, ReplayError
 from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
@@ -126,15 +125,19 @@ NOTE_FINITE_SCOPE = (
 )
 
 
-@dataclass(frozen=True)
 class Countermodel:
     """A replayable violation: the homomorphism, a witness element in the
     premise intersection but outside the conclusion, and, for labelled
     queries, the label valuation."""
 
-    hom: Homomorphism
-    witness: int
-    labels: LabelValuation | None = None
+    __slots__ = ("hom", "witness", "labels")
+
+    def __init__(self, hom: Homomorphism, witness: int, labels: LabelValuation | None = None):
+        self.hom = hom
+        self.witness = witness
+        self.labels = labels
+
+    __eq__ = same_fields
 
     @property
     def algebra(self) -> Algebra:
@@ -157,14 +160,21 @@ class Countermodel:
         return obj
 
 
-@dataclass(frozen=True)
 class SearchReport:
-    """Outcome of an iterative-deepening countermodel search."""
+    """Outcome of an iterative-deepening countermodel search: its status
+    ("countermodel" | "exhausted" | "budget_exceeded"), the largest size
+    fully scanned, the countermodel found and a note for the verdict."""
 
-    status: str  # "countermodel" | "exhausted" | "budget_exceeded"
-    completed_n: int  # largest size fully scanned
-    countermodel: Countermodel | None = None
-    note: str | None = None
+    __slots__ = ("status", "completed_n", "countermodel", "note")
+
+    def __init__(self, status: str, completed_n: int,
+                 countermodel: Countermodel | None = None, note: str | None = None):
+        self.status = status
+        self.completed_n = completed_n
+        self.countermodel = countermodel
+        self.note = note
+
+    __eq__ = same_fields
 
 
 def local_entails(hom: Homomorphism, premises: Iterable[Formula], conclusion: Formula) -> bool:
@@ -371,12 +381,14 @@ class _Symmetry:
     Permutation 0 is the identity, and a group is the ascending tuple of
     its members' indices.  `tables[i]` maps a denotation to its image
     under permutation i a byte at a time: the low byte through the first
-    array, the high byte (at n = 4) through the second."""
+    list, the high byte (at n = 4) through the second.  Lists, not
+    arrays: indexing a list returns its stored int, where an array boxes
+    a new one each time."""
 
     def __init__(self, n: int):
         self.denotations = 1 << (1 << n)
         self.group = tuple(range(math.factorial(n)))
-        self.tables: list[tuple[array, ...]] = []
+        self.tables: list[tuple[list[int], ...]] = []
         for perm in itertools.permutations(range(n)):
             moves = [0]  # the image of each element, built by doubling over the atoms
             for atom in perm:
@@ -386,9 +398,11 @@ class _Symmetry:
                 table = [0]
                 for m in chunk:
                     table += [t | 1 << m for t in table]
-                tables.append(array("H", table))
+                tables.append(table)
             self.tables.append(tuple(tables))
-        self._minima: dict[tuple[str, tuple[int, ...]], array] = {}
+        self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+        # per group, a column digit's lanes and its packed minima (see _Column)
+        self.columns: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
 
     def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
         """The members of the group that fix the value."""
@@ -404,7 +418,7 @@ class _Symmetry:
             return domain
         found = self._minima.get((kind, group))
         if found is None:
-            found, seen = array("H"), bytearray(self.denotations)
+            found, seen = [], bytearray(self.denotations)
             tables = [self.tables[i] for i in group]
             for value in domain:  # ascending, so the first of an orbit is its least
                 if not seen[value]:
@@ -610,7 +624,9 @@ class _Column:
     """The last digit's level, run once for all the digit's values: each
     slot of the level holds one integer with a lane of w = 2^n bits per
     value, ascending, and each instruction is a few C-level operations
-    on it.  The packed values are kept for the scan, per group."""
+    on it.  A column digit ranges over all denotations, so its values
+    are the minima under its group alone: they are packed once per
+    process and group, and kept in the algebra size's _Symmetry."""
 
     def __init__(self, alg: Algebra, segments, levels: list[int], p: int):
         self.w = alg.size
@@ -619,7 +635,7 @@ class _Column:
             ([(kernel(op, levels[a] == p), dst, a, b) for op, dst, a, b in block], guard)
             for block, guard in segments
         ]
-        self._lanes: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
+        self._lanes = _symmetry(alg.n).columns
 
     def run(self, p: int, values: Sequence[int], group, vals: list, bad: int) -> bool:
         """Run the level for all the values.  A guard is empty when its

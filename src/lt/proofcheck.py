@@ -19,11 +19,11 @@ not discharged by the node itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
 
+from .algebra import same_fields
 from .errors import BudgetExceededError, LTError, load_json
 from .semantics import label_bits
 from .syntax import (
@@ -41,6 +41,7 @@ from .syntax import (
     Label,
     LNot,
     LOr,
+    Node,
     equality_label,
     format_labelled,
     is_core,
@@ -73,19 +74,34 @@ class RuleName(Enum):
     SUB = "Sub"
 
 
-@dataclass(frozen=True)
-class Assume:
-    id: str
-    formula: LabelledFormula
+class Assume(Node):
+    __slots__ = ("id", "formula")
+    KIND = 17
+
+    def __init__(self, id: str, formula: LabelledFormula):
+        self.id = id
+        self.formula = formula
+        self._hash = hash((self.KIND, id, formula._hash))
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: RuleName
-    conclusion: LabelledFormula
-    premises: tuple["Derivation", ...]
-    discharges: tuple[tuple[str, ...], ...] = ()
-    fresh: tuple[int, ...] = ()
+class Rule(Node):
+    __slots__ = ("name", "conclusion", "premises", "discharges", "fresh")
+    KIND = 18
+
+    def __init__(
+        self,
+        name: RuleName,
+        conclusion: LabelledFormula,
+        premises: tuple[Derivation, ...],
+        discharges: tuple[tuple[str, ...], ...] = (),
+        fresh: tuple[int, ...] = (),
+    ):
+        self.name = name
+        self.conclusion = conclusion
+        self.premises = premises
+        self.discharges = discharges
+        self.fresh = fresh
+        self._hash = hash((self.KIND, name, conclusion._hash, premises, discharges, fresh))
 
 
 Derivation = Union[Assume, Rule]
@@ -95,12 +111,21 @@ def conclusion_of(d: Derivation) -> LabelledFormula:
     return d.formula if isinstance(d, Assume) else d.conclusion
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    ok: bool
-    path: tuple[int, ...] | None = None
-    reason: str | None = None  # shape | discharge | freshness | taut | open-assumption
-    message: str | None = None
+    """The verdict of `check`: ok, or the path of the first bad node, the
+    kind of fault (shape | discharge | freshness | taut | open-assumption)
+    and a message."""
+
+    __slots__ = ("ok", "path", "reason", "message")
+
+    def __init__(self, ok: bool, path: tuple[int, ...] | None = None,
+                 reason: str | None = None, message: str | None = None):
+        self.ok = ok
+        self.path = path
+        self.reason = reason
+        self.message = message
+
+    __eq__ = same_fields
 
 
 class _Violation(Exception):
@@ -145,13 +170,18 @@ def taut_oracle(hypotheses: Iterable[Label], target: Label) -> bool:
 # Checker
 
 
-@dataclass
 class _State:
-    ids: dict[str, LabelledFormula] = field(default_factory=dict)
-    # (path, fresh atoms, labels of the instance, opens not discharged here)
-    freshness: list[tuple[tuple[int, ...], tuple[int, int], tuple[Label, Label], dict[str, LabelledFormula]]] = field(
-        default_factory=list
-    )
+    """What a walk collects for the checks made at the root: the formula
+    of each assumption id, and per internal elimination (path, fresh
+    atoms, labels of the instance, opens not discharged there)."""
+
+    __slots__ = ("ids", "freshness")
+
+    def __init__(self):
+        self.ids: dict[str, LabelledFormula] = {}
+        self.freshness: list[
+            tuple[tuple[int, ...], tuple[int, int], tuple[Label, Label], dict[str, LabelledFormula]]
+        ] = []
 
 
 def check(d: Derivation, gamma: Iterable[LabelledFormula]) -> CheckResult:

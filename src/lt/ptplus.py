@@ -25,7 +25,6 @@ H_V.  `pt_eval` stays an independent oracle for the algebra semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Algebra, Denotation, iter_bits
@@ -49,12 +48,14 @@ MAX_K = 3
 MAX_DEPTH = 3  # c_4 = c_3 + 3 c_3^2 formulas: over a million even at k = 0
 
 
-@dataclass(frozen=True)
 class PTDenotation:
     """A set of teams over k variables, as a bitset indexed by team."""
 
-    k: int
-    bits: int
+    __slots__ = ("k", "bits")
+
+    def __init__(self, k: int, bits: int):
+        self.k = k
+        self.bits = bits
 
     def teams(self) -> list[int]:
         return list(iter_bits(self.bits))
@@ -212,15 +213,17 @@ def has_principal_variables(hom: Homomorphism) -> bool:
     return all(d.is_principal_ideal() for d in hom.assignment.values())
 
 
-@dataclass(frozen=True)
 class FMap:
     """The representation map from a principal-variable homomorphism's
     algebra into the valuation model: each atom goes to the valuation
     recording which variable denotations contain its singleton."""
 
-    algebra: Algebra
-    k: int
-    valuations: tuple[int, ...]  # per atom index
+    __slots__ = ("algebra", "k", "valuations")
+
+    def __init__(self, algebra: Algebra, k: int, valuations: tuple[int, ...]):
+        self.algebra = algebra
+        self.k = k
+        self.valuations = valuations  # per atom index
 
     def valuation_of(self, atom: int) -> int:
         return self.valuations[atom]

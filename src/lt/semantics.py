@@ -10,10 +10,9 @@ cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import Algebra, Denotation
+from .algebra import Algebra, Denotation, same_fields
 from .errors import AlgebraMismatchError, EvalError
 from .syntax import (
     Derived,
@@ -39,17 +38,19 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class Homomorphism:
     """Assignment of a denotation to each variable, over a fixed algebra."""
 
-    algebra: Algebra
-    assignment: Mapping[int, Denotation]
+    __slots__ = ("algebra", "assignment")
 
-    def __post_init__(self):
-        for v, d in self.assignment.items():
-            if d.algebra != self.algebra:
+    def __init__(self, algebra: Algebra, assignment: Mapping[int, Denotation]):
+        for v, d in assignment.items():
+            if d.algebra != algebra:
                 raise AlgebraMismatchError(f"assignment for P{v} targets a different algebra")
+        self.algebra = algebra
+        self.assignment = assignment
+
+    __eq__ = same_fields
 
     @classmethod
     def from_bits(cls, algebra: Algebra, bits_by_var: Mapping[int, int]) -> "Homomorphism":
@@ -59,12 +60,16 @@ class Homomorphism:
         return {v: d.bits for v, d in self.assignment.items()}
 
 
-@dataclass(frozen=True)
 class LabelValuation:
     """Assignment of an algebra element to each atomic label."""
 
-    algebra: Algebra
-    assignment: Mapping[int, int]
+    __slots__ = ("algebra", "assignment")
+
+    def __init__(self, algebra: Algebra, assignment: Mapping[int, int]):
+        self.algebra = algebra
+        self.assignment = assignment
+
+    __eq__ = same_fields
 
 
 def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:

@@ -33,7 +33,6 @@ to rewrite comes back as the identical object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -44,7 +43,74 @@ from .errors import ParseError
 # AST types
 
 
-class Formula:
+class Node:
+    """A node of a syntax tree: a formula, a label, a labelled formula, or
+    a step of a derivation (`proofcheck`).
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    its `__init__` stores `_hash`: the hash of its class's fixed `KIND`,
+    its plain fields and its children's stored hashes.  So hashing is
+    O(1), never recurses, and tells node kinds apart.  The hash is stored
+    once, so a field must not be reassigned after construction.  Equality
+    is structural: the same class and hash, then every field pair, walked
+    on an explicit stack.  repr is `Class(field=value, ...)`, built by
+    `formula_repr`, also without recursion."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__slots__:
+                x = getattr(a, name)
+                y = getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Node):
+                    todo.append((x, y))
+                elif type(x) is tuple and x and isinstance(x[0], Node):  # Derived.args, Rule.premises
+                    if type(y) is not tuple or len(x) != len(y):
+                        return False
+                    todo += zip(x, y)
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self):
+        return formula_repr(self)
+
+
+def _nullary_init(self):
+    self._hash = hash((self.KIND,))
+
+
+def _index_init(self, index: int):
+    self.index = index
+    self._hash = hash((self.KIND, index))
+
+
+def _unary_init(self, child):
+    self.child = child
+    self._hash = hash((self.KIND, child._hash))
+
+
+def _binary_init(self, left, right):
+    self.left = left
+    self.right = right
+    self._hash = hash((self.KIND, left._hash, right._hash))
+
+
+class Formula(Node):
     """Base class for formula nodes."""
 
     __slots__ = ()
@@ -62,6 +128,10 @@ class DerivedTag(Enum):
     STRICT_NOT = "~"
     CIRCLE_STAR = "o*"
 
+    # Members are singletons compared by identity, so the identity hash
+    # serves, in C: Enum's own hashes the name in Python on every lookup.
+    __hash__ = object.__hash__
+
 
 ARITY = {
     DerivedTag.EXT_TOP: 0,
@@ -77,105 +147,119 @@ ARITY = {
 }
 
 
-@dataclass(frozen=True)
 class ExtBot(Formula):
-    pass
+    __slots__ = ()
+    KIND = 1
+    __init__ = _nullary_init
 
 
-@dataclass(frozen=True)
 class IntBot(Formula):
-    pass
+    __slots__ = ()
+    KIND = 2
+    __init__ = _nullary_init
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    index: int
+    __slots__ = ("index",)
+    KIND = 3
+    __init__ = _index_init
 
 
-@dataclass(frozen=True)
 class ExtNot(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    KIND = 4
+    __init__ = _unary_init
 
 
-@dataclass(frozen=True)
 class IntNot(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    KIND = 5
+    __init__ = _unary_init
 
 
-@dataclass(frozen=True)
 class ExtOr(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    KIND = 6
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
 class ExtAnd(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    KIND = 7
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
 class IntOr(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    KIND = 8
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
 class IntAnd(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    KIND = 9
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
 class Derived(Formula):
-    tag: DerivedTag
-    args: tuple[Formula, ...] = ()
+    __slots__ = ("tag", "args")
+    KIND = 10
 
-    def __post_init__(self):
-        if len(self.args) != ARITY[self.tag]:
+    def __init__(self, tag: DerivedTag, args: tuple[Formula, ...] = ()):
+        if len(args) != ARITY[tag]:
             raise ValueError(
-                f"derived connective {self.tag.value} takes {ARITY[self.tag]} "
-                f"argument(s), got {len(self.args)}"
+                f"derived connective {tag.value} takes {ARITY[tag]} "
+                f"argument(s), got {len(args)}"
             )
+        self.tag = tag
+        self.args = args
+        self._hash = hash((self.KIND, tag, args))  # each argument's stored hash
 
 
-class Label:
+class Label(Node):
     """Base class for label nodes (classical propositional formulas)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LBot(Label):
-    pass
+    __slots__ = ()
+    KIND = 11
+    __init__ = _nullary_init
 
 
-@dataclass(frozen=True)
 class LAtom(Label):
-    index: int
+    __slots__ = ("index",)
+    KIND = 12
+    __init__ = _index_init
 
 
-@dataclass(frozen=True)
 class LNot(Label):
-    child: Label
+    __slots__ = ("child",)
+    KIND = 13
+    __init__ = _unary_init
 
 
-@dataclass(frozen=True)
 class LOr(Label):
-    left: Label
-    right: Label
+    __slots__ = ("left", "right")
+    KIND = 14
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
 class LAnd(Label):
-    left: Label
-    right: Label
+    __slots__ = ("left", "right")
+    KIND = 15
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True)
-class LabelledFormula:
-    label: Label
-    formula: Formula
+class LabelledFormula(Node):
+    __slots__ = ("label", "formula")
+    KIND = 16
+
+    def __init__(self, label: Label, formula: Formula):
+        self.label = label
+        self.formula = formula
+        self._hash = hash((self.KIND, label._hash, formula._hash))
 
 
 # Core spellings of the derived constants.
@@ -674,27 +758,34 @@ def format_label(a: Label) -> str:
     return out[0]
 
 
-def formula_repr(root) -> str:
-    """repr() of a formula or label, the dataclass repr, built children
-    first without recursion, so that a deep formula prints too."""
+def formula_repr(root: Node) -> str:
+    """repr() of a node, `Class(field=value, ...)` as a dataclass prints
+    it, built children first without recursion, so that a deep tree
+    prints too.  A field holding a node, or a tuple of nodes, is a child."""
+    order, todo = [], [root]
+    while todo:  # node, then its children last first: reversed, children first
+        order.append(node := todo.pop())
+        for name in node.__slots__:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                todo.append(value)
+            elif type(value) is tuple:
+                todo += (v for v in value if isinstance(v, Node))
     out: list[str] = []
-    for node in postorder(root):
-        kind = type(node)
-        name = kind.__name__
-        if kind in _BINARY_NODES:
-            right = out.pop()
-            out[-1] = f"{name}(left={out[-1]}, right={right})"
-        elif kind in _UNARY_NODES:
-            out[-1] = f"{name}(child={out[-1]})"
-        elif kind is Derived:
-            split = len(out) - len(node.args)
-            args, out[split:] = out[split:], ()
-            tail = "," if len(args) == 1 else ""
-            out.append(f"Derived(tag={node.tag!r}, args=({', '.join(args)}{tail}))")
-        elif kind is Var or kind is LAtom:
-            out.append(f"{name}(index={node.index!r})")
-        else:
-            out.append(f"{name}()")
+    for node in reversed(order):
+        fields = []
+        for name in reversed(node.__slots__):
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                text = out.pop()
+            elif type(value) is tuple and value and isinstance(value[0], Node):
+                split = len(out) - len(value)
+                items, out[split:] = out[split:], ()
+                text = f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+            else:
+                text = repr(value)
+            fields.append(f"{name}={text}")
+        out.append(f"{type(node).__name__}({', '.join(reversed(fields))})")
     return out[0]
 
 

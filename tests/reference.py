@@ -240,9 +240,9 @@ def expand_rebuilt(formula):
     definitions in lt.syntax.expand, and every other node built anew."""
     kind = type(formula)
     if kind in _REBUILT:
-        return kind(*map(expand_rebuilt, formula.__dict__.values()))
+        return kind(*(expand_rebuilt(getattr(formula, name)) for name in kind.__slots__))
     if kind is not Derived:
-        return kind(*formula.__dict__.values())
+        return kind(*(getattr(formula, name) for name in kind.__slots__))
     args = [expand_rebuilt(a) for a in formula.args]
     top, nb = ExtNot(ExtBot()), ExtNot(IntBot())
     tag = formula.tag

@@ -93,3 +93,24 @@ def test_the_parent_runs_from_its_commit_and_the_change_from_the_tree(tmp_path, 
     assert units["self_s.cli"] == "s" and units["share.cli"] == "ratio"
     parents = set(exports) - {str(tmp_path)}
     assert len(parents) == 1 and not os.path.exists(parents.pop())
+
+
+_ENV_RUN = '''import json, os, sys
+cache = os.environ.get("PYTHONPYCACHEPREFIX")
+print(json.dumps({"metrics": {}, "cache": cache, "prefix": sys.pycache_prefix,
+                  "empty": os.path.isdir(cache) and not os.listdir(cache),
+                  "no_writes": sys.dont_write_bytecode}))
+'''
+
+
+def test_each_run_compiles_with_its_own_empty_bytecode_cache(tmp_path):
+    """No run reads bytecode: each gets a fresh, empty PYTHONPYCACHEPREFIX,
+    removed afterwards, and writes none, so a `__pycache__` left in one
+    tree cannot make its imports look cheaper than the other's."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(_ENV_RUN)
+    runs = [bench_pairs.run_bench(str(tmp_path), "w", 0, 0) for _ in range(2)]
+    for run in runs:
+        assert run["prefix"] == run["cache"] and run["empty"] and run["no_writes"]
+        assert not os.path.exists(run["cache"])
+    assert runs[0]["cache"] != runs[1]["cache"]

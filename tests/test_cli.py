@@ -244,6 +244,20 @@ class TestCheckProof:
         code, _, err = run(capsys, "check-proof", "no-such-file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("given, code, status", [(False, 1, "violation"), (True, 0, "ok")])
+    def test_deep_assumption_is_looked_up(self, capsys, tmp_path, given, code, status):
+        # `check` looks the 600-deep open assumption up among the given
+        # ones: its hash is stored, and equality walks without recursion
+        lf = "p0 : " + "!" * 600 + "P0"
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps({"assume": lf, "id": "a"}))
+        argv = ["check-proof", str(proof)]
+        if given:
+            (tmp_path / "gamma.txt").write_text(lf + "\n")
+            argv += ["--assumptions", str(tmp_path / "gamma.txt")]
+        got, out, err = run(capsys, *argv)
+        assert (got, json.loads(out)["status"], err) == (code, status, "")
+
 
 class TestPt:
     def test_eval(self, capsys):

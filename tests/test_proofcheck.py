@@ -151,6 +151,9 @@ class TestCorpus:
         for path in self._fixtures():
             d = load_derivation(path)
             assert derivation_from_json(derivation_to_json(d)) == d
+        deep = derivation_from_json(_deep_derivation(1500))
+        back = derivation_from_json(derivation_to_json(deep))
+        assert back is not deep and back == deep and hash(back) == hash(deep)
 
     def test_determinism(self):
         path = CORPUS / "freshness_violation.json"
@@ -419,6 +422,15 @@ class TestJsonShape:
         result = check(derivation_from_json(node), [])
         assert not result.ok and result.reason == "shape" and result.path == (0,) * 1499
 
+    def test_deep_derivation_hash_equality_and_repr(self):
+        d, again = (derivation_from_json(_deep_derivation(1500)) for _ in range(2))
+        other = derivation_from_json(_deep_derivation(1500, leaf_id="v"))
+        assert hash(d) == hash(again) and d == again
+        assert d != other and hash(d) != hash(other)
+        text = repr(d)
+        assert text.count("Rule(name=<RuleName.AND_E_L: 'AndE_L'>, conclusion=LabelledFormula(") == 1500
+        assert text.count("Assume(id='u', formula=") == 1
+
     def test_deep_derivation_to_json_without_recursion(self):
         node = {"assume": "p0 : P0 & P0", "id": "u"}
         for _ in range(1500):
@@ -429,3 +441,11 @@ class TestJsonShape:
             assert (obj["rule"], obj["conclusion"], len(obj["premises"])) == ("AndE_L", "p0 : P1", 1)
             obj = obj["premises"][0]
         assert obj == {"assume": "p0 : P0 & P0", "id": "u"}
+
+
+def _deep_derivation(depth: int, leaf_id: str = "u") -> dict:
+    """`depth` nested AndE_L over one assumption, as JSON."""
+    node = {"assume": "p0 : P0 & P0", "id": leaf_id}
+    for _ in range(depth):
+        node = {"rule": "AndE_L", "conclusion": "p0 : P1", "premises": [node]}
+    return node

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lt.errors import ParseError
 from lt.syntax import (
@@ -21,6 +23,7 @@ from lt.syntax import (
     LBot,
     LNot,
     LOr,
+    Node,
     Var,
     equality_label,
     expand,
@@ -350,5 +353,141 @@ class TestRoundTrip:
         rng = random.Random(seed + 16)
         for _ in range(300):
             f, a = random_formula(rng, 4, 3), random_label(rng, 4, 3)
-            assert formula_repr(f) == repr(f)
-            assert formula_repr(a) == repr(a)
+            lf = LabelledFormula(a, f)
+            for node in (f, a, lf):
+                assert formula_repr(node) == repr(node) == _dataclass_repr(node)
+
+
+def _dataclass_repr(node) -> str:
+    """The repr a frozen dataclass gives a node, written recursively."""
+    def text(value):
+        if isinstance(value, tuple) and value and isinstance(value[0], Node):
+            return "(" + ", ".join(map(text, value)) + ("," if len(value) == 1 else "") + ")"
+        return _dataclass_repr(value) if isinstance(value, Node) else repr(value)
+    fields = ", ".join(f"{name}={text(getattr(node, name))}" for name in type(node).__slots__)
+    return f"{type(node).__name__}({fields})"
+
+
+def _deep(depth: int, leaf=Var(0)):
+    f = leaf
+    for i in range(depth):
+        f = ExtNot(f) if i % 3 else IntOr(Var(i % 4), Derived(DerivedTag.STRICT_NOT, (f,)))
+    return f
+
+
+class TestNodes:
+    """Every node stores a hash of its kind, its plain fields and its
+    children's hashes when it is built; equality and repr walk without
+    recursion."""
+
+    def test_kinds_hash_apart_over_the_same_children(self):
+        a, b = Var(0), Var(1)
+        for group in ([IntOr(a, b), IntAnd(a, b), ExtAnd(a, b), ExtOr(a, b)],
+                      [ExtBot(), IntBot()],
+                      [ExtNot(a), IntNot(a)],
+                      [LOr(LAtom(0), LAtom(1)), LAnd(LAtom(0), LAtom(1))],
+                      [Var(3), LAtom(3)]):
+            assert len({hash(x) for x in group}) == len(group), group
+            for i, x in enumerate(group):
+                assert [x == y for y in group] == [j == i for j in range(len(group))]
+
+    def test_equal_nodes_built_apart(self):
+        f = parse_formula("~P0 -> (P1 i& top) o* ibot")
+        g = parse_formula("~ P0 -> (P1 i& top) o* ibot")
+        assert f is not g and f == g and hash(f) == hash(g) and not f != g
+        assert f != parse_formula("~P0 -> (P1 i& top) o* bot")
+        assert Derived(DerivedTag.UP, (Var(0),)) != Derived(DerivedTag.DOWN, (Var(0),))
+        assert Var(0) != LAtom(0) and Var(0) != 0 and len({Var(0), Var(0), Var(1)}) == 2
+
+    def test_deep_hash_equality_and_repr(self):
+        f, g, other = _deep(1500), _deep(1500), _deep(1500, Var(1))
+        assert hash(f) == hash(g) and f == g and f != other and hash(f) != hash(other)
+        lf = LabelledFormula(LNot(LAtom(0)), f)
+        assert lf == LabelledFormula(LNot(LAtom(0)), g) and hash(lf) == hash(LabelledFormula(LNot(LAtom(0)), g))
+        text = repr(lf)
+        assert text.startswith("LabelledFormula(label=LNot(child=LAtom(index=0)), formula=")
+        assert text.count("ExtNot(child=") == 1000 and text.count("IntOr(left=Var(index=") == 500
+        assert repr(_deep(4)) == _dataclass_repr(_deep(4))
+
+    def test_every_node_class_has_its_own_kind(self):
+        import lt.proofcheck  # noqa: F401 -- Assume and Rule are nodes too
+
+        classes, todo = [], [Node]
+        while todo:
+            classes.append(cls := todo.pop())
+            todo += cls.__subclasses__()
+        kinds = [cls.KIND for cls in classes if "KIND" in vars(cls)]
+        assert len(kinds) == len(set(kinds)) == 18
+
+    def test_derived_keeps_its_arity_check(self):
+        with pytest.raises(ValueError, match="takes 1 argument"):
+            Derived(DerivedTag.BOX, ())
+        with pytest.raises(ValueError, match="takes 0 argument"):
+            Derived(DerivedTag.NB, (Var(0),))
+
+
+# Derandomised property suites: the same examples on every run, and no
+# check that reads the clock (a deadline or the too-slow health check).
+_CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                   suppress_health_check=[HealthCheck.too_slow])
+_TAGS1 = (DerivedTag.DOWN, DerivedTag.UP, DerivedTag.DIAMOND, DerivedTag.BOX, DerivedTag.STRICT_NOT)
+_UNARY = [ExtNot, IntNot] + [lambda x, t=t: Derived(t, (x,)) for t in _TAGS1]
+_BINARY = [ExtOr, ExtAnd, IntOr, IntAnd] + [
+    lambda x, y, t=t: Derived(t, (x, y)) for t in (DerivedTag.IMPLIES, DerivedTag.CIRCLE_STAR)]
+_FORMULAS = st.recursive(
+    st.one_of(st.builds(Var, st.integers(0, 12)),
+              st.sampled_from([ExtBot(), IntBot()] + [Derived(t) for t in (
+                  DerivedTag.EXT_TOP, DerivedTag.INT_TOP, DerivedTag.NB)])),
+    lambda kids: st.one_of(
+        st.builds(lambda op, x: op(x), st.sampled_from(_UNARY), kids),
+        st.builds(lambda op, x, y: op(x, y), st.sampled_from(_BINARY), kids, kids)),
+    max_leaves=24)
+_LABELS = st.recursive(
+    st.one_of(st.just(LBot()), st.builds(LAtom, st.integers(0, 12))),
+    lambda kids: st.one_of(st.builds(LNot, kids),
+                           st.builds(LOr, kids, kids), st.builds(LAnd, kids, kids)),
+    max_leaves=24)
+
+
+def _spine_of(base, ops, depth, unary, binary):
+    """`base` under `depth` operators, taken from `ops` in turn: a unary
+    one, or a binary one with `base` on the side that alternates."""
+    f = base
+    for i in range(depth):
+        kind, op = ops[i % len(ops)]
+        f = unary[op](f) if kind == "unary" else (
+            binary[op](f, base) if i % 2 else binary[op](base, f))
+    return f
+
+
+def _ops(unary, binary):
+    return st.lists(st.one_of(st.tuples(st.just("unary"), st.integers(0, len(unary) - 1)),
+                              st.tuples(st.just("binary"), st.integers(0, len(binary) - 1))),
+                    min_size=1, max_size=4)
+
+
+_DEEP_FORMULAS = st.builds(lambda b, ops, n: _spine_of(b, ops, n, _UNARY, _BINARY),
+                           _FORMULAS, _ops(_UNARY, _BINARY), st.integers(1000, 1600))
+_DEEP_LABELS = st.builds(lambda b, ops, n: _spine_of(b, ops, n, [LNot], [LOr, LAnd]),
+                         _LABELS, _ops([LNot], [LOr, LAnd]), st.integers(1000, 1600))
+
+
+class TestRoundTripProperties:
+    @_CHECKS
+    @given(st.one_of(_FORMULAS, _DEEP_FORMULAS))
+    def test_formulas(self, f):
+        back = parse_formula(format_formula(f))
+        assert back == f and hash(back) == hash(f)
+
+    @_CHECKS
+    @given(st.one_of(_LABELS, _DEEP_LABELS))
+    def test_labels(self, a):
+        back = parse_label(format_label(a))
+        assert back == a and hash(back) == hash(a)
+
+    @_CHECKS
+    @given(_LABELS, st.one_of(_FORMULAS, _DEEP_FORMULAS))
+    def test_labelled(self, a, f):
+        lf = LabelledFormula(a, f)
+        back = parse_labelled(format_labelled(lf))
+        assert back == lf and hash(back) == hash(lf)
