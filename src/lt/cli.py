@@ -74,7 +74,10 @@ def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
             d = Denotation.from_strings(algebra, parts)
         except ValueError as exc:
             raise LTError(str(exc)) from None
-        assignment[int(name[1:])] = d
+        index = int(name[1:])
+        if index in assignment:
+            raise LTError(f"P{index} is assigned more than once")
+        assignment[index] = d
     return Homomorphism(algebra, assignment)
 
 

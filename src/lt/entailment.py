@@ -24,29 +24,33 @@ instructions run only while the premises known so far intersect.
 the scan's kernels: the PT+ sweep of `verify_f_representation` runs the
 enumerated formulas that way, compiled as one program.
 
-The last digit, when it ranges over all denotations at n >= 3, runs as
-one column: once per setting of the earlier digits, each of its
-instructions computes one Python integer holding a lane of w = 2^n bits
-per value of the digit, 8 at n = 3 and 16 at n = 4, the values
+The last digit, when it ranges over all denotations, runs as one
+column at every n: once per setting of the earlier digits, each of its
+instructions computes one Python integer holding a lane of max(8, 2^n)
+bits per value of the digit, 8 up to n = 3 and 16 at n = 4, the values
 ascending.  An external connective is one integer operation on it, a
 value of an earlier level broadcast to every lane by a multiplication.
 Every internal connective is a pointwise image, so int_not, the
 closures, _ANY, and int_and or int_or with one operand fixed distribute
 over union: f(x | y) = f(x) | f(y).  Such an f is known from its images
 of the bytes of a lane, and runs on every lane at once through
-bytes.translate with 256-byte tables, one at n = 3 and four at n = 4
-(Lamport, CACM 1975).  _ALL is the complement of _ANY of the complement.
+bytes.translate with 256-byte tables, one up to n = 3 and four at n = 4
+(Lamport, CACM 1975); below n = 3 a table is padded with zeros past the
+2^(2^n) denotations, which no lane exceeds.  _ALL is the complement of
+_ANY of the complement, within the full carrier of each lane.
 op(x, y) is the union over the elements a of x of op({a}, y): for two
 columns, int_and and int_or join, per a, the translation of y kept to
 the lanes whose x holds a; for a value x, they read row x of a pair
-table at n = 3, and at n = 4 the tables of op({a}, y) joined over x.
+table up to n = 3, and at n = 4 the tables of op({a}, y) joined over x.
+A principal-ideal or label-atom last digit, at most 16 values, steps
+through its values one at a time (see `_scan`).
 A guard is empty when its integer is 0; a lane it empties is empty in
 `bad`, which meets every guard, so the lowest set bit of `bad` is the
 least violation: its lane gives the value and its offset the witness.
 
 Up to n = 3 the other levels read int_not and the closures from the
 same tables, and int_and and int_or from two pair tables built from
-them, indexed by x << 2^n | y; at n = 4 the algebra's kernels run there.
+them, indexed by x << 8 | y; at n = 4 the algebra's kernels run there.
 A scan binds the kernel of an opcode when an instruction first needs
 it, so each table is built on first use, once per process and size.
 The tables hold bytes only.  The scan runs in the calling process, and
@@ -71,8 +75,13 @@ countermodel broke this at digit p, a member of G_p would give one
 equal to it before p and smaller at p.  So it is visited, and as the
 visited assignments keep their order it is the first hit; the witness
 is then computed from it as before.  One variable at n = 4 takes 3,984
-values instead of 65,536.  The cap counts every homomorphism, not only
-the lex-leaders, so budget verdicts do not depend on the reduction.
+values instead of 65,536.  Every permutation fixes the bottom and the
+top element, so the minima over all denotations are found by marking
+orbits over the 2^(2^n - 2) denotations without those two bits: a
+quarter of them.  The minima of a group, and the stabiliser of a value
+in a group, are computed once per process.  The cap counts every
+homomorphism, not only the lex-leaders, so budget verdicts do not depend
+on the reduction.
 """
 
 from __future__ import annotations
@@ -220,6 +229,9 @@ _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # At n = 4 a closure table holds 65,536 entries and a pair table 2^32, so
 # shifts run outside the column, which reads a byte of a lane at a time.
 _TABLE_MAX_N = 3
+# The stabilisers kept per size, at most: one n = 4 variable reaches
+# 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
+_STABILISERS_MAX = 1 << 14
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -387,6 +399,7 @@ class _Symmetry:
 
     def __init__(self, n: int):
         self.denotations = 1 << (1 << n)
+        self.top = self.denotations >> 1  # the bit of the top element
         self.group = tuple(range(math.factorial(n)))
         self.tables: list[tuple[list[int], ...]] = []
         for perm in itertools.permutations(range(n)):
@@ -401,31 +414,49 @@ class _Symmetry:
                 tables.append(table)
             self.tables.append(tuple(tables))
         self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+        self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # per group, a column digit's lanes and its packed minima (see _Column)
         self.columns: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
 
     def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
-        """The members of the group that fix the value."""
-        tables = self.tables
-        return tuple(
-            i for i in group if tables[i][0][value & 255] | tables[i][1][value >> 8] == value
-        )
+        """The members of the group that fix the value, computed once per
+        group and value for the process; the memo is emptied when full."""
+        if len(group) == 1:
+            return group
+        key = group, value
+        found = self._stabilisers.get(key)
+        if found is None:
+            if len(self._stabilisers) >= _STABILISERS_MAX:
+                self._stabilisers.clear()
+            tables = self.tables
+            found = self._stabilisers[key] = tuple(
+                i for i in group if tables[i][0][value & 255] | tables[i][1][value >> 8] == value
+            )
+        return found
 
     def minima(self, kind: str, domain: Sequence[int], group: tuple[int, ...]) -> Sequence[int]:
         """The values of the domain that are least in their orbit under the
-        group, ascending; the domain itself when the group is trivial."""
+        group, ascending; the domain itself when the group is trivial.
+        Over all denotations, only those without the bottom and the top
+        element are marked, and each minimum m among them gives m, m | 1,
+        and the two with the top bit (see the module docstring)."""
         if len(group) == 1:
             return domain
         found = self._minima.get((kind, group))
         if found is None:
-            found, seen = [], bytearray(self.denotations)
+            moved = kind == "all"
+            found, seen = [], bytearray(self.top if moved else self.denotations)
             tables = [self.tables[i] for i in group]
-            for value in domain:  # ascending, so the first of an orbit is its least
+            # ascending, so the first of an orbit is its least
+            for value in range(0, self.top, 2) if moved else domain:
                 if not seen[value]:
                     found.append(value)
                     low, high = value & 255, value >> 8
                     for lows, highs in tables:
                         seen[lows[low] | highs[high]] = 1
+            if moved:  # ascending still: the top bit is the highest
+                found = [v for m in found for v in (m, m | 1)]
+                found += [v | self.top for v in found]
             self._minima[kind, group] = found
         return found
 
@@ -474,8 +505,8 @@ def _kernel(alg: Algebra, op: int):
         return lambda x, _: full if x == full else 0
     if op == _IAND or op == _IOR:
         if n <= _TABLE_MAX_N:
-            table, w = _pair_tables(n)[op == _IOR], alg.size
-            return lambda x, y: table[x << w | y]
+            table = _pair_tables(n)[op == _IOR]
+            return lambda x, y: table[x << 8 | y]
         return alg.int_or if op == _IOR else alg.int_and
     if n <= _TABLE_MAX_N:
         table = _column_tables(n, op)[0]
@@ -490,15 +521,18 @@ _TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
 
 
 class _Lanes:
-    """A column of `count` lanes of w bits, lane i at bits w*i up: its
-    byte length, and the constants its instructions broadcast and mask
-    with.  Packing goes through little-endian bytes, so lane i is
-    x >> w*i & (2^w - 1) on any host."""
+    """A column of `count` lanes, each holding a denotation of `size` =
+    2^n bits in w = max(8, size) bits, lane i at bits w*i up: its byte
+    length, and the constants its instructions broadcast and mask with.
+    `full` is the full carrier in every lane, so a complement keeps each
+    lane below 2^size.  Packing goes through little-endian bytes, so lane
+    i is x >> w*i & (2^w - 1) on any host."""
 
-    def __init__(self, count: int, w: int):
-        self.w, self.length = w, count * w >> 3
-        self.full = (1 << count * w) - 1
-        self.ones = self.full // ((1 << w) - 1)  # 1 in every lane
+    def __init__(self, count: int, size: int):
+        self.w = w = max(8, size)
+        self.length = count * w >> 3
+        self.ones = ((1 << count * w) - 1) // ((1 << w) - 1)  # 1 in every lane
+        self.full = self.ones * ((1 << size) - 1)
         self.low = self.ones * 255  # the low byte of every lane
         self.high = self.low << 8
 
@@ -523,14 +557,17 @@ def _lane_tables(f, w: int) -> tuple[bytes, ...]:
     f(0) = 0, as tables for bytes.translate: per byte k of the input, low
     first, and per byte j of the output, the table whose entry b is byte j
     of f(b << 8k).  f of a lane is the join of these.  Below w = 8 there
-    is one table, of 2^w entries."""
+    is one table, of 2^w entries padded with zeros to the 256 that
+    bytes.translate needs: a lane holds no value of 2^w or more."""
     tables = []
     for shift in range(0, w, 8):
         images = [0]
         for bit in range(shift, min(shift + 8, w)):
             image = f(1 << bit)
             images += [i | image for i in images]
-        tables += [bytes(i >> out & 255 for i in images) for out in range(0, w, 8)]
+        tables += [
+            bytes(i >> out & 255 for i in images).ljust(256, b"\0") for out in range(0, w, 8)
+        ]
     return tuple(tables)
 
 
@@ -541,7 +578,7 @@ def _column_tables(n: int, op: int) -> tuple:
     for each element a, the one place where op({a}, y) is computed.  Each
     is a pointwise image, or for _ANY empty exactly on the empty set, so
     it distributes over union.  Up to n = 3 the first table of each maps
-    a denotation to its image."""
+    a denotation to its image, and has 256 entries."""
     alg = Algebra(n)
     if op in (_IAND, _IOR):
         f = alg.int_and if op == _IAND else alg.int_or
@@ -554,10 +591,12 @@ def _column_tables(n: int, op: int) -> tuple:
 @functools.cache
 def _pair_tables(n: int) -> tuple[bytes, bytes]:
     """int_and and int_or of every pair of denotations at n <= 3, as bytes
-    indexed by x << 2^n | y.  Row x is row x ^ low, for the least member
-    low of x, joined bytewise with the row of {low} from _column_tables:
-    op(x, y) is op(x ^ low, y) | op({low}, y).  A row is kept as one
-    integer whose byte y is op(x, y), so that one | joins two rows."""
+    indexed by x << 8 | y: each row has 256 entries, padded with zeros
+    below n = 3, so that it is a table for bytes.translate.  Row x is row
+    x ^ low, for the least member low of x, joined bytewise with the row
+    of {low} from _column_tables: op(x, y) is op(x ^ low, y) |
+    op({low}, y).  A row is kept as one integer whose byte y is op(x, y),
+    so that one | joins two rows."""
     count = 1 << (1 << n)
     tables = []
     for op in (_IAND, _IOR):
@@ -566,7 +605,7 @@ def _pair_tables(n: int) -> tuple[bytes, bytes]:
         for x in range(1, count):
             low = x & -x
             rows.append(rows[x ^ low] | singles[low.bit_length() - 1])
-        tables.append(b"".join(row.to_bytes(count, "little") for row in rows))
+        tables.append(b"".join(row.to_bytes(256, "little") for row in rows))
     return tables[0], tables[1]
 
 
@@ -587,8 +626,9 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
     value broadcast to every lane.  A unary opcode, or int_and or int_or
     of a value x and a column, translates the lanes through the tables of
     a function that distributes over union: for x, row x of the pair
-    table at n = 3, at n = 4 the joined tables.  int_and and int_or of two
-    columns join, per element a, op({a}, y) in the lanes whose x holds a."""
+    table up to n = 3, at n = 4 the joined tables.  int_and and int_or of
+    two columns join, per element a, op({a}, y) in the lanes whose x
+    holds a."""
     if op <= _XOR:
         f = _EXTERNAL[op]
         if pair:
@@ -599,15 +639,14 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
         if op == _ALL:  # full exactly where not ANY of the complement
             return lambda x, _, lanes: lanes.full ^ lanes.translate(lanes.full ^ x, tables)
         return lambda x, _, lanes: lanes.translate(x, tables)
-    w = alg.size
     if alg.n <= _TABLE_MAX_N and not pair:
         table = _pair_tables(alg.n)[op == _IOR]
-        return lambda x, y, lanes: lanes.translate(y, (table[x << w : x + 1 << w],))
+        return lambda x, y, lanes: lanes.translate(y, (table[x << 8 : x + 1 << 8],))
     singles = _column_tables(alg.n, op)
     if not pair:
         row = _binder(functools.partial(_joined_tables, singles))
         return lambda x, y, lanes: lanes.translate(y, row(x))
-    lane = (1 << w) - 1
+    lane = alg.full  # of one lane
 
     def columns(x, y, lanes):
         out = 0
@@ -622,14 +661,15 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
 
 class _Column:
     """The last digit's level, run once for all the digit's values: each
-    slot of the level holds one integer with a lane of w = 2^n bits per
-    value, ascending, and each instruction is a few C-level operations
-    on it.  A column digit ranges over all denotations, so its values
-    are the minima under its group alone: they are packed once per
-    process and group, and kept in the algebra size's _Symmetry."""
+    slot of the level holds one integer with a lane of max(8, 2^n) bits
+    per value, ascending (see _Lanes), and each instruction is a few
+    C-level operations on it.  A column digit ranges over all
+    denotations, so its values are the minima under its group alone:
+    they are packed once per process and group, and kept in the algebra
+    size's _Symmetry."""
 
     def __init__(self, alg: Algebra, segments, levels: list[int], p: int):
-        self.w = alg.size
+        self.size = alg.size
         kernel = _binder(functools.partial(_column_kernel, alg))
         self.segments = [
             ([(kernel(op, levels[a] == p), dst, a, b) for op, dst, a, b in block], guard)
@@ -646,7 +686,7 @@ class _Column:
         # the digit's values are the minima under the group
         found = self._lanes.get(group)
         if found is None:
-            lanes = _Lanes(len(values), self.w)
+            lanes = _Lanes(len(values), self.size)
             found = self._lanes[group] = lanes, lanes.pack(values)
         lanes, vals[p] = found
         for block, guard in self.segments:
@@ -657,8 +697,9 @@ class _Column:
         hits = vals[bad]
         if not hits:
             return False
-        lane = ((hits & -hits).bit_length() - 1) // self.w
-        vals[p], vals[bad] = values[lane], hits >> lane * self.w & (1 << self.w) - 1
+        w = lanes.w
+        lane = ((hits & -hits).bit_length() - 1) // w
+        vals[p], vals[bad] = values[lane], hits >> lane * w & (1 << w) - 1
         return True
 
 
@@ -680,10 +721,15 @@ def _scan(program: Program, n: int, class_restriction: str):
     domains = _domains(program, alg, class_restriction)
     plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
     # The last digit runs as one column when it ranges over all 2^(2^n)
-    # denotations at n >= 3.  A column of at most 16 values, as at n = 2
-    # or for a principal-ideal or label-atom digit, does not pay for its
-    # set-up, and loses the early stop at a countermodel.
-    column = len(domains) - 1 if n >= 3 and domains and domains[-1][0] == "all" else -1
+    # denotations, at every n.  A principal-ideal or label-atom digit has
+    # at most 16 values and steps through them one at a time.  As columns,
+    # timed warm against this scan on the benchmark's commands (2 vCPUs,
+    # Python 3.11), principal-ideal queries ran 8% slower in all, from 5%
+    # faster to 24% slower per command, as each i& or i| of two columns
+    # runs 2^n translations; label-atom columns made `lentail` searches to
+    # n = 3 20-35% faster, but those that stop by n = 2 within 3% or 4-15%
+    # slower.
+    column = len(domains) - 1 if domains and domains[-1][0] == "all" else -1
     levels: list = [
         [([(kernel(op), dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
         for segments in (plan[:-1] if column >= 0 else plan)

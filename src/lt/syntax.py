@@ -561,7 +561,12 @@ class _Parser:
                 if make is None:
                     self.i = i
                     raise self.unexpected(grammar.atom_expect)
-                value = leaves[texts[i]] = make(texts[i])
+                try:
+                    value = leaves[texts[i]] = make(texts[i])
+                except ValueError:  # an index with more digits than int() reads
+                    self.i, digits = i, len(texts[i]) - 1
+                    message = f"index of {texts[i][0]}<{digits} digits> is too large"
+                    raise self.error(message) from None
             i += 1
             while True:  # close the operand in its level, and each level it completes
                 while prefixes:

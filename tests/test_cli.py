@@ -72,6 +72,22 @@ class TestEval:
         assert code == 2
         assert "P0" in err
 
+    @pytest.mark.parametrize("second", ["P1=[]", "P01=[00]", " P1 = [11]"])
+    def test_repeated_assign_target_is_error(self, capsys, second):
+        # the second assignment to a variable does not silently win
+        first = ["eval", "--n", "2", "--assign", "P1=[00]", "--assign"]
+        code, out, err = run(capsys, *first, second, "P1")
+        assert (code, out, err) == (2, "", "error: P1 is assigned more than once\n")
+        code, out, _ = run(capsys, *first, "P0=[]", "P1")
+        assert code == 0 and json.loads(out)["denotation"] == ["00"]
+
+    def test_oversized_variable_index_is_a_syntax_error(self, capsys):
+        code, out, err = run(capsys, "entail", "|- P" + "7" * 5000)
+        assert (code, out) == (2, "")
+        assert err == "syntax error at offset 3: index of P<5000 digits> is too large\n"
+        code, out, err = run(capsys, "lentail", "p" + "7" * 5000 + " : P0 |- p0 : P0")
+        assert (code, out) == (2, "") and err.startswith("syntax error at offset 0: index of p<")
+
 
 class TestEntail:
     def test_countermodel_verdict_bytes(self, capsys):

@@ -1,12 +1,14 @@
 """The column's lane kernels against the Algebra methods.
 
-From n = 3 the scan's last digit runs as one integer with a lane of 2^n
+The scan's last digit runs as one integer with a lane of max(8, 2^n)
 bits per value.  Every column opcode is checked here lane by lane
-against the Algebra method it stands for, applied to one value: at
+against the Algebra method it stands for, applied to one value: up to
 n = 3 on every denotation and, for the forms with a value operand,
 every value, and at n = 4 on every denotation for the unary opcodes and
-on seeded operands for the rest.  The reference reads none of the
-scan's tables.
+on seeded operands for the rest.  Below n = 3 a lane of 8 bits holds a
+denotation of 1, 2 or 4 bits, and the complements that _ALL and an
+_XOR with the full carrier take must leave the bits above it clear.
+The reference reads none of the scan's tables.
 """
 
 import operator
@@ -44,7 +46,7 @@ def _scalar(alg: Algebra) -> list:
 
 def _run(op, pair, alg, x, y, lanes, count):
     kernel = entailment._column_kernel(alg, op, pair)
-    return _decode(kernel(x, y, lanes), count, alg.size)
+    return _decode(kernel(x, y, lanes), count, lanes.w)
 
 
 @pytest.mark.parametrize("w", [8, 16])
@@ -76,30 +78,42 @@ def test_pack_swaps_on_a_big_endian_host(monkeypatch, w):
         assert _decode(_Lanes(3, w).pack(values), 3, w) == [swap(v) for v in values]
 
 
-@pytest.mark.parametrize("pair", [False, True])
-def test_n3_every_opcode_on_every_denotation(pair):
+def _every_opcode_on_every_denotation(n, pair):
     """With pair false, the forms on a value and a column, for every
     value; with pair true, the forms on two columns, over every pair.  A
     unary opcode reads one column under either flag."""
-    alg = Algebra(3)
+    alg = Algebra(n)
     scalar = _scalar(alg)
-    domain = range(256)
-    lanes = _Lanes(256, 8)
+    domain = range(alg.full + 1)
+    count, w = len(domain), max(8, alg.size)
+    lanes = _Lanes(count, alg.size)
+    assert lanes.w == w and _decode(lanes.full, count, w) == [alg.full] * count
     column = lanes.pack(domain)
     for op in UNARY:
-        got = _run(op, pair, alg, column, column, lanes, 256)
+        got = _run(op, pair, alg, column, column, lanes, count)
         assert got == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
         if not pair:
             for x in domain:
-                got = _run(op, False, alg, x, column, lanes, 256)
+                got = _run(op, False, alg, x, column, lanes, count)
                 assert got == [scalar[op](x, y) for y in domain], (op, x)
             continue
-        # lane i pairs (i + k) % 256 with i
+        # lane i pairs (i + k) % count with i
         for k in domain:
-            xs = [(y + k) % 256 for y in domain]
-            got = _run(op, True, alg, lanes.pack(xs), column, lanes, 256)
+            xs = [(y + k) % count for y in domain]
+            got = _run(op, True, alg, lanes.pack(xs), column, lanes, count)
             assert got == list(map(scalar[op], xs, domain)), (op, k)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_n3_every_opcode_on_every_denotation(pair):
+    _every_opcode_on_every_denotation(3, pair)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_small_lanes_every_opcode_on_every_denotation(n, pair):
+    _every_opcode_on_every_denotation(n, pair)
 
 
 def test_n4_unary_opcodes_on_every_denotation():

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -452,6 +453,92 @@ def test_orbit_counts_by_burnside():
     assert burnside(2, ["all", "all"]) == 160 and burnside(3, ["all", "all"]) == 13056
 
 
+def _images(n: int) -> list[list[int]]:
+    """Per atom permutation, in the order of `_atom_perms`, the image of
+    every denotation, joined from the images of its low and high byte."""
+    out = []
+    for perm in _atom_perms(n):
+        halves = []
+        for elements in (perm[:8], perm[8:]):
+            table = [0]
+            for e in elements:
+                table += [t | 1 << e for t in table]
+            halves.append(table)
+        low, high = halves
+        out.append([low[v & 255] | high[v >> 8] for v in range(1 << (1 << n))])
+    return out
+
+
+def _least_in_orbit(images: list[list[int]], group, domain) -> list[int]:
+    """By definition: the values v of the domain with v <= g(v) for every
+    member g of the group, ascending."""
+    return sorted(v for v in domain if all(v <= images[g][v] for g in group))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_minima_of_the_full_group_by_definition(n):
+    sym, images = entailment._Symmetry(n), _images(n)
+    domain = range(1 << (1 << n))
+    least = [True] * len(domain)
+    for image in images:
+        least = list(map(operator.and_, least, map(operator.le, domain, image)))
+    assert list(sym.minima("all", domain, sym.group)) == list(itertools.compress(domain, least))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_minima_and_stabilisers_of_every_group_reached(n):
+    # from the full group, the stabiliser of every value, and of every
+    # value under each group so reached: each is the definitional one,
+    # and the memoised tuple is the one that a fresh _Symmetry computes
+    sym, images, kinds = entailment._symmetry(n), _images(n), _kinds(n)
+    groups, todo = {sym.group}, [sym.group]
+    while todo:
+        group = todo.pop()
+        for kind, domain in kinds.items():
+            got = list(sym.minima(kind, domain, group))
+            assert got == _least_in_orbit(images, group, domain), (kind, group)
+        for v in kinds["all"]:
+            inner = sym.stabiliser(group, v)
+            assert inner == tuple(g for g in group if images[g][v] == v), (group, v)
+            assert sym.stabiliser(group, v) is inner
+            assert entailment._Symmetry(n).stabiliser(group, v) == inner
+            if inner not in groups:
+                groups.add(inner)
+                todo.append(inner)
+    assert len(groups) == {0: 1, 1: 1, 2: 2, 3: 5}[n]  # S3 and its three transpositions
+
+
+def test_stabiliser_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(entailment, "_STABILISERS_MAX", 10)
+    sym, images = entailment._Symmetry(3), _images(3)
+    for v in range(256):
+        assert sym.stabiliser(sym.group, v) == tuple(g for g in sym.group if images[g][v] == v)
+        assert len(sym._stabilisers) <= 10
+    assert sym.stabiliser((0,), 5) == (0,) and len(sym._stabilisers) <= 10
+
+
+def test_n4_minima_mark_only_the_moved_elements(monkeypatch):
+    # every permutation fixes the bottom and the top element, so the
+    # orbits are marked over the 2^14 denotations without either of them
+    reads, writes = [], []
+
+    class Counting(bytearray):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+        def __setitem__(self, i, v):
+            writes.append(i)
+            super().__setitem__(i, v)
+
+    monkeypatch.setattr(entailment, "bytearray", Counting, raising=False)
+    sym = entailment._Symmetry(4)
+    found = sym.minima("all", range(1 << 16), sym.group)
+    assert len(reads) == 1 << 14 and len(found) == 3984
+    assert reads == list(range(0, 1 << 15, 2)) and max(writes) < 1 << 15
+    assert not any(v & (1 | 1 << 15) for v in writes)
+
+
 def test_conclusion_skipped_under_empty_intersection(monkeypatch):
     # the premises are intersected in order, before the conclusion, at the
     # innermost level too; here it is empty for every assignment
@@ -463,8 +550,8 @@ def test_conclusion_skipped_under_empty_intersection(monkeypatch):
         assert algebra_entails(2, *_query(text))[0]
 
 
-# -- the column: from n = 3, a last digit that ranges over all denotations
-# runs once for all its values, each instruction over one integer with a
+# -- the column: a last digit that ranges over all denotations runs once
+# for all its values, at every n, each instruction over one integer with a
 # lane per value
 
 # The least countermodel's last value is at the first, a middle (41 of
@@ -543,13 +630,79 @@ def test_column_least_hit(monkeypatch, text, where):
         calls = _column_calls(monkeypatch)
         got = _json(algebra_entails(n, premises, conclusion))
         assert got == brute(n, premises, conclusion), n
-        assert bool(calls) == (n == 3)  # a column holds up to 256 values at n = 3, 16 at n = 2
-    values = [ref.to_bits(frozenset(int(e, 2) for e in d)) for d in got[1]["assignment"].values()]
-    sym = entailment._symmetry(3)
-    group = sym.stabiliser(sym.group, values[0]) if len(values) == 2 else sym.group
-    column = list(sym.minima("all", range(256), group))
+        assert calls  # a last digit over all denotations is a column at every n
+    assert _column_place(got[1]) == where
+
+
+def _column_place(cm: dict) -> str:
+    """Where the last value of a countermodel lies in its column, the
+    orbit minima under the group that fixes the values before it."""
+    n = cm["n"]
+    values = [ref.to_bits(frozenset(int(e or "0", 2) for e in d))
+              for d in cm["assignment"].values()]
+    sym, group = entailment._symmetry(n), entailment._symmetry(n).group
+    for value in values[:-1]:
+        group = sym.stabiliser(group, value)
+    column = list(sym.minima("all", range(1 << (1 << n)), group))
     index = column.index(values[-1])
-    assert where == ("first" if index == 0 else "last" if index == len(column) - 1 else "middle")
+    return "first" if index == 0 else "last" if index == len(column) - 1 else "middle"
+
+
+# Up to n = 2 a column has 2, 4 or 12 values for one variable (the
+# groups at n <= 1 are trivial); every place of the least hit is reached
+# with one, two and three variables, and the entailed queries run every
+# lane of every column.
+SMALL_COLUMNS = [
+    "|- P0",
+    "box P0 |- ibot",
+    "box (P0 -> ibot), box (ibot -> P0) |- bot",
+    "dia P0 |- P0",
+    "|- P0 | P1",
+    "box P1 |- P0 & !P0",
+    "box (P1 -> ibot), box (ibot -> P1) |- P0",
+    "dia P1 |- (P1 i& P0) | (P1 i| P0)",
+    "|- P0 | P1 | P2",
+    "box P2 |- P0 | P1",
+    "box (P2 -> ibot), box (ibot -> P2) |- P0 | P1",
+    "P0 i| P1 |- P1 i| P0 i| P2",
+    "|- P0 | !P0",
+    "P0, P1 |- P0 & P1",
+    "P0 i& P1 |- P1 i& P0",
+    "dia (P1 & nb), P0 i& P1 |- (P0 i| P1) i| top",
+    "P0 & P1, P2 |- (P0 & P2) & P1",
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_small_columns_against_brute_force(monkeypatch, n):
+    places = {}
+    for text in SMALL_COLUMNS:
+        premises, conclusion = _query(text)
+        calls = _column_calls(monkeypatch)
+        got = _json(algebra_entails(n, premises, conclusion))
+        assert got == brute(n, premises, conclusion), (text, n)
+        assert calls, text
+        if got[1] is not None:
+            places.setdefault(_column_place(got[1]), set()).add(len(got[1]["assignment"]))
+    # n = 0 has two denotations, so no middle
+    reached = ("first", "last") if n == 0 else ("first", "middle", "last")
+    assert places == {place: {1, 2, 3} for place in reached}
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_principal_and_label_atom_digits_stay_scalar(monkeypatch, n):
+    calls = _column_calls(monkeypatch)
+    query = _query("P0 i| P1 |- P1 i& P0")
+    assert _json(algebra_entails(n, *query, "principal_variables")) == brute(
+        n, *query, "principal_variables"
+    )
+    labelled = parse_labelled_query("p0 : P0, p1 : P0 i| P1 |- p0 & p1 : P1")
+    assert _json(labelled_entails(n, *labelled)) == brute_labelled(n, *labelled)
+    assert not calls
+    # with no label atom the last digit of a labelled query is a variable
+    labelled = parse_labelled_query("F : P0 |- F : P1")
+    assert _json(labelled_entails(n, *labelled)) == brute_labelled(n, *labelled)
+    assert calls
 
 
 def test_column_guards_cut_the_column(monkeypatch):

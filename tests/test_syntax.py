@@ -100,6 +100,29 @@ class TestParseExamples:
         with pytest.raises(ParseError):
             parse_formula("P0 P1")
 
+    @pytest.mark.parametrize(
+        "parse, prefix, suffix",
+        [
+            (parse_formula, "P0 & ", ""),
+            (parse_formula, "(", " | P1)"),
+            (parse_label, "p0 | ", ""),
+            (parse_labelled, "", " : P0"),
+            (parse_labelled, "p0 : ! ", ""),
+        ],
+    )
+    def test_oversized_index(self, parse, prefix, suffix):
+        # past the digits that int() reads, an index is a syntax error at
+        # its token, with the letter and the digit count, not a ValueError
+        letter = "p" if parse is parse_label or not prefix else "P"
+        text = prefix + letter + "1" * 5000 + suffix
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == len(prefix)
+        assert str(err.value) == (
+            f"syntax error at offset {len(prefix)}: index of {letter}<5000 digits> is too large"
+        )
+        assert parse(prefix + letter + "1" * 4000 + suffix)  # within the limit
+
     # The error of each path through the lexer and the parser, as the
     # recursive-descent parser reported it: message, offset and expected set.
     @pytest.mark.parametrize(
