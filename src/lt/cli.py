@@ -55,6 +55,18 @@ def _elapsed_field(obj: dict, started: float, timing: bool) -> dict:
     return obj
 
 
+def _variable_index(name: str, where: str) -> int:
+    """The index of a variable named P<digits>, ASCII digits only, as the
+    lexer reads them; an error names `where` the name was given."""
+    digits = name[1:]
+    if not name.startswith("P") or not (digits.isascii() and digits.isdigit()):
+        raise LTError(f"bad variable name {name!r} in {where}; use P<digits>")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise LTError(f"index of P<{len(digits)} digits> in {where} is too large") from None
+
+
 def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
     assignment: dict[int, Denotation] = {}
     for spec in specs:
@@ -62,9 +74,7 @@ def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
         if not spec:
             continue
         name, _, value = spec.partition("=")
-        name = name.strip()
-        if not name.startswith("P") or not name[1:].isdigit():
-            raise LTError(f"bad assignment target {name!r}; use P<digits>=[bits,...]")
+        index = _variable_index(name.strip(), "--assign")
         value = value.strip()
         if not (value.startswith("[") and value.endswith("]")):
             raise LTError(f"bad assignment value {value!r}; use e.g. [01,10] or []")
@@ -74,7 +84,6 @@ def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
             d = Denotation.from_strings(algebra, parts)
         except ValueError as exc:
             raise LTError(str(exc)) from None
-        index = int(name[1:])
         if index in assignment:
             raise LTError(f"P{index} is assigned more than once")
         assignment[index] = d
@@ -210,11 +219,10 @@ def _load_hom_file(path: str) -> Homomorphism:
     if not isinstance(entries, dict):
         raise LTError("assignment in homomorphism file must be a JSON object")
     for name, bits in entries.items():
-        if not name.startswith("P") or not name[1:].isdigit():
-            raise LTError(f"bad variable name {name!r} in homomorphism file")
+        index = _variable_index(name, f"homomorphism file {path}")
         if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
             raise LTError(f"denotation of {name} must be a list of element strings")
-        assignment[int(name[1:])] = Denotation.from_strings(algebra, bits)
+        assignment[index] = Denotation.from_strings(algebra, bits)
     return Homomorphism(algebra, assignment)
 
 

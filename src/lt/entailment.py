@@ -7,7 +7,9 @@ but not in the conclusion's.
 
 A query is compiled once, for every algebra size, into a `Program`: one
 children-first instruction list in which each shared subterm is stored
-once (hash-consing).  `!bot` folds to the full-carrier constant, and an
+once (hash-consing).  Each formula and label is walked once, a
+`syntax.fold` into `Program.node`, and each derived connective compiles
+as `expand` spells it, with no expanded tree built.  `!bot` folds to the full-carrier constant, and an
 internal meet or join with it compiles to a closure opcode, since
 int_and(x, full) = down_closure(x) and int_or(x, full) = up_closure(x).
 Each instruction is tagged with the position of the last variable or
@@ -108,18 +110,14 @@ from .syntax import (
     Formula,
     IntAnd,
     IntBot,
-    IntNot,
     IntOr,
     LabelledFormula,
     LAnd,
     LAtom,
     LBot,
-    LNot,
     LOr,
     Var,
-    expand,
-    free_vars,
-    label_atoms,
+    fold,
     postorder,
 )
 
@@ -245,9 +243,10 @@ class Program:
     -1 for none.  A guard slot holds the intersection of a prefix of the
     premises, and `bad` the premise intersection minus the conclusion."""
 
-    def __init__(self, variables, atoms, labelled: bool):
-        self.variables = tuple(sorted(frozenset().union(*variables)))
-        self.atoms = tuple(sorted(frozenset().union(*atoms)))
+    def __init__(self, trees: Iterable[list], labelled: bool):
+        leaves = {(type(f), f.index) for nodes in trees for f in nodes if type(f) in (Var, LAtom)}
+        self.variables = tuple(sorted(i for kind, i in leaves if kind is Var))
+        self.atoms = tuple(sorted(i for kind, i in leaves if kind is LAtom))
         self.labelled = labelled
         self.positions = {
             **{(Var, v): i for i, v in enumerate(self.variables)},
@@ -291,20 +290,10 @@ class Program:
             return full if child == zero else self.emit(_XOR, full, child)
         return self.emit(_INOT, child, child)  # IntNot, LNot
 
-    def term(self, root) -> int:
-        """The slot of an expanded formula or a label, compiled children
-        first without recursion."""
-        out: list[int] = []
-        for node in postorder(root):
-            kind = type(node)
-            if kind is Var or kind is LAtom:
-                out.append(self.positions[kind, node.index])
-            elif kind is Derived:
-                raise EvalError(f"derived connective {node.tag.value} in a compiled query")
-            else:
-                split = len(out) - (2 if kind in _BINARY else 0 if kind in _LEAVES else 1)
-                out[split:] = [self.node(kind, *out[split:])]
-        return out[0]
+    def term(self, nodes: list) -> int:
+        """The slot of a formula or a label from its `postorder` list: one
+        `fold` into the program, derived connectives as `expand` spells them."""
+        return fold(nodes, lambda leaf: self.positions[type(leaf), leaf.index], self.node)
 
     def run(self, alg: Algebra, env: Mapping[int, int]) -> list[int]:
         """The value of every slot of a program without label atoms at one
@@ -362,20 +351,20 @@ class Program:
 def _compile_entailment(premises, conclusion, filters=()) -> Program:
     """Compile premises |- conclusion.  A filter acts as a premise that
     admits a homomorphism only where it denotes the full carrier."""
-    core = [expand(f) for f in (*filters, *premises, conclusion)]
-    c = Program(map(free_vars, core), (), labelled=False)
-    for i, f in enumerate(core[:-1]):
-        slot = c.term(f)
+    trees = [postorder(f) for f in (*filters, *premises, conclusion)]
+    c = Program(trees, labelled=False)
+    for i, nodes in enumerate(trees[:-1]):
+        slot = c.term(nodes)
         c.premise(c.emit(_ALL, slot, slot) if i < len(filters) else slot)
-    return c.conclude(c.term(core[-1]))
+    return c.conclude(c.term(trees[-1]))
 
 
 def _compile_labelled(gamma, conclusion) -> Program:
     """Compile a labelled entailment: a premise a : phi holds where a's
     element lies in phi's denotation, and the conclusion b : psi fails at
     b's element when that lies outside psi's denotation."""
-    query = [(lf.label, expand(lf.formula)) for lf in (*gamma, conclusion)]
-    c = Program((free_vars(f) for _, f in query), (label_atoms(a) for a, _ in query), True)
+    query = [(postorder(lf.label), postorder(lf.formula)) for lf in (*gamma, conclusion)]
+    c = Program(itertools.chain.from_iterable(query), labelled=True)
     *premises, (b, psi) = query
     for a, f in premises:
         meet = c.emit(_AND, c.term(f), c.term(a))
@@ -713,12 +702,10 @@ def _run(segments, vals: list[int]) -> bool:
     return True
 
 
-def _scan(program: Program, n: int, class_restriction: str):
-    """The kernel.  Scan the lex-leader assignments in canonical order,
-    and return the least violating one as (position values, witness
-    element), or None."""
-    alg = Algebra(n)
-    domains = _domains(program, alg, class_restriction)
+def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]]]):
+    """The kernel.  Scan the lex-leader assignments of each position's
+    domain in canonical order, and return the least violating one as
+    (position values, witness element), or None."""
     plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
     # The last digit runs as one column when it ranges over all 2^(2^n)
     # denotations, at every n.  A principal-ideal or label-atom digit has
@@ -737,7 +724,7 @@ def _scan(program: Program, n: int, class_restriction: str):
     if column >= 0:
         levels.append(_Column(alg, plan[-1], program.levels, column))
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
-    sym = _symmetry(n)
+    sym = _symmetry(alg.n)
     state = (domains, sym, levels, vals, program.bad, column)
     if _run(levels[0], vals) and (_odometer(state) if domains else vals[program.bad]):
         bad = vals[program.bad]
@@ -784,7 +771,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, total=total)
-    hit = _scan(program, n, class_restriction)
+    hit = _scan(program, alg, domains)
     if hit is None:
         return None
     values, witness = hit

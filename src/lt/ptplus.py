@@ -40,12 +40,11 @@ from .syntax import (
     IntBot,
     IntOr,
     Var,
-    expand,
     postorder,
 )
 
 MAX_K = 3
-MAX_DEPTH = 3  # c_4 = c_3 + 3 c_3^2 formulas: over a million even at k = 0
+MAX_DEPTH = 3  # c_4 = c_3 + 3(c_3^2 - c_2^2) formulas: over a million even at k = 0
 
 
 class PTDenotation:
@@ -262,21 +261,24 @@ def f_map(hom: Homomorphism, k: int) -> FMap:
 def _pt_dag(k: int, depth: int) -> tuple[tuple[Formula, ...], Program, tuple[int, ...]]:
     """All PT+ formulas over variables below k up to the given depth,
     children shared, compiled into one `Program`, and each formula's slot
-    in it.  A leaf compiles through its expansion, and each connective of
-    the enumeration is one node over its operands' slots, so formulas
-    equal up to the order of a connective's operands share a slot."""
+    in it.  A leaf compiles from its `postorder` list, and each connective
+    of the enumeration is one node over its operands' slots, so formulas
+    equal up to the order of a connective's operands share a slot.  A
+    depth combines only the pairs with an operand of the depth before."""
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     formulas: list[Formula] = []
     for i in range(k):
         formulas += Var(i), Derived(DerivedTag.STRICT_NOT, (Var(i),))
     formulas += IntBot(), Derived(DerivedTag.NB)
-    program = Program([range(k)], (), labelled=False)
-    slots = [program.term(expand(leaf)) for leaf in formulas]
+    leaves = [postorder(leaf) for leaf in formulas]
+    program = Program(leaves, labelled=False)
+    slots = [program.term(nodes) for nodes in leaves]
+    previous = 0
     for _ in range(depth - 1):
-        previous = len(formulas)
+        fresh, previous = previous, len(formulas)  # the last depth is formulas[fresh:previous]
         for li in range(previous):
-            for ri in range(previous):
+            for ri in range(0 if li >= fresh else fresh, previous):
                 for kind in (IntOr, ExtAnd, ExtOr):
                     formulas.append(kind(formulas[li], formulas[ri]))
                     slots.append(program.node(kind, slots[li], slots[ri]))

@@ -1,21 +1,23 @@
 """Evaluation of formulas under homomorphisms into powerset algebras.
 
 A homomorphism fixes an algebra and a denotation for each propositional
-variable; it then determines the value of every formula compositionally.
-The default path expands derived connectives to core syntax first; the
-native path computes them directly at the set level (closures, strict
+variable; it then determines the value of every formula compositionally,
+in one `syntax.fold` into the algebra's operations.  The default path
+computes each derived connective through its core spelling in that walk;
+the native path computes them directly at the set level (closures, strict
 negation, the two-case modal operators) and exists so the two can be
 cross-checked.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Mapping
 
 from .algebra import Algebra, Denotation, same_fields
 from .errors import AlgebraMismatchError, EvalError
 from .syntax import (
-    Derived,
     DerivedTag,
     ExtAnd,
     ExtBot,
@@ -26,14 +28,14 @@ from .syntax import (
     IntBot,
     IntNot,
     IntOr,
-    LAtom,
+    LAnd,
     Label,
     LabelledFormula,
     LBot,
     LNot,
     LOr,
     Var,
-    expand,
+    fold,
     postorder,
 )
 
@@ -73,52 +75,38 @@ class LabelValuation:
 
 
 def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:
-    """Evaluate a core formula to a denotation bitset.  env maps variable
-    indices to denotation bitsets; unbound variables are an error."""
+    """Evaluate a formula to a denotation bitset, each derived connective
+    through its core spelling.  env maps variable indices to denotation
+    bitsets; unbound variables are an error."""
     return _eval_bits(algebra, env, formula, False)
 
 
 def _eval_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula, native: bool) -> int:
-    """The one tree walker, children first without recursion: derived
-    connectives are computed directly at the set level when native is
-    set, and are an error otherwise."""
-    out: list[int] = []
-    full = algebra.full
-    for f in postorder(formula):
-        kind = type(f)
-        if kind is Var:
-            try:
-                out.append(env[f.index])
-            except KeyError:
-                raise EvalError(f"unbound variable P{f.index}") from None
-        elif kind is ExtNot:
-            out[-1] ^= full
-        elif kind is ExtAnd:
-            right = out.pop()
-            out[-1] &= right
-        elif kind is ExtOr:
-            right = out.pop()
-            out[-1] |= right
-        elif kind is IntAnd:
-            right = out.pop()
-            out[-1] = algebra.int_and(out[-1], right)
-        elif kind is IntOr:
-            right = out.pop()
-            out[-1] = algebra.int_or(out[-1], right)
-        elif kind is IntNot:
-            out[-1] = algebra.int_not(out[-1])
-        elif kind is ExtBot:
-            out.append(0)
-        elif kind is IntBot:
-            out.append(algebra.int_bot())
-        else:
-            assert kind is Derived
-            if not native:
-                raise EvalError(f"derived connective {f.tag.value} in core evaluation; expand first")
-            split = len(out) - len(f.args)
-            args, out[split:] = out[split:], ()
-            out.append(_native(algebra, f.tag, args))
-    return out[0]
+    """One `fold` of the formula into the algebra's operations, each
+    derived connective through its core spelling, or at the set level by
+    `_native` when native is set."""
+    ops = {
+        ExtBot: lambda: 0, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
+        ExtAnd: operator.and_, ExtOr: operator.or_, IntAnd: algebra.int_and,
+        IntOr: algebra.int_or, IntNot: algebra.int_not,
+    }
+    build = lambda kind, *children: ops[kind](*children)
+    variable = _lookup(env, "variable P")
+    if native:
+        return fold(postorder(formula), variable, build, lambda tag, args, _: _native(algebra, tag, args))
+    return fold(postorder(formula), variable, build)
+
+
+def _lookup(env: Mapping[int, int], unbound: str):
+    """A fold's leaf: the value in env of a variable's or label atom's
+    index, and an error naming it, after `unbound`, if it has none."""
+    def leaf(node) -> int:
+        try:
+            return env[node.index]
+        except KeyError:
+            raise EvalError(f"unbound {unbound}{node.index}") from None
+
+    return leaf
 
 
 def _native(algebra: Algebra, tag: DerivedTag, args: list[int]) -> int:
@@ -155,8 +143,9 @@ def evaluate(
 ) -> Denotation:
     """The denotation of the formula under the homomorphism.
 
-    By default derived connectives are expanded to core syntax first;
-    with native_derived=True they are computed directly at the set level.
+    By default each derived connective is computed through its core
+    spelling, in the same walk; with native_derived=True it is computed
+    directly at the set level.
     An optional cache (valid for this homomorphism only) makes repeated
     evaluation over shared subformulas cheap.
     """
@@ -164,8 +153,7 @@ def evaluate(
         hit = cache.get(formula)
         if hit is not None:
             return hit
-    tree = formula if native_derived else expand(formula)
-    out = Denotation(hom.algebra, _eval_bits(hom.algebra, hom.bits_env(), tree, native_derived))
+    out = Denotation(hom.algebra, _eval_bits(hom.algebra, hom.bits_env(), formula, native_derived))
     if cache is not None:
         cache[formula] = out
     return out
@@ -177,25 +165,11 @@ def eval_label(valuation: LabelValuation, label: Label) -> int:
 
 
 def label_bits(env: Mapping[int, int], label: Label, top: int) -> int:
-    """The one label walker, children first without recursion: a label
-    evaluated in the Boolean algebra of the bitsets below `top`, each
-    atom taking its value from env and ! complementing within top."""
-    out: list[int] = []
-    for a in postorder(label):
-        kind = type(a)
-        if kind is LAtom:
-            try:
-                out.append(env[a.index])
-            except KeyError:
-                raise EvalError(f"unbound label atom p{a.index}") from None
-        elif kind is LBot:
-            out.append(0)
-        elif kind is LNot:
-            out[-1] ^= top
-        else:
-            right = out.pop()
-            out[-1] = out[-1] | right if kind is LOr else out[-1] & right
-    return out[0]
+    """A label evaluated in the Boolean algebra of the bitsets below
+    `top`, by one `fold`: each atom takes its value from env, and !
+    complements within top."""
+    ops = {LBot: lambda: 0, LNot: partial(operator.xor, top), LOr: operator.or_, LAnd: operator.and_}
+    return fold(postorder(label), _lookup(env, "label atom p"), lambda kind, *c: ops[kind](*c))
 
 
 def satisfies(valuation: LabelValuation, hom: Homomorphism, lf: LabelledFormula) -> bool:

@@ -4,8 +4,8 @@ Formulas are built from external Boolean connectives (bot, !, |, &),
 internal pointwise connectives (ibot, i!, i|, i&) and a family of derived
 connectives (top, itop, nb, down, up, dia, box, ->, ~, o*) that are kept
 as first-class AST nodes so they can be evaluated both natively and via
-expansion.  Labels are classical propositional formulas over atoms p0,
-p1, ...; a labelled formula pairs a label with a formula.
+their core spelling.  Labels are classical propositional formulas over
+atoms p0, p1, ...; a labelled formula pairs a label with a formula.
 
 Concrete ASCII grammar (precedence high to low, parentheses always allowed):
 
@@ -27,7 +27,9 @@ parser reads the list of kinds, keeps nesting on an explicit stack, and
 builds each distinct atom once.  An error's offset is summed from the
 pairs only when the error is raised.  `expand` and `substitute` keep
 every node whose children come back unchanged, so a formula with nothing
-to rewrite comes back as the identical object.
+to rewrite comes back as the identical object.  `fold` computes a formula
+in one walk, spelling each derived connective as `expand` does, so
+evaluation and the compiler build no expanded tree to walk again.
 """
 
 from __future__ import annotations
@@ -262,9 +264,6 @@ class LabelledFormula(Node):
         self._hash = hash((self.KIND, label._hash, formula._hash))
 
 
-# Core spellings of the derived constants.
-TOP_CORE = ExtNot(ExtBot())
-NB_CORE = ExtNot(IntBot())
 ITOP_CORE = IntNot(IntBot())
 
 
@@ -320,13 +319,8 @@ def postorder(root):
 
 
 def expand(formula: Formula) -> Formula:
-    """Rewrite every derived connective to core syntax.  Idempotent.
-
-    top = !bot, nb = !ibot, itop = i!ibot, down x = x i& top,
-    up x = x i| top, dia x = up(down x), box x = !dia !x,
-    x -> y = !x | y, ~x = !up(down x & nb),
-    x o* y = (x & nb) i| (y & nb).
-    """
+    """Rewrite every derived connective to core syntax, as
+    `_expand_derived` spells it.  Idempotent."""
     return _rebuild(formula, {}, True)
 
 
@@ -359,35 +353,65 @@ def _rebuild(formula: Formula, mapping: Mapping[int, Formula], expanding: bool) 
             split = len(out) - len(f.args)
             args, out[split:] = out[split:], ()
             if expanding:
-                out.append(_expand_derived(f.tag, args))
+                out.append(_expand_derived(f.tag, args, lambda kind, *c: kind(*c)))
             else:
                 kept = all(a is b for a, b in zip(args, f.args))
                 out.append(f if kept else Derived(f.tag, tuple(args)))
     return out[0]
 
 
-def _expand_derived(tag: DerivedTag, args: list[Formula]) -> Formula:
-    """One derived connective over expanded arguments."""
-    if tag is DerivedTag.EXT_TOP:
-        return TOP_CORE
-    if tag is DerivedTag.NB:
-        return NB_CORE
+def _expand_derived(tag: DerivedTag, args: list, build):
+    """A derived connective over its arguments in core syntax, each node
+    made by build(kind, *children): the one definition of them all.
+    top = !bot, nb = !ibot, itop = i!ibot, down x = x i& top,
+    up x = x i| top, dia x = up(down x), box x = !dia !x,
+    x -> y = !x | y, ~x = !up(down x & nb), x o* y = (x & nb) i| (y & nb)."""
     if tag is DerivedTag.INT_TOP:
-        return ITOP_CORE
-    if tag is DerivedTag.DOWN:
-        return IntAnd(args[0], TOP_CORE)
-    if tag is DerivedTag.UP:
-        return IntOr(args[0], TOP_CORE)
-    if tag is DerivedTag.DIAMOND:
-        return IntOr(IntAnd(args[0], TOP_CORE), TOP_CORE)
-    if tag is DerivedTag.BOX:
-        return ExtNot(IntOr(IntAnd(ExtNot(args[0]), TOP_CORE), TOP_CORE))
+        return build(IntNot, build(IntBot))
+    if tag is DerivedTag.NB:
+        return build(ExtNot, build(IntBot))
     if tag is DerivedTag.IMPLIES:
-        return ExtOr(ExtNot(args[0]), args[1])
-    if tag is DerivedTag.STRICT_NOT:
-        return ExtNot(IntOr(ExtAnd(IntAnd(args[0], TOP_CORE), NB_CORE), TOP_CORE))
-    assert tag is DerivedTag.CIRCLE_STAR
-    return IntOr(ExtAnd(args[0], NB_CORE), ExtAnd(args[1], NB_CORE))
+        return build(ExtOr, build(ExtNot, args[0]), args[1])
+    if tag is DerivedTag.CIRCLE_STAR:
+        nb = build(ExtNot, build(IntBot))
+        return build(IntOr, build(ExtAnd, args[0], nb), build(ExtAnd, args[1], nb))
+    top = build(ExtNot, build(ExtBot))
+    if tag is DerivedTag.EXT_TOP:
+        return top
+    if tag is DerivedTag.DOWN:
+        return build(IntAnd, args[0], top)
+    if tag is DerivedTag.UP:
+        return build(IntOr, args[0], top)
+    if tag is DerivedTag.DIAMOND:
+        return build(IntOr, build(IntAnd, args[0], top), top)
+    if tag is DerivedTag.BOX:
+        return build(ExtNot, build(IntOr, build(IntAnd, build(ExtNot, args[0]), top), top))
+    assert tag is DerivedTag.STRICT_NOT
+    down = build(IntAnd, args[0], top)
+    return build(ExtNot, build(IntOr, build(ExtAnd, down, build(ExtNot, build(IntBot))), top))
+
+
+def fold(nodes: list, leaf, build, derived=_expand_derived):
+    """The value of a formula or label from its `postorder` list, children
+    first: leaf(node) for a variable or label atom, derived(tag, argument
+    values, build) for a derived connective, else build(kind, *values)."""
+    out: list = []
+    for node in nodes:
+        kind = type(node)
+        if kind in _BINARY_NODES:
+            right = out.pop()
+            out[-1] = build(kind, out[-1], right)
+        elif kind in _UNARY_NODES:
+            out[-1] = build(kind, out[-1])
+        elif kind is Var or kind is LAtom:
+            out.append(leaf(node))
+        elif kind is Derived:
+            split = len(out) - len(node.args)
+            args, out[split:] = out[split:], ()
+            out.append(derived(node.tag, args, build))
+        else:
+            out.append(build(kind))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,19 @@ class TestEval:
         assert code == 2
         assert "P0" in err
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("P²", "bad variable name 'P²' in --assign; use P<digits>"),
+            ("P1x", "bad variable name 'P1x' in --assign; use P<digits>"),
+            ("P" + "1" * 5000, "index of P<5000 digits> in --assign is too large"),
+        ],
+    )
+    def test_assign_target_is_read_as_the_lexer_reads_it(self, capsys, name, message):
+        # ASCII digits only, and no more than int() reads: never Python's own message
+        code, out, err = run(capsys, "eval", "--n", "1", "--assign", f"{name}=[]", "P0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("second", ["P1=[]", "P01=[00]", " P1 = [11]"])
     def test_repeated_assign_target_is_error(self, capsys, second):
         # the second assignment to a variable does not silently win
@@ -339,6 +352,20 @@ class TestBridge:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("P²", "bad variable name 'P²' in homomorphism file {}; use P<digits>"),
+            ("P", "bad variable name 'P' in homomorphism file {}; use P<digits>"),
+            ("P" + "1" * 5000, "index of P<5000 digits> in homomorphism file {} is too large"),
+        ],
+    )
+    def test_hom_file_variable_is_read_as_the_lexer_reads_it(self, capsys, tmp_path, name, message):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"n": 1, "assignment": {name: []}}))
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
+        assert (code, out, err) == (2, "", f"error: {message.format(hfile)}\n")
+
     def test_deep_hom_file_is_error(self, capsys, tmp_path):
         hfile = tmp_path / "h.json"
         hfile.write_text("[" * 100_000 + "]" * 100_000)
@@ -356,7 +383,7 @@ class TestBridge:
     @pytest.mark.parametrize("depth", ["0", "-3", "4"])
     def test_depth_outside_1_to_3_is_error(self, capsys, tmp_path, monkeypatch, depth):
         # refused before any formula is built: depth 4 would build
-        # 1,087,814 of them even at k = 0
+        # 1,044,302 of them even at k = 0
         monkeypatch.setattr(ptplus, "IntBot", None)
         hfile = tmp_path / "h.json"
         hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"]}}))

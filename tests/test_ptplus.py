@@ -255,6 +255,19 @@ class TestFRepresentation:
             assert verify_f_representation(h, k, depth=2)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_enumeration_builds_each_formula_once(k):
+    # each depth combines only the pairs with an operand of the depth
+    # before: with c₋, c, c₊ the totals up to three successive depths,
+    # c₊ = c + 3(c² − c₋²), and no formula of the enumeration is equal
+    # to another (at k = 2 and depth 3, 38,994 formulas)
+    totals = [0] + [len(enumerate_pt_formulas(k, depth)) for depth in (1, 2, 3)]
+    for before, c, after in zip(totals, totals[1:], totals[2:]):
+        assert after == c + 3 * (c * c - before * before)
+    formulas = enumerate_pt_formulas(k, 3)
+    assert len(set(formulas)) == len(formulas) == (590, 8116, 38994)[k]
+
+
 def test_pair_unions_are_computed_once_per_operand_pair(monkeypatch):
     # the k = 2 criterion-9 sweep: the union of each distinct operand pair
     # is computed once, every later meeting is a cache hit

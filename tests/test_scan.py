@@ -891,7 +891,7 @@ def test_jobs_below_one_rejected(value, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
-def _wrong_hit(program, n, class_restriction):
+def _wrong_hit(program, alg, domains):
     # a countermodel that cannot replay: every value 0, or the singleton of
     # element 0 for a label atom, and witness element 0
     return (0,) * len(program.variables) + (1,) * len(program.atoms), 0
