@@ -67,27 +67,33 @@ def _variable_index(name: str, where: str) -> int:
         raise LTError(f"index of P<{len(digits)} digits> in {where} is too large") from None
 
 
-def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
+def _homomorphism(algebra: Algebra, pairs, where: str) -> Homomorphism:
+    """The homomorphism that gives each named variable the set of the
+    listed elements, from (name, element strings) pairs read from `where`;
+    a variable given twice, under any spelling of its name, is an error."""
     assignment: dict[int, Denotation] = {}
-    for spec in specs:
-        spec = spec.strip()
-        if not spec:
-            continue
-        name, _, value = spec.partition("=")
-        index = _variable_index(name.strip(), "--assign")
-        value = value.strip()
-        if not (value.startswith("[") and value.endswith("]")):
-            raise LTError(f"bad assignment value {value!r}; use e.g. [01,10] or []")
-        inner = value[1:-1].strip()
-        parts = [p.strip().strip('"') for p in inner.split(",")] if inner else []
-        try:
-            d = Denotation.from_strings(algebra, parts)
-        except ValueError as exc:
-            raise LTError(str(exc)) from None
+    for name, elements in pairs:
+        index = _variable_index(name, where)
+        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+            raise LTError(f"denotation of {name} must be a list of element strings")
+        d = Denotation.from_strings(algebra, elements)
         if index in assignment:
             raise LTError(f"P{index} is assigned more than once")
         assignment[index] = d
     return Homomorphism(algebra, assignment)
+
+
+def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
+    """The --assign values, each NAME=[e1,e2,...], as a homomorphism."""
+    pairs = []
+    for spec in filter(None, map(str.strip, specs)):
+        name, _, value = spec.partition("=")
+        value = value.strip()
+        if not (value.startswith("[") and value.endswith("]")):
+            raise LTError(f"bad assignment value {value!r}; use e.g. [01,10] or []")
+        inner = value[1:-1].strip()
+        pairs.append((name.strip(), [p.strip().strip('"') for p in inner.split(",")] if inner else []))
+    return _homomorphism(algebra, pairs, "--assign")
 
 
 # -- subcommand handlers
@@ -207,23 +213,18 @@ def _cmd_pt_entail(args) -> int:
 
 def _load_hom_file(path: str) -> Homomorphism:
     with open(path, encoding="utf-8") as fh:
-        obj = load_json(fh.read(), path)
-    if not isinstance(obj, dict):
+        obj = load_json(fh.read(), path, object_pairs_hook=tuple)  # an object as its (key, value) pairs
+    if not isinstance(obj, tuple):
         raise LTError("homomorphism file must hold a JSON object {n, assignment}")
-    n = obj.get("n")
+    fields = dict(obj)
+    n = fields.get("n")
     if type(n) is not int:
         raise LTError(f"homomorphism file needs an integer n, got {n!r}")
     algebra = Algebra(n)
-    assignment = {}
-    entries = obj.get("assignment", {})
-    if not isinstance(entries, dict):
+    entries = fields.get("assignment", ())
+    if not isinstance(entries, tuple):
         raise LTError("assignment in homomorphism file must be a JSON object")
-    for name, bits in entries.items():
-        index = _variable_index(name, f"homomorphism file {path}")
-        if not isinstance(bits, list) or not all(isinstance(b, str) for b in bits):
-            raise LTError(f"denotation of {name} must be a list of element strings")
-        assignment[index] = Denotation.from_strings(algebra, bits)
-    return Homomorphism(algebra, assignment)
+    return _homomorphism(algebra, entries, f"homomorphism file {path}")
 
 
 def _cmd_bridge_verify_f(args) -> int:

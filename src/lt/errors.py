@@ -51,11 +51,12 @@ class ReplayError(LTError):
     re-evaluation: an internal fault, never a logical verdict."""
 
 
-def load_json(text: str, source: str):
-    """JSON text from outside the program as Python objects; malformed
-    text, or a nesting too deep for the decoder, raises LTError."""
+def load_json(text: str, source: str, object_pairs_hook=None):
+    """JSON text from outside the program as Python objects (an object by
+    `object_pairs_hook` from its pairs, if given); malformed text, or a
+    nesting too deep for the decoder, raises LTError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise LTError(f"{source}: not valid JSON: {exc}") from None
     except RecursionError:

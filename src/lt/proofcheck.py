@@ -1,5 +1,8 @@
 """Checker for the labelled natural-deduction system.
 
+The rules are the table `_RULES`: each rule is one schema written in the
+workbench's own syntax, with P<i> standing for any formula and p<i> for
+any label, and one matcher checks every rule instance against its row.
 A derivation is a tree of rule applications over assumption leaves; each
 assumption carries an id, and rules that close assumptions name the ids
 they discharge, one id list per premise subtree.  Labels are compared
@@ -27,27 +30,18 @@ from .algebra import same_fields
 from .errors import BudgetExceededError, LTError, load_json
 from .semantics import label_bits
 from .syntax import (
-    ExtAnd,
-    ExtBot,
-    ExtNot,
-    ExtOr,
-    IntAnd,
-    IntNot,
-    IntOr,
-    ITOP_CORE,
     LabelledFormula,
-    LAnd,
     LAtom,
     Label,
-    LNot,
-    LOr,
     Node,
-    equality_label,
+    Var,
+    fold,
     format_labelled,
     is_core,
     label_atoms,
     parse_labelled,
     parse_lines,
+    postorder,
 )
 
 TAUT_ATOM_BUDGET = 20
@@ -248,12 +242,14 @@ def _postorder(root: Derivation, path: tuple[int, ...]) -> list[tuple[Derivation
 
 def _walk(root: Derivation, root_path: tuple[int, ...], state: _State) -> dict[str, LabelledFormula]:
     """Check every node, premises first, and return the assumptions open
-    at the root."""
-    results: list[dict[str, LabelledFormula]] = []
+    at the root.  Each subtree hands up its open map and the ids of every
+    assumption in it, for the vacuous discharges above it."""
+    opens_below: list[dict[str, LabelledFormula]] = []
+    ids_below: list[set[str]] = []
     for node, path in _postorder(root, root_path):
+        if not is_core(conclusion_of(node).formula):
+            raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
         if isinstance(node, Assume):
-            if not is_core(node.formula.formula):
-                raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
             seen = state.ids.get(node.id)
             if seen is None:
                 state.ids[node.id] = node.formula
@@ -261,286 +257,199 @@ def _walk(root: Derivation, root_path: tuple[int, ...], state: _State) -> dict[s
                 raise _Violation(
                     path, "discharge", f"assumption id {node.id!r} is reused with a different formula"
                 )
-            results.append({node.id: node.formula})
+            opens_below.append({node.id: node.formula})
+            ids_below.append({node.id})
             continue
 
-        split = len(results) - len(node.premises)
-        opens, results[split:] = results[split:], ()
-        if not is_core(node.conclusion.formula):
-            raise _Violation(path, "shape", "derived connective in a proof formula; proofs use core syntax")
+        split = len(opens_below) - len(node.premises)
+        opens, opens_below[split:] = opens_below[split:], ()
+        ids, ids_below[split:] = ids_below[split:], ()
 
         discharges = node.discharges if node.discharges else ((),) * len(node.premises)
         if len(discharges) != len(node.premises):
             raise _Violation(path, "discharge", "one discharge id list is required per premise")
 
-        _check_rule(node, path, opens, discharges, state)
-
-        merged: dict[str, LabelledFormula] = {}
-        for sub in opens:
-            merged.update(sub)
-        results.append(merged)
-    return results[0]
+        _check_rule(node, path, opens, ids, discharges, state)
+        opens_below.append(_union(opens, {}))
+        ids_below.append(_union(ids, set()))
+    return opens_below[0]
 
 
-def _premise_conclusions(node: Rule) -> list[LabelledFormula]:
-    return [conclusion_of(p) for p in node.premises]
+def _union(parts: list, empty):
+    """The union of the premises' open maps, or of their id sets, made in
+    the largest of them, so that a chain of rules costs O(1) a node."""
+    into = max(parts, key=len, default=empty)
+    for part in parts:
+        if part is not into:
+            into |= part
+    return into
 
 
-def _need_arity(node: Rule, path, n: int) -> None:
-    if len(node.premises) != n:
-        raise _Violation(
-            path, "shape", f"{node.name.value} takes {n} premise(s), got {len(node.premises)}"
-        )
-
-
-def _need(cond: bool, path, reason: str, message: str) -> None:
-    if not cond:
-        raise _Violation(path, reason, message)
-
-
-def _subtree_ids(node: Derivation) -> set[str]:
-    return {d.id for d, _ in _postorder(node, ()) if isinstance(d, Assume)}
-
-
-def _discharge(
-    premise: Derivation,
-    opens: dict[str, LabelledFormula],
-    ids: tuple[str, ...],
-    allowed: list[LabelledFormula],
-    path,
-) -> None:
-    """Close the listed ids in one premise's open set.  Each id must occur
-    in that premise subtree; an id no longer open there is a vacuous
-    discharge.  An open id's formula must match one of the schema's
-    assumption shapes."""
-    for aid in ids:
-        lf = opens.get(aid)
-        if lf is None:
-            if aid not in _subtree_ids(premise):
-                raise _Violation(
-                    path, "discharge", f"discharged id {aid!r} does not occur in the premise subtree"
-                )
-            continue  # vacuous: already closed deeper in the subtree
-        if lf not in allowed:
-            raise _Violation(
-                path,
-                "discharge",
-                f"assumption [{aid}] {format_labelled(lf)} does not match the rule's dischargeable shapes",
-            )
-        del opens[aid]
-
-
-def _no_discharges(discharges, path) -> None:
-    for ids in discharges:
-        _need(not ids, path, "discharge", "this rule discharges no assumptions")
-
-
-def _check_rule(node: Rule, path, opens, discharges, state: _State) -> None:
+def _check_rule(node: Rule, path, opens, ids, discharges, state: _State) -> None:
+    """Check one rule instance against its row of `_RULES`: the fresh atoms,
+    the arity, the checks in order, Taut's oracle, then the discharges,
+    premise by premise."""
     name = node.name
-    concl = node.conclusion
+    arity, checks, shapes, fresh = _rules()[name]
+    premises = node.premises
+    if len(node.fresh) != fresh:
+        raise _Violation(path, "shape", f"{name.value} declares {'exactly two' if fresh else 'no'} fresh atoms")
+    if arity is not None and len(premises) != arity:
+        raise _Violation(path, "shape", f"{name.value} takes {arity} premise(s), got {len(premises)}")
+    if not shapes and any(discharges):
+        raise _Violation(path, "discharge", "this rule discharges no assumptions")
 
-    if name in (RuleName.IAND_E, RuleName.IOR_E):
-        _need(
-            len(node.fresh) == 2,
-            path,
-            "shape",
-            f"{name.value} declares exactly two fresh atoms",
-        )
-    else:
-        _need(not node.fresh, path, "shape", f"{name.value} declares no fresh atoms")
+    targets = [*map(conclusion_of, premises), node.conclusion]  # the conclusion last: _C
+    env = dict(zip(_FRESH, map(LAtom, node.fresh))) if node.fresh else {}
+    for message, pairs in checks:
+        for where, match in pairs:
+            if where is _EACH:
+                ok = all(match(lf, {}) for lf in targets[:-1])
+            else:
+                ok = match(targets[where], env)
+            if not ok:
+                raise _Violation(path, "shape", message)
+    if name is RuleName.TAUT and not taut_oracle([lf.label for lf in targets[:-1]], node.conclusion.label):
+        raise _Violation(path, "taut", "the premise labels do not classically entail the conclusion label")
 
-    if name is RuleName.AND_I:
-        _need_arity(node, path, 2)
-        p1, p2 = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(
-            concl.formula == ExtAnd(p1.formula, p2.formula)
-            and concl.label == p1.label == p2.label,
-            path,
-            "shape",
-            "AndI concludes a : phi & psi from a : phi and a : psi",
-        )
+    # close the listed ids in each premise's open map: an open id's formula
+    # must match one of the premise's shapes, whose metavariables the
+    # checks have all bound, and an id no longer open is a vacuous
+    # discharge if it occurs in the premise subtree
+    for i, own in enumerate(shapes):
+        if discharges[i] and not own:
+            raise _Violation(path, "discharge", f"{name.value} discharges nothing in the major premise")
+        for aid in discharges[i]:
+            lf = opens[i].pop(aid, None)
+            if lf is None and aid not in ids[i]:
+                raise _Violation(path, "discharge",
+                                 f"discharged id {aid!r} does not occur in the premise subtree")
+            if lf is not None and not any(match(lf, env) for match in own):
+                raise _Violation(path, "discharge", f"assumption [{aid}] {format_labelled(lf)} "
+                                 "does not match the rule's dischargeable shapes")
+    if fresh:
+        remaining = {**opens[0], **opens[1]}
+        state.freshness.append((path, node.fresh, (targets[0].label, node.conclusion.label), remaining))
 
-    elif name in (RuleName.AND_E_L, RuleName.AND_E_R):
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(isinstance(p.formula, ExtAnd), path, "shape", f"{name.value} needs a : phi & psi")
-        part = p.formula.left if name is RuleName.AND_E_L else p.formula.right
-        _need(
-            concl == LabelledFormula(p.label, part),
-            path,
-            "shape",
-            f"{name.value} concludes the matching conjunct under the same label",
-        )
 
-    elif name in (RuleName.OR_I_L, RuleName.OR_I_R):
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(isinstance(concl.formula, ExtOr), path, "shape", f"{name.value} concludes a : phi | psi")
-        part = concl.formula.left if name is RuleName.OR_I_L else concl.formula.right
-        _need(
-            p == LabelledFormula(concl.label, part),
-            path,
-            "shape",
-            f"{name.value} needs the matching disjunct under the conclusion's label",
-        )
+# ---------------------------------------------------------------------------
+# The rules, as data
 
-    elif name is RuleName.OR_E:
-        _need_arity(node, path, 3)
-        major, s1, s2 = _premise_conclusions(node)
-        _need(isinstance(major.formula, ExtOr), path, "shape", "OrE needs a major premise a : phi | psi")
-        _need(
-            s1 == concl and s2 == concl,
-            path,
-            "shape",
-            "both OrE side premises must conclude the rule's conclusion",
-        )
-        _need(not discharges[0], path, "discharge", "OrE discharges nothing in the major premise")
-        a = major.label
-        _discharge(node.premises[1], opens[1], discharges[1], [LabelledFormula(a, major.formula.left)], path)
-        _discharge(node.premises[2], opens[2], discharges[2], [LabelledFormula(a, major.formula.right)], path)
 
-    elif name is RuleName.NOT_I:
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _need(isinstance(p.formula, ExtBot), path, "shape", "NotI needs a premise concluding b : bot")
-        _need(isinstance(concl.formula, ExtNot), path, "shape", "NotI concludes a : !phi")
-        _discharge(
-            node.premises[0],
-            opens[0],
-            discharges[0],
-            [LabelledFormula(concl.label, concl.formula.child)],
-            path,
-        )
+_C, _EACH = -1, None  # targets: the conclusion, after the premises; every premise
+_FRESH = ("p8", "p9")  # the names bound beforehand to a rule's declared fresh atoms
 
-    elif name is RuleName.NOT_E:
-        _need_arity(node, path, 2)
-        p1, p2 = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(
-            p1.label == p2.label == concl.label
-            and p2.formula == ExtNot(p1.formula)
-            and isinstance(concl.formula, ExtBot),
-            path,
-            "shape",
-            "NotE concludes a : bot from a : phi and a : !phi",
-        )
+# One row per rule, in the workbench's own syntax: the rule, its premise
+# count (None: any), its checks in order, each a message and the (target,
+# pattern) pairs it covers, then per premise the assumption shapes it may
+# discharge (none listed: it discharges nothing).  A target is a premise
+# index, _C or _EACH.  In a pattern P<i> stands for any formula and p<i>
+# for any label, each bound where it is first matched and compared with
+# == after that; _EACH matches every premise with bindings of its own.
+# p8 and p9 are bound beforehand to the rule's fresh atoms, and a rule
+# declares fresh atoms iff its shapes use them.  The checks bind every
+# metavariable of a shape, so a shape is matched against those bindings.
+_RULES = (
+    (RuleName.AND_I, 2, [
+        ("AndI concludes a : phi & psi from a : phi and a : psi",
+         (0, "p0 : P0"), (1, "p0 : P1"), (_C, "p0 : P0 & P1"))]),
+    (RuleName.AND_E_L, 1, [
+        ("AndE_L needs a : phi & psi", (0, "p0 : P0 & P1")),
+        ("AndE_L concludes the matching conjunct under the same label", (_C, "p0 : P0"))]),
+    (RuleName.AND_E_R, 1, [
+        ("AndE_R needs a : phi & psi", (0, "p0 : P0 & P1")),
+        ("AndE_R concludes the matching conjunct under the same label", (_C, "p0 : P1"))]),
+    (RuleName.OR_I_L, 1, [
+        ("OrI_L concludes a : phi | psi", (_C, "p0 : P0 | P1")),
+        ("OrI_L needs the matching disjunct under the conclusion's label", (0, "p0 : P0"))]),
+    (RuleName.OR_I_R, 1, [
+        ("OrI_R concludes a : phi | psi", (_C, "p0 : P0 | P1")),
+        ("OrI_R needs the matching disjunct under the conclusion's label", (0, "p0 : P1"))]),
+    (RuleName.OR_E, 3, [
+        ("OrE needs a major premise a : phi | psi", (0, "p0 : P0 | P1")),
+        ("both OrE side premises must conclude the rule's conclusion",
+         (_C, "p1 : P2"), (1, "p1 : P2"), (2, "p1 : P2"))],
+     [], ["p0 : P0"], ["p0 : P1"]),
+    (RuleName.NOT_I, 1, [
+        ("NotI needs a premise concluding b : bot", (0, "p0 : bot")),
+        ("NotI concludes a : !phi", (_C, "p1 : !P0"))], ["p1 : P0"]),
+    (RuleName.NOT_E, 2, [
+        ("NotE concludes a : bot from a : phi and a : !phi",
+         (0, "p0 : P0"), (1, "p0 : !P0"), (_C, "p0 : bot"))]),
+    (RuleName.RAA, 1, [
+        ("RAA needs a premise concluding b : bot", (0, "p0 : bot"), (_C, "p1 : P0"))], ["p1 : !P0"]),
+    (RuleName.BOT_E, 1, [("BotE needs a premise a : bot", (0, "p0 : bot"))]),
+    (RuleName.IAND_I, 2, [
+        ("IAndI concludes a & b : phi i& psi from a : phi and b : psi",
+         (0, "p0 : P0"), (1, "p1 : P1"), (_C, "p0 & p1 : P0 i& P1"))]),
+    (RuleName.IAND_E, 2, [
+        ("IAndE needs a major premise with the matching internal connective", (0, "p0 : P0 i& P1")),
+        ("the side premise must conclude the rule's conclusion", (1, "p1 : P2"), (_C, "p1 : P2"))],
+     [], ["p8 : P0", "p9 : P1", "p0 = p8 & p9"]),
+    (RuleName.IOR_I, 2, [
+        ("IOrI concludes a | b : phi i| psi from a : phi and b : psi",
+         (0, "p0 : P0"), (1, "p1 : P1"), (_C, "p0 | p1 : P0 i| P1"))]),
+    (RuleName.IOR_E, 2, [
+        ("IOrE needs a major premise with the matching internal connective", (0, "p0 : P0 i| P1")),
+        ("the side premise must conclude the rule's conclusion", (1, "p1 : P2"), (_C, "p1 : P2"))],
+     [], ["p8 : P0", "p9 : P1", "p0 = p8 | p9"]),
+    (RuleName.INOT_I, 1, [("INotI concludes !a : i!phi from a : phi", (0, "p0 : P0"), (_C, "!p0 : i!P0"))]),
+    (RuleName.INOT_E, 1, [
+        ("INotE needs a premise a : i!phi", (0, "p0 : i!P0")),
+        ("INotE concludes !a : phi from a : i!phi", (_C, "!p0 : P0"))]),
+    (RuleName.TAUT, None, [
+        ("every Taut premise must be of the form a : i!ibot", (_EACH, "p0 : i!ibot")),
+        ("Taut concludes b : i!ibot", (_C, "p0 : i!ibot"))]),
+    (RuleName.SUB, 2, [
+        ("Sub needs the equality a = b, oriented with the conclusion label first",
+         (0, "p0 = p1"), (_C, "p0 : P0"), (1, "p1 : P1")),
+        ("Sub transports the premise formula to the conclusion label", (1, "p1 : P0"))]),
+)
 
-    elif name is RuleName.RAA:
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _need(isinstance(p.formula, ExtBot), path, "shape", "RAA needs a premise concluding b : bot")
-        _discharge(
-            node.premises[0],
-            opens[0],
-            discharges[0],
-            [LabelledFormula(concl.label, ExtNot(concl.formula))],
-            path,
-        )
+_PARSED: dict = {}
 
-    elif name is RuleName.BOT_E:
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(isinstance(p.formula, ExtBot), path, "shape", "BotE needs a premise a : bot")
 
-    elif name is RuleName.IAND_I or name is RuleName.IOR_I:
-        _need_arity(node, path, 2)
-        p1, p2 = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        if name is RuleName.IAND_I:
-            want = LabelledFormula(LAnd(p1.label, p2.label), IntAnd(p1.formula, p2.formula))
-            msg = "IAndI concludes a & b : phi i& psi from a : phi and b : psi"
-        else:
-            want = LabelledFormula(LOr(p1.label, p2.label), IntOr(p1.formula, p2.formula))
-            msg = "IOrI concludes a | b : phi i| psi from a : phi and b : psi"
-        _need(concl == want, path, "shape", msg)
+def _rules() -> dict:
+    """The rows of `_RULES` by rule name, each pattern parsed into its
+    matcher on first use: (arity, [(message, [(target, matcher)])], per
+    premise [matcher], the number of fresh atoms)."""
+    if not _PARSED:
+        for name, arity, checks, *shapes in _RULES:
+            checks = [(message, [(where, _matcher(parse_labelled(text))) for where, text in pairs])
+                      for message, *pairs in checks]
+            fresh = 2 if any(_FRESH[0] in text.split() for texts in shapes for text in texts) else 0
+            shapes = [[_matcher(parse_labelled(text)) for text in texts] for texts in shapes]
+            _PARSED[name] = (arity, checks, shapes, fresh)
+    return _PARSED
 
-    elif name is RuleName.IAND_E or name is RuleName.IOR_E:
-        _need_arity(node, path, 2)
-        major, sub = _premise_conclusions(node)
-        shape = IntAnd if name is RuleName.IAND_E else IntOr
-        comb = LAnd if name is RuleName.IAND_E else LOr
-        _need(
-            isinstance(major.formula, shape),
-            path,
-            "shape",
-            f"{name.value} needs a major premise with the matching internal connective",
-        )
-        _need(sub == concl, path, "shape", "the side premise must conclude the rule's conclusion")
-        _need(not discharges[0], path, "discharge", f"{name.value} discharges nothing in the major premise")
-        p_atom, q_atom = node.fresh
-        allowed = [
-            LabelledFormula(LAtom(p_atom), major.formula.left),
-            LabelledFormula(LAtom(q_atom), major.formula.right),
-            LabelledFormula(
-                equality_label(major.label, comb(LAtom(p_atom), LAtom(q_atom))), ITOP_CORE
-            ),
-        ]
-        _discharge(node.premises[1], opens[1], discharges[1], allowed, path)
-        remaining = dict(opens[0])
-        remaining.update(opens[1])
-        state.freshness.append(
-            (path, (p_atom, q_atom), (major.label, concl.label), remaining)
-        )
 
-    elif name is RuleName.INOT_I:
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(
-            concl == LabelledFormula(LNot(p.label), IntNot(p.formula)),
-            path,
-            "shape",
-            "INotI concludes !a : i!phi from a : phi",
-        )
+def _matcher(pattern: LabelledFormula):
+    """The pattern as a function of (target, env): whether the target is
+    an instance of the pattern, binding in env each metavariable (a Var
+    or LAtom of the pattern) where it is first matched, and comparing it
+    with == after that.  Built by one fold of each side of the pattern."""
+    label = fold(postorder(pattern.label), _metavar, _node_matcher)
+    formula = fold(postorder(pattern.formula), _metavar, _node_matcher)
+    return lambda target, env: label(target.label, env) and formula(target.formula, env)
 
-    elif name is RuleName.INOT_E:
-        _need_arity(node, path, 1)
-        (p,) = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(isinstance(p.formula, IntNot), path, "shape", "INotE needs a premise a : i!phi")
-        _need(
-            concl == LabelledFormula(LNot(p.label), p.formula.child),
-            path,
-            "shape",
-            "INotE concludes !a : phi from a : i!phi",
-        )
 
-    elif name is RuleName.TAUT:
-        _no_discharges(discharges, path)
-        prems = _premise_conclusions(node)
-        for p in prems:
-            _need(p.formula == ITOP_CORE, path, "shape", "every Taut premise must be of the form a : i!ibot")
-        _need(concl.formula == ITOP_CORE, path, "shape", "Taut concludes b : i!ibot")
-        if not taut_oracle([p.label for p in prems], concl.label):
-            raise _Violation(
-                path,
-                "taut",
-                "the premise labels do not classically entail the conclusion label",
-            )
+def _metavar(pattern: Node):
+    name = f"{'P' if type(pattern) is Var else 'p'}{pattern.index}"  # as written
 
-    elif name is RuleName.SUB:
-        _need_arity(node, path, 2)
-        eq, p = _premise_conclusions(node)
-        _no_discharges(discharges, path)
-        _need(
-            eq == LabelledFormula(equality_label(concl.label, p.label), ITOP_CORE),
-            path,
-            "shape",
-            "Sub needs the equality a = b, oriented with the conclusion label first",
-        )
-        _need(
-            concl.formula == p.formula,
-            path,
-            "shape",
-            "Sub transports the premise formula to the conclusion label",
-        )
+    def match(node, env) -> bool:
+        bound = env.setdefault(name, node)
+        return bound is node or bound == node
+    return match
 
-    else:  # pragma: no cover
-        raise _Violation(path, "shape", f"unknown rule {name}")
+
+def _node_matcher(kind, *children):
+    if not children:
+        return lambda node, env: type(node) is kind
+    if len(children) == 1:
+        (child,) = children
+        return lambda node, env: type(node) is kind and child(node.child, env)
+    left, right = children
+    return lambda node, env: type(node) is kind and left(node.left, env) and right(node.right, env)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,21 @@ class TestBridge:
         code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
         assert (code, out, err) == (2, "", f"error: {message.format(hfile)}\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # two spellings of one variable: the second does not silently win
+            '{"n": 2, "assignment": {"P0": ["00"], "P00": ["00", "01", "10", "11"]}}',
+            # one key twice in the object, which a plain JSON load would drop
+            '{"n": 2, "assignment": {"P0": ["00"], "P0": ["01"]}}',
+        ],
+    )
+    def test_repeated_hom_file_target_is_error(self, capsys, tmp_path, text):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(text)
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
+        assert (code, out, err) == (2, "", "error: P0 is assigned more than once\n")
+
     def test_deep_hom_file_is_error(self, capsys, tmp_path):
         hfile = tmp_path / "h.json"
         hfile.write_text("[" * 100_000 + "]" * 100_000)
