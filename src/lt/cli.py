@@ -361,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("denotation", help='JSON list of element bit-strings, e.g. ["00","01"]')
     p.set_defaults(handler=_cmd_classes_principal_check)
 
+    top.commands = sub.choices  # each command's name to its parser
     return top
 
 
@@ -373,8 +374,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: the arguments after its name go straight to its
+    parser.  The top-level parser reads argv only to report on it: no or
+    an unknown command, `-h`, or arguments the command's parser left."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser().commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+        if args is None or rest:
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

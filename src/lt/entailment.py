@@ -531,9 +531,10 @@ class _Lanes:
             lanes.byteswap()
         return int.from_bytes(lanes, "little")
 
-    def translate(self, x: int, tables: tuple[bytes, ...]) -> int:
-        """f of every lane, for f read from its tables (see _lane_tables)."""
-        data = x.to_bytes(self.length, "little")
+    def translate(self, x: int | bytes, tables: tuple[bytes, ...]) -> int:
+        """f of every lane, for f read from its tables (see _lane_tables),
+        of the column x or of its little-endian bytes."""
+        data = x if type(x) is bytes else x.to_bytes(self.length, "little")
         if self.w == 8:
             return int.from_bytes(data.translate(tables[0]), "little")
         ll, lh, hl, hh = (int.from_bytes(data.translate(t), "little") for t in tables)
@@ -638,11 +639,11 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
     lane = alg.full  # of one lane
 
     def columns(x, y, lanes):
-        out = 0
+        out, data = 0, y.to_bytes(lanes.length, "little")
         for a, tables in enumerate(singles):
             holds = x >> a & lanes.ones  # 1 in the lanes whose x holds a
             if holds:
-                out |= lanes.translate(y, tables) & holds * lane
+                out |= lanes.translate(data, tables) & holds * lane
         return out
 
     return columns

@@ -22,6 +22,7 @@ not discharged by the node itself.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
@@ -470,11 +471,12 @@ def derivation_from_json(obj) -> Derivation:
             premises = _json_list(node.get("premises", []), f"{where}.premises")
             todo += ((p, f"{where}.premises[{i}]") for i, p in enumerate(premises))
     built: list[Derivation] = []
+    parse = functools.cache(parse_labelled)  # each distinct text once: equal is identical
     for node, where in reversed(order):
         if "assume" in node:
             if "id" not in node:
                 raise LTError(f"{where}: an assumption needs an 'id'")
-            formula = parse_labelled(_json_string(node["assume"], f"{where}.assume"))
+            formula = parse(_json_string(node["assume"], f"{where}.assume"))
             built.append(Assume(_json_id(node["id"], f"{where}.id"), formula))
             continue
         try:
@@ -483,7 +485,7 @@ def derivation_from_json(obj) -> Derivation:
             raise LTError(f"{where}: bad or missing rule name: {node.get('rule')!r}") from exc
         if "conclusion" not in node:
             raise LTError(f"{where}: a rule needs a 'conclusion'")
-        conclusion = parse_labelled(_json_string(node["conclusion"], f"{where}.conclusion"))
+        conclusion = parse(_json_string(node["conclusion"], f"{where}.conclusion"))
         discharges = _json_list(node.get("discharges", []), f"{where}.discharges")
         discharges = tuple(
             tuple(

@@ -21,13 +21,13 @@ the same conventions.  A labelled formula is "<label> : <formula>"; the
 equality sugar "a = b" stands for (a <-> b) : itop with a <-> b spelled
 (a | !b) & (!a | b).
 
-The front end is linear in the input.  One `findall` splits the text
-into (whitespace, token) pairs and a dict gives each token its kind; the
+The front end is linear in the input.  One `findall` returns the token
+texts, skipping whitespace, and a dict gives each token its kind; the
 parser reads the list of kinds, keeps nesting on an explicit stack, and
-builds each distinct atom once.  An error's offset is summed from the
-pairs only when the error is raised.  `expand` and `substitute` keep
-every node whose children come back unchanged, so a formula with nothing
-to rewrite comes back as the identical object.  `fold` computes a formula
+builds each distinct atom once.  Only an error finds its offset, by
+matching the tokens again.  `expand` and `substitute` keep every node
+whose children come back unchanged, so a formula with nothing to
+rewrite comes back as the identical object.  `fold` computes a formula
 in one walk, spelling each derived connective as `expand` does, so
 evaluation and the compiler build no expanded tree to walk again.
 """
@@ -417,12 +417,10 @@ def fold(nodes: list, leaf, build, derived=_expand_derived):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One match per token: the whitespace before it, then the token, tried in
-# this order.  A word is matched whole, so "P1x" is "P1" then "x", and any
-# other character is a token of its own.  The scan stops where trailing
-# whitespace begins (tried from each of its positions it would cost the
-# square of its length); the lexer adds the `eof` token.
-_LEXEME_RE = re.compile(r"(\s*)(->|\|-|i!|i&|i\||o\*|[A-Za-z]+[0-9]*|\S)")
+# One match per token, tried in this order: a word is matched whole, so
+# "P1x" is "P1" then "x", and any other character is a token of its own.
+# `findall` skips the whitespace between tokens in C.
+_LEXEME_RE = re.compile(r"->|\|-|i!|i&|i\||o\*|[A-Za-z]+[0-9]*|\S")
 _KINDS = {
     "->": "arrow", "|-": "turnstile", "i!": "ibang", "i&": "iamp", "i|": "ipipe",
     "o*": "ostar", "!": "bang", "&": "amp", "|": "pipe", "~": "tilde", "(": "lpar",
@@ -432,12 +430,9 @@ _KINDS = {
 _ATOM_KINDS = {"P": "var", "p": "latom"}  # with digits after the letter
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[tuple[str, str]]]:
-    """The token kinds and texts, each list ending with `eof`, and the
-    (whitespace, token) pairs that the offset of an error is summed from.
-    No object is made per token but its text and the pair."""
-    lexemes = _LEXEME_RE.findall(text, 0, len(text.rstrip()))
-    texts = [word for _, word in lexemes]
+def _lex(text: str) -> tuple[list[str], list[str]]:
+    """The token kinds and texts, each list ending with `eof`."""
+    texts = _LEXEME_RE.findall(text)
     table = dict(_KINDS)  # and each other word, classified once: an atom or None
     for word in set(texts).difference(_KINDS):
         table[word] = _ATOM_KINDS.get(word[0]) if word[1:].isdigit() else None
@@ -446,17 +441,17 @@ def _lex(text: str) -> tuple[list[str], list[str], list[tuple[str, str]]]:
         i = kinds.index(None)
         word = texts[i]
         what = "unknown word" if word.isascii() and word[0].isalpha() else "unexpected character"
-        raise ParseError(f"{what} {word!r}", _offset(text, lexemes, i))
+        raise ParseError(f"{what} {word!r}", _offset(text, i))
     kinds.append("eof")
     texts.append("")
-    return kinds, texts, lexemes
+    return kinds, texts
 
 
-def _offset(text: str, lexemes: list[tuple[str, str]], i: int) -> int:
-    """The offset of token i, summed only when an error reports it."""
-    if i == len(lexemes):
-        return len(text)
-    return sum(len(space) + len(word) for space, word in lexemes[:i]) + len(lexemes[i][0])
+def _offset(text: str, i: int) -> int:
+    """The offset of token i, or of `eof` past the last token, found by
+    matching the tokens again: only an error reports an offset."""
+    starts = [match.start() for match in _LEXEME_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +516,12 @@ _LABEL = _Grammar(
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.lexemes = _lex(text)
+        self.kinds, self.texts = _lex(text)
         self.i = 0
 
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         """A ParseError at the current token."""
-        return ParseError(message, _offset(self.text, self.lexemes, self.i), expected)
+        return ParseError(message, _offset(self.text, self.i), expected)
 
     def unexpected(self, expected: tuple[str, ...]) -> ParseError:
         i = self.i
@@ -574,9 +569,12 @@ class _Parser:
                 prefixes.append(prefix[kind])
                 i += 1
                 kind = kinds[i]
-            if kind == "lpar":
-                stack.append((prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind))
-                prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = [], [], None, None, None, None
+            if kind == "lpar":  # a level with nothing open is saved as None
+                if prefixes or arrows or conj_kind or disj_kind:
+                    stack.append((prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind))
+                    prefixes, arrows, conj_kind, disj_kind = [], [], None, None
+                else:
+                    stack.append(None)
                 i += 1
                 continue
             value = leaves.get(texts[i])
@@ -619,12 +617,16 @@ class _Parser:
                     break
                 while arrows:
                     value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
-                self.i = i
                 if not stack:
+                    self.i = i
                     return value
-                self.expect("rpar", "')'")
+                if kinds[i] != "rpar":
+                    self.i = i
+                    raise self.unexpected(("')'",))
                 i += 1
-                prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = stack.pop()
+                saved = stack.pop()
+                if saved is not None:  # else this level, now complete, has nothing open
+                    prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = saved
             i += 1  # past the operator that asks for the next operand
 
     def _mixing(self, level_name: str) -> ParseError:

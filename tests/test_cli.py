@@ -1,10 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from lt import cli, ptplus
 from lt.cli import main
+from lt.errors import LTError, ParseError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -505,6 +507,73 @@ class TestSharedParser:
         assert run(capsys, "entail", "--jobs", "0", "|- P0")[0] == 2
         code, out, _ = run(capsys, "entail", "ibot |- i! ibot")
         assert code == 1 and '"jobs": 1' in out
+
+
+def _argv_battery(tmp_path):
+    """Every command and nested command, with `-h` at each level; unknown
+    and missing commands; abbreviated, ambiguous and unknown options;
+    extra positionals; `--`; bad `type=` values; options before the
+    command; parse errors with offsets."""
+    fig1, gamma = str(CORPUS / "fig1.json"), str(CORPUS / "fig1.assumptions")
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"n": 1, "assignment": {"P0": ["1"]}}))
+    hom = str(hom)
+    return [
+        [], ["-h"], ["--help"], ["--he"], ["-x"], ["frobnicate"], ["frobnicate", "P0"],
+        ["-x", "entail", "|- P0"], ["--n", "1", "eval", "P0"], ["--", "parse", "P0"],
+        ["parse", "P0 -> P1"], ["parse"], ["parse", "-h"], ["parse", "P0", "P1"],
+        ["parse", "--", "P0 & P1"], ["parse", "P0 & | P1"], ["parse", "P0 # P1"], ["parse", "-P0"],
+        ["expand", "dia P0"], ["expand", "--h"], ["expand", "--", "-P0"],
+        ["eval", "--n", "2", "--assign", "P0=[01]", "P0 i| ~P0"], ["eval", "--n", "x", "P0"],
+        ["eval", "--n", "1"], ["eval", "--n", "1", "--native", "top"], ["eval", "--n", "1", "P0"],
+        ["eval", "--as", "P0=[1]", "--n", "1", "P0"], ["eval", "--n", "1", "--bogus", "P0"],
+        ["eval", "--n", "1", "--assign", "P0=[1]", "P0", "extra"], ["eval", "--n=1", "--assign=", "ibot"],
+        ["entail", "--max", "1", "|- P0 -> ~ ~ P0"], ["entail", "--max-n", "1", "ibot |- i! ibot"],
+        ["entail", "--class", "bogus", "|- P0"], ["entail", "--cap", "x", "|- P0"],
+        ["entail", "--jobs", "0", "|- P0"], ["entail", "--c", "4", "|- P0"], ["entail", "-h"],
+        ["entail", "--h"], ["entail", "|- P0", "-h"], ["entail", "--", "|- P0"], ["entail"],
+        ["entail", "--max-n", "0", "|- P0", "|- P1"], ["entail", "--max-n", "0", "P0 |- P1 ->"],
+        ["lentail", "--max-n", "1", "p0 : P0 |- p0 : P0 | P1"], ["lentail", "p0 : P0 |-"],
+        ["lentail", "-h"], ["lentail", "--time", "--max-n", "0", "|- p0 : P0", "--zz"],
+        ["check-proof", fig1, "--assumptions", gamma], ["check-proof", fig1],
+        ["check-proof", "no-such-file.json"], ["check-proof"], ["check-proof", "-h"],
+        ["check-proof", fig1, "--assumptions"],
+        ["pt"], ["pt", "-h"], ["pt", "bogus"], ["pt", "eval", "--k", "1", "P0"], ["pt", "eval", "-h"],
+        ["pt", "eval", "--k", "1", "P0", "P1"], ["pt", "eval", "--k", "one", "P0"],
+        ["pt", "entail", "--k", "1", "|- P0 i| ~P0"], ["pt", "entail", "-h"], ["pt", "--k", "1", "eval", "P0"],
+        ["bridge"], ["bridge", "-h"], ["bridge", "verify-f", hom, "--k", "1"], ["bridge", "verify-f", "-h"],
+        ["bridge", "verify-f", hom, "--k", "1", "--depth", "x"], ["bridge", "verify-f", hom],
+        ["classes"], ["classes", "-h"], ["classes", "principal-check", "-h"],
+        ["classes", "principal-check", "--n", "2", '["00","01"]'],
+        ["classes", "principal-check", "--n", "2", '["00"]', "--zz"],
+        ["classes", "principal-check", "--n", "2", '["00","11"]'],
+    ]
+
+
+def _full_parser_main(argv) -> int:
+    """`main` with the whole argv read by the top-level parser, then the
+    handler, with `main`'s error boundary for what the battery raises."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.handler(args)
+    except ParseError as exc:
+        print(str(exc), file=sys.stderr)
+    except (LTError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path):
+    statuses = set()
+    for argv in _argv_battery(tmp_path):
+        got = run(capsys, *argv)
+        want = _full_parser_main(list(argv))
+        assert got == (want, *capsys.readouterr()), argv
+        statuses.add(want)
+    assert statuses == {0, 1, 2}
 
 
 class TestInternalError:

@@ -1,7 +1,7 @@
-"""The front end against its oracles: the lexer against the `finditer`
-lexer it replaced (tests/reference.py), and `expand` and `substitute`,
-which keep every unchanged subtree, against an expansion that builds
-every node anew."""
+"""The front end against its oracles: the lexer, and the offset of each
+of its tokens, against the `finditer` lexer (tests/reference.py), and
+`expand` and `substitute`, which keep every unchanged subtree, against
+an expansion that builds every node anew."""
 
 import random
 import time
@@ -10,6 +10,7 @@ import pytest
 
 import reference as ref
 from helpers import random_formula, random_label
+from lt.cli import main
 from lt.errors import ParseError
 from lt.syntax import (
     Derived,
@@ -43,13 +44,14 @@ _PIECES = (
 
 
 def _new(text):
-    """The tokens of the lexer under test as (kind, text, offset), or its
-    error as (type, message, offset, expected)."""
+    """The tokens of the lexer under test as (kind, text, offset), the
+    offset of every token as `_offset` finds it again, or its error as
+    (type, message, offset, expected)."""
     try:
-        kinds, texts, lexemes = _lex(text)
+        kinds, texts = _lex(text)
     except Exception as exc:
         return type(exc), str(exc), exc.offset, exc.expected
-    return [(k, t, _offset(text, lexemes, i)) for i, (k, t) in enumerate(zip(kinds, texts))]
+    return [(k, t, _offset(text, i)) for i, (k, t) in enumerate(zip(kinds, texts))]
 
 
 def _old(text):
@@ -148,12 +150,25 @@ def test_lexer_and_parser_errors_agree_on_mutated_inputs(seed):
 def test_an_error_offset_is_summed_only_on_error(monkeypatch):
     summed = []
     real = _offset
-    monkeypatch.setattr("lt.syntax._offset", lambda *a: summed.append(a[2]) or real(*a))
+    monkeypatch.setattr("lt.syntax._offset", lambda *a: summed.append(a[1]) or real(*a))
     parse_formula("(" * 3000 + "P0" + ")" * 3000)
     assert summed == []
     with pytest.raises(ParseError) as err:
         parse_formula("(" * 3000 + "P0 &" + ")" * 3000)
     assert summed == [3002] and err.value.offset == 3004
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(["P4"] * 30_000), "!" * 50_000 + "P4", "(" * 30_000 + "P4" + ")" * 30_000,
+], ids=["chain", "bang", "parens"])
+def test_crash_shapes_at_ten_times_the_bench_size_exit_2_within_a_second(capsys, text):
+    """The benchmark's three deep crash inputs (bench/gen.py `k_crash` 0,
+    1 and 3), ten times as large: each parses, and `lt eval` then stops
+    at the unbound variable."""
+    start = time.perf_counter()
+    code = main(["eval", "--n", "1", text])
+    assert time.perf_counter() - start < 1.0
+    assert (code, *capsys.readouterr()) == (2, "", "error: unbound variable P4\n")
 
 
 def _core(rng, depth=5):
