@@ -10,13 +10,16 @@ pointwise across denotations.
 Every operator works on whole denotations by shifts and masks (Knuth,
 TAOCP 4A, 7.1.3): the order closures and int_not take n steps, and a
 binary internal operator one image per member of its smaller operand.
-Nothing is cached.  A shortcut is allowed only when it is proven equal
+A process keeps one algebra per size, built on first use by `algebra(n)`
+with its element names (at most nine, about 220 KB in all); nothing else
+is cached here.  A shortcut is allowed only when it is proven equal
 to the brute-force oracle in tests/reference.py, exhaustively at n <= 3
 and on seeded pairs up to n = 8.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 MAX_ATOMS = 8
@@ -38,9 +41,17 @@ def same_fields(a, b) -> bool:
     return all(getattr(a, name) == getattr(b, name) for name in a.__slots__)
 
 
+@functools.cache
+def algebra(n_atoms: int) -> "Algebra":
+    """The algebra on n atoms, built once per process; an n out of range
+    raises as Algebra(n) does, and is not cached."""
+    return Algebra(n_atoms)
+
+
 class Algebra:
     """The powerset Boolean algebra on n atoms, with denotation operators.
-    Its state, O(n * 2^n) words, is fixed at construction."""
+    Its state, O(n * 2^n) words, is fixed at construction; the element
+    names are built on first use."""
 
     def __init__(self, n_atoms: int):
         if not 0 <= n_atoms <= MAX_ATOMS:
@@ -182,16 +193,29 @@ class Algebra:
 
     # -- text form: element bit-strings, most significant atom first
 
+    @functools.cached_property
+    def names(self) -> list[str]:
+        """The bit-string of each element, by index."""
+        return [format(a, f"0{self.n}b") for a in range(self.size)] if self.n else [""]
+
+    @functools.cached_property
+    def elements_by_name(self) -> dict[str, int]:
+        return {name: a for a, name in enumerate(self.names)}
+
     def format_element(self, a: int) -> str:
-        return format(a, f"0{self.n}b") if self.n else ""
+        if not 0 <= a < self.size:
+            raise IndexError(f"no element {a} in a {self.n}-atom algebra")
+        return self.names[a]
 
     def parse_element(self, text: str) -> int:
-        if len(text) != self.n or (self.n and not set(text) <= {"0", "1"}):
+        a = self.elements_by_name.get(text)
+        if a is None:
             raise ValueError(f"element of a {self.n}-atom algebra needs {self.n} bits, got {text!r}")
-        return int(text, 2) if text else 0
+        return a
 
     def format_denotation(self, bits: int) -> list[str]:
-        return [self.format_element(a) for a in iter_bits(bits)]
+        names = self.names
+        return [names[a] for a in iter_bits(bits)]
 
     def parse_denotation(self, texts: list[str]) -> int:
         bits = 0

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .algebra import Algebra, Denotation
+from .algebra import Algebra, Denotation, algebra
 from .entailment import (
     DEFAULT_CAP,
     SearchReport,
@@ -45,8 +45,53 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def dumps(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) for what a verdict holds: dicts
+    with str keys, lists, str, int, bool and None, with strings escaped by
+    json's C code; any other value, such as a float, is written by
+    json.dumps.  The open containers are a stack of (items left, closing
+    text), each item a (text before it, value) pair."""
+    out, stack = [], [(iter((("", obj),)), "")]
+    while stack:
+        items, closing = stack[-1]
+        for before, value in items:
+            out.append(before)
+            if isinstance(value, str):
+                out.append(_escape(value))
+            elif value is None or value is True or value is False:
+                out.append("null" if value is None else "true" if value else "false")
+            elif isinstance(value, int):
+                out.append(int.__repr__(value))
+            elif isinstance(value, (dict, list, tuple)):
+                if not value:
+                    out.append("{}" if isinstance(value, dict) else "[]")
+                    continue
+                sep, end = ",\n" + "  " * len(stack), "\n" + "  " * (len(stack) - 1)
+                if isinstance(value, dict):
+                    befores = [sep + _escape(k) + ": " for k in value]
+                    befores[0] = "{" + befores[0][1:]
+                    stack.append((zip(befores, value.values()), end + "}"))
+                    break
+                try:  # a list of strings at once
+                    out.append("[" + sep[1:] + sep.join(map(_escape, value)) + end + "]")
+                except TypeError:
+                    befores = [sep] * len(value)
+                    befores[0] = "[" + sep[1:]
+                    stack.append((zip(befores, value), end + "]"))
+                    break
+            else:
+                out.append(json.dumps(value))
+        else:
+            stack.pop()
+            out.append(closing)
+    return "".join(out)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(dumps(obj))
 
 
 def _elapsed_field(obj: dict, started: float, timing: bool) -> dict:
@@ -113,11 +158,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    algebra = Algebra(args.n)
-    hom = _parse_assignment(algebra, args.assign or [])
+    hom = _parse_assignment(algebra(args.n), args.assign or [])
     formula = parse_formula(args.expr)
     denotation = evaluate(hom, formula, native_derived=args.native)
-    _emit({"algebra_n": algebra.n, "denotation": denotation.to_strings()})
+    _emit({"algebra_n": args.n, "denotation": denotation.to_strings()})
     return EXIT_OK
 
 
@@ -220,11 +264,11 @@ def _load_hom_file(path: str) -> Homomorphism:
     n = fields.get("n")
     if type(n) is not int:
         raise LTError(f"homomorphism file needs an integer n, got {n!r}")
-    algebra = Algebra(n)
+    alg = algebra(n)
     entries = fields.get("assignment", ())
     if not isinstance(entries, tuple):
         raise LTError("assignment in homomorphism file must be a JSON object")
-    return _homomorphism(algebra, entries, f"homomorphism file {path}")
+    return _homomorphism(alg, entries, f"homomorphism file {path}")
 
 
 def _cmd_bridge_verify_f(args) -> int:
@@ -249,11 +293,11 @@ def _cmd_bridge_verify_f(args) -> int:
 
 
 def _cmd_classes_principal_check(args) -> int:
-    algebra = Algebra(args.n)
+    alg = algebra(args.n)
     texts = load_json(args.denotation, "denotation")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise LTError('denotation must be a JSON array of element strings, like ["01","10"]')
-    d = Denotation.from_strings(algebra, texts)
+    d = Denotation.from_strings(alg, texts)
     principal = d.is_principal_ideal()
     obj = {
         "n": args.n,
@@ -261,7 +305,7 @@ def _cmd_classes_principal_check(args) -> int:
         "is_principal_ideal": principal,
     }
     if principal:
-        obj["max_element"] = algebra.format_element(d.join_of())
+        obj["max_element"] = alg.format_element(d.join_of())
     _emit(obj)
     return EXIT_OK if principal else EXIT_NEGATIVE
 
@@ -343,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("query")
     p.set_defaults(handler=_cmd_pt_entail)
+    pt.commands = ptsub.choices
 
     bridge = sub.add_parser("bridge", help="bridges between the two semantics")
     bsub = bridge.add_subparsers(dest="bridge_command", required=True)
@@ -353,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(handler=_cmd_bridge_verify_f)
+    bridge.commands = bsub.choices
 
     classes = sub.add_parser("classes", help="homomorphism class tools")
     csub = classes.add_subparsers(dest="classes_command", required=True)
@@ -360,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("denotation", help='JSON list of element bit-strings, e.g. ["00","01"]')
     p.set_defaults(handler=_cmd_classes_principal_check)
+    classes.commands = csub.choices
 
-    top.commands = sub.choices  # each command's name to its parser
+    top.commands = sub.choices  # each command's name to its parser, as in each group above
     return top
 
 
@@ -374,13 +421,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: the arguments after its name go straight to its
-    parser.  The top-level parser reads argv only to report on it: no or
-    an unknown command, `-h`, or arguments the command's parser left."""
+    """Run one command: the arguments after its name, or after a group's
+    name and its command's, go straight to that command's parser.  The
+    top-level parser reads argv only to report on it: no or an unknown
+    command, `-h`, or arguments the command's parser left."""
     argv = sys.argv[1:] if argv is None else argv
-    command = _parser().commands.get(argv[0]) if argv else None
+    command, i = _parser(), 0
+    while command is not None and hasattr(command, "commands"):
+        command, i = command.commands.get(argv[i]) if i < len(argv) else None, i + 1
     try:
-        args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+        args, rest = command.parse_known_args(argv[i:]) if command else (None, ())
         if args is None or rest:
             args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -97,7 +97,7 @@ import sys
 from array import array
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, iter_bits, same_fields
+from .algebra import Algebra, algebra, iter_bits, same_fields
 from .errors import BudgetExceededError, EvalError, ReplayError
 from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
@@ -569,7 +569,7 @@ def _column_tables(n: int, op: int) -> tuple:
     is a pointwise image, or for _ANY empty exactly on the empty set, so
     it distributes over union.  Up to n = 3 the first table of each maps
     a denotation to its image, and has 256 entries."""
-    alg = Algebra(n)
+    alg = algebra(n)
     if op in (_IAND, _IOR):
         f = alg.int_and if op == _IAND else alg.int_or
         return tuple(_lane_tables(functools.partial(f, 1 << a), alg.size) for a in alg.elements())
@@ -766,7 +766,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
     every homomorphism, not only the lex-leaders that are scanned."""
     if not 0 <= n <= MAX_N:
         raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
-    alg = Algebra(n)
+    alg = algebra(n)
     domains = _domains(program, alg, class_restriction)
     total = math.prod(len(values) for _, values in domains)
     if total > cap:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import Algebra, Denotation, iter_bits
+from .algebra import Algebra, Denotation, algebra, iter_bits
 from .entailment import Program
 from .errors import FragmentError, PrincipalVariableError
 from .semantics import Homomorphism
@@ -200,7 +200,7 @@ def build_hv(k: int) -> Homomorphism:
     atoms are the 2^k valuations, each variable goes to the principal
     ideal of the team of valuations satisfying it."""
     _check_k(k)
-    alg = Algebra(1 << k)
+    alg = algebra(1 << k)
     assignment = {
         i: Denotation(alg, alg.principal_ideal(_true_team(i, k))) for i in range(k)
     }

@@ -1,10 +1,11 @@
 import copy
 import random
+import tracemalloc
 
 import pytest
 
 import reference as ref
-from lt.algebra import Algebra, Denotation, ext_bot, full_set, principal_ideal
+from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
 from lt.entailment import _DOWN, _INOT, _UP, _column_tables, _pair_tables
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
@@ -278,3 +279,59 @@ class TestTextForm:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             Algebra(2).parse_element("101")
+
+    @pytest.mark.parametrize("n", range(MAX_ATOMS + 1))
+    def test_names_are_the_bit_strings(self, n):
+        alg = algebra(n)
+        texts = [format(a, f"0{n}b") if n else "" for a in alg.elements()]
+        assert alg.names == texts
+        assert [alg.format_element(a) for a in alg.elements()] == texts
+        assert [alg.parse_element(t) for t in texts] == [int(t, 2) if t else 0 for t in texts]
+        assert alg.format_denotation(alg.full) == texts
+        assert alg.parse_denotation(texts) == alg.full
+
+    @pytest.mark.parametrize("n", [0, 2, 8])
+    def test_index_outside_the_algebra_is_refused(self, n):
+        alg = algebra(n)
+        for a in (-1, -alg.size, alg.size):
+            with pytest.raises(IndexError, match=f"no element {a} in a {n}-atom algebra"):
+                alg.format_element(a)
+
+    @pytest.mark.parametrize("n, text", [
+        (2, "101"), (2, "1"), (2, "0b"), (2, "12"), (2, " 1"), (2, "\uff10\uff11"), (2, ""),
+        (1, "\uff11"), (8, "0000000"), (0, "0"),
+    ])
+    def test_bad_element_message(self, n, text):
+        message = f"element of a {n}-atom algebra needs {n} bits, got {text!r}"
+        for parse in (algebra(n).parse_element, lambda t: algebra(n).parse_denotation(["0" * n, t])):
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert str(info.value) == message
+
+
+class TestOneAlgebraPerSize:
+    def test_built_once(self):
+        assert all(algebra(n) is algebra(n) == Algebra(n) for n in range(MAX_ATOMS + 1))
+        assert algebra(3) is not Algebra(3)  # the constructor still builds anew
+
+    @pytest.mark.parametrize("n", [-1, MAX_ATOMS + 1])
+    def test_size_out_of_range_is_not_cached(self, n):
+        size = algebra.cache_info().currsize
+        for make in (algebra, algebra, Algebra):
+            with pytest.raises(ValueError) as info:
+                make(n)
+            assert str(info.value) == f"n_atoms must be in 0..{MAX_ATOMS}, got {n}"
+        assert algebra.cache_info().currsize == size
+
+    def test_all_sizes_with_names_are_small(self):
+        # the per-process state that one algebra per size adds
+        algebra.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(MAX_ATOMS + 1):
+                alg = algebra(n)
+                alg.names, alg.elements_by_name
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < 300_000

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -9,6 +10,22 @@ from lt.cli import main
 from lt.errors import LTError, ParseError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.fixture(autouse=True)
+def emitted(monkeypatch):
+    """The value of every verdict a test here prints, each checked to be
+    written exactly as json.dumps(value, indent=2) writes it."""
+    values, write = [], cli.dumps
+
+    def spy(obj):
+        text = write(obj)
+        assert text == json.dumps(obj, indent=2)
+        values.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", spy)
+    return values
 
 
 def run(capsys, *argv):
@@ -437,6 +454,22 @@ class TestClasses:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+BAD_ELEMENTS = ["101", "1", "1x", "\uff10\uff11", ""]  # at n = 2
+
+
+@pytest.mark.parametrize("text", BAD_ELEMENTS, ids=["long", "short", "letter", "fullwidth", "empty"])
+def test_bad_element_exits_2_with_its_message(capsys, tmp_path, text):
+    err = f"error: element of a 2-atom algebra needs 2 bits, got {text!r}\n"
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", text]}}))
+    for argv in (
+        ["eval", "--n", "2", "--assign", f'P0=[01,"{text}"]', "P0"],
+        ["classes", "principal-check", "--n", "2", json.dumps(["00", text])],
+        ["bridge", "verify-f", str(hom), "--k", "1"],
+    ):
+        assert run(capsys, *argv) == (2, "", err), argv
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -541,11 +574,14 @@ def _argv_battery(tmp_path):
         ["pt"], ["pt", "-h"], ["pt", "bogus"], ["pt", "eval", "--k", "1", "P0"], ["pt", "eval", "-h"],
         ["pt", "eval", "--k", "1", "P0", "P1"], ["pt", "eval", "--k", "one", "P0"],
         ["pt", "entail", "--k", "1", "|- P0 i| ~P0"], ["pt", "entail", "-h"], ["pt", "--k", "1", "eval", "P0"],
+        ["pt", "eval", "--k=1", "P0"], ["pt", "entail", "|- P0"], ["pt", "--", "eval", "--k", "1", "P0"],
         ["bridge"], ["bridge", "-h"], ["bridge", "verify-f", hom, "--k", "1"], ["bridge", "verify-f", "-h"],
         ["bridge", "verify-f", hom, "--k", "1", "--depth", "x"], ["bridge", "verify-f", hom],
+        ["bridge", "verify-f", hom, "--k", "1", "--dep", "3"], ["bridge", "verify-f", hom, "--k", "1", "x"],
         ["classes"], ["classes", "-h"], ["classes", "principal-check", "-h"],
         ["classes", "principal-check", "--n", "2", '["00","01"]'],
         ["classes", "principal-check", "--n", "2", '["00"]', "--zz"],
+        ["classes", "principal-check", "--n", "2", "[]", "--zz"],
         ["classes", "principal-check", "--n", "2", '["00","11"]'],
     ]
 
@@ -566,7 +602,7 @@ def _full_parser_main(argv) -> int:
     return 2
 
 
-def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path):
+def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path, emitted):
     statuses = set()
     for argv in _argv_battery(tmp_path):
         got = run(capsys, *argv)
@@ -574,6 +610,47 @@ def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path):
         assert got == (want, *capsys.readouterr()), argv
         statuses.add(want)
     assert statuses == {0, 1, 2}
+    assert len(emitted) > 20  # each verdict written as json.dumps writes it
+
+
+# -- the verdict writer: json.dumps(value, indent=2) without json's
+# pure-Python encoder
+
+_TEXTS = ["", "P0", 'say "hi"', "back\\slash", "tab\t", "line\nbreak", "\x00\x1f\x7f", "caf\u00e9",
+          "\u65e5\u672c", "\U0001f600", "\u2028", "</a>", "\ud800"]
+_NUMBERS = [0, 1, -1, 2**70, -(2**63), True, False, None, 0.1, -0.0, 1e300,
+            float("inf"), float("-inf"), float("nan")]
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A value of the kinds a verdict holds, and floats: containers, some
+    of them empty, to depth 5."""
+    kind = rng.randrange(6 if depth < 5 else 2)
+    if kind == 0:
+        return rng.choice(_TEXTS) + rng.choice(_TEXTS)
+    if kind == 1:
+        return rng.choice(_NUMBERS)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.choice((0, 0, 1, 2, 4)))]
+    if kind == 2:
+        return tuple(items)
+    if kind == 3:
+        return items
+    return {rng.choice(_TEXTS) + str(i): item for i, item in enumerate(items)}
+
+
+def test_writer_is_json_dumps_on_a_seeded_battery(emitted):
+    rng = random.Random(19)
+    values = [_random_value(rng, 0) for _ in range(5000)] + [{}, [], (), "", 0]
+    for value in values:
+        cli.dumps(value)  # the spy compares it with json.dumps
+    assert len(emitted) == len(values)
+    assert any(v == {} for v in values) and any(v == [] for v in values)
+
+
+def test_timing_verdict_is_json_dumps(capsys, emitted):
+    code, out, _ = run(capsys, "entail", "--timing", "--max-n", "1", "P0 |- P1")
+    assert code == 1 and type(emitted[-1]["elapsed_ms"]) is float
+    assert out == json.dumps(emitted[-1], indent=2) + "\n"
 
 
 class TestInternalError:

@@ -17,6 +17,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import pytest
 
 import reference as ref
 from lt import entailment
-from lt.algebra import Algebra
+from lt.algebra import Algebra, algebra
 from lt.cli import main
 from lt.entailment import (
     algebra_entails,
@@ -774,46 +775,64 @@ def test_one_variable_column_at_n3(seed):
         assert got == brute(3, premises, conclusion), (premises, conclusion)
 
 
-def test_scan_frees_its_algebra(monkeypatch):
-    # an algebra's memo tables must go when the scan returns, not at the
-    # next cyclic collection, or peak memory grows with every query
+def test_scan_frees_what_it_builds(monkeypatch):
+    # what a query builds, its Program, its columns and the kernels of its
+    # levels, must go when the search returns, not at the next cyclic
+    # collection, or peak memory grows with every query; only the algebra
+    # of each size is kept for the process, built once
     made = []
 
-    class Tracked(Algebra):
-        def __init__(self, n):
-            super().__init__(n)
-            made.append(weakref.ref(self))
+    def track(obj):
+        if isinstance(obj, (types.FunctionType, types.MethodType, entailment.Program,
+                            entailment._Column)):
+            made.append((type(obj), weakref.ref(obj)))
+        return obj
 
-    monkeypatch.setattr(entailment, "Algebra", Tracked)
+    class Program(entailment.Program):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            track(self)
+
+    class Column(entailment._Column):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            track(self)
+
+    binder = entailment._binder
+    monkeypatch.setattr(entailment, "Program", Program)
+    monkeypatch.setattr(entailment, "_Column", Column)
+    monkeypatch.setattr(entailment, "_binder",
+                        lambda bind: track(binder(lambda *key: track(bind(*key)))))
+    algebra.cache_clear()
     gc.disable()
     try:
-        report = find_countermodel(*_query("P0 & P1 |- P0 i& P1"), max_n=2)
-        assert report.status == "exhausted" and made
-        assert all(ref() is None for ref in made)
+        for text in ("P0 & P1 |- P0 i& P1", "P0 i& P1 |- P1 i& P0"):
+            assert find_countermodel(*_query(text), max_n=3).status == "exhausted"
+        assert {Program, Column, types.FunctionType} <= {kind for kind, _ in made}
+        assert all(ref() is None for _, ref in made)
+        assert algebra.cache_info().misses == 4  # n = 0..3, once each
     finally:
         gc.enable()
 
 
-def test_tables_hold_no_algebra(monkeypatch):
-    # the tables kept per size for the process are plain bytes: an
-    # algebra made to build them goes when they are built
-    made = []
-
-    class Tracked(Algebra):
-        def __init__(self, n):
-            super().__init__(n)
-            made.append(weakref.ref(self))
-
-    monkeypatch.setattr(entailment, "Algebra", Tracked)
-    entailment._column_tables.cache_clear()
-    entailment._pair_tables.cache_clear()
-    gc.disable()
-    try:
-        assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
-        assert entailment._pair_tables.cache_info().currsize == 1 and made
-        assert all(ref() is None for ref in made)
-    finally:
-        gc.enable()
+def test_tables_hold_only_bytes(monkeypatch):
+    # the tables kept per size for the process are tuples of bytes, built
+    # from an algebra but holding no algebra, function or value of a query
+    built = []
+    for name in ("_column_tables", "_pair_tables"):
+        build = getattr(entailment, name).__wrapped__
+        monkeypatch.setattr(entailment, name, functools.cache(
+            lambda *key, build=build: built.append(build(*key)) or built[-1]))
+    assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
+    algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: joined tables
+    leaves, stack = [], list(built)
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack += item
+        else:
+            leaves.append(type(item))
+    assert len(built) > 2 and set(leaves) == {bytes}
 
 
 def test_pair_tables_built_on_first_use(monkeypatch):
