@@ -27,7 +27,8 @@ from .entailment import (
 )
 from .errors import BudgetExceededError, LTError, ParseError, load_json
 from .proofcheck import check, load_assumptions, load_derivation
-from .ptplus import PTDenotation, format_team, f_map, pt_entails, pt_eval, verify_f_representation
+from .ptplus import (PTDenotation, f_map, format_team, format_valuation, pt_entails, pt_eval,
+                     verify_f_representation)
 from .semantics import Homomorphism, evaluate
 from .syntax import (
     format_formula,
@@ -282,9 +283,7 @@ def _cmd_bridge_verify_f(args) -> int:
             "k": args.k,
             "depth": args.depth,
             "atom_valuations": {
-                hom.algebra.format_element(1 << s): format(
-                    fmap.valuation_of(s), f"0{args.k}b"
-                ) if args.k else ""
+                hom.algebra.format_element(1 << s): format_valuation(fmap.valuation_of(s), args.k)
                 for s in range(hom.algebra.n)
             },
         }

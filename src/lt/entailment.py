@@ -26,20 +26,21 @@ instructions run only while the premises known so far intersect.
 the scan's kernels: the PT+ sweep of `verify_f_representation` runs the
 enumerated formulas that way, compiled as one program.
 
-The last digit, when it ranges over all denotations, runs as one
-column at every n: once per setting of the earlier digits, each of its
-instructions computes one Python integer holding a lane of max(8, 2^n)
-bits per value of the digit, 8 up to n = 3 and 16 at n = 4, the values
-ascending.  An external connective is one integer operation on it, a
-value of an earlier level broadcast to every lane by a multiplication.
-Every internal connective is a pointwise image, so int_not, the
-closures, _ANY, and int_and or int_or with one operand fixed distribute
-over union: f(x | y) = f(x) | f(y).  Such an f is known from its images
-of the bytes of a lane, and runs on every lane at once through
-bytes.translate with 256-byte tables, one up to n = 3 and four at n = 4
-(Lamport, CACM 1975); below n = 3 a table is padded with zeros past the
-2^(2^n) denotations, which no lane exceeds.  _ALL is the complement of
-_ANY of the complement, within the full carrier of each lane.
+The last digit, when it ranges over all denotations or those of at most
+d elements (see Degree), runs as one column at every n: once per setting
+of the earlier digits, each of its instructions computes one Python
+integer holding a lane of max(8, 2^n) bits per value of the digit, 8 up
+to n = 3 and 16 at n = 4, the values ascending.  An external connective
+is one integer operation on it, a value of an earlier level broadcast to
+every lane by a multiplication.  Every internal connective is a
+pointwise image, so int_not, the closures, _ANY, and int_and or int_or
+with one operand fixed distribute over union: f(x | y) = f(x) | f(y).
+Such an f is known from its images of the bytes of a lane, and runs on
+every lane at once through bytes.translate with 256-byte tables, one up
+to n = 3 and four at n = 4 (Lamport, CACM 1975); below n = 3 a table is
+padded with zeros past the 2^(2^n) denotations, which no lane exceeds.
+_ALL is the complement of _ANY of the complement, within the full
+carrier of each lane.
 op(x, y) is the union over the elements a of x of op({a}, y): for two
 columns, int_and and int_or join, per a, the translation of y kept to
 the lanes whose x holds a; for a value x, they read row x of a pair
@@ -66,7 +67,8 @@ Symmetry.  A permutation of the n atoms is an automorphism of 2^n, and
 it lifts to denotations; every connective, internal or external,
 commutes with it, and it fixes the constants (the empty set, {bottom},
 the full carrier).  It also maps each kind of domain onto itself: all
-denotations, principal ideals, and the singletons that label atoms take.
+denotations, those of at most d elements, principal ideals, and the
+singletons that label atoms take.
 So the permutation of a countermodel, witness included, is again one,
 and countermodels come in orbits.  The scan visits only lex-leaders,
 the assignments least in canonical order within their orbit (Crawford,
@@ -81,9 +83,26 @@ values instead of 65,536.  Every permutation fixes the bottom and the
 top element, so the minima over all denotations are found by marking
 orbits over the 2^(2^n - 2) denotations without those two bits: a
 quarter of them.  The minima of a group, and the stabiliser of a value
-in a group, are computed once per process.  The cap counts every
-homomorphism, not only the lex-leaders, so budget verdicts do not depend
-on the reduction.
+in a group, are computed once per process.
+
+Degree.  The violation set V, the premises' meet minus the conclusion,
+is the meet of its factors: & splits on the positive side, | on the
+negative one, and a complement flips the side.  A factor in which each
+occurrence of variable P is under an odd number of complements is
+antitone in P.  Any other needs a degree in P: P has degree 1 and a part
+without P 0; i!, the closures and _ANY keep it; i&, i| and & add their
+operands'; | takes the larger; a complement or _ALL over a part that
+holds P has none.  Every internal connective is a pointwise image, so a
+factor F of degree d is monotone in P and each element of F(X) lies in
+F(Y) for some Y within X of at most d elements.  Let D be the sum of the
+degrees.  For a witness e of V(X), the union Y of those sets has at most
+D elements and keeps e in each factor: with a degree, as it is
+monotone; antitone, as Y lies within X.  A Y other than X is smaller as
+an integer, so the least countermodel gives every P at most D elements
+at once, and keeps its witness.  So a variable with D below 2^n ranges
+over the denotations of at most D elements (kind `deg<D>`); principal
+ideals and label atoms are unchanged.  The cap counts every homomorphism
+of the full domains, so budget verdicts depend on neither reduction.
 """
 
 from __future__ import annotations
@@ -230,6 +249,7 @@ _TABLE_MAX_N = 3
 # The stabilisers kept per size, at most: one n = 4 variable reaches
 # 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
 _STABILISERS_MAX = 1 << 14
+_DEGREELESS = frozenset((_XOR, _ALL))  # no position has a degree under these
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -327,6 +347,61 @@ class Program:
         return self
 
     @functools.cached_property
+    def degrees(self) -> tuple[int | None, ...]:
+        """Per variable, the most elements the least countermodel gives it,
+        or None for no bound, once per query (see "Degree" in the module
+        docstring).  One pass keeps three masks of positions per slot, in
+        one integer: those it reads under an even number of complements,
+        under an odd number, and under a complement or _ALL.  A variable
+        that a factor reads with a degree, and none without, then takes a
+        pass of its own for the degrees."""
+        code, base, k = self.code, self.base, self.constants
+        full, even = k + _FULL, (1 << k) - 1
+        masks = [1 << p for p in range(k)] + [0, 0, 0]
+        append = masks.append
+        for op, a, b in code:
+            if op in _DEGREELESS:  # a complement, or _ALL
+                v = masks[b if a == full else a]
+                held = (v | v >> k) & even
+                append((v >> k & even | (v & even) << k if op == _XOR else v) | held << 2 * k)
+            else:
+                append(masks[a] | masks[b])
+        # the factors of `bad` by side, negative then positive: & splits on
+        # the positive side, | on the negative, and a complement flips it
+        sides, stack = (set(), set()), [(self.bad, True)]
+        while stack:
+            slot, positive = stack.pop()
+            if slot >= base:
+                op, a, b = code[slot - base]
+                if op == _XOR:
+                    stack.append((b if a == full else a, not positive))
+                    continue
+                if op == (_AND if positive else _OR):
+                    stack += (a, positive), (b, positive)
+                    continue
+            sides[positive].add(slot)
+        negative, positive = sides
+        bounded = unbounded = 0
+        for slot in positive:
+            bounded |= masks[slot]
+            unbounded |= masks[slot] & masks[slot] >> 2 * k
+        for slot in negative:  # a complement over what the slot reads
+            unbounded |= masks[slot] >> k
+        out: list[int | None] = []
+        for p in range(len(self.variables)):
+            if unbounded >> p & 1 or not bounded >> p & 1:
+                out.append(None if unbounded >> p & 1 else 0)
+                continue
+            degree = [0] * base  # no complement or _ALL reads p in a summed factor
+            degree[p] = 1
+            for op, a, b in code:
+                x, y = degree[a], degree[b]
+                degree.append(max(x, y) if op == _OR else 0 if op in _DEGREELESS else
+                              x + y if op < _INOT else x)
+            out.append(sum(degree[s] for s in positive if masks[s] >> p & 1))
+        return tuple(out)
+
+    @functools.cached_property
     def plan(self) -> list[list[tuple[list, int | None]]]:
         """The instructions grouped by level for the kernel, once per query:
         `plan[level + 1]` lists the level's segments (block, guard), the
@@ -389,6 +464,7 @@ class _Symmetry:
     def __init__(self, n: int):
         self.denotations = 1 << (1 << n)
         self.top = self.denotations >> 1  # the bit of the top element
+        self.moved = self.denotations - 1 ^ 1 ^ self.top  # the other elements' bits
         self.group = tuple(range(math.factorial(n)))
         self.tables: list[tuple[list[int], ...]] = []
         for perm in itertools.permutations(range(n)):
@@ -404,15 +480,17 @@ class _Symmetry:
             self.tables.append(tuple(tables))
         self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
         self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        # per group, a column digit's lanes and its packed minima (see _Column)
-        self.columns: dict[tuple[int, ...], tuple[_Lanes, int]] = {}
+        # per kind and group, a column digit's lanes and packed minima (_Column)
+        self.columns: dict[tuple[str, tuple[int, ...]], tuple[_Lanes, int]] = {}
 
     def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
         """The members of the group that fix the value, computed once per
-        group and value for the process; the memo is emptied when full."""
+        group and value for the process; the memo is emptied when full.
+        Every member fixes the bottom and the top element, so the memo
+        keys the value without them."""
         if len(group) == 1:
             return group
-        key = group, value
+        key = group, value & self.moved
         found = self._stabilisers.get(key)
         if found is None:
             if len(self._stabilisers) >= _STABILISERS_MAX:
@@ -462,17 +540,24 @@ def _symmetry(n: int) -> _Symmetry:
 def _domains(
     program: Program, alg: Algebra, class_restriction: str
 ) -> list[tuple[str, Sequence[int]]]:
-    """The kind and the values of each position, ascending."""
+    """The kind and the values of each position, ascending: `deg<d>`, the
+    denotations of at most d elements, for a degree d below 2^n."""
     if class_restriction == "principal_variables":
         variable: Sequence[int] = sorted(alg.principal_ideal(a) for a in alg.elements())
+        variables = [(class_restriction, variable)] * len(program.variables)
     elif class_restriction == "all":
-        variable = range(alg.full + 1)
+        variables = [("all", range(alg.full + 1)) if d is None or d >= alg.size
+                     else (f"deg{d}", _small_sets(alg.n, d)) for d in program.degrees]
     else:
         raise ValueError(f"unknown class restriction {class_restriction!r}")
-    singletons = [1 << e for e in alg.elements()]
-    return [(class_restriction, variable)] * len(program.variables) + [
-        ("atoms", singletons)
-    ] * len(program.atoms)
+    return variables + [("atoms", [1 << e for e in alg.elements()])] * len(program.atoms)
+
+
+@functools.cache
+def _small_sets(n: int, d: int) -> list[int]:
+    """The denotations of at most d elements at size n, ascending."""
+    singletons = [1 << e for e in range(1 << n)]
+    return sorted(sum(c) for i in range(d + 1) for c in itertools.combinations(singletons, i))
 
 
 def _binder(bind):
@@ -653,10 +738,9 @@ class _Column:
     """The last digit's level, run once for all the digit's values: each
     slot of the level holds one integer with a lane of max(8, 2^n) bits
     per value, ascending (see _Lanes), and each instruction is a few
-    C-level operations on it.  A column digit ranges over all
-    denotations, so its values are the minima under its group alone:
-    they are packed once per process and group, and kept in the algebra
-    size's _Symmetry."""
+    C-level operations on it.  A column digit's values are the minima of
+    its kind of domain under its group: they are packed once per process,
+    kind and group, and kept in the algebra size's _Symmetry."""
 
     def __init__(self, alg: Algebra, segments, levels: list[int], p: int):
         self.size = alg.size
@@ -667,17 +751,17 @@ class _Column:
         ]
         self._lanes = _symmetry(alg.n).columns
 
-    def run(self, p: int, values: Sequence[int], group, vals: list, bad: int) -> bool:
+    def run(self, p: int, kind: str, values: Sequence[int], group, vals: list, bad: int) -> bool:
         """Run the level for all the values.  A guard is empty when its
         integer is 0; a lane it empties is empty in `bad` too, as `bad`
         is met with every guard.  The values ascend, so the lowest set
         bit of `bad` is the least violation: True there, with its value
         and its lane of `bad` left in the slots."""
-        # the digit's values are the minima under the group
-        found = self._lanes.get(group)
+        # the digit's values are the minima of its kind under the group
+        found = self._lanes.get((kind, group))
         if found is None:
             lanes = _Lanes(len(values), self.size)
-            found = self._lanes[group] = lanes, lanes.pack(values)
+            found = self._lanes[kind, group] = lanes, lanes.pack(values)
         lanes, vals[p] = found
         for block, guard in self.segments:
             for kernel, dst, a, b in block:
@@ -709,15 +793,16 @@ def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]
     (position values, witness element), or None."""
     plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
     # The last digit runs as one column when it ranges over all 2^(2^n)
-    # denotations, at every n.  A principal-ideal or label-atom digit has
-    # at most 16 values and steps through them one at a time.  As columns,
-    # timed warm against this scan on the benchmark's commands (2 vCPUs,
-    # Python 3.11), principal-ideal queries ran 8% slower in all, from 5%
-    # faster to 24% slower per command, as each i& or i| of two columns
-    # runs 2^n translations; label-atom columns made `lentail` searches to
-    # n = 3 20-35% faster, but those that stop by n = 2 within 3% or 4-15%
-    # slower.
-    column = len(domains) - 1 if domains and domains[-1][0] == "all" else -1
+    # denotations or those of at most d elements, at every n: a deg2 one
+    # stepped value by value made a `proj` command 3 times slower.  A
+    # principal-ideal or label-atom digit has at most 16 values and steps
+    # through them one at a time.  As columns, timed warm against this
+    # scan on the benchmark's commands (2 vCPUs, Python 3.11),
+    # principal-ideal queries ran 8% slower in all, from 5% faster to 24%
+    # slower per command, as each i& or i| of two columns runs 2^n
+    # translations; label-atom columns made `lentail` searches to n = 3
+    # 20-35% faster, but those that stop by n = 2 within 3% or 4-15% slower.
+    column = len(domains) - 1 if domains and domains[-1][0].startswith(("all", "deg")) else -1
     levels: list = [
         [([(kernel(op), dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
         for segments in (plan[:-1] if column >= 0 else plan)
@@ -744,7 +829,7 @@ def _odometer(state: tuple) -> bool:
     while stack:
         p, values, group = stack.pop()
         if p == column:
-            if levels[p + 1].run(p, values, group, vals, bad):
+            if levels[p + 1].run(p, domains[p][0], values, group, vals, bad):
                 return True
             continue
         values, level = iter(values), levels[p + 1]
@@ -768,7 +853,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
         raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
     alg = algebra(n)
     domains = _domains(program, alg, class_restriction)
-    total = math.prod(len(values) for _, values in domains)
+    total = math.prod(alg.full + 1 if kind[:3] == "deg" else len(v) for kind, v in domains)
     if total > cap:
         message = f"{total} homomorphisms to scan at n={n} exceeds the cap of {cap}"
         raise BudgetExceededError(message, total=total)

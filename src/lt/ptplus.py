@@ -67,11 +67,14 @@ class PTDenotation:
 
 
 def format_valuation(s: int, k: int) -> str:
-    return format(s, f"0{k}b") if k else ""
+    """The k-bit string of a valuation: the name of element s of the
+    k-atom algebra, from its one list of names."""
+    return algebra(k).names[s]
 
 
 def format_team(team: int, k: int) -> list[str]:
-    return [format_valuation(s, k) for s in iter_bits(team)]
+    names = algebra(k).names
+    return [names[s] for s in iter_bits(team)]
 
 
 def _check_k(k: int) -> None:

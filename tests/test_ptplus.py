@@ -11,6 +11,7 @@ from lt.ptplus import (
     enumerate_pt_formulas,
     f_map,
     format_team,
+    format_valuation,
     has_principal_variables,
     is_pt_formula,
     pt_entails,
@@ -93,6 +94,16 @@ class TestScaleLimits:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             pt_eval(parse_formula("P0"), 4)
+
+
+def test_valuation_names():
+    # one list of names per k, each the k-bit string of the valuation
+    for k in range(5):
+        for s in range(1 << k):
+            assert format_valuation(s, k) == (format(s, f"0{k}b") if k else "")
+        team = (1 << (1 << k)) - 1
+        assert format_team(team, k) == [format_valuation(s, k) for s in range(1 << k)]
+        assert format_team(0, k) == []
 
 
 class TestPtEntails:

@@ -353,10 +353,13 @@ def test_refuted_box_internalisation_filters(seed):
 
 
 def _kinds(n: int) -> dict[str, list[int]]:
+    every = list(range(1 << (1 << n)))
     return {
-        "all": list(range(1 << (1 << n))),
+        "all": every,
         "principal_variables": [ref.to_bits(x) for x in _domain(n, "principal_variables")],
         "atoms": [1 << e for e in range(1 << n)],
+        # a variable with degree d < 2^n: the denotations of at most d elements
+        **{f"deg{d}": [x for x in every if x.bit_count() <= d] for d in range(1 << n)},
     }
 
 
@@ -365,6 +368,8 @@ def _kinds(n: int) -> dict[str, list[int]]:
     [
         (2, "|- (P0 & P1 & P2) | !(P0 & P1 & P2)", "all"),
         (3, "|- (P0 & P1) | !(P0 & P1)", "all"),
+        (3, "|- ((P0 i& P0) & P1) | !((P0 i& P0) & P1)", "all"),
+        (3, "|- box (P0 & P1) | !box (P0 & P1)", "all"),
         (3, "|- (P0 & P1 & P2) | !(P0 & P1 & P2)", "principal_variables"),
         (2, "|- p0 & p1 & p2 : P0 | !P0", None),
         (3, "|- p0 & p1 : P0 | !P0", None),
@@ -412,6 +417,14 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
     if klass is None:
         assert labelled_entails(n, *parse_labelled_query(text))[0]
     else:
+        assert algebra_entails(n, *_query(text), klass)[0]
+    assert max(seen) == len(perms)
+    if klass == "all":
+        # the same query over all denotations, as if no position had a
+        # degree: a deg1 digit pins one element, so two of them at n = 3
+        # leave a group of two
+        seen.clear()
+        _full_domains(monkeypatch)
         assert algebra_entails(n, *_query(text), klass)[0]
     assert 1 in seen and max(seen) == len(perms)  # the chain reaches the trivial group
 
@@ -516,6 +529,16 @@ def test_stabiliser_memo_is_bounded(monkeypatch):
         assert sym.stabiliser(sym.group, v) == tuple(g for g in sym.group if images[g][v] == v)
         assert len(sym._stabilisers) <= 10
     assert sym.stabiliser((0,), 5) == (0,) and len(sym._stabilisers) <= 10
+
+
+def test_stabilisers_share_an_entry_across_bottom_and_top():
+    # every permutation fixes the bottom and the top element, so a value
+    # with or without either shares one memo entry: 64 for the 256
+    # denotations at n = 3
+    sym = entailment._Symmetry(3)
+    for v in range(256):
+        sym.stabiliser(sym.group, v)
+    assert len(sym._stabilisers) == 64
 
 
 def test_n4_minima_mark_only_the_moved_elements(monkeypatch):
@@ -859,6 +882,173 @@ def test_pair_tables_built_on_first_use(monkeypatch):
         for _ in range(2):
             assert _json(algebra_entails(3, *query, klass)) == brute(3, *query, klass)
     assert built == [3, 3]
+
+
+# -- degree-bounded positions: a variable whose degree d is below the
+# 2^n elements ranges over the denotations of at most d elements, and
+# every verdict, least countermodel and witness is the full scan's
+
+
+def _full_domains(monkeypatch) -> None:
+    """Give no variable a degree, so that each ranges over every denotation."""
+    monkeypatch.setattr(entailment.Program, "degrees",
+                        property(lambda self: (None,) * len(self.variables)))
+
+
+def _against_full_domains(monkeypatch, decide):
+    """decide() with the degrees, then over the full domains."""
+    reduced = decide()
+    with monkeypatch.context() as m:
+        _full_domains(m)
+        return reduced, decide()
+
+
+def _has_small_domain(degrees, n: int) -> bool:
+    return any(d is not None and d < 1 << n for d in degrees)
+
+
+def test_degree_battery_against_the_full_scan(monkeypatch, seed):
+    # n <= 2 for three variables, n <= 3 for two and n <= 4 for one
+    rng = random.Random(seed + 72)
+    reduced = 0
+    for _ in range(600):
+        n_vars = rng.choice((1, 2, 3))
+        formula = lambda depths: random_formula(rng, rng.choice(depths), n_vars)
+        premises = [formula((2, 3)) for _ in range(rng.randrange(3))]
+        conclusion = formula((2, 3, 4))
+        degrees = entailment._compile_entailment(premises, conclusion).degrees
+        reduced += _has_small_domain(degrees, 2)
+        for n in range(6 - n_vars):
+            got, full = _against_full_domains(
+                monkeypatch, lambda: _json(algebra_entails(n, premises, conclusion)))
+            assert got == full, (premises, conclusion, n, degrees)
+    assert reduced > 200
+
+
+def test_degree_battery_labelled(monkeypatch, seed):
+    # a premise a : phi meets phi with a's singleton under _ANY, so phi's
+    # degrees hold; label atoms come after the variables and keep theirs
+    rng = random.Random(seed + 73)
+    reduced = 0
+    for _ in range(300):
+        n_vars, n_atoms = rng.choice((1, 2)), rng.choice((1, 2))
+        formula = lambda: random_formula(rng, rng.choice((2, 3)), n_vars)
+        gamma = [LabelledFormula(random_label(rng, 2, n_atoms), formula())
+                 for _ in range(rng.randrange(3))]
+        conclusion = LabelledFormula(random_label(rng, 2, n_atoms), formula())
+        reduced += _has_small_domain(entailment._compile_labelled(gamma, conclusion).degrees, 2)
+        for n in range(4 if n_vars + n_atoms < 4 else 3):
+            got, full = _against_full_domains(
+                monkeypatch, lambda: _json(labelled_entails(n, gamma, conclusion)))
+            assert got == full, (gamma, conclusion, n)
+    assert reduced > 100
+
+
+def test_degree_battery_against_the_reference(seed):
+    rng = random.Random(seed + 74)
+    cases = 0
+    while cases < 40:
+        n_vars = rng.choice((1, 2))
+        premises = [random_formula(rng, 2, n_vars) for _ in range(rng.randrange(3))]
+        conclusion = random_formula(rng, 3, n_vars)
+        if not _has_small_domain(entailment._compile_entailment(premises, conclusion).degrees, 2):
+            continue
+        cases += 1
+        for n in (0, 1, 2):
+            got = _json(algebra_entails(n, premises, conclusion))
+            assert got == brute(n, premises, conclusion), (premises, conclusion, n)
+
+
+@pytest.mark.parametrize(
+    "text, degrees, n, elements",
+    [
+        # 01 i& 10 is 00, outside P0: the least countermodel has two members
+        ("|- P0 i& P0 -> P0", (2,), 2, 2),
+        ("|- (P0 i| P0) i& P0 -> P0", (3,), 2, 2),
+        # a premise and the conclusion add: 0011 is the meet of 0111 and
+        # 1011 and the join of 0001 and 0010, and no smaller algebra has
+        # such an element outside P0
+        ("(P0 i& P0) & !P0 |- !(P0 i| P0)", (4,), 4, 4),
+        ("|- i! i! ((P0 i& P0) & (P0 i| P0)) -> P0", (4,), 4, 4),  # & within a factor adds
+    ],
+)
+def test_degree_least_countermodel_needs_its_elements(monkeypatch, text, degrees, n, elements):
+    premises, conclusion = _query(text)
+    assert entailment._compile_entailment(premises, conclusion).degrees == degrees
+    report = lambda: (lambda r: (r.status, r.completed_n, r.countermodel.to_json_obj()))(
+        find_countermodel(premises, conclusion, max_n=4))
+    got, full = _against_full_domains(monkeypatch, report)
+    assert got == full and got[:2] == ("countermodel", n)
+    assert len(got[2]["assignment"]["P0"]) == elements
+
+
+@pytest.mark.parametrize(
+    "text, degrees",
+    [
+        ("box P0 |- ibot", (None,)),  # a complement over an antitone part
+        ("P0 i& !P0 |- bot", (None,)),  # mixed polarity
+        ("|- P0 & !P0", (None,)),  # a complement over P0 itself
+        ("|- !(P0 i& P1) i| box P1", (None, None)),
+        ("|- P0 | P1", (0, 0)),  # every factor antitone: only the empty set
+        ("!P0, P1 |- P0 i& P1", (0, 1)),
+        ("P0 |- P0", (1,)),  # the guard P0 & P0 is one factor
+        ("P0 i& P0 |- !(P0 i& P0)", (2,)),  # one slot, so one factor
+        ("|- !P0 | P1", (1, 0)),  # | splits under a negation
+        ("P0 i& P1, up P1 |- !(dia P0 i| P1)", (2, 3)),  # the factors add
+        ("|- !((P0 i& P0) | P0) | !(P1 i| P0)", (3, 1)),  # | within a factor takes the larger
+    ],
+)
+def test_degree_domains(text, degrees):
+    program = entailment._compile_entailment(*_query(text))
+    assert program.degrees == degrees
+    for n in range(5):
+        alg = algebra(n)
+        domains = entailment._domains(program, alg, "all")
+        for d, (kind, values) in zip(degrees, domains):
+            small = d is not None and d < alg.size
+            assert kind == (f"deg{d}" if small else "all")
+            expected = [x for x in range(alg.full + 1) if not small or x.bit_count() <= d]
+            assert list(values) == expected
+        principal = entailment._domains(program, alg, "principal_variables")
+        assert {kind for kind, _ in principal} <= {"principal_variables"}
+
+
+def test_labelled_degrees():
+    gamma, conclusion = parse_labelled_query("p0 : P0 i& P0, p1 : box P1 |- p0 | p1 : P0")
+    program = entailment._compile_labelled(gamma, conclusion)
+    assert program.degrees == (2, None)
+    kinds = [kind for kind, _ in entailment._domains(program, algebra(2), "all")]
+    assert kinds == ["deg2", "all", "atoms", "atoms"]
+
+
+def test_degrees_leave_the_cap_counting_full_domains(capsys):
+    # distributivity has degree 1 in each variable, so 9 of the 256
+    # denotations at n = 3 each; the cap still counts all 2^24 homomorphisms
+    text = "|- (P0 i| P1) i& P2 -> (P0 i& P2) i| (P1 i& P2)"
+    premises, conclusion = _query(text)
+    assert entailment._compile_entailment(premises, conclusion).degrees == (1, 1, 1)
+    assert main(["entail", "--max-n", "3", text]) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "status": "budget_exceeded",\n  "n": 2,\n  "max_n": 3,\n  "class": "all",\n'
+        '  "cap": 4194304,\n  "jobs": 1,\n'
+        '  "note": "16777216 homomorphisms to scan at n=3 exceeds the cap of 4194304"\n}\n'
+    )
+    # forced through the cap, it is decided over the small domains
+    report = find_countermodel(premises, conclusion, max_n=3, cap=1 << 48)
+    assert (report.status, report.completed_n) == ("exhausted", 3)
+    report = find_countermodel(*_query("|- P0 i& P1 -> P1 i& P0"), max_n=4, cap=1 << 48)
+    assert (report.status, report.completed_n) == ("exhausted", 4)
+
+
+def test_column_lanes_are_kept_per_kind():
+    # at n = 2 the last digit of box P0 |- ibot ranges over all 16
+    # denotations, and that of |- P0 i& P0 -> P0 over the 11 of at most
+    # two elements, both under every permutation: each packs its own lanes
+    queries = [_query("box P0 |- ibot"), _query("|- P0 i& P0 -> P0")]
+    for order in (queries, queries[::-1]):
+        entailment._symmetry.cache_clear()
+        for premises, conclusion in order:
+            assert _json(algebra_entails(2, premises, conclusion)) == brute(2, premises, conclusion)
 
 
 def test_jobs_two_matches_one_at_n3():
