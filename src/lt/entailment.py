@@ -39,8 +39,6 @@ Such an f is known from its images of the bytes of a lane, and runs on
 every lane at once through bytes.translate with 256-byte tables, one up
 to n = 3 and four at n = 4 (Lamport, CACM 1975); below n = 3 a table is
 padded with zeros past the 2^(2^n) denotations, which no lane exceeds.
-_ALL is the complement of _ANY of the complement, within the full
-carrier of each lane.
 op(x, y) is the union over the elements a of x of op({a}, y): for two
 columns, int_and and int_or join, per a, the translation of y kept to
 the lanes whose x holds a; for a value x, they read row x of a pair
@@ -91,8 +89,8 @@ negative one, and a complement flips the side.  A factor in which each
 occurrence of variable P is under an odd number of complements is
 antitone in P.  Any other needs a degree in P: P has degree 1 and a part
 without P 0; i!, the closures and _ANY keep it; i&, i| and & add their
-operands'; | takes the larger; a complement or _ALL over a part that
-holds P has none.  Every internal connective is a pointwise image, so a
+operands'; | takes the larger; a complement over a part that holds P
+has none.  Every internal connective is a pointwise image, so a
 factor F of degree d is monotone in P and each element of F(X) lies in
 F(Y) for some Y within X of at most d elements.  Let D be the sum of the
 degrees.  For a witness e of V(X), the union Y of those sets has at most
@@ -229,12 +227,11 @@ def local_counterexample(
 
 # Opcodes.  An instruction (opcode, a, b) computes the value of its slot
 # from the values of slots a and b; a unary operation repeats its operand.
-# _ANY is the full carrier if its operand is non-empty, _ALL if it is the
-# full carrier, and both are empty otherwise.  _DOWN and _UP are the
-# order closures, which is what x i& top and x i| top compute.  A label
-# atom takes the singleton of its element as value, so labels compile to
-# internal connectives.
-_OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _ALL, _DOWN, _UP = range(10)
+# _ANY is the full carrier if its operand is non-empty, and empty
+# otherwise.  _DOWN and _UP are the order closures, which is what x i& top
+# and x i| top compute.  A label atom takes the singleton of its element
+# as value, so labels compile to internal connectives.
+_OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _DOWN, _UP = range(9)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _EXTERNAL = (operator.or_, operator.and_, operator.xor)  # _OR, _AND, _XOR
@@ -249,7 +246,6 @@ _TABLE_MAX_N = 3
 # The stabilisers kept per size, at most: one n = 4 variable reaches
 # 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
 _STABILISERS_MAX = 1 << 14
-_DEGREELESS = frozenset((_XOR, _ALL))  # no position has a degree under these
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -352,7 +348,7 @@ class Program:
         or None for no bound, once per query (see "Degree" in the module
         docstring).  One pass keeps three masks of positions per slot, in
         one integer: those it reads under an even number of complements,
-        under an odd number, and under a complement or _ALL.  A variable
+        under an odd number, and under a complement.  A variable
         that a factor reads with a degree, and none without, then takes a
         pass of its own for the degrees."""
         code, base, k = self.code, self.base, self.constants
@@ -360,10 +356,10 @@ class Program:
         masks = [1 << p for p in range(k)] + [0, 0, 0]
         append = masks.append
         for op, a, b in code:
-            if op in _DEGREELESS:  # a complement, or _ALL
+            if op == _XOR:  # a complement
                 v = masks[b if a == full else a]
                 held = (v | v >> k) & even
-                append((v >> k & even | (v & even) << k if op == _XOR else v) | held << 2 * k)
+                append(v >> k & even | (v & even) << k | held << 2 * k)
             else:
                 append(masks[a] | masks[b])
         # the factors of `bad` by side, negative then positive: & splits on
@@ -392,11 +388,11 @@ class Program:
             if unbounded >> p & 1 or not bounded >> p & 1:
                 out.append(None if unbounded >> p & 1 else 0)
                 continue
-            degree = [0] * base  # no complement or _ALL reads p in a summed factor
+            degree = [0] * base  # no complement reads p in a summed factor
             degree[p] = 1
             for op, a, b in code:
                 x, y = degree[a], degree[b]
-                degree.append(max(x, y) if op == _OR else 0 if op in _DEGREELESS else
+                degree.append(max(x, y) if op == _OR else 0 if op == _XOR else
                               x + y if op < _INOT else x)
             out.append(sum(degree[s] for s in positive if masks[s] >> p & 1))
         return tuple(out)
@@ -425,12 +421,16 @@ class Program:
 
 def _compile_entailment(premises, conclusion, filters=()) -> Program:
     """Compile premises |- conclusion.  A filter acts as a premise that
-    admits a homomorphism only where it denotes the full carrier."""
+    admits a homomorphism only where it denotes the full carrier: the
+    complement of _ANY of its complement."""
     trees = [postorder(f) for f in (*filters, *premises, conclusion)]
     c = Program(trees, labelled=False)
     for i, nodes in enumerate(trees[:-1]):
         slot = c.term(nodes)
-        c.premise(c.emit(_ALL, slot, slot) if i < len(filters) else slot)
+        if i < len(filters):
+            gap = c.node(ExtNot, slot)
+            slot = c.node(ExtNot, c.emit(_ANY, gap, gap))
+        c.premise(slot)
     return c.conclude(c.term(trees[-1]))
 
 
@@ -575,8 +575,6 @@ def _kernel(alg: Algebra, op: int):
     n, full = alg.n, alg.full
     if op == _ANY:
         return lambda x, _: full if x else 0
-    if op == _ALL:
-        return lambda x, _: full if x == full else 0
     if op == _IAND or op == _IOR:
         if n <= _TABLE_MAX_N:
             table = _pair_tables(n)[op == _IOR]
@@ -710,9 +708,7 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
             return lambda x, y, _: f(x, y)
         return lambda x, y, lanes: f(x * lanes.ones, y)
     if op >= _INOT:
-        tables = _column_tables(alg.n, _ANY if op == _ALL else op)
-        if op == _ALL:  # full exactly where not ANY of the complement
-            return lambda x, _, lanes: lanes.full ^ lanes.translate(lanes.full ^ x, tables)
+        tables = _column_tables(alg.n, op)
         return lambda x, _, lanes: lanes.translate(x, tables)
     if alg.n <= _TABLE_MAX_N and not pair:
         table = _pair_tables(alg.n)[op == _IOR]

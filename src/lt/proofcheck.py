@@ -71,17 +71,15 @@ class RuleName(Enum):
 
 class Assume(Node):
     __slots__ = ("id", "formula")
-    KIND = 17
 
     def __init__(self, id: str, formula: LabelledFormula):
         self.id = id
         self.formula = formula
-        self._hash = hash((self.KIND, id, formula._hash))
+        self._hash = hash((self.__class__, id, formula._hash))
 
 
 class Rule(Node):
     __slots__ = ("name", "conclusion", "premises", "discharges", "fresh")
-    KIND = 18
 
     def __init__(
         self,
@@ -96,7 +94,7 @@ class Rule(Node):
         self.premises = premises
         self.discharges = discharges
         self.fresh = fresh
-        self._hash = hash((self.KIND, name, conclusion._hash, premises, discharges, fresh))
+        self._hash = hash((self.__class__, name, conclusion._hash, premises, discharges, fresh))
 
 
 Derivation = Union[Assume, Rule]

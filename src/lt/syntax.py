@@ -29,7 +29,8 @@ matching the tokens again.  `expand` and `substitute` keep every node
 whose children come back unchanged, so a formula with nothing to
 rewrite comes back as the identical object.  `fold` computes a formula
 in one walk, spelling each derived connective as `expand` does, so
-evaluation and the compiler build no expanded tree to walk again.
+evaluation and the compiler build no expanded tree to walk again.  One
+printer serves formulas and labels, as one parser does.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class Node:
     a step of a derivation (`proofcheck`).
 
     A subclass names its fields in `__slots__`, in constructor order, and
-    its `__init__` stores `_hash`: the hash of its class's fixed `KIND`,
-    its plain fields and its children's stored hashes.  So hashing is
-    O(1), never recurses, and tells node kinds apart.  The hash is stored
+    its `__init__` stores `_hash`: the hash of its class, its plain fields
+    and its children's stored hashes.  So hashing is O(1), never recurses,
+    and tells node classes apart.  The hash is stored
     once, so a field must not be reassigned after construction.  Equality
     is structural: the same class and hash, then every field pair, walked
     on an explicit stack.  repr is `Class(field=value, ...)`, built by
@@ -93,23 +94,23 @@ class Node:
 
 
 def _nullary_init(self):
-    self._hash = hash((self.KIND,))
+    self._hash = hash((self.__class__,))
 
 
 def _index_init(self, index: int):
     self.index = index
-    self._hash = hash((self.KIND, index))
+    self._hash = hash((self.__class__, index))
 
 
 def _unary_init(self, child):
     self.child = child
-    self._hash = hash((self.KIND, child._hash))
+    self._hash = hash((self.__class__, child._hash))
 
 
 def _binary_init(self, left, right):
     self.left = left
     self.right = right
-    self._hash = hash((self.KIND, left._hash, right._hash))
+    self._hash = hash((self.__class__, left._hash, right._hash))
 
 
 class Formula(Node):
@@ -151,61 +152,51 @@ ARITY = {
 
 class ExtBot(Formula):
     __slots__ = ()
-    KIND = 1
     __init__ = _nullary_init
 
 
 class IntBot(Formula):
     __slots__ = ()
-    KIND = 2
     __init__ = _nullary_init
 
 
 class Var(Formula):
     __slots__ = ("index",)
-    KIND = 3
     __init__ = _index_init
 
 
 class ExtNot(Formula):
     __slots__ = ("child",)
-    KIND = 4
     __init__ = _unary_init
 
 
 class IntNot(Formula):
     __slots__ = ("child",)
-    KIND = 5
     __init__ = _unary_init
 
 
 class ExtOr(Formula):
     __slots__ = ("left", "right")
-    KIND = 6
     __init__ = _binary_init
 
 
 class ExtAnd(Formula):
     __slots__ = ("left", "right")
-    KIND = 7
     __init__ = _binary_init
 
 
 class IntOr(Formula):
     __slots__ = ("left", "right")
-    KIND = 8
     __init__ = _binary_init
 
 
 class IntAnd(Formula):
     __slots__ = ("left", "right")
-    KIND = 9
     __init__ = _binary_init
 
 
 class Derived(Formula):
     __slots__ = ("tag", "args")
-    KIND = 10
 
     def __init__(self, tag: DerivedTag, args: tuple[Formula, ...] = ()):
         if len(args) != ARITY[tag]:
@@ -215,7 +206,7 @@ class Derived(Formula):
             )
         self.tag = tag
         self.args = args
-        self._hash = hash((self.KIND, tag, args))  # each argument's stored hash
+        self._hash = hash((self.__class__, tag, args))  # each argument's stored hash
 
 
 class Label(Node):
@@ -226,42 +217,36 @@ class Label(Node):
 
 class LBot(Label):
     __slots__ = ()
-    KIND = 11
     __init__ = _nullary_init
 
 
 class LAtom(Label):
     __slots__ = ("index",)
-    KIND = 12
     __init__ = _index_init
 
 
 class LNot(Label):
     __slots__ = ("child",)
-    KIND = 13
     __init__ = _unary_init
 
 
 class LOr(Label):
     __slots__ = ("left", "right")
-    KIND = 14
     __init__ = _binary_init
 
 
 class LAnd(Label):
     __slots__ = ("left", "right")
-    KIND = 15
     __init__ = _binary_init
 
 
 class LabelledFormula(Node):
     __slots__ = ("label", "formula")
-    KIND = 16
 
     def __init__(self, label: Label, formula: Formula):
         self.label = label
         self.formula = formula
-        self._hash = hash((self.KIND, label._hash, formula._hash))
+        self._hash = hash((self.__class__, label._hash, formula._hash))
 
 
 ITOP_CORE = IntNot(IntBot())
@@ -532,11 +517,6 @@ class _Parser:
     def peek(self) -> str:
         return self.kinds[self.i]
 
-    def expect(self, kind: str, description: str) -> None:
-        if self.kinds[self.i] != kind:
-            raise self.unexpected((description,))
-        self.i += 1
-
     def formula(self) -> Formula:
         """formula := disj ['->' formula]; disj := conj (op conj)*;
         conj := unary (op unary)*; unary := prefix* (atom | '(' formula ')')."""
@@ -649,30 +629,40 @@ class _Parser:
             return equality(label, self.label())
         raise self.unexpected(("':'", "'='"))
 
-    def eof(self) -> None:
-        if self.peek() != "eof":
-            raise self.error(f"trailing input {self.texts[self.i]!r}", ("end of input",))
+    def query(self, read) -> tuple[tuple, Node]:
+        """query := [item (',' item)*] '|-' item, each item read by
+        read(self): the premises and the conclusion."""
+        premises = []
+        if self.peek() != "turnstile":
+            premises.append(read(self))
+            while self.peek() == "comma":
+                self.i += 1
+                premises.append(read(self))
+        if self.peek() != "turnstile":
+            raise self.unexpected(("'|-'",))
+        self.i += 1
+        return tuple(premises), read(self)
+
+
+def _parse(text: str, read):
+    """read(parser) over the whole text, which it must use up."""
+    p = _Parser(text)
+    value = read(p)
+    if p.peek() != "eof":
+        raise p.error(f"trailing input {p.texts[p.i]!r}", ("end of input",))
+    return value
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    p.eof()
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_label(text: str) -> Label:
-    p = _Parser(text)
-    a = p.label()
-    p.eof()
-    return a
+    return _parse(text, _Parser.label)
 
 
 def parse_labelled(text: str) -> LabelledFormula:
-    p = _Parser(text)
-    lf = p.labelled()
-    p.eof()
-    return lf
+    return _parse(text, _Parser.labelled)
 
 
 def parse_lines(path, parse) -> list:
@@ -684,66 +674,49 @@ def parse_lines(path, parse) -> list:
 
 def parse_entailment_query(text: str) -> tuple[tuple[Formula, ...], Formula]:
     """Parse "phi1, phi2 |- psi" (premises may be empty: "|- psi")."""
-    p = _Parser(text)
-    premises: list[Formula] = []
-    if p.peek() != "turnstile":
-        premises.append(p.formula())
-        while p.peek() == "comma":
-            p.i += 1
-            premises.append(p.formula())
-    p.expect("turnstile", "'|-'")
-    conclusion = p.formula()
-    p.eof()
-    return tuple(premises), conclusion
+    return _parse(text, lambda p: p.query(_Parser.formula))
 
 
 def parse_labelled_query(text: str) -> tuple[tuple[LabelledFormula, ...], LabelledFormula]:
     """Parse "a1:phi1, a2:phi2 |- b:psi" (premises may be empty)."""
-    p = _Parser(text)
-    premises: list[LabelledFormula] = []
-    if p.peek() != "turnstile":
-        premises.append(p.labelled())
-        while p.peek() == "comma":
-            p.i += 1
-            premises.append(p.labelled())
-    p.expect("turnstile", "'|-'")
-    conclusion = p.labelled()
-    p.eof()
-    return tuple(premises), conclusion
+    return _parse(text, lambda p: p.query(_Parser.labelled))
 
 
 # ---------------------------------------------------------------------------
-# Printer.  Binary subformulas are parenthesised except along the
-# associativity direction of the same operator, so mixed-level chains are
-# always unambiguous and re-parse to the identical tree.
+# Printer, one for formulas and labels.  Binary subformulas are
+# parenthesised except along the associativity direction of the same
+# operator, so mixed-level chains are always unambiguous and re-parse to
+# the identical tree.
 
-_BIN_OPS: dict[type, str] = {ExtAnd: "&", IntAnd: "i&", ExtOr: "|", IntOr: "i|"}
-
-
-def _binop_symbol(f: Formula) -> str | None:
-    sym = _BIN_OPS.get(type(f))
-    if sym is not None:
-        return sym
-    if isinstance(f, Derived):
-        if f.tag is DerivedTag.IMPLIES:
-            return "->"
-        if f.tag is DerivedTag.CIRCLE_STAR:
-            return "o*"
-    return None
+_INFIX: dict[type, str] = {ExtAnd: "&", IntAnd: "i&", ExtOr: "|", IntOr: "i|", LAnd: "&", LOr: "|"}
+_PREFIX: dict[type, str] = {ExtNot: "!", IntNot: "i!", LNot: "!"}
+_CONSTANTS: dict[type, str] = {ExtBot: "bot", IntBot: "ibot", LBot: "F"}
+_ATOMS: dict[type, str] = {Var: "P", LAtom: "p"}
 
 
-def _paren(text: str, node: Formula, unless_op: str | None = None) -> str:
-    """A subformula's text, parenthesised if it is a binary formula with an
+def _infix(node: Node) -> str | None:
+    """The symbol of a binary node: '->' and 'o*' for derived ones."""
+    sym = _INFIX.get(type(node))
+    if sym is None and type(node) is Derived and len(node.args) == 2:
+        return node.tag.value
+    return sym
+
+
+def _paren(text: str, node: Node, unless_op: str | None = None) -> str:
+    """A subformula's text, parenthesised if it is a binary node with an
     operator other than `unless_op`."""
-    sym = _binop_symbol(node)
+    sym = _infix(node)
     return f"({text})" if sym is not None and sym != unless_op else text
 
 
-def format_formula(f: Formula) -> str:
-    """The formula's text, built children first without recursion."""
+def format_formula(root: Node) -> str:
+    """The text of a formula or a label, built children first without
+    recursion.  A binary operand is parenthesised under a prefix
+    operator, as a right operand, and as the left operand of another
+    connective; for the right-associative '->' the sides swap."""
     out: list[str] = []
-    for node in postorder(f):
-        kind, sym = type(node), _binop_symbol(node)
+    for node in postorder(root):
+        kind, sym = type(node), _infix(node)
         if sym is not None:
             left, right = node.args if kind is Derived else (node.left, node.right)
             right_text = out.pop()
@@ -751,12 +724,12 @@ def format_formula(f: Formula) -> str:
                 out[-1] = f"{_paren(out[-1], left)} -> {_paren(right_text, right, sym)}"
             else:
                 out[-1] = f"{_paren(out[-1], left, sym)} {sym} {_paren(right_text, right)}"
-        elif kind is ExtNot or kind is IntNot:
-            out[-1] = ("!" if kind is ExtNot else "i!") + _paren(out[-1], node.child)
-        elif kind is ExtBot or kind is IntBot:
-            out.append("bot" if kind is ExtBot else "ibot")
-        elif kind is Var:
-            out.append(f"P{node.index}")
+        elif kind in _PREFIX:
+            out[-1] = _PREFIX[kind] + _paren(out[-1], node.child)
+        elif kind in _ATOMS:
+            out.append(f"{_ATOMS[kind]}{node.index}")
+        elif kind in _CONSTANTS:
+            out.append(_CONSTANTS[kind])
         elif not node.args:
             out.append(node.tag.value)
         else:
@@ -765,28 +738,7 @@ def format_formula(f: Formula) -> str:
     return out[0]
 
 
-def format_label(a: Label) -> str:
-    """The label's text, built children first without recursion.  A binary
-    label is parenthesised under !, as a right operand, and as the left
-    operand of the other connective."""
-    out: list[str] = []
-    for node in postorder(a):
-        kind = type(node)
-        if kind is LBot:
-            out.append("F")
-        elif kind is LAtom:
-            out.append(f"p{node.index}")
-        elif kind is LNot:
-            out[-1] = "!" + (f"({out[-1]})" if type(node.child) in (LOr, LAnd) else out[-1])
-        else:
-            right = out.pop()
-            left = out[-1]
-            if type(node.left) is (LOr if kind is LAnd else LAnd):
-                left = f"({left})"
-            if type(node.right) in (LOr, LAnd):
-                right = f"({right})"
-            out[-1] = f"{left} {'&' if kind is LAnd else '|'} {right}"
-    return out[0]
+format_label = format_formula
 
 
 def formula_repr(root: Node) -> str:

@@ -6,8 +6,8 @@ against the Algebra method it stands for, applied to one value: up to
 n = 3 on every denotation and, for the forms with a value operand,
 every value, and at n = 4 on every denotation for the unary opcodes and
 on seeded operands for the rest.  Below n = 3 a lane of 8 bits holds a
-denotation of 1, 2 or 4 bits, and the complements that _ALL and an
-_XOR with the full carrier take must leave the bits above it clear.
+denotation of 1, 2 or 4 bits, and the complement that an _XOR with
+the full carrier takes must leave the bits above it clear.
 The reference reads none of the scan's tables.
 """
 
@@ -20,9 +20,9 @@ import pytest
 
 from lt import entailment
 from lt.algebra import Algebra
-from lt.entailment import _ALL, _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR, _Lanes
+from lt.entailment import _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR, _Lanes
 
-UNARY = (_INOT, _ANY, _ALL, _DOWN, _UP)
+UNARY = (_INOT, _ANY, _DOWN, _UP)
 EXTERNAL = (_OR, _AND, _XOR)
 INTERNAL = (_IAND, _IOR)
 
@@ -40,7 +40,6 @@ def _scalar(alg: Algebra) -> list:
     full = alg.full
     return [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
             lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-            lambda x, _: full if x == full else 0,
             lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
 
 

@@ -25,6 +25,10 @@ from lt.syntax import (
     LOr,
     Node,
     Var,
+    _binary_init,
+    _index_init,
+    _nullary_init,
+    _unary_init,
     equality_label,
     expand,
     format_formula,
@@ -404,10 +408,12 @@ class TestNodes:
     recursion."""
 
     def test_kinds_hash_apart_over_the_same_children(self):
+        # a node hashes its class: the same fields under two classes, a
+        # formula's and a label's included, give unequal nodes and hashes
         a, b = Var(0), Var(1)
-        for group in ([IntOr(a, b), IntAnd(a, b), ExtAnd(a, b), ExtOr(a, b)],
-                      [ExtBot(), IntBot()],
-                      [ExtNot(a), IntNot(a)],
+        for group in ([IntOr(a, b), IntAnd(a, b), ExtAnd(a, b), ExtOr(a, b), LOr(a, b), LAnd(a, b)],
+                      [ExtBot(), IntBot(), LBot()],
+                      [ExtNot(a), IntNot(a), LNot(a)],
                       [LOr(LAtom(0), LAtom(1)), LAnd(LAtom(0), LAtom(1))],
                       [Var(3), LAtom(3)]):
             assert len({hash(x) for x in group}) == len(group), group
@@ -439,8 +445,19 @@ class TestNodes:
         while todo:
             classes.append(cls := todo.pop())
             todo += cls.__subclasses__()
-        kinds = [cls.KIND for cls in classes if "KIND" in vars(cls)]
-        assert len(kinds) == len(set(kinds)) == 18
+        concrete = [cls for cls in classes if "__init__" in vars(cls)]
+        assert len(concrete) == len(set(concrete)) == 18
+        # a node's kind is its class: classes that share a constructor
+        # still hash apart over the same fields
+        fields = {_nullary_init: (), _index_init: (3,), _unary_init: (Var(0),),
+                  _binary_init: (Var(0), Var(1))}
+        shared = {}
+        for cls in concrete:
+            shared.setdefault(vars(cls)["__init__"], []).append(cls)
+        assert set(fields) <= set(shared)
+        for init, group in shared.items():
+            nodes = [cls(*fields[init]) for cls in group] if init in fields else []
+            assert len({hash(x) for x in nodes}) == len(nodes), group
 
     def test_derived_keeps_its_arity_check(self):
         with pytest.raises(ValueError, match="takes 1 argument"):
