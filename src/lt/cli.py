@@ -198,12 +198,7 @@ def _cmd_entail(args) -> int:
         premises, conclusion = parse_entailment_query(args.query)
     max_n = args.max_n if args.max_n is not None else default_max_n()
     report = find_countermodel(
-        premises,
-        conclusion,
-        max_n=max_n,
-        class_restriction=args.class_restriction,
-        cap=args.cap,
-        jobs=args.jobs,
+        premises, conclusion, max_n=max_n, class_restriction=args.class_restriction, cap=args.cap
     )
     fields = {"max_n": max_n, "class": args.class_restriction, "cap": args.cap, "jobs": args.jobs}
     return _emit_search(report, fields, report.note, started, args.timing)
@@ -213,9 +208,7 @@ def _cmd_lentail(args) -> int:
     started = time.monotonic()
     gamma, conclusion = parse_labelled_query(args.query)
     max_n = args.max_n if args.max_n is not None else default_max_n()
-    report = find_labelled_countermodel(
-        gamma, conclusion, max_n=max_n, cap=args.cap, jobs=args.jobs
-    )
+    report = find_labelled_countermodel(gamma, conclusion, max_n=max_n, cap=args.cap)
     # a labelled verdict carries a note only when the cap stopped the search
     note = report.note if report.status == "budget_exceeded" else None
     fields = {"max_n": max_n, "cap": args.cap, "jobs": args.jobs}

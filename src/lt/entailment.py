@@ -54,9 +54,8 @@ same tables, and int_and and int_or from two pair tables built from
 them, indexed by x << 8 | y; at n = 4 the algebra's kernels run there.
 A scan binds the kernel of an opcode when an instruction first needs
 it, so each table is built on first use, once per process and size.
-The tables hold bytes only.  The scan runs in the calling process, and
-the countermodel it reports is the least one, replayed through the
-tree-walking evaluator first.
+The tables, built from `_operations`, hold bytes only.  The scan runs
+in the calling process, and the countermodel it reports is the least.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -101,6 +100,11 @@ at once, and keeps its witness.  So a variable with D below 2^n ranges
 over the denotations of at most D elements (kind `deg<D>`); principal
 ideals and label atoms are unchanged.  The cap counts every homomorphism
 of the full domains, so budget verdicts depend on neither reduction.
+
+Replay.  A Program records the query it compiles, and `_decide`, the one
+place a countermodel is made, replays each against it through the tree
+walker (`replay`, each filter denoting the full carrier, or
+`replay_labelled`): every countermodel the library returns is checked.
 """
 
 from __future__ import annotations
@@ -234,7 +238,6 @@ def local_counterexample(
 _OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _DOWN, _UP = range(9)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
-_EXTERNAL = (operator.or_, operator.and_, operator.xor)  # _OR, _AND, _XOR
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # Up to this algebra size a scan reads the closures and int_not from
 # tables over the whole domain of 2^(2^n) denotations, 256 entries at
@@ -259,11 +262,12 @@ class Program:
     -1 for none.  A guard slot holds the intersection of a prefix of the
     premises, and `bad` the premise intersection minus the conclusion."""
 
-    def __init__(self, trees: Iterable[list], labelled: bool):
+    def __init__(self, trees: Iterable[list], labelled: bool, query: tuple = ()):
         leaves = {(type(f), f.index) for nodes in trees for f in nodes if type(f) in (Var, LAtom)}
         self.variables = tuple(sorted(i for kind, i in leaves if kind is Var))
         self.atoms = tuple(sorted(i for kind, i in leaves if kind is LAtom))
         self.labelled = labelled
+        self.query = query  # what _decide replays a countermodel against
         self.positions = {
             **{(Var, v): i for i, v in enumerate(self.variables)},
             **{(LAtom, a): i for i, a in enumerate(self.atoms, len(self.variables))},
@@ -423,8 +427,9 @@ def _compile_entailment(premises, conclusion, filters=()) -> Program:
     """Compile premises |- conclusion.  A filter acts as a premise that
     admits a homomorphism only where it denotes the full carrier: the
     complement of _ANY of its complement."""
+    premises, filters = tuple(premises), tuple(filters)  # kept for the replay
     trees = [postorder(f) for f in (*filters, *premises, conclusion)]
-    c = Program(trees, labelled=False)
+    c = Program(trees, labelled=False, query=(premises, conclusion, filters))
     for i, nodes in enumerate(trees[:-1]):
         slot = c.term(nodes)
         if i < len(filters):
@@ -438,9 +443,10 @@ def _compile_labelled(gamma, conclusion) -> Program:
     """Compile a labelled entailment: a premise a : phi holds where a's
     element lies in phi's denotation, and the conclusion b : psi fails at
     b's element when that lies outside psi's denotation."""
-    query = [(postorder(lf.label), postorder(lf.formula)) for lf in (*gamma, conclusion)]
-    c = Program(itertools.chain.from_iterable(query), labelled=True)
-    *premises, (b, psi) = query
+    gamma = tuple(gamma)  # kept for the replay
+    terms = [(postorder(lf.label), postorder(lf.formula)) for lf in (*gamma, conclusion)]
+    c = Program(itertools.chain.from_iterable(terms), labelled=True, query=(gamma, conclusion))
+    *premises, (b, psi) = terms
     for a, f in premises:
         meet = c.emit(_AND, c.term(f), c.term(a))
         c.premise(c.emit(_ANY, meet, meet))
@@ -566,25 +572,30 @@ def _binder(bind):
     return lambda *key: bound[key] if key in bound else bound.setdefault(key, bind(*key))
 
 
+@functools.cache
+def _operations(n: int) -> tuple:
+    """Per opcode, the algebra's operation f(x, y) at size n, a unary one
+    ignoring y: the one place an opcode's meaning is said."""
+    alg = algebra(n)
+    full, inot, down, up = alg.full, alg.int_not, alg.down_closure, alg.up_closure
+    return (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
+            lambda x, _=0: inot(x), lambda x, _=0: full if x else 0,
+            lambda x, _=0: down(x), lambda x, _=0: up(x))
+
+
 def _kernel(alg: Algebra, op: int):
     """The function f(x, y) that computes one value of the opcode; a unary
     one ignores y.  Up to n = 3, f reads int_not and the closures from
-    their _column_tables, and int_and and int_or from _pair_tables."""
-    if op <= _XOR:
-        return _EXTERNAL[op]
-    n, full = alg.n, alg.full
-    if op == _ANY:
-        return lambda x, _: full if x else 0
-    if op == _IAND or op == _IOR:
-        if n <= _TABLE_MAX_N:
-            table = _pair_tables(n)[op == _IOR]
-            return lambda x, y: table[x << 8 | y]
-        return alg.int_or if op == _IOR else alg.int_and
-    if n <= _TABLE_MAX_N:
-        table = _column_tables(n, op)[0]
-        return lambda x, _: table[x]
-    f = alg.int_not if op == _INOT else alg.down_closure if op == _DOWN else alg.up_closure
-    return lambda x, _: f(x)
+    _column_tables, int_and and int_or from _pair_tables; _ANY is a test."""
+    n = alg.n
+    f = _operations(n)[op]
+    if op <= _XOR or op == _ANY or n > _TABLE_MAX_N:
+        return f
+    if op < _INOT:
+        table = _pair_tables(n)[op == _IOR]
+        return lambda x, y: table[x << 8 | y]
+    table = _column_tables(n, op)[0]
+    return lambda x, _: table[x]
 
 
 # -- the column: the last digit's values as the lanes of one integer
@@ -652,13 +663,10 @@ def _column_tables(n: int, op: int) -> tuple:
     is a pointwise image, or for _ANY empty exactly on the empty set, so
     it distributes over union.  Up to n = 3 the first table of each maps
     a denotation to its image, and has 256 entries."""
-    alg = algebra(n)
+    f, size = _operations(n)[op], 1 << n
     if op in (_IAND, _IOR):
-        f = alg.int_and if op == _IAND else alg.int_or
-        return tuple(_lane_tables(functools.partial(f, 1 << a), alg.size) for a in alg.elements())
-    ops = {_INOT: alg.int_not, _DOWN: alg.down_closure, _UP: alg.up_closure,
-           _ANY: lambda x: alg.full if x else 0}
-    return _lane_tables(ops[op], alg.size)
+        return tuple(_lane_tables(functools.partial(f, 1 << a), size) for a in range(size))
+    return _lane_tables(f, size)
 
 
 @functools.cache
@@ -703,7 +711,7 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
     two columns join, per element a, op({a}, y) in the lanes whose x
     holds a."""
     if op <= _XOR:
-        f = _EXTERNAL[op]
+        f = _operations(alg.n)[op]
         if pair:
             return lambda x, y, _: f(x, y)
         return lambda x, y, lanes: f(x * lanes.ones, y)
@@ -843,8 +851,8 @@ def _odometer(state: tuple) -> bool:
 
 
 def _decide(program: Program, n: int, class_restriction: str, cap: int):
-    """The least countermodel at algebra size n, or None.  The cap counts
-    every homomorphism, not only the lex-leaders that are scanned."""
+    """The least countermodel at algebra size n, once it replays, or None.
+    The cap counts every homomorphism, not only the lex-leaders scanned."""
     if not 0 <= n <= MAX_N:
         raise ValueError(f"algebra size must be in 0..{MAX_N}, got {n}")
     alg = algebra(n)
@@ -860,12 +868,22 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
     hom = Homomorphism.from_bits(alg, dict(zip(program.variables, values)))
     elements = [v.bit_length() - 1 for v in values[len(program.variables) :]]
     labels = LabelValuation(alg, dict(zip(program.atoms, elements)))
-    return Countermodel(hom, witness, labels if program.labelled else None)
+    cm = Countermodel(hom, witness, labels if program.labelled else None)
+    if program.labelled:
+        replays = replay_labelled(cm, *program.query)
+    else:
+        premises, conclusion, filters = program.query
+        admitted = all(evaluate(hom, f).bits == alg.full for f in filters)
+        replays = admitted and replay(cm, premises, conclusion)
+    if not replays:
+        raise ReplayError(
+            f"internal error: the countermodel at n={n} does not replay: {cm.to_json_obj()}"
+        )
+    return cm
 
 
-def _deepen(program: Program, replays, max_n: int, class_restriction: str, cap: int):
-    """Iterative deepening over algebra sizes 0..max_n; a countermodel is
-    reported only after `replays` has re-checked it."""
+def _deepen(program: Program, max_n: int, class_restriction: str, cap: int):
+    """Iterative deepening over algebra sizes 0..max_n."""
     if not 0 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
     for n in range(max_n + 1):
@@ -874,10 +892,6 @@ def _deepen(program: Program, replays, max_n: int, class_restriction: str, cap: 
         except BudgetExceededError as exc:
             return SearchReport("budget_exceeded", n - 1, note=str(exc))
         if cm is not None:
-            if not replays(cm):
-                raise ReplayError(
-                    f"internal error: the countermodel at n={n} does not replay: {cm.to_json_obj()}"
-                )
             return SearchReport("countermodel", n, countermodel=cm)
     return SearchReport("exhausted", max_n, note=NOTE_FINITE_SCOPE)
 
@@ -896,7 +910,8 @@ def algebra_entails(
     Returns (True, None) or (False, least countermodel).  Variables range
     over all denotations, or only over principal ideals when
     class_restriction="principal_variables".  The scan runs in the
-    calling process; `jobs` is accepted and does not change it.
+    calling process and ignores `jobs`, which goes with the benchmark
+    change of ROADMAP item 4.
     """
     cm = _decide(_compile_entailment(premises, conclusion), n, class_restriction, cap)
     return cm is None, cm
@@ -908,11 +923,9 @@ def labelled_entails(
     conclusion: LabelledFormula,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> tuple[bool, Countermodel | None]:
     """Decide a labelled entailment at algebra size n, quantifying over both
-    the variable assignment and the label valuation, in the calling
-    process; `jobs` is accepted and does not change the scan."""
+    the variable assignment and the label valuation."""
     cm = _decide(_compile_labelled(gamma, conclusion), n, "all", cap)
     return cm is None, cm
 
@@ -924,13 +937,9 @@ def find_countermodel(
     max_n: int = DEFAULT_MAX_N,
     class_restriction: str = "all",
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a countermodel, in the
-    calling process; `jobs` is accepted and does not change the scan."""
-    program = _compile_entailment(premises, conclusion)
-    replays = lambda cm: replay(cm, premises, conclusion)
-    return _deepen(program, replays, max_n, class_restriction, cap)
+    """Search algebra sizes 0, 1, ..., max_n for a countermodel."""
+    return _deepen(_compile_entailment(premises, conclusion), max_n, class_restriction, cap)
 
 
 def find_labelled_countermodel(
@@ -939,13 +948,9 @@ def find_labelled_countermodel(
     *,
     max_n: int = DEFAULT_MAX_N,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel,
-    in the calling process; `jobs` is accepted and does not change the
-    scan."""
-    replays = lambda cm: replay_labelled(cm, gamma, conclusion)
-    return _deepen(_compile_labelled(gamma, conclusion), replays, max_n, "all", cap)
+    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel."""
+    return _deepen(_compile_labelled(gamma, conclusion), max_n, "all", cap)
 
 
 def replay(cm: Countermodel, premises: Sequence[Formula], conclusion: Formula) -> bool:

@@ -1108,10 +1108,23 @@ def _wrong_hit(program, alg, domains):
 
 def test_wrong_countermodel_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(entailment, "_scan", _wrong_hit)
-    with pytest.raises(ReplayError):
-        find_countermodel(*_query("P0 |- P0"))
-    with pytest.raises(ReplayError):
-        find_labelled_countermodel(*parse_labelled_query("p0 : P0 |- p0 : P0"))
+    # every entry point returns only what _decide has replayed, against
+    # the premises it compiled even when they came as an iterator; on the
+    # restricted side of verify_box_internalisation the hit P0 = {} refutes
+    # |- P0, and only the filter P0, which it does not make full, rejects it
+    restricted = entailment._compile_entailment([], parse_formula("P0"), [parse_formula("P0")])
+    labelled = parse_labelled_query("p0 : P0 |- p0 : P0")
+    for search in (
+        lambda: find_countermodel(*_query("P0 |- P0")),
+        lambda: find_labelled_countermodel(*labelled),
+        lambda: algebra_entails(2, *_query("P0 |- P0")),
+        lambda: algebra_entails(2, iter(_query("P0 |- P0")[0]), parse_formula("P0")),
+        lambda: labelled_entails(2, *labelled),
+        lambda: labelled_entails(2, iter(labelled[0]), labelled[1]),
+        lambda: entailment._decide(restricted, 2, "all", entailment.DEFAULT_CAP),
+    ):
+        with pytest.raises(ReplayError):
+            search()
     assert main(["entail", "P0 |- P0"]) == 2
     assert main(["lentail", "p0 : P0 |- p0 : P0"]) == 2
     captured = capsys.readouterr()
