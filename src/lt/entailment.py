@@ -14,11 +14,12 @@ internal meet or join with it compiles to a closure opcode, since
 int_and(x, full) = down_closure(x) and int_or(x, full) = up_closure(x).
 Each instruction is tagged with the position of the last variable or
 label atom it reads; constants get level -1 and are computed once per
-algebra.  The instructions are grouped by level once per query
-(`Program.plan`).  The kernel `_scan` enumerates the positions like an
-odometer in canonical order (variables ascending, then label atoms, the
-first most significant, values ascending) and, when digit p changes,
-re-runs only the instructions of level >= p.  Premises are intersected
+algebra.  The instructions are grouped by level once per query and
+first digit of the column (`Program.plan`).  The kernel `_scan`
+enumerates the positions like an odometer in canonical order (variables
+ascending, then label atoms, the first most significant, values
+ascending) and, when digit p changes, re-runs only the instructions of
+level >= p.  Premises are intersected
 in order as soon as their level is reached, and an empty intersection
 skips the rest of its level and every deeper digit, so the conclusion's
 instructions run only while the premises known so far intersect.
@@ -26,34 +27,32 @@ instructions run only while the premises known so far intersect.
 the scan's kernels: the PT+ sweep of `verify_f_representation` runs the
 enumerated formulas that way, compiled as one program.
 
-The last digit, when it ranges over all denotations or those of at most
-d elements (see Degree), runs as one column at every n: once per setting
-of the earlier digits, each of its instructions computes one Python
-integer holding a lane of max(8, 2^n) bits per value of the digit, 8 up
-to n = 3 and 16 at n = 4, the values ascending.  An external connective
-is one integer operation on it, a value of an earlier level broadcast to
-every lane by a multiplication.  Every internal connective is a
-pointwise image, so int_not, the closures, _ANY, and int_and or int_or
-with one operand fixed distribute over union: f(x | y) = f(x) | f(y).
-Such an f is known from its images of the bytes of a lane, and runs on
-every lane at once through bytes.translate with 256-byte tables, one up
-to n = 3 and four at n = 4 (Lamport, CACM 1975); below n = 3 a table is
-padded with zeros past the 2^(2^n) denotations, which no lane exceeds.
-op(x, y) is the union over the elements a of x of op({a}, y): for two
-columns, int_and and int_or join, per a, the translation of y kept to
-the lanes whose x holds a; for a value x, they read row x of a pair
-table up to n = 3, and at n = 4 the tables of op({a}, y) joined over x.
-A principal-ideal or label-atom last digit, at most 16 values, steps
-through its values one at a time (see `_scan`).
-A guard is empty when its integer is 0; a lane it empties is empty in
-`bad`, which meets every guard, so the lowest set bit of `bad` is the
-least violation: its lane gives the value and its offset the witness.
+The column.  The trailing digits run as one column: the longest run of
+them whose full domains multiply to at most 2^16 (two variables over
+all denotations at n = 3, one at n = 4), with no premise guard at a
+level inside it but the last digit's.  Once per setting of the digits
+before it, each instruction of its levels computes one integer with a
+lane of max(8, 2^n) bits per lex-leader assignment of the run, in
+canonical order (see Symmetry).  A guard of the run empties only lanes,
+so the lanes it keeps are the assignments the odometer would visit, in
+its order; a guard inside the run would skip whole inner digits there,
+and merged across a selective one a scan ran up to five times slower.
+An external connective is one integer operation, a value of an earlier
+digit broadcast to every lane by a multiplication.  Every internal
+connective is a pointwise image, so int_not, the closures, _ANY, and
+int_and or int_or with one operand fixed distribute over union,
+f(x | y) = f(x) | f(y): such an f runs on every lane at once through
+bytes.translate, with tables of its images of the bytes of a lane
+(Lamport, CACM 1975; see `_column_kernel`).  A guard is empty when its
+integer is 0; a lane it empties is empty in `bad`, which meets every
+guard, so the lowest set bit of `bad` is the least violation: its lane
+gives every digit's value and its offset the witness.
 
 Up to n = 3 the other levels read int_not and the closures from the
 same tables, and int_and and int_or from two pair tables built from
 them, indexed by x << 8 | y; at n = 4 the algebra's kernels run there.
-A scan binds the kernel of an opcode when an instruction first needs
-it, so each table is built on first use, once per process and size.
+The kernel of an opcode is built when a scan first needs it and kept
+per size, so each table is built on first use, once per process.
 The tables, built from `_operations`, hold bytes only.  The scan runs
 in the calling process, and the countermodel it reports is the least.
 Searching all finite sizes is sound for refutation but cannot certify
@@ -79,8 +78,9 @@ is then computed from it as before.  One variable at n = 4 takes 3,984
 values instead of 65,536.  Every permutation fixes the bottom and the
 top element, so the minima over all denotations are found by marking
 orbits over the 2^(2^n - 2) denotations without those two bits: a
-quarter of them.  The minima of a group, and the stabiliser of a value
-in a group, are computed once per process.
+quarter of them.  The minima of a group, the stabiliser of a value in a
+group and the column's lanes under a group are computed once per
+process.
 
 Degree.  The violation set V, the premises' meet minus the conclusion,
 is the meet of its factors: & splits on the positive side, | on the
@@ -249,6 +249,12 @@ _TABLE_MAX_N = 3
 # The stabilisers kept per size, at most: one n = 4 variable reaches
 # 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
 _STABILISERS_MAX = 1 << 14
+# The column covers the trailing digits whose full domains multiply to
+# at most this many assignments: two over all denotations at n = 3, one
+# at n = 4.  The lanes kept per size hold at most _LANES_MAX assignments
+# in all, 2 MB of 16-bit lanes per digit.
+_COLUMN_MAX = 1 << 16
+_LANES_MAX = 1 << 20
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
 _LEAVES = {ExtBot: _ZERO, LBot: _IBOT, IntBot: _IBOT}
 
@@ -280,6 +286,7 @@ class Program:
         self.guards: set[int] = set()
         self.inter: int | None = None  # the intersection of the premises so far
         self.bad = -1
+        self._plans: dict[int, list] = {}
 
     def emit(self, op: int, a: int, b: int) -> int:
         if op in _COMMUTATIVE and a > b:
@@ -324,9 +331,8 @@ class Program:
         except KeyError as exc:
             raise EvalError(f"unbound variable P{exc.args[0]}") from None
         vals += 0, alg.int_bot(), alg.full
-        kernel = _binder(functools.partial(_kernel, alg))
         for op, a, b in self.code:
-            vals.append(kernel(op)(vals[a], vals[b]))
+            vals.append(_kernel(alg.n, op)(vals[a], vals[b]))
         return vals
 
     def premise(self, slot: int) -> None:
@@ -401,25 +407,24 @@ class Program:
             out.append(sum(degree[s] for s in positive if masks[s] >> p & 1))
         return tuple(out)
 
-    @functools.cached_property
-    def plan(self) -> list[list[tuple[list, int | None]]]:
-        """The instructions grouped by level for the kernel, once per query:
-        `plan[level + 1]` lists the level's segments (block, guard), the
-        instructions (op, slot, a, b) that run before the guard slot is
-        tested, the last segment with guard None.  In a binary instruction
-        of the last level, an operand of an earlier level, if any, is a,
-        so that a column kernel finds the single value first."""
-        levels, last = self.levels, self.constants - 1
-        plan: list[list] = [[([], None)] for _ in range(self.constants + 1)]
-        for slot, (op, a, b) in enumerate(self.code, self.base):
-            level = levels[slot]
-            if level == last and levels[a] == last != levels[b]:
-                a, b = b, a  # every binary opcode is commutative
-            segments = plan[level + 1]
-            segments[-1][0].append((op, slot, a, b))
-            if slot in self.guards:
-                segments[-1] = (segments[-1][0], slot)
-                segments.append(([], None))
+    def plan(self, start: int) -> list[list[tuple[list, int | None]]]:
+        """The instructions grouped by level, once per query and first digit
+        of the column: `plan[level + 1]` lists a level's segments (block,
+        guard), `plan[-1]` the column's; the instructions (op, pair, slot,
+        a, b) of a block run before the guard slot is tested.  In the
+        column an operand of an earlier level is a, and pair is false."""
+        plan = self._plans.get(start)
+        if plan is None:
+            levels = self.levels
+            plan = self._plans[start] = [[([], None)] for _ in range(start + 2)]
+            for slot, (op, a, b) in enumerate(self.code, self.base):
+                if levels[a] >= start > levels[b]:
+                    a, b = b, a  # every binary opcode is commutative
+                segments = plan[min(levels[slot], start) + 1]
+                segments[-1][0].append((op, levels[a] >= start, slot, a, b))
+                if slot in self.guards:
+                    segments[-1] = (segments[-1][0], slot)
+                    segments.append(([], None))
         return plan
 
 
@@ -468,7 +473,8 @@ class _Symmetry:
     a new one each time."""
 
     def __init__(self, n: int):
-        self.denotations = 1 << (1 << n)
+        self.size = 1 << n
+        self.denotations = 1 << self.size
         self.top = self.denotations >> 1  # the bit of the top element
         self.moved = self.denotations - 1 ^ 1 ^ self.top  # the other elements' bits
         self.group = tuple(range(math.factorial(n)))
@@ -486,8 +492,9 @@ class _Symmetry:
             self.tables.append(tuple(tables))
         self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
         self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        # per kind and group, a column digit's lanes and packed minima (_Column)
-        self.columns: dict[tuple[str, tuple[int, ...]], tuple[_Lanes, int]] = {}
+        # per kinds and group, a suffix's lanes and one packed column per digit
+        self.columns: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple] = {}
+        self.kept = 0  # the lanes of self.columns
 
     def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
         """The members of the group that fix the value, computed once per
@@ -533,6 +540,48 @@ class _Symmetry:
             self._minima[kind, group] = found
         return found
 
+    def suffix(self, kinds: tuple[str, ...], domains: list, group: tuple[int, ...]):
+        """The lex-leader assignments of a suffix of digits, of these kinds
+        and domains, under the group, in canonical order: (_Lanes, one
+        column per digit), packed once per process, kinds and group.  The
+        memo is emptied when it would keep more than _LANES_MAX lanes."""
+        key = kinds, group
+        found = self.columns.get(key)
+        if found is None:
+            digits = self._leaders(domains, group)
+            lanes = _Lanes(len(digits[0]), self.size)
+            if self.kept + len(digits[0]) > _LANES_MAX:
+                self.columns.clear()
+                self.kept = 0
+            self.kept += len(digits[0])
+            found = self.columns[key] = lanes, tuple(map(lanes.pack, digits))
+        return found
+
+    def _leaders(self, domains: list, group: tuple[int, ...]) -> list[list[int]]:
+        """Per digit, its value in each lex-leader assignment of the digits
+        under the group, in canonical order: the groups each digit is
+        reached under, digit by digit, then the assignments from each
+        group, once, from the last digit back."""
+        steps = []  # per digit but the last and group reached: (value, stabiliser)
+        reached = {group}
+        for kind, domain in domains[:-1]:
+            steps.append({g: [(v, self.stabiliser(g, v)) for v in self.minima(kind, domain, g)]
+                          for g in reached})
+            reached = {h for pairs in steps[-1].values() for _, h in pairs}
+        kind, domain = domains[-1]
+        tails = {g: [list(self.minima(kind, domain, g))] for g in reached}
+        for depth in range(len(steps) - 1, -1, -1):
+            heads = {}
+            for g, pairs in steps[depth].items():
+                out = heads[g] = [[] for _ in domains[depth:]]
+                for value, h in pairs:
+                    tail = tails[h]
+                    out[0] += itertools.repeat(value, len(tail[0]))
+                    for digit, lanes in zip(out[1:], tail):
+                        digit += lanes
+            tails = heads
+        return tails[group]
+
 
 @functools.cache
 def _symmetry(n: int) -> _Symmetry:
@@ -566,12 +615,6 @@ def _small_sets(n: int, d: int) -> list[int]:
     return sorted(sum(c) for i in range(d + 1) for c in itertools.combinations(singletons, i))
 
 
-def _binder(bind):
-    """bind(*key), computed on the first call with each key and then kept."""
-    bound: dict = {}
-    return lambda *key: bound[key] if key in bound else bound.setdefault(key, bind(*key))
-
-
 @functools.cache
 def _operations(n: int) -> tuple:
     """Per opcode, the algebra's operation f(x, y) at size n, a unary one
@@ -583,11 +626,12 @@ def _operations(n: int) -> tuple:
             lambda x, _=0: down(x), lambda x, _=0: up(x))
 
 
-def _kernel(alg: Algebra, op: int):
+@functools.cache
+def _kernel(n: int, op: int):
     """The function f(x, y) that computes one value of the opcode; a unary
     one ignores y.  Up to n = 3, f reads int_not and the closures from
-    _column_tables, int_and and int_or from _pair_tables; _ANY is a test."""
-    n = alg.n
+    _column_tables, int_and and int_or from _pair_tables; _ANY is a test.
+    Built when a scan first needs it, then kept per size for the process."""
     f = _operations(n)[op]
     if op <= _XOR or op == _ANY or n > _TABLE_MAX_N:
         return f
@@ -700,7 +744,8 @@ def _joined_tables(singles: tuple, x: int) -> tuple[bytes, ...]:
     return tuple(j.to_bytes(256, "little") for j in joined)
 
 
-def _column_kernel(alg: Algebra, op: int, pair: bool):
+@functools.cache
+def _column_kernel(n: int, op: int, pair: bool):
     """The function f(a, b, lanes) that runs the opcode on a column: on
     one column, for a unary opcode; on two, for a pair; else on a value
     and a column.  An external opcode is one integer operation, with the
@@ -709,23 +754,22 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
     a function that distributes over union: for x, row x of the pair
     table up to n = 3, at n = 4 the joined tables.  int_and and int_or of
     two columns join, per element a, op({a}, y) in the lanes whose x
-    holds a."""
+    holds a.  Built when a scan first needs it, then kept per size."""
     if op <= _XOR:
-        f = _operations(alg.n)[op]
+        f = _operations(n)[op]
         if pair:
             return lambda x, y, _: f(x, y)
         return lambda x, y, lanes: f(x * lanes.ones, y)
     if op >= _INOT:
-        tables = _column_tables(alg.n, op)
+        tables = _column_tables(n, op)
         return lambda x, _, lanes: lanes.translate(x, tables)
-    if alg.n <= _TABLE_MAX_N and not pair:
-        table = _pair_tables(alg.n)[op == _IOR]
+    if n <= _TABLE_MAX_N and not pair:
+        table = _pair_tables(n)[op == _IOR]
         return lambda x, y, lanes: lanes.translate(y, (table[x << 8 : x + 1 << 8],))
-    singles = _column_tables(alg.n, op)
+    singles = _column_tables(n, op)
     if not pair:
-        row = _binder(functools.partial(_joined_tables, singles))
-        return lambda x, y, lanes: lanes.translate(y, row(x))
-    lane = alg.full  # of one lane
+        return lambda x, y, lanes: lanes.translate(y, _joined_tables(singles, x))
+    lane = (1 << (1 << n)) - 1  # the full carrier of one lane
 
     def columns(x, y, lanes):
         out, data = 0, y.to_bytes(lanes.length, "little")
@@ -739,34 +783,24 @@ def _column_kernel(alg: Algebra, op: int, pair: bool):
 
 
 class _Column:
-    """The last digit's level, run once for all the digit's values: each
-    slot of the level holds one integer with a lane of max(8, 2^n) bits
-    per value, ascending (see _Lanes), and each instruction is a few
-    C-level operations on it.  A column digit's values are the minima of
-    its kind of domain under its group: they are packed once per process,
-    kind and group, and kept in the algebra size's _Symmetry."""
+    """The digits from `start` on, run once for all their lex-leader
+    assignments (see "The column" in the module docstring and _Lanes)."""
 
-    def __init__(self, alg: Algebra, segments, levels: list[int], p: int):
-        self.size = alg.size
-        kernel = _binder(functools.partial(_column_kernel, alg))
+    def __init__(self, alg: Algebra, segments, start: int, domains):
+        self.start, self.sym = start, _symmetry(alg.n)
+        self.domains = domains[start:]
+        self.kinds = tuple(kind for kind, _ in self.domains)
         self.segments = [
-            ([(kernel(op, levels[a] == p), dst, a, b) for op, dst, a, b in block], guard)
+            ([(_column_kernel(alg.n, op, pair), dst, a, b) for op, pair, dst, a, b in block], guard)
             for block, guard in segments
         ]
-        self._lanes = _symmetry(alg.n).columns
 
-    def run(self, p: int, kind: str, values: Sequence[int], group, vals: list, bad: int) -> bool:
-        """Run the level for all the values.  A guard is empty when its
-        integer is 0; a lane it empties is empty in `bad` too, as `bad`
-        is met with every guard.  The values ascend, so the lowest set
-        bit of `bad` is the least violation: True there, with its value
-        and its lane of `bad` left in the slots."""
-        # the digit's values are the minima of its kind under the group
-        found = self._lanes.get((kind, group))
-        if found is None:
-            lanes = _Lanes(len(values), self.size)
-            found = self._lanes[kind, group] = lanes, lanes.pack(values)
-        lanes, vals[p] = found
+    def run(self, group, vals: list, bad: int) -> bool:
+        """Run the levels for all the assignments under the group; True at
+        the least violation, with its values and lane of `bad` in the slots."""
+        start = self.start
+        lanes, columns = self.sym.suffix(self.kinds, self.domains, group)
+        vals[start : start + len(columns)] = columns
         for block, guard in self.segments:
             for kernel, dst, a, b in block:
                 vals[dst] = kernel(vals[a], vals[b], lanes)
@@ -776,8 +810,10 @@ class _Column:
         if not hits:
             return False
         w = lanes.w
-        lane = ((hits & -hits).bit_length() - 1) // w
-        vals[p], vals[bad] = values[lane], hits >> lane * w & (1 << w) - 1
+        shift, mask = ((hits & -hits).bit_length() - 1) // w * w, (1 << w) - 1
+        for p, column in enumerate(columns, start):
+            vals[p] = column >> shift & mask
+        vals[bad] = hits >> shift & mask
         return True
 
 
@@ -791,31 +827,33 @@ def _run(segments, vals: list[int]) -> bool:
     return True
 
 
+def _suffix_start(program: Program, domains: list) -> int:
+    """The first digit of the column: the longest run of trailing digits
+    whose full domains multiply to at most _COLUMN_MAX, inside which no
+    guard sits at a level other than the last digit's."""
+    guarded = {program.levels[g] for g in program.guards}
+    start, count = len(domains) - 1, len(domains[-1][1])
+    while start and start - 1 not in guarded and count * len(domains[start - 1][1]) <= _COLUMN_MAX:
+        start -= 1
+        count *= len(domains[start][1])
+    return start
+
+
 def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]]]):
     """The kernel.  Scan the lex-leader assignments of each position's
     domain in canonical order, and return the least violating one as
     (position values, witness element), or None."""
-    plan, kernel = program.plan, _binder(functools.partial(_kernel, alg))
-    # The last digit runs as one column when it ranges over all 2^(2^n)
-    # denotations or those of at most d elements, at every n: a deg2 one
-    # stepped value by value made a `proj` command 3 times slower.  A
-    # principal-ideal or label-atom digit has at most 16 values and steps
-    # through them one at a time.  As columns, timed warm against this
-    # scan on the benchmark's commands (2 vCPUs, Python 3.11),
-    # principal-ideal queries ran 8% slower in all, from 5% faster to 24%
-    # slower per command, as each i& or i| of two columns runs 2^n
-    # translations; label-atom columns made `lentail` searches to n = 3
-    # 20-35% faster, but those that stop by n = 2 within 3% or 4-15% slower.
-    column = len(domains) - 1 if domains and domains[-1][0].startswith(("all", "deg")) else -1
-    levels: list = [
-        [([(kernel(op), dst, a, b) for op, dst, a, b in block], guard) for block, guard in segments]
-        for segments in (plan[:-1] if column >= 0 else plan)
+    start = _suffix_start(program, domains) if domains else 0
+    plan = program.plan(start)
+    levels = [
+        [([(_kernel(alg.n, op), dst, a, b) for op, _, dst, a, b in block], guard)
+         for block, guard in segments]
+        for segments in plan[:-1]
     ]
-    if column >= 0:
-        levels.append(_Column(alg, plan[-1], program.levels, column))
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
-    sym = _symmetry(alg.n)
-    state = (domains, sym, levels, vals, program.bad, column)
+    if domains:
+        column = _Column(alg, plan[-1], start, domains)
+        state = (domains, _symmetry(alg.n), levels, vals, program.bad, column)
     if _run(levels[0], vals) and (_odometer(state) if domains else vals[program.bad]):
         bad = vals[program.bad]
         return tuple(vals[: len(domains)]), (bad & -bad).bit_length() - 1
@@ -823,30 +861,31 @@ def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]
 
 
 def _odometer(state: tuple) -> bool:
-    """Turn each digit through the orbit minima of its domain under the
-    stabiliser of the digits before it, all n! permutations for digit 0,
-    running a level whenever its digit changes; True at the first
-    violation, with the assignment left in the position slots.  The
+    """Turn each digit before the column through the orbit minima of its
+    domain under the stabiliser of the digits before it, all n!
+    permutations for digit 0, running a level whenever its digit changes,
+    and run the column under the stabiliser of them all; True at the
+    first violation, with the assignment left in the position slots.  The
     digits in turn are a stack of (digit, values left, group)."""
     domains, sym, levels, vals, bad, column = state
-    last, stack = len(domains) - 1, [(0, sym.minima(*domains[0], sym.group), sym.group)]
+    start = column.start
+    if not start:
+        return column.run(sym.group, vals, bad)
+    stack = [(0, iter(sym.minima(*domains[0], sym.group)), sym.group)]
     while stack:
-        p, values, group = stack.pop()
-        if p == column:
-            if levels[p + 1].run(p, domains[p][0], values, group, vals, bad):
-                return True
-            continue
-        values, level = iter(values), levels[p + 1]
+        p, values, group = stack[-1]
+        level = levels[p + 1]
         for value in values:
             vals[p] = value
             if _run(level, vals):
-                if p == last:
-                    if vals[bad]:
-                        return True
-                else:
-                    inner = sym.stabiliser(group, value)
-                    stack += (p, values, group), (p + 1, sym.minima(*domains[p + 1], inner), inner)
+                inner = sym.stabiliser(group, value)
+                if p + 1 < start:
+                    stack.append((p + 1, iter(sym.minima(*domains[p + 1], inner)), inner))
                     break
+                if column.run(inner, vals, bad):
+                    return True
+        else:
+            stack.pop()
     return False
 
 

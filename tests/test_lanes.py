@@ -44,7 +44,7 @@ def _scalar(alg: Algebra) -> list:
 
 
 def _run(op, pair, alg, x, y, lanes, count):
-    kernel = entailment._column_kernel(alg, op, pair)
+    kernel = entailment._column_kernel(alg.n, op, pair)
     return _decode(kernel(x, y, lanes), count, lanes.w)
 
 

@@ -38,6 +38,8 @@ from lt.errors import ReplayError
 from lt.syntax import (
     Derived,
     DerivedTag,
+    IntAnd,
+    IntOr,
     LabelledFormula,
     LAtom,
     free_vars,
@@ -380,40 +382,43 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
     # lex-leader; at each digit the group is the atom permutations fixing
     # the digits before it, computed here, and every orbit of the digit's
     # domain under it gives exactly one value, the orbit's least.  The
-    # scan takes digit p's values from `minima`, under the group that
-    # `stabiliser` returned for the value of digit p - 1 (all n!
-    # permutations at digit 0), so the spies rebuild the digits before p
+    # scan takes digit p's values from `minima`, under a group that
+    # `stabiliser` returned for some values of the digits before p (all
+    # n! permutations at digit 0), so the spies record, per group
+    # returned, values of the digits before it that give it.  The
+    # column's lanes are built from them once per process, so each scan
+    # starts from new symmetry memos
     perms, kinds, seen = _atom_perms(n), _kinds(n), []
-    chain = []  # per digit before the current one: (group returned, value)
+    prefixes = {}  # per group returned: the values of the digits it fixes
     stabiliser, minima = entailment._Symmetry.stabiliser, entailment._Symmetry.minima
 
+    def fixing(prefix):
+        return [g for g in perms if all(_image(g, x) == x for x in prefix)]
+
     def stabiliser_spy(self, group, value):
-        while chain and chain[-1][0] is not group:
-            chain.pop()
+        prefix = [] if group is self.group else prefixes[group]
         inner = stabiliser(self, group, value)
-        chain.append((inner, value))
+        prefixes[inner] = prefix + [ref.from_bits(value, n)]
+        assert len(inner) == len(fixing(prefixes[inner]))
         return inner
 
     def minima_spy(self, kind, domain, group):
-        if group is self.group:
-            chain.clear()
-        assert not chain or chain[-1][0] is group
         values = minima(self, kind, domain, group)
-        prefix = [ref.from_bits(v, n) for _, v in chain]
-        fixing = [g for g in perms if all(_image(g, x) == x for x in prefix)]
-        assert len(group) == len(fixing), (prefix, group)
+        fixes = fixing([] if group is self.group else prefixes[group])
+        assert len(group) == len(fixes), (group, prefixes.get(group))
         orbits = {
-            frozenset(ref.to_bits(_image(g, ref.from_bits(x, n))) for g in fixing)
+            frozenset(ref.to_bits(_image(g, ref.from_bits(x, n))) for g in fixes)
             for x in kinds[kind]
         }
-        assert list(values) == sorted(map(min, orbits)), prefix
+        assert list(values) == sorted(map(min, orbits)), prefixes.get(group)
         if len(group) == 1:
             assert values is domain  # the domain itself, not a copy
-        seen.append(len(fixing))
+        seen.append(len(fixes))
         return values
 
     monkeypatch.setattr(entailment._Symmetry, "stabiliser", stabiliser_spy)
     monkeypatch.setattr(entailment._Symmetry, "minima", minima_spy)
+    entailment._symmetry.cache_clear()
     if klass is None:
         assert labelled_entails(n, *parse_labelled_query(text))[0]
     else:
@@ -425,6 +430,7 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
         # leave a group of two
         seen.clear()
         _full_domains(monkeypatch)
+        entailment._symmetry.cache_clear()
         assert algebra_entails(n, *_query(text), klass)[0]
     assert 1 in seen and max(seen) == len(perms)  # the chain reaches the trivial group
 
@@ -605,8 +611,9 @@ def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]
     runs = []
 
     class Spy(entailment._Column):
-        def __init__(self, alg, segments, levels, p):
-            super().__init__(alg, segments, levels, p)
+        def __init__(self, alg, segments, start, domains):
+            super().__init__(alg, segments, start, domains)
+            code = iter([(op, dst) for block, _ in segments for op, _, dst, _, _ in block])
 
             def record(op, dst, kernel):
                 def run(x, y, lanes):
@@ -617,9 +624,8 @@ def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]
                 return run
 
             self.segments = [
-                ([(record(op, dst, kernel), dst, a, b)
-                  for (op, dst, a, b), (kernel, *_) in zip(block, built)], guard)
-                for (block, guard), (built, _) in zip(segments, self.segments)
+                ([(record(*next(code), kernel), dst, a, b) for kernel, dst, a, b in block], guard)
+                for block, guard in self.segments
             ]
 
         def run(self, *args):
@@ -713,20 +719,41 @@ def test_small_columns_against_brute_force(monkeypatch, n):
     assert places == {place: {1, 2, 3} for place in reached}
 
 
+def _column_kinds(monkeypatch) -> list[tuple[str, ...]]:
+    """Record the kinds of the digits of every column built."""
+    kinds = []
+    init = entailment._Column.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        kinds.append(self.kinds)
+
+    monkeypatch.setattr(entailment._Column, "__init__", spy)
+    return kinds
+
+
 @pytest.mark.parametrize("n", range(4))
-def test_principal_and_label_atom_digits_stay_scalar(monkeypatch, n):
-    calls = _column_calls(monkeypatch)
+def test_principal_and_label_atom_digits_are_column_lanes(monkeypatch, n):
+    kinds = _column_kinds(monkeypatch)
     query = _query("P0 i| P1 |- P1 i& P0")
     assert _json(algebra_entails(n, *query, "principal_variables")) == brute(
         n, *query, "principal_variables"
     )
+    assert kinds.pop() == ("principal_variables",) * 2  # both digits, one column
+    # p0's premise is a guard at p0's level, so the column is p1 alone
     labelled = parse_labelled_query("p0 : P0, p1 : P0 i| P1 |- p0 & p1 : P1")
     assert _json(labelled_entails(n, *labelled)) == brute_labelled(n, *labelled)
-    assert not calls
+    assert kinds.pop() == ("atoms",)
+    # every guard at the last level: the variable and both atoms are lanes
+    for text in ("p1 : !P0, p0 : up P0 |- p1 & p0 : !P0 i& up P0",
+                 "p1 : !P0, p0 : up P0 |- p1 | p0 : !P0 i& up P0"):
+        labelled = parse_labelled_query(text)
+        assert _json(labelled_entails(n, *labelled)) == brute_labelled(n, *labelled)
+        assert kinds.pop()[1:] == ("atoms", "atoms")
     # with no label atom the last digit of a labelled query is a variable
     labelled = parse_labelled_query("F : P0 |- F : P1")
     assert _json(labelled_entails(n, *labelled)) == brute_labelled(n, *labelled)
-    assert calls
+    assert "atoms" not in kinds.pop()
 
 
 def test_column_guards_cut_the_column(monkeypatch):
@@ -799,16 +826,15 @@ def test_one_variable_column_at_n3(seed):
 
 
 def test_scan_frees_what_it_builds(monkeypatch):
-    # what a query builds, its Program, its columns and the kernels of its
-    # levels, must go when the search returns, not at the next cyclic
-    # collection, or peak memory grows with every query; only the algebra
-    # of each size is kept for the process, built once
+    # what a query builds, its Program and its columns, must go when the
+    # search returns, not at the next cyclic collection, or peak memory
+    # grows with every query; only the algebra of each size is kept for
+    # the process, built once, and the kernels, at most one per size,
+    # opcode and column form, each built on first use
     made = []
 
     def track(obj):
-        if isinstance(obj, (types.FunctionType, types.MethodType, entailment.Program,
-                            entailment._Column)):
-            made.append((type(obj), weakref.ref(obj)))
+        made.append((type(obj), weakref.ref(obj)))
         return obj
 
     class Program(entailment.Program):
@@ -821,21 +847,36 @@ def test_scan_frees_what_it_builds(monkeypatch):
             super().__init__(*args, **kwargs)
             track(self)
 
-    binder = entailment._binder
     monkeypatch.setattr(entailment, "Program", Program)
     monkeypatch.setattr(entailment, "_Column", Column)
-    monkeypatch.setattr(entailment, "_binder",
-                        lambda bind: track(binder(lambda *key: track(bind(*key)))))
     algebra.cache_clear()
+    entailment._kernel.cache_clear()
+    entailment._column_kernel.cache_clear()
     gc.disable()
     try:
-        for text in ("P0 & P1 |- P0 i& P1", "P0 i& P1 |- P1 i& P0"):
-            assert find_countermodel(*_query(text), max_n=3).status == "exhausted"
-        assert {Program, Column, types.FunctionType} <= {kind for kind, _ in made}
+        # the pinned premise keeps P0 on the odometer, so its levels run
+        # scalar kernels
+        for text in ("P0 & P1 |- P0 i& P1", "P0 i& P1 |- P1 i& P0",
+                     "box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1"):
+            find_countermodel(*_query(text), max_n=3)
+        assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
         assert algebra.cache_info().misses == 4  # n = 0..3, once each
+        for kernel, forms in ((entailment._kernel, 1), (entailment._column_kernel, 2)):
+            assert 0 < kernel.cache_info().currsize <= 4 * 9 * forms
     finally:
         gc.enable()
+
+
+def _start(program, n: int) -> int:
+    """The first digit of the program's column at n, over all denotations."""
+    domains = entailment._domains(program, algebra(n), "all")
+    return entailment._suffix_start(program, domains) if domains else 0
+
+
+def _clear_kernels() -> None:
+    for cached in (entailment._pair_tables, entailment._kernel, entailment._column_kernel):
+        cached.cache_clear()
 
 
 def test_tables_hold_only_bytes(monkeypatch):
@@ -846,6 +887,7 @@ def test_tables_hold_only_bytes(monkeypatch):
         build = getattr(entailment, name).__wrapped__
         monkeypatch.setattr(entailment, name, functools.cache(
             lambda *key, build=build: built.append(build(*key)) or built[-1]))
+    _clear_kernels()
     assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
     algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: joined tables
     leaves, stack = [], list(built)
@@ -856,32 +898,40 @@ def test_tables_hold_only_bytes(monkeypatch):
         else:
             leaves.append(type(item))
     assert len(built) > 2 and set(leaves) == {bytes}
+    _clear_kernels()  # no kernel keeps this test's tables
 
 
 def test_pair_tables_built_on_first_use(monkeypatch):
-    # a scan builds the pair tables when it first binds an instruction
-    # that reads them: not for one variable at n = 3 or 4, whose i& and i|
-    # run column by column, and once in two scans each of a
-    # principal-variable query at n = 3, which runs i| on single values,
-    # and of a query with a value-by-column i&
+    # a kernel that reads the pair tables builds them when a scan first
+    # needs it: not for one variable at n = 3 or 4, or principal ideals
+    # at n = 3, whose i& and i| run column by column, and once in two
+    # scans each of two queries whose premise P0 keeps digit 0 on the
+    # odometer: over principal ideals, i| runs on single values, and over
+    # all denotations, P0 i& P1 takes P0 as a value by the column of P1
     built = []
     build = entailment._pair_tables.__wrapped__
     monkeypatch.setattr(entailment, "_pair_tables",
                         functools.cache(lambda n: built.append(n) or build(n)))
+    _clear_kernels()
     one = _query("|- (P0 i& i! P0) i| up P0 -> P0")
+    columns = _query("|- (P0 i| ~P0) & (P1 i| ~P1)")
     for n in (3, 4):
         assert _json(algebra_entails(n, *one)) == brute(n, *one)
+    assert _json(algebra_entails(3, *columns, "principal_variables")) == brute(
+        3, *columns, "principal_variables")
     assert built == []
-    principal = _query("|- (P0 i| ~P0) & (P1 i| ~P1)")
-    two = _query("P0 i& P1 |- P0")
+    principal = _query("P0 |- (P0 i| ~P0) & (P1 i| ~P1)")
+    two = _query("P0, P0 i& P1 |- P1")
     program = entailment._compile_entailment(*two)
-    assert any(op == entailment._IAND and program.levels[a] == 0
-               for block, _ in program.plan[-1] for op, _, a, _ in block)
+    assert _start(program, 3) == 1
+    assert any(op == entailment._IAND and not pair and program.levels[a] == 0
+               for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
     for query, klass in ((principal, "principal_variables"), (two, "all")):
-        entailment._pair_tables.cache_clear()
+        _clear_kernels()
         for _ in range(2):
             assert _json(algebra_entails(3, *query, klass)) == brute(3, *query, klass)
     assert built == [3, 3]
+    _clear_kernels()  # no kernel keeps this test's tables
 
 
 # -- degree-bounded positions: a variable whose degree d is below the
@@ -1040,15 +1090,259 @@ def test_degrees_leave_the_cap_counting_full_domains(capsys):
     assert (report.status, report.completed_n) == ("exhausted", 4)
 
 
+def _decoded(found) -> list[tuple[int, ...]]:
+    """The assignments of a suffix's lanes, in lane order."""
+    lanes, columns = found
+    return list(zip(*(_lanes(column, lanes) for column in columns)))
+
+
 def test_column_lanes_are_kept_per_kind():
-    # at n = 2 the last digit of box P0 |- ibot ranges over all 16
+    # at n = 2 the one digit of box P0 |- ibot ranges over all 16
     # denotations, and that of |- P0 i& P0 -> P0 over the 11 of at most
-    # two elements, both under every permutation: each packs its own lanes
+    # two elements, both under every permutation: each packs its own
+    # lanes, kept by the suffix's kinds and group
     queries = [_query("box P0 |- ibot"), _query("|- P0 i& P0 -> P0")]
     for order in (queries, queries[::-1]):
         entailment._symmetry.cache_clear()
         for premises, conclusion in order:
             assert _json(algebra_entails(2, premises, conclusion)) == brute(2, premises, conclusion)
+        sym = entailment._symmetry(2)
+        assert set(sym.columns) == {(("all",), sym.group), (("deg2",), sym.group)}
+        for kind, domain in (("all", range(16)), ("deg2", entailment._small_sets(2, 2))):
+            lanes = _decoded(sym.columns[(kind,), sym.group])
+            assert lanes == [(v,) for v in sym.minima(kind, domain, sym.group)]
+        assert sym.columns[("all",), sym.group] != sym.columns[("deg2",), sym.group]
+
+
+# -- the suffix column: the trailing digits of every kind as the lanes of
+# one integer, their lex-leader assignments in canonical order
+
+
+def _leaders(n: int, kinds, prefix=()) -> list[tuple[int, ...]]:
+    """By definition: the assignments of the digits, ascending in
+    canonical order, least in their orbit under the atom permutations
+    that fix the values of the prefix."""
+    image = lambda g, x: ref.to_bits(_image(g, ref.from_bits(x, n)))
+    group = [g for g in _atom_perms(n) if all(image(g, v) == v for v in prefix)]
+    return [t for t in itertools.product(*(_kinds(n)[kind] for kind in kinds))
+            if all(tuple(image(g, v) for v in t) >= t for g in group)]
+
+
+@pytest.mark.parametrize("n, kinds, prefix", [
+    (0, ("all", "all", "atoms"), ()),
+    (1, ("all", "all", "all"), ()),
+    (2, ("all", "all"), ()),
+    (2, ("all", "all", "all"), ()),
+    (2, ("principal_variables", "atoms"), ()),
+    (2, ("deg1", "all", "atoms"), ()),
+    (3, ("all", "all"), ()),
+    (3, ("all", "atoms", "atoms"), ()),
+    (3, ("atoms", "atoms", "atoms"), (0b110,)),  # under a transposition
+    (3, ("principal_variables",) * 3, ()),
+    (4, ("deg1", "deg1"), ()),
+    (4, ("deg1", "deg1"), (0b10,)),
+])
+def test_suffix_lanes_are_the_lex_leaders(n, kinds, prefix):
+    sym = entailment._Symmetry(n)
+    domains = [(kind, _kinds(n)[kind]) for kind in kinds]
+    group = sym.group
+    for value in prefix:
+        group = sym.stabiliser(group, value)
+    lanes = _decoded(sym.suffix(kinds, domains, group))
+    assert lanes == _leaders(n, kinds, prefix)
+    if (n, kinds, prefix) == (3, ("all", "all"), ()):
+        assert len(lanes) == 13056  # two variables at n = 3 with no degree
+
+
+def test_suffix_memo_is_bounded(monkeypatch):
+    # emptied when it would keep more lanes than the bound, and rebuilt
+    # the same; each size keeps its own
+    monkeypatch.setattr(entailment, "_LANES_MAX", 100)
+    sym = entailment._Symmetry(2)
+    cases = [(("all", "atoms"), None), (("atoms", "atoms"), None), (("all",), 0b0110),
+             (("principal_variables", "atoms"), None), (("all", "atoms"), None)]
+    for kinds, pinned in cases:
+        group = sym.group if pinned is None else sym.stabiliser(sym.group, pinned)
+        domains = [(kind, _kinds(2)[kind]) for kind in kinds]
+        found = _decoded(sym.suffix(kinds, domains, group))
+        assert found == _leaders(2, kinds, () if pinned is None else (pinned,))
+        assert sym.kept == sum(len(_decoded(f)) for f in sym.columns.values()) <= 100
+    assert len(sym.columns) < len(cases)
+
+
+def test_suffix_lanes_are_kept_per_size():
+    # n = 0 and n = 1 share the trivial group (0,), and box P0 |- ibot the
+    # kind `all`: the lanes of n = 0, the empty set and the full one, are
+    # no lanes of n = 1, whose least countermodel sets P0 to 11
+    entailment._symmetry.cache_clear()
+    report = find_countermodel(*_query("box P0 |- ibot"), max_n=1)
+    assert report.status == "countermodel"
+    assert report.countermodel.to_json_obj()["assignment"] == {"P0": ["0", "1"]}
+    assert entailment._symmetry(0).group == entailment._symmetry(1).group == (0,)
+    assert _decoded(entailment._symmetry(0).columns[("all",), (0,)]) == [(0,), (1,)]
+
+
+def _suffix_place(text: str, n: int) -> tuple[str, int]:
+    """Where the least countermodel's suffix assignment lies in its
+    column at n, and how many digits the suffix has."""
+    labelled = ":" in text
+    query = parse_labelled_query(text) if labelled else _query(text)
+    program = (entailment._compile_labelled if labelled else entailment._compile_entailment)(*query)
+    cm = (labelled_entails if labelled else algebra_entails)(n, *query)[1]
+    values = [cm.hom.assignment[v].bits for v in program.variables]
+    values += [1 << cm.labels.assignment[a] for a in program.atoms] if labelled else []
+    domains = entailment._domains(program, algebra(n), "all")
+    start, sym = entailment._suffix_start(program, domains), entailment._symmetry(n)
+    group = sym.group
+    for value in values[:start]:
+        group = sym.stabiliser(group, value)
+    kinds = tuple(kind for kind, _ in domains[start:])
+    lanes = _decoded(sym.suffix(kinds, domains[start:], group))
+    index = lanes.index(tuple(values[start:]))
+    return "first" if index == 0 else "last" if index == len(lanes) - 1 else "middle", len(kinds)
+
+
+SUFFIX_HITS = [
+    ("|- p0 : P0", 3, "first", 2),
+    ("box (P0 | P1) |- ibot", 2, "middle", 2),
+    ("box (P0 & P1) |- ibot", 2, "last", 2),
+    ("|- p0 & p1 : P0", 3, "first", 3),
+    ("p1 : P0, p0 : P0 |- p0 & p1 : P0 i& !P0", 3, "middle", 3),
+    ("dia (P0 & P1 & P2) |- bot", 2, "middle", 3),
+    ("box (P0 & P1 & P2) |- ibot", 2, "last", 3),
+]
+
+
+@pytest.mark.parametrize("text, n, where, digits", SUFFIX_HITS)
+def test_suffix_least_hit(text, n, where, digits):
+    if ":" in text:
+        query = parse_labelled_query(text)
+        assert _json(labelled_entails(n, *query)) == brute_labelled(n, *query)
+    else:
+        assert _json(algebra_entails(n, *_query(text))) == brute(n, *_query(text))
+    assert _suffix_place(text, n) == (where, digits)
+
+
+def test_pinned_premise_keeps_its_digit_on_the_odometer(monkeypatch):
+    # the premises read P0 alone, so their guards sit at P0's level, and
+    # P0 turns on the odometer: the column is P1 alone
+    kinds = _column_kinds(monkeypatch)
+    premises, conclusion = _query("box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1")
+    program = entailment._compile_entailment(premises, conclusion)
+    assert {program.levels[g] for g in program.guards} == {0}
+    for n in (2, 3):
+        assert _json(algebra_entails(n, premises, conclusion)) == brute(
+            n, premises, conclusion, limit=300)
+        assert _start(program, n) == 1 and kinds.pop() == ("all",)
+
+
+def test_three_variables_at_n3_keep_digit_0_on_the_odometer(monkeypatch):
+    # 2^24 assignments over all denotations: the column is the last two
+    # digits, 2^16, and P0 turns on the odometer
+    kinds = _column_kinds(monkeypatch)
+    _full_domains(monkeypatch)
+    for text in ("P0 i& P2 |- P1 i& (P0 | P2)", "box (P0 & P1 & P2) |- ibot"):
+        premises, conclusion = _query(text)
+        program = entailment._compile_entailment(premises, conclusion)
+        assert _start(program, 3) == 1
+        got, single = _against_one_digit(monkeypatch, lambda: _json(
+            algebra_entails(3, premises, conclusion, cap=1 << 24)))
+        assert got == single
+        assert kinds[0] == ("all", "all")
+        kinds.clear()
+    full = ["000", "001", "010", "011", "100", "101", "110", "111"]
+    assert got[1]["assignment"] == {"P0": full, "P1": full, "P2": full}
+
+
+def test_query_without_positions(monkeypatch):
+    kinds = _column_kinds(monkeypatch)
+    for text in ("ibot |- i! ibot", "nb, itop |- top", "bot |- ibot", "|- !bot"):
+        premises, conclusion = _query(text)
+        for n in range(4):
+            assert _json(algebra_entails(n, premises, conclusion)) == brute(n, premises, conclusion)
+    assert kinds == []
+
+
+def _against_one_digit(monkeypatch, decide):
+    """decide() with the suffix column, then with `_COLUMN_MAX` at 1: a
+    column of the last digit alone, bar digits of a single value."""
+    got = decide()
+    with monkeypatch.context() as m:
+        m.setattr(entailment, "_COLUMN_MAX", 1)
+        return got, decide()
+
+
+def _one_degree(rng, n_vars: int):
+    """|- X -> Y with each variable read once by X, under internal
+    connectives only: each has degree 1."""
+    parts = [parse_formula(rng.choice(("P{}", "down P{}", "up P{}", "i! i! P{}")).format(v))
+             for v in range(n_vars)]
+    x = parts[0]
+    for part in parts[1:]:
+        x = (IntAnd if rng.random() < 0.5 else IntOr)(x, part)
+    return [], Derived(DerivedTag.IMPLIES, (x, random_formula(rng, 2, n_vars)))
+
+
+def test_suffix_battery(monkeypatch, seed):
+    # every verdict, least countermodel and witness with the suffix column
+    # is that of a column of the last digit alone and the oracle's:
+    # n <= 2 for every shape, seeded at n = 3, and n = 4 for two
+    # variables of degree 1
+    rng = random.Random(seed + 75)
+    formula = lambda depth, n_vars: random_formula(rng, depth, n_vars)
+    suffixes = checks = 0
+    for i in range(120):
+        shape, n_vars = i % 4, rng.choice((1, 2, 2, 2, 3))
+        sizes = (0, 1, 2) if n_vars < 3 else (0, 1)
+        if shape == 2:  # label atoms, one or two
+            n_atoms = rng.choice((1, 2))
+            gamma = [LabelledFormula(random_label(rng, 2, n_atoms), formula(2, n_vars))
+                     for _ in range(rng.randrange(3))]
+            conclusion = LabelledFormula(random_label(rng, 2, n_atoms), formula(2, n_vars))
+            decide = lambda n: _json(labelled_entails(n, gamma, conclusion))
+            oracle = lambda n: brute_labelled(n, gamma, conclusion)
+            program = entailment._compile_labelled(gamma, conclusion)
+            sizes = sizes[: 4 - n_vars - n_atoms + 1] if n_vars + n_atoms > 3 else sizes
+        else:
+            premises = [formula(2, n_vars) for _ in range(rng.randrange(3))]
+            conclusion = formula(3, n_vars)
+            pi = [formula(2, n_vars) for _ in range(rng.randrange(1, 3))] if shape == 3 else []
+            klass = "principal_variables" if shape == 1 else "all"
+            program = entailment._compile_entailment(premises, conclusion, pi)
+            decide = lambda n: _json((lambda cm: (cm is None, cm))(
+                entailment._decide(program, n, klass, entailment.DEFAULT_CAP)))
+            oracle = lambda n: brute(n, premises, conclusion, klass, filters=pi)
+        for n in sizes:
+            suffixes += len(program.positions) - _start(program, n) > 1
+            got, single = _against_one_digit(monkeypatch, lambda: decide(n))
+            assert got == single == oracle(n), (program.query, n)
+            checks += 1
+    assert checks > 300 and suffixes > 60  # columns of two or more digits
+    # n = 3: one variable and label atoms, and principal ideals
+    for i in range(16):
+        if i % 2:
+            n_vars, n_atoms = 1, rng.choice((1, 2))
+            gamma = [LabelledFormula(random_label(rng, 2, n_atoms), formula(2, n_vars))
+                     for _ in range(rng.randrange(1, 3))]
+            conclusion = LabelledFormula(random_label(rng, 2, n_atoms), formula(2, n_vars))
+            decide = lambda: _json(labelled_entails(3, gamma, conclusion))
+            expected = brute_labelled(3, gamma, conclusion, limit=40)
+        else:
+            n_vars = rng.choice((2, 3))
+            premises = [formula(2, n_vars) for _ in range(rng.randrange(3))]
+            conclusion = formula(3, n_vars)
+            decide = lambda: _json(algebra_entails(3, premises, conclusion, "principal_variables"))
+            expected = brute(3, premises, conclusion, "principal_variables", limit=64)
+        got, single = _against_one_digit(monkeypatch, decide)
+        assert got == single, i
+        assert expected is None or got == expected, i
+    # n = 4: two variables of degree 1, 17 values each
+    for _ in range(8):
+        premises, conclusion = _one_degree(rng, 2)
+        assert entailment._compile_entailment(premises, conclusion).degrees == (1, 1)
+        got, single = _against_one_digit(monkeypatch, lambda: _json(
+            algebra_entails(4, premises, conclusion, cap=1 << 32)))
+        assert got == single, conclusion
 
 
 def test_jobs_two_matches_one_at_n3():
