@@ -24,8 +24,9 @@ in order as soon as their level is reached, and an empty intersection
 skips the rest of its level and every deeper digit, so the conclusion's
 instructions run only while the premises known so far intersect.
 `Program.run` computes every slot at one fixed assignment instead, with
-the scan's kernels: the PT+ sweep of `verify_f_representation` runs the
-enumerated formulas that way, compiled as one program.
+the operations of the scan's levels: the PT+ sweep of
+`verify_f_representation` runs the enumerated formulas that way,
+compiled as one program.
 
 The column.  The trailing digits run as one column: the longest run of
 them whose full domains multiply to at most 2^16 (two variables over
@@ -48,13 +49,14 @@ integer is 0; a lane it empties is empty in `bad`, which meets every
 guard, so the lowest set bit of `bad` is the least violation: its lane
 gives every digit's value and its offset the witness.
 
-Up to n = 3 the other levels read int_not and the closures from the
-same tables, and int_and and int_or from two pair tables built from
-them, indexed by x << 8 | y; at n = 4 the algebra's kernels run there.
-The kernel of an opcode is built when a scan first needs it and kept
-per size, so each table is built on first use, once per process.
-The tables, built from `_operations`, hold bytes only.  The scan runs
-in the calling process, and the countermodel it reports is the least.
+The levels before the column run one assignment at a time, each
+instruction through the algebra's own operation from `_operations`, at
+every size.  So each form has one kernel: a value runs the algebra, a
+column its lane tables.  A column kernel is built when a scan first
+needs it and kept per size, so each table is built on first use, once
+per process.  The tables, built from `_operations`, hold bytes only.
+The scan runs in the calling process, and the countermodel it reports
+is the least.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -239,13 +241,6 @@ _OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _DOWN, _UP = range(9)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
-# Up to this algebra size a scan reads the closures and int_not from
-# tables over the whole domain of 2^(2^n) denotations, 256 entries at
-# n = 3, and int_and and int_or from tables over every pair, 65,536
-# entries at n = 3, each built on first use and kept for the process.
-# At n = 4 a closure table holds 65,536 entries and a pair table 2^32, so
-# shifts run outside the column, which reads a byte of a lane at a time.
-_TABLE_MAX_N = 3
 # The stabilisers kept per size, at most: one n = 4 variable reaches
 # 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
 _STABILISERS_MAX = 1 << 14
@@ -324,15 +319,16 @@ class Program:
 
     def run(self, alg: Algebra, env: Mapping[int, int]) -> list[int]:
         """The value of every slot of a program without label atoms at one
-        assignment of its variables, each instruction through the scalar
-        kernel that a scan binds for it."""
+        assignment of its variables, each instruction through the algebra
+        operation that a scan's levels run for it."""
         try:
             vals = [env[v] for v in self.variables]
         except KeyError as exc:
             raise EvalError(f"unbound variable P{exc.args[0]}") from None
         vals += 0, alg.int_bot(), alg.full
+        operations = _operations(alg.n)
         for op, a, b in self.code:
-            vals.append(_kernel(alg.n, op)(vals[a], vals[b]))
+            vals.append(operations[op](vals[a], vals[b]))
         return vals
 
     def premise(self, slot: int) -> None:
@@ -626,22 +622,6 @@ def _operations(n: int) -> tuple:
             lambda x, _=0: down(x), lambda x, _=0: up(x))
 
 
-@functools.cache
-def _kernel(n: int, op: int):
-    """The function f(x, y) that computes one value of the opcode; a unary
-    one ignores y.  Up to n = 3, f reads int_not and the closures from
-    _column_tables, int_and and int_or from _pair_tables; _ANY is a test.
-    Built when a scan first needs it, then kept per size for the process."""
-    f = _operations(n)[op]
-    if op <= _XOR or op == _ANY or n > _TABLE_MAX_N:
-        return f
-    if op < _INOT:
-        table = _pair_tables(n)[op == _IOR]
-        return lambda x, y: table[x << 8 | y]
-    table = _column_tables(n, op)[0]
-    return lambda x, _: table[x]
-
-
 # -- the column: the last digit's values as the lanes of one integer
 
 _TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
@@ -714,47 +694,17 @@ def _column_tables(n: int, op: int) -> tuple:
 
 
 @functools.cache
-def _pair_tables(n: int) -> tuple[bytes, bytes]:
-    """int_and and int_or of every pair of denotations at n <= 3, as bytes
-    indexed by x << 8 | y: each row has 256 entries, padded with zeros
-    below n = 3, so that it is a table for bytes.translate.  Row x is row
-    x ^ low, for the least member low of x, joined bytewise with the row
-    of {low} from _column_tables: op(x, y) is op(x ^ low, y) |
-    op({low}, y).  A row is kept as one integer whose byte y is op(x, y),
-    so that one | joins two rows."""
-    count = 1 << (1 << n)
-    tables = []
-    for op in (_IAND, _IOR):
-        singles = [int.from_bytes(single[0], "little") for single in _column_tables(n, op)]
-        rows = [0]
-        for x in range(1, count):
-            low = x & -x
-            rows.append(rows[x ^ low] | singles[low.bit_length() - 1])
-        tables.append(b"".join(row.to_bytes(256, "little") for row in rows))
-    return tables[0], tables[1]
-
-
-def _joined_tables(singles: tuple, x: int) -> tuple[bytes, ...]:
-    """The lane tables of y -> op(x, y), from those of y -> op({a}, y):
-    op(x, y) is their union over the elements a of x, table by table."""
-    joined = [0] * len(singles[0])
-    for a in iter_bits(x):
-        for i, table in enumerate(singles[a]):
-            joined[i] |= int.from_bytes(table, "little")
-    return tuple(j.to_bytes(256, "little") for j in joined)
-
-
-@functools.cache
 def _column_kernel(n: int, op: int, pair: bool):
     """The function f(a, b, lanes) that runs the opcode on a column: on
     one column, for a unary opcode; on two, for a pair; else on a value
     and a column.  An external opcode is one integer operation, with the
     value broadcast to every lane.  A unary opcode, or int_and or int_or
     of a value x and a column, translates the lanes through the tables of
-    a function that distributes over union: for x, row x of the pair
-    table up to n = 3, at n = 4 the joined tables.  int_and and int_or of
-    two columns join, per element a, op({a}, y) in the lanes whose x
-    holds a.  Built when a scan first needs it, then kept per size."""
+    a function that distributes over union: for x, the tables of
+    op({a}, y) joined over the elements a of x, one | per element, as
+    op(x, y) is their union.  int_and and int_or of two columns join, per
+    element a, op({a}, y) in the lanes whose x holds a.  Built when a scan
+    first needs it, then kept per size."""
     if op <= _XOR:
         f = _operations(n)[op]
         if pair:
@@ -763,12 +713,20 @@ def _column_kernel(n: int, op: int, pair: bool):
     if op >= _INOT:
         tables = _column_tables(n, op)
         return lambda x, _, lanes: lanes.translate(x, tables)
-    if n <= _TABLE_MAX_N and not pair:
-        table = _pair_tables(n)[op == _IOR]
-        return lambda x, y, lanes: lanes.translate(y, (table[x << 8 : x + 1 << 8],))
     singles = _column_tables(n, op)
     if not pair:
-        return lambda x, y, lanes: lanes.translate(y, _joined_tables(singles, x))
+        # per element a, the tables of op({a}, y) end to end as one integer
+        ints = [int.from_bytes(b"".join(tables), "little") for tables in singles]
+        size = 256 * len(singles[0])
+
+        def value(x, y, lanes):
+            joined = 0
+            for a in iter_bits(x):
+                joined |= ints[a]
+            data = joined.to_bytes(size, "little")
+            return lanes.translate(y, tuple(data[i : i + 256] for i in range(0, size, 256)))
+
+        return value
     lane = (1 << (1 << n)) - 1  # the full carrier of one lane
 
     def columns(x, y, lanes):
@@ -844,9 +802,9 @@ def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]
     domain in canonical order, and return the least violating one as
     (position values, witness element), or None."""
     start = _suffix_start(program, domains) if domains else 0
-    plan = program.plan(start)
+    plan, operations = program.plan(start), _operations(alg.n)
     levels = [
-        [([(_kernel(alg.n, op), dst, a, b) for op, _, dst, a, b in block], guard)
+        [([(operations[op], dst, a, b) for op, _, dst, a, b in block], guard)
          for block, guard in segments]
         for segments in plan[:-1]
     ]

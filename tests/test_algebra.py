@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
-from lt.entailment import _DOWN, _INOT, _UP, _column_tables, _pair_tables
+from lt.entailment import _DOWN, _INOT, _UP, _column_tables
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -207,11 +207,9 @@ class TestAgainstSetOracle:
 
 
 class TestScanTables:
-    """The byte tables that the scan reads up to n = 3: int_not and the
-    closures of each denotation, the first of their column tables, and
-    int_and and int_or of each pair at x << 8 | y.  Every table and row
-    has the 256 entries of a bytes.translate table, zero past the
-    denotations below n = 3."""
+    """The first lane table of int_not and each closure up to n = 3: the
+    image of each denotation, in the 256 entries of a bytes.translate
+    table, zero past the denotations below n = 3."""
 
     UNARY = {_INOT: ("int_not", ref.int_not), _DOWN: ("down_closure", ref.down_closure),
              _UP: ("up_closure", ref.up_closure)}
@@ -225,12 +223,6 @@ class TestScanTables:
             padding = [0] * (256 - len(domain))
             assert type(table) is bytes
             assert list(table) == list(map(getattr(alg, name), domain)) + padding
-        iand, ior = _pair_tables(n)
-        assert type(iand) is type(ior) is bytes and len(iand) == len(ior) == len(domain) * 256
-        for x in domain:
-            row = slice(x << 8, x + 1 << 8)
-            assert list(iand[row]) == [alg.int_and(x, y) for y in domain] + padding
-            assert list(ior[row]) == [alg.int_or(x, y) for y in domain] + padding
 
     @pytest.mark.parametrize("n", range(3))
     def test_against_oracle(self, n):
@@ -239,11 +231,6 @@ class TestScanTables:
         for op, (_, oracle) in self.UNARY.items():
             table = _column_tables(n, op)[0]
             assert list(table[: len(domain)]) == [ref.to_bits(oracle(x, n)) for x in sets]
-        iand, ior = _pair_tables(n)
-        for x in domain:
-            for y in domain:
-                assert iand[x << 8 | y] == ref.to_bits(ref.int_and(sets[x], sets[y]))
-                assert ior[x << 8 | y] == ref.to_bits(ref.int_or(sets[x], sets[y]))
 
 
 class TestBooleanIdentities:

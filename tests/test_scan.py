@@ -167,7 +167,7 @@ def test_fixed_queries_exhaustive(text):
 )
 def test_full_operands_compile_to_closures(text, sizes):
     # expand spells down, up, dia, box and ~ with x i& top and x i| top;
-    # they run as closure opcodes, from a table up to n = 3, by shifts at n = 4
+    # they run as closure opcodes
     premises, conclusion = _query(text)
     program = entailment._compile_entailment(premises, conclusion)
     full = program.constants + entailment._FULL
@@ -829,8 +829,8 @@ def test_scan_frees_what_it_builds(monkeypatch):
     # what a query builds, its Program and its columns, must go when the
     # search returns, not at the next cyclic collection, or peak memory
     # grows with every query; only the algebra of each size is kept for
-    # the process, built once, and the kernels, at most one per size,
-    # opcode and column form, each built on first use
+    # the process, built once, and the column kernels, at most one per
+    # size, opcode and column form, each built on first use
     made = []
 
     def track(obj):
@@ -850,20 +850,18 @@ def test_scan_frees_what_it_builds(monkeypatch):
     monkeypatch.setattr(entailment, "Program", Program)
     monkeypatch.setattr(entailment, "_Column", Column)
     algebra.cache_clear()
-    entailment._kernel.cache_clear()
     entailment._column_kernel.cache_clear()
     gc.disable()
     try:
         # the pinned premise keeps P0 on the odometer, so its levels run
-        # scalar kernels
+        # the algebra's operations on single values
         for text in ("P0 & P1 |- P0 i& P1", "P0 i& P1 |- P1 i& P0",
                      "box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1"):
             find_countermodel(*_query(text), max_n=3)
         assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
         assert algebra.cache_info().misses == 4  # n = 0..3, once each
-        for kernel, forms in ((entailment._kernel, 1), (entailment._column_kernel, 2)):
-            assert 0 < kernel.cache_info().currsize <= 4 * 9 * forms
+        assert 0 < entailment._column_kernel.cache_info().currsize <= 4 * 9 * 2
     finally:
         gc.enable()
 
@@ -875,18 +873,16 @@ def _start(program, n: int) -> int:
 
 
 def _clear_kernels() -> None:
-    for cached in (entailment._pair_tables, entailment._kernel, entailment._column_kernel):
-        cached.cache_clear()
+    entailment._column_kernel.cache_clear()
 
 
 def test_tables_hold_only_bytes(monkeypatch):
     # the tables kept per size for the process are tuples of bytes, built
     # from an algebra but holding no algebra, function or value of a query
     built = []
-    for name in ("_column_tables", "_pair_tables"):
-        build = getattr(entailment, name).__wrapped__
-        monkeypatch.setattr(entailment, name, functools.cache(
-            lambda *key, build=build: built.append(build(*key)) or built[-1]))
+    build = entailment._column_tables.__wrapped__
+    monkeypatch.setattr(entailment, "_column_tables", functools.cache(
+        lambda *key: built.append(build(*key)) or built[-1]))
     _clear_kernels()
     assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
     algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: joined tables
@@ -901,36 +897,31 @@ def test_tables_hold_only_bytes(monkeypatch):
     _clear_kernels()  # no kernel keeps this test's tables
 
 
-def test_pair_tables_built_on_first_use(monkeypatch):
-    # a kernel that reads the pair tables builds them when a scan first
-    # needs it: not for one variable at n = 3 or 4, or principal ideals
-    # at n = 3, whose i& and i| run column by column, and once in two
-    # scans each of two queries whose premise P0 keeps digit 0 on the
-    # odometer: over principal ideals, i| runs on single values, and over
-    # all denotations, P0 i& P1 takes P0 as a value by the column of P1
+def test_column_tables_built_on_first_use(monkeypatch):
+    # a column kernel builds the lane tables of its opcode when a scan
+    # first needs it, once for the process: the premise i! P0 keeps digit
+    # 0 on the odometer, where i! runs the algebra on single values and
+    # builds none, and P0 i& P1 takes P0 as a value by the column of P1,
+    # through the tables of i&; a second scan builds nothing
     built = []
-    build = entailment._pair_tables.__wrapped__
-    monkeypatch.setattr(entailment, "_pair_tables",
-                        functools.cache(lambda n: built.append(n) or build(n)))
+    build = entailment._column_tables.__wrapped__
+    monkeypatch.setattr(entailment, "_column_tables",
+                        functools.cache(lambda n, op: built.append((n, op)) or build(n, op)))
     _clear_kernels()
-    one = _query("|- (P0 i& i! P0) i| up P0 -> P0")
-    columns = _query("|- (P0 i| ~P0) & (P1 i| ~P1)")
-    for n in (3, 4):
-        assert _json(algebra_entails(n, *one)) == brute(n, *one)
-    assert _json(algebra_entails(3, *columns, "principal_variables")) == brute(
-        3, *columns, "principal_variables")
-    assert built == []
-    principal = _query("P0 |- (P0 i| ~P0) & (P1 i| ~P1)")
-    two = _query("P0, P0 i& P1 |- P1")
-    program = entailment._compile_entailment(*two)
+    query = _query("i! P0, P0 i& P1 |- P1")
+    program = entailment._compile_entailment(*query)
     assert _start(program, 3) == 1
     assert any(op == entailment._IAND and not pair and program.levels[a] == 0
                for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
-    for query, klass in ((principal, "principal_variables"), (two, "all")):
-        _clear_kernels()
-        for _ in range(2):
-            assert _json(algebra_entails(3, *query, klass)) == brute(3, *query, klass)
-    assert built == [3, 3]
+    for _ in range(2):
+        assert _json(algebra_entails(3, *query)) == brute(3, *query)
+    assert built == [(3, entailment._IAND)]
+    # i& and i| on single values and by columns, over both classes
+    for text, klass, n in (("|- (P0 i& i! P0) i| up P0 -> P0", "all", 4),
+                           ("|- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
+                           ("P0 |- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
+                           ("P0, P0 i& P1 |- P1", "all", 3)):
+        assert _json(algebra_entails(n, *_query(text), klass)) == brute(n, *_query(text), klass)
     _clear_kernels()  # no kernel keeps this test's tables
 
 
