@@ -38,13 +38,16 @@ canonical order (see Symmetry).  A guard of the run empties only lanes,
 so the lanes it keeps are the assignments the odometer would visit, in
 its order; a guard inside the run would skip whole inner digits there,
 and merged across a selective one a scan ran up to five times slower.
-An external connective is one integer operation, a value of an earlier
-digit broadcast to every lane by a multiplication.  Every internal
-connective is a pointwise image, so int_not, the closures, _ANY, and
-int_and or int_or with one operand fixed distribute over union,
-f(x | y) = f(x) | f(y): such an f runs on every lane at once through
-bytes.translate, with tables of its images of the bytes of a lane
-(Lamport, CACM 1975; see `_column_kernel`).  A guard is empty when its
+An operand that a digit before the column or a constant gives is
+broadcast to every lane by one multiplication, so every instruction
+runs on columns.  An external connective is one integer operation.
+Every internal connective is a pointwise image, so int_not, the
+closures, _ANY, and int_and or int_or with one operand fixed distribute
+over union, f(x | y) = f(x) | f(y): such an f runs on every lane at
+once through bytes.translate, with tables of its images of the bytes of
+a lane (Lamport, CACM 1975).  int_and and int_or of two columns join,
+per element a, op({a}, y) in the lanes whose x holds a (see
+`_column_kernel`).  A guard is empty when its
 integer is 0; a lane it empties is empty in `bad`, which meets every
 guard, so the lowest set bit of `bad` is the least violation: its lane
 gives every digit's value and its offset the witness.
@@ -631,15 +634,13 @@ class _Lanes:
     """A column of `count` lanes, each holding a denotation of `size` =
     2^n bits in w = max(8, size) bits, lane i at bits w*i up: its byte
     length, and the constants its instructions broadcast and mask with.
-    `full` is the full carrier in every lane, so a complement keeps each
-    lane below 2^size.  Packing goes through little-endian bytes, so lane
-    i is x >> w*i & (2^w - 1) on any host."""
+    Packing goes through little-endian bytes, so lane i is
+    x >> w*i & (2^w - 1) on any host."""
 
     def __init__(self, count: int, size: int):
         self.w = w = max(8, size)
         self.length = count * w >> 3
         self.ones = ((1 << count * w) - 1) // ((1 << w) - 1)  # 1 in every lane
-        self.full = self.ones * ((1 << size) - 1)
         self.low = self.ones * 255  # the low byte of every lane
         self.high = self.low << 8
 
@@ -680,54 +681,24 @@ def _lane_tables(f, w: int) -> tuple[bytes, ...]:
 
 
 @functools.cache
-def _column_tables(n: int, op: int) -> tuple:
-    """The lane tables of an opcode, built on first use: of its function,
-    for a unary opcode, and for an internal binary one of y -> op({a}, y)
-    for each element a, the one place where op({a}, y) is computed.  Each
-    is a pointwise image, or for _ANY empty exactly on the empty set, so
-    it distributes over union.  Up to n = 3 the first table of each maps
-    a denotation to its image, and has 256 entries."""
+def _column_kernel(n: int, op: int):
+    """The function f(x, y, lanes) that runs the opcode on two columns, or
+    on the column x for a unary opcode, built when a scan first needs it
+    and kept per size with its lane tables.  An external opcode is one
+    integer operation.  A unary opcode translates the lanes through the
+    tables of its function, a pointwise image, or for _ANY empty exactly
+    on the empty set, so it distributes over union.  int_and and int_or
+    join, per element a, op({a}, y) in the lanes whose x holds a, as
+    op(x, y) is the union of op({a}, y) over the elements a of x; this is
+    the one place where op({a}, y) is computed."""
     f, size = _operations(n)[op], 1 << n
-    if op in (_IAND, _IOR):
-        return tuple(_lane_tables(functools.partial(f, 1 << a), size) for a in range(size))
-    return _lane_tables(f, size)
-
-
-@functools.cache
-def _column_kernel(n: int, op: int, pair: bool):
-    """The function f(a, b, lanes) that runs the opcode on a column: on
-    one column, for a unary opcode; on two, for a pair; else on a value
-    and a column.  An external opcode is one integer operation, with the
-    value broadcast to every lane.  A unary opcode, or int_and or int_or
-    of a value x and a column, translates the lanes through the tables of
-    a function that distributes over union: for x, the tables of
-    op({a}, y) joined over the elements a of x, one | per element, as
-    op(x, y) is their union.  int_and and int_or of two columns join, per
-    element a, op({a}, y) in the lanes whose x holds a.  Built when a scan
-    first needs it, then kept per size."""
     if op <= _XOR:
-        f = _operations(n)[op]
-        if pair:
-            return lambda x, y, _: f(x, y)
-        return lambda x, y, lanes: f(x * lanes.ones, y)
+        return lambda x, y, _: f(x, y)
     if op >= _INOT:
-        tables = _column_tables(n, op)
+        tables = _lane_tables(f, size)
         return lambda x, _, lanes: lanes.translate(x, tables)
-    singles = _column_tables(n, op)
-    if not pair:
-        # per element a, the tables of op({a}, y) end to end as one integer
-        ints = [int.from_bytes(b"".join(tables), "little") for tables in singles]
-        size = 256 * len(singles[0])
-
-        def value(x, y, lanes):
-            joined = 0
-            for a in iter_bits(x):
-                joined |= ints[a]
-            data = joined.to_bytes(size, "little")
-            return lanes.translate(y, tuple(data[i : i + 256] for i in range(0, size, 256)))
-
-        return value
-    lane = (1 << (1 << n)) - 1  # the full carrier of one lane
+    singles = [_lane_tables(functools.partial(f, 1 << a), size) for a in range(size)]
+    lane = (1 << size) - 1  # the full carrier of one lane
 
     def columns(x, y, lanes):
         out, data = 0, y.to_bytes(lanes.length, "little")
@@ -749,9 +720,19 @@ class _Column:
         self.domains = domains[start:]
         self.kinds = tuple(kind for kind, _ in self.domains)
         self.segments = [
-            ([(_column_kernel(alg.n, op, pair), dst, a, b) for op, pair, dst, a, b in block], guard)
+            ([(self._kernel(alg.n, op, pair), dst, a, b) for op, pair, dst, a, b in block], guard)
             for block, guard in segments
         ]
+
+    @staticmethod
+    def _kernel(n: int, op: int, pair: bool):
+        """The opcode's column kernel; without a pair, the operand a, a
+        value of a digit before the column or a constant, is broadcast to
+        every lane first."""
+        kernel = _column_kernel(n, op)
+        if pair:
+            return kernel
+        return lambda x, y, lanes: kernel(x * lanes.ones, y, lanes)
 
     def run(self, group, vals: list, bad: int) -> bool:
         """Run the levels for all the assignments under the group; True at
@@ -907,8 +888,8 @@ def algebra_entails(
     Returns (True, None) or (False, least countermodel).  Variables range
     over all denotations, or only over principal ideals when
     class_restriction="principal_variables".  The scan runs in the
-    calling process and ignores `jobs`, which goes with the benchmark
-    change of ROADMAP item 4.
+    calling process and ignores `jobs`, which ROADMAP item 2 deletes
+    after the benchmark change of item 1.
     """
     cm = _decide(_compile_entailment(premises, conclusion), n, class_restriction, cap)
     return cm is None, cm

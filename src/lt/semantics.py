@@ -146,8 +146,9 @@ def evaluate(
     By default each derived connective is computed through its core
     spelling, in the same walk; with native_derived=True it is computed
     directly at the set level.
-    An optional cache (valid for this homomorphism only) makes repeated
-    evaluation over shared subformulas cheap.
+    An optional cache (valid for this homomorphism only) keeps the
+    denotation of each whole formula evaluated: evaluating it again is a
+    lookup, but a miss walks every subformula again, shared ones included.
     """
     if cache is not None:
         hit = cache.get(formula)

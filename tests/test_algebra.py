@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
-from lt.entailment import _DOWN, _INOT, _UP, _column_tables
+from lt.entailment import _DOWN, _INOT, _UP, _lane_tables, _operations
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -219,7 +219,7 @@ class TestScanTables:
         alg = Algebra(n)
         domain = range(alg.full + 1)
         for op, (name, _) in self.UNARY.items():
-            table = _column_tables(n, op)[0]
+            table = _lane_tables(_operations(n)[op], 1 << n)[0]
             padding = [0] * (256 - len(domain))
             assert type(table) is bytes
             assert list(table) == list(map(getattr(alg, name), domain)) + padding
@@ -229,7 +229,7 @@ class TestScanTables:
         domain = range(1 << (1 << n))
         sets = [ref.from_bits(x, n) for x in domain]
         for op, (_, oracle) in self.UNARY.items():
-            table = _column_tables(n, op)[0]
+            table = _lane_tables(_operations(n)[op], 1 << n)[0]
             assert list(table[: len(domain)]) == [ref.to_bits(oracle(x, n)) for x in sets]
 
 

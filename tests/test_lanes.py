@@ -5,9 +5,11 @@ bits per value.  Every column opcode is checked here lane by lane
 against the Algebra method it stands for, applied to one value: up to
 n = 3 on every denotation and, for the forms with a value operand,
 every value, and at n = 4 on every denotation for the unary opcodes and
-on seeded operands for the rest.  Below n = 3 a lane of 8 bits holds a
-denotation of 1, 2 or 4 bits, and the complement that an _XOR with
-the full carrier takes must leave the bits above it clear.
+on seeded operands for the rest.  A value operand goes through the
+broadcast that the scan wraps around the kernel.  Below n = 3 a lane of
+8 bits holds a denotation of 1, 2 or 4 bits, and the complement that an
+_XOR with the broadcast full carrier takes must leave the bits above it
+clear.
 The reference reads none of the scan's tables.
 """
 
@@ -44,7 +46,9 @@ def _scalar(alg: Algebra) -> list:
 
 
 def _run(op, pair, alg, x, y, lanes, count):
-    kernel = entailment._column_kernel(alg.n, op, pair)
+    """The lanes of the column instruction op(x, y); with pair false, x is
+    a value broadcast to every lane."""
+    kernel = entailment._Column._kernel(alg.n, op, pair)
     return _decode(kernel(x, y, lanes), count, lanes.w)
 
 
@@ -60,7 +64,6 @@ def test_pack_round_trip(w, count):
     x = lanes.pack(values)
     assert _decode(x, count, w) == values
     assert x & (1 << w) - 1 == values[0] and x >> w * (count - 1) == values[-1]
-    assert lanes.full == (1 << w * count) - 1
     assert _decode(lanes.ones, count, w) == [1] * count
 
 
@@ -78,18 +81,18 @@ def test_pack_swaps_on_a_big_endian_host(monkeypatch, w):
 
 
 def _every_opcode_on_every_denotation(n, pair):
-    """With pair false, the forms on a value and a column, for every
-    value; with pair true, the forms on two columns, over every pair.  A
-    unary opcode reads one column under either flag."""
+    """With pair false, the binary forms on a value and a column, for
+    every value; with pair true, the unary forms on one column and the
+    binary forms on two columns, over every pair."""
     alg = Algebra(n)
     scalar = _scalar(alg)
     domain = range(alg.full + 1)
     count, w = len(domain), max(8, alg.size)
     lanes = _Lanes(count, alg.size)
-    assert lanes.w == w and _decode(lanes.full, count, w) == [alg.full] * count
+    assert lanes.w == w and _decode(alg.full * lanes.ones, count, w) == [alg.full] * count
     column = lanes.pack(domain)
-    for op in UNARY:
-        got = _run(op, pair, alg, column, column, lanes, count)
+    for op in UNARY if pair else ():
+        got = _run(op, True, alg, column, column, lanes, count)
         assert got == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
         if not pair:

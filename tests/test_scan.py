@@ -6,8 +6,8 @@ must all agree.  The oracle enumerates plainly in canonical order:
 variables ascending, then label atoms, the first most significant.
 """
 
+import collections
 import concurrent.futures
-import functools
 import gc
 import itertools
 import json
@@ -830,7 +830,7 @@ def test_scan_frees_what_it_builds(monkeypatch):
     # search returns, not at the next cyclic collection, or peak memory
     # grows with every query; only the algebra of each size is kept for
     # the process, built once, and the column kernels, at most one per
-    # size, opcode and column form, each built on first use
+    # size and opcode, each built on first use
     made = []
 
     def track(obj):
@@ -861,7 +861,7 @@ def test_scan_frees_what_it_builds(monkeypatch):
         assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
         assert algebra.cache_info().misses == 4  # n = 0..3, once each
-        assert 0 < entailment._column_kernel.cache_info().currsize <= 4 * 9 * 2
+        assert 0 < entailment._column_kernel.cache_info().currsize <= 4 * 9
     finally:
         gc.enable()
 
@@ -880,12 +880,12 @@ def test_tables_hold_only_bytes(monkeypatch):
     # the tables kept per size for the process are tuples of bytes, built
     # from an algebra but holding no algebra, function or value of a query
     built = []
-    build = entailment._column_tables.__wrapped__
-    monkeypatch.setattr(entailment, "_column_tables", functools.cache(
-        lambda *key: built.append(build(*key)) or built[-1]))
+    build = entailment._lane_tables
+    monkeypatch.setattr(entailment, "_lane_tables",
+                        lambda f, w: built.append(build(f, w)) or built[-1])
     _clear_kernels()
     assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
-    algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: joined tables
+    algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: four tables a lane
     leaves, stack = [], list(built)
     while stack:
         item = stack.pop()
@@ -902,11 +902,12 @@ def test_column_tables_built_on_first_use(monkeypatch):
     # first needs it, once for the process: the premise i! P0 keeps digit
     # 0 on the odometer, where i! runs the algebra on single values and
     # builds none, and P0 i& P1 takes P0 as a value by the column of P1,
-    # through the tables of i&; a second scan builds nothing
+    # through the tables of i& of each element, {a} i& y; a second scan
+    # builds nothing
     built = []
-    build = entailment._column_tables.__wrapped__
-    monkeypatch.setattr(entailment, "_column_tables",
-                        functools.cache(lambda n, op: built.append((n, op)) or build(n, op)))
+    build = entailment._lane_tables
+    monkeypatch.setattr(entailment, "_lane_tables",
+                        lambda f, w: built.append((w, getattr(f, "func", f))) or build(f, w))
     _clear_kernels()
     query = _query("i! P0, P0 i& P1 |- P1")
     program = entailment._compile_entailment(*query)
@@ -915,7 +916,7 @@ def test_column_tables_built_on_first_use(monkeypatch):
                for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
     for _ in range(2):
         assert _json(algebra_entails(3, *query)) == brute(3, *query)
-    assert built == [(3, entailment._IAND)]
+    assert built == [(8, entailment._operations(3)[entailment._IAND])] * 8
     # i& and i| on single values and by columns, over both classes
     for text, klass, n in (("|- (P0 i& i! P0) i| up P0 -> P0", "all", 4),
                            ("|- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
@@ -1274,11 +1275,41 @@ def _one_degree(rng, n_vars: int):
     return [], Derived(DerivedTag.IMPLIES, (x, random_formula(rng, 2, n_vars)))
 
 
+def _broadcasts(monkeypatch) -> collections.Counter:
+    """Count, per opcode, the column instructions run on a value that a
+    digit before the column gives, broadcast to every lane: the
+    odometer meeting the column.  A constant operand is not counted."""
+    calls = collections.Counter()
+
+    def count(op, kernel):
+        def run(x, y, lanes):
+            calls[op] += 1
+            return kernel(x, y, lanes)
+
+        return run
+
+    class Spy(entailment._Column):
+        def __init__(self, alg, segments, start, domains):
+            super().__init__(alg, segments, start, domains)
+            constants = range(len(domains), len(domains) + 3)
+            self.segments = [
+                ([(kernel if pair or a in constants else count(op, kernel), dst, a, b)
+                  for (op, pair, *_), (kernel, dst, a, b) in zip(block, kernels)], guard)
+                for (block, guard), (kernels, _) in zip(segments, self.segments)
+            ]
+
+    monkeypatch.setattr(entailment, "_Column", Spy)
+    return calls
+
+
 def test_suffix_battery(monkeypatch, seed):
     # every verdict, least countermodel and witness with the suffix column
     # is that of a column of the last digit alone and the oracle's:
     # n <= 2 for every shape, seeded at n = 3, and n = 4 for two
-    # variables of degree 1
+    # variables of degree 1; at n <= 3 and at n = 4 the battery must
+    # broadcast an earlier digit's value into i&, i| and | of a column
+    broadcasts = _broadcasts(monkeypatch)
+    reached = (entailment._IAND, entailment._IOR, entailment._OR)
     rng = random.Random(seed + 75)
     formula = lambda depth, n_vars: random_formula(rng, depth, n_vars)
     suffixes = checks = 0
@@ -1327,6 +1358,8 @@ def test_suffix_battery(monkeypatch, seed):
         got, single = _against_one_digit(monkeypatch, decide)
         assert got == single, i
         assert expected is None or got == expected, i
+    assert all(broadcasts[op] for op in reached), broadcasts
+    broadcasts.clear()
     # n = 4: two variables of degree 1, 17 values each
     for _ in range(8):
         premises, conclusion = _one_degree(rng, 2)
@@ -1334,6 +1367,7 @@ def test_suffix_battery(monkeypatch, seed):
         got, single = _against_one_digit(monkeypatch, lambda: _json(
             algebra_entails(4, premises, conclusion, cap=1 << 32)))
         assert got == single, conclusion
+    assert all(broadcasts[op] for op in reached), broadcasts
 
 
 def test_jobs_two_matches_one_at_n3():
