@@ -41,25 +41,23 @@ and merged across a selective one a scan ran up to five times slower.
 An operand that a digit before the column or a constant gives is
 broadcast to every lane by one multiplication, so every instruction
 runs on columns.  An external connective is one integer operation.
-Every internal connective is a pointwise image, so int_not, the
-closures, _ANY, and int_and or int_or with one operand fixed distribute
-over union, f(x | y) = f(x) | f(y): such an f runs on every lane at
-once through bytes.translate, with tables of its images of the bytes of
-a lane (Lamport, CACM 1975).  int_and and int_or of two columns join,
-per element a, op({a}, y) in the lanes whose x holds a (see
-`_column_kernel`).  A guard is empty when its
-integer is 0; a lane it empties is empty in `bad`, which meets every
-guard, so the lowest set bit of `bad` is the least violation: its lane
-gives every digit's value and its offset the witness.
+An internal one runs the shift-and-mask steps by which `algebra.py`
+computes it (Knuth, TAOCP 4A, 7.1.3), each mask repeated in every lane:
+a step moves a bit by 2^i < 2^n, to the element that differs in atom i,
+so it never leaves its lane.  The closures and int_not take n steps,
+_ANY is the up-closure of the down-closure, and int_and or int_or of
+two columns joins, per element a, op({a}, y) in the lanes whose x holds
+a (see `_pointwise_columns`).  A guard is empty when its integer is 0;
+a lane it empties is empty in `bad`, which meets every guard, so the
+lowest set bit of `bad` is the least violation: its lane gives every
+digit's value and its offset the witness.
 
 The levels before the column run one assignment at a time, each
 instruction through the algebra's own operation from `_operations`, at
-every size.  So each form has one kernel: a value runs the algebra, a
-column its lane tables.  A column kernel is built when a scan first
-needs it and kept per size, so each table is built on first use, once
-per process.  The tables, built from `_operations`, hold bytes only.
-The scan runs in the calling process, and the countermodel it reports
-is the least.
+every size.  So each form has one kernel: a value runs the algebra's
+operation, a column the same steps on every lane, with masks built with
+its lanes (`_Symmetry.suffix`).  The scan runs in the calling process,
+and the countermodel it reports is the least.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -250,7 +248,8 @@ _STABILISERS_MAX = 1 << 14
 # The column covers the trailing digits whose full domains multiply to
 # at most this many assignments: two over all denotations at n = 3, one
 # at n = 4.  The lanes kept per size hold at most _LANES_MAX assignments
-# in all, 2 MB of 16-bit lanes per digit.
+# in all, each one w-bit word per digit and 2n + 1 for the masks and the
+# `ones` of its _Lanes: at n = 4, 2 MB of 16-bit lanes per digit and 18 MB.
 _COLUMN_MAX = 1 << 16
 _LANES_MAX = 1 << 20
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
@@ -632,17 +631,20 @@ _TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
 
 class _Lanes:
     """A column of `count` lanes, each holding a denotation of `size` =
-    2^n bits in w = max(8, size) bits, lane i at bits w*i up: its byte
-    length, and the constants its instructions broadcast and mask with.
-    Packing goes through little-endian bytes, so lane i is
-    x >> w*i & (2^w - 1) on any host."""
+    2^n bits in w = max(8, size) bits, lane i at bits w*i up, and what its
+    kernels broadcast and mask with: `ones`, 1 in every lane, and per atom
+    i the algebra's step (elements with i, carrier elements without i,
+    2^i), each mask repeated in every lane.  Packing goes through
+    little-endian bytes, so lane i is x >> w*i & (2^w - 1) on any host."""
+
+    __slots__ = ("w", "ones", "steps")
 
     def __init__(self, count: int, size: int):
         self.w = w = max(8, size)
-        self.length = count * w >> 3
-        self.ones = ((1 << count * w) - 1) // ((1 << w) - 1)  # 1 in every lane
-        self.low = self.ones * 255  # the low byte of every lane
-        self.high = self.low << 8
+        self.ones = ones = ((1 << count * w) - 1) // ((1 << w) - 1)
+        full = (1 << size) - 1
+        self.steps = tuple((mask * ones, (full ^ mask) * ones, s)
+                           for mask, s in algebra(size.bit_length() - 1)._atoms)
 
     def pack(self, values: Iterable[int]) -> int:
         lanes = array(_TYPECODES[self.w], values)
@@ -650,65 +652,62 @@ class _Lanes:
             lanes.byteswap()
         return int.from_bytes(lanes, "little")
 
-    def translate(self, x: int | bytes, tables: tuple[bytes, ...]) -> int:
-        """f of every lane, for f read from its tables (see _lane_tables),
-        of the column x or of its little-endian bytes."""
-        data = x if type(x) is bytes else x.to_bytes(self.length, "little")
-        if self.w == 8:
-            return int.from_bytes(data.translate(tables[0]), "little")
-        ll, lh, hl, hh = (int.from_bytes(data.translate(t), "little") for t in tables)
-        low, high = self.low, self.high
-        return ll & low | hh & high | (lh & low) << 8 | (hl & high) >> 8
+
+def _down_column(x: int, _, lanes: _Lanes) -> int:
+    for high, _low, s in lanes.steps:
+        x |= (x & high) >> s
+    return x
 
 
-def _lane_tables(f, w: int) -> tuple[bytes, ...]:
-    """A function f on w-bit denotations with f(x | y) = f(x) | f(y), so
-    f(0) = 0, as tables for bytes.translate: per byte k of the input, low
-    first, and per byte j of the output, the table whose entry b is byte j
-    of f(b << 8k).  f of a lane is the join of these.  Below w = 8 there
-    is one table, of 2^w entries padded with zeros to the 256 that
-    bytes.translate needs: a lane holds no value of 2^w or more."""
-    tables = []
-    for shift in range(0, w, 8):
-        images = [0]
-        for bit in range(shift, min(shift + 8, w)):
-            image = f(1 << bit)
-            images += [i | image for i in images]
-        tables += [
-            bytes(i >> out & 255 for i in images).ljust(256, b"\0") for out in range(0, w, 8)
-        ]
-    return tuple(tables)
+def _up_column(x: int, _, lanes: _Lanes) -> int:
+    for _high, low, s in lanes.steps:
+        x |= (x & low) << s
+    return x
 
 
-@functools.cache
+def _not_column(x: int, _, lanes: _Lanes) -> int:
+    for high, low, s in lanes.steps:
+        x = (x & high) >> s | (x & low) << s
+    return x
+
+
+def _pointwise_columns(meet: bool, cuts: list[int], x: int, y: int, lanes: _Lanes) -> int:
+    """int_and (meet) or int_or of two columns: per element a, op({a}, y)
+    in the lanes whose x holds a, as op(x, y) is the union of op({a}, y)
+    over the elements a of x.  As in Algebra.int_and, y's steps drop each
+    atom outside a and the cut is to the ideal of a; as in int_or, they add
+    each atom of a and the cut is to its filter: `cuts[a]`."""
+    out, ones = 0, lanes.ones
+    for a, cut in enumerate(cuts):
+        holds = x >> a & ones  # 1 in the lanes whose x holds a
+        if holds:
+            z = y
+            if meet:
+                for high, _, s in lanes.steps:
+                    if not a & s:
+                        z |= (z & high) >> s
+            else:
+                for _, low, s in lanes.steps:
+                    if a & s:
+                        z |= (z & low) << s
+            out |= z & holds * cut
+    return out
+
+
 def _column_kernel(n: int, op: int):
     """The function f(x, y, lanes) that runs the opcode on two columns, or
-    on the column x for a unary opcode, built when a scan first needs it
-    and kept per size with its lane tables.  An external opcode is one
-    integer operation.  A unary opcode translates the lanes through the
-    tables of its function, a pointwise image, or for _ANY empty exactly
-    on the empty set, so it distributes over union.  int_and and int_or
-    join, per element a, op({a}, y) in the lanes whose x holds a, as
-    op(x, y) is the union of op({a}, y) over the elements a of x; this is
-    the one place where op({a}, y) is computed."""
-    f, size = _operations(n)[op], 1 << n
+    on the column x for a unary opcode: an external opcode as one integer
+    operation, an internal one through the algebra's steps with the masks
+    of `lanes`, the one place where a column meets an internal connective."""
     if op <= _XOR:
+        f = _operations(n)[op]
         return lambda x, y, _: f(x, y)
-    if op >= _INOT:
-        tables = _lane_tables(f, size)
-        return lambda x, _, lanes: lanes.translate(x, tables)
-    singles = [_lane_tables(functools.partial(f, 1 << a), size) for a in range(size)]
-    lane = (1 << size) - 1  # the full carrier of one lane
-
-    def columns(x, y, lanes):
-        out, data = 0, y.to_bytes(lanes.length, "little")
-        for a, tables in enumerate(singles):
-            holds = x >> a & lanes.ones  # 1 in the lanes whose x holds a
-            if holds:
-                out |= lanes.translate(data, tables) & holds * lane
-        return out
-
-    return columns
+    if op <= _IAND:
+        cuts = algebra(n)._down if op == _IAND else algebra(n)._up  # ideals, filters
+        return functools.partial(_pointwise_columns, op == _IAND, cuts)
+    if op == _ANY:  # the up-closure of the down-closure
+        return lambda x, y, lanes: _up_column(_down_column(x, y, lanes), y, lanes)
+    return {_INOT: _not_column, _DOWN: _down_column, _UP: _up_column}[op]
 
 
 class _Column:

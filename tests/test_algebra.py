@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
-from lt.entailment import _DOWN, _INOT, _UP, _lane_tables, _operations
+from lt.entailment import _ANY, _DOWN, _INOT, _UP, _Lanes, _column_kernel
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -207,30 +207,41 @@ class TestAgainstSetOracle:
 
 
 class TestScanTables:
-    """The first lane table of int_not and each closure up to n = 3: the
-    image of each denotation, in the 256 entries of a bytes.translate
-    table, zero past the denotations below n = 3."""
+    """The column's step tables, the masks of `_Lanes.steps` repeated in
+    every lane, through each unary column kernel on one column that holds
+    every denotation up to n = 3: lane by lane the Algebra method and, up
+    to n = 2, the oracle.  Below n = 3 a lane of 8 bits holds a denotation
+    of 1, 2 or 4 bits, and the bits above it must stay clear."""
 
-    UNARY = {_INOT: ("int_not", ref.int_not), _DOWN: ("down_closure", ref.down_closure),
-             _UP: ("up_closure", ref.up_closure)}
+    UNARY = {  # per opcode, its Algebra method and its oracle
+        _INOT: (lambda alg: alg.int_not, ref.int_not),
+        _DOWN: (lambda alg: alg.down_closure, ref.down_closure),
+        _UP: (lambda alg: alg.up_closure, ref.up_closure),
+        _ANY: (lambda alg: lambda x: alg.full if x else 0,
+               lambda x, n: ref.all_elements(n) if x else frozenset()),
+    }
+
+    @staticmethod
+    def _column(n: int, op: int) -> list[int]:
+        """The lanes of the kernel's column of every denotation, whole:
+        a lane's value with the bits above its denotation."""
+        count = 1 << (1 << n)
+        lanes = _Lanes(count, 1 << n)
+        out = _column_kernel(n, op)(lanes.pack(range(count)), None, lanes)
+        assert out >> lanes.w * count == 0  # nothing past the last lane
+        return [out >> lanes.w * i & (1 << lanes.w) - 1 for i in range(count)]
 
     @pytest.mark.parametrize("n", range(4))
     def test_against_kernels(self, n):
         alg = Algebra(n)
-        domain = range(alg.full + 1)
-        for op, (name, _) in self.UNARY.items():
-            table = _lane_tables(_operations(n)[op], 1 << n)[0]
-            padding = [0] * (256 - len(domain))
-            assert type(table) is bytes
-            assert list(table) == list(map(getattr(alg, name), domain)) + padding
+        for op, (method, _) in self.UNARY.items():
+            assert self._column(n, op) == list(map(method(alg), range(alg.full + 1))), op
 
     @pytest.mark.parametrize("n", range(3))
     def test_against_oracle(self, n):
-        domain = range(1 << (1 << n))
-        sets = [ref.from_bits(x, n) for x in domain]
+        sets = [ref.from_bits(x, n) for x in range(1 << (1 << n))]
         for op, (_, oracle) in self.UNARY.items():
-            table = _lane_tables(_operations(n)[op], 1 << n)[0]
-            assert list(table[: len(domain)]) == [ref.to_bits(oracle(x, n)) for x in sets]
+            assert self._column(n, op) == [ref.to_bits(oracle(x, n)) for x in sets], op
 
 
 class TestBooleanIdentities:

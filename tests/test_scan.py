@@ -601,7 +601,7 @@ COLUMN_HITS = [
 
 def _lanes(x: int, lanes) -> list[int]:
     """The lanes of a column integer, lowest first."""
-    return [x >> lanes.w * i & (1 << lanes.w) - 1 for i in range(lanes.length * 8 // lanes.w)]
+    return [x >> i & (1 << lanes.w) - 1 for i in range(0, lanes.ones.bit_length(), lanes.w)]
 
 
 def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]]]]:
@@ -829,8 +829,9 @@ def test_scan_frees_what_it_builds(monkeypatch):
     # what a query builds, its Program and its columns, must go when the
     # search returns, not at the next cyclic collection, or peak memory
     # grows with every query; only the algebra of each size is kept for
-    # the process, built once, and the column kernels, at most one per
-    # size and opcode, each built on first use
+    # the process, built once, and the suffix memo of each size, which
+    # holds ints only (see test_lanes_hold_only_ints); no column kernel
+    # is kept
     made = []
 
     def track(obj):
@@ -850,7 +851,6 @@ def test_scan_frees_what_it_builds(monkeypatch):
     monkeypatch.setattr(entailment, "Program", Program)
     monkeypatch.setattr(entailment, "_Column", Column)
     algebra.cache_clear()
-    entailment._column_kernel.cache_clear()
     gc.disable()
     try:
         # the pinned premise keeps P0 on the odometer, so its levels run
@@ -861,7 +861,7 @@ def test_scan_frees_what_it_builds(monkeypatch):
         assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
         assert algebra.cache_info().misses == 4  # n = 0..3, once each
-        assert 0 < entailment._column_kernel.cache_info().currsize <= 4 * 9
+        assert not hasattr(entailment._column_kernel, "cache_info")
     finally:
         gc.enable()
 
@@ -872,58 +872,63 @@ def _start(program, n: int) -> int:
     return entailment._suffix_start(program, domains) if domains else 0
 
 
-def _clear_kernels() -> None:
-    entailment._column_kernel.cache_clear()
-
-
-def test_tables_hold_only_bytes(monkeypatch):
-    # the tables kept per size for the process are tuples of bytes, built
-    # from an algebra but holding no algebra, function or value of a query
-    built = []
-    build = entailment._lane_tables
-    monkeypatch.setattr(entailment, "_lane_tables",
-                        lambda f, w: built.append(build(f, w)) or built[-1])
-    _clear_kernels()
-    assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a large scan
-    algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))  # n = 4: four tables a lane
-    leaves, stack = [], list(built)
-    while stack:
-        item = stack.pop()
-        if type(item) is tuple:
-            stack += item
-        else:
-            leaves.append(type(item))
-    assert len(built) > 2 and set(leaves) == {bytes}
-    _clear_kernels()  # no kernel keeps this test's tables
+def test_lanes_hold_only_ints():
+    # what the suffix memo keeps for the process: per suffix, its packed
+    # columns and a _Lanes of ints only, the lane width, 1 in every lane
+    # and the n step triples of the algebra, each mask within the lanes;
+    # no table, function, algebra or value of a query
+    entailment._symmetry.cache_clear()
+    assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a two-digit column
+    algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))
+    kept = [found[0] for n in range(5) for found in entailment._symmetry(n).columns.values()]
+    assert {len(lanes.steps) for lanes in kept} == {3, 4}
+    for lanes in kept:
+        assert lanes.__slots__ == ("w", "ones", "steps")
+        assert type(lanes.w) is type(lanes.ones) is int and type(lanes.steps) is tuple
+        size = 1 << len(lanes.steps)
+        for i, step in enumerate(lanes.steps):
+            assert type(step) is tuple and [type(v) for v in step] == [int] * 3
+            high, low, s = step
+            assert s == 1 << i and high & low == 0
+            assert (high | low) == ((1 << size) - 1) * lanes.ones  # the carrier of every lane
+    entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
 
 
 def test_column_tables_built_on_first_use(monkeypatch):
-    # a column kernel builds the lane tables of its opcode when a scan
-    # first needs it, once for the process: the premise i! P0 keeps digit
-    # 0 on the odometer, where i! runs the algebra on single values and
-    # builds none, and P0 i& P1 takes P0 as a value by the column of P1,
-    # through the tables of i& of each element, {a} i& y; a second scan
-    # builds nothing
+    # a column's tables, the step masks of its _Lanes, are built when a
+    # scan first needs its suffix, once for the process per kinds and
+    # group: the premise i! P0 keeps digit 0 on the odometer, where i!
+    # runs the algebra on single values, and P0 i& P1 takes P0 as a value
+    # by the column of P1, broadcast to every lane; a second scan builds
+    # nothing
     built = []
-    build = entailment._lane_tables
-    monkeypatch.setattr(entailment, "_lane_tables",
-                        lambda f, w: built.append((w, getattr(f, "func", f))) or build(f, w))
-    _clear_kernels()
+
+    class Lanes(entailment._Lanes):
+        __slots__ = ()
+
+        def __init__(self, count, size):
+            super().__init__(count, size)
+            built.append((count, size))
+
+    monkeypatch.setattr(entailment, "_Lanes", Lanes)
+    entailment._symmetry.cache_clear()
     query = _query("i! P0, P0 i& P1 |- P1")
     program = entailment._compile_entailment(*query)
     assert _start(program, 3) == 1
     assert any(op == entailment._IAND and not pair and program.levels[a] == 0
                for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
-    for _ in range(2):
-        assert _json(algebra_entails(3, *query)) == brute(3, *query)
-    assert built == [(8, entailment._operations(3)[entailment._IAND])] * 8
+    assert _json(algebra_entails(3, *query)) == brute(3, *query)
+    first = list(built)
+    assert first and all(size == 8 for _, size in first)
+    assert _json(algebra_entails(3, *query)) == brute(3, *query)
+    assert built == first
     # i& and i| on single values and by columns, over both classes
     for text, klass, n in (("|- (P0 i& i! P0) i| up P0 -> P0", "all", 4),
                            ("|- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
                            ("P0 |- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
                            ("P0, P0 i& P1 |- P1", "all", 3)):
         assert _json(algebra_entails(n, *_query(text), klass)) == brute(n, *_query(text), klass)
-    _clear_kernels()  # no kernel keeps this test's tables
+    entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
 
 
 # -- degree-bounded positions: a variable whose degree d is below the
@@ -1266,13 +1271,17 @@ def _against_one_digit(monkeypatch, decide):
 
 def _one_degree(rng, n_vars: int):
     """|- X -> Y with each variable read once by X, under internal
-    connectives only: each has degree 1."""
+    connectives only, and Y drawn until each variable has degree 1."""
     parts = [parse_formula(rng.choice(("P{}", "down P{}", "up P{}", "i! i! P{}")).format(v))
              for v in range(n_vars)]
     x = parts[0]
     for part in parts[1:]:
         x = (IntAnd if rng.random() < 0.5 else IntOr)(x, part)
-    return [], Derived(DerivedTag.IMPLIES, (x, random_formula(rng, 2, n_vars)))
+    for _ in range(1000):
+        conclusion = Derived(DerivedTag.IMPLIES, (x, random_formula(rng, 2, n_vars)))
+        if entailment._compile_entailment([], conclusion).degrees == (1,) * n_vars:
+            return [], conclusion
+    raise AssertionError("no conclusion kept every degree at 1")
 
 
 def _broadcasts(monkeypatch) -> collections.Counter:
@@ -1302,6 +1311,16 @@ def _broadcasts(monkeypatch) -> collections.Counter:
     return calls
 
 
+def _draws(least: int, met, most: int):
+    """0, 1, ...: at least `least` draws, then more until met() holds;
+    an error past `most`."""
+    for i in itertools.count():
+        if i >= least and met():
+            return
+        assert i < most, "drew too often without meeting the bar"
+        yield i
+
+
 def test_suffix_battery(monkeypatch, seed):
     # every verdict, least countermodel and witness with the suffix column
     # is that of a column of the last digit alone and the oracle's:
@@ -1313,7 +1332,7 @@ def test_suffix_battery(monkeypatch, seed):
     rng = random.Random(seed + 75)
     formula = lambda depth, n_vars: random_formula(rng, depth, n_vars)
     suffixes = checks = 0
-    for i in range(120):
+    for i in _draws(120, lambda: checks > 300 and suffixes > 60, 480):
         shape, n_vars = i % 4, rng.choice((1, 2, 2, 2, 3))
         sizes = (0, 1, 2) if n_vars < 3 else (0, 1)
         if shape == 2:  # label atoms, one or two
@@ -1341,7 +1360,7 @@ def test_suffix_battery(monkeypatch, seed):
             checks += 1
     assert checks > 300 and suffixes > 60  # columns of two or more digits
     # n = 3: one variable and label atoms, and principal ideals
-    for i in range(16):
+    for i in _draws(16, lambda: all(broadcasts[op] for op in reached), 64):
         if i % 2:
             n_vars, n_atoms = 1, rng.choice((1, 2))
             gamma = [LabelledFormula(random_label(rng, 2, n_atoms), formula(2, n_vars))
@@ -1361,7 +1380,7 @@ def test_suffix_battery(monkeypatch, seed):
     assert all(broadcasts[op] for op in reached), broadcasts
     broadcasts.clear()
     # n = 4: two variables of degree 1, 17 values each
-    for _ in range(8):
+    for _ in _draws(8, lambda: all(broadcasts[op] for op in reached), 32):
         premises, conclusion = _one_degree(rng, 2)
         assert entailment._compile_entailment(premises, conclusion).degrees == (1, 1)
         got, single = _against_one_digit(monkeypatch, lambda: _json(
