@@ -15,7 +15,9 @@ int_and(x, full) = down_closure(x) and int_or(x, full) = up_closure(x).
 Each instruction is tagged with the position of the last variable or
 label atom it reads; constants get level -1 and are computed once per
 algebra.  The instructions are grouped by level once per query and
-first digit of the column (`Program.plan`).  The kernel `_scan`
+first digit of the column (`Program.plan`), and the plan is what runs:
+each instruction reads its opcode's kernel from its form's table, so a
+scan binds nothing.  The kernel `_scan`
 enumerates the positions like an odometer in canonical order (variables
 ascending, then label atoms, the first most significant, values
 ascending) and, when digit p changes, re-runs only the instructions of
@@ -39,12 +41,12 @@ so the lanes it keeps are the assignments the odometer would visit, in
 its order; a guard inside the run would skip whole inner digits there,
 and merged across a selective one a scan ran up to five times slower.
 An operand that a digit before the column or a constant gives is
-broadcast to every lane by one multiplication, so every instruction
-runs on columns.  An external connective is one integer operation.
-An internal one runs the shift-and-mask steps by which `algebra.py`
-computes it (Knuth, TAOCP 4A, 7.1.3), each mask repeated in every lane:
-a step moves a bit by 2^i < 2^n, to the element that differs in atom i,
-so it never leaves its lane.  The closures and int_not take n steps,
+broadcast to every lane by one multiplication, in `_Column.run` alone,
+so every kernel runs on columns.  An external connective is one integer
+operation.  An internal one runs the shift-and-mask steps by which
+`algebra.py` computes it (Knuth, TAOCP 4A, 7.1.3), each mask repeated in
+every lane: a step moves a bit by 2^i < 2^n, to the element that differs
+in atom i, so it never leaves its lane.  The closures and int_not take n steps,
 _ANY is the up-closure of the down-closure, and int_and or int_or of
 two columns joins, per element a, op({a}, y) in the lanes whose x holds
 a (see `_pointwise_columns`).  A guard is empty when its integer is 0;
@@ -53,11 +55,11 @@ lowest set bit of `bad` is the least violation: its lane gives every
 digit's value and its offset the witness.
 
 The levels before the column run one assignment at a time, each
-instruction through the algebra's own operation from `_operations`, at
-every size.  So each form has one kernel: a value runs the algebra's
-operation, a column the same steps on every lane, with masks built with
-its lanes (`_Symmetry.suffix`).  The scan runs in the calling process,
-and the countermodel it reports is the least.
+instruction through the algebra's own operation, at every size.  So
+each form has one kernel table, indexed by opcode: `_operations(n)` for
+a value, and `_COLUMN_KERNELS` for a column, the same steps on every
+lane with the masks of its lanes (`_Symmetry.suffix`).  The scan runs in
+the calling process, and the countermodel it reports is the least.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -281,6 +283,7 @@ class Program:
         self.code: list[tuple[int, int, int]] = []
         self.slots: dict[tuple[int, int, int], int] = {}
         self.guards: set[int] = set()
+        self.guarded: set[int] = set()  # the levels of the guards
         self.inter: int | None = None  # the intersection of the premises so far
         self.bad = -1
         self._plans: dict[int, list] = {}
@@ -343,6 +346,7 @@ class Program:
         else:
             self.inter = self.emit(_AND, self.inter, slot)
         self.guards.add(self.inter)
+        self.guarded.add(self.levels[self.inter])
 
     def conclude(self, slot: int) -> "Program":
         self.bad = self.emit(_XOR, self.constants + _FULL, slot)
@@ -671,14 +675,15 @@ def _not_column(x: int, _, lanes: _Lanes) -> int:
     return x
 
 
-def _pointwise_columns(meet: bool, cuts: list[int], x: int, y: int, lanes: _Lanes) -> int:
+def _pointwise_columns(meet: bool, x: int, y: int, lanes: _Lanes) -> int:
     """int_and (meet) or int_or of two columns: per element a, op({a}, y)
     in the lanes whose x holds a, as op(x, y) is the union of op({a}, y)
     over the elements a of x.  As in Algebra.int_and, y's steps drop each
     atom outside a and the cut is to the ideal of a; as in int_or, they add
-    each atom of a and the cut is to its filter: `cuts[a]`."""
+    each atom of a and the cut is to its filter."""
+    alg = algebra(len(lanes.steps))
     out, ones = 0, lanes.ones
-    for a, cut in enumerate(cuts):
+    for a, cut in enumerate(alg._down if meet else alg._up):
         holds = x >> a & ones  # 1 in the lanes whose x holds a
         if holds:
             z = y
@@ -694,54 +699,47 @@ def _pointwise_columns(meet: bool, cuts: list[int], x: int, y: int, lanes: _Lane
     return out
 
 
-def _column_kernel(n: int, op: int):
-    """The function f(x, y, lanes) that runs the opcode on two columns, or
-    on the column x for a unary opcode: an external opcode as one integer
-    operation, an internal one through the algebra's steps with the masks
-    of `lanes`, the one place where a column meets an internal connective."""
-    if op <= _XOR:
-        f = _operations(n)[op]
-        return lambda x, y, _: f(x, y)
-    if op <= _IAND:
-        cuts = algebra(n)._down if op == _IAND else algebra(n)._up  # ideals, filters
-        return functools.partial(_pointwise_columns, op == _IAND, cuts)
-    if op == _ANY:  # the up-closure of the down-closure
-        return lambda x, y, lanes: _up_column(_down_column(x, y, lanes), y, lanes)
-    return {_INOT: _not_column, _DOWN: _down_column, _UP: _up_column}[op]
+def _any_column(x: int, y, lanes: _Lanes) -> int:
+    """The up-closure of the down-closure: the full carrier in the lanes
+    where x is non-empty."""
+    return _up_column(_down_column(x, y, lanes), y, lanes)
+
+
+# Per opcode, its kernel f(x, y, lanes) on two columns, or on the column x
+# for a unary opcode: an external opcode as one integer operation, an
+# internal one through the algebra's steps with the masks of `lanes`, the
+# one place where a column meets an internal connective.
+_COLUMN_KERNELS = (
+    lambda x, y, _: x | y, lambda x, y, _: x & y, lambda x, y, _: x ^ y,
+    functools.partial(_pointwise_columns, False), functools.partial(_pointwise_columns, True),
+    _not_column, _any_column, _down_column, _up_column,
+)
 
 
 class _Column:
     """The digits from `start` on, run once for all their lex-leader
-    assignments (see "The column" in the module docstring and _Lanes)."""
+    assignments (see "The column" in the module docstring and _Lanes):
+    `segments` is the plan's column entry, run as it stands, each
+    instruction through its opcode's entry of _COLUMN_KERNELS."""
 
-    def __init__(self, alg: Algebra, segments, start: int, domains):
-        self.start, self.sym = start, _symmetry(alg.n)
+    def __init__(self, sym: _Symmetry, segments, start: int, domains):
+        self.sym, self.segments, self.start = sym, segments, start
         self.domains = domains[start:]
         self.kinds = tuple(kind for kind, _ in self.domains)
-        self.segments = [
-            ([(self._kernel(alg.n, op, pair), dst, a, b) for op, pair, dst, a, b in block], guard)
-            for block, guard in segments
-        ]
-
-    @staticmethod
-    def _kernel(n: int, op: int, pair: bool):
-        """The opcode's column kernel; without a pair, the operand a, a
-        value of a digit before the column or a constant, is broadcast to
-        every lane first."""
-        kernel = _column_kernel(n, op)
-        if pair:
-            return kernel
-        return lambda x, y, lanes: kernel(x * lanes.ones, y, lanes)
 
     def run(self, group, vals: list, bad: int) -> bool:
         """Run the levels for all the assignments under the group; True at
-        the least violation, with its values and lane of `bad` in the slots."""
-        start = self.start
+        the least violation, with its values and lane of `bad` in the slots.
+        Without a pair, the operand a, a value of a digit before the column
+        or a constant, is broadcast to every lane first."""
+        start, kernels = self.start, _COLUMN_KERNELS
         lanes, columns = self.sym.suffix(self.kinds, self.domains, group)
         vals[start : start + len(columns)] = columns
+        ones = lanes.ones
         for block, guard in self.segments:
-            for kernel, dst, a, b in block:
-                vals[dst] = kernel(vals[a], vals[b], lanes)
+            for op, pair, dst, a, b in block:
+                x = vals[a]
+                vals[dst] = kernels[op](x if pair else x * ones, vals[b], lanes)
             if guard is not None and not vals[guard]:
                 return False
         hits = vals[bad]
@@ -755,11 +753,12 @@ class _Column:
         return True
 
 
-def _run(segments, vals: list[int]) -> bool:
-    """Run one level's instructions; False as soon as a guard is empty."""
+def _run(segments, vals: list[int], operations) -> bool:
+    """Run one level of the plan, each instruction through its opcode's
+    entry of `operations`; False as soon as a guard is empty."""
     for block, guard in segments:
-        for op, dst, a, b in block:
-            vals[dst] = op(vals[a], vals[b])
+        for op, _, dst, a, b in block:
+            vals[dst] = operations[op](vals[a], vals[b])
         if guard is not None and not vals[guard]:
             return False
     return True
@@ -769,7 +768,7 @@ def _suffix_start(program: Program, domains: list) -> int:
     """The first digit of the column: the longest run of trailing digits
     whose full domains multiply to at most _COLUMN_MAX, inside which no
     guard sits at a level other than the last digit's."""
-    guarded = {program.levels[g] for g in program.guards}
+    guarded = program.guarded
     start, count = len(domains) - 1, len(domains[-1][1])
     while start and start - 1 not in guarded and count * len(domains[start - 1][1]) <= _COLUMN_MAX:
         start -= 1
@@ -783,39 +782,35 @@ def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]
     (position values, witness element), or None."""
     start = _suffix_start(program, domains) if domains else 0
     plan, operations = program.plan(start), _operations(alg.n)
-    levels = [
-        [([(operations[op], dst, a, b) for op, _, dst, a, b in block], guard)
-         for block, guard in segments]
-        for segments in plan[:-1]
-    ]
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     if domains:
-        column = _Column(alg, plan[-1], start, domains)
-        state = (domains, _symmetry(alg.n), levels, vals, program.bad, column)
-    if _run(levels[0], vals) and (_odometer(state) if domains else vals[program.bad]):
+        column = _Column(_symmetry(alg.n), plan[-1], start, domains)
+    if _run(plan[0], vals, operations) and (
+        _odometer(column, domains, plan, operations, vals, program.bad)
+        if domains else vals[program.bad]
+    ):
         bad = vals[program.bad]
         return tuple(vals[: len(domains)]), (bad & -bad).bit_length() - 1
     return None
 
 
-def _odometer(state: tuple) -> bool:
+def _odometer(column: _Column, domains: list, plan, operations, vals: list, bad: int) -> bool:
     """Turn each digit before the column through the orbit minima of its
     domain under the stabiliser of the digits before it, all n!
     permutations for digit 0, running a level whenever its digit changes,
     and run the column under the stabiliser of them all; True at the
     first violation, with the assignment left in the position slots.  The
     digits in turn are a stack of (digit, values left, group)."""
-    domains, sym, levels, vals, bad, column = state
-    start = column.start
+    sym, start = column.sym, column.start
     if not start:
         return column.run(sym.group, vals, bad)
     stack = [(0, iter(sym.minima(*domains[0], sym.group)), sym.group)]
     while stack:
         p, values, group = stack[-1]
-        level = levels[p + 1]
+        level = plan[p + 1]
         for value in values:
             vals[p] = value
-            if _run(level, vals):
+            if _run(level, vals, operations):
                 inner = sym.stabiliser(group, value)
                 if p + 1 < start:
                     stack.append((p + 1, iter(sym.minima(*domains[p + 1], inner)), inner))

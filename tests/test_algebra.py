@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
-from lt.entailment import _ANY, _DOWN, _INOT, _UP, _Lanes, _column_kernel
+from lt.entailment import _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _UP, _Lanes
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -227,7 +227,7 @@ class TestScanTables:
         a lane's value with the bits above its denotation."""
         count = 1 << (1 << n)
         lanes = _Lanes(count, 1 << n)
-        out = _column_kernel(n, op)(lanes.pack(range(count)), None, lanes)
+        out = _COLUMN_KERNELS[op](lanes.pack(range(count)), None, lanes)
         assert out >> lanes.w * count == 0  # nothing past the last lane
         return [out >> lanes.w * i & (1 << lanes.w) - 1 for i in range(count)]
 

@@ -5,11 +5,12 @@ bits per value.  Every column opcode is checked here lane by lane
 against the Algebra method it stands for, applied to one value: up to
 n = 3 on every denotation and, for the forms with a value operand,
 every value, and at n = 4 on every denotation for the unary opcodes and
-on seeded operands for the rest.  A value operand goes through the
-broadcast that the scan wraps around the kernel.  Below n = 3 a lane of
-8 bits holds a denotation of 1, 2 or 4 bits, and the complement that an
-_XOR with the broadcast full carrier takes must leave the bits above it
-clear.
+on seeded operands for the rest.  A value operand is broadcast to
+every lane as `_Column.run` broadcasts it, and up to n = 3 every opcode
+also runs through `_Column.run` itself, as an instruction tuple of the
+plan.  Below n = 3 a lane of 8 bits holds a denotation of 1, 2 or 4
+bits, and the complement that an _XOR with the broadcast full carrier
+takes must leave the bits above it clear.
 The reference reads none of the scan's tables.
 """
 
@@ -23,6 +24,7 @@ import pytest
 from lt import entailment
 from lt.algebra import Algebra
 from lt.entailment import _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR, _Lanes
+from lt.syntax import parse_entailment_query
 
 UNARY = (_INOT, _ANY, _DOWN, _UP)
 EXTERNAL = (_OR, _AND, _XOR)
@@ -45,11 +47,12 @@ def _scalar(alg: Algebra) -> list:
             lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
 
 
-def _run(op, pair, alg, x, y, lanes, count):
-    """The lanes of the column instruction op(x, y); with pair false, x is
-    a value broadcast to every lane."""
-    kernel = entailment._Column._kernel(alg.n, op, pair)
-    return _decode(kernel(x, y, lanes), count, lanes.w)
+def _run(op, pair, x, y, lanes, count):
+    """The lanes of the column instruction op(x, y) through the opcode's
+    column kernel; with pair false, x is a value broadcast to every lane,
+    as `_Column.run` broadcasts it."""
+    kernel = entailment._COLUMN_KERNELS[op]
+    return _decode(kernel(x if pair else x * lanes.ones, y, lanes), count, lanes.w)
 
 
 @pytest.mark.parametrize("w", [8, 16])
@@ -92,18 +95,18 @@ def _every_opcode_on_every_denotation(n, pair):
     assert lanes.w == w and _decode(alg.full * lanes.ones, count, w) == [alg.full] * count
     column = lanes.pack(domain)
     for op in UNARY if pair else ():
-        got = _run(op, True, alg, column, column, lanes, count)
+        got = _run(op, True, column, column, lanes, count)
         assert got == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
         if not pair:
             for x in domain:
-                got = _run(op, False, alg, x, column, lanes, count)
+                got = _run(op, False, x, column, lanes, count)
                 assert got == [scalar[op](x, y) for y in domain], (op, x)
             continue
         # lane i pairs (i + k) % count with i
         for k in domain:
             xs = [(y + k) % count for y in domain]
-            got = _run(op, True, alg, lanes.pack(xs), column, lanes, count)
+            got = _run(op, True, lanes.pack(xs), column, lanes, count)
             assert got == list(map(scalar[op], xs, domain)), (op, k)
 
 
@@ -125,7 +128,7 @@ def test_n4_unary_opcodes_on_every_denotation():
     lanes = _Lanes(len(domain), 16)
     column = lanes.pack(domain)
     for op in UNARY:
-        got = _run(op, True, alg, column, column, lanes, len(domain))
+        got = _run(op, True, column, column, lanes, len(domain))
         assert got == [scalar[op](y, y) for y in domain], op
 
 
@@ -143,8 +146,59 @@ def test_n4_pairs_on_seeded_operands(seed):
     lanes = _Lanes(count, 16)
     x, y = lanes.pack(xs), lanes.pack(ys)
     for op in EXTERNAL + INTERNAL:
-        got = _run(op, True, alg, x, y, lanes, count)
+        got = _run(op, True, x, y, lanes, count)
         assert got == list(map(scalar[op], xs, ys)), op
         for value in [0, alg.full, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(5)]:
-            got = _run(op, False, alg, value, y, lanes, count)
+            got = _run(op, False, value, y, lanes, count)
             assert got == [scalar[op](value, v) for v in ys], (op, value)
+
+
+def test_the_plan_is_what_runs(monkeypatch):
+    # a column runs the plan's own column entry, bound to nothing: one
+    # kernel per opcode in _COLUMN_KERNELS, found by the opcode itself
+    built = []
+
+    class Column(entailment._Column):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(entailment, "_Column", Column)
+    for text in ("P0 i& P1 |- P1 i& P0", "i! P0, P0 i& P1 |- P1", "|- P0 | i! P0"):
+        program = entailment._compile_entailment(*parse_entailment_query(text))
+        for n in range(4):
+            entailment._decide(program, n, "all", 1 << 16)
+        assert len(built) == 4 and all(c.segments is program.plan(c.start)[-1] for c in built)
+        built.clear()
+    assert sorted(UNARY + EXTERNAL + INTERNAL) == list(range(len(entailment._COLUMN_KERNELS)))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_every_opcode_through_the_column_run(n):
+    # each instruction (op, pair, slot, a, b) of a column, run by
+    # _Column.run over the column of every denotation in slot 0: lane by
+    # lane the Algebra method, with a value in slot 1 broadcast to every
+    # lane when pair is false, and a column there when it is true; slot 2
+    # is the zero constant, a `bad` that never hits, so the run leaves
+    # the whole column of its instruction in slot 3
+    alg = Algebra(n)
+    scalar = _scalar(alg)
+    domain = range(alg.full + 1)
+    column = entailment._Column(entailment._symmetry(n), None, 0, [("all", domain)])
+    lanes, _ = column.sym.suffix(column.kinds, column.domains, (0,))
+
+    def run(instruction, x):
+        column.segments = [([instruction], None)]
+        vals = [None, x, 0, None]
+        assert not column.run((0,), vals, 2)
+        return _decode(vals[3], len(domain), lanes.w)
+
+    for op in UNARY:
+        assert run((op, True, 3, 0, 0), None) == [scalar[op](y, y) for y in domain], op
+    for op in EXTERNAL + INTERNAL:
+        for x in domain:
+            assert run((op, False, 3, 1, 0), x) == [scalar[op](x, y) for y in domain], (op, x)
+        for k in range(1, len(domain), max(1, len(domain) // 16)):  # lane i pairs i + k with i
+            xs = [(y + k) % len(domain) for y in domain]
+            got = run((op, True, 3, 1, 0), lanes.pack(xs))
+            assert got == list(map(scalar[op], xs, domain)), (op, k)

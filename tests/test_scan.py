@@ -604,36 +604,42 @@ def _lanes(x: int, lanes) -> list[int]:
     return [x >> i & (1 << lanes.w) - 1 for i in range(0, lanes.ones.bit_length(), lanes.w)]
 
 
+def _column_spy(monkeypatch, record) -> list[list]:
+    """Wrap every kernel of _COLUMN_KERNELS and return, per run of a
+    column, the list of record(column, instruction, y, out, lanes) over
+    the instructions it ran, each kernel call paired in order with the
+    next instruction of the column's segments: the instruction, its
+    second operand and its result."""
+    kernels, runs, pending = entailment._COLUMN_KERNELS, [], []
+
+    def spy(op):
+        def kernel(x, y, lanes):
+            out = kernels[op](x, y, lanes)
+            column, instructions = pending[-1]
+            instruction = next(instructions)
+            assert instruction[0] == op
+            runs[-1].append(record(column, instruction, y, out, lanes))
+            return out
+
+        return kernel
+
+    class Spy(entailment._Column):
+        def run(self, *args):
+            runs.append([])
+            pending.append((self, iter([i for block, _ in self.segments for i in block])))
+            return super().run(*args)
+
+    monkeypatch.setattr(entailment, "_COLUMN_KERNELS", tuple(map(spy, range(len(kernels)))))
+    monkeypatch.setattr(entailment, "_Column", Spy)
+    return runs
+
+
 def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]]]]:
     """Record every column instruction run, per run of the column: its
     opcode, its slot, and the lanes of its second operand and of its
     result."""
-    runs = []
-
-    class Spy(entailment._Column):
-        def __init__(self, alg, segments, start, domains):
-            super().__init__(alg, segments, start, domains)
-            code = iter([(op, dst) for block, _ in segments for op, _, dst, _, _ in block])
-
-            def record(op, dst, kernel):
-                def run(x, y, lanes):
-                    out = kernel(x, y, lanes)
-                    runs[-1].append((op, dst, _lanes(y, lanes), _lanes(out, lanes)))
-                    return out
-
-                return run
-
-            self.segments = [
-                ([(record(*next(code), kernel), dst, a, b) for kernel, dst, a, b in block], guard)
-                for block, guard in self.segments
-            ]
-
-        def run(self, *args):
-            runs.append([])
-            return super().run(*args)
-
-    monkeypatch.setattr(entailment, "_Column", Spy)
-    return runs
+    return _column_spy(monkeypatch, lambda _, instruction, y, out, lanes: (
+        instruction[0], instruction[2], _lanes(y, lanes), _lanes(out, lanes)))
 
 
 def _guards_hold(runs, premises, conclusion) -> bool:
@@ -830,8 +836,8 @@ def test_scan_frees_what_it_builds(monkeypatch):
     # search returns, not at the next cyclic collection, or peak memory
     # grows with every query; only the algebra of each size is kept for
     # the process, built once, and the suffix memo of each size, which
-    # holds ints only (see test_lanes_hold_only_ints); no column kernel
-    # is kept
+    # holds ints only (see test_lanes_hold_only_ints); a column binds no
+    # kernel, so it keeps none
     made = []
 
     def track(obj):
@@ -861,7 +867,6 @@ def test_scan_frees_what_it_builds(monkeypatch):
         assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
         assert algebra.cache_info().misses == 4  # n = 0..3, once each
-        assert not hasattr(entailment._column_kernel, "cache_info")
     finally:
         gc.enable()
 
@@ -894,8 +899,8 @@ def test_lanes_hold_only_ints():
     entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
 
 
-def test_column_tables_built_on_first_use(monkeypatch):
-    # a column's tables, the step masks of its _Lanes, are built when a
+def test_column_lanes_built_on_first_use(monkeypatch):
+    # a column's _Lanes, with the step masks of its kernels, is built when a
     # scan first needs its suffix, once for the process per kinds and
     # group: the premise i! P0 keeps digit 0 on the odometer, where i!
     # runs the algebra on single values, and P0 i& P1 takes P0 as a value
@@ -1226,7 +1231,7 @@ def test_pinned_premise_keeps_its_digit_on_the_odometer(monkeypatch):
     kinds = _column_kinds(monkeypatch)
     premises, conclusion = _query("box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1")
     program = entailment._compile_entailment(premises, conclusion)
-    assert {program.levels[g] for g in program.guards} == {0}
+    assert program.guarded == {program.levels[g] for g in program.guards} == {0}
     for n in (2, 3):
         assert _json(algebra_entails(n, premises, conclusion)) == brute(
             n, premises, conclusion, limit=300)
@@ -1290,24 +1295,12 @@ def _broadcasts(monkeypatch) -> collections.Counter:
     odometer meeting the column.  A constant operand is not counted."""
     calls = collections.Counter()
 
-    def count(op, kernel):
-        def run(x, y, lanes):
-            calls[op] += 1
-            return kernel(x, y, lanes)
+    def count(column, instruction, *_):
+        op, pair, _, a, _ = instruction
+        k = column.start + len(column.domains)  # the positions; the constants follow
+        calls[op] += not pair and not k <= a < k + 3
 
-        return run
-
-    class Spy(entailment._Column):
-        def __init__(self, alg, segments, start, domains):
-            super().__init__(alg, segments, start, domains)
-            constants = range(len(domains), len(domains) + 3)
-            self.segments = [
-                ([(kernel if pair or a in constants else count(op, kernel), dst, a, b)
-                  for (op, pair, *_), (kernel, dst, a, b) in zip(block, kernels)], guard)
-                for (block, guard), (kernels, _) in zip(segments, self.segments)
-            ]
-
-    monkeypatch.setattr(entailment, "_Column", Spy)
+    _column_spy(monkeypatch, count)
     return calls
 
 
