@@ -5,18 +5,14 @@ countermodels to entailments, check labelled natural-deduction proofs,
 and bridge to the valuational team semantics of PT+.
 """
 
-from .algebra import Algebra, Denotation, ext_bot, full_set, int_bot, principal_ideal
+from .algebra import Algebra, Denotation
 from .entailment import (
     Countermodel,
     SearchReport,
     algebra_entails,
     find_countermodel,
     find_labelled_countermodel,
-    grz_formula,
     labelled_entails,
-    local_entails,
-    pva_axioms,
-    verify_box_internalisation,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -34,7 +30,6 @@ from .ptplus import (
     PTDenotation,
     build_hv,
     f_map,
-    is_pt_formula,
     pt_entails,
     pt_eval,
     verify_f_representation,

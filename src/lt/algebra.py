@@ -253,18 +253,3 @@ class Denotation:
     def from_strings(cls, algebra: Algebra, texts: list[str]) -> "Denotation":
         return cls(algebra, algebra.parse_denotation(texts))
 
-
-def ext_bot(algebra: Algebra) -> Denotation:
-    return Denotation(algebra, 0)
-
-
-def int_bot(algebra: Algebra) -> Denotation:
-    return Denotation(algebra, algebra.int_bot())
-
-
-def full_set(algebra: Algebra) -> Denotation:
-    return Denotation(algebra, algebra.full)
-
-
-def principal_ideal(algebra: Algebra, element: int) -> Denotation:
-    return Denotation(algebra, algebra.principal_ideal(element))

@@ -161,7 +161,7 @@ def _cmd_expand(args) -> int:
 def _cmd_eval(args) -> int:
     hom = _parse_assignment(algebra(args.n), args.assign or [])
     formula = parse_formula(args.expr)
-    denotation = evaluate(hom, formula, native_derived=args.native)
+    denotation = evaluate(hom, formula)
     _emit({"algebra_n": args.n, "denotation": denotation.to_strings()})
     return EXIT_OK
 
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="variable assignment, e.g. P0=[01,10]; repeatable; '' for none",
     )
-    p.add_argument("--native", action="store_true", help="evaluate derived connectives natively")
     p.add_argument("expr")
     p.set_defaults(handler=_cmd_eval)
 

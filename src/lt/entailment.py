@@ -108,8 +108,8 @@ of the full domains, so budget verdicts depend on neither reduction.
 
 Replay.  A Program records the query it compiles, and `_decide`, the one
 place a countermodel is made, replays each against it through the tree
-walker (`replay`, each filter denoting the full carrier, or
-`replay_labelled`): every countermodel the library returns is checked.
+walker (`replay` or `replay_labelled`): every countermodel the library
+returns is checked.
 """
 
 from __future__ import annotations
@@ -123,12 +123,10 @@ import sys
 from array import array
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, algebra, iter_bits, same_fields
+from .algebra import Algebra, algebra, same_fields
 from .errors import BudgetExceededError, EvalError, ReplayError
 from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
-    Derived,
-    DerivedTag,
     ExtAnd,
     ExtBot,
     ExtNot,
@@ -208,28 +206,6 @@ class SearchReport:
         self.note = note
 
     __eq__ = same_fields
-
-
-def local_entails(hom: Homomorphism, premises: Iterable[Formula], conclusion: Formula) -> bool:
-    """Intersection of the premise denotations contained in the conclusion's.
-    An empty premise set intersects to the full carrier."""
-    return local_counterexample(hom, premises, conclusion) is None
-
-
-def local_counterexample(
-    hom: Homomorphism, premises: Iterable[Formula], conclusion: Formula
-) -> int | None:
-    """Least witness element violating the local entailment, or None."""
-    alg = hom.algebra
-    inter = alg.full
-    for p in premises:
-        inter &= evaluate(hom, p).bits
-        if inter == 0:
-            return None
-    bad = inter & ~evaluate(hom, conclusion).bits
-    if bad == 0:
-        return None
-    return next(iter_bits(bad))
 
 
 # -- the compiled program
@@ -430,19 +406,16 @@ class Program:
         return plan
 
 
-def _compile_entailment(premises, conclusion, filters=()) -> Program:
-    """Compile premises |- conclusion.  A filter acts as a premise that
-    admits a homomorphism only where it denotes the full carrier: the
-    complement of _ANY of its complement."""
-    premises, filters = tuple(premises), tuple(filters)  # kept for the replay
-    trees = [postorder(f) for f in (*filters, *premises, conclusion)]
-    c = Program(trees, labelled=False, query=(premises, conclusion, filters))
-    for i, nodes in enumerate(trees[:-1]):
-        slot = c.term(nodes)
-        if i < len(filters):
-            gap = c.node(ExtNot, slot)
-            slot = c.node(ExtNot, c.emit(_ANY, gap, gap))
-        c.premise(slot)
+def _compile_entailment(premises, conclusion) -> Program:
+    """Compile premises |- conclusion.  To admit only the homomorphisms
+    under which a formula pi denotes the full carrier, add the premise
+    `box pi`: it is the full carrier there and empty elsewhere (the box
+    internalisation), so that restriction needs no compile path of its own."""
+    premises = tuple(premises)  # kept for the replay
+    trees = [postorder(f) for f in (*premises, conclusion)]
+    c = Program(trees, labelled=False, query=(premises, conclusion))
+    for nodes in trees[:-1]:
+        c.premise(c.term(nodes))
     return c.conclude(c.term(trees[-1]))
 
 
@@ -841,12 +814,7 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
     elements = [v.bit_length() - 1 for v in values[len(program.variables) :]]
     labels = LabelValuation(alg, dict(zip(program.atoms, elements)))
     cm = Countermodel(hom, witness, labels if program.labelled else None)
-    if program.labelled:
-        replays = replay_labelled(cm, *program.query)
-    else:
-        premises, conclusion, filters = program.query
-        admitted = all(evaluate(hom, f).bits == alg.full for f in filters)
-        replays = admitted and replay(cm, premises, conclusion)
+    replays = (replay_labelled if program.labelled else replay)(cm, *program.query)
     if not replays:
         raise ReplayError(
             f"internal error: the countermodel at n={n} does not replay: {cm.to_json_obj()}"
@@ -942,48 +910,6 @@ def replay_labelled(
     return all(satisfies(cm.labels, cm.hom, lf) for lf in gamma) and not satisfies(
         cm.labels, cm.hom, conclusion
     )
-
-
-def pva_axioms(var_indices: Iterable[int]) -> list[Formula]:
-    """The principal-variable axioms box(P_i i| ~P_i), one per variable,
-    in index order.  Valid under H exactly when every listed variable's
-    denotation is a principal ideal."""
-    return [
-        Derived(
-            DerivedTag.BOX,
-            (IntOr(Var(i), Derived(DerivedTag.STRICT_NOT, (Var(i),))),),
-        )
-        for i in sorted(set(var_indices))
-    ]
-
-
-def verify_box_internalisation(
-    n: int,
-    pi: Sequence[Formula],
-    premises: Sequence[Formula],
-    conclusion: Formula,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> bool:
-    """Check, by double enumeration at size n, that prefixing box(pi) to the
-    premises is equivalent to restricting to homomorphisms validating pi."""
-    boxed = [Derived(DerivedTag.BOX, (f,)) for f in pi]
-    boxed_side, _ = algebra_entails(n, boxed + list(premises), conclusion, cap=cap)
-    restricted = _decide(_compile_entailment(premises, conclusion, pi), n, "all", cap)
-    return boxed_side == (restricted is None)
-
-
-def order_box(formula: Formula) -> Formula:
-    """Necessity over the algebra's partial order: !down !phi."""
-    return ExtNot(Derived(DerivedTag.DOWN, (ExtNot(formula),)))
-
-
-def grz_formula(var_index: int = 0) -> Formula:
-    """Grzegorczyk's formula over the order modality; valid on an algebra's
-    order frame exactly when the algebra is finite."""
-    p = Var(var_index)
-    imp = lambda a, b: Derived(DerivedTag.IMPLIES, (a, b))
-    return imp(order_box(imp(order_box(imp(p, order_box(p))), p)), p)
 
 
 def default_max_n() -> int:

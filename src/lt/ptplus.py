@@ -83,14 +83,9 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
 
 
-def is_pt_formula(formula: Formula) -> bool:
-    """True iff the formula lies in the PT+ fragment: variables, strict
-    negation on variables only, ibot, nb, i|, &, | and the o* sugar."""
-    return _in_fragment(postorder(formula))
-
-
 def _in_fragment(nodes: list[Formula]) -> bool:
-    """True iff every node of the list is allowed in PT+."""
+    """True iff every node of the list is allowed in PT+: variables,
+    strict negation on variables only, ibot, nb, i|, &, | and the o* sugar."""
     for f in nodes:
         kind = type(f)
         if kind is Derived:

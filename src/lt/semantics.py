@@ -2,11 +2,10 @@
 
 A homomorphism fixes an algebra and a denotation for each propositional
 variable; it then determines the value of every formula compositionally,
-in one `syntax.fold` into the algebra's operations.  The default path
-computes each derived connective through its core spelling in that walk;
-the native path computes them directly at the set level (closures, strict
-negation, the two-case modal operators) and exists so the two can be
-cross-checked.
+in one `syntax.fold` into the algebra's operations, each derived
+connective through its core spelling in that walk.  The independent
+oracle in tests/reference.py computes every connective from its
+definition at the set level, and the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Mapping
 from .algebra import Algebra, Denotation, same_fields
 from .errors import AlgebraMismatchError, EvalError
 from .syntax import (
-    DerivedTag,
     ExtAnd,
     ExtBot,
     ExtNot,
@@ -75,26 +73,16 @@ class LabelValuation:
 
 
 def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:
-    """Evaluate a formula to a denotation bitset, each derived connective
-    through its core spelling.  env maps variable indices to denotation
-    bitsets; unbound variables are an error."""
-    return _eval_bits(algebra, env, formula, False)
-
-
-def _eval_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula, native: bool) -> int:
-    """One `fold` of the formula into the algebra's operations, each
-    derived connective through its core spelling, or at the set level by
-    `_native` when native is set."""
+    """Evaluate a formula to a denotation bitset: one `fold` into the
+    algebra's operations, each derived connective through its core
+    spelling.  env maps variable indices to denotation bitsets; unbound
+    variables are an error."""
     ops = {
         ExtBot: lambda: 0, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
         ExtAnd: operator.and_, ExtOr: operator.or_, IntAnd: algebra.int_and,
         IntOr: algebra.int_or, IntNot: algebra.int_not,
     }
-    build = lambda kind, *children: ops[kind](*children)
-    variable = _lookup(env, "variable P")
-    if native:
-        return fold(postorder(formula), variable, build, lambda tag, args, _: _native(algebra, tag, args))
-    return fold(postorder(formula), variable, build)
+    return fold(postorder(formula), _lookup(env, "variable P"), lambda kind, *c: ops[kind](*c))
 
 
 def _lookup(env: Mapping[int, int], unbound: str):
@@ -109,43 +97,11 @@ def _lookup(env: Mapping[int, int], unbound: str):
     return leaf
 
 
-def _native(algebra: Algebra, tag: DerivedTag, args: list[int]) -> int:
-    """One derived connective at the set level, over evaluated arguments."""
-    if tag is DerivedTag.EXT_TOP:
-        return algebra.full
-    if tag is DerivedTag.INT_TOP:
-        return algebra.int_top()
-    if tag is DerivedTag.NB:
-        return algebra.ext_not(algebra.int_bot())
-    if tag is DerivedTag.DOWN:
-        return algebra.down_closure(args[0])
-    if tag is DerivedTag.UP:
-        return algebra.up_closure(args[0])
-    if tag is DerivedTag.DIAMOND:
-        return algebra.full if args[0] else 0
-    if tag is DerivedTag.BOX:
-        return algebra.full if args[0] == algebra.full else 0
-    if tag is DerivedTag.STRICT_NOT:
-        return algebra.strict_neg(args[0])
-    if tag is DerivedTag.IMPLIES:
-        return algebra.ext_not(args[0]) | args[1]
-    assert tag is DerivedTag.CIRCLE_STAR
-    nb = algebra.ext_not(algebra.int_bot())
-    return algebra.int_or(args[0] & nb, args[1] & nb)
-
-
 def evaluate(
-    hom: Homomorphism,
-    formula: Formula,
-    *,
-    native_derived: bool = False,
-    cache: dict[Formula, Denotation] | None = None,
+    hom: Homomorphism, formula: Formula, *, cache: dict[Formula, Denotation] | None = None
 ) -> Denotation:
-    """The denotation of the formula under the homomorphism.
-
-    By default each derived connective is computed through its core
-    spelling, in the same walk; with native_derived=True it is computed
-    directly at the set level.
+    """The denotation of the formula under the homomorphism, each derived
+    connective computed through its core spelling in the same walk.
     An optional cache (valid for this homomorphism only) keeps the
     denotation of each whole formula evaluated: evaluating it again is a
     lookup, but a miss walks every subformula again, shared ones included.
@@ -154,7 +110,7 @@ def evaluate(
         hit = cache.get(formula)
         if hit is not None:
             return hit
-    out = Denotation(hom.algebra, _eval_bits(hom.algebra, hom.bits_env(), formula, native_derived))
+    out = Denotation(hom.algebra, eval_core_bits(hom.algebra, hom.bits_env(), formula))
     if cache is not None:
         cache[formula] = out
     return out

@@ -3,9 +3,10 @@
 Formulas are built from external Boolean connectives (bot, !, |, &),
 internal pointwise connectives (ibot, i!, i|, i&) and a family of derived
 connectives (top, itop, nb, down, up, dia, box, ->, ~, o*) that are kept
-as first-class AST nodes so they can be evaluated both natively and via
-their core spelling.  Labels are classical propositional formulas over
-atoms p0, p1, ...; a labelled formula pairs a label with a formula.
+as first-class AST nodes, so a formula prints as it was written, and
+computed through their one core spelling.  Labels are classical
+propositional formulas over atoms p0, p1, ...; a labelled formula pairs
+a label with a formula.
 
 Concrete ASCII grammar (precedence high to low, parentheses always allowed):
 
@@ -376,11 +377,13 @@ def _expand_derived(tag: DerivedTag, args: list, build):
     return build(ExtNot, build(IntOr, build(ExtAnd, down, build(ExtNot, build(IntBot))), top))
 
 
-def fold(nodes: list, leaf, build, derived=_expand_derived):
+def fold(nodes: list, leaf, build):
     """The value of a formula or label from its `postorder` list, children
-    first: leaf(node) for a variable or label atom, derived(tag, argument
-    values, build) for a derived connective, else build(kind, *values)."""
+    first: leaf(node) for a variable or label atom, build(kind, *values)
+    for a core node, and for a derived connective its core spelling over
+    the argument values, built by `_expand_derived` with `build`."""
     out: list = []
+    derived = _expand_derived
     for node in nodes:
         kind = type(node)
         if kind in _BINARY_NODES:

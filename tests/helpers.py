@@ -1,11 +1,15 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators shared across the test modules, and the
+paper's formulas and checks that only the tests use."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable, Sequence
 
-from lt.algebra import Algebra, Denotation
-from lt.semantics import Homomorphism
+import reference as ref
+from lt.algebra import Algebra, Denotation, iter_bits
+from lt.entailment import algebra_entails
+from lt.semantics import Homomorphism, evaluate
 from lt.syntax import (
     Derived,
     DerivedTag,
@@ -95,3 +99,52 @@ def random_principal_hom(rng: random.Random, algebra: Algebra, variables) -> Hom
             for v in variables
         },
     )
+
+
+def local_counterexample(
+    hom: Homomorphism, premises: Iterable[Formula], conclusion: Formula
+) -> int | None:
+    """Least witness element of the premise denotations' intersection
+    (the full carrier for none) outside the conclusion's, or None."""
+    inter = hom.algebra.full
+    for p in premises:
+        inter &= evaluate(hom, p).bits
+    return next(iter_bits(inter & ~evaluate(hom, conclusion).bits), None)
+
+
+def boxed(formulas: Iterable[Formula]) -> list[Formula]:
+    """box phi for each formula: as a premise, it admits exactly the
+    homomorphisms under which phi denotes the full carrier."""
+    return [Derived(DerivedTag.BOX, (f,)) for f in formulas]
+
+
+def pva_axioms(var_indices: Iterable[int]) -> list[Formula]:
+    """The principal-variable axioms box(P_i i| ~P_i), one per variable,
+    in index order.  Valid under H exactly when every listed variable's
+    denotation is a principal ideal."""
+    tilde = lambda f: Derived(DerivedTag.STRICT_NOT, (f,))
+    return boxed(IntOr(Var(i), tilde(Var(i))) for i in sorted(set(var_indices)))
+
+
+def verify_box_internalisation(
+    n: int, pi: Sequence[Formula], premises: Sequence[Formula], conclusion: Formula
+) -> bool:
+    """Whether prefixing box(pi) to the premises decides as restricting to
+    the homomorphisms that validate pi does, least countermodel included:
+    the scan on the boxed side, the oracle's filters on the restricted one."""
+    entailed, cm = algebra_entails(n, boxed(pi) + list(premises), conclusion)
+    restricted = ref.brute(n, premises, conclusion, filters=pi)
+    return (entailed, None if cm is None else cm.to_json_obj()) == restricted
+
+
+def order_box(formula: Formula) -> Formula:
+    """Necessity over the algebra's partial order: !down !phi."""
+    return ExtNot(Derived(DerivedTag.DOWN, (ExtNot(formula),)))
+
+
+def grz_formula(var_index: int = 0) -> Formula:
+    """Grzegorczyk's formula over the order modality; valid on an algebra's
+    order frame exactly when the algebra is finite."""
+    p = Var(var_index)
+    imp = lambda a, b: Derived(DerivedTag.IMPLIES, (a, b))
+    return imp(order_box(imp(order_box(imp(p, order_box(p))), p)), p)

@@ -4,8 +4,10 @@ Denotations are modelled as frozensets of element integers and every
 operator is computed directly from its defining comprehension, so these
 stay independent of the bitset implementation they are used to check.
 Only the formula and label syntax, and ParseError, are shared with the
-workbench.  The lexer the parser used before the one-`findall` lexer,
-and an expansion that builds every node anew, are kept here as oracles.
+workbench.  `brute` and `brute_labelled` decide an entailment by plain
+enumeration in canonical order, and give the least countermodel as
+JSON.  The lexer the parser used before the one-`findall` lexer, and an
+expansion that builds every node anew, are kept here as oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from lt.syntax import (
     LNot,
     LOr,
     Var,
+    free_vars,
     label_atoms,
 )
 
@@ -155,6 +158,66 @@ def evaluate_label(label, lenv: dict[int, int], n: int) -> int:
         return ((1 << n) - 1) ^ evaluate_label(label.child, lenv, n)
     x, y = evaluate_label(label.left, lenv, n), evaluate_label(label.right, lenv, n)
     return x | y if isinstance(label, LOr) else x & y
+
+
+def _element(a: int, n: int) -> str:
+    return format(a, f"0{n}b") if n else ""
+
+
+def domain(n: int, klass: str) -> list[frozenset[int]]:
+    if klass == "principal_variables":
+        return sorted((principal_ideal(a, n) for a in range(1 << n)), key=to_bits)
+    return [from_bits(b, n) for b in range(1 << (1 << n))]
+
+
+def _assignment(env: dict, n: int) -> dict:
+    return {f"P{v}": [_element(a, n) for a in sorted(d)] for v, d in sorted(env.items())}
+
+
+def brute(n, premises, conclusion, klass="all", filters=(), limit=None):
+    """(entailed, least countermodel) by plain enumeration; a filter admits
+    only the assignments under which it denotes the full carrier.  With a
+    limit, only that many assignments are tried, and None means that none
+    of them is a countermodel."""
+    formulas = [*filters, *premises, conclusion]
+    variables = sorted(frozenset().union(*map(free_vars, formulas)))
+    full = all_elements(n)
+    assignments = itertools.product(domain(n, klass), repeat=len(variables))
+    for values in itertools.islice(assignments, limit):
+        env = dict(zip(variables, values))
+        if any(evaluate(f, env, n) != full for f in filters):
+            continue
+        inter = full
+        for p in premises:
+            inter &= evaluate(p, env, n)
+        bad = inter - evaluate(conclusion, env, n)
+        if bad:
+            witness = _element(min(bad), n)
+            return False, {"n": n, "assignment": _assignment(env, n), "witness": witness}
+    return (True, None) if limit is None else None
+
+
+def brute_labelled(n, gamma, conclusion, limit=None):
+    """As brute, with the label atoms enumerated after the variables; the
+    limit counts variable assignments."""
+    items = [*gamma, conclusion]
+    variables = sorted(frozenset().union(*(free_vars(lf.formula) for lf in items)))
+    atoms = sorted(frozenset().union(*(label_atoms(lf.label) for lf in items)))
+    assignments = itertools.product(domain(n, "all"), repeat=len(variables))
+    for values in itertools.islice(assignments, limit):
+        env = dict(zip(variables, values))
+        dens = [evaluate(lf.formula, env, n) for lf in items]
+        for elements in itertools.product(range(1 << n), repeat=len(atoms)):
+            lenv = dict(zip(atoms, elements))
+            at = [evaluate_label(lf.label, lenv, n) for lf in items]
+            if all(e in d for e, d in zip(at, dens[:-1])) and at[-1] not in dens[-1]:
+                return False, {
+                    "n": n,
+                    "assignment": _assignment(env, n),
+                    "witness": _element(at[-1], n),
+                    "label_assignment": {f"p{a}": _element(e, n) for a, e in lenv.items()},
+                }
+    return (True, None) if limit is None else None
 
 
 def _python_label(label) -> str:

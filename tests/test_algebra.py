@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import reference as ref
-from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra, ext_bot, full_set, principal_ideal
+from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra
 from lt.entailment import _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _UP, _Lanes
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
@@ -125,12 +125,12 @@ class TestPrincipalIdeals:
         alg = Algebra(2)
         assert Denotation(alg, D(0b00, 0b01)).is_principal_ideal()  # max 01
         assert not Denotation(alg, D(0b01, 0b10)).is_principal_ideal()  # 00 missing
-        assert not ext_bot(alg).is_principal_ideal()
-        assert principal_ideal(alg, 0b11) == full_set(alg)
+        assert not Denotation(alg, 0).is_principal_ideal()
+        assert Denotation(alg, alg.principal_ideal(0b11)) == Denotation(alg, alg.full)
 
     def test_join_of(self):
         assert Denotation(Algebra(2), D(0b01, 0b10)).join_of() == 0b11
-        assert ext_bot(Algebra(2)).join_of() == 0
+        assert Denotation(Algebra(2), 0).join_of() == 0
 
     def test_against_oracle(self):
         for n in (0, 1, 2):

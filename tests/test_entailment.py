@@ -6,15 +6,10 @@ from lt.algebra import Algebra, Denotation
 from lt.entailment import (
     NOTE_FINITE_SCOPE,
     algebra_entails,
-        find_countermodel,
-    grz_formula,
+    find_countermodel,
     labelled_entails,
-    local_counterexample,
-    local_entails,
-    pva_axioms,
     replay,
     replay_labelled,
-    verify_box_internalisation,
 )
 from lt.errors import BudgetExceededError
 from lt.semantics import Homomorphism, compose, evaluate
@@ -31,7 +26,13 @@ from lt.syntax import (
     parse_labelled_query,
 )
 
-from helpers import random_formula
+from helpers import (
+    grz_formula,
+    local_counterexample,
+    pva_axioms,
+    random_formula,
+    verify_box_internalisation,
+)
 
 
 def hom(n, **bits_by_var):
@@ -41,12 +42,12 @@ def hom(n, **bits_by_var):
 class TestLocalEntails:
     def test_top_conclusion(self):
         h = hom(1, P0=0b11)
-        assert local_entails(h, [Var(0)], parse_formula("top"))
+        assert local_counterexample(h, [Var(0)], parse_formula("top")) is None
 
     def test_empty_premises_ibot(self):
         for n in (0, 1, 2):
             h = hom(n)
-            assert local_entails(h, [], IntBot()) == (n == 0)
+            assert (local_counterexample(h, [], IntBot()) is None) == (n == 0)
 
     def test_strict_double_negation_witness(self):
         h = hom(1, P0=0)
@@ -79,7 +80,7 @@ class TestAlgebraEntails:
         assert not entailed_all
         # {11} alone is not downward closed, so it also gives a countermodel
         h = hom(2, P0=1 << 0b11)
-        assert not local_entails(h, [], f)
+        assert local_counterexample(h, [], f) is not None
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
