@@ -4,12 +4,17 @@ An algebra with n atoms has 2^n elements; an element is an n-bit integer
 (bit i = atom i) and elements are indexed 0 .. 2^n - 1 by their bit
 pattern.  A denotation -- a subset of the algebra -- is an integer bitset
 over those element indices.  External operators are the set-theoretic
-ones on denotations; internal operators apply the element operations
-pointwise across denotations.
+ones on denotations, the integer operators |, & and ^ full; internal
+operators apply the element operations pointwise across denotations.
 
 Every operator works on whole denotations by shifts and masks (Knuth,
 TAOCP 4A, 7.1.3): the order closures and int_not take n steps, and a
 binary internal operator one image per member of its smaller operand.
+The n steps are one triple per atom in `Algebra.steps`, and the unary
+operators are written once, as functions over any `steps` of that
+shape: an Algebra binds them as its methods, and the scan's column
+(`entailment._Lanes`), whose masks repeat each triple in every lane,
+runs the same functions as its kernels.
 A process keeps one algebra per size, built on first use by `algebra(n)`
 with its element names (at most nine, about 220 KB in all); nothing else
 is cached here.  A shortcut is allowed only when it is proven equal
@@ -41,6 +46,32 @@ def same_fields(a, b) -> bool:
     return all(getattr(a, name) == getattr(b, name) for name in a.__slots__)
 
 
+# -- the unary internal operators over `lanes.steps`, an Algebra's or a
+# column's (see the module docstring).  A step moves a bit by 2^i < 2^n,
+# so it never leaves its lane; y is ignored, so that each is a column
+# kernel f(lanes, x, y).
+
+
+def int_not(lanes, x: int, y=None) -> int:
+    """The complement of each element: per atom, swap the halves with and
+    without it."""
+    for high, low, s in lanes.steps:
+        x = (x & high) >> s | (x & low) << s
+    return x
+
+
+def down_closure(lanes, x: int, y=None) -> int:
+    for high, _, s in lanes.steps:
+        x |= (x & high) >> s
+    return x
+
+
+def up_closure(lanes, x: int, y=None) -> int:
+    for _, low, s in lanes.steps:
+        x |= (x & low) << s
+    return x
+
+
 @functools.cache
 def algebra(n_atoms: int) -> "Algebra":
     """The algebra on n atoms, built once per process; an n out of range
@@ -60,22 +91,21 @@ class Algebra:
         self.size = 1 << n_atoms          # number of elements
         self.top = self.size - 1          # top element (all atoms)
         self.full = (1 << self.size) - 1  # denotation containing every element
-        # (M_i, 2^i) per atom i: M_i holds the elements that contain i (2^i
-        # clear bits, then 2^i set, repeated), and shifting by 2^i moves an
-        # element to the one that differs from it in atom i
-        self._atoms = [
-            (self.full // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s), s)
-            for s in (1 << i for i in range(n_atoms))
-        ]
+        # Per atom i, its step (M_i, full ^ M_i, 2^i): M_i holds the elements
+        # that contain i (2^i clear bits, then 2^i set, repeated), and shifting
+        # by 2^i moves an element to the one that differs from it in atom i.
         # Per element a, built by doubling over the atoms: its principal
         # ideal and filter, and the steps that int_or (a's atoms, low masks)
         # and int_and (the other atoms, high masks) apply for a member a.
-        self._down, self._up, self._or_steps, high = [1], [self.full], [()], [()]
-        for mask, s in self._atoms:
-            self._down += [d | d << s for d in self._down]
-            self._up += [u & mask for u in self._up]
+        steps, ideals, filters, self._or_steps, high = [], [1], [self.full], [()], [()]
+        for s in (1 << i for i in range(n_atoms)):
+            mask = self.full // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+            steps.append((mask, self.full ^ mask, s))
+            ideals += [d | d << s for d in ideals]
+            filters += [u & mask for u in filters]
             self._or_steps += [t + ((self.full ^ mask, s),) for t in self._or_steps]
             high += [t + ((mask, s),) for t in high]
+        self.steps, self.ideals, self.filters = tuple(steps), tuple(ideals), tuple(filters)
         self._and_steps = high[::-1]
 
     def __repr__(self):
@@ -89,35 +119,16 @@ class Algebra:
 
     # -- element operations
 
-    def complement(self, a: int) -> int:
-        return self.top ^ a
-
     def elements(self) -> range:
         return range(self.size)
 
-    # -- external (set-theoretic) operators on denotation bitsets
+    # -- internal (pointwise) operators: the unary ones are the functions
+    # above, an algebra being a column of one lane
 
-    def ext_not(self, x: int) -> int:
-        return self.full ^ x
-
-    def ext_or(self, x: int, y: int) -> int:
-        return x | y
-
-    def ext_and(self, x: int, y: int) -> int:
-        return x & y
-
-    # -- internal (pointwise) operators
+    int_not, down_closure, up_closure = int_not, down_closure, up_closure
 
     def int_bot(self) -> int:
         return 1  # {bottom element}
-
-    def int_top(self) -> int:
-        return 1 << self.top
-
-    def int_not(self, x: int) -> int:
-        for mask, s in self._atoms:  # swap the halves with and without atom i
-            x = (x & mask) >> s | (x & ~mask) << s
-        return x
 
     def int_or(self, x: int, y: int) -> int:
         """For each member a of the smaller operand, each step offers one
@@ -127,7 +138,7 @@ class Algebra:
             x, y = y, x
         if y == self.full:
             return self.up_closure(x)
-        out, up, steps = 0, self._up, self._or_steps
+        out, up, steps = 0, self.filters, self._or_steps
         while x:
             low = x & -x
             a = low.bit_length() - 1
@@ -145,7 +156,7 @@ class Algebra:
             x, y = y, x
         if y == self.full:
             return self.down_closure(x)
-        out, down, steps = 0, self._down, self._and_steps
+        out, down, steps = 0, self.ideals, self._and_steps
         while x:
             low = x & -x
             a = low.bit_length() - 1
@@ -156,31 +167,19 @@ class Algebra:
             x ^= low
         return out
 
-    # -- order closures and strict negation
-
-    def down_closure(self, x: int) -> int:
-        for mask, s in self._atoms:
-            x |= (x & mask) >> s
-        return x
-
-    def up_closure(self, x: int) -> int:
-        for mask, s in self._or_steps[self.top]:  # every atom, low masks
-            x |= (x & mask) << s
-        return x
-
     def strict_neg(self, x: int) -> int:
         """Elements meeting every member of x at bottom; full set when x is empty."""
-        return self._down[self.top ^ self.join_of(x)]
+        return self.ideals[self.top ^ self.join_of(x)]
 
     # -- principal ideals
 
     def principal_ideal(self, a: int) -> int:
-        return self._down[a]
+        return self.ideals[a]
 
     def join_of(self, x: int) -> int:
         """Join of the members; by convention 0 (bottom) for the empty set."""
         out = 0
-        for mask, s in self._atoms:
+        for mask, _, s in self.steps:
             if x & mask:
                 out |= s
         return out

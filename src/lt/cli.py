@@ -20,8 +20,8 @@ import time
 from .algebra import Algebra, Denotation, algebra
 from .entailment import (
     DEFAULT_CAP,
+    DEFAULT_MAX_N,
     SearchReport,
-    default_max_n,
     find_countermodel,
     find_labelled_countermodel,
 )
@@ -196,22 +196,20 @@ def _cmd_entail(args) -> int:
         conclusion = parse_formula(args.query)
     else:
         premises, conclusion = parse_entailment_query(args.query)
-    max_n = args.max_n if args.max_n is not None else default_max_n()
-    report = find_countermodel(
-        premises, conclusion, max_n=max_n, class_restriction=args.class_restriction, cap=args.cap
-    )
-    fields = {"max_n": max_n, "class": args.class_restriction, "cap": args.cap, "jobs": args.jobs}
+    report = find_countermodel(premises, conclusion, max_n=args.max_n,
+                               class_restriction=args.class_restriction, cap=args.cap)
+    fields = {"max_n": args.max_n, "class": args.class_restriction, "cap": args.cap,
+              "jobs": args.jobs}
     return _emit_search(report, fields, report.note, started, args.timing)
 
 
 def _cmd_lentail(args) -> int:
     started = time.monotonic()
     gamma, conclusion = parse_labelled_query(args.query)
-    max_n = args.max_n if args.max_n is not None else default_max_n()
-    report = find_labelled_countermodel(gamma, conclusion, max_n=max_n, cap=args.cap)
+    report = find_labelled_countermodel(gamma, conclusion, max_n=args.max_n, cap=args.cap)
     # a labelled verdict carries a note only when the cap stopped the search
     note = report.note if report.status == "budget_exceeded" else None
-    fields = {"max_n": max_n, "cap": args.cap, "jobs": args.jobs}
+    fields = {"max_n": args.max_n, "cap": args.cap, "jobs": args.jobs}
     return _emit_search(report, fields, note, started, args.timing)
 
 
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("entail", help="countermodel search for 'premises |- conclusion'")
-    p.add_argument("--max-n", type=int, dest="max_n", default=None)
+    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N)
     p.add_argument(
         "--class",
         dest="class_restriction",
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_entail)
 
     p = sub.add_parser("lentail", help="labelled countermodel search")
-    p.add_argument("--max-n", type=int, dest="max_n", default=None)
+    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--timing", action="store_true")

@@ -43,23 +43,27 @@ and merged across a selective one a scan ran up to five times slower.
 An operand that a digit before the column or a constant gives is
 broadcast to every lane by one multiplication, in `_Column.run` alone,
 so every kernel runs on columns.  An external connective is one integer
-operation.  An internal one runs the shift-and-mask steps by which
-`algebra.py` computes it (Knuth, TAOCP 4A, 7.1.3), each mask repeated in
-every lane: a step moves a bit by 2^i < 2^n, to the element that differs
-in atom i, so it never leaves its lane.  The closures and int_not take n steps,
-_ANY is the up-closure of the down-closure, and int_and or int_or of
-two columns joins, per element a, op({a}, y) in the lanes whose x holds
-a (see `_pointwise_columns`).  A guard is empty when its integer is 0;
-a lane it empties is empty in `bad`, which meets every guard, so the
-lowest set bit of `bad` is the least violation: its lane gives every
-digit's value and its offset the witness.
+operation.  An internal one runs the shift-and-mask steps of `algebra.py`
+(Knuth, TAOCP 4A, 7.1.3) with each mask repeated in every lane: a step
+moves a bit by 2^i < 2^n, to the element that differs in atom i, so it
+never leaves its lane.  int_not and the closures are the very functions
+an Algebra binds as its methods, run over the steps of the column's
+`_Lanes`, built from the algebra; _ANY is the up-closure of the
+down-closure, and int_and or int_or of two columns joins, per element a,
+op({a}, y) in the lanes whose x holds a (see `_pointwise_columns`).  A
+guard is empty when its integer is 0; a lane it empties is empty in
+`bad`, which meets every guard, so the lowest set bit of `bad` is the
+least violation: its lane gives every digit's value and its offset the
+witness.
 
 The levels before the column run one assignment at a time, each
 instruction through the algebra's own operation, at every size.  So
 each form has one kernel table, indexed by opcode: `_operations(n)` for
-a value, and `_COLUMN_KERNELS` for a column, the same steps on every
-lane with the masks of its lanes (`_Symmetry.suffix`).  The scan runs in
-the calling process, and the countermodel it reports is the least.
+a value, the algebra's methods, and `_COLUMN_KERNELS` for a column, the
+same unary functions over the steps of its lanes (`_Symmetry.suffix`);
+only i&, i| and _ANY have a value form and a column form of their own.
+The scan runs in the calling process, and the countermodel it reports is
+the least.
 Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
@@ -118,12 +122,11 @@ import functools
 import itertools
 import math
 import operator
-import os
 import sys
 from array import array
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, algebra, same_fields
+from .algebra import Algebra, algebra, down_closure, int_not, same_fields, up_closure
 from .errors import BudgetExceededError, EvalError, ReplayError
 from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
@@ -448,6 +451,7 @@ class _Symmetry:
     a new one each time."""
 
     def __init__(self, n: int):
+        self.algebra = algebra(n)
         self.size = 1 << n
         self.denotations = 1 << self.size
         self.top = self.denotations >> 1  # the bit of the top element
@@ -524,7 +528,7 @@ class _Symmetry:
         found = self.columns.get(key)
         if found is None:
             digits = self._leaders(domains, group)
-            lanes = _Lanes(len(digits[0]), self.size)
+            lanes = _Lanes(len(digits[0]), self.algebra)
             if self.kept + len(digits[0]) > _LANES_MAX:
                 self.columns.clear()
                 self.kept = 0
@@ -595,10 +599,9 @@ def _operations(n: int) -> tuple:
     """Per opcode, the algebra's operation f(x, y) at size n, a unary one
     ignoring y: the one place an opcode's meaning is said."""
     alg = algebra(n)
-    full, inot, down, up = alg.full, alg.int_not, alg.down_closure, alg.up_closure
+    full = alg.full
     return (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-            lambda x, _=0: inot(x), lambda x, _=0: full if x else 0,
-            lambda x, _=0: down(x), lambda x, _=0: up(x))
+            alg.int_not, lambda x, _=0: full if x else 0, alg.down_closure, alg.up_closure)
 
 
 # -- the column: the last digit's values as the lanes of one integer
@@ -607,21 +610,20 @@ _TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
 
 
 class _Lanes:
-    """A column of `count` lanes, each holding a denotation of `size` =
-    2^n bits in w = max(8, size) bits, lane i at bits w*i up, and what its
-    kernels broadcast and mask with: `ones`, 1 in every lane, and per atom
-    i the algebra's step (elements with i, carrier elements without i,
-    2^i), each mask repeated in every lane.  Packing goes through
-    little-endian bytes, so lane i is x >> w*i & (2^w - 1) on any host."""
+    """A column of `count` lanes, each holding a denotation of the
+    algebra's 2^n bits in w = max(8, 2^n) bits, lane i at bits w*i up, and
+    what its kernels broadcast and mask with: `ones`, 1 in every lane, the
+    algebra's steps with each mask repeated in every lane, and its ideals
+    and filters.  Packing goes through little-endian bytes, so lane i is
+    x >> w*i & (2^w - 1) on any host."""
 
-    __slots__ = ("w", "ones", "steps")
+    __slots__ = ("w", "ones", "steps", "ideals", "filters")
 
-    def __init__(self, count: int, size: int):
-        self.w = w = max(8, size)
+    def __init__(self, count: int, alg: Algebra):
+        self.w = w = max(8, alg.size)
         self.ones = ones = ((1 << count * w) - 1) // ((1 << w) - 1)
-        full = (1 << size) - 1
-        self.steps = tuple((mask * ones, (full ^ mask) * ones, s)
-                           for mask, s in algebra(size.bit_length() - 1)._atoms)
+        self.steps = tuple((high * ones, low * ones, s) for high, low, s in alg.steps)
+        self.ideals, self.filters = alg.ideals, alg.filters
 
     def pack(self, values: Iterable[int]) -> int:
         lanes = array(_TYPECODES[self.w], values)
@@ -630,33 +632,14 @@ class _Lanes:
         return int.from_bytes(lanes, "little")
 
 
-def _down_column(x: int, _, lanes: _Lanes) -> int:
-    for high, _low, s in lanes.steps:
-        x |= (x & high) >> s
-    return x
-
-
-def _up_column(x: int, _, lanes: _Lanes) -> int:
-    for _high, low, s in lanes.steps:
-        x |= (x & low) << s
-    return x
-
-
-def _not_column(x: int, _, lanes: _Lanes) -> int:
-    for high, low, s in lanes.steps:
-        x = (x & high) >> s | (x & low) << s
-    return x
-
-
-def _pointwise_columns(meet: bool, x: int, y: int, lanes: _Lanes) -> int:
+def _pointwise_columns(meet: bool, lanes: _Lanes, x: int, y: int) -> int:
     """int_and (meet) or int_or of two columns: per element a, op({a}, y)
     in the lanes whose x holds a, as op(x, y) is the union of op({a}, y)
     over the elements a of x.  As in Algebra.int_and, y's steps drop each
     atom outside a and the cut is to the ideal of a; as in int_or, they add
     each atom of a and the cut is to its filter."""
-    alg = algebra(len(lanes.steps))
     out, ones = 0, lanes.ones
-    for a, cut in enumerate(alg._down if meet else alg._up):
+    for a, cut in enumerate(lanes.ideals if meet else lanes.filters):
         holds = x >> a & ones  # 1 in the lanes whose x holds a
         if holds:
             z = y
@@ -672,20 +655,17 @@ def _pointwise_columns(meet: bool, x: int, y: int, lanes: _Lanes) -> int:
     return out
 
 
-def _any_column(x: int, y, lanes: _Lanes) -> int:
-    """The up-closure of the down-closure: the full carrier in the lanes
-    where x is non-empty."""
-    return _up_column(_down_column(x, y, lanes), y, lanes)
-
-
-# Per opcode, its kernel f(x, y, lanes) on two columns, or on the column x
+# Per opcode, its kernel f(lanes, x, y) on two columns, or on the column x
 # for a unary opcode: an external opcode as one integer operation, an
 # internal one through the algebra's steps with the masks of `lanes`, the
-# one place where a column meets an internal connective.
+# one place where a column meets an internal connective.  The unary ones
+# are the algebra's own functions; _ANY, the full carrier in the lanes
+# where x is non-empty, is the up-closure of the down-closure.
 _COLUMN_KERNELS = (
-    lambda x, y, _: x | y, lambda x, y, _: x & y, lambda x, y, _: x ^ y,
+    lambda _, x, y: x | y, lambda _, x, y: x & y, lambda _, x, y: x ^ y,
     functools.partial(_pointwise_columns, False), functools.partial(_pointwise_columns, True),
-    _not_column, _any_column, _down_column, _up_column,
+    int_not, lambda lanes, x, _: up_closure(lanes, down_closure(lanes, x)),
+    down_closure, up_closure,
 )
 
 
@@ -712,7 +692,7 @@ class _Column:
         for block, guard in self.segments:
             for op, pair, dst, a, b in block:
                 x = vals[a]
-                vals[dst] = kernels[op](x if pair else x * ones, vals[b], lanes)
+                vals[dst] = kernels[op](lanes, x if pair else x * ones, vals[b])
             if guard is not None and not vals[guard]:
                 return False
         hits = vals[bad]
@@ -911,16 +891,3 @@ def replay_labelled(
         cm.labels, cm.hom, conclusion
     )
 
-
-def default_max_n() -> int:
-    """Default search depth, overridable with the LT_MAX_N environment variable."""
-    raw = os.environ.get("LT_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LT_MAX_N must be an integer, got {raw!r}") from exc
-    if not 0 <= value <= MAX_N:
-        raise ValueError(f"LT_MAX_N must be in 0..{MAX_N}, got {value}")
-    return value

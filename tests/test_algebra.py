@@ -6,7 +6,8 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra
-from lt.entailment import _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _UP, _Lanes
+from lt.entailment import (_AND, _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _OR, _UP, _XOR, _Lanes,
+                           _operations)
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
 
@@ -18,18 +19,27 @@ def D(*elements):
     return bits
 
 
+def _external(n):
+    """The external connectives as a scan runs them on values, from
+    `_operations(n)`: the complement, an _XOR with the full carrier, then
+    the union and the intersection."""
+    ops, full = _operations(n), algebra(n).full
+    return (lambda x: ops[_XOR](full, x)), ops[_OR], ops[_AND]
+
+
 class TestExternalOps:
     def test_complement_of_empty(self):
-        alg = Algebra(2)
-        assert alg.ext_not(0) == alg.full
+        ext_not, _, _ = _external(2)
+        assert ext_not(0) == Algebra(2).full == ref.to_bits(ref.ext_not(frozenset(), 2))
 
     def test_meet_with_complement(self):
-        alg = Algebra(2)
+        ext_not, _, ext_and = _external(2)
         d = D(1, 3)
-        assert alg.ext_and(d, alg.ext_not(d)) == 0
+        assert ext_and(d, ext_not(d)) == 0
 
     def test_union(self):
-        assert Algebra(1).ext_or(D(0), D(1)) == D(0, 1)
+        _, ext_or, _ = _external(1)
+        assert ext_or(D(0), D(1)) == D(0, 1)
 
     def test_mismatch(self):
         # a homomorphism combines the denotations of its variables
@@ -117,7 +127,7 @@ class TestStrictNeg:
             alg = Algebra(n)
             for a in alg.elements():
                 ideal = alg.principal_ideal(a)
-                assert alg.strict_neg(ideal) == alg.principal_ideal(alg.complement(a))
+                assert alg.strict_neg(ideal) == alg.principal_ideal(alg.top ^ a)
 
 
 class TestPrincipalIdeals:
@@ -170,10 +180,10 @@ class TestAgainstSetOracle:
 
     @pytest.mark.parametrize("n", range(9))
     def test_unary(self, n):
-        alg = Algebra(n)
+        alg, (ext_not, _, _) = Algebra(n), _external(n)
         for x in self._values(n, random.Random(23 + n)):
             sx = ref.from_bits(x, n)
-            assert alg.ext_not(x) == ref.to_bits(ref.ext_not(sx, n))
+            assert ext_not(x) == ref.to_bits(ref.ext_not(sx, n))
             assert alg.int_not(x) == ref.to_bits(ref.int_not(sx, n))
             assert alg.down_closure(x) == ref.to_bits(ref.down_closure(sx, n))
             assert alg.up_closure(x) == ref.to_bits(ref.up_closure(sx, n))
@@ -207,11 +217,13 @@ class TestAgainstSetOracle:
 
 
 class TestScanTables:
-    """The column's step tables, the masks of `_Lanes.steps` repeated in
-    every lane, through each unary column kernel on one column that holds
-    every denotation up to n = 3: lane by lane the Algebra method and, up
-    to n = 2, the oracle.  Below n = 3 a lane of 8 bits holds a denotation
-    of 1, 2 or 4 bits, and the bits above it must stay clear."""
+    """The column's step triples, the masks of the algebra's `steps`
+    repeated in every lane, through each unary column kernel on one
+    column that holds every denotation up to n = 3: lane by lane the
+    Algebra method and the oracle.  Below n = 3 a lane of 8 bits holds a
+    denotation of 1, 2 or 4 bits, and the bits above it must stay clear.
+    An algebra is a column of one lane: its steps are those of a _Lanes
+    of one lane, and each unary kernel but _ANY is its own method."""
 
     UNARY = {  # per opcode, its Algebra method and its oracle
         _INOT: (lambda alg: alg.int_not, ref.int_not),
@@ -226,8 +238,8 @@ class TestScanTables:
         """The lanes of the kernel's column of every denotation, whole:
         a lane's value with the bits above its denotation."""
         count = 1 << (1 << n)
-        lanes = _Lanes(count, 1 << n)
-        out = _COLUMN_KERNELS[op](lanes.pack(range(count)), None, lanes)
+        lanes = _Lanes(count, algebra(n))
+        out = _COLUMN_KERNELS[op](lanes, lanes.pack(range(count)), None)
         assert out >> lanes.w * count == 0  # nothing past the last lane
         return [out >> lanes.w * i & (1 << lanes.w) - 1 for i in range(count)]
 
@@ -237,26 +249,33 @@ class TestScanTables:
         for op, (method, _) in self.UNARY.items():
             assert self._column(n, op) == list(map(method(alg), range(alg.full + 1))), op
 
-    @pytest.mark.parametrize("n", range(3))
+    @pytest.mark.parametrize("n", range(4))
     def test_against_oracle(self, n):
         sets = [ref.from_bits(x, n) for x in range(1 << (1 << n))]
         for op, (_, oracle) in self.UNARY.items():
             assert self._column(n, op) == [ref.to_bits(oracle(x, n)) for x in sets], op
 
+    @pytest.mark.parametrize("n", range(MAX_ATOMS + 1))
+    def test_an_algebra_is_one_lane(self, n):
+        alg = algebra(n)
+        assert _Lanes(1, alg).steps == alg.steps
+        methods = type(alg).int_not, type(alg).down_closure, type(alg).up_closure
+        assert methods == (_COLUMN_KERNELS[_INOT], _COLUMN_KERNELS[_DOWN], _COLUMN_KERNELS[_UP])
+
 
 class TestBooleanIdentities:
     def test_laws(self, seed):
         rng = random.Random(seed + 24)
-        alg = Algebra(3)
+        alg, (ext_not, ext_or, ext_and) = Algebra(3), _external(3)
         for _ in range(200):
             x = rng.randrange(alg.full + 1)
             y = rng.randrange(alg.full + 1)
             z = rng.randrange(alg.full + 1)
-            assert alg.ext_or(x, y) == alg.ext_or(y, x)
-            assert alg.ext_and(x, alg.ext_or(y, z)) == alg.ext_or(alg.ext_and(x, y), alg.ext_and(x, z))
-            assert alg.ext_or(x, alg.ext_not(x)) == alg.full
-            assert alg.ext_not(alg.ext_not(x)) == x
-            assert alg.ext_and(x, x) == x
+            assert ext_or(x, y) == ext_or(y, x)
+            assert ext_and(x, ext_or(y, z)) == ext_or(ext_and(x, y), ext_and(x, z))
+            assert ext_or(x, ext_not(x)) == alg.full
+            assert ext_not(ext_not(x)) == x
+            assert ext_and(x, x) == x
 
 
 class TestTextForm:

@@ -192,12 +192,6 @@ class TestEntail:
         pfile.write_text("\n  P0  \n\nP1\n")
         assert run(capsys, "entail", "--premises-file", str(pfile), "P0 & P1")[0] == 0
 
-    def test_env_max_n(self, capsys, monkeypatch):
-        monkeypatch.setenv("LT_MAX_N", "1")
-        code, out, _ = run(capsys, "entail", "|- P0 -> ~ ~ P0")
-        assert code == 0
-        assert json.loads(out)["max_n"] == 1
-
     def test_timing_flag_only_with_timing(self, capsys):
         _, out_plain, _ = run(capsys, "entail", "ibot |- i! ibot")
         assert "elapsed_ms" not in out_plain

@@ -22,7 +22,7 @@ import types
 import pytest
 
 from lt import entailment
-from lt.algebra import Algebra
+from lt.algebra import Algebra, algebra
 from lt.entailment import _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR, _Lanes
 from lt.syntax import parse_entailment_query
 
@@ -43,8 +43,7 @@ def _scalar(alg: Algebra) -> list:
     methods; a unary opcode ignores y."""
     full = alg.full
     return [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
-            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
+            alg.int_not, lambda x, _: full if x else 0, alg.down_closure, alg.up_closure]
 
 
 def _run(op, pair, x, y, lanes, count):
@@ -52,7 +51,7 @@ def _run(op, pair, x, y, lanes, count):
     column kernel; with pair false, x is a value broadcast to every lane,
     as `_Column.run` broadcasts it."""
     kernel = entailment._COLUMN_KERNELS[op]
-    return _decode(kernel(x if pair else x * lanes.ones, y, lanes), count, lanes.w)
+    return _decode(kernel(lanes, x if pair else x * lanes.ones, y), count, lanes.w)
 
 
 @pytest.mark.parametrize("w", [8, 16])
@@ -63,7 +62,7 @@ def test_pack_round_trip(w, count):
     rng = random.Random(count * w)
     values = [rng.randrange(1 << w) for _ in range(count)]
     values[0], values[-1] = (1 << w) - 1, 1  # the first and the last lane are set
-    lanes = _Lanes(count, w)
+    lanes = _Lanes(count, algebra(w.bit_length() - 1))  # 2^n = w: n = 3 or 4
     x = lanes.pack(values)
     assert _decode(x, count, w) == values
     assert x & (1 << w) - 1 == values[0] and x >> w * (count - 1) == values[-1]
@@ -76,11 +75,12 @@ def test_pack_swaps_on_a_big_endian_host(monkeypatch, w):
     # host pack swaps the bytes of each item before reading them as
     # little-endian, so here, on the other order, each lane comes out swapped
     values = [0x0102, 0xFF00, 1] if w == 16 else [1, 2, 255]
-    assert _decode(_Lanes(3, w).pack(values), 3, w) == values
+    lanes = _Lanes(3, algebra(w.bit_length() - 1))
+    assert _decode(lanes.pack(values), 3, w) == values
     if sys.byteorder == "little":
         monkeypatch.setattr(entailment, "sys", types.SimpleNamespace(byteorder="big"))
         swap = (lambda v: (v & 255) << 8 | v >> 8) if w == 16 else (lambda v: v)
-        assert _decode(_Lanes(3, w).pack(values), 3, w) == [swap(v) for v in values]
+        assert _decode(lanes.pack(values), 3, w) == [swap(v) for v in values]
 
 
 def _every_opcode_on_every_denotation(n, pair):
@@ -91,7 +91,7 @@ def _every_opcode_on_every_denotation(n, pair):
     scalar = _scalar(alg)
     domain = range(alg.full + 1)
     count, w = len(domain), max(8, alg.size)
-    lanes = _Lanes(count, alg.size)
+    lanes = _Lanes(count, alg)
     assert lanes.w == w and _decode(alg.full * lanes.ones, count, w) == [alg.full] * count
     column = lanes.pack(domain)
     for op in UNARY if pair else ():
@@ -125,7 +125,7 @@ def test_n4_unary_opcodes_on_every_denotation():
     alg = Algebra(4)
     scalar = _scalar(alg)
     domain = range(1 << 16)
-    lanes = _Lanes(len(domain), 16)
+    lanes = _Lanes(len(domain), alg)
     column = lanes.pack(domain)
     for op in UNARY:
         got = _run(op, True, column, column, lanes, len(domain))
@@ -143,7 +143,7 @@ def test_n4_pairs_on_seeded_operands(seed):
     for i in range(3, count, 7):
         xs[i] = 1 << rng.randrange(16)
         ys[i] = alg.full ^ 1 << rng.randrange(16)
-    lanes = _Lanes(count, 16)
+    lanes = _Lanes(count, alg)
     x, y = lanes.pack(xs), lanes.pack(ys)
     for op in EXTERNAL + INTERNAL:
         got = _run(op, True, x, y, lanes, count)

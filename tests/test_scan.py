@@ -547,8 +547,8 @@ def _column_spy(monkeypatch, record) -> list[list]:
     kernels, runs, pending = entailment._COLUMN_KERNELS, [], []
 
     def spy(op):
-        def kernel(x, y, lanes):
-            out = kernels[op](x, y, lanes)
+        def kernel(lanes, x, y):
+            out = kernels[op](lanes, x, y)
             column, instructions = pending[-1]
             instruction = next(instructions)
             assert instruction[0] == op
@@ -813,23 +813,27 @@ def _start(program, n: int) -> int:
 
 def test_lanes_hold_only_ints():
     # what the suffix memo keeps for the process: per suffix, its packed
-    # columns and a _Lanes of ints only, the lane width, 1 in every lane
-    # and the n step triples of the algebra, each mask within the lanes;
-    # no table, function, algebra or value of a query
+    # columns and a _Lanes of ints only, the lane width, 1 in every lane,
+    # the n step triples of the algebra, each mask within the lanes, and
+    # the algebra's own ideals and filters, shared and not copied; no
+    # other table, no function, algebra or value of a query
     entailment._symmetry.cache_clear()
     assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a two-digit column
     algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))
     kept = [found[0] for n in range(5) for found in entailment._symmetry(n).columns.values()]
     assert {len(lanes.steps) for lanes in kept} == {3, 4}
     for lanes in kept:
-        assert lanes.__slots__ == ("w", "ones", "steps")
+        assert lanes.__slots__ == ("w", "ones", "steps", "ideals", "filters")
         assert type(lanes.w) is type(lanes.ones) is int and type(lanes.steps) is tuple
-        size = 1 << len(lanes.steps)
+        alg = algebra(len(lanes.steps))
+        assert lanes.ideals is alg.ideals and lanes.filters is alg.filters
+        assert all(type(v) is int for v in lanes.ideals + lanes.filters)
         for i, step in enumerate(lanes.steps):
             assert type(step) is tuple and [type(v) for v in step] == [int] * 3
             high, low, s = step
             assert s == 1 << i and high & low == 0
-            assert (high | low) == ((1 << size) - 1) * lanes.ones  # the carrier of every lane
+            assert (high, low) == (alg.steps[i][0] * lanes.ones, alg.steps[i][1] * lanes.ones)
+            assert (high | low) == alg.full * lanes.ones  # the carrier of every lane
     entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
 
 
@@ -845,9 +849,9 @@ def test_column_lanes_built_on_first_use(monkeypatch):
     class Lanes(entailment._Lanes):
         __slots__ = ()
 
-        def __init__(self, count, size):
-            super().__init__(count, size)
-            built.append((count, size))
+        def __init__(self, count, alg):
+            super().__init__(count, alg)
+            built.append((count, alg.size))
 
     monkeypatch.setattr(entailment, "_Lanes", Lanes)
     entailment._symmetry.cache_clear()
