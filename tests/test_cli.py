@@ -754,3 +754,193 @@ def test_deep_input_gives_the_verdict_of_its_shallow_form(capsys, tmp_path, deep
         assert results[0] == results[1]
     else:
         assert _verdict(results[0]) == _verdict(results[1])
+
+
+# The whole stdout of one command per element-printing path: a team, a
+# valuation, a countermodel's assignment and a principal ideal's text, each
+# as the command prints it (captured before the value classes lost their
+# formatters, and unchanged since).
+_PINNED = [
+    (
+        ["eval", "--n", "2", "--assign", "P0=[01,10]", "i! P0"],
+        0,
+        """\
+{
+  "algebra_n": 2,
+  "denotation": [
+    "01",
+    "10"
+  ]
+}
+""",
+    ),
+    (
+        ["classes", "principal-check", "--n", "2", '["00","01"]'],
+        0,
+        """\
+{
+  "n": 2,
+  "denotation": [
+    "00",
+    "01"
+  ],
+  "is_principal_ideal": true,
+  "max_element": "01"
+}
+""",
+    ),
+    (
+        ["classes", "principal-check", "--n", "2", '["01","10"]'],
+        1,
+        """\
+{
+  "n": 2,
+  "denotation": [
+    "01",
+    "10"
+  ],
+  "is_principal_ideal": false
+}
+""",
+    ),
+    (
+        ["pt", "eval", "--k", "2", "P0 o* P1"],
+        0,
+        """\
+{
+  "k": 2,
+  "denotation": [
+    [
+      "01",
+      "10"
+    ],
+    [
+      "11"
+    ],
+    [
+      "01",
+      "11"
+    ],
+    [
+      "10",
+      "11"
+    ],
+    [
+      "01",
+      "10",
+      "11"
+    ]
+  ]
+}
+""",
+    ),
+    (
+        ["pt", "entail", "--k", "2", "P0 |- P0 & P1"],
+        1,
+        """\
+{
+  "status": "countermodel",
+  "k": 2,
+  "counter_team": [
+    "01"
+  ]
+}
+""",
+    ),
+    (
+        ["bridge", "verify-f", "--k", "2", "--depth", "2", "{hfile}"],
+        0,
+        """\
+{
+  "status": "ok",
+  "n": 3,
+  "k": 2,
+  "depth": 2,
+  "atom_valuations": {
+    "001": "01",
+    "010": "00",
+    "100": "00"
+  }
+}
+""",
+    ),
+    (
+        ["entail", "--max-n", "2", "|- ~ ~ P0 -> P0"],
+        1,
+        """\
+{
+  "status": "countermodel",
+  "n": 0,
+  "max_n": 2,
+  "class": "all",
+  "cap": 4194304,
+  "jobs": 1,
+  "countermodel": {
+    "n": 0,
+    "assignment": {
+      "P0": []
+    },
+    "witness": ""
+  },
+  "witness": ""
+}
+""",
+    ),
+    (
+        ["entail", "--max-n", "2", "down P0 |- P0"],
+        1,
+        """\
+{
+  "status": "countermodel",
+  "n": 1,
+  "max_n": 2,
+  "class": "all",
+  "cap": 4194304,
+  "jobs": 1,
+  "countermodel": {
+    "n": 1,
+    "assignment": {
+      "P0": [
+        "1"
+      ]
+    },
+    "witness": "0"
+  },
+  "witness": "0"
+}
+""",
+    ),
+    (
+        ["lentail", "--max-n", "1", "p0 = p1 |- p0 : P0"],
+        1,
+        """\
+{
+  "status": "countermodel",
+  "n": 0,
+  "max_n": 1,
+  "cap": 4194304,
+  "jobs": 1,
+  "countermodel": {
+    "n": 0,
+    "assignment": {
+      "P0": []
+    },
+    "witness": "",
+    "label_assignment": {
+      "p0": "",
+      "p1": ""
+    }
+  },
+  "witness": ""
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", _PINNED)
+def test_verdict_text_is_pinned(capsys, tmp_path, argv, code, text):
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"n": 3, "assignment": {"P0": ["000", "001"], "P1": ["000"]}}))
+    argv = [str(hfile) if a == "{hfile}" else a for a in argv]
+    assert run(capsys, *argv) == (code, text, "")
