@@ -224,7 +224,8 @@ class Algebra:
 
 
 class Denotation:
-    """A member of the powerset of the algebra, as an immutable value."""
+    """A member of the powerset of the algebra, as an immutable value; the
+    algebra names, parses and tests its bits."""
 
     __slots__ = ("algebra", "bits")
 
@@ -238,17 +239,4 @@ class Denotation:
 
     def __contains__(self, element: int) -> bool:
         return self.bits >> element & 1 == 1
-
-    def is_principal_ideal(self) -> bool:
-        return self.algebra.is_principal_ideal(self.bits)
-
-    def join_of(self) -> int:
-        return self.algebra.join_of(self.bits)
-
-    def to_strings(self) -> list[str]:
-        return self.algebra.format_denotation(self.bits)
-
-    @classmethod
-    def from_strings(cls, algebra: Algebra, texts: list[str]) -> "Denotation":
-        return cls(algebra, algebra.parse_denotation(texts))
 

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .algebra import Algebra, Denotation, algebra
+from .algebra import Algebra, algebra, iter_bits
 from .entailment import (
     DEFAULT_CAP,
     DEFAULT_MAX_N,
@@ -27,8 +27,7 @@ from .entailment import (
 )
 from .errors import BudgetExceededError, LTError, ParseError, load_json
 from .proofcheck import check, load_assumptions, load_derivation
-from .ptplus import (PTDenotation, f_map, format_team, format_valuation, pt_entails, pt_eval,
-                     verify_f_representation)
+from .ptplus import f_map, pt_entails, pt_eval, verify_f_representation
 from .semantics import Homomorphism, evaluate
 from .syntax import (
     format_formula,
@@ -117,16 +116,16 @@ def _homomorphism(algebra: Algebra, pairs, where: str) -> Homomorphism:
     """The homomorphism that gives each named variable the set of the
     listed elements, from (name, element strings) pairs read from `where`;
     a variable given twice, under any spelling of its name, is an error."""
-    assignment: dict[int, Denotation] = {}
+    assignment: dict[int, int] = {}
     for name, elements in pairs:
         index = _variable_index(name, where)
         if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
             raise LTError(f"denotation of {name} must be a list of element strings")
-        d = Denotation.from_strings(algebra, elements)
+        bits = algebra.parse_denotation(elements)
         if index in assignment:
             raise LTError(f"P{index} is assigned more than once")
-        assignment[index] = d
-    return Homomorphism(algebra, assignment)
+        assignment[index] = bits
+    return Homomorphism.from_bits(algebra, assignment)
 
 
 def _parse_assignment(algebra: Algebra, specs: list[str]) -> Homomorphism:
@@ -161,8 +160,8 @@ def _cmd_expand(args) -> int:
 def _cmd_eval(args) -> int:
     hom = _parse_assignment(algebra(args.n), args.assign or [])
     formula = parse_formula(args.expr)
-    denotation = evaluate(hom, formula)
-    _emit({"algebra_n": args.n, "denotation": denotation.to_strings()})
+    bits = evaluate(hom, formula).bits
+    _emit({"algebra_n": args.n, "denotation": hom.algebra.format_denotation(bits)})
     return EXIT_OK
 
 
@@ -232,8 +231,9 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_pt_eval(args) -> int:
-    denotation: PTDenotation = pt_eval(parse_formula(args.expr), args.k)
-    _emit({"k": args.k, "denotation": denotation.to_lists()})
+    teams = iter_bits(pt_eval(parse_formula(args.expr), args.k).bits)
+    alg = algebra(args.k)  # after pt_eval, which refuses a k outside 0..MAX_K
+    _emit({"k": args.k, "denotation": [alg.format_denotation(t) for t in teams]})
     return EXIT_OK
 
 
@@ -242,7 +242,7 @@ def _cmd_pt_entail(args) -> int:
     entailed, counter_team = pt_entails(premises, conclusion, args.k)
     verdict: dict = {"status": "entailed" if entailed else "countermodel", "k": args.k}
     if not entailed:
-        verdict["counter_team"] = format_team(counter_team, args.k)
+        verdict["counter_team"] = algebra(args.k).format_denotation(counter_team)
     _emit(verdict)
     return EXIT_OK if entailed else EXIT_NEGATIVE
 
@@ -266,7 +266,7 @@ def _load_hom_file(path: str) -> Homomorphism:
 def _cmd_bridge_verify_f(args) -> int:
     hom = _load_hom_file(args.hfile)
     ok = verify_f_representation(hom, args.k, depth=args.depth)
-    fmap = f_map(hom, args.k)
+    names = algebra(args.k).names
     _emit(
         {
             "status": "ok" if ok else "mismatch",
@@ -274,8 +274,8 @@ def _cmd_bridge_verify_f(args) -> int:
             "k": args.k,
             "depth": args.depth,
             "atom_valuations": {
-                hom.algebra.format_element(1 << s): format_valuation(fmap.valuation_of(s), args.k)
-                for s in range(hom.algebra.n)
+                hom.algebra.format_element(1 << s): names[v]
+                for s, v in enumerate(f_map(hom, args.k))
             },
         }
     )
@@ -287,15 +287,15 @@ def _cmd_classes_principal_check(args) -> int:
     texts = load_json(args.denotation, "denotation")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise LTError('denotation must be a JSON array of element strings, like ["01","10"]')
-    d = Denotation.from_strings(alg, texts)
-    principal = d.is_principal_ideal()
+    bits = alg.parse_denotation(texts)
+    principal = alg.is_principal_ideal(bits)
     obj = {
         "n": args.n,
-        "denotation": d.to_strings(),
+        "denotation": alg.format_denotation(bits),
         "is_principal_ideal": principal,
     }
     if principal:
-        obj["max_element"] = alg.format_element(d.join_of())
+        obj["max_element"] = alg.format_element(alg.join_of(bits))
     _emit(obj)
     return EXIT_OK if principal else EXIT_NEGATIVE
 

@@ -182,7 +182,7 @@ class Countermodel:
         obj: dict = {
             "n": alg.n,
             "assignment": {
-                f"P{v}": d.to_strings() for v, d in sorted(self.hom.assignment.items())
+                f"P{v}": alg.format_denotation(b) for v, b in sorted(self.hom.bits_env().items())
             },
             "witness": alg.format_element(self.witness),
         }

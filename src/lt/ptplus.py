@@ -6,28 +6,32 @@ the 2^k valuations; the denotation of a PT+ formula is a bitset over the
 to variables only, ibot, nb, the internal disjunction i| and the
 external connectives & and | (plus o* as sugar).  Working over k
 variables is faithful for entailment among formulas whose variables all
-lie below k.
+lie below k.  A valuation is element s of the k-atom algebra and a team
+a set of its elements, so `algebra(k)` names both: `names[s]` and
+`format_denotation(team)`.
 
 The bridge back to the algebra semantics identifies a team over k
 variables with an element of the algebra on 2^k atoms, indexed
 identically; the valuation homomorphism sends each variable to the
 principal ideal of its set of satisfying valuations, and any
 principal-variable homomorphism over a powerset algebra is represented
-inside the valuation model by mapping each atom to the valuation that
-records which variable denotations contain its singleton.  Every
-algebra in this workbench is already a powerset algebra, so the
-embedding step of the general representation argument is the identity
-and only this map is needed.  `verify_f_representation` checks it on
-every PT+ formula up to a depth: the formulas compile, as `expand`
-spells them, into one `Program` of the scan, which runs under H and under
-H_V.  `pt_eval` stays an independent oracle for the algebra semantics.
+inside the valuation model by the map `f_map`, a tuple of atom
+valuations: per atom, the valuation that records which variable
+denotations contain its singleton.  An element lifts to the team of its
+atoms' valuations.  Every algebra in this workbench is already a
+powerset algebra, so the embedding step of the general representation
+argument is the identity and only this map is needed.
+`verify_f_representation` checks it on every PT+ formula up to a depth:
+the formulas compile, as `expand` spells them, into one `Program` of the
+scan, which runs under H and under H_V.  `pt_eval` stays an independent
+oracle for the algebra semantics.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import Algebra, Denotation, algebra, iter_bits
+from .algebra import Denotation, algebra, iter_bits
 from .entailment import Program
 from .errors import FragmentError, PrincipalVariableError
 from .semantics import Homomorphism
@@ -56,25 +60,8 @@ class PTDenotation:
         self.k = k
         self.bits = bits
 
-    def teams(self) -> list[int]:
-        return list(iter_bits(self.bits))
-
     def __contains__(self, team: int) -> bool:
         return self.bits >> team & 1 == 1
-
-    def to_lists(self) -> list[list[str]]:
-        return [format_team(t, self.k) for t in self.teams()]
-
-
-def format_valuation(s: int, k: int) -> str:
-    """The k-bit string of a valuation: the name of element s of the
-    k-atom algebra, from its one list of names."""
-    return algebra(k).names[s]
-
-
-def format_team(team: int, k: int) -> list[str]:
-    names = algebra(k).names
-    return [names[s] for s in iter_bits(team)]
 
 
 def _check_k(k: int) -> None:
@@ -207,35 +194,14 @@ def build_hv(k: int) -> Homomorphism:
 
 def has_principal_variables(hom: Homomorphism) -> bool:
     """True iff every assigned variable's denotation is a principal ideal."""
-    return all(d.is_principal_ideal() for d in hom.assignment.values())
+    alg = hom.algebra
+    return all(alg.is_principal_ideal(d.bits) for d in hom.assignment.values())
 
 
-class FMap:
-    """The representation map from a principal-variable homomorphism's
-    algebra into the valuation model: each atom goes to the valuation
-    recording which variable denotations contain its singleton."""
-
-    __slots__ = ("algebra", "k", "valuations")
-
-    def __init__(self, algebra: Algebra, k: int, valuations: tuple[int, ...]):
-        self.algebra = algebra
-        self.k = k
-        self.valuations = valuations  # per atom index
-
-    def valuation_of(self, atom: int) -> int:
-        return self.valuations[atom]
-
-    def lift(self, element: int) -> int:
-        """Image of an element (a set of atoms) as a team."""
-        team = 0
-        for s in iter_bits(element):
-            team |= 1 << self.valuations[s]
-        return team
-
-
-def f_map(hom: Homomorphism, k: int) -> FMap:
-    """Build the representation map for a principal-variable homomorphism
-    whose variables all lie below k."""
+def f_map(hom: Homomorphism, k: int) -> tuple[int, ...]:
+    """The representation map of a principal-variable homomorphism whose
+    variables all lie below k, into the valuation model: per atom, the
+    valuation recording which variable denotations contain its singleton."""
     _check_k(k)
     if any(v >= k for v in hom.assignment):
         raise ValueError("homomorphism assigns a variable at or above k")
@@ -243,16 +209,15 @@ def f_map(hom: Homomorphism, k: int) -> FMap:
         raise PrincipalVariableError(
             "the representation map needs every variable denotation to be a principal ideal"
         )
-    alg = hom.algebra
     valuations = []
-    for s in range(alg.n):
+    for s in range(hom.algebra.n):
         singleton = 1 << s
         v = 0
         for i, d in hom.assignment.items():
             if singleton in d:
                 v |= 1 << i
         valuations.append(v)
-    return FMap(alg, k, tuple(valuations))
+    return tuple(valuations)
 
 
 @lru_cache(maxsize=None)
@@ -307,8 +272,9 @@ def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3) -> bool:
     PT+ formula up to the given depth.  H and H_V run the one program of
     the formulas, and are compared at the formulas' slots only: the other
     slots, inside the expansion of ~, lie outside PT+."""
-    fmap = f_map(hom, k)
-    lifts = [fmap.lift(x) for x in range(hom.algebra.size)]
+    lifts = [0]  # per element, the union of its atoms' valuations: a team
+    for v in f_map(hom, k):  # doubling over the atoms, as elements are indexed
+        lifts += [team | 1 << v for team in lifts]
     hom_values = _pt_dag(k, depth)[1].run(hom.algebra, hom.bits_env())
     for hvbits, slots in _hv_classes(k, depth):
         back = sum((hvbits >> lift & 1) << x for x, lift in enumerate(lifts))

@@ -938,7 +938,7 @@ _PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, text", _PINNED)
+@pytest.mark.parametrize("argv, code, text", _PINNED, ids=[" ".join(p[0]) for p in _PINNED])
 def test_verdict_text_is_pinned(capsys, tmp_path, argv, code, text):
     hfile = tmp_path / "h.json"
     hfile.write_text(json.dumps({"n": 3, "assignment": {"P0": ["000", "001"], "P1": ["000"]}}))

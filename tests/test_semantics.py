@@ -44,7 +44,7 @@ class TestEvaluate:
 
     def test_double_strict_not_of_empty(self):
         h = hom(1, P0=0)
-        assert evaluate(h, parse_formula("~ ~ P0")).to_strings() == ["0"]
+        assert h.algebra.format_denotation(evaluate(h, parse_formula("~ ~ P0")).bits) == ["0"]
 
     def test_box_dia_on_singleton_top(self):
         h = hom(1, P0=0b10)
@@ -58,7 +58,7 @@ class TestEvaluate:
     def test_constants(self):
         h = hom(2)
         assert evaluate(h, parse_formula("nb")).bits == h.algebra.full ^ 1
-        assert evaluate(h, parse_formula("itop")).to_strings() == ["11"]
+        assert h.algebra.format_denotation(evaluate(h, parse_formula("itop")).bits) == ["11"]
         assert evaluate(h, parse_formula("top")).bits == h.algebra.full
 
     def test_unbound_variable(self):
@@ -93,7 +93,7 @@ def native(h, tag, *args):
 class TestNativeDerived:
     def test_strict_not(self):
         h = hom(1, P0=0b10)
-        assert native(h, DerivedTag.STRICT_NOT, Var(0)).to_strings() == ["0"]
+        assert h.algebra.format_denotation(native(h, DerivedTag.STRICT_NOT, Var(0)).bits) == ["0"]
 
     def test_dia_of_empty(self):
         h = hom(1, P0=0)
