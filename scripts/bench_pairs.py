@@ -5,24 +5,26 @@
         [--change TEXT]
 
 For each workload and seed, runs `bench/run.py` N times in an export of
-REV and N times in this checkout, alternating which side runs first, and
-writes BENCH_<NAME>.json at the root of this checkout.  Each end-to-end
-metric of BENCHMARK.json gets one row: the median, quartiles and runs of
-each side, and in how many pairs the change read better.  With
---traced N, each per-layer metric, the self time of each layer in the
-trace (`self_s.<layer>`) and its share of the run's total traced self
-time (`share.<layer>`) get one row with the values of N traced runs
-(`--trace 1`) per side, also alternating.  Traced times are raw, so a
-swing in host speed moves every `self_s` row alike; it cancels out of
-the shares.
+REV and N times in an export of this checkout, alternating which side
+runs first, and writes BENCH_<NAME>.json at the root of this checkout.
+Each end-to-end metric of BENCHMARK.json gets one row: the median,
+quartiles and runs of each side, and in how many pairs the change read
+better.  With --traced N, each per-layer metric, the self time of each
+layer in the trace (`self_s.<layer>`) and its share of the run's total
+traced self time (`share.<layer>`) get one row with the values of N
+traced runs (`--trace 1`) per side, also alternating.  Traced times are
+raw, so a swing in host speed moves every `self_s` row alike; it cancels
+out of the shares.
 
 The parent runs from a temporary export of the files committed at REV
-(`git archive`), removed afterwards; the change runs in this checkout,
-as its files stand.  Every run is made with PYTHONDONTWRITEBYTECODE=1
-and its own fresh, empty PYTHONPYCACHEPREFIX, so that no bytecode is
-read or written: every cold import compiles its sources on both sides,
-even where a `__pycache__` lies in the checkout.  Nothing under bench/
-is read but its output.
+(`git archive`), the change from a temporary export of this checkout's
+files as they stand: the tracked ones and the untracked ones that git
+does not ignore.  So neither side reads or writes next to what earlier
+runs left in the checkout, and both are removed afterwards.  Every run
+is made with PYTHONDONTWRITEBYTECODE=1 and its own fresh, empty
+PYTHONPYCACHEPREFIX, so that no bytecode is read or written: every cold
+import compiles its sources on both sides.  Nothing under bench/ is
+read but its output.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,7 +67,7 @@ def shares(self_s: dict[str, float]) -> dict[str, float]:
 
 
 def run_bench(tree: str, workload: str, seed: int, trace: int) -> dict:
-    """One run of bench/run.py in the checkout: its last line of output,
+    """One run of bench/run.py in a tree: its last line of output,
     with the self time of each layer that a traced run prints, and its
     share of the run's, added to its metrics as `self_s.<layer>` and
     `share.<layer>`."""
@@ -99,16 +102,32 @@ def parent_tree(rev: str):
         yield tree
 
 
-def paired(parent: str, workload: str, seed: int, trace: int, pairs: int):
+@contextmanager
+def change_tree():
+    """The checkout's files as they stand, tracked ones (less any deleted)
+    and untracked ones that git does not ignore, exported into a temporary
+    directory that is removed afterwards."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bench-change-") as tree:
+        for path in dict.fromkeys(filter(None, listed.split("\0"))):
+            source = os.path.join(ROOT, path)
+            if os.path.lexists(source):
+                os.makedirs(os.path.dirname(os.path.join(tree, path)), exist_ok=True)
+                shutil.copy2(source, os.path.join(tree, path), follow_symlinks=False)
+        yield tree
+
+
+def paired(parent: str, change: str, workload: str, seed: int, trace: int, pairs: int):
     """`pairs` runs per side, the parent first in even pairs: the two lists
     of outputs, in pair order."""
-    out: dict[str, list] = {parent: [], ROOT: []}
+    out: dict[str, list] = {parent: [], change: []}
     for i in range(pairs):
-        for tree in (parent, ROOT) if i % 2 == 0 else (ROOT, parent):
+        for tree in (parent, change) if i % 2 == 0 else (change, parent):
             out[tree].append(run_bench(tree, workload, seed, trace))
             print(f"{workload} seed {seed} trace {trace} pair {i + 1}/{pairs} "
                   f"{'parent' if tree == parent else 'change'} done", file=sys.stderr)
-    return out[parent], out[ROOT]
+    return out[parent], out[change]
 
 
 def _rows(metrics: list[dict], key: dict, parent: list[dict], change: list[dict], traced: bool):
@@ -146,15 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     end_to_end, per_layer = [], []
-    with parent_tree(rev) as parent:
+    with parent_tree(rev) as parent, change_tree() as change:
         for workload in args.workloads:
             for seed in args.seeds:
                 key = {"workload": workload, "seed": seed, "trace": 0}
-                runs = paired(parent, workload, seed, 0, args.pairs)
+                runs = paired(parent, change, workload, seed, 0, args.pairs)
                 end_to_end += _rows(benchmark["end_to_end"], key, *runs, traced=False)
             if args.traced:
                 key = {"workload": workload, "seed": 0, "trace": 1}
-                runs = paired(parent, workload, 0, 1, args.traced)
+                runs = paired(parent, change, workload, 0, 1, args.traced)
                 layers = sorted({m for r in runs[0] + runs[1] for m in r["metrics"]
                                  if m.startswith(("self_s.", "share."))})
                 self_times = [{"name": m, "unit": "s" if m.startswith("self_s.") else "ratio",

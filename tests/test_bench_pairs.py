@@ -57,22 +57,33 @@ print(json.dumps({{"correct": True, "failed": 0, "metrics": {{
 
 def test_the_parent_runs_from_its_commit_and_the_change_from_the_tree(tmp_path, monkeypatch):
     """End to end on a scratch repository: the parent's runs come from the
-    committed bench/run.py, the change's from the file as it stands, and
-    the export of the parent is removed afterwards."""
+    committed bench/run.py, the change's from an export of the files as
+    they stand, tracked or untracked, less the ignored and deleted ones;
+    both exports are removed afterwards."""
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
     (tmp_path / "bench").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
         "per_layer": [{"name": "syntax.parse_us", "unit": "us", "better": "lower"}]}))
     (tmp_path / "bench" / "run.py").write_text(_FAKE_RUN.format(wall=2.0))
+    (tmp_path / ".gitignore").write_text("/leftovers/\n")
+    (tmp_path / "gone.txt").write_text("deleted in the checkout\n")
     for cmd in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "parent"]):
         subprocess.run(git + cmd, cwd=tmp_path, check=True, capture_output=True)
     (tmp_path / "bench" / "run.py").write_text(_FAKE_RUN.format(wall=1.0))
+    (tmp_path / "gone.txt").unlink()
+    (tmp_path / "new.txt").write_text("untracked, not ignored\n")
+    (tmp_path / "leftovers" / "run-1").mkdir(parents=True)
+    (tmp_path / "leftovers" / "run-1" / "out.json").write_text("{}")
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
-    exports = []
+    trees: dict[str, set[str]] = {}
     real_run_bench = bench_pairs.run_bench
-    monkeypatch.setattr(bench_pairs, "run_bench",
-                        lambda tree, *a: exports.append(tree) or real_run_bench(tree, *a))
+
+    def spy(tree, *a):
+        trees[tree] = {str(f.relative_to(tree)) for f in Path(tree).rglob("*") if f.is_file()}
+        return real_run_bench(tree, *a)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", spy)
 
     assert bench_pairs.main(["--parent", "HEAD", "--label", "t", "--pairs", "3",
                              "--traced", "2"]) == 0
@@ -91,8 +102,11 @@ def test_the_parent_runs_from_its_commit_and_the_change_from_the_tree(tmp_path, 
                       "share.errors": ([0.0] * 2, [0.25] * 2)}
     units = {r["metric"]: r["unit"] for r in report["per_layer"]}
     assert units["self_s.cli"] == "s" and units["share.cli"] == "ratio"
-    parents = set(exports) - {str(tmp_path)}
-    assert len(parents) == 1 and not os.path.exists(parents.pop())
+    parent, change = trees  # the parent runs first
+    committed = {".gitignore", "BENCHMARK.json", "bench/run.py"}
+    assert trees[parent] == committed | {"gone.txt"}
+    assert trees[change] == committed | {"new.txt"}  # no leftovers/, no gone.txt
+    assert str(tmp_path) not in trees and not any(map(os.path.exists, trees))
 
 
 _ENV_RUN = '''import json, os, sys
