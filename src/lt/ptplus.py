@@ -194,8 +194,7 @@ def build_hv(k: int) -> Homomorphism:
 
 def has_principal_variables(hom: Homomorphism) -> bool:
     """True iff every assigned variable's denotation is a principal ideal."""
-    alg = hom.algebra
-    return all(alg.is_principal_ideal(d.bits) for d in hom.assignment.values())
+    return all(map(hom.algebra.is_principal_ideal, hom.bits_env().values()))
 
 
 def f_map(hom: Homomorphism, k: int) -> tuple[int, ...]:

@@ -756,10 +756,9 @@ def test_deep_input_gives_the_verdict_of_its_shallow_form(capsys, tmp_path, deep
         assert _verdict(results[0]) == _verdict(results[1])
 
 
-# The whole stdout of one command per element-printing path: a team, a
-# valuation, a countermodel's assignment and a principal ideal's text, each
-# as the command prints it (captured before the value classes lost their
-# formatters, and unchanged since).
+# The whole stdout of one command per path that prints algebra elements: a
+# team, a valuation, a countermodel's assignment and a principal ideal, each
+# byte for byte, so that a reordered or misnamed element shows.
 _PINNED = [
     (
         ["eval", "--n", "2", "--assign", "P0=[01,10]", "i! P0"],
