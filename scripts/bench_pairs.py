@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent REV --label NAME
         [--workloads W ...] [--seeds S ...] [--pairs N] [--traced N]
-        [--change TEXT]
+        [--process N] [--change TEXT]
 
 For each workload and seed, runs `bench/run.py` N times in an export of
 REV and N times in an export of this checkout, alternating which side
@@ -14,7 +14,11 @@ layer in the trace (`self_s.<layer>`) and its share of the run's total
 traced self time (`share.<layer>`) get one row with the values of N
 traced runs (`--trace 1`) per side, also alternating.  Traced times are
 raw, so a swing in host speed moves every `self_s` row alike; it cancels
-out of the shares.
+out of the shares.  With --process N, each of two fixed `lt` commands is
+run as N fresh `python -m lt` processes per side, alternating, and its
+wall time gets one ungated row (`process_wall_s`): what a user pays per
+query, interpreter start-up included.  Each side's bytecode cache is
+warmed by one run first, as a user's is after the first query.
 
 The parent runs from a temporary export of the files committed at REV
 (`git archive`), the change from a temporary export of this checkout's
@@ -33,14 +37,23 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The commands of the --process rows: start-up with no search, and the
+# first query of the search-unary-n4 stream at seed 0 (bench/gen.py).
+PROCESS_COMMANDS = (
+    ["entail", "--max-n", "0", "|- P0"],
+    ["entail", "--max-n", "4", "|- (box dia dia ! P0 -> dia dia dia ! P0)"],
+)
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -118,16 +131,52 @@ def change_tree():
         yield tree
 
 
-def paired(parent: str, change: str, workload: str, seed: int, trace: int, pairs: int):
-    """`pairs` runs per side, the parent first in even pairs: the two lists
-    of outputs, in pair order."""
+def run_process(tree: str, argv: list[str], cache: str) -> tuple[float, int, str]:
+    """One `python -m lt` process on a tree's sources, with its bytecode
+    cache in `cache`: its wall time in seconds, exit status and stdout."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "PYTHONPYCACHEPREFIX": cache}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "lt", *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return time.perf_counter() - started, done.returncode, done.stdout
+
+
+def paired(parent: str, change: str, pairs: int, run, what: str):
+    """`pairs` results of `run(tree)` per side, the parent first in even
+    pairs: the two lists, in pair order."""
     out: dict[str, list] = {parent: [], change: []}
     for i in range(pairs):
         for tree in (parent, change) if i % 2 == 0 else (change, parent):
-            out[tree].append(run_bench(tree, workload, seed, trace))
-            print(f"{workload} seed {seed} trace {trace} pair {i + 1}/{pairs} "
-                  f"{'parent' if tree == parent else 'change'} done", file=sys.stderr)
+            out[tree].append(run(tree))
+            print(f"{what} pair {i + 1}/{pairs} {'parent' if tree == parent else 'change'} done",
+                  file=sys.stderr)
     return out[parent], out[change]
+
+
+def process_rows(parent: str, change: str, pairs: int) -> list[dict]:
+    """One ungated row per command of PROCESS_COMMANDS: its wall time as a
+    fresh process, `pairs` per side, each side with its own bytecode cache
+    warmed by one run before any is timed.  Every run of a command must
+    give the same exit status and stdout."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
+        cache = {parent: os.path.join(caches, "parent"), change: os.path.join(caches, "change")}
+        for tree in (parent, change):
+            run_process(tree, PROCESS_COMMANDS[0], cache[tree])
+        rows = []
+        for argv in PROCESS_COMMANDS:
+            command = "lt " + shlex.join(argv)
+            runs = paired(parent, change, pairs,
+                          lambda tree: run_process(tree, argv, cache[tree]), command)
+            outputs = {run[1:] for side in runs for run in side}
+            if len(outputs) != 1:
+                raise SystemExit(f"{command}: the runs differ in exit status or stdout")
+            ((status, _),) = outputs
+            times = [[run[0] for run in side] for side in runs]
+            rows.append({"command": command, "exit": status, "metric": "process_wall_s",
+                         "unit": "s", "better": "lower", "gated": False,
+                         **summarize(*times, "lower")})
+    return rows
 
 
 def _rows(metrics: list[dict], key: dict, parent: list[dict], change: list[dict], traced: bool):
@@ -152,28 +201,36 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--workloads", nargs="+", default=["quick-mixed"])
+    ap.add_argument("--workloads", nargs="*", default=["quick-mixed"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced", type=int, default=0, help="traced runs per side, seed 0")
+    ap.add_argument("--process", type=int, default=0,
+                    help="fresh `python -m lt` processes per side and fixed command")
     ap.add_argument("--change", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.traced < 0:
-        ap.error("--pairs must be at least 1 and --traced at least 0")
+    if args.pairs < 1 or args.traced < 0 or args.process < 0:
+        ap.error("--pairs must be at least 1, and --traced and --process at least 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
-    end_to_end, per_layer = [], []
+    end_to_end, per_layer, process = [], [], []
     with parent_tree(rev) as parent, change_tree() as change:
+        if args.process:
+            process = process_rows(parent, change, args.process)
         for workload in args.workloads:
             for seed in args.seeds:
                 key = {"workload": workload, "seed": seed, "trace": 0}
-                runs = paired(parent, change, workload, seed, 0, args.pairs)
+                runs = paired(parent, change, args.pairs,
+                              lambda tree: run_bench(tree, workload, seed, 0),
+                              f"{workload} seed {seed} trace 0")
                 end_to_end += _rows(benchmark["end_to_end"], key, *runs, traced=False)
             if args.traced:
                 key = {"workload": workload, "seed": 0, "trace": 1}
-                runs = paired(parent, change, workload, 0, 1, args.traced)
+                runs = paired(parent, change, args.traced,
+                              lambda tree: run_bench(tree, workload, 0, 1),
+                              f"{workload} seed 0 trace 1")
                 layers = sorted({m for r in runs[0] + runs[1] for m in r["metrics"]
                                  if m.startswith(("self_s.", "share."))})
                 self_times = [{"name": m, "unit": "s" if m.startswith("self_s.") else "ratio",
@@ -199,9 +256,14 @@ def main(argv: list[str] | None = None) -> int:
                   "`correct` over every run of both sides, `failed` summed over them. "
                   f"Per-layer rows: {args.traced} traced runs per side, alternating, each "
                   "value listed; `share.<layer>` is the layer's self time over the run's "
-                  "total traced self time, so a host-speed swing cancels out of it.",
+                  "total traced self time, so a host-speed swing cancels out of it. "
+                  f"Process rows (ungated): {args.process} fresh `python -m lt` processes per "
+                  "side and command, alternating, raw wall time, each side's bytecode cache "
+                  "(PYTHONPYCACHEPREFIX) warmed by one run first; every run of a command gave "
+                  "the row's exit status and the same stdout.",
         "end_to_end": end_to_end,
         "per_layer": per_layer,
+        "process": process,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

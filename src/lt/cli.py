@@ -5,8 +5,9 @@ are byte-identical; timing is only included when --timing is given.
 Exit codes: 0 = positive logical result, 1 = negative logical result
 (countermodel, counterexample or proof violation), 2 = usage or parse
 error, 3 = budget exhausted, 4 = internal error (an unexpected exception,
-reported on one line of stderr).  The argument parser is built once per
-process, on the first call of `main`.
+reported on one line of stderr).  Each command's argument parser is built
+on the command's first use and kept for the process; the whole tree is
+built only to print the top-level usage, help or error.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def _load_hom_file(path: str) -> Homomorphism:
 
 def _cmd_bridge_verify_f(args) -> int:
     hom = _load_hom_file(args.hfile)
-    ok = verify_f_representation(hom, args.k, depth=args.depth)
+    valuations = f_map(hom, args.k)
+    ok = verify_f_representation(hom, args.k, depth=args.depth, valuations=valuations)
     names = algebra(args.k).names
     _emit(
         {
@@ -275,7 +277,7 @@ def _cmd_bridge_verify_f(args) -> int:
             "depth": args.depth,
             "atom_valuations": {
                 hom.algebra.format_element(1 << s): names[v]
-                for s, v in enumerate(f_map(hom, args.k))
+                for s, v in enumerate(valuations)
             },
         }
     )
@@ -313,115 +315,111 @@ def _positive_int(text: str) -> int:
 JOBS_HELP = "at least 1, and echoed in the verdict; the scan runs in this process"
 
 
+def _arg(*flags: str, **options) -> tuple:
+    """The arguments of one `add_argument` call."""
+    return flags, options
+
+
+# Every command, in the order its group's help lists them: its path of
+# names after `lt`, its help in that list, its handler and its arguments.
+_COMMANDS = {
+    ("parse",): ("parse a formula and dump its tree", _cmd_parse, [_arg("expr")]),
+    ("expand",): ("expand derived connectives to core syntax", _cmd_expand, [_arg("expr")]),
+    ("eval",): ("evaluate a formula under an assignment", _cmd_eval, [
+        _arg("--n", type=int, required=True, help="number of algebra atoms"),
+        _arg("--assign", action="append", default=[],
+             help="variable assignment, e.g. P0=[01,10]; repeatable; '' for none"),
+        _arg("expr"),
+    ]),
+    ("entail",): ("countermodel search for 'premises |- conclusion'", _cmd_entail, [
+        _arg("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N),
+        _arg("--class", dest="class_restriction", choices=["all", "principal_variables"],
+             default="all"),
+        _arg("--cap", type=_positive_int, default=DEFAULT_CAP),
+        _arg("--jobs", type=_positive_int, default=1, help=JOBS_HELP),
+        _arg("--timing", action="store_true"),
+        _arg("--premises-file", dest="premises_file", default=None),
+        _arg("query", help="'phi1, phi2 |- psi', or just psi with --premises-file"),
+    ]),
+    ("lentail",): ("labelled countermodel search", _cmd_lentail, [
+        _arg("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N),
+        _arg("--cap", type=_positive_int, default=DEFAULT_CAP),
+        _arg("--jobs", type=_positive_int, default=1, help=JOBS_HELP),
+        _arg("--timing", action="store_true"),
+        _arg("query", help="'a1:phi1, a2:phi2 |- b:psi'"),
+    ]),
+    ("check-proof",): ("check a derivation file", _cmd_check_proof, [
+        _arg("file"),
+        _arg("--assumptions", default=None, help="file with one labelled formula per line"),
+    ]),
+    ("pt", "eval"): ("evaluate a PT+ formula over teams", _cmd_pt_eval, [
+        _arg("--k", type=int, required=True, help="number of variables"),
+        _arg("expr"),
+    ]),
+    ("pt", "entail"): ("PT+ entailment check", _cmd_pt_entail, [
+        _arg("--k", type=int, required=True),
+        _arg("query"),
+    ]),
+    ("bridge", "verify-f"): ("check the representation map for a homomorphism file",
+                             _cmd_bridge_verify_f, [
+        _arg("hfile", help="JSON {n, assignment: {P0: [bits,...], ...}}"),
+        _arg("--k", type=int, required=True),
+        _arg("--depth", type=int, default=3),
+    ]),
+    ("classes", "principal-check"): ("is a denotation a principal ideal?",
+                                     _cmd_classes_principal_check, [
+        _arg("--n", type=int, required=True),
+        _arg("denotation", help='JSON list of element bit-strings, e.g. ["00","01"]'),
+    ]),
+}
+_GROUPS = {"pt": "valuational team semantics", "bridge": "bridges between the two semantics",
+           "classes": "homomorphism class tools"}
+
+
+def _with_command(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """`parser` with the arguments and the handler of the command at `path`."""
+    _, handler, arguments = _COMMANDS[path]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="lt", description="Workbench for the logic of teams."
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula and dump its tree")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser("expand", help="expand derived connectives to core syntax")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("eval", help="evaluate a formula under an assignment")
-    p.add_argument("--n", type=int, required=True, help="number of algebra atoms")
-    p.add_argument(
-        "--assign",
-        action="append",
-        default=[],
-        help="variable assignment, e.g. P0=[01,10]; repeatable; '' for none",
-    )
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("entail", help="countermodel search for 'premises |- conclusion'")
-    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N)
-    p.add_argument(
-        "--class",
-        dest="class_restriction",
-        choices=["all", "principal_variables"],
-        default="all",
-    )
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--premises-file", dest="premises_file", default=None)
-    p.add_argument("query", help="'phi1, phi2 |- psi', or just psi with --premises-file")
-    p.set_defaults(handler=_cmd_entail)
-
-    p = sub.add_parser("lentail", help="labelled countermodel search")
-    p.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("query", help="'a1:phi1, a2:phi2 |- b:psi'")
-    p.set_defaults(handler=_cmd_lentail)
-
-    p = sub.add_parser("check-proof", help="check a derivation file")
-    p.add_argument("file")
-    p.add_argument("--assumptions", default=None, help="file with one labelled formula per line")
-    p.set_defaults(handler=_cmd_check_proof)
-
-    pt = sub.add_parser("pt", help="valuational team semantics")
-    ptsub = pt.add_subparsers(dest="pt_command", required=True)
-    p = ptsub.add_parser("eval", help="evaluate a PT+ formula over teams")
-    p.add_argument("--k", type=int, required=True, help="number of variables")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_pt_eval)
-    p = ptsub.add_parser("entail", help="PT+ entailment check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("query")
-    p.set_defaults(handler=_cmd_pt_entail)
-    pt.commands = ptsub.choices
-
-    bridge = sub.add_parser("bridge", help="bridges between the two semantics")
-    bsub = bridge.add_subparsers(dest="bridge_command", required=True)
-    p = bsub.add_parser(
-        "verify-f", help="check the representation map for a homomorphism file"
-    )
-    p.add_argument("hfile", help="JSON {n, assignment: {P0: [bits,...], ...}}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(handler=_cmd_bridge_verify_f)
-    bridge.commands = bsub.choices
-
-    classes = sub.add_parser("classes", help="homomorphism class tools")
-    csub = classes.add_subparsers(dest="classes_command", required=True)
-    p = csub.add_parser("principal-check", help="is a denotation a principal ideal?")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("denotation", help='JSON list of element bit-strings, e.g. ["00","01"]')
-    p.set_defaults(handler=_cmd_classes_principal_check)
-    classes.commands = csub.choices
-
-    top.commands = sub.choices  # each command's name to its parser, as in each group above
+    """A new parser of the whole command tree, built from `_COMMANDS`."""
+    top = argparse.ArgumentParser(prog="lt", description="Workbench for the logic of teams.")
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for path, (text, _, _) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:  # the group's parser, before its first command's
+            parser = subparsers[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subparsers[group] = parser.add_subparsers(dest=group[0] + "_command", required=True)
+        _with_command(subparsers[group].add_parser(path[-1], help=text), path)
     return top
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on the first call and reused for the
-    rest of the process: parsing leaves it unchanged (`--assign` appends
-    to a copy of its default, and handlers are bound by `set_defaults`)."""
-    return build_parser()
+def _command_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the command at `path`, built on its first use and
+    reused for the rest of the process: parsing leaves it unchanged
+    (`--assign` appends to a copy of its default, and the handler is bound
+    by `set_defaults`).  Its prog, and so its usage, help and errors, are
+    those of the same command's parser in `build_parser`'s tree."""
+    return _with_command(argparse.ArgumentParser(prog="lt " + " ".join(path)), path)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: the arguments after its name, or after a group's
-    name and its command's, go straight to that command's parser.  The
-    top-level parser reads argv only to report on it: no or an unknown
-    command, `-h`, or arguments the command's parser left."""
+    name and its command's, go straight to that command's own parser.  The
+    whole tree is built, and reads argv, only to report on it: no or an
+    unknown command, `-h` first, or arguments the command's parser left."""
     argv = sys.argv[1:] if argv is None else argv
-    command, i = _parser(), 0
-    while command is not None and hasattr(command, "commands"):
-        command, i = command.commands.get(argv[i]) if i < len(argv) else None, i + 1
+    path = tuple(argv[:1]) if tuple(argv[:1]) in _COMMANDS else tuple(argv[:2])
     try:
-        args, rest = command.parse_known_args(argv[i:]) if command else (None, ())
+        command = _command_parser(path) if path in _COMMANDS else None
+        args, rest = command.parse_known_args(argv[len(path):]) if command else (None, ())
         if args is None or rest:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -265,14 +265,16 @@ def _hv_classes(k: int, depth: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((bits, tuple(members)) for bits, members in classes.items())
 
 
-def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3) -> bool:
+def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3,
+                            valuations: tuple[int, ...] | None = None) -> bool:
     """Exhaustively check that membership transfers along the representation
     map: X in H(phi) iff lift(X) in H_V(phi), for every element X and every
     PT+ formula up to the given depth.  H and H_V run the one program of
     the formulas, and are compared at the formulas' slots only: the other
-    slots, inside the expansion of ~, lie outside PT+."""
+    slots, inside the expansion of ~, lie outside PT+.  `valuations` is
+    the map `f_map(hom, k)`, computed here unless the caller holds it."""
     lifts = [0]  # per element, the union of its atoms' valuations: a team
-    for v in f_map(hom, k):  # doubling over the atoms, as elements are indexed
+    for v in f_map(hom, k) if valuations is None else valuations:  # doubling over the atoms
         lifts += [team | 1 << v for team in lifts]
     hom_values = _pt_dag(k, depth)[1].run(hom.algebra, hom.bits_env())
     for hvbits, slots in _hv_classes(k, depth):

@@ -5,8 +5,11 @@ layer's share of a traced run's self time."""
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -128,3 +131,61 @@ def test_each_run_compiles_with_its_own_empty_bytecode_cache(tmp_path):
         assert run["prefix"] == run["cache"] and run["empty"] and run["no_writes"]
         assert not os.path.exists(run["cache"])
     assert runs[0]["cache"] != runs[1]["cache"]
+
+
+# A stand-in for `python -m lt`: it logs its tree, its bytecode cache and
+# its arguments to the file named by FAKE_LT_LOG; the parent's is slower.
+_FAKE_LT = '''import json, os, sys, time
+time.sleep({sleep})
+print({out!r})
+with open(os.environ["FAKE_LT_LOG"], "a") as fh:
+    fh.write(json.dumps([{side!r}, os.environ["PYTHONPYCACHEPREFIX"], sys.dont_write_bytecode,
+                         sys.argv[1:]]) + "\\n")
+'''
+
+
+def test_process_rows_time_fresh_processes_on_warmed_caches(tmp_path, monkeypatch):
+    """--process N: each fixed command runs as N fresh `python -m lt`
+    processes per side from that side's sources, alternating which side
+    runs first, after one run per side that warms the side's own bytecode
+    cache; each command gets one ungated row."""
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    (tmp_path / "src" / "lt").mkdir(parents=True)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    main_py = tmp_path / "src" / "lt" / "__main__.py"
+    main_py.write_text(_FAKE_LT.format(sleep=0.05, side="parent", out="verdict"))
+    for cmd in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + cmd, cwd=tmp_path, check=True, capture_output=True)
+    main_py.write_text(_FAKE_LT.format(sleep=0.0, side="change", out="verdict"))
+    log = tmp_path / "log.jsonl"
+    monkeypatch.setenv("FAKE_LT_LOG", str(log))
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+
+    assert bench_pairs.main(["--parent", "HEAD", "--label", "t", "--workloads",
+                             "--process", "3"]) == 0
+
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["end_to_end"] == [] and report["per_layer"] == []
+    rows = report["process"]
+    assert [r["command"] for r in rows] == [
+        "lt " + " ".join(map(shlex.quote, argv)) for argv in bench_pairs.PROCESS_COMMANDS]
+    for row in rows:
+        assert (row["metric"], row["exit"], row["gated"], row["change_better_in_pairs"]) == (
+            "process_wall_s", 0, False, "3/3")
+        assert len(row["parent"]["runs"]) == len(row["change"]["runs"]) == 3
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    sides = [side for side, *_ in runs]
+    warm = bench_pairs.PROCESS_COMMANDS[0]
+    assert [argv for *_, argv in runs[:2]] == [warm, warm]  # one warming run per side
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    assert sides == ["parent", "change"] + order * 2
+    caches = {side: {cache for s, cache, _, _ in runs if s == side} for side in ("parent", "change")}
+    assert all(len(c) == 1 for c in caches.values()) and caches["parent"] != caches["change"]
+    assert not any(dont_write for _, _, dont_write, _ in runs)  # the warming run writes bytecode
+    assert not any(map(os.path.exists, caches["parent"] | caches["change"]))
+    # a side that prints another verdict is an error, not a row
+    other = tmp_path / "other" / "src" / "lt"
+    other.mkdir(parents=True)
+    (other / "__main__.py").write_text(_FAKE_LT.format(sleep=0.0, side="other", out="other"))
+    with pytest.raises(SystemExit, match="differ"):
+        bench_pairs.process_rows(str(tmp_path), str(tmp_path / "other"), 1)

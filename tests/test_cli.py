@@ -1,5 +1,8 @@
+import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from lt import cli, ptplus
 from lt.cli import main
 from lt.errors import LTError, ParseError
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 @pytest.fixture(autouse=True)
@@ -341,6 +345,20 @@ class TestBridge:
         assert verdict["status"] == "ok"
         assert verdict["atom_valuations"] == {"01": "1", "10": "0"}
 
+    def test_verify_f_builds_the_representation_map_once(self, capsys, tmp_path, monkeypatch):
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"], "P1": ["00"]}}))
+        calls, f_map = [], ptplus.f_map
+
+        def spy(*args):
+            calls.append(args)
+            return f_map(*args)
+
+        monkeypatch.setattr(cli, "f_map", spy)
+        monkeypatch.setattr(ptplus, "f_map", spy)
+        code, out, _ = run(capsys, "bridge", "verify-f", str(hfile), "--k", "2", "--depth", "2")
+        assert (code, json.loads(out)["status"], len(calls)) == (0, "ok", 1)
+
     def test_verify_f_needs_principal(self, capsys, tmp_path):
         hfile = tmp_path / "h.json"
         hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["01", "10"]}}))
@@ -474,27 +492,44 @@ class TestUsage:
 
 
 class TestSharedParser:
-    """`main` builds its argument parser once and reuses it."""
+    """`main` builds each command's own parser once and reuses it, and
+    builds the whole tree only to print the top-level usage, help or
+    error."""
 
-    def test_built_once(self, monkeypatch, capsys):
-        calls, build = [], cli.build_parser
-
-        def spy():
-            calls.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "build_parser", spy)
-        cli._parser.cache_clear()
+    def test_a_command_builds_only_its_own_parser_once(self, monkeypatch, capsys):
+        calls, build, with_command = [], cli.build_parser, cli._with_command
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append("tree") or build())
+        monkeypatch.setattr(cli, "_with_command",
+                            lambda parser, path: calls.append(path) or with_command(parser, path))
+        cli._command_parser.cache_clear()
         try:
-            for argv in (["parse", "P0"], ["frobnicate"], ["eval", "--n", "1", "P0"], ["expand", "dia P0"]):
+            for argv in (["parse", "P0"], ["eval", "--n", "1", "P0"], ["parse", "P1"],
+                         ["pt", "eval", "--k", "1", "P0"], ["entail", "--class", "bogus", "|- P0"],
+                         ["pt", "eval", "-h"], ["eval", "--n", "1", "P1"], ["expand", "P0"]):
                 main(argv)
         finally:
-            cli._parser.cache_clear()
-        assert len(calls) == 1
+            cli._command_parser.cache_clear()
+        assert calls == [("parse",), ("eval",), ("pt", "eval"), ("entail",), ("expand",)]
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], [], ["-h"], ["pt"], ["parse", "P0", "P1"]])
+    def test_the_whole_tree_is_built_once_to_report_on_argv(self, monkeypatch, capsys, argv):
+        calls, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        assert main(argv) == (0 if argv == ["-h"] else 2)
+        assert len(calls) == 1 and capsys.readouterr().out.startswith("usage: lt") == (argv == ["-h"])
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
-        assert cli.build_parser() is not cli._parser()
+
+    @pytest.mark.parametrize("path", list(cli._COMMANDS), ids=" ".join)
+    def test_a_command_parser_prints_as_in_the_whole_tree(self, path):
+        tree = cli.build_parser()
+        for name in path:
+            (subparsers,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
+            tree = subparsers.choices[name]
+        own = cli._command_parser(path)
+        assert own.prog == tree.prog == "lt " + " ".join(path)
+        assert (own.format_usage(), own.format_help()) == (tree.format_usage(), tree.format_help())
 
     def test_assign_does_not_leak(self, capsys):
         code, out, _ = run(capsys, "eval", "--n", "1", "--assign", "P0=[1]", "P0")
@@ -606,6 +641,20 @@ def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path, emit
         statuses.add(want)
     assert statuses == {0, 1, 2}
     assert len(emitted) > 20  # each verdict written as json.dumps writes it
+
+
+@pytest.mark.parametrize("argv", [
+    ["entail", "|- P0 -> P0"], ["entail", "--class", "bogus", "|- P0"], ["pt", "eval", "-h"],
+    ["frobnicate"], [],
+], ids=repr)
+def test_a_fresh_process_prints_what_main_prints(capsys, monkeypatch, argv):
+    """`python -m lt` in a new process, where no parser is built yet, gives
+    the exit status, stdout and stderr of `main` in this one."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "lt", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
 
 
 # -- the verdict writer: json.dumps(value, indent=2) without json's
