@@ -8,13 +8,9 @@ ones on denotations, the integer operators |, & and ^ full; internal
 operators apply the element operations pointwise across denotations.
 
 Every operator works on whole denotations by shifts and masks (Knuth,
-TAOCP 4A, 7.1.3): the order closures and int_not take n steps, and a
-binary internal operator one image per member of its smaller operand.
-The n steps are one triple per atom in `Algebra.steps`, and the unary
-operators are written once, as functions over any `steps` of that
-shape: an Algebra binds them as its methods, and the scan's column
-(`entailment._Lanes`), whose masks repeat each triple in every lane,
-runs the same functions as its kernels.
+TAOCP 4A, 7.1.3): the order closures and int_not take n steps, one per
+atom in `Algebra.steps`, and a binary internal operator one image per
+member of its smaller operand.
 A process keeps one algebra per size, built on first use by `algebra(n)`
 with its element names (at most nine, about 220 KB in all); nothing else
 is cached here.  A shortcut is allowed only when it is proven equal
@@ -44,32 +40,6 @@ def same_fields(a, b) -> bool:
     if type(b) is not type(a):
         return NotImplemented
     return all(getattr(a, name) == getattr(b, name) for name in a.__slots__)
-
-
-# -- the unary internal operators over `lanes.steps`, an Algebra's or a
-# column's (see the module docstring).  A step moves a bit by 2^i < 2^n,
-# so it never leaves its lane; y is ignored, so that each is a column
-# kernel f(lanes, x, y).
-
-
-def int_not(lanes, x: int, y=None) -> int:
-    """The complement of each element: per atom, swap the halves with and
-    without it."""
-    for high, low, s in lanes.steps:
-        x = (x & high) >> s | (x & low) << s
-    return x
-
-
-def down_closure(lanes, x: int, y=None) -> int:
-    for high, _, s in lanes.steps:
-        x |= (x & high) >> s
-    return x
-
-
-def up_closure(lanes, x: int, y=None) -> int:
-    for _, low, s in lanes.steps:
-        x |= (x & low) << s
-    return x
 
 
 @functools.cache
@@ -122,10 +92,25 @@ class Algebra:
     def elements(self) -> range:
         return range(self.size)
 
-    # -- internal (pointwise) operators: the unary ones are the functions
-    # above, an algebra being a column of one lane
+    # -- internal (pointwise) operators.  A step moves a bit by 2^i < 2^n,
+    # from an element to the one that differs from it in atom i.
 
-    int_not, down_closure, up_closure = int_not, down_closure, up_closure
+    def int_not(self, x: int) -> int:
+        """The complement of each element: per atom, swap the halves with and
+        without it."""
+        for high, low, s in self.steps:
+            x = (x & high) >> s | (x & low) << s
+        return x
+
+    def down_closure(self, x: int) -> int:
+        for high, _, s in self.steps:
+            x |= (x & high) >> s
+        return x
+
+    def up_closure(self, x: int) -> int:
+        for _, low, s in self.steps:
+            x |= (x & low) << s
+        return x
 
     def int_bot(self) -> int:
         return 1  # {bottom element}

@@ -34,34 +34,32 @@ The column.  The trailing digits run as one column: the longest run of
 them whose full domains multiply to at most 2^16 (two variables over
 all denotations at n = 3, one at n = 4), with no premise guard at a
 level inside it but the last digit's.  Once per setting of the digits
-before it, each instruction of its levels computes one integer with a
-lane of max(8, 2^n) bits per lex-leader assignment of the run, in
-canonical order (see Symmetry).  A guard of the run empties only lanes,
-so the lanes it keeps are the assignments the odometer would visit, in
-its order; a guard inside the run would skip whole inner digits there,
-and merged across a selective one a scan ran up to five times slower.
-An operand that a digit before the column or a constant gives is
-broadcast to every lane by one multiplication, in `_Column.run` alone,
-so every kernel runs on columns.  An external connective is one integer
-operation.  An internal one runs the shift-and-mask steps of `algebra.py`
-(Knuth, TAOCP 4A, 7.1.3) with each mask repeated in every lane: a step
-moves a bit by 2^i < 2^n, to the element that differs in atom i, so it
-never leaves its lane.  int_not and the closures are the very functions
-an Algebra binds as its methods, run over the steps of the column's
-`_Lanes`, built from the algebra; _ANY is the up-closure of the
-down-closure, and int_and or int_or of two columns joins, per element a,
-op({a}, y) in the lanes whose x holds a (see `_pointwise_columns`).  A
-guard is empty when its integer is 0; a lane it empties is empty in
-`bad`, which meets every guard, so the lowest set bit of `bad` is the
-least violation: its lane gives every digit's value and its offset the
+before it, each instruction of its levels computes one bit plane per
+element e of 2^n: bit j of plane e is set when e lies in the denotation
+of lane j, one lane per lex-leader assignment of the run, in canonical
+order (see Symmetry).  A guard of the run empties only lanes, so the
+lanes it keeps are the assignments the odometer would visit, in its
+order; a guard inside the run would skip whole inner digits there, and
+merged across a selective one a scan ran up to five times slower.  An
+operand that a digit before the column or a constant gives is broadcast
+to every lane, its planes all ones or 0, in `_Column.run` alone, so
+every kernel runs on columns.  The internal connectives are defined
+element by element, so each kernel is index arithmetic over the planes
+(`_COLUMN_KERNELS`): an external connective works plane by plane; i!
+moves plane top ^ e to e; the closures OR each plane into those of its
+neighbours below or above, one atom at a time (Knuth, TAOCP 4A, 7.1.3);
+_ANY repeats the union of the planes; and i& or i| of two columns ORs
+x's plane a AND y's plane b into plane a & b or a | b.  A guard is
+empty when no plane is non-zero; a lane it empties is empty in `bad`,
+which meets every guard, so the lowest set bit of the union of `bad`'s
+planes is the least violation: in that lane the planes give every
+digit's value, and `bad`'s denotation, whose least element is the
 witness.
 
 The levels before the column run one assignment at a time, each
 instruction through the algebra's own operation, at every size.  So
 each form has one kernel table, indexed by opcode: `_operations(n)` for
-a value, the algebra's methods, and `_COLUMN_KERNELS` for a column, the
-same unary functions over the steps of its lanes (`_Symmetry.suffix`);
-only i&, i| and _ANY have a value form and a column form of their own.
+a value, the algebra's methods, and `_COLUMN_KERNELS` for planes.
 The scan runs in the calling process, and the countermodel it reports is
 the least.
 Searching all finite sizes is sound for refutation but cannot certify
@@ -122,11 +120,10 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from array import array
+import struct
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, algebra, down_closure, int_not, same_fields, up_closure
+from .algebra import Algebra, algebra, same_fields
 from .errors import BudgetExceededError, EvalError, ReplayError
 from .semantics import Homomorphism, LabelValuation, evaluate, satisfies
 from .syntax import (
@@ -229,8 +226,8 @@ _STABILISERS_MAX = 1 << 14
 # The column covers the trailing digits whose full domains multiply to
 # at most this many assignments: two over all denotations at n = 3, one
 # at n = 4.  The lanes kept per size hold at most _LANES_MAX assignments
-# in all, each one w-bit word per digit and 2n + 1 for the masks and the
-# `ones` of its _Lanes: at n = 4, 2 MB of 16-bit lanes per digit and 18 MB.
+# in all, each one bit in each of the 2^n planes of every digit and one
+# in `ones`: at n = 4, 2 MB per digit and 128 KB.
 _COLUMN_MAX = 1 << 16
 _LANES_MAX = 1 << 20
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
@@ -471,7 +468,7 @@ class _Symmetry:
             self.tables.append(tuple(tables))
         self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
         self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        # per kinds and group, a suffix's lanes and one packed column per digit
+        # per kinds and group, a suffix's `ones` and the planes of each digit
         self.columns: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple] = {}
         self.kept = 0  # the lanes of self.columns
 
@@ -521,20 +518,37 @@ class _Symmetry:
 
     def suffix(self, kinds: tuple[str, ...], domains: list, group: tuple[int, ...]):
         """The lex-leader assignments of a suffix of digits, of these kinds
-        and domains, under the group, in canonical order: (_Lanes, one
-        column per digit), packed once per process, kinds and group.  The
-        memo is emptied when it would keep more than _LANES_MAX lanes."""
+        and domains, under the group, in canonical order, as lanes: (`ones`,
+        1 in every lane, and the planes of each digit), transposed once per
+        process, kinds and group.  The memo is emptied when it would keep
+        more than _LANES_MAX lanes."""
         key = kinds, group
         found = self.columns.get(key)
         if found is None:
             digits = self._leaders(domains, group)
-            lanes = _Lanes(len(digits[0]), self.algebra)
-            if self.kept + len(digits[0]) > _LANES_MAX:
+            count = len(digits[0])
+            if self.kept + count > _LANES_MAX:
                 self.columns.clear()
                 self.kept = 0
-            self.kept += len(digits[0])
-            found = self.columns[key] = lanes, tuple(map(lanes.pack, digits))
+            self.kept += count
+            found = self.columns[key] = (1 << count) - 1, tuple(map(self._planes, digits))
         return found
+
+    def _planes(self, values: list[int]) -> tuple[int, ...]:
+        """A digit's values, one per lane, transposed to planes at C speed.
+        Packed as little-endian 16-bit words and reversed, the values' low
+        bytes are the odd bytes and their high bytes the even ones, last
+        lane first.  Plane e is read from one of them: `bytes.translate`
+        maps each byte to "1" or "0" by its bit e mod 8, and `int` reads
+        the string, the first lane lowest."""
+        data = struct.pack(f"<{len(values)}H", *values)[::-1]
+        low, high = data[1::2], data[::2]
+        planes = []
+        for e in range(self.size):
+            w = 1 << (e & 7)  # a byte maps to "1" when it holds bit w
+            bits = (low if e < 8 else high).translate((b"0" * w + b"1" * w) * (128 // w))
+            planes.append(int(bits, 2))
+        return tuple(planes)
 
     def _leaders(self, domains: list, group: tuple[int, ...]) -> list[list[int]]:
         """Per digit, its value in each lex-leader assignment of the digits
@@ -601,108 +615,100 @@ def _operations(n: int) -> tuple:
     alg = algebra(n)
     full = alg.full
     return (operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-            alg.int_not, lambda x, _=0: full if x else 0, alg.down_closure, alg.up_closure)
+            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x))
 
 
-# -- the column: the last digit's values as the lanes of one integer
+# -- the column: the trailing digits' assignments as the lanes of bit planes
 
-_TYPECODES = {8: "B", 16: "H"}  # an array of lanes, per lane width
-
-
-class _Lanes:
-    """A column of `count` lanes, each holding a denotation of the
-    algebra's 2^n bits in w = max(8, 2^n) bits, lane i at bits w*i up, and
-    what its kernels broadcast and mask with: `ones`, 1 in every lane, the
-    algebra's steps with each mask repeated in every lane, and its ideals
-    and filters.  Packing goes through little-endian bytes, so lane i is
-    x >> w*i & (2^w - 1) on any host."""
-
-    __slots__ = ("w", "ones", "steps", "ideals", "filters")
-
-    def __init__(self, count: int, alg: Algebra):
-        self.w = w = max(8, alg.size)
-        self.ones = ones = ((1 << count * w) - 1) // ((1 << w) - 1)
-        self.steps = tuple((high * ones, low * ones, s) for high, low, s in alg.steps)
-        self.ideals, self.filters = alg.ideals, alg.filters
-
-    def pack(self, values: Iterable[int]) -> int:
-        lanes = array(_TYPECODES[self.w], values)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return int.from_bytes(lanes, "little")
+# Per algebra size, the pairs (e without atom s, e) over each element e
+# that holds atom s, atom by atom: the closures carry a plane along them,
+# down from e and up to e, one atom at a time.
+_COVERS = {1 << n: tuple((e ^ s, e) for s in (1 << i for i in range(n))
+                        for e in range(1 << n) if e & s) for n in range(MAX_N + 1)}
 
 
-def _pointwise_columns(meet: bool, lanes: _Lanes, x: int, y: int) -> int:
-    """int_and (meet) or int_or of two columns: per element a, op({a}, y)
-    in the lanes whose x holds a, as op(x, y) is the union of op({a}, y)
-    over the elements a of x.  As in Algebra.int_and, y's steps drop each
-    atom outside a and the cut is to the ideal of a; as in int_or, they add
-    each atom of a and the cut is to its filter."""
-    out, ones = 0, lanes.ones
-    for a, cut in enumerate(lanes.ideals if meet else lanes.filters):
-        holds = x >> a & ones  # 1 in the lanes whose x holds a
-        if holds:
-            z = y
-            if meet:
-                for high, _, s in lanes.steps:
-                    if not a & s:
-                        z |= (z & high) >> s
-            else:
-                for _, low, s in lanes.steps:
-                    if a & s:
-                        z |= (z & low) << s
-            out |= z & holds * cut
+def _down(x: list[int], _) -> list[int]:
+    x = list(x)
+    for low, high in _COVERS[len(x)]:
+        x[low] |= x[high]
+    return x
+
+
+def _up(x: list[int], _) -> list[int]:
+    x = list(x)
+    for low, high in _COVERS[len(x)]:
+        x[high] |= x[low]
+    return x
+
+
+def _pointwise(op, x: list[int], y: list[int]) -> list[int]:
+    """int_and (op and_) or int_or (op or_) of two columns: the element
+    op(a, b) lies in each lane where a lies in x and b in y."""
+    out = [0] * len(x)
+    ys = [(b, plane) for b, plane in enumerate(y) if plane]
+    for a, plane in enumerate(x):
+        if plane:
+            for b, other in ys:
+                out[op(a, b)] |= plane & other
     return out
 
 
-# Per opcode, its kernel f(lanes, x, y) on two columns, or on the column x
-# for a unary opcode: an external opcode as one integer operation, an
-# internal one through the algebra's steps with the masks of `lanes`, the
-# one place where a column meets an internal connective.  The unary ones
-# are the algebra's own functions; _ANY, the full carrier in the lanes
-# where x is non-empty, is the up-closure of the down-closure.
+# Per opcode, its kernel f(x, y) on the planes of two columns, or of the
+# column x for a unary opcode: the one place where a column meets an
+# opcode.  An external opcode works plane by plane; i! moves plane top ^ e
+# to e, a reversal; _ANY, the full carrier in the lanes where x is
+# non-empty, repeats the union of the planes.
 _COLUMN_KERNELS = (
-    lambda _, x, y: x | y, lambda _, x, y: x & y, lambda _, x, y: x ^ y,
-    functools.partial(_pointwise_columns, False), functools.partial(_pointwise_columns, True),
-    int_not, lambda lanes, x, _: up_closure(lanes, down_closure(lanes, x)),
-    down_closure, up_closure,
+    lambda x, y: list(map(operator.or_, x, y)), lambda x, y: list(map(operator.and_, x, y)),
+    lambda x, y: list(map(operator.xor, x, y)),
+    functools.partial(_pointwise, operator.or_), functools.partial(_pointwise, operator.and_),
+    lambda x, _: x[::-1], lambda x, _: [functools.reduce(operator.or_, x)] * len(x),
+    _down, _up,
 )
+
+
+def _lane(planes: Sequence[int], j: int) -> int:
+    """The denotation in lane j of a column."""
+    return sum((plane >> j & 1) << e for e, plane in enumerate(planes))
 
 
 class _Column:
     """The digits from `start` on, run once for all their lex-leader
-    assignments (see "The column" in the module docstring and _Lanes):
-    `segments` is the plan's column entry, run as it stands, each
-    instruction through its opcode's entry of _COLUMN_KERNELS."""
+    assignments (see "The column" in the module docstring): `segments` is
+    the plan's column entry, run as it stands, each instruction through
+    its opcode's entry of _COLUMN_KERNELS."""
 
     def __init__(self, sym: _Symmetry, segments, start: int, domains):
         self.sym, self.segments, self.start = sym, segments, start
         self.domains = domains[start:]
         self.kinds = tuple(kind for kind, _ in self.domains)
+        self.singletons = [1 << e for e in range(sym.size)]
 
     def run(self, group, vals: list, bad: int) -> bool:
         """Run the levels for all the assignments under the group; True at
         the least violation, with its values and lane of `bad` in the slots.
         Without a pair, the operand a, a value of a digit before the column
-        or a constant, is broadcast to every lane first."""
-        start, kernels = self.start, _COLUMN_KERNELS
-        lanes, columns = self.sym.suffix(self.kinds, self.domains, group)
+        or a constant, is broadcast to every lane first: its planes are
+        `ones` for its elements and 0 for the others."""
+        start, kernels, singletons = self.start, _COLUMN_KERNELS, self.singletons
+        ones, columns = self.sym.suffix(self.kinds, self.domains, group)
         vals[start : start + len(columns)] = columns
-        ones = lanes.ones
         for block, guard in self.segments:
             for op, pair, dst, a, b in block:
                 x = vals[a]
-                vals[dst] = kernels[op](lanes, x if pair else x * ones, vals[b])
-            if guard is not None and not vals[guard]:
+                if not pair:
+                    x = [x & s and ones for s in singletons]
+                vals[dst] = kernels[op](x, vals[b])
+            if guard is not None and not any(vals[guard]):
                 return False
-        hits = vals[bad]
-        if not hits:
+        if not any(vals[bad]):
             return False
-        w = lanes.w
-        shift, mask = ((hits & -hits).bit_length() - 1) // w * w, (1 << w) - 1
-        for p, column in enumerate(columns, start):
-            vals[p] = column >> shift & mask
-        vals[bad] = hits >> shift & mask
+        hits = functools.reduce(operator.or_, vals[bad])
+        j = (hits & -hits).bit_length() - 1
+        for p, planes in enumerate(columns, start):
+            vals[p] = _lane(planes, j)
+        vals[bad] = _lane(vals[bad], j)
         return True
 
 

@@ -198,12 +198,16 @@ def has_principal_variables(hom: Homomorphism) -> bool:
 
 
 def f_map(hom: Homomorphism, k: int) -> tuple[int, ...]:
-    """The representation map of a principal-variable homomorphism whose
-    variables all lie below k, into the valuation model: per atom, the
-    valuation recording which variable denotations contain its singleton."""
+    """The representation map of a principal-variable homomorphism that
+    assigns exactly the variables below k, into the valuation model: per
+    atom, the valuation recording which variable denotations contain its
+    singleton."""
     _check_k(k)
     if any(v >= k for v in hom.assignment):
         raise ValueError("homomorphism assigns a variable at or above k")
+    missing = [v for v in range(k) if v not in hom.assignment]
+    if missing:
+        raise ValueError(f"homomorphism assigns no denotation to P{missing[0]}, below k = {k}")
     if not has_principal_variables(hom):
         raise PrincipalVariableError(
             "the representation map needs every variable denotation to be a principal ideal"

@@ -6,7 +6,7 @@ import pytest
 
 import reference as ref
 from lt.algebra import MAX_ATOMS, Algebra, Denotation, algebra
-from lt.entailment import (_AND, _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _OR, _UP, _XOR, _Lanes,
+from lt.entailment import (_AND, _ANY, _COLUMN_KERNELS, _DOWN, _INOT, _OR, _UP, _XOR, MAX_N,
                            _operations)
 from lt.errors import AlgebraMismatchError
 from lt.semantics import Homomorphism
@@ -217,13 +217,11 @@ class TestAgainstSetOracle:
 
 
 class TestScanTables:
-    """The column's step triples, the masks of the algebra's `steps`
-    repeated in every lane, through each unary column kernel on one
-    column that holds every denotation up to n = 3: lane by lane the
-    Algebra method and the oracle.  Below n = 3 a lane of 8 bits holds a
-    denotation of 1, 2 or 4 bits, and the bits above it must stay clear.
-    An algebra is a column of one lane: its steps are those of a _Lanes
-    of one lane, and each unary kernel but _ANY is its own method."""
+    """The column's plane kernels for the unary opcodes, on one column
+    that holds every denotation up to n = 3, read back lane by lane: the
+    Algebra method and the oracle.  Plane e of a column has bit j set
+    when element e lies in lane j.  An algebra is a column of one lane,
+    whose planes are the bits of its one value."""
 
     UNARY = {  # per opcode, its Algebra method and its oracle
         _INOT: (lambda alg: alg.int_not, ref.int_not),
@@ -235,13 +233,12 @@ class TestScanTables:
 
     @staticmethod
     def _column(n: int, op: int) -> list[int]:
-        """The lanes of the kernel's column of every denotation, whole:
-        a lane's value with the bits above its denotation."""
+        """The lanes of the kernel's column of every denotation."""
         count = 1 << (1 << n)
-        lanes = _Lanes(count, algebra(n))
-        out = _COLUMN_KERNELS[op](lanes, lanes.pack(range(count)), None)
-        assert out >> lanes.w * count == 0  # nothing past the last lane
-        return [out >> lanes.w * i & (1 << lanes.w) - 1 for i in range(count)]
+        planes = [sum(1 << x for x in range(count) if x >> e & 1) for e in range(1 << n)]
+        out = _COLUMN_KERNELS[op](planes, planes)
+        assert len(out) == 1 << n and all(plane >> count == 0 for plane in out)
+        return [sum((plane >> j & 1) << e for e, plane in enumerate(out)) for j in range(count)]
 
     @pytest.mark.parametrize("n", range(4))
     def test_against_kernels(self, n):
@@ -257,10 +254,20 @@ class TestScanTables:
 
     @pytest.mark.parametrize("n", range(MAX_ATOMS + 1))
     def test_an_algebra_is_one_lane(self, n):
+        # each unary method takes a value alone and agrees with the oracle
+        # at every n; up to the largest size a scan reaches, its kernel on
+        # the one-lane column of that value, planes its bits, agrees too
         alg = algebra(n)
-        assert _Lanes(1, alg).steps == alg.steps
-        methods = type(alg).int_not, type(alg).down_closure, type(alg).up_closure
-        assert methods == (_COLUMN_KERNELS[_INOT], _COLUMN_KERNELS[_DOWN], _COLUMN_KERNELS[_UP])
+        rng = random.Random(n + 88)
+        values = [0, 1, alg.full] + [rng.randrange(alg.full + 1) for _ in range(20)]
+        for op, (method, oracle) in self.UNARY.items():
+            for x in values:
+                want = method(alg)(x)
+                assert want == ref.to_bits(oracle(ref.from_bits(x, n), n)), (op, x)
+                if n <= MAX_N:
+                    planes = [x >> e & 1 for e in range(alg.size)]
+                    got = _COLUMN_KERNELS[op](planes, planes)
+                    assert sum(bit << e for e, bit in enumerate(got)) == want, (op, x)
 
 
 class TestBooleanIdentities:

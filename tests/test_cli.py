@@ -425,7 +425,14 @@ class TestBridge:
         hfile = tmp_path / "h.json"
         hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"]}}))
         code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "2")
-        assert (code, out, err) == (2, "", "error: unbound variable P1\n")
+        assert (code, out, err) == (2, "", "error: homomorphism assigns no denotation to P1, below k = 2\n")
+
+    def test_hom_file_without_assignment_is_error(self, capsys, tmp_path):
+        # refused by the representation map, before any formula is evaluated
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"n": 2}))
+        code, out, err = run(capsys, "bridge", "verify-f", str(hfile), "--k", "1")
+        assert (code, out, err) == (2, "", "error: homomorphism assigns no denotation to P0, below k = 1\n")
 
     @pytest.mark.parametrize("depth", ["0", "-3", "4"])
     def test_depth_outside_1_to_3_is_error(self, capsys, tmp_path, monkeypatch, depth):

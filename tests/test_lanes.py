@@ -1,29 +1,27 @@
-"""The column's lane kernels against the Algebra methods.
+"""The column's plane kernels against the Algebra methods.
 
-The scan's last digit runs as one integer with a lane of max(8, 2^n)
-bits per value.  Every column opcode is checked here lane by lane
+The scan's trailing digits run as one column: a slot holds one integer,
+a plane, per element e of 2^n, whose bit j is set when e lies in the
+denotation of lane j.  Every column opcode is checked here lane by lane
 against the Algebra method it stands for, applied to one value: up to
 n = 3 on every denotation and, for the forms with a value operand,
 every value, and at n = 4 on every denotation for the unary opcodes and
-on seeded operands for the rest.  A value operand is broadcast to
-every lane as `_Column.run` broadcasts it, and up to n = 3 every opcode
-also runs through `_Column.run` itself, as an instruction tuple of the
-plan.  Below n = 3 a lane of 8 bits holds a denotation of 1, 2 or 4
-bits, and the complement that an _XOR with the broadcast full carrier
-takes must leave the bits above it clear.
-The reference reads none of the scan's tables.
+on seeded operands for the rest.  A value operand is broadcast to every
+lane as `_Column.run` broadcasts it, its planes 1 in every lane for its
+elements and 0 for the others, and up to n = 3 every opcode also runs
+through `_Column.run` itself, as an instruction tuple of the plan.
+The reference reads none of the scan's tables: it writes and reads
+the planes through bit strings, one lane at a time.
 """
 
 import operator
 import random
-import sys
-import types
 
 import pytest
 
 from lt import entailment
-from lt.algebra import Algebra, algebra
-from lt.entailment import _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR, _Lanes
+from lt.algebra import Algebra
+from lt.entailment import _AND, _ANY, _DOWN, _IAND, _INOT, _IOR, _OR, _UP, _XOR
 from lt.syntax import parse_entailment_query
 
 UNARY = (_INOT, _ANY, _DOWN, _UP)
@@ -31,11 +29,22 @@ EXTERNAL = (_OR, _AND, _XOR)
 INTERNAL = (_IAND, _IOR)
 
 
-def _decode(x: int, count: int, w: int) -> list[int]:
-    """The lanes of x, from its little-endian bytes: lane i is bytes
-    w/8*i up, low byte first."""
-    data, step = x.to_bytes(count * w // 8, "little"), w // 8
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+def _planes(values, n: int) -> list[int]:
+    """The planes of a column whose lane j holds values[j]."""
+    lanes = [format(v, f"0{1 << n}b")[::-1] for v in values]  # element e at index e
+    return [int("".join(bits)[::-1], 2) for bits in zip(*lanes)]
+
+
+def _decode(planes: list[int], count: int) -> list[int]:
+    """The denotation in each of the first `count` lanes of a column."""
+    rows = [format(plane, f"0{count}b")[::-1] for plane in planes]  # lane j at index j
+    assert all(len(row) == count for row in rows)  # nothing past the last lane
+    return [int("".join(bits)[::-1], 2) for bits in zip(*rows)]
+
+
+def _broadcast(x: int, n: int, count: int) -> list[int]:
+    """The column of `count` lanes that each hold the value x."""
+    return _planes([x] * count, n)
 
 
 def _scalar(alg: Algebra) -> list:
@@ -43,44 +52,34 @@ def _scalar(alg: Algebra) -> list:
     methods; a unary opcode ignores y."""
     full = alg.full
     return [operator.or_, operator.and_, operator.xor, alg.int_or, alg.int_and,
-            alg.int_not, lambda x, _: full if x else 0, alg.down_closure, alg.up_closure]
+            lambda x, _: alg.int_not(x), lambda x, _: full if x else 0,
+            lambda x, _: alg.down_closure(x), lambda x, _: alg.up_closure(x)]
 
 
-def _run(op, pair, x, y, lanes, count):
+def _run(op, x, y, count):
     """The lanes of the column instruction op(x, y) through the opcode's
-    column kernel; with pair false, x is a value broadcast to every lane,
-    as `_Column.run` broadcasts it."""
-    kernel = entailment._COLUMN_KERNELS[op]
-    return _decode(kernel(lanes, x if pair else x * lanes.ones, y), count, lanes.w)
+    column kernel."""
+    out = entailment._COLUMN_KERNELS[op](x, y)
+    assert len(out) == len(y)  # one plane per element
+    return _decode(out, count)
 
 
 @pytest.mark.parametrize("w", [8, 16])
 @pytest.mark.parametrize("count", [1, 255, 256, 3984, 65536])
 def test_pack_round_trip(w, count):
-    # lane i of a packed column holds value i, whatever the host's byte
-    # order: the decoding reads the integer's little-endian bytes
+    # the values of a suffix's digit, packed into planes by the scan's
+    # transposition, come back lane by lane; w is the bits of a
+    # denotation, 2^n: n = 3 or 4
+    n = w.bit_length() - 1
     rng = random.Random(count * w)
     values = [rng.randrange(1 << w) for _ in range(count)]
     values[0], values[-1] = (1 << w) - 1, 1  # the first and the last lane are set
-    lanes = _Lanes(count, algebra(w.bit_length() - 1))  # 2^n = w: n = 3 or 4
-    x = lanes.pack(values)
-    assert _decode(x, count, w) == values
-    assert x & (1 << w) - 1 == values[0] and x >> w * (count - 1) == values[-1]
-    assert _decode(lanes.ones, count, w) == [1] * count
-
-
-@pytest.mark.parametrize("w", [8, 16])
-def test_pack_swaps_on_a_big_endian_host(monkeypatch, w):
-    # an array holds its items in the host's byte order: on a big-endian
-    # host pack swaps the bytes of each item before reading them as
-    # little-endian, so here, on the other order, each lane comes out swapped
-    values = [0x0102, 0xFF00, 1] if w == 16 else [1, 2, 255]
-    lanes = _Lanes(3, algebra(w.bit_length() - 1))
-    assert _decode(lanes.pack(values), 3, w) == values
-    if sys.byteorder == "little":
-        monkeypatch.setattr(entailment, "sys", types.SimpleNamespace(byteorder="big"))
-        swap = (lambda v: (v & 255) << 8 | v >> 8) if w == 16 else (lambda v: v)
-        assert _decode(lanes.pack(values), 3, w) == [swap(v) for v in values]
+    planes = entailment._Symmetry(n)._planes(values)
+    assert type(planes) is tuple and len(planes) == w
+    assert planes == tuple(_planes(values, n))
+    assert _decode(list(planes), count) == values
+    for e, plane in enumerate(planes):  # lane 0 is the lowest bit, the last lane the highest
+        assert plane & 1 == values[0] >> e & 1 and plane >> count - 1 == values[-1] >> e & 1
 
 
 def _every_opcode_on_every_denotation(n, pair):
@@ -90,23 +89,22 @@ def _every_opcode_on_every_denotation(n, pair):
     alg = Algebra(n)
     scalar = _scalar(alg)
     domain = range(alg.full + 1)
-    count, w = len(domain), max(8, alg.size)
-    lanes = _Lanes(count, alg)
-    assert lanes.w == w and _decode(alg.full * lanes.ones, count, w) == [alg.full] * count
-    column = lanes.pack(domain)
+    count = len(domain)
+    column = _planes(domain, n)
+    assert _decode(_broadcast(alg.full, n, count), count) == [alg.full] * count
     for op in UNARY if pair else ():
-        got = _run(op, True, column, column, lanes, count)
+        got = _run(op, column, column, count)
         assert got == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
         if not pair:
             for x in domain:
-                got = _run(op, False, x, column, lanes, count)
+                got = _run(op, _broadcast(x, n, count), column, count)
                 assert got == [scalar[op](x, y) for y in domain], (op, x)
             continue
         # lane i pairs (i + k) % count with i
         for k in domain:
             xs = [(y + k) % count for y in domain]
-            got = _run(op, True, lanes.pack(xs), column, lanes, count)
+            got = _run(op, _planes(xs, n), column, count)
             assert got == list(map(scalar[op], xs, domain)), (op, k)
 
 
@@ -125,10 +123,9 @@ def test_n4_unary_opcodes_on_every_denotation():
     alg = Algebra(4)
     scalar = _scalar(alg)
     domain = range(1 << 16)
-    lanes = _Lanes(len(domain), alg)
-    column = lanes.pack(domain)
+    column = _planes(domain, 4)
     for op in UNARY:
-        got = _run(op, True, column, column, lanes, len(domain))
+        got = _run(op, column, column, len(domain))
         assert got == [scalar[op](y, y) for y in domain], op
 
 
@@ -139,17 +136,16 @@ def test_n4_pairs_on_seeded_operands(seed):
     count = 3000
     ys = [0, alg.full, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(count - 3)]
     xs = [alg.full, 0, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(count - 3)]
-    # sparse and dense operands too, where the kernels take other branches
+    # sparse and dense operands too
     for i in range(3, count, 7):
         xs[i] = 1 << rng.randrange(16)
         ys[i] = alg.full ^ 1 << rng.randrange(16)
-    lanes = _Lanes(count, alg)
-    x, y = lanes.pack(xs), lanes.pack(ys)
+    x, y = _planes(xs, 4), _planes(ys, 4)
     for op in EXTERNAL + INTERNAL:
-        got = _run(op, True, x, y, lanes, count)
+        got = _run(op, x, y, count)
         assert got == list(map(scalar[op], xs, ys)), op
         for value in [0, alg.full, alg.int_bot()] + [rng.randrange(1 << 16) for _ in range(5)]:
-            got = _run(op, False, value, y, lanes, count)
+            got = _run(op, _broadcast(value, 4, count), y, count)
             assert got == [scalar[op](value, v) for v in ys], (op, value)
 
 
@@ -179,26 +175,28 @@ def test_every_opcode_through_the_column_run(n):
     # _Column.run over the column of every denotation in slot 0: lane by
     # lane the Algebra method, with a value in slot 1 broadcast to every
     # lane when pair is false, and a column there when it is true; slot 2
-    # is the zero constant, a `bad` that never hits, so the run leaves
+    # holds the empty column, a `bad` that never hits, so the run leaves
     # the whole column of its instruction in slot 3
     alg = Algebra(n)
     scalar = _scalar(alg)
     domain = range(alg.full + 1)
+    count = len(domain)
     column = entailment._Column(entailment._symmetry(n), None, 0, [("all", domain)])
-    lanes, _ = column.sym.suffix(column.kinds, column.domains, (0,))
+    ones, (planes,) = column.sym.suffix(column.kinds, column.domains, (0,))
+    assert ones == (1 << count) - 1 and _decode(list(planes), count) == list(domain)
 
     def run(instruction, x):
         column.segments = [([instruction], None)]
-        vals = [None, x, 0, None]
+        vals = [None, x, [0] * alg.size, None]
         assert not column.run((0,), vals, 2)
-        return _decode(vals[3], len(domain), lanes.w)
+        return _decode(vals[3], count)
 
     for op in UNARY:
         assert run((op, True, 3, 0, 0), None) == [scalar[op](y, y) for y in domain], op
     for op in EXTERNAL + INTERNAL:
         for x in domain:
             assert run((op, False, 3, 1, 0), x) == [scalar[op](x, y) for y in domain], (op, x)
-        for k in range(1, len(domain), max(1, len(domain) // 16)):  # lane i pairs i + k with i
-            xs = [(y + k) % len(domain) for y in domain]
-            got = run((op, True, 3, 1, 0), lanes.pack(xs))
+        for k in range(1, count, max(1, count // 16)):  # lane i pairs i + k with i
+            xs = [(y + k) % count for y in domain]
+            got = run((op, True, 3, 1, 0), _planes(xs, n))
             assert got == list(map(scalar[op], xs, domain)), (op, k)

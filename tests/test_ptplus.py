@@ -266,6 +266,12 @@ class TestFMap:
         with pytest.raises(ValueError):
             f_map(h, 1)
 
+    def test_requires_every_variable_below_k(self):
+        alg = Algebra(2)
+        h = Homomorphism.from_bits(alg, {0: alg.principal_ideal(0b01), 2: alg.principal_ideal(0)})
+        with pytest.raises(ValueError, match=r"^homomorphism assigns no denotation to P1, below k = 3$"):
+            f_map(h, 3)
+
 
 class TestFRepresentation:
     def test_hv_is_represented_by_itself(self):

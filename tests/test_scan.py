@@ -533,35 +533,38 @@ COLUMN_HITS = [
 ]
 
 
-def _lanes(x: int, lanes) -> list[int]:
-    """The lanes of a column integer, lowest first."""
-    return [x >> i & (1 << lanes.w) - 1 for i in range(0, lanes.ones.bit_length(), lanes.w)]
+def _lanes(planes, count: int) -> list[int]:
+    """The denotations in the lanes of a column, lowest first: lane j
+    holds element e when bit j of plane e is set."""
+    return [sum((plane >> j & 1) << e for e, plane in enumerate(planes)) for j in range(count)]
 
 
 def _column_spy(monkeypatch, record) -> list[list]:
     """Wrap every kernel of _COLUMN_KERNELS and return, per run of a
-    column, the list of record(column, instruction, y, out, lanes) over
+    column, the list of record(column, instruction, y, out, count) over
     the instructions it ran, each kernel call paired in order with the
     next instruction of the column's segments: the instruction, its
-    second operand and its result."""
+    second operand, its result and the column's count of lanes."""
     kernels, runs, pending = entailment._COLUMN_KERNELS, [], []
 
     def spy(op):
-        def kernel(lanes, x, y):
-            out = kernels[op](lanes, x, y)
-            column, instructions = pending[-1]
+        def kernel(x, y):
+            out = kernels[op](x, y)
+            column, instructions, count = pending[-1]
             instruction = next(instructions)
             assert instruction[0] == op
-            runs[-1].append(record(column, instruction, y, out, lanes))
+            runs[-1].append(record(column, instruction, y, out, count))
             return out
 
         return kernel
 
     class Spy(entailment._Column):
-        def run(self, *args):
+        def run(self, group, *args):
+            ones, _ = self.sym.suffix(self.kinds, self.domains, group)
             runs.append([])
-            pending.append((self, iter([i for block, _ in self.segments for i in block])))
-            return super().run(*args)
+            instructions = iter([i for block, _ in self.segments for i in block])
+            pending.append((self, instructions, ones.bit_length()))
+            return super().run(group, *args)
 
     monkeypatch.setattr(entailment, "_COLUMN_KERNELS", tuple(map(spy, range(len(kernels)))))
     monkeypatch.setattr(entailment, "_Column", Spy)
@@ -572,8 +575,8 @@ def _column_calls(monkeypatch) -> list[list[tuple[int, int, list[int], list[int]
     """Record every column instruction run, per run of the column: its
     opcode, its slot, and the lanes of its second operand and of its
     result."""
-    return _column_spy(monkeypatch, lambda _, instruction, y, out, lanes: (
-        instruction[0], instruction[2], _lanes(y, lanes), _lanes(out, lanes)))
+    return _column_spy(monkeypatch, lambda _, instruction, y, out, count: (
+        instruction[0], instruction[2], _lanes(y, count), _lanes(out, count)))
 
 
 def _guards_hold(runs, premises, conclusion) -> bool:
@@ -812,48 +815,41 @@ def _start(program, n: int) -> int:
 
 
 def test_lanes_hold_only_ints():
-    # what the suffix memo keeps for the process: per suffix, its packed
-    # columns and a _Lanes of ints only, the lane width, 1 in every lane,
-    # the n step triples of the algebra, each mask within the lanes, and
-    # the algebra's own ideals and filters, shared and not copied; no
-    # other table, no function, algebra or value of a query
+    # what the suffix memo keeps for the process: per suffix, `ones`, 1 in
+    # every lane, and per digit a tuple of 2^n int planes, each within the
+    # lanes; no other table, no function, algebra or value of a query
     entailment._symmetry.cache_clear()
     assert algebra_entails(3, *_query("P0 i& P1 |- P1 i& P0"))[0]  # a two-digit column
     algebra_entails(4, *_query("|- (P0 i& i! P0) i| up P0 -> P0"))
-    kept = [found[0] for n in range(5) for found in entailment._symmetry(n).columns.values()]
-    assert {len(lanes.steps) for lanes in kept} == {3, 4}
-    for lanes in kept:
-        assert lanes.__slots__ == ("w", "ones", "steps", "ideals", "filters")
-        assert type(lanes.w) is type(lanes.ones) is int and type(lanes.steps) is tuple
-        alg = algebra(len(lanes.steps))
-        assert lanes.ideals is alg.ideals and lanes.filters is alg.filters
-        assert all(type(v) is int for v in lanes.ideals + lanes.filters)
-        for i, step in enumerate(lanes.steps):
-            assert type(step) is tuple and [type(v) for v in step] == [int] * 3
-            high, low, s = step
-            assert s == 1 << i and high & low == 0
-            assert (high, low) == (alg.steps[i][0] * lanes.ones, alg.steps[i][1] * lanes.ones)
-            assert (high | low) == alg.full * lanes.ones  # the carrier of every lane
-    entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
+    sizes = set()
+    for n in range(5):
+        for found in entailment._symmetry(n).columns.values():
+            assert type(found) is tuple and len(found) == 2
+            ones, columns = found
+            assert type(ones) is int and ones > 0 and ones & ones + 1 == 0
+            assert type(columns) is tuple and columns
+            for planes in columns:
+                assert type(planes) is tuple and len(planes) == 1 << n
+                assert all(type(plane) is int and plane & ones == plane for plane in planes)
+            sizes.add(n)
+    assert sizes == {3, 4}
+    entailment._symmetry.cache_clear()  # no memo keeps this test's planes
 
 
 def test_column_lanes_built_on_first_use(monkeypatch):
-    # a column's _Lanes, with the step masks of its kernels, is built when a
-    # scan first needs its suffix, once for the process per kinds and
-    # group: the premise i! P0 keeps digit 0 on the odometer, where i!
-    # runs the algebra on single values, and P0 i& P1 takes P0 as a value
-    # by the column of P1, broadcast to every lane; a second scan builds
-    # nothing
+    # a column's planes are transposed when a scan first needs its
+    # suffix, once for the process per kinds and group: the premise i! P0
+    # keeps digit 0 on the odometer, where i! runs the algebra on single
+    # values, and P0 i& P1 takes P0 as a value by the column of P1,
+    # broadcast to every lane; a second scan builds nothing
     built = []
+    planes = entailment._Symmetry._planes
 
-    class Lanes(entailment._Lanes):
-        __slots__ = ()
+    def spy(self, values):
+        built.append((len(values), self.size))
+        return planes(self, values)
 
-        def __init__(self, count, alg):
-            super().__init__(count, alg)
-            built.append((count, alg.size))
-
-    monkeypatch.setattr(entailment, "_Lanes", Lanes)
+    monkeypatch.setattr(entailment._Symmetry, "_planes", spy)
     entailment._symmetry.cache_clear()
     query = _query("i! P0, P0 i& P1 |- P1")
     program = entailment._compile_entailment(*query)
@@ -871,7 +867,7 @@ def test_column_lanes_built_on_first_use(monkeypatch):
                            ("P0 |- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
                            ("P0, P0 i& P1 |- P1", "all", 3)):
         assert _json(algebra_entails(n, *_query(text), klass)) == ref.brute(n, *_query(text), klass)
-    entailment._symmetry.cache_clear()  # no memo keeps this test's lanes
+    entailment._symmetry.cache_clear()  # no memo keeps this test's planes
 
 
 # -- degree-bounded positions: a variable whose degree d is below the
@@ -1030,10 +1026,31 @@ def test_degrees_leave_the_cap_counting_full_domains(capsys):
     assert (report.status, report.completed_n) == ("exhausted", 4)
 
 
+# Baseline queries of the roadmap with the cap lifted, and their verdicts
+# as the lane-word column gave them: two K instances, the 6-variable
+# commutation and distributivity at n = 3, and at n = 4 a query whose
+# least countermodel sits in a column of two digits.
+LIFTED = [
+    ("|- box ((P2 i| P0) -> down P0) -> (box (P2 i| P0) -> box down P0)", 3, (True, None)),
+    ("|- box ((P0 i& P1) -> up P1) -> (box (P0 i& P1) -> box up P1)", 3, (True, None)),
+    ("|- ((P0 i& P1) i| (P2 i& P3)) i| (P4 i& P5) -> ((P5 i& P4) i| (P3 i& P2)) i| (P1 i& P0)",
+     3, (True, None)),
+    ("|- (P0 i| P1) i& P2 -> (P0 i& P2) i| (P1 i& P2)", 3, (True, None)),
+    ("|- ((P0 i| P0) i& (P1 i| P1)) -> (P1 i& P0) i| (P0 i& P1)", 4, (False, {
+        "n": 4, "assignment": {"P0": ["0011", "0100"], "P1": ["0010", "0101"]},
+        "witness": "0111"})),
+]
+
+
+@pytest.mark.parametrize("text, n, verdict", LIFTED)
+def test_baseline_queries_with_the_cap_lifted(text, n, verdict):
+    assert _json(algebra_entails(n, *_query(text), cap=1 << 200)) == verdict
+
+
 def _decoded(found) -> list[tuple[int, ...]]:
     """The assignments of a suffix's lanes, in lane order."""
-    lanes, columns = found
-    return list(zip(*(_lanes(column, lanes) for column in columns)))
+    ones, columns = found
+    return list(zip(*(_lanes(planes, ones.bit_length()) for planes in columns)))
 
 
 def test_column_lanes_are_kept_per_kind():
@@ -1055,7 +1072,7 @@ def test_column_lanes_are_kept_per_kind():
 
 
 # -- the suffix column: the trailing digits of every kind as the lanes of
-# one integer, their lex-leader assignments in canonical order
+# bit planes, their lex-leader assignments in canonical order
 
 
 def _leaders(n: int, kinds, prefix=()) -> list[tuple[int, ...]]:

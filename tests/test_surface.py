@@ -9,7 +9,7 @@ an attribute `x.name`, unless a class of `src/lt` has a method of that
 name, as `Algebra.int_bot` is not a use of a function `int_bot`.
 
 A method is a function defined in a class body, or a public name bound
-there to a function (`int_not = int_not`); dunders and properties are
+there to a function (`name = function`); dunders and properties are
 exempt.  Its use is an attribute `x.name` outside the tests (one use
 covers every class with a method of that name), or a string constant
 equal to its name in a module of `bench/` or `scripts/` that calls
@@ -133,7 +133,7 @@ def test_the_allow_list_names_only_what_needs_it():
 
 def test_every_public_method_has_a_caller_outside_the_tests():
     trees = _trees()
-    assert ("algebra", "Algebra", "int_not") in _public_methods(trees)  # bound, not defined
+    assert ("algebra", "Algebra", "int_not") in _public_methods(trees)
     assert ("algebra", "Algebra", "names") not in _public_methods(trees)  # a property
     assert _unused_methods(trees) == set()
 
