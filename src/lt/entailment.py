@@ -82,12 +82,13 @@ countermodel broke this at digit p, a member of G_p would give one
 equal to it before p and smaller at p.  So it is visited, and as the
 visited assignments keep their order it is the first hit; the witness
 is then computed from it as before.  One variable at n = 4 takes 3,984
-values instead of 65,536.  Every permutation fixes the bottom and the
-top element, so the minima over all denotations are found by marking
-orbits over the 2^(2^n - 2) denotations without those two bits: a
-quarter of them.  The minima of a group, the stabiliser of a value in a
-group and the column's lanes under a group are computed once per
-process.
+values instead of 65,536.  A permutation moves elements, so on a column
+it reorders the planes: the minima are the lanes whose value no image
+under the group undercuts, compared plane by plane from the top element
+down.  Every permutation fixes the bottom and the top element, so over
+all denotations only the quarter without those two bits is compared.
+The minima of a group, the stabiliser of a value in a group and the
+column's lanes under a group are computed once per process.
 
 Degree.  The violation set V, the premises' meet minus the conclusion,
 is the meet of its factors: & splits on the positive side, | on the
@@ -436,36 +437,28 @@ def _compile_labelled(gamma, conclusion) -> Program:
 
 # -- symmetry: the atom permutations
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string to the bytes 0 and 1
+
 
 class _Symmetry:
-    """The n! permutations of the atoms of 2^n, acting on denotations.
-
-    Permutation 0 is the identity, and a group is the ascending tuple of
-    its members' indices.  `tables[i]` maps a denotation to its image
-    under permutation i a byte at a time: the low byte through the first
-    list, the high byte (at n = 4) through the second.  Lists, not
-    arrays: indexing a list returns its stored int, where an array boxes
-    a new one each time."""
+    """The n! permutations of the atoms of 2^n, each held as its map on
+    the elements, which index the column's planes.  Permutation 0 is the
+    identity, and a group is the ascending tuple of its members' indices.
+    `sources[i][f]` is the element that permutation i moves to f: the
+    image of a denotation v holds f where v holds sources[i][f], so on
+    planes an image is the planes reordered, with no table."""
 
     def __init__(self, n: int):
-        self.algebra = algebra(n)
-        self.size = 1 << n
-        self.denotations = 1 << self.size
-        self.top = self.denotations >> 1  # the bit of the top element
-        self.moved = self.denotations - 1 ^ 1 ^ self.top  # the other elements' bits
+        self.n, self.size = n, 1 << n
+        self.top = 1 << self.size - 1  # the bit of the top element
+        self.moved = (1 << self.size) - 1 ^ 1 ^ self.top  # the other elements' bits
         self.group = tuple(range(math.factorial(n)))
-        self.tables: list[tuple[list[int], ...]] = []
+        self.sources: list[list[int]] = []
         for perm in itertools.permutations(range(n)):
             moves = [0]  # the image of each element, built by doubling over the atoms
             for atom in perm:
                 moves += [m | 1 << atom for m in moves]
-            tables = []
-            for chunk in (moves[:8], moves[8:]):
-                table = [0]
-                for m in chunk:
-                    table += [t | 1 << m for t in table]
-                tables.append(table)
-            self.tables.append(tuple(tables))
+            self.sources.append(sorted(range(self.size), key=moves.__getitem__))
         self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
         self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         # per kinds and group, a suffix's `ones` and the planes of each digit
@@ -476,7 +469,8 @@ class _Symmetry:
         """The members of the group that fix the value, computed once per
         group and value for the process; the memo is emptied when full.
         Every member fixes the bottom and the top element, so the memo
-        keys the value without them."""
+        keys the value without them.  A member fixes the value when its
+        image holds every element the value holds."""
         if len(group) == 1:
             return group
         key = group, value & self.moved
@@ -484,32 +478,38 @@ class _Symmetry:
         if found is None:
             if len(self._stabilisers) >= _STABILISERS_MAX:
                 self._stabilisers.clear()
-            tables = self.tables
+            members, sources = [e for e in range(self.size) if key[1] >> e & 1], self.sources
             found = self._stabilisers[key] = tuple(
-                i for i in group if tables[i][0][value & 255] | tables[i][1][value >> 8] == value
+                g for g in group if all(value >> sources[g][e] & 1 for e in members)
             )
         return found
 
     def minima(self, kind: str, domain: Sequence[int], group: tuple[int, ...]) -> Sequence[int]:
         """The values of the domain that are least in their orbit under the
         group, ascending; the domain itself when the group is trivial.
-        Over all denotations, only those without the bottom and the top
-        element are marked, and each minimum m among them gives m, m | 1,
-        and the two with the top bit (see the module docstring)."""
+        Each value is a lane, compared on planes with its image under every
+        member (see the module docstring).  Over all denotations, only those
+        without the bottom and the top element are compared, and each
+        minimum m among them gives m, m | 1, and the two with the top bit."""
         if len(group) == 1:
             return domain
         found = self._minima.get((kind, group))
         if found is None:
             moved = kind == "all"
-            found, seen = [], bytearray(self.top if moved else self.denotations)
-            tables = [self.tables[i] for i in group]
-            # ascending, so the first of an orbit is its least
-            for value in range(0, self.top, 2) if moved else domain:
-                if not seen[value]:
-                    found.append(value)
-                    low, high = value & 255, value >> 8
-                    for lows, highs in tables:
-                        seen[lows[low] | highs[high]] = 1
+            values = range(0, self.top, 2) if moved else domain
+            p, ones = self._planes(values), (1 << len(values)) - 1
+            greater = 0  # the lanes whose value some image undercuts
+            for g in group[1:]:  # group[0] is the identity
+                sources, equal = self.sources[g], ones
+                for f in range(self.size - 1, -1, -1):
+                    differ = p[f] ^ p[sources[f]]  # where the value and its image differ at f
+                    greater |= equal & differ & p[f]
+                    equal &= ~differ
+                    if not equal:
+                        break
+            # the lanes that no image undercuts, lowest first, as the bytes 0 and 1
+            kept = format(ones & ~greater, "b")[::-1].encode().translate(_BITS)
+            found = list(itertools.compress(values, kept))
             if moved:  # ascending still: the top bit is the highest
                 found = [v for m in found for v in (m, m | 1)]
                 found += [v | self.top for v in found]
@@ -534,20 +534,20 @@ class _Symmetry:
             found = self.columns[key] = (1 << count) - 1, tuple(map(self._planes, digits))
         return found
 
-    def _planes(self, values: list[int]) -> tuple[int, ...]:
+    def _planes(self, values: Sequence[int]) -> tuple[int, ...]:
         """A digit's values, one per lane, transposed to planes at C speed.
-        Packed as little-endian 16-bit words and reversed, the values' low
-        bytes are the odd bytes and their high bytes the even ones, last
-        lane first.  Plane e is read from one of them: `bytes.translate`
-        maps each byte to "1" or "0" by its bit e mod 8, and `int` reads
-        the string, the first lane lowest."""
-        data = struct.pack(f"<{len(values)}H", *values)[::-1]
-        low, high = data[1::2], data[::2]
+        Packed little-endian in the algebra's own width and reversed, byte b
+        of every value is `bytes_[b]`, last lane first; plane e is read from
+        byte e // 8: `bytes.translate` maps each byte to "1" or "0" by its
+        bit e mod 8, and `int` reads the string, the first lane lowest."""
+        code = "BBBBHIQ"[self.n]
+        width = struct.calcsize(code)
+        data = struct.pack(f"<{len(values)}{code}", *values)[::-1]
+        bytes_ = [data[width - 1 - b :: width] for b in range(width)]
         planes = []
         for e in range(self.size):
             w = 1 << (e & 7)  # a byte maps to "1" when it holds bit w
-            bits = (low if e < 8 else high).translate((b"0" * w + b"1" * w) * (128 // w))
-            planes.append(int(bits, 2))
+            planes.append(int(bytes_[e >> 3].translate((b"0" * w + b"1" * w) * (128 // w)), 2))
         return tuple(planes)
 
     def _leaders(self, domains: list, group: tuple[int, ...]) -> list[list[int]]:

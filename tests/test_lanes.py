@@ -64,12 +64,12 @@ def _run(op, x, y, count):
     return _decode(out, count)
 
 
-@pytest.mark.parametrize("w", [8, 16])
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 16, 32, 64])
 @pytest.mark.parametrize("count", [1, 255, 256, 3984, 65536])
 def test_pack_round_trip(w, count):
     # the values of a suffix's digit, packed into planes by the scan's
     # transposition, come back lane by lane; w is the bits of a
-    # denotation, 2^n: n = 3 or 4
+    # denotation, 2^n, packed in its own width: n = 0 to 6
     n = w.bit_length() - 1
     rng = random.Random(count * w)
     values = [rng.randrange(1 << w) for _ in range(count)]

@@ -409,17 +409,15 @@ def test_orbit_counts_by_burnside():
 
 def _images(n: int) -> list[list[int]]:
     """Per atom permutation, in the order of `_atom_perms`, the image of
-    every denotation, joined from the images of its low and high byte."""
+    every denotation, built from the permutation's map on elements by
+    doubling over them: v | 1 << e, for v below 1 << e, goes to v's
+    image with perm[e] added."""
     out = []
     for perm in _atom_perms(n):
-        halves = []
-        for elements in (perm[:8], perm[8:]):
-            table = [0]
-            for e in elements:
-                table += [t | 1 << e for t in table]
-            halves.append(table)
-        low, high = halves
-        out.append([low[v & 255] | high[v >> 8] for v in range(1 << (1 << n))])
+        image = [0]
+        for moved in perm:
+            image += [t | 1 << moved for t in image]
+        out.append(image)
     return out
 
 
@@ -481,26 +479,55 @@ def test_stabilisers_share_an_entry_across_bottom_and_top():
     assert len(sym._stabilisers) == 64
 
 
-def test_n4_minima_mark_only_the_moved_elements(monkeypatch):
+def test_n4_minima_compare_only_the_moved_elements(monkeypatch):
     # every permutation fixes the bottom and the top element, so the
-    # orbits are marked over the 2^14 denotations without either of them
-    reads, writes = [], []
+    # orbits are compared over the 2^14 denotations without either of them
+    transposed = []
+    planes = entailment._Symmetry._planes
 
-    class Counting(bytearray):
-        def __getitem__(self, i):
-            reads.append(i)
-            return super().__getitem__(i)
+    def spy(self, values):
+        transposed.append(list(values))
+        return planes(self, values)
 
-        def __setitem__(self, i, v):
-            writes.append(i)
-            super().__setitem__(i, v)
-
-    monkeypatch.setattr(entailment, "bytearray", Counting, raising=False)
+    monkeypatch.setattr(entailment._Symmetry, "_planes", spy)
     sym = entailment._Symmetry(4)
     found = sym.minima("all", range(1 << 16), sym.group)
-    assert len(reads) == 1 << 14 and len(found) == 3984
-    assert reads == list(range(0, 1 << 15, 2)) and max(writes) < 1 << 15
-    assert not any(v & (1 | 1 << 15) for v in writes)
+    assert len(found) == 3984
+    assert transposed == [list(range(0, 1 << 15, 2))]
+    assert not any(v & (1 | 1 << 15) for v in transposed[0])
+
+
+def _small(n: int, d: int) -> list[int]:
+    """The denotations of at most d elements at size n, ascending."""
+    return sorted(sum(1 << e for e in c) for i in range(d + 1)
+                  for c in itertools.combinations(range(1 << n), i))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetry_past_n4_by_definition(n):
+    # a permutation acts on element indices, so nothing in _Symmetry is
+    # tied to a width: past n = 4 its minima and stabilisers, under the
+    # full group and under the stabiliser of the ideal of atoms 0 and 1,
+    # are still the definitional ones, each image computed from the
+    # element map
+    sym, perms = entailment._Symmetry(n), _atom_perms(n)
+
+    def image(g, v):
+        return sum(1 << perms[g][e] for e in range(1 << n) if v >> e & 1)
+
+    pinned = sym.stabiliser(sym.group, 0b1111)
+    assert len(pinned) == 2 * math.factorial(n - 2)
+    kinds = {"deg1": _small(n, 1), "atoms": [1 << e for e in range(1 << n)],
+             "principal_variables": [ref.to_bits(x) for x in ref.domain(n, "principal_variables")]}
+    if n == 5:
+        kinds["deg2"] = _small(n, 2)
+    top = 1 << (1 << n) - 1
+    for group in (sym.group, pinned):
+        for kind, domain in kinds.items():
+            least = [v for v in domain if all(v <= image(g, v) for g in group)]
+            assert list(sym.minima(kind, domain, group)) == least, (kind, group)
+        for v in (0, 1, 0b10110, 0b1000_0110, 0b1_0001_0110_1000 | top, (top << 1) - 1 ^ 2):
+            assert sym.stabiliser(group, v) == tuple(g for g in group if image(g, v) == v), v
 
 
 def test_conclusion_skipped_under_empty_intersection(monkeypatch):
