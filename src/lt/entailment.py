@@ -86,9 +86,10 @@ values instead of 65,536.  A permutation moves elements, so on a column
 it reorders the planes: the minima are the lanes whose value no image
 under the group undercuts, compared plane by plane from the top element
 down.  Every permutation fixes the bottom and the top element, so over
-all denotations only the quarter without those two bits is compared.
-The minima of a group, the stabiliser of a value in a group and the
-column's lanes under a group are computed once per process.
+all denotations only the quarter without those two bits is compared;
+its planes are lane-index masks, and nothing is transposed.  The minima
+of a group, the stabiliser of a value in a group and the column's lanes
+under a group are computed once per process.
 
 Degree.  The violation set V, the premises' meet minus the conclusion,
 is the meet of its factors: & splits on the positive side, | on the
@@ -438,6 +439,8 @@ def _compile_labelled(gamma, conclusion) -> Program:
 # -- symmetry: the atom permutations
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string to the bytes 0 and 1
+# per bit b of a byte, the table that maps each byte to "1" when it holds bit b
+_BYTE_BIT = tuple((b"0" * w + b"1" * w) * (128 // w) for w in (1, 2, 4, 8, 16, 32, 64, 128))
 
 
 class _Symmetry:
@@ -488,23 +491,26 @@ class _Symmetry:
         """The values of the domain that are least in their orbit under the
         group, ascending; the domain itself when the group is trivial.
         Each value is a lane, compared on planes with its image under every
-        member (see the module docstring).  Over all denotations, only those
-        without the bottom and the top element are compared, and each
-        minimum m among them gives m, m | 1, and the two with the top bit."""
+        member at the elements it moves.  Over all denotations, only those
+        without the bottom and the top element are compared, on `_quarter`'s
+        planes; each minimum m gives m, m | 1, and the two with the top bit."""
         if len(group) == 1:
             return domain
         found = self._minima.get((kind, group))
         if found is None:
             moved = kind == "all"
             values = range(0, self.top, 2) if moved else domain
-            p, ones = self._planes(values), (1 << len(values)) - 1
+            p = self._quarter() if moved else self._planes(values)
+            ones = (1 << len(values)) - 1
             greater = 0  # the lanes whose value some image undercuts
             for g in group[1:]:  # group[0] is the identity
                 sources, equal = self.sources[g], ones
                 for f in range(self.size - 1, -1, -1):
-                    differ = p[f] ^ p[sources[f]]  # where the value and its image differ at f
-                    greater |= equal & differ & p[f]
-                    equal &= ~differ
+                    if sources[f] == f:  # the value and its image agree at a fixed element
+                        continue
+                    differ = equal & (p[f] ^ p[sources[f]])  # equal above f, differing at f
+                    greater |= differ & p[f]
+                    equal ^= differ
                     if not equal:
                         break
             # the lanes that no image undercuts, lowest first, as the bytes 0 and 1
@@ -534,6 +540,19 @@ class _Symmetry:
             found = self.columns[key] = (1 << count) - 1, tuple(map(self._planes, digits))
         return found
 
+    def _quarter(self) -> list[int]:
+        """The planes of the lanes `range(0, top, 2)`, in closed form: lane j
+        holds 2j, so plane e is the mask of the lanes whose index holds bit
+        e - 1, and the bottom and top planes are 0 (Knuth, TAOCP 4A, 7.1.3)."""
+        planes, count = [0] * self.size, self.top >> 1
+        for e in range(1, self.size - 1):
+            w = 1 << e - 1
+            block, width = ((1 << w) - 1) << w, 2 * w
+            while width < count:  # the block, doubled to every lane
+                block, width = block | block << width, 2 * width
+            planes[e] = block
+        return planes
+
     def _planes(self, values: Sequence[int]) -> tuple[int, ...]:
         """A digit's values, one per lane, transposed to planes at C speed.
         Packed little-endian in the algebra's own width and reversed, byte b
@@ -544,11 +563,7 @@ class _Symmetry:
         width = struct.calcsize(code)
         data = struct.pack(f"<{len(values)}{code}", *values)[::-1]
         bytes_ = [data[width - 1 - b :: width] for b in range(width)]
-        planes = []
-        for e in range(self.size):
-            w = 1 << (e & 7)  # a byte maps to "1" when it holds bit w
-            planes.append(int(bytes_[e >> 3].translate((b"0" * w + b"1" * w) * (128 // w)), 2))
-        return tuple(planes)
+        return tuple(int(bytes_[e >> 3].translate(_BYTE_BIT[e & 7]), 2) for e in range(self.size))
 
     def _leaders(self, domains: list, group: tuple[int, ...]) -> list[list[int]]:
         """Per digit, its value in each lex-leader assignment of the digits

@@ -481,7 +481,9 @@ def test_stabilisers_share_an_entry_across_bottom_and_top():
 
 def test_n4_minima_compare_only_the_moved_elements(monkeypatch):
     # every permutation fixes the bottom and the top element, so the
-    # orbits are compared over the 2^14 denotations without either of them
+    # orbits are compared over the 2^14 denotations without either of
+    # them; lane j holds 2j, so their planes are lane-index masks, and
+    # nothing is transposed
     transposed = []
     planes = entailment._Symmetry._planes
 
@@ -493,8 +495,30 @@ def test_n4_minima_compare_only_the_moved_elements(monkeypatch):
     sym = entailment._Symmetry(4)
     found = sym.minima("all", range(1 << 16), sym.group)
     assert len(found) == 3984
-    assert transposed == [list(range(0, 1 << 15, 2))]
-    assert not any(v & (1 | 1 << 15) for v in transposed[0])
+    assert transposed == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quarter_planes_are_the_transposed_quarter(n):
+    # the closed-form planes of the compared quarter are the planes that
+    # transposing its values, every even denotation below the top bit, gives
+    sym = entailment._Symmetry(n)
+    assert tuple(sym._quarter()) == sym._planes(range(0, sym.top, 2))
+
+
+def test_n4_all_minima_under_subgroups_by_definition():
+    # a permutation's fixed elements are skipped in the compare, most of
+    # them in a small group: under the stabilisers of the ideal of atoms
+    # 0 and 1 and of the three atoms 0, 1 and 2, and two steps down from
+    # each, pinning atom 0, the minima are still the definitional ones
+    sym, images = entailment._Symmetry(4), _images(4)
+    ideal, atoms = sym.stabiliser(sym.group, 0b1111), sym.stabiliser(sym.group, 0b10110)
+    groups = (ideal, atoms, sym.stabiliser(ideal, 0b10), sym.stabiliser(atoms, 0b10))
+    assert [len(group) for group in groups] == [4, 6, 2, 2]
+    domains = {"all": range(1 << 16), "deg2": _small(4, 2)}
+    for group in groups:
+        for kind, domain in domains.items():
+            assert list(sym.minima(kind, domain, group)) == _least_in_orbit(images, group, domain)
 
 
 def _small(n: int, d: int) -> list[int]:
