@@ -31,16 +31,16 @@ the operations of the scan's levels: the PT+ sweep of
 compiled as one program.
 
 The column.  The trailing digits run as one column: the longest run of
-them whose full domains multiply to at most 2^16 (two variables over
-all denotations at n = 3, one at n = 4), with no premise guard at a
-level inside it but the last digit's.  Once per setting of the digits
-before it, each instruction of its levels computes one bit plane per
-element e of 2^n: bit j of plane e is set when e lies in the denotation
-of lane j, one lane per lex-leader assignment of the run, in canonical
-order (see Symmetry).  A guard of the run empties only lanes, so the
-lanes it keeps are the assignments the odometer would visit, in its
-order; a guard inside the run would skip whole inner digits there, and
-merged across a selective one a scan ran up to five times slower.  An
+them whose domains, degree-reduced (see Degree) and before symmetry,
+multiply to at most 2^16 (two variables over all denotations at n = 3,
+one at n = 4), whatever premise guards sit at their levels.  Once per
+setting of the digits before it, each instruction of its levels
+computes one bit plane per element e of 2^n: bit j of plane e is set
+when e lies in the denotation of lane j, one lane per lex-leader
+assignment of the run, in canonical order (see Symmetry).  A guard
+inside the column empties lanes where the odometer would skip inner
+digits, so the lanes it keeps are the assignments the odometer would
+visit, in its order, and the run stops once a guard has none.  An
 operand that a digit before the column or a constant gives is broadcast
 to every lane, its planes all ones or 0, in `_Column.run` alone, so
 every kernel runs on columns.  The internal connectives are defined
@@ -225,11 +225,11 @@ _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
 # The stabilisers kept per size, at most: one n = 4 variable reaches
 # 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
 _STABILISERS_MAX = 1 << 14
-# The column covers the trailing digits whose full domains multiply to
-# at most this many assignments: two over all denotations at n = 3, one
-# at n = 4.  The lanes kept per size hold at most _LANES_MAX assignments
-# in all, each one bit in each of the 2^n planes of every digit and one
-# in `ones`: at n = 4, 2 MB per digit and 128 KB.
+# The column covers the trailing digits whose degree-reduced domains
+# multiply to at most this many assignments: two over all denotations at
+# n = 3, one at n = 4.  The lanes kept per size hold at most _LANES_MAX
+# assignments in all, each one bit in each of the 2^n planes of every
+# digit and one in `ones`: at n = 4, 2 MB per digit and 128 KB.
 _COLUMN_MAX = 1 << 16
 _LANES_MAX = 1 << 20
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
@@ -261,7 +261,6 @@ class Program:
         self.code: list[tuple[int, int, int]] = []
         self.slots: dict[tuple[int, int, int], int] = {}
         self.guards: set[int] = set()
-        self.guarded: set[int] = set()  # the levels of the guards
         self.inter: int | None = None  # the intersection of the premises so far
         self.bad = -1
         self._plans: dict[int, list] = {}
@@ -324,7 +323,6 @@ class Program:
         else:
             self.inter = self.emit(_AND, self.inter, slot)
         self.guards.add(self.inter)
-        self.guarded.add(self.levels[self.inter])
 
     def conclude(self, slot: int) -> "Program":
         self.bad = self.emit(_XOR, self.constants + _FULL, slot)
@@ -738,13 +736,12 @@ def _run(segments, vals: list[int], operations) -> bool:
     return True
 
 
-def _suffix_start(program: Program, domains: list) -> int:
+def _suffix_start(domains: list) -> int:
     """The first digit of the column: the longest run of trailing digits
-    whose full domains multiply to at most _COLUMN_MAX, inside which no
-    guard sits at a level other than the last digit's."""
-    guarded = program.guarded
+    whose domains, degree-reduced and before symmetry, multiply to at most
+    _COLUMN_MAX, whatever premise guards sit at their levels."""
     start, count = len(domains) - 1, len(domains[-1][1])
-    while start and start - 1 not in guarded and count * len(domains[start - 1][1]) <= _COLUMN_MAX:
+    while start and count * len(domains[start - 1][1]) <= _COLUMN_MAX:
         start -= 1
         count *= len(domains[start][1])
     return start
@@ -754,7 +751,7 @@ def _scan(program: Program, alg: Algebra, domains: list[tuple[str, Sequence[int]
     """The kernel.  Scan the lex-leader assignments of each position's
     domain in canonical order, and return the least violating one as
     (position values, witness element), or None."""
-    start = _suffix_start(program, domains) if domains else 0
+    start = _suffix_start(domains) if domains else 0
     plan, operations = program.plan(start), _operations(alg.n)
     vals = [0] * len(domains) + [0, alg.int_bot(), alg.full] + [0] * len(program.code)
     if domains:

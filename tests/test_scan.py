@@ -734,16 +734,18 @@ def test_principal_and_label_atom_digits_are_column_lanes(monkeypatch, n):
         n, *query, "principal_variables"
     )
     assert kinds.pop() == ("principal_variables",) * 2  # both digits, one column
-    # p0's premise is a guard at p0's level, so the column is p1 alone
+    # a guard at any level of the run, p0's here, ends no column: both
+    # variables and both atoms are lanes
     labelled = parse_labelled_query("p0 : P0, p1 : P0 i| P1 |- p0 & p1 : P1")
     assert _json(labelled_entails(n, *labelled)) == ref.brute_labelled(n, *labelled)
-    assert kinds.pop() == ("atoms",)
+    column = kinds.pop()
+    assert len(column) == 4 and column[2:] == ("atoms", "atoms")
     # every guard at the last level: the variable and both atoms are lanes
     for text in ("p1 : !P0, p0 : up P0 |- p1 & p0 : !P0 i& up P0",
                  "p1 : !P0, p0 : up P0 |- p1 | p0 : !P0 i& up P0"):
         labelled = parse_labelled_query(text)
         assert _json(labelled_entails(n, *labelled)) == ref.brute_labelled(n, *labelled)
-        assert kinds.pop()[1:] == ("atoms", "atoms")
+        assert kinds.pop() == ("all", "atoms", "atoms")
     # with no label atom the last digit of a labelled query is a variable
     labelled = parse_labelled_query("F : P0 |- F : P1")
     assert _json(labelled_entails(n, *labelled)) == ref.brute_labelled(n, *labelled)
@@ -862,7 +864,7 @@ def test_scan_frees_what_it_builds(monkeypatch):
 def _start(program, n: int) -> int:
     """The first digit of the program's column at n, over all denotations."""
     domains = entailment._domains(program, algebra(n), "all")
-    return entailment._suffix_start(program, domains) if domains else 0
+    return entailment._suffix_start(domains) if domains else 0
 
 
 def test_lanes_hold_only_ints():
@@ -889,10 +891,11 @@ def test_lanes_hold_only_ints():
 
 def test_column_lanes_built_on_first_use(monkeypatch):
     # a column's planes are transposed when a scan first needs its
-    # suffix, once for the process per kinds and group: the premise i! P0
-    # keeps digit 0 on the odometer, where i! runs the algebra on single
-    # values, and P0 i& P1 takes P0 as a value by the column of P1,
-    # broadcast to every lane; a second scan builds nothing
+    # suffix, once for the process per kinds and group: over every
+    # denotation three variables at n = 3 make 2^24 assignments, so digit 0
+    # turns on the odometer, where the premise i! i! P0 runs the algebra
+    # on single values, and P0 i& P1 takes P0 as a value by the column of
+    # P1 and P2, broadcast to every lane; a second scan builds nothing
     built = []
     planes = entailment._Symmetry._planes
 
@@ -902,16 +905,19 @@ def test_column_lanes_built_on_first_use(monkeypatch):
 
     monkeypatch.setattr(entailment._Symmetry, "_planes", spy)
     entailment._symmetry.cache_clear()
-    query = _query("i! P0, P0 i& P1 |- P1")
-    program = entailment._compile_entailment(*query)
-    assert _start(program, 3) == 1
-    assert any(op == entailment._IAND and not pair and program.levels[a] == 0
-               for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
-    assert _json(algebra_entails(3, *query)) == ref.brute(3, *query)
-    first = list(built)
-    assert first and all(size == 8 for _, size in first)
-    assert _json(algebra_entails(3, *query)) == ref.brute(3, *query)
-    assert built == first
+    query = _query("i! i! P0, P0 i& P1 |- P1 | P2")
+    with monkeypatch.context() as m:
+        _full_domains(m)
+        program = entailment._compile_entailment(*query)
+        assert _start(program, 3) == 1
+        assert any(op == entailment._IAND and not pair and program.levels[a] == 0
+                   for block, _ in program.plan(1)[-1] for op, pair, _, a, _ in block)
+        expected = ref.brute(3, *query, limit=1 << 17)
+        assert _json(algebra_entails(3, *query, cap=1 << 24)) == expected
+        first = list(built)
+        assert first and all(size == 8 for _, size in first)
+        assert _json(algebra_entails(3, *query, cap=1 << 24)) == expected
+        assert built == first
     # i& and i| on single values and by columns, over both classes
     for text, klass, n in (("|- (P0 i& i! P0) i| up P0 -> P0", "all", 4),
                            ("|- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables", 3),
@@ -1200,7 +1206,7 @@ def _suffix_place(text: str, n: int) -> tuple[str, int]:
     values = [cm.hom.assignment[v].bits for v in program.variables]
     values += [1 << cm.labels.assignment[a] for a in program.atoms] if labelled else []
     domains = entailment._domains(program, algebra(n), "all")
-    start, sym = entailment._suffix_start(program, domains), entailment._symmetry(n)
+    start, sym = entailment._suffix_start(domains), entailment._symmetry(n)
     group = sym.group
     for value in values[:start]:
         group = sym.stabiliser(group, value)
@@ -1218,6 +1224,9 @@ SUFFIX_HITS = [
     ("p1 : P0, p0 : P0 |- p0 & p1 : P0 i& !P0", 3, "middle", 3),
     ("dia (P0 & P1 & P2) |- bot", 2, "middle", 3),
     ("box (P0 & P1 & P2) |- ibot", 2, "last", 3),
+    # a guard before the column's last digit, at p0's and at P0's level
+    ("p0 : P0, p1 : P0 i| P1 |- p0 & p1 : P1", 3, "middle", 4),
+    ("box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1", 3, "middle", 2),
 ]
 
 
@@ -1231,17 +1240,87 @@ def test_suffix_least_hit(text, n, where, digits):
     assert _suffix_place(text, n) == (where, digits)
 
 
-def test_pinned_premise_keeps_its_digit_on_the_odometer(monkeypatch):
-    # the premises read P0 alone, so their guards sit at P0's level, and
-    # P0 turns on the odometer: the column is P1 alone
+def test_pinned_premise_guards_lanes_inside_the_column(monkeypatch):
+    # the premises read P0 alone, so their guards sit at P0's level, the
+    # first of the column: they empty the lanes of every other value of P0
     kinds = _column_kinds(monkeypatch)
     premises, conclusion = _query("box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1")
     program = entailment._compile_entailment(premises, conclusion)
-    assert program.guarded == {program.levels[g] for g in program.guards} == {0}
+    assert {program.levels[g] for g in program.guards} == {0}
     for n in (2, 3):
         assert _json(algebra_entails(n, premises, conclusion)) == ref.brute(
             n, premises, conclusion, limit=300)
-        assert _start(program, n) == 1 and kinds.pop() == ("all",)
+        assert _start(program, n) == 0 and kinds.pop() == ("all", "all")
+
+
+def test_guard_on_the_odometer_skips_its_digit(monkeypatch):
+    # P0 has degree 1, 9 values at n = 3, and P1 and P2 fill a column of
+    # 2^16 lanes, so P0 turns on the odometer with its premise's guard:
+    # P0 = 0, its first value, empties the guard, and only P0 = 1 runs the
+    # column
+    premises, conclusion = _query("P0 |- (P1 i| ~P1) & (P2 i| ~P2)")
+    program = entailment._compile_entailment(premises, conclusion)
+    assert {program.levels[g] for g in program.guards} == {0}
+    assert _start(program, 3) == 1
+    runs = []
+    run = entailment._Column.run
+
+    def spy(self, group, vals, bad):
+        runs.append(vals[0])
+        return run(self, group, vals, bad)
+
+    monkeypatch.setattr(entailment._Column, "run", spy)
+    got = _json(algebra_entails(3, premises, conclusion, cap=1 << 24))
+    assert got == ref.brute(3, premises, conclusion, limit=(1 << 16) + 1)
+    assert got[1]["assignment"]["P0"] == ["000"] and runs == [1]
+
+
+@pytest.mark.parametrize("gamma", ["p1 : down P2, p4 : !P2", "p4 : !P2, p1 : down P2"])
+def test_premise_order_gives_one_column(monkeypatch, gamma):
+    # p1's premise first puts a guard at p1's level, inside the run: the
+    # column is still every digit, and the verdict is that of the other order
+    kinds = _column_kinds(monkeypatch)
+    query = parse_labelled_query(gamma + " |- p1 | p4 : down P2 i| !P2")
+    for n in range(4):
+        assert _json(labelled_entails(n, *query)) == ref.brute_labelled(n, *query) == (True, None)
+        assert kinds.pop() == ("all", "atoms", "atoms")
+
+
+def test_guards_inside_the_column_battery(seed):
+    # premise guards at any level of a column: plain and box premises, and
+    # labelled ones in both orders, each reading a prefix of the variables
+    # or of the atoms, so that many guards sit before the column's last
+    # digit; every verdict, least countermodel and witness is the oracle's
+    rng = random.Random(seed + 76)
+    inside = 0
+    for i in range(150):
+        n_vars = rng.choice((1, 2, 2, 3))
+        formula = lambda: random_formula(rng, 2, rng.randrange(1, n_vars + 1))
+        sizes = (0, 1, 2) if n_vars < 3 else (0, 1)
+        if i % 3 == 2:
+            n_atoms = rng.choice((1, 2, 2))
+            gamma = [LabelledFormula(random_label(rng, 2, rng.randrange(1, n_atoms + 1)), formula())
+                     for _ in range(2)]
+            conclusion = LabelledFormula(random_label(rng, 2, n_atoms), formula())
+            sizes = sizes[: 4 - n_vars - n_atoms + 1] if n_vars + n_atoms > 3 else sizes
+            cases = [(entailment._compile_labelled(g, conclusion),
+                      lambda n, g=g: _json(labelled_entails(n, g, conclusion)),
+                      lambda n, g=g: ref.brute_labelled(n, g, conclusion))
+                     for g in (gamma, gamma[::-1])]
+        else:
+            pi = [formula() for _ in range(rng.randrange(1, 3))] if i % 3 else []
+            premises = [formula() for _ in range(rng.randrange(1 if pi else 2, 3))]
+            conclusion = random_formula(rng, 3, n_vars)
+            cases = [(entailment._compile_entailment(boxed(pi) + premises, conclusion),
+                      lambda n: _json(algebra_entails(n, boxed(pi) + premises, conclusion)),
+                      lambda n: ref.brute(n, premises, conclusion, filters=pi))]
+        for program, decide, oracle in cases:
+            last = len(program.positions) - 1
+            levels = {program.levels[g] for g in program.guards}
+            for n in sizes:
+                inside += any(_start(program, n) <= level < last for level in levels)
+                assert decide(n) == oracle(n), (program.query, n)
+    assert inside > 40  # (query, size) pairs with a guard before the column's last digit
 
 
 def test_three_variables_at_n3_keep_digit_0_on_the_odometer(monkeypatch):
