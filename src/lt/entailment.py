@@ -87,9 +87,9 @@ it reorders the planes: the minima are the lanes whose value no image
 under the group undercuts, compared plane by plane from the top element
 down.  Every permutation fixes the bottom and the top element, so over
 all denotations only the quarter without those two bits is compared;
-its planes are lane-index masks, and nothing is transposed.  The minima
-of a group, the stabiliser of a value in a group and the column's lanes
-under a group are computed once per process.
+its planes are lane-index masks.  The lanes an image leaves equal give
+the stabilisers; digits are packed bytes, transposed by 8 x 8 bit
+blocks; each group's minima and lanes are kept for the process.
 
 Degree.  The violation set V, the premises' meet minus the conclusion,
 is the meet of its factors: & splits on the positive side, | on the
@@ -122,7 +122,6 @@ import functools
 import itertools
 import math
 import operator
-import struct
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Algebra, algebra, same_fields
@@ -222,14 +221,11 @@ _OR, _AND, _XOR, _IOR, _IAND, _INOT, _ANY, _DOWN, _UP = range(9)
 _ZERO, _IBOT, _FULL = range(3)  # constants, in the slots after the positions
 _COMMUTATIVE = frozenset((_OR, _AND, _XOR, _IOR, _IAND))
 _CLOSURES = {_IAND: _DOWN, _IOR: _UP}  # int_and(x, full), int_or(x, full)
-# The stabilisers kept per size, at most: one n = 4 variable reaches
-# 3,984 (group, value) pairs, and every group and value of n <= 3 1,040.
-_STABILISERS_MAX = 1 << 14
 # The column covers the trailing digits whose degree-reduced domains
 # multiply to at most this many assignments: two over all denotations at
-# n = 3, one at n = 4.  The lanes kept per size hold at most _LANES_MAX
-# assignments in all, each one bit in each of the 2^n planes of every
-# digit and one in `ones`: at n = 4, 2 MB per digit and 128 KB.
+# n = 3, one at n = 4.  The lanes kept per size, at most _LANES_MAX, take
+# one bit in each of the 2^n planes of every digit and in `ones`, and 2^n
+# bits a digit packed while built: at n = 4, 2 + 2 MB a digit and 128 KB.
 _COLUMN_MAX = 1 << 16
 _LANES_MAX = 1 << 20
 _BINARY = {ExtOr: _OR, ExtAnd: _AND, IntOr: _IOR, IntAnd: _IAND, LOr: _IOR, LAnd: _IAND}
@@ -278,14 +274,17 @@ class Program:
     def node(self, kind, *children: int) -> int:
         """The slot of a core formula or label node of class `kind` over
         its children's slots, the one place a class becomes an opcode:
-        `!bot` folds to the full-carrier constant, and an internal meet or
-        join with it to a closure.  A variable or label atom is a position."""
+        `!bot` folds to the full-carrier constant, an internal meet or join
+        with it to a closure, and a closure over the other one to _ANY (a
+        non-empty y holds a member).  A variable or label atom is a position."""
         zero, full = self.constants + _ZERO, self.constants + _FULL
         if kind in _BINARY:
             op, (left, right) = _BINARY[kind], children
             if op in _CLOSURES and full in children:
-                x = right if left == full else left
-                return self.emit(_CLOSURES[op], x, x)
+                op, x = _CLOSURES[op], right if left == full else left
+                if x >= self.base and {op, self.code[x - self.base][0]} == {_DOWN, _UP}:
+                    op, x = _ANY, self.code[x - self.base][1]  # up(down y) = down(up y) = _ANY y
+                return self.emit(op, x, x)
             return self.emit(op, left, right)
         if kind in _LEAVES:
             return self.constants + _LEAVES[kind]
@@ -386,16 +385,21 @@ class Program:
         return tuple(out)
 
     def plan(self, start: int) -> list[list[tuple[list, int | None]]]:
-        """The instructions grouped by level, once per query and first digit
-        of the column: `plan[level + 1]` lists a level's segments (block,
-        guard), `plan[-1]` the column's; the instructions (op, pair, slot,
-        a, b) of a block run before the guard slot is tested.  In the
-        column an operand of an earlier level is a, and pair is false."""
+        """The instructions that `bad` reads, by level, once per
+        query and first digit of the column: `plan[level + 1]` lists a
+        level's segments (block, guard), `plan[-1]` the column's; a block's
+        instructions (op, pair, slot, a, b) run before the guard slot is
+        tested.  In the column an earlier level's operand is a, pair false."""
         plan = self._plans.get(start)
         if plan is None:
-            levels = self.levels
+            levels, live = self.levels, {self.bad}
+            for slot in range(self.base + len(self.code) - 1, self.base - 1, -1):
+                if slot in live:  # what `bad` reads: it meets every guard
+                    live.update(self.code[slot - self.base][1:])
             plan = self._plans[start] = [[([], None)] for _ in range(start + 2)]
             for slot, (op, a, b) in enumerate(self.code, self.base):
+                if slot not in live:
+                    continue
                 if levels[a] >= start > levels[b]:
                     a, b = b, a  # every binary opcode is commutative
                 segments = plan[min(levels[slot], start) + 1]
@@ -436,9 +440,20 @@ def _compile_labelled(gamma, conclusion) -> Program:
 
 # -- symmetry: the atom permutations
 
-_BITS = bytes.maketrans(b"01", b"\0\1")  # a bit string to the bytes 0 and 1
-# per bit b of a byte, the table that maps each byte to "1" when it holds bit b
-_BYTE_BIT = tuple((b"0" * w + b"1" * w) * (128 // w) for w in (1, 2, 4, 8, 16, 32, 64, 128))
+# delta swaps (shift, mask) transposing 8 x 8 bit blocks (Knuth, TAOCP 4A, 7.1.3)
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+@functools.cache
+def _setting(bit: int) -> bytes:
+    """The `translate` table that sets the bit in every byte."""
+    every = bit * int.from_bytes(b"\1" * 256, "little")
+    return (int.from_bytes(bytes(range(256)), "little") | every).to_bytes(256, "little")
+
+
+def _flags(mask: int, count: int) -> bytes:
+    """The first `count` lanes of a mask, lowest first, as the bytes 0 and 1."""
+    return format(mask, f"0{count}b")[::-1].translate({48: "\0", 49: "\1"}).encode()
 
 
 class _Symmetry:
@@ -450,75 +465,61 @@ class _Symmetry:
     planes an image is the planes reordered, with no table."""
 
     def __init__(self, n: int):
-        self.n, self.size = n, 1 << n
+        self.n, self.size, self.width = n, 1 << n, max(1, (1 << n) >> 3)  # bytes per denotation
         self.top = 1 << self.size - 1  # the bit of the top element
-        self.moved = (1 << self.size) - 1 ^ 1 ^ self.top  # the other elements' bits
         self.group = tuple(range(math.factorial(n)))
         self.sources: list[list[int]] = []
         for perm in itertools.permutations(range(n)):
-            moves = [0]  # the image of each element, built by doubling over the atoms
-            for atom in perm:
-                moves += [m | 1 << atom for m in moves]
-            self.sources.append(sorted(range(self.size), key=moves.__getitem__))
-        self._minima: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-        self._stabilisers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+            sources = [0]  # built by doubling over the atoms of the inverse
+            for atom in map(perm.index, range(n)):
+                sources += [s | 1 << atom for s in sources]
+            self.sources.append(sources)
+        # per kind and group, [minima, stabilisers or how to read them]
+        self._minima: dict[tuple[str, tuple[int, ...]], list] = {}
         # per kinds and group, a suffix's `ones` and the planes of each digit
         self.columns: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple] = {}
         self.kept = 0  # the lanes of self.columns
 
-    def stabiliser(self, group: tuple[int, ...], value: int) -> tuple[int, ...]:
-        """The members of the group that fix the value, computed once per
-        group and value for the process; the memo is emptied when full.
-        Every member fixes the bottom and the top element, so the memo
-        keys the value without them.  A member fixes the value when its
-        image holds every element the value holds."""
-        if len(group) == 1:
-            return group
-        key = group, value & self.moved
-        found = self._stabilisers.get(key)
-        if found is None:
-            if len(self._stabilisers) >= _STABILISERS_MAX:
-                self._stabilisers.clear()
-            members, sources = [e for e in range(self.size) if key[1] >> e & 1], self.sources
-            found = self._stabilisers[key] = tuple(
-                g for g in group if all(value >> sources[g][e] & 1 for e in members)
-            )
-        return found
-
-    def minima(self, kind: str, domain: Sequence[int], group: tuple[int, ...]) -> Sequence[int]:
+    def minima(self, kind: str, domain: Sequence[int], group: tuple[int, ...], inner=False):
         """The values of the domain that are least in their orbit under the
-        group, ascending; the domain itself when the group is trivial.
-        Each value is a lane, compared on planes with its image under every
-        member at the elements it moves.  Over all denotations, only those
-        without the bottom and the top element are compared, on `_quarter`'s
-        planes; each minimum m gives m, m | 1, and the two with the top bit."""
-        if len(group) == 1:
-            return domain
+        group, ascending and packed; with `inner`, each as an integer with
+        its stabiliser, read on first use: a column's last digit never reads
+        them.  Each value is a lane, compared on planes with its image
+        under every member at the elements it moves, and the lanes left
+        equal are the values the member fixes.  Over all denotations, only
+        those without the bottom and the top element are compared, on
+        `_quarter`'s planes (see `_all`)."""
         found = self._minima.get((kind, group))
         if found is None:
-            moved = kind == "all"
-            values = range(0, self.top, 2) if moved else domain
-            p = self._quarter() if moved else self._planes(values)
-            ones = (1 << len(values)) - 1
-            greater = 0  # the lanes whose value some image undercuts
+            moved, w = kind == "all" and self.n > 0, self.width
+            count = self.top >> 1 if moved else len(domain)
+            ones = (1 << count) - 1
+            if group[1:]:  # the planes compared; a trivial group compares none
+                p = self._quarter() if moved else self._planes(self._pack(domain))
+            greater, masks = 0, [ones]  # the lanes some image undercuts; per member, those it fixes
             for g in group[1:]:  # group[0] is the identity
                 sources, equal = self.sources[g], ones
                 for f in range(self.size - 1, -1, -1):
-                    if sources[f] == f:  # the value and its image agree at a fixed element
-                        continue
-                    differ = equal & (p[f] ^ p[sources[f]])  # equal above f, differing at f
-                    greater |= differ & p[f]
-                    equal ^= differ
-                    if not equal:
-                        break
-            # the lanes that no image undercuts, lowest first, as the bytes 0 and 1
-            kept = format(ones & ~greater, "b")[::-1].encode().translate(_BITS)
-            found = list(itertools.compress(values, kept))
-            if moved:  # ascending still: the top bit is the highest
-                found = [v for m in found for v in (m, m | 1)]
-                found += [v | self.top for v in found]
-            self._minima[kind, group] = found
-        return found
+                    if sources[f] != f:  # at a fixed element a value and its image agree
+                        differ = equal & (p[f] ^ p[sources[f]])  # equal above f, differing at f
+                        greater |= differ & p[f]
+                        equal ^= differ
+                masks.append(equal)
+            values = self._all(greater) if moved else self._pack(
+                itertools.compress(domain, _flags(ones & ~greater, count)))
+
+            def read() -> list[tuple[int, tuple[int, ...]]]:  # (minimum, stabiliser)
+                kept = _flags(ones & ~greater, count)
+                rows = [itertools.compress(_flags(mask, count), kept) for mask in masks]
+                found = [tuple(itertools.compress(group, fixes)) for fixes in zip(*rows)]
+                found = [s for s in found for _ in (0, 1)] * 2 if moved else found
+                return [(int.from_bytes(values[i * w : i * w + w], "little"), s)
+                        for i, s in enumerate(found)]
+
+            found = self._minima[kind, group] = [values, read]
+        if inner and callable(found[1]):
+            found[1] = found[1]()
+        return found[1] if inner else found[0]
 
     def suffix(self, kinds: tuple[str, ...], domains: list, group: tuple[int, ...]):
         """The lex-leader assignments of a suffix of digits, of these kinds
@@ -530,13 +531,18 @@ class _Symmetry:
         found = self.columns.get(key)
         if found is None:
             digits = self._leaders(domains, group)
-            count = len(digits[0])
+            count = len(digits[0]) // self.width
             if self.kept + count > _LANES_MAX:
                 self.columns.clear()
                 self.kept = 0
             self.kept += count
             found = self.columns[key] = (1 << count) - 1, tuple(map(self._planes, digits))
         return found
+
+    def _pack(self, values: Iterable[int]) -> bytes:
+        """The values little-endian, `width` bytes each."""
+        width, order = itertools.repeat(self.width), itertools.repeat("little")
+        return b"".join(map(int.to_bytes, values, width, order))
 
     def _quarter(self) -> list[int]:
         """The planes of the lanes `range(0, top, 2)`, in closed form: lane j
@@ -551,41 +557,56 @@ class _Symmetry:
             planes[e] = block
         return planes
 
-    def _planes(self, values: Sequence[int]) -> tuple[int, ...]:
-        """A digit's values, one per lane, transposed to planes at C speed.
-        Packed little-endian in the algebra's own width and reversed, byte b
-        of every value is `bytes_[b]`, last lane first; plane e is read from
-        byte e // 8: `bytes.translate` maps each byte to "1" or "0" by its
-        bit e mod 8, and `int` reads the string, the first lane lowest."""
-        code = "BBBBHIQ"[self.n]
-        width = struct.calcsize(code)
-        data = struct.pack(f"<{len(values)}{code}", *values)[::-1]
-        bytes_ = [data[width - 1 - b :: width] for b in range(width)]
-        return tuple(int(bytes_[e >> 3].translate(_BYTE_BIT[e & 7]), 2) for e in range(self.size))
+    def _all(self, greater: int) -> bytes:
+        """The minima over all denotations, packed, from the quarter's lanes
+        outside `greater`: lane j holds 2j, whose byte 0 (even) and byte 1
+        (j >> 7, n = 4) lack the bottom's and top's bit, which marks the lanes
+        dropped for `translate` to delete; each m gives m, m | 1, both with top."""
+        w, count = self.width, self.top >> 1
+        dropped = int.from_bytes(_flags(greater, count), "little")
+        out = bytearray(2 * w * (count - greater.bit_count()))
+        for b, bit in zip(range(w), (1, 128)):
+            run = bytes(range(0, 256, 2)) * -(-count // 128) if b == 0 else b"".join(
+                bytes((k,)) * 128 for k in range(count >> 7))
+            run = (int.from_bytes(run[:count], "little") | dropped * bit).to_bytes(count, "little")
+            out[b :: 2 * w] = out[w + b :: 2 * w] = run.translate(None, _setting(bit))
+        out[w :: 2 * w] = out[w :: 2 * w].translate(_setting(1))
+        out, h = out * 2, len(out)
+        out[h + w - 1 :: w] = out[h + w - 1 :: w].translate(_setting(self.top >> 8 * w - 8))
+        return bytes(out)
 
-    def _leaders(self, domains: list, group: tuple[int, ...]) -> list[list[int]]:
-        """Per digit, its value in each lex-leader assignment of the digits
-        under the group, in canonical order: the groups each digit is
-        reached under, digit by digit, then the assignments from each
-        group, once, from the last digit back."""
-        steps = []  # per digit but the last and group reached: (value, stabiliser)
-        reached = {group}
+    def _planes(self, values: bytes) -> tuple[int, ...]:
+        """A digit's packed values, one per lane, as planes: byte b of every
+        value, padded to whole blocks of 8 lanes, is run b of one integer,
+        whose 8 x 8 bit blocks the delta swaps transpose, so that plane 8b + i
+        is every eighth byte of run b from byte i."""
+        w = self.width
+        count = -(-len(values) // w // 8) * 8  # the lanes, padded
+        values += bytes(count * w - len(values))
+        x = int.from_bytes(b"".join(values[b::w] for b in range(w)), "little")
+        blocks = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (count * w >> 3), "little")  # bit 0 of each
+        for shift, mask in _SWAPS:
+            t = (x ^ x >> shift) & mask * blocks
+            x ^= t ^ t << shift
+        runs = x.to_bytes(count * w, "little")
+        return tuple(int.from_bytes(runs[(e >> 3) * count + (e & 7) : (e >> 3) * count + count : 8],
+                                    "little") for e in range(self.size))
+
+    def _leaders(self, domains: list, group: tuple[int, ...]) -> list[bytes]:
+        """Per digit, packed, its value in each lex-leader assignment of the
+        digits under the group, in canonical order: the groups each digit
+        is reached under, digit by digit, then the assignments from each
+        group, once, from the last digit back, by byte repetition."""
+        w, steps, reached = self.width, [], {group}  # per digit but the last, by group
         for kind, domain in domains[:-1]:
-            steps.append({g: [(v, self.stabiliser(g, v)) for v in self.minima(kind, domain, g)]
-                          for g in reached})
+            steps.append({g: self.minima(kind, domain, g, True) for g in reached})
             reached = {h for pairs in steps[-1].values() for _, h in pairs}
-        kind, domain = domains[-1]
-        tails = {g: [list(self.minima(kind, domain, g))] for g in reached}
+        tails = {g: [self.minima(*domains[-1], g)] for g in reached}
         for depth in range(len(steps) - 1, -1, -1):
-            heads = {}
-            for g, pairs in steps[depth].items():
-                out = heads[g] = [[] for _ in domains[depth:]]
-                for value, h in pairs:
-                    tail = tails[h]
-                    out[0] += itertools.repeat(value, len(tail[0]))
-                    for digit, lanes in zip(out[1:], tail):
-                        digit += lanes
-            tails = heads
+            tails = {g: [b"".join(v.to_bytes(w, "little") * (len(tails[h][0]) // w)
+                                  for v, h in pairs),
+                         *map(b"".join, zip(*(tails[h] for _, h in pairs)))]
+                     for g, pairs in steps[depth].items()}
         return tails[group]
 
 
@@ -771,20 +792,19 @@ def _odometer(column: _Column, domains: list, plan, operations, vals: list, bad:
     permutations for digit 0, running a level whenever its digit changes,
     and run the column under the stabiliser of them all; True at the
     first violation, with the assignment left in the position slots.  The
-    digits in turn are a stack of (digit, values left, group)."""
+    digits in turn are a stack of (digit, (value, stabiliser) pairs left)."""
     sym, start = column.sym, column.start
     if not start:
         return column.run(sym.group, vals, bad)
-    stack = [(0, iter(sym.minima(*domains[0], sym.group)), sym.group)]
+    stack = [(0, iter(sym.minima(*domains[0], sym.group, True)))]
     while stack:
-        p, values, group = stack[-1]
+        p, values = stack[-1]
         level = plan[p + 1]
-        for value in values:
+        for value, inner in values:
             vals[p] = value
             if _run(level, vals, operations):
-                inner = sym.stabiliser(group, value)
                 if p + 1 < start:
-                    stack.append((p + 1, iter(sym.minima(*domains[p + 1], inner)), inner))
+                    stack.append((p + 1, iter(sym.minima(*domains[p + 1], inner, True))))
                     break
                 if column.run(inner, vals, bad):
                     return True

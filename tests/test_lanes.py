@@ -64,22 +64,50 @@ def _run(op, x, y, count):
     return _decode(out, count)
 
 
+def _packed(values, width: int) -> bytes:
+    """The values little-endian, `width` bytes each, one at a time."""
+    return b"".join(v.to_bytes(width, "little") for v in values)
+
+
 @pytest.mark.parametrize("w", [1, 2, 4, 8, 16, 32, 64])
 @pytest.mark.parametrize("count", [1, 255, 256, 3984, 65536])
 def test_pack_round_trip(w, count):
-    # the values of a suffix's digit, packed into planes by the scan's
-    # transposition, come back lane by lane; w is the bits of a
-    # denotation, 2^n, packed in its own width: n = 0 to 6
+    # the values of a suffix's digit, packed in the algebra's width and
+    # transposed into planes by the scan, come back lane by lane; w is the
+    # bits of a denotation, 2^n: n = 0 to 6
     n = w.bit_length() - 1
     rng = random.Random(count * w)
     values = [rng.randrange(1 << w) for _ in range(count)]
     values[0], values[-1] = (1 << w) - 1, 1  # the first and the last lane are set
-    planes = entailment._Symmetry(n)._planes(values)
+    sym = entailment._Symmetry(n)
+    planes = sym._planes(_packed(values, sym.width))
     assert type(planes) is tuple and len(planes) == w
     assert planes == tuple(_planes(values, n))
     assert _decode(list(planes), count) == values
     for e, plane in enumerate(planes):  # lane 0 is the lowest bit, the last lane the highest
         assert plane & 1 == values[0] >> e & 1 and plane >> count - 1 == values[-1] >> e & 1
+
+
+@pytest.fixture(scope="module")
+def symmetries():
+    return {n: entailment._Symmetry(n) for n in range(3, 8)}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 13056])
+def test_planes_transpose_packed_bytes(symmetries, n, count):
+    # the delta swaps transpose 8 x 8 bit blocks of 8 lanes, so the lane
+    # counts on either side of a block, and a width of 1, 2, 4, 8 and 16
+    # bytes (n = 3 to 7), give the planes that a lane-by-lane reference
+    # writes; lanes past the last, padding a block, are in no plane
+    sym, rng = symmetries[n], random.Random(count << n)
+    values = [rng.getrandbits(1 << n) for _ in range(count)]
+    values[-1] |= 1 << (1 << n) - 1  # the last lane holds the top element
+    packed = _packed(values, sym.width)
+    assert sym.width == max(1, (1 << n) // 8) and len(packed) == count * sym.width
+    planes = sym._planes(packed)
+    assert planes == tuple(_planes(values, n))
+    assert all(plane >> count == 0 for plane in planes)
 
 
 def _every_opcode_on_every_denotation(n, pair):

@@ -8,6 +8,7 @@ variables ascending, then label atoms, the first most significant.
 
 import collections
 import concurrent.futures
+import functools
 import gc
 import itertools
 import json
@@ -17,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -45,6 +47,7 @@ from lt.syntax import (
     parse_formula,
     parse_labelled,
     parse_labelled_query,
+    postorder,
 )
 
 from helpers import boxed, random_formula, random_label, verify_box_internalisation
@@ -104,15 +107,44 @@ def test_fixed_queries_exhaustive(text):
 )
 def test_full_operands_compile_to_closures(text, sizes):
     # expand spells down, up, dia, box and ~ with x i& top and x i| top;
-    # they run as closure opcodes
+    # they run as closure opcodes, except that dia and box spell up(down
+    # x), which runs as _ANY x, and the down it was spelled over is read
+    # by nothing, so the plan drops it
     premises, conclusion = _query(text)
     program = entailment._compile_entailment(premises, conclusion)
     full = program.constants + entailment._FULL
     internal = (entailment._IAND, entailment._IOR)
     assert not [(op, a, b) for op, a, b in program.code if op in internal and full in (a, b)]
-    assert {entailment._DOWN, entailment._UP} <= {op for op, _, _ in program.code}
+    closures = {entailment._DOWN, entailment._UP}
+    ran = {op for level in program.plan(0) for block, _ in level for op, *_ in block}
+    if "dia" in text:
+        assert entailment._ANY in ran and not ran & closures
+        assert entailment._DOWN in {op for op, _, _ in program.code}
+    else:
+        assert closures <= ran
     for n in sizes:
         assert _json(algebra_entails(n, premises, conclusion)) == ref.brute(n, premises, conclusion)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_any_is_a_closure_over_the_other(n):
+    # up(down x) and down(up x) compile to _ANY x, which equals both on
+    # every denotation; a closure over itself is kept, since down(down x)
+    # is down x, which is not _ANY x
+    alg = algebra(n)
+    down, up = alg.down_closure, alg.up_closure
+    cases = {"up down P0": (lambda x: up(down(x)), entailment._ANY),
+             "down up P0": (lambda x: down(up(x)), entailment._ANY),
+             "down down P0": (down, entailment._DOWN), "up up P0": (up, entailment._UP)}
+    for text, (f, op) in cases.items():
+        nodes = postorder(parse_formula(text))
+        program = entailment.Program([nodes], labelled=False)
+        slot = program.term(nodes)
+        assert program.code[slot - program.base][0] == op, text
+        for x in range(alg.full + 1):
+            assert program.run(alg, {0: x})[slot] == f(x), (text, x)
+            if op == entailment._ANY:
+                assert f(x) == (alg.full if x else 0), (text, x)
 
 
 def test_random_queries_exhaustive(seed):
@@ -316,27 +348,21 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
     # lex-leader; at each digit the group is the atom permutations fixing
     # the digits before it, computed here, and every orbit of the digit's
     # domain under it gives exactly one value, the orbit's least.  The
-    # scan takes digit p's values from `minima`, under a group that
-    # `stabiliser` returned for some values of the digits before p (all
-    # n! permutations at digit 0), so the spies record, per group
-    # returned, values of the digits before it that give it.  The
-    # column's lanes are built from them once per process, so each scan
-    # starts from new symmetry memos
+    # scan takes digit p's values from `minima`, packed, under a group
+    # that `minima` gave as the stabiliser of a minimum of the digit before
+    # p (all n! permutations at digit 0), so the spy records, per group
+    # given, values of the digits before it that give it.  The column's
+    # lanes are built once per process, so each scan starts from new
+    # symmetry memos
     perms, kinds, seen = _atom_perms(n), _kinds(n), []
-    prefixes = {}  # per group returned: the values of the digits it fixes
-    stabiliser, minima = entailment._Symmetry.stabiliser, entailment._Symmetry.minima
+    prefixes = {}  # per group given: the values of the digits it fixes
+    minima = entailment._Symmetry.minima
 
     def fixing(prefix):
         return [g for g in perms if all(_image(g, x) == x for x in prefix)]
 
-    def stabiliser_spy(self, group, value):
-        prefix = [] if group is self.group else prefixes[group]
-        inner = stabiliser(self, group, value)
-        prefixes[inner] = prefix + [ref.from_bits(value, n)]
-        assert len(inner) == len(fixing(prefixes[inner]))
-        return inner
-
-    def minima_spy(self, kind, domain, group):
+    def minima_spy(self, kind, domain, group, inner=False):
+        found = minima(self, kind, domain, group, inner)
         values = minima(self, kind, domain, group)
         fixes = fixing([] if group is self.group else prefixes[group])
         assert len(group) == len(fixes), (group, prefixes.get(group))
@@ -344,13 +370,15 @@ def test_each_digit_takes_one_least_value_per_orbit(monkeypatch, n, text, klass)
             frozenset(ref.to_bits(_image(g, ref.from_bits(x, n))) for g in fixes)
             for x in kinds[kind]
         }
-        assert list(values) == sorted(map(min, orbits)), prefixes.get(group)
-        if len(group) == 1:
-            assert values is domain  # the domain itself, not a copy
+        assert type(values) is bytes
+        assert _unpacked(self, values) == sorted(map(min, orbits)), prefixes.get(group)
         seen.append(len(fixes))
-        return values
+        for value, stabiliser in found if inner else ():
+            prefix = [] if group is self.group else prefixes[group]
+            prefixes[stabiliser] = prefix + [ref.from_bits(value, n)]
+            assert len(stabiliser) == len(fixing(prefixes[stabiliser]))
+        return found
 
-    monkeypatch.setattr(entailment._Symmetry, "stabiliser", stabiliser_spy)
     monkeypatch.setattr(entailment._Symmetry, "minima", minima_spy)
     entailment._symmetry.cache_clear()
     if klass is None:
@@ -392,7 +420,7 @@ def test_orbit_counts_by_burnside():
     for n, orbits in ((2, 12), (3, 80), (4, 3984)):
         assert burnside(n, ["all"]) == orbits
         sym = entailment._symmetry(n)
-        assert len(sym.minima("all", range(1 << (1 << n)), sym.group)) == orbits
+        assert len(sym.minima("all", range(1 << (1 << n)), sym.group)) == orbits * sym.width
     # the walk of the stabiliser chain visits one lex-leader per orbit of
     # pairs: 160 and 13,056 pairs of denotations at n = 2 and 3
     for n in (2, 3):
@@ -400,13 +428,14 @@ def test_orbit_counts_by_burnside():
         domains = _kinds(n)
         for first, second in (("all", "all"), ("principal_variables", "atoms")):
             walked = sum(
-                len(sym.minima(second, domains[second], sym.stabiliser(sym.group, v)))
-                for v in sym.minima(first, domains[first], sym.group)
+                len(sym.minima(second, domains[second], inner)) // sym.width
+                for _, inner in sym.minima(first, domains[first], sym.group, True)
             )
             assert walked == burnside(n, [first, second])
     assert burnside(2, ["all", "all"]) == 160 and burnside(3, ["all", "all"]) == 13056
 
 
+@functools.cache
 def _images(n: int) -> list[list[int]]:
     """Per atom permutation, in the order of `_atom_perms`, the image of
     every denotation, built from the permutation's map on elements by
@@ -427,6 +456,19 @@ def _least_in_orbit(images: list[list[int]], group, domain) -> list[int]:
     return sorted(v for v in domain if all(v <= images[g][v] for g in group))
 
 
+def _fixing(n: int, group, value: int) -> tuple[int, ...]:
+    """By definition: the members of the group whose image of the value
+    is the value, ascending."""
+    images = _images(n)
+    return tuple(g for g in group if images[g][value] == value)
+
+
+def _unpacked(sym, packed: bytes) -> list[int]:
+    """Values packed little-endian, `sym.width` bytes each, as integers."""
+    w = sym.width
+    return [int.from_bytes(packed[i : i + w], "little") for i in range(0, len(packed), w)]
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_minima_of_the_full_group_by_definition(n):
     sym, images = entailment._Symmetry(n), _images(n)
@@ -434,49 +476,50 @@ def test_minima_of_the_full_group_by_definition(n):
     least = [True] * len(domain)
     for image in images:
         least = list(map(operator.and_, least, map(operator.le, domain, image)))
-    assert list(sym.minima("all", domain, sym.group)) == list(itertools.compress(domain, least))
+    assert _unpacked(sym, sym.minima("all", domain, sym.group)) == list(itertools.compress(domain, least))
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_minima_and_stabilisers_of_every_group_reached(n):
-    # from the full group, the stabiliser of every value, and of every
-    # value under each group so reached: each is the definitional one,
-    # and the memoised tuple is the one that a fresh _Symmetry computes
+    # under the full group and each group that fixes a value of it, and
+    # so on: the minima of every kind and their stabilisers are the
+    # definitional ones, the stabilisers read from the compare's masks
+    # once, and the ones that a fresh _Symmetry reads
     sym, images, kinds = entailment._symmetry(n), _images(n), _kinds(n)
     groups, todo = {sym.group}, [sym.group]
     while todo:
         group = todo.pop()
         for kind, domain in kinds.items():
-            got = list(sym.minima(kind, domain, group))
+            got = _unpacked(sym, sym.minima(kind, domain, group))
             assert got == _least_in_orbit(images, group, domain), (kind, group)
-        for v in kinds["all"]:
-            inner = sym.stabiliser(group, v)
-            assert inner == tuple(g for g in group if images[g][v] == v), (group, v)
-            assert sym.stabiliser(group, v) is inner
-            assert entailment._Symmetry(n).stabiliser(group, v) == inner
-            if inner not in groups:
-                groups.add(inner)
-                todo.append(inner)
+            found = sym.minima(kind, domain, group, True)
+            assert found == [(v, _fixing(n, group, v)) for v in got], (kind, group)
+            assert sym.minima(kind, domain, group, True) is found
+            assert entailment._Symmetry(n).minima(kind, domain, group, True) == found
+        for inner in {_fixing(n, group, v) for v in kinds["all"]} - groups:
+            groups.add(inner)
+            todo.append(inner)
     assert len(groups) == {0: 1, 1: 1, 2: 2, 3: 5}[n]  # S3 and its three transpositions
 
 
-def test_stabiliser_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(entailment, "_STABILISERS_MAX", 10)
-    sym, images = entailment._Symmetry(3), _images(3)
-    for v in range(256):
-        assert sym.stabiliser(sym.group, v) == tuple(g for g in sym.group if images[g][v] == v)
-        assert len(sym._stabilisers) <= 10
-    assert sym.stabiliser((0,), 5) == (0,) and len(sym._stabilisers) <= 10
+@pytest.mark.parametrize("n", range(4))
+def test_the_last_digit_reads_no_stabilisers(monkeypatch, n):
+    # a unary query's one digit is the column's last: its minima are
+    # compared, and no stabiliser is read from the compare's masks
+    read = []
+    minima = entailment._Symmetry.minima
 
+    def spy(self, kind, domain, group, inner=False):
+        found = minima(self, kind, domain, group, inner)
+        read.extend(found if inner else ())
+        return found
 
-def test_stabilisers_share_an_entry_across_bottom_and_top():
-    # every permutation fixes the bottom and the top element, so a value
-    # with or without either shares one memo entry: 64 for the 256
-    # denotations at n = 3
-    sym = entailment._Symmetry(3)
-    for v in range(256):
-        sym.stabiliser(sym.group, v)
-    assert len(sym._stabilisers) == 64
+    monkeypatch.setattr(entailment._Symmetry, "minima", spy)
+    entailment._symmetry.cache_clear()
+    query = _query("|- box dia P0 -> dia box dia P0")
+    assert _json(algebra_entails(n, *query)) == ref.brute(n, *query)
+    assert read == []
+    entailment._symmetry.cache_clear()
 
 
 def test_n4_minima_compare_only_the_moved_elements(monkeypatch):
@@ -488,22 +531,26 @@ def test_n4_minima_compare_only_the_moved_elements(monkeypatch):
     planes = entailment._Symmetry._planes
 
     def spy(self, values):
-        transposed.append(list(values))
+        transposed.append(values)
         return planes(self, values)
 
     monkeypatch.setattr(entailment._Symmetry, "_planes", spy)
     sym = entailment._Symmetry(4)
     found = sym.minima("all", range(1 << 16), sym.group)
-    assert len(found) == 3984
+    assert type(found) is bytes and len(found) == 3984 * sym.width
     assert transposed == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quarter_planes_are_the_transposed_quarter(n):
     # the closed-form planes of the compared quarter are the planes that
-    # transposing its values, every even denotation below the top bit, gives
+    # transposing its values, every even denotation below the top bit,
+    # packed here one at a time, gives; and with every lane of the quarter
+    # kept, its values and their three companions are every denotation
     sym = entailment._Symmetry(n)
-    assert tuple(sym._quarter()) == sym._planes(range(0, sym.top, 2))
+    packed = b"".join(v.to_bytes(sym.width, "little") for v in range(0, sym.top, 2))
+    assert tuple(sym._quarter()) == sym._planes(packed)
+    assert sym._all(0) == b"".join(v.to_bytes(sym.width, "little") for v in range(sym.top << 1))
 
 
 def test_n4_all_minima_under_subgroups_by_definition():
@@ -512,13 +559,15 @@ def test_n4_all_minima_under_subgroups_by_definition():
     # 0 and 1 and of the three atoms 0, 1 and 2, and two steps down from
     # each, pinning atom 0, the minima are still the definitional ones
     sym, images = entailment._Symmetry(4), _images(4)
-    ideal, atoms = sym.stabiliser(sym.group, 0b1111), sym.stabiliser(sym.group, 0b10110)
-    groups = (ideal, atoms, sym.stabiliser(ideal, 0b10), sym.stabiliser(atoms, 0b10))
+    ideal, atoms = _fixing(4, sym.group, 0b1111), _fixing(4, sym.group, 0b10110)
+    groups = (ideal, atoms, _fixing(4, ideal, 0b10), _fixing(4, atoms, 0b10))
     assert [len(group) for group in groups] == [4, 6, 2, 2]
     domains = {"all": range(1 << 16), "deg2": _small(4, 2)}
     for group in groups:
         for kind, domain in domains.items():
-            assert list(sym.minima(kind, domain, group)) == _least_in_orbit(images, group, domain)
+            got = _unpacked(sym, sym.minima(kind, domain, group))
+            assert got == _least_in_orbit(images, group, domain)
+            assert sym.minima(kind, domain, group, True) == [(v, _fixing(4, group, v)) for v in got]
 
 
 def _small(n: int, d: int) -> list[int]:
@@ -530,28 +579,28 @@ def _small(n: int, d: int) -> list[int]:
 @pytest.mark.parametrize("n", [5, 6])
 def test_symmetry_past_n4_by_definition(n):
     # a permutation acts on element indices, so nothing in _Symmetry is
-    # tied to a width: past n = 4 its minima and stabilisers, under the
-    # full group and under the stabiliser of the ideal of atoms 0 and 1,
-    # are still the definitional ones, each image computed from the
+    # tied to a width: past n = 4 its minima and their stabilisers, under
+    # the full group and under the stabiliser of the ideal of atoms 0 and
+    # 1, are still the definitional ones, each image computed from the
     # element map
     sym, perms = entailment._Symmetry(n), _atom_perms(n)
 
     def image(g, v):
         return sum(1 << perms[g][e] for e in range(1 << n) if v >> e & 1)
 
-    pinned = sym.stabiliser(sym.group, 0b1111)
+    pinned = tuple(g for g in sym.group if image(g, 0b1111) == 0b1111)
     assert len(pinned) == 2 * math.factorial(n - 2)
     kinds = {"deg1": _small(n, 1), "atoms": [1 << e for e in range(1 << n)],
              "principal_variables": [ref.to_bits(x) for x in ref.domain(n, "principal_variables")]}
     if n == 5:
         kinds["deg2"] = _small(n, 2)
-    top = 1 << (1 << n) - 1
     for group in (sym.group, pinned):
         for kind, domain in kinds.items():
             least = [v for v in domain if all(v <= image(g, v) for g in group)]
-            assert list(sym.minima(kind, domain, group)) == least, (kind, group)
-        for v in (0, 1, 0b10110, 0b1000_0110, 0b1_0001_0110_1000 | top, (top << 1) - 1 ^ 2):
-            assert sym.stabiliser(group, v) == tuple(g for g in group if image(g, v) == v), v
+            assert _unpacked(sym, sym.minima(kind, domain, group)) == least, (kind, group)
+            assert sym.minima(kind, domain, group, True) == [
+                (v, tuple(g for g in group if image(g, v) == v)) for v in least], (kind, group)
+    assert (0b1111, pinned) in sym.minima("principal_variables", kinds["principal_variables"], sym.group, True)
 
 
 def test_conclusion_skipped_under_empty_intersection(monkeypatch):
@@ -666,8 +715,8 @@ def _column_place(cm: dict) -> str:
               for d in cm["assignment"].values()]
     sym, group = entailment._symmetry(n), entailment._symmetry(n).group
     for value in values[:-1]:
-        group = sym.stabiliser(group, value)
-    column = list(sym.minima("all", range(1 << (1 << n)), group))
+        group = _fixing(n, group, value)
+    column = _unpacked(sym, sym.minima("all", range(1 << (1 << n)), group))
     index = column.index(values[-1])
     return "first" if index == 0 else "last" if index == len(column) - 1 else "middle"
 
@@ -759,7 +808,7 @@ def test_column_guards_cut_the_column(monkeypatch):
     premises, conclusion = _query("dia P1 |- (P1 i& P0) | (P1 i| P0)")
     got = _json(algebra_entails(3, premises, conclusion))
     assert got == ref.brute(3, premises, conclusion) and got[1]["assignment"]["P1"] != []
-    assert any(0 in ys for run in runs for op, _, ys, _ in run if op == entailment._DOWN)
+    assert any(0 in ys for run in runs for op, _, ys, _ in run if op == entailment._ANY)
     assert _guards_hold(runs, premises, conclusion)
     # dia (P1 & nb) empties the first two lanes, so the least hit is in
     # the third lane, the third value of the column
@@ -887,6 +936,40 @@ def test_lanes_hold_only_ints():
             sizes.add(n)
     assert sizes == {3, 4}
     entailment._symmetry.cache_clear()  # no memo keeps this test's planes
+
+
+def test_the_column_path_packs_its_lanes(monkeypatch):
+    # each digit of every suffix reaches _planes as packed bytes, under
+    # every kind; and building the two-variable suffix at n = 3, 13,056
+    # lanes, from cold memos never holds as much as one list of 8-byte
+    # pointers per digit with an entry per lane would
+    given = []
+    planes = entailment._Symmetry._planes
+
+    def spy(self, values):
+        given.append(type(values))
+        return planes(self, values)
+
+    monkeypatch.setattr(entailment._Symmetry, "_planes", spy)
+    entailment._symmetry.cache_clear()
+    for text in ("|- box dia dia ! P0 -> dia dia dia ! P0", "P0 i& P1 |- P1 i& P0"):
+        assert algebra_entails(4 if "dia" in text else 3, *_query(text))[0], text
+    for text, klass in (("|- (P0 i| ~P0) & (P1 i| ~P1)", "principal_variables"),
+                        ("|- P0 i& P0 -> P0", "all")):
+        query = _query(text)
+        assert _json(algebra_entails(3, *query, klass)) == ref.brute(3, *query, klass), text
+    labelled = parse_labelled_query("p1 : P0, p0 : P0 |- p0 & p1 : P0 i& !P0")
+    assert _json(labelled_entails(3, *labelled)) == ref.brute_labelled(3, *labelled)
+    assert len(given) > 5 and set(given) == {bytes}
+    sym = entailment._Symmetry(3)
+    tracemalloc.start()
+    try:
+        ones, columns = sym.suffix(("all", "all"), [("all", range(256))] * 2, sym.group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ones.bit_length() == 13056 and peak < 8 * 13056 * len(columns)
+    entailment._symmetry.cache_clear()
 
 
 def test_column_lanes_built_on_first_use(monkeypatch):
@@ -1124,7 +1207,7 @@ def test_column_lanes_are_kept_per_kind():
         assert set(sym.columns) == {(("all",), sym.group), (("deg2",), sym.group)}
         for kind, domain in (("all", range(16)), ("deg2", entailment._small_sets(2, 2))):
             lanes = _decoded(sym.columns[(kind,), sym.group])
-            assert lanes == [(v,) for v in sym.minima(kind, domain, sym.group)]
+            assert lanes == [(v,) for v in _unpacked(sym, sym.minima(kind, domain, sym.group))]
         assert sym.columns[("all",), sym.group] != sym.columns[("deg2",), sym.group]
 
 
@@ -1161,7 +1244,7 @@ def test_suffix_lanes_are_the_lex_leaders(n, kinds, prefix):
     domains = [(kind, _kinds(n)[kind]) for kind in kinds]
     group = sym.group
     for value in prefix:
-        group = sym.stabiliser(group, value)
+        group = _fixing(n, group, value)
     lanes = _decoded(sym.suffix(kinds, domains, group))
     assert lanes == _leaders(n, kinds, prefix)
     if (n, kinds, prefix) == (3, ("all", "all"), ()):
@@ -1176,7 +1259,7 @@ def test_suffix_memo_is_bounded(monkeypatch):
     cases = [(("all", "atoms"), None), (("atoms", "atoms"), None), (("all",), 0b0110),
              (("principal_variables", "atoms"), None), (("all", "atoms"), None)]
     for kinds, pinned in cases:
-        group = sym.group if pinned is None else sym.stabiliser(sym.group, pinned)
+        group = sym.group if pinned is None else _fixing(2, sym.group, pinned)
         domains = [(kind, _kinds(2)[kind]) for kind in kinds]
         found = _decoded(sym.suffix(kinds, domains, group))
         assert found == _leaders(2, kinds, () if pinned is None else (pinned,))
@@ -1209,7 +1292,7 @@ def _suffix_place(text: str, n: int) -> tuple[str, int]:
     start, sym = entailment._suffix_start(domains), entailment._symmetry(n)
     group = sym.group
     for value in values[:start]:
-        group = sym.stabiliser(group, value)
+        group = _fixing(n, group, value)
     kinds = tuple(kind for kind, _ in domains[start:])
     lanes = _decoded(sym.suffix(kinds, domains[start:], group))
     index = lanes.index(tuple(values[start:]))
