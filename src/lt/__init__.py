@@ -26,7 +26,6 @@ from .errors import (
 )
 from .proofcheck import Assume, CheckResult, Derivation, Rule, RuleName, check, taut_oracle
 from .ptplus import (
-    PTDenotation,
     build_hv,
     f_map,
     pt_entails,

@@ -267,7 +267,7 @@ def _load_hom_file(path: str) -> Homomorphism:
 def _cmd_bridge_verify_f(args) -> int:
     hom = _load_hom_file(args.hfile)
     valuations = f_map(hom, args.k)
-    ok = verify_f_representation(hom, args.k, depth=args.depth, valuations=valuations)
+    ok = verify_f_representation(hom, args.k, depth=args.depth)
     names = algebra(args.k).names
     _emit(
         {

@@ -474,8 +474,8 @@ class _Symmetry:
             for atom in map(perm.index, range(n)):
                 sources += [s | 1 << atom for s in sources]
             self.sources.append(sources)
-        # per kind and group, [minima, stabilisers or how to read them]
-        self._minima: dict[tuple[str, tuple[int, ...]], list] = {}
+        # per kind and group, the packed minima and the cached read of their stabilisers
+        self._minima: dict[tuple[str, tuple[int, ...]], tuple] = {}
         # per kinds and group, a suffix's `ones` and the planes of each digit
         self.columns: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple] = {}
         self.kept = 0  # the lanes of self.columns
@@ -505,21 +505,21 @@ class _Symmetry:
                         greater |= differ & p[f]
                         equal ^= differ
                 masks.append(equal)
-            values = self._all(greater) if moved else self._pack(
-                itertools.compress(domain, _flags(ones & ~greater, count)))
+            values = self._all(greater) if moved else self._pack(  # none dropped: the domain
+                itertools.compress(domain, _flags(ones & ~greater, count)) if greater else domain)
 
+            @functools.cache
             def read() -> list[tuple[int, tuple[int, ...]]]:  # (minimum, stabiliser)
-                kept = _flags(ones & ~greater, count)
-                rows = [itertools.compress(_flags(mask, count), kept) for mask in masks]
+                dropped = int.from_bytes(_flags(greater, count), "little") << 1  # 2 per dropped lane
+                rows = [(int.from_bytes(_flags(mask, count), "little") | dropped)
+                        .to_bytes(count, "little").translate(None, b"\2\3") for mask in masks]
                 found = [tuple(itertools.compress(group, fixes)) for fixes in zip(*rows)]
                 found = [s for s in found for _ in (0, 1)] * 2 if moved else found
                 return [(int.from_bytes(values[i * w : i * w + w], "little"), s)
                         for i, s in enumerate(found)]
 
-            found = self._minima[kind, group] = [values, read]
-        if inner and callable(found[1]):
-            found[1] = found[1]()
-        return found[1] if inner else found[0]
+            found = self._minima[kind, group] = values, read
+        return found[1]() if inner else found[0]
 
     def suffix(self, kinds: tuple[str, ...], domains: list, group: tuple[int, ...]):
         """The lex-leader assignments of a suffix of digits, of these kinds

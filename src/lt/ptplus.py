@@ -1,14 +1,15 @@
 """Valuational team semantics for the strong propositional team logic PT+.
 
 A valuation over k variables is a k-bit integer; a team is a bitset over
-the 2^k valuations; the denotation of a PT+ formula is a bitset over the
-2^(2^k) teams.  The fragment allows variables, strict negation applied
-to variables only, ibot, nb, the internal disjunction i| and the
-external connectives & and | (plus o* as sugar).  Working over k
-variables is faithful for entailment among formulas whose variables all
-lie below k.  A valuation is element s of the k-atom algebra and a team
-a set of its elements, so `algebra(k)` names both: `names[s]` and
-`format_denotation(team)`.
+the 2^k valuations, an element of the algebra on 2^k atoms; and the
+denotation of a PT+ formula, a set of the 2^(2^k) teams, is a
+`Denotation` of that algebra, `algebra(1 << k)`.  The fragment allows
+variables, strict negation applied to variables only, ibot, nb, the
+internal disjunction i| and the external connectives & and | (plus o* as
+sugar).  Working over k variables is faithful for entailment among
+formulas whose variables all lie below k.  A valuation is element s of
+the k-atom algebra and a team a set of its elements, so `algebra(k)`
+names both: `names[s]` and `format_denotation(team)`.
 
 The bridge back to the algebra semantics identifies a team over k
 variables with an element of the algebra on 2^k atoms, indexed
@@ -51,19 +52,6 @@ MAX_K = 3
 MAX_DEPTH = 3  # c_4 = c_3 + 3(c_3^2 - c_2^2) formulas: over a million even at k = 0
 
 
-class PTDenotation:
-    """A set of teams over k variables, as a bitset indexed by team."""
-
-    __slots__ = ("k", "bits")
-
-    def __init__(self, k: int, bits: int):
-        self.k = k
-        self.bits = bits
-
-    def __contains__(self, team: int) -> bool:
-        return self.bits >> team & 1 == 1
-
-
 def _check_k(k: int) -> None:
     """Refuse a k outside 0..MAX_K before any team bitset is built."""
     if not 0 <= k <= MAX_K:
@@ -86,8 +74,9 @@ def _in_fragment(nodes: list[Formula]) -> bool:
     return True
 
 
-def pt_eval(formula: Formula, k: int, cache: dict[Formula, int] | None = None) -> PTDenotation:
-    """Denotation of a PT+ formula over teams of k-variable valuations.
+def pt_eval(formula: Formula, k: int, cache: dict[Formula, int] | None = None) -> Denotation:
+    """Denotation of a PT+ formula over teams of k-variable valuations, a
+    `Denotation` of `algebra(1 << k)`, the algebra of H_V.
     The optional cache (valid for this k only) is shared across calls and
     holds whole formulas: without one, no formula is hashed."""
     _check_k(k)
@@ -102,7 +91,7 @@ def pt_eval(formula: Formula, k: int, cache: dict[Formula, int] | None = None) -
         bits = _pt_bits(nodes, k)
         if cache is not None:
             cache[formula] = bits
-    return PTDenotation(k, bits)
+    return Denotation(algebra(1 << k), bits)
 
 
 def _pt_bits(nodes: list[Formula], k: int) -> int:
@@ -269,16 +258,14 @@ def _hv_classes(k: int, depth: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((bits, tuple(members)) for bits, members in classes.items())
 
 
-def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3,
-                            valuations: tuple[int, ...] | None = None) -> bool:
+def verify_f_representation(hom: Homomorphism, k: int, depth: int = 3) -> bool:
     """Exhaustively check that membership transfers along the representation
     map: X in H(phi) iff lift(X) in H_V(phi), for every element X and every
     PT+ formula up to the given depth.  H and H_V run the one program of
     the formulas, and are compared at the formulas' slots only: the other
-    slots, inside the expansion of ~, lie outside PT+.  `valuations` is
-    the map `f_map(hom, k)`, computed here unless the caller holds it."""
+    slots, inside the expansion of ~, lie outside PT+."""
     lifts = [0]  # per element, the union of its atoms' valuations: a team
-    for v in f_map(hom, k) if valuations is None else valuations:  # doubling over the atoms
+    for v in f_map(hom, k):  # doubling over the atoms
         lifts += [team | 1 << v for team in lifts]
     hom_values = _pt_dag(k, depth)[1].run(hom.algebra, hom.bits_env())
     for hvbits, slots in _hv_classes(k, depth):

@@ -7,9 +7,9 @@ import random
 from typing import Iterable, Sequence
 
 import reference as ref
-from lt.algebra import Algebra, Denotation, iter_bits
-from lt.entailment import algebra_entails
-from lt.semantics import Homomorphism, evaluate
+from lt.algebra import Algebra, Denotation, algebra, iter_bits
+from lt.entailment import Countermodel, algebra_entails
+from lt.semantics import Homomorphism, LabelValuation, evaluate
 from lt.syntax import (
     Derived,
     DerivedTag,
@@ -148,3 +148,27 @@ def grz_formula(var_index: int = 0) -> Formula:
     p = Var(var_index)
     imp = lambda a, b: Derived(DerivedTag.IMPLIES, (a, b))
     return imp(order_box(imp(order_box(imp(p, order_box(p))), p)), p)
+
+
+def lift(cm: Countermodel) -> Countermodel:
+    """The countermodel at n lifted by preimage along the onto map
+    2^(n+1) -> 2^n that drops atom n: each variable's denotation X goes to
+    the elements whose atoms below n form a member of X, and the witness
+    and each label atom's element to themselves, which lack atom n.  Every
+    connective but ibot, and those spelled with it (itop, nb, ~ and o*),
+    sends preimages to preimages, and the map commutes with the label
+    operations, so for a query without them the lift is a countermodel."""
+    half = cm.algebra.size  # element e with atom n added is e + half
+    alg = algebra(cm.algebra.n + 1)
+    hom = Homomorphism.from_bits(alg, {v: x | x << half for v, x in cm.hom.bits_env().items()})
+    labels = None if cm.labels is None else LabelValuation(alg, dict(cm.labels.assignment))
+    return Countermodel(hom, cm.witness, labels)
+
+
+def scan_order(cm: Countermodel) -> tuple[int, ...]:
+    """The countermodel's assignment as the scan orders assignments: the
+    variables ascending, then the label atoms, each as its denotation (a
+    label atom's element e as the singleton 1 << e)."""
+    variables = tuple(x for _, x in sorted(cm.hom.bits_env().items()))
+    atoms = () if cm.labels is None else sorted(cm.labels.assignment.items())
+    return variables + tuple(1 << e for _, e in atoms)

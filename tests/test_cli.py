@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from lt import cli, ptplus
+from lt.algebra import algebra
 from lt.cli import main
 from lt.errors import LTError, ParseError
+from lt.semantics import Homomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -345,19 +347,17 @@ class TestBridge:
         assert verdict["status"] == "ok"
         assert verdict["atom_valuations"] == {"01": "1", "10": "0"}
 
-    def test_verify_f_builds_the_representation_map_once(self, capsys, tmp_path, monkeypatch):
+    def test_verify_f_prints_the_representation_map(self, capsys, tmp_path):
         hfile = tmp_path / "h.json"
         hfile.write_text(json.dumps({"n": 2, "assignment": {"P0": ["00", "01"], "P1": ["00"]}}))
-        calls, f_map = [], ptplus.f_map
-
-        def spy(*args):
-            calls.append(args)
-            return f_map(*args)
-
-        monkeypatch.setattr(cli, "f_map", spy)
-        monkeypatch.setattr(ptplus, "f_map", spy)
         code, out, _ = run(capsys, "bridge", "verify-f", str(hfile), "--k", "2", "--depth", "2")
-        assert (code, json.loads(out)["status"], len(calls)) == (0, "ok", 1)
+        alg = algebra(2)
+        hom = Homomorphism.from_bits(alg, {0: alg.principal_ideal(0b01), 1: alg.principal_ideal(0)})
+        valuations = ptplus.f_map(hom, 2)  # atom 0 lies in P0 alone, atom 1 in neither
+        want = {alg.format_element(1 << s): alg.names[v] for s, v in enumerate(valuations)}
+        verdict = json.loads(out)
+        assert (code, verdict["status"], verdict["atom_valuations"]) == (0, "ok", want)
+        assert want == {"01": "01", "10": "00"}
 
     def test_verify_f_needs_principal(self, capsys, tmp_path):
         hfile = tmp_path / "h.json"

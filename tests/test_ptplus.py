@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from lt.algebra import Algebra, algebra, iter_bits
+from lt.algebra import Algebra, Denotation, algebra, iter_bits
 from lt.entailment import algebra_entails
 from lt.errors import FragmentError, PrincipalVariableError
 from lt.ptplus import (
+    MAX_K,
     build_hv,
     enumerate_pt_formulas,
     f_map,
@@ -98,7 +99,7 @@ class TestPtEval:
             spelled = IntOr(
                 ExtAnd(left, Derived(DerivedTag.NB)), ExtAnd(right, Derived(DerivedTag.NB))
             )
-            assert pt_eval(sugar, 2).bits == pt_eval(spelled, 2).bits
+            assert pt_eval(sugar, 2) == pt_eval(spelled, 2)
 
 
 class TestScaleLimits:
@@ -109,7 +110,7 @@ class TestScaleLimits:
     def test_k3_agreement(self):
         f = parse_formula("P0 i| ~P2")
         hv = build_hv(3)
-        assert pt_eval(f, 3).bits == evaluate(hv, f).bits
+        assert pt_eval(f, 3) == evaluate(hv, f)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -159,12 +160,15 @@ class TestBuildHv:
         assert evaluate(hv, parse_formula("nb")).bits == hv.algebra.full ^ 1
 
     def test_agreement_small(self):
-        # team-as-element identification makes the two evaluations literally equal
-        for k in (1, 2):
+        # team-as-element identification makes the two evaluations one value:
+        # a denotation of the algebra on the 2^k valuations
+        for k in range(MAX_K + 1):
             hv = build_hv(k)
             cache = {}
             for f in enumerate_pt_formulas(k, 2):
-                assert pt_eval(f, k, cache).bits == evaluate(hv, f).bits
+                d = pt_eval(f, k, cache)
+                assert type(d) is Denotation and d.algebra is algebra(1 << k)
+                assert d == evaluate(hv, f), (k, f)
 
 
 class TestAgreementWithEntailment:
