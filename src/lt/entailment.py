@@ -66,6 +66,29 @@ Searching all finite sizes is sound for refutation but cannot certify
 full entailment: some non-validities need an infinite (non-complete)
 algebra.
 
+Lifting.  Let h be an onto Boolean homomorphism, such as the map
+2^(n+1) -> 2^n that drops atom n, and give each variable the preimage
+of its denotation under h.  Every connective but ibot sends preimages to
+preimages: an external one for any map; i!, as h(!c) = !h(c); the
+closures and _ANY, by lifting a member x'' and taking c | x'' (c & x''
+for up); and i&, by lifting members a'' and b'' and taking
+a = c | a'' and b = c | (b'' & !(a'' & b'' & !c)), whose meet is c
+(i| dually).  Labels lift too: a label atom takes a preimage of its
+element, and h commutes with the Boolean operations, F included.  But
+ibot denotes {bottom}, whose preimage is the kernel of h, and so do the
+connectives spelled with it: itop, nb, ~ and o*.  So a countermodel of a
+query without ibot at n lifts to one at n + 1, and such a query entailed
+at n + 1 is entailed at n.  `Program.lifts` is set for such a query, and
+over all denotations `_deepen` takes its sizes in pairs (0, 1),
+(2, 3), ..., the larger first: a clean scan at n + 1 clears n, so n is
+scanned only when n + 1 has a countermodel or is over the cap.  The
+least size with a countermodel, and the first over the cap (the count of
+homomorphisms grows with n), are reported as an upward scan reports
+them.  Taking the top size first would clear an entailed query in one
+scan, but a query refuted at n = 1 would pay for a scan at the top size;
+in pairs it scans 1 and then 0, the work of an upward scan.
+`principal_variables` keeps the upward order.
+
 Symmetry.  A permutation of the n atoms is an automorphism of 2^n, and
 it lifts to denotations; every connective, internal or external,
 commutes with it, and it fixes the constants (the empty set, {bottom},
@@ -259,6 +282,7 @@ class Program:
         self.guards: set[int] = set()
         self.inter: int | None = None  # the intersection of the premises so far
         self.bad = -1
+        self.lifts = True  # no ibot compiled: see "Lifting"
         self._plans: dict[int, list] = {}
 
     def emit(self, op: int, a: int, b: int) -> int:
@@ -276,7 +300,8 @@ class Program:
         its children's slots, the one place a class becomes an opcode:
         `!bot` folds to the full-carrier constant, an internal meet or join
         with it to a closure, and a closure over the other one to _ANY (a
-        non-empty y holds a member).  A variable or label atom is a position."""
+        non-empty y holds a member).  A variable or label atom is a position.
+        `ibot`, written or spelled by a derived connective, clears `lifts`."""
         zero, full = self.constants + _ZERO, self.constants + _FULL
         if kind in _BINARY:
             op, (left, right) = _BINARY[kind], children
@@ -287,6 +312,8 @@ class Program:
                 return self.emit(op, x, x)
             return self.emit(op, left, right)
         if kind in _LEAVES:
+            if kind is IntBot:
+                self.lifts = False
             return self.constants + _LEAVES[kind]
         (child,) = children
         if kind is ExtNot:
@@ -841,17 +868,31 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
 
 
 def _deepen(program: Program, max_n: int, class_restriction: str, cap: int):
-    """Iterative deepening over algebra sizes 0..max_n."""
+    """Iterative deepening over algebra sizes up to max_n: the least size
+    with a countermodel, or the first over the cap.  A query that lifts
+    takes the sizes over all denotations in pairs, the larger first (see
+    "Lifting"); any other query takes them upward."""
     if not 0 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
-    for n in range(max_n + 1):
-        try:
-            cm = _decide(program, n, class_restriction, cap)
-        except BudgetExceededError as exc:
-            return SearchReport("budget_exceeded", n - 1, note=str(exc))
-        if cm is not None:
-            return SearchReport("countermodel", n, countermodel=cm)
+    step = 2 if program.lifts and class_restriction == "all" else 1
+    for low in range(0, max_n + 1, step):
+        high = min(low + step - 1, max_n)
+        report = _scan_size(program, high, class_restriction, cap)
+        if report is not None:  # else the clean scan at high clears low
+            if low < high:
+                report = _scan_size(program, low, class_restriction, cap) or report
+            return report
     return SearchReport("exhausted", max_n, note=NOTE_FINITE_SCOPE)
+
+
+def _scan_size(program: Program, n: int, class_restriction: str, cap: int):
+    """The report of the scan at n alone if it ends the search, a
+    countermodel or the cap's note, or None for a clean scan."""
+    try:
+        cm = _decide(program, n, class_restriction, cap)
+    except BudgetExceededError as exc:
+        return SearchReport("budget_exceeded", n - 1, note=str(exc))
+    return None if cm is None else SearchReport("countermodel", n, countermodel=cm)
 
 
 def algebra_entails(
@@ -896,7 +937,8 @@ def find_countermodel(
     class_restriction: str = "all",
     cap: int = DEFAULT_CAP,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a countermodel."""
+    """Search the algebra sizes up to max_n for the least one with a
+    countermodel (see `_deepen` for the order they are scanned in)."""
     return _deepen(_compile_entailment(premises, conclusion), max_n, class_restriction, cap)
 
 
@@ -907,7 +949,8 @@ def find_labelled_countermodel(
     max_n: int = DEFAULT_MAX_N,
     cap: int = DEFAULT_CAP,
 ) -> SearchReport:
-    """Search algebra sizes 0, 1, ..., max_n for a labelled countermodel."""
+    """Search the algebra sizes up to max_n for the least one with a
+    labelled countermodel (see `_deepen` for the order they are scanned in)."""
     return _deepen(_compile_labelled(gamma, conclusion), max_n, "all", cap)
 
 

@@ -8,7 +8,15 @@ from typing import Iterable, Sequence
 
 import reference as ref
 from lt.algebra import Algebra, Denotation, algebra, iter_bits
-from lt.entailment import Countermodel, algebra_entails
+from lt import entailment
+from lt.entailment import (
+    DEFAULT_CAP,
+    NOTE_FINITE_SCOPE,
+    Countermodel,
+    SearchReport,
+    algebra_entails,
+)
+from lt.errors import BudgetExceededError
 from lt.semantics import Homomorphism, LabelValuation, evaluate
 from lt.syntax import (
     Derived,
@@ -172,3 +180,34 @@ def scan_order(cm: Countermodel) -> tuple[int, ...]:
     variables = tuple(x for _, x in sorted(cm.hom.bits_env().items()))
     atoms = () if cm.labels is None else sorted(cm.labels.assignment.items())
     return variables + tuple(1 << e for _, e in atoms)
+
+
+def deepen_upward(entails, max_n: int, *query, cap: int = DEFAULT_CAP, **kwargs) -> SearchReport:
+    """The report that `find_countermodel` (entails=`algebra_entails`) or
+    `find_labelled_countermodel` (`labelled_entails`) gives, from one scan
+    per size, n = 0, 1, ..., max_n in turn: the first size with a
+    countermodel, or the first over the cap with its note."""
+    for n in range(max_n + 1):
+        try:
+            entailed, cm = entails(n, *query, cap=cap, **kwargs)
+        except BudgetExceededError as exc:
+            return SearchReport("budget_exceeded", n - 1, note=str(exc))
+        if not entailed:
+            return SearchReport("countermodel", n, countermodel=cm)
+    return SearchReport("exhausted", max_n, note=NOTE_FINITE_SCOPE)
+
+
+def sizes_scanned(monkeypatch, search) -> tuple[list[int], object]:
+    """The algebra sizes `_decide` scans during search(), in order, and
+    what search() returns."""
+    sizes, decide = [], entailment._decide
+
+    def spy(program, n, *args):
+        sizes.append(n)
+        return decide(program, n, *args)
+
+    monkeypatch.setattr(entailment, "_decide", spy)
+    try:
+        return sizes, search()
+    finally:
+        monkeypatch.setattr(entailment, "_decide", decide)

@@ -50,7 +50,7 @@ from lt.syntax import (
     postorder,
 )
 
-from helpers import boxed, random_formula, random_label, verify_box_internalisation
+from helpers import boxed, random_formula, random_label, sizes_scanned, verify_box_internalisation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -900,12 +900,16 @@ def test_scan_frees_what_it_builds(monkeypatch):
     try:
         # the pinned premise keeps P0 on the odometer, so its levels run
         # the algebra's operations on single values
+        sizes = []
         for text in ("P0 & P1 |- P0 i& P1", "P0 i& P1 |- P1 i& P0",
                      "box (P0 -> ibot), box (ibot -> P0) |- P1 i| ~P1"):
-            find_countermodel(*_query(text), max_n=3)
+            sizes += sizes_scanned(monkeypatch, lambda: find_countermodel(*_query(text), max_n=3))[0]
         assert {Program, Column} <= {kind for kind, _ in made}
         assert all(ref() is None for _, ref in made)
-        assert algebra.cache_info().misses == 4  # n = 0..3, once each
+        # the entailed queries lift and scan n = 1 and 3; the third holds
+        # ibot and is refuted at n = 0; each size's algebra is built once
+        assert sizes == [1, 3, 1, 3, 0]
+        assert algebra.cache_info().misses == len(set(sizes))
     finally:
         gc.enable()
 
