@@ -14,11 +14,12 @@ layer in the trace (`self_s.<layer>`) and its share of the run's total
 traced self time (`share.<layer>`) get one row with the values of N
 traced runs (`--trace 1`) per side, also alternating.  Traced times are
 raw, so a swing in host speed moves every `self_s` row alike; it cancels
-out of the shares.  With --process N, each of two fixed `lt` commands is
-run as N fresh `python -m lt` processes per side, alternating, and its
-wall time gets one ungated row (`process_wall_s`): what a user pays per
-query, interpreter start-up included.  Each side's bytecode cache is
-warmed by one run first, as a user's is after the first query.
+out of the shares.  With --process N, each fixed `lt` command of
+PROCESS_COMMANDS is run as N fresh `python -m lt` processes per side,
+alternating, and its wall time gets one ungated row (`process_wall_s`):
+what a user pays per query, interpreter start-up included.  Each side's
+bytecode cache is warmed by one run first, as a user's is after the
+first query.
 
 The parent runs from a temporary export of the files committed at REV
 (`git archive`), the change from a temporary export of this checkout's
@@ -48,11 +49,13 @@ from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The commands of the --process rows: start-up with no search, and the
-# first query of the search-unary-n4 stream at seed 0 (bench/gen.py).
+# The commands of the --process rows: start-up with no search, the first
+# query of the search-unary-n4 stream at seed 0 (bench/gen.py), and a usage
+# error (exit 2), which argparse reads and reports on.
 PROCESS_COMMANDS = (
     ["entail", "--max-n", "0", "|- P0"],
     ["entail", "--max-n", "4", "|- (box dia dia ! P0 -> dia dia dia ! P0)"],
+    ["entail", "--class", "bogus", "|- P0"],
 )
 
 

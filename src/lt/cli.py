@@ -5,9 +5,11 @@ are byte-identical; timing is only included when --timing is given.
 Exit codes: 0 = positive logical result, 1 = negative logical result
 (countermodel, counterexample or proof violation), 2 = usage or parse
 error, 3 = budget exhausted, 4 = internal error (an unexpected exception,
-reported on one line of stderr).  Each command's argument parser is built
-on the command's first use and kept for the process; the whole tree is
-built only to print the top-level usage, help or error.
+reported on one line of stderr).  A plain command line is read straight
+from the command table, and no parser is built for it.  Argparse reads,
+and reports on, every other one: the command's own parser is built on
+its first such use and kept for the process, and the whole tree only to
+print the top-level usage, help or error.
 """
 
 from __future__ import annotations
@@ -408,18 +410,83 @@ def _command_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
     return _with_command(argparse.ArgumentParser(prog="lt " + " ".join(path)), path)
 
 
+@functools.cache
+def _command_spec(path: tuple[str, ...]):
+    """What `_read` needs of the command at `path`, derived from the table
+    as `add_argument` derives it: the (dest, action, type, choices) of each
+    option string, and of the positional under None; each dest's default,
+    in the parser's order; the required dests; the handler."""
+    _, handler, arguments = _COMMANDS[path]
+    entries, defaults, required = {}, {}, set()
+    for (flag,), options in arguments:
+        action = options.get("action", "store")
+        positional = not flag.startswith("-")
+        dest = options.get("dest") or (flag if positional else flag.lstrip("-").replace("-", "_"))
+        defaults[dest] = options.get("default", False if action == "store_true" else None)
+        if positional or options.get("required"):
+            required.add(dest)
+        entries[None if positional else flag] = (dest, action, options.get("type"),
+                                                 options.get("choices"))
+    return entries, defaults, required, handler
+
+
+def _read(path: tuple[str, ...], items: list[str]) -> argparse.Namespace | None:
+    """The namespace that the parser of the command at `path` returns for
+    `items`, read straight from the table; None for anything but a plain
+    command line: an item that starts with `-` and is not one of the
+    command's options, an option with no value or one that starts with
+    `-`, a second positional, a missing required argument, or a value its
+    type or choices refuse.  Argparse reads, and reports on, the rest.
+    This never prints or raises."""
+    if path not in _COMMANDS:
+        return None
+    entries, defaults, required, handler = _command_spec(path)
+    values, seen, items = dict(defaults), set(), iter(items)
+    for item in items:
+        option = item.startswith("-")
+        entry = entries.get(item if option else None)
+        if entry is None:
+            return None
+        dest, action, convert, choices = entry
+        if action == "store_true":
+            values[dest] = True
+        else:
+            if option:
+                item = next(items, "-")  # no value reads as a value that starts with `-`
+                if item.startswith("-"):
+                    return None
+            elif dest in seen:
+                return None
+            try:
+                value = item if convert is None else convert(item)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            # `append` adds to a copy, so the table's default stays as it is
+            values[dest] = values[dest] + [value] if action == "append" else value
+        seen.add(dest)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values, handler=handler)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: the arguments after its name, or after a group's
-    name and its command's, go straight to that command's own parser.  The
-    whole tree is built, and reads argv, only to report on it: no or an
-    unknown command, `-h` first, or arguments the command's parser left."""
+    """Run one command.  A plain command line is read straight from the
+    table (`_read`); anything else after the command's name, or after a
+    group's name and its command's, goes to that command's own parser.
+    The whole tree is built, and reads argv, only to report on it: no or
+    an unknown command, `-h` first, or arguments the command's parser
+    left."""
     argv = sys.argv[1:] if argv is None else argv
     path = tuple(argv[:1]) if tuple(argv[:1]) in _COMMANDS else tuple(argv[:2])
+    args = _read(path, argv[len(path):])
     try:
-        command = _command_parser(path) if path in _COMMANDS else None
-        args, rest = command.parse_known_args(argv[len(path):]) if command else (None, ())
-        if args is None or rest:
-            args = build_parser().parse_args(argv)
+        if args is None:
+            command = _command_parser(path) if path in _COMMANDS else None
+            args, rest = command.parse_known_args(argv[len(path):]) if command else (None, ())
+            if args is None or rest:
+                args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

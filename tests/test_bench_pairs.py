@@ -178,7 +178,7 @@ def test_process_rows_time_fresh_processes_on_warmed_caches(tmp_path, monkeypatc
     warm = bench_pairs.PROCESS_COMMANDS[0]
     assert [argv for *_, argv in runs[:2]] == [warm, warm]  # one warming run per side
     order = ["parent", "change", "change", "parent", "parent", "change"]
-    assert sides == ["parent", "change"] + order * 2
+    assert sides == ["parent", "change"] + order * len(bench_pairs.PROCESS_COMMANDS)
     caches = {side: {cache for s, cache, _, _ in runs if s == side} for side in ("parent", "change")}
     assert all(len(c) == 1 for c in caches.values()) and caches["parent"] != caches["change"]
     assert not any(dont_write for _, _, dont_write, _ in runs)  # the warming run writes bytecode

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import random
@@ -499,9 +500,10 @@ class TestUsage:
 
 
 class TestSharedParser:
-    """`main` builds each command's own parser once and reuses it, and
-    builds the whole tree only to print the top-level usage, help or
-    error."""
+    """`main` reads a plain command line from the table and builds no
+    parser for it; it builds a command's own parser once, for an argv
+    that argparse must read, and the whole tree only to print the
+    top-level usage, help or error."""
 
     def test_a_command_builds_only_its_own_parser_once(self, monkeypatch, capsys):
         calls, build, with_command = [], cli.build_parser, cli._with_command
@@ -512,11 +514,29 @@ class TestSharedParser:
         try:
             for argv in (["parse", "P0"], ["eval", "--n", "1", "P0"], ["parse", "P1"],
                          ["pt", "eval", "--k", "1", "P0"], ["entail", "--class", "bogus", "|- P0"],
-                         ["pt", "eval", "-h"], ["eval", "--n", "1", "P1"], ["expand", "P0"]):
+                         ["pt", "eval", "-h"], ["eval", "--n", "1", "P1"], ["expand", "P0"],
+                         ["entail", "--class", "bogus", "|- P1"]):
                 main(argv)
         finally:
             cli._command_parser.cache_clear()
-        assert calls == [("parse",), ("eval",), ("pt", "eval"), ("entail",), ("expand",)]
+        assert calls == [("entail",), ("pt", "eval")]
+
+    def test_a_plain_command_in_a_fresh_process_builds_no_parser(self):
+        """The first command of a process, read from the table, builds no
+        parser and so does not import `locale` (argparse's gettext does)."""
+        code = (
+            "import io, sys, contextlib\n"
+            "from lt import cli\n"
+            "before = 'locale' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['entail', '--max-n', '0', '|- P0'])\n"
+            "print(status, cli._command_parser.cache_info().currsize,\n"
+            "      before or 'locale' not in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.stdout, done.stderr) == ("1 0 True\n", "")  # P0 is refuted at n = 0
 
     @pytest.mark.parametrize("argv", [["frobnicate"], [], ["-h"], ["pt"], ["parse", "P0", "P1"]])
     def test_the_whole_tree_is_built_once_to_report_on_argv(self, monkeypatch, capsys, argv):
@@ -648,6 +668,110 @@ def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path, emit
         statuses.add(want)
     assert statuses == {0, 1, 2}
     assert len(emitted) > 20  # each verdict written as json.dumps writes it
+
+
+# -- the table reader: each argv it reads, the command's parser reads
+# to the same namespace
+
+_REFUSED = ["x", "0", "-5", "1.5", ""]  # values that some option's type refuses
+_DASHED = ["-x", "-h", "--timing", "-", "-P0"]
+_POSITIONALS = ["P0", "|- P0", "p0 : P0 |- p0 : P0", '["00"]', "", "-P0", "-", "-5"]
+
+
+def _value(rng: random.Random, options: dict) -> str:
+    """A value the option takes, or one it refuses, or an item that
+    starts with `-`."""
+    if rng.random() < 0.4:
+        return rng.choice(_REFUSED + _DASHED + ["bogus"])
+    if "choices" in options:
+        return rng.choice(options["choices"])
+    return str(rng.randrange(1, 4)) if "type" in options else rng.choice(["P0=[1]", "x", ""])
+
+
+def _reader_argv(rng: random.Random, arguments: list) -> list[str]:
+    """The items after a command's name: each option 0-2 times, in any
+    order with 0-2 positionals, and at times one item that only argparse
+    reads: `--opt=value`, an abbreviation, `--`, `-h`, `--help`, or an
+    option with its value left to the next item or to none."""
+    flags = [(flag, options) for (flag,), options in arguments if flag.startswith("-")]
+    parts = []
+    for flag, options in flags:
+        for _ in range(rng.choice((0, 1, 1, 2) if options.get("required") else (0, 0, 1, 2))):
+            value = [] if options.get("action") == "store_true" else [_value(rng, options)]
+            parts.append([flag, *value])
+    parts += [[rng.choice(_POSITIONALS)] for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+    rng.shuffle(parts)
+    argv = [item for part in parts for item in part]
+    if flags and rng.random() < 0.3:
+        flag = rng.choice(flags)[0]
+        odd = rng.choice([flag + "=1", flag[:3], "--", "-h", "--help", flag])
+        argv.insert(rng.randrange(len(argv) + 1), odd)
+    return argv
+
+
+def _reader_battery(rng: random.Random, draws: int = 400) -> dict:
+    """For `draws` argv per command path of `cli._COMMANDS`, and per path
+    with a `dest=` again without it (so that the dests come from the
+    flags), require that `cli._read` returns None or the namespace the
+    command's parser returns, reading every item.  The counts of argv
+    read and refused, per path."""
+    table = dict(cli._COMMANDS)
+    for path, (text, handler, arguments) in cli._COMMANDS.items():
+        if any("dest" in options for _, options in arguments):
+            undest = [(flags, {k: v for k, v in options.items() if k != "dest"})
+                      for flags, options in arguments]
+            table[path + ("(no dest)",)] = (text, handler, undest)
+    counts = {}
+    saved = cli._COMMANDS
+    cli._COMMANDS = table
+    try:
+        for path, (_, _, arguments) in table.items():
+            read = refused = 0
+            for _ in range(draws):
+                argv = _reader_argv(rng, arguments)
+                got = cli._read(path, argv)
+                if got is None:
+                    refused += 1
+                    continue
+                try:
+                    want, rest = cli._command_parser(path).parse_known_args(argv)
+                except SystemExit:
+                    raise AssertionError(f"the table read what argparse refuses: {path} {argv}")
+                assert (rest, vars(want)) == ([], vars(got)), (path, argv)
+                read += 1
+            counts[path] = (read, refused)
+    finally:
+        cli._COMMANDS = saved
+        cli._command_spec.cache_clear()
+        cli._command_parser.cache_clear()
+    assert cli._read(("eval",), ["--n", "1", "P0"]).assign == []  # the table's default
+    return counts
+
+
+def test_the_table_reads_as_the_command_parser_reads(seed):
+    """The battery at random.Random(seed + 44), `seed` the suite's --seed:
+    on every path the table reads some argv and refuses others."""
+    counts = _reader_battery(random.Random(seed + 44))
+    assert len(counts) == len(cli._COMMANDS) + 2  # entail and lentail without dest=
+    assert all(read >= 5 and refused >= 100 for read, refused in counts.values()), counts
+
+
+def test_the_table_reads_every_well_formed_command_of_the_gated_streams(tmp_path, monkeypatch):
+    """Argparse reads only malformed commands of the benchmark's gated
+    streams at seed 0 (bench/gen.py `build`, as `bench/run.py` runs it)."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    gen = importlib.import_module("gen")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    paths = set()
+    for workload in gen.WORKLOADS:
+        for command in gen.build(workload, 0, seconds, str(tmp_path), str(CORPUS)):
+            if command.argv is None or command.kind == "malformed":
+                continue
+            argv = command.argv
+            path = tuple(argv[:1]) if tuple(argv[:1]) in cli._COMMANDS else tuple(argv[:2])
+            assert cli._read(path, argv[len(path):]) is not None, argv
+            paths.add(path)
+    assert paths == set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [
