@@ -26,9 +26,10 @@ The parent runs from a temporary export of the files committed at REV
 files as they stand: the tracked ones and the untracked ones that git
 does not ignore.  So neither side reads or writes next to what earlier
 runs left in the checkout, and both are removed afterwards.  Every run
-is made with PYTHONDONTWRITEBYTECODE=1 and its own fresh, empty
-PYTHONPYCACHEPREFIX, so that no bytecode is read or written: every cold
-import compiles its sources on both sides.  Nothing under bench/ is
+is made with PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX: the
+standard library reads its installed bytecode, as a user's does, and
+each side's sources, exported with no bytecode beside them, are compiled
+from source on every import and never written.  Nothing under bench/ is
 read but its output.
 """
 
@@ -89,9 +90,9 @@ def run_bench(tree: str, workload: str, seed: int, trace: int) -> dict:
     `share.<layer>`."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.rstrip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"bench/run.py failed in {tree}:\n{done.stderr[-2000:]}")
@@ -251,8 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "note": "end-to-end times are scaled to the reference host by "
                             "bench/hostspeed.py, traced (per-layer) times are raw. "
-                            "PYTHONDONTWRITEBYTECODE=1 and a fresh, empty PYTHONPYCACHEPREFIX "
-                            "per run, so every cold import compiles its sources."},
+                            "PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX per run, so "
+                            "the standard library reads its installed bytecode and each "
+                            "tree's sources compile from source."},
         "method": f"scripts/bench_pairs.py: end-to-end rows, {args.pairs} pairs of parent and "
                   "change runs per workload and seed, alternating which runs first; median "
                   "and quartiles of each side, and in how many pairs the change read better; "

@@ -75,7 +75,7 @@ class Assume(Node):
     def __init__(self, id: str, formula: LabelledFormula):
         self.id = id
         self.formula = formula
-        self._hash = hash((self.__class__, id, formula._hash))
+        self._hash = None
 
 
 class Rule(Node):
@@ -94,7 +94,7 @@ class Rule(Node):
         self.premises = premises
         self.discharges = discharges
         self.fresh = fresh
-        self._hash = hash((self.__class__, name, conclusion._hash, premises, discharges, fresh))
+        self._hash = None
 
 
 Derivation = Union[Assume, Rule]

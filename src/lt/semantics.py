@@ -78,11 +78,11 @@ def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -
     spelling.  env maps variable indices to denotation bitsets; unbound
     variables are an error."""
     ops = {
-        ExtBot: lambda: 0, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
+        ExtBot: int, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
         ExtAnd: operator.and_, ExtOr: operator.or_, IntAnd: algebra.int_and,
         IntOr: algebra.int_or, IntNot: algebra.int_not,
     }
-    return fold(postorder(formula), _lookup(env, "variable P"), lambda kind, *c: ops[kind](*c))
+    return fold(postorder(formula), _lookup(env, "variable P"), ops)
 
 
 def _lookup(env: Mapping[int, int], unbound: str):
@@ -125,8 +125,8 @@ def label_bits(env: Mapping[int, int], label: Label, top: int) -> int:
     """A label evaluated in the Boolean algebra of the bitsets below
     `top`, by one `fold`: each atom takes its value from env, and !
     complements within top."""
-    ops = {LBot: lambda: 0, LNot: partial(operator.xor, top), LOr: operator.or_, LAnd: operator.and_}
-    return fold(postorder(label), _lookup(env, "label atom p"), lambda kind, *c: ops[kind](*c))
+    ops = {LBot: int, LNot: partial(operator.xor, top), LOr: operator.or_, LAnd: operator.and_}
+    return fold(postorder(label), _lookup(env, "label atom p"), ops)
 
 
 def satisfies(valuation: LabelValuation, hom: Homomorphism, lf: LabelledFormula) -> bool:

@@ -22,16 +22,20 @@ the same conventions.  A labelled formula is "<label> : <formula>"; the
 equality sugar "a = b" stands for (a <-> b) : itop with a <-> b spelled
 (a | !b) & (!a | b).
 
-The front end is linear in the input.  One `findall` returns the token
-texts, skipping whitespace, and a dict gives each token its kind; the
-parser reads the list of kinds, keeps nesting on an explicit stack, and
-builds each distinct atom once.  Only an error finds its offset, by
-matching the tokens again.  `expand` and `substitute` keep every node
-whose children come back unchanged, so a formula with nothing to
-rewrite comes back as the identical object.  `fold` computes a formula
-in one walk, spelling each derived connective as `expand` does, so
-evaluation and the compiler build no expanded tree to walk again.  One
-printer serves formulas and labels, as one parser does.
+The front end is linear in the input, and it does its work per token,
+not per character.  One `findall` returns the token texts, each with the
+whitespace before it matched, ending with the `eof` token "": a run of
+'(', ')' or '!' is one token.  A token's text is its kind: the parser
+dispatches on it, applies a run in one step, keeps nesting on an
+explicit stack, and builds each distinct atom once.  Only an error finds
+its offset, by matching the tokens again.  A node stores its hash on
+first use.
+`expand` and `substitute` keep every node whose children come back
+unchanged, so a formula with nothing to rewrite comes back as the
+identical object.  `fold` computes a formula in one walk, spelling each
+derived connective as `expand` does, so evaluation and the compiler
+build no expanded tree to walk again.  One printer serves formulas and
+labels, as one parser does.
 """
 
 from __future__ import annotations
@@ -52,18 +56,24 @@ class Node:
     a step of a derivation (`proofcheck`).
 
     A subclass names its fields in `__slots__`, in constructor order, and
-    its `__init__` stores `_hash`: the hash of its class, its plain fields
-    and its children's stored hashes.  So hashing is O(1), never recurses,
-    and tells node classes apart.  The hash is stored
-    once, so a field must not be reassigned after construction.  Equality
-    is structural: the same class and hash, then every field pair, walked
-    on an explicit stack.  repr is `Class(field=value, ...)`, built by
-    `formula_repr`, also without recursion."""
+    its `__init__` stores them and `_hash = None`.  The hash of a node is
+    that of its class, its plain fields and its children's hashes (a
+    tuple of children, as `Derived.args`, hashed as the tuple); it tells
+    node classes apart.  The first `hash` of a node stores it, with that
+    of every node below it that has none, children first, without
+    recursion; then it is O(1).  A node that has its hash has one below
+    it everywhere, so a shared subtree is hashed once.  As the hash is
+    stored, a field must not be reassigned after construction.  Equality
+    is structural: the same class, and the same hash where both nodes
+    have one, then every field pair, walked on an explicit stack that
+    skips identical children.  repr is `Class(field=value, ...)`, built
+    by `formula_repr`, also without recursion."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        return _store_hashes(self) if h is None else h
 
     def __eq__(self, other):
         if self is other:
@@ -73,45 +83,121 @@ class Node:
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
-            if type(a) is not type(b) or a._hash != b._hash:
+            kind = type(a)
+            if kind is not type(b):
                 return False
-            for name in a.__slots__:
-                x = getattr(a, name)
-                y = getattr(b, name)
-                if x is y:
-                    continue
-                if isinstance(x, Node):
+            x, y = a._hash, b._hash
+            if x != y and x is not None and y is not None:  # no hash is computed here
+                return False
+            if kind in _BINARY_NODES:
+                x, y = a.left, b.left
+                if x is not y:
                     todo.append((x, y))
-                elif type(x) is tuple and x and isinstance(x[0], Node):  # Derived.args, Rule.premises
-                    if type(y) is not tuple or len(x) != len(y):
-                        return False
-                    todo += zip(x, y)
-                elif x != y:
+                x, y = a.right, b.right
+                if x is not y:
+                    todo.append((x, y))
+            elif kind in _UNARY_NODES:
+                x, y = a.child, b.child
+                if x is not y:
+                    todo.append((x, y))
+            elif kind is Var or kind is LAtom:
+                if a.index != b.index:
                     return False
+            else:
+                for name in kind.__slots__:
+                    x = getattr(a, name)
+                    y = getattr(b, name)
+                    if x is y:
+                        continue
+                    if isinstance(x, Node):
+                        todo.append((x, y))
+                    elif type(x) is tuple and x and isinstance(x[0], Node):  # Derived.args, Rule.premises
+                        if type(y) is not tuple or len(x) != len(y):
+                            return False
+                        todo += zip(x, y)
+                    elif x != y:
+                        return False
         return True
 
     def __repr__(self):
         return formula_repr(self)
 
 
+def _store_hashes(root: Node) -> int:
+    """Store the hash of root and of every node below it that has none,
+    children first, on an explicit stack: a node whose children all have
+    their hashes is hashed, any other goes back on the stack under its
+    children that have none.  A node that has its hash is not entered, so
+    a shared subtree is hashed once; a node pushed by two parents before
+    it is hashed is hashed twice, to the same value."""
+    binary, unary = _BINARY_NODES, _UNARY_NODES
+    todo = [root]
+    push = todo.append
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind in binary:
+            left, right = node.left, node.right
+        elif kind is LabelledFormula:
+            left, right = node.label, node.formula
+        elif kind in unary:
+            child = node.child
+            a = child._hash
+            if a is None:
+                push(node)
+                push(child)
+            else:
+                node._hash = hash((kind, a))
+            continue
+        elif kind is Var or kind is LAtom:
+            node._hash = hash((kind, node.index))
+            continue
+        else:  # any other node: its plain fields, its nodes and tuples of nodes
+            fields = [getattr(node, name) for name in kind.__slots__]
+            missing = []
+            for x in fields:
+                if isinstance(x, Node):
+                    if x._hash is None:
+                        missing.append(x)
+                elif type(x) is tuple and x and isinstance(x[0], Node):  # hashed as the tuple
+                    missing += (c for c in x if c._hash is None)
+            if missing:
+                push(node)
+                todo += missing
+            else:
+                node._hash = hash((kind, *(x._hash if isinstance(x, Node) else x for x in fields)))
+            continue
+        a = left._hash  # a node of two children
+        b = right._hash
+        if a is None or b is None:
+            push(node)
+            if a is None:
+                push(left)
+            if b is None:
+                push(right)
+        else:
+            node._hash = hash((kind, a, b))
+    return root._hash
+
+
 def _nullary_init(self):
-    self._hash = hash((self.__class__,))
+    self._hash = None
 
 
 def _index_init(self, index: int):
     self.index = index
-    self._hash = hash((self.__class__, index))
+    self._hash = None
 
 
 def _unary_init(self, child):
     self.child = child
-    self._hash = hash((self.__class__, child._hash))
+    self._hash = None
 
 
 def _binary_init(self, left, right):
     self.left = left
     self.right = right
-    self._hash = hash((self.__class__, left._hash, right._hash))
+    self._hash = None
 
 
 class Formula(Node):
@@ -207,7 +293,7 @@ class Derived(Formula):
             )
         self.tag = tag
         self.args = args
-        self._hash = hash((self.__class__, tag, args))  # each argument's stored hash
+        self._hash = None
 
 
 class Label(Node):
@@ -247,7 +333,7 @@ class LabelledFormula(Node):
     def __init__(self, label: Label, formula: Formula):
         self.label = label
         self.formula = formula
-        self._hash = hash((self.__class__, label._hash, formula._hash))
+        self._hash = None
 
 
 ITOP_CORE = IntNot(IntBot())
@@ -377,69 +463,88 @@ def _expand_derived(tag: DerivedTag, args: list, build):
     return build(ExtNot, build(IntOr, build(ExtAnd, down, build(ExtNot, build(IntBot))), top))
 
 
-def fold(nodes: list, leaf, build):
+def fold(nodes: list, leaf, ops):
     """The value of a formula or label from its `postorder` list, children
-    first: leaf(node) for a variable or label atom, build(kind, *values)
-    for a core node, and for a derived connective its core spelling over
-    the argument values, built by `_expand_derived` with `build`."""
+    first: leaf(node) for a variable or label atom, and for a core node
+    of class kind its operation over its children's values, either
+    ops[kind](*values), where ops is a dict of the operations by node
+    class, or ops(kind, *values), where it is one function.  A derived
+    connective is its core spelling over the argument values, built by
+    `_expand_derived` through the same operations."""
     out: list = []
-    derived = _expand_derived
+    build = None if type(ops) is dict else ops
+    spell = build or (lambda kind, *values: ops[kind](*values))
     for node in nodes:
         kind = type(node)
         if kind in _BINARY_NODES:
             right = out.pop()
-            out[-1] = build(kind, out[-1], right)
+            out[-1] = ops[kind](out[-1], right) if build is None else build(kind, out[-1], right)
         elif kind in _UNARY_NODES:
-            out[-1] = build(kind, out[-1])
+            out[-1] = ops[kind](out[-1]) if build is None else build(kind, out[-1])
         elif kind is Var or kind is LAtom:
             out.append(leaf(node))
         elif kind is Derived:
             split = len(out) - len(node.args)
             args, out[split:] = out[split:], ()
-            out.append(derived(node.tag, args, build))
+            out.append(_expand_derived(node.tag, args, spell))
         else:
-            out.append(build(kind))
+            out.append(ops[kind]() if build is None else build(kind))
     return out[0]
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One match per token, tried in this order: a word is matched whole, so
-# "P1x" is "P1" then "x", and any other character is a token of its own.
-# `findall` skips the whitespace between tokens in C.
-_LEXEME_RE = re.compile(r"->|\|-|i!|i&|i\||o\*|[A-Za-z]+[0-9]*|\S")
-_KINDS = {
-    "->": "arrow", "|-": "turnstile", "i!": "ibang", "i&": "iamp", "i|": "ipipe",
-    "o*": "ostar", "!": "bang", "&": "amp", "|": "pipe", "~": "tilde", "(": "lpar",
-    ")": "rpar", ",": "comma", ":": "colon", "=": "equals",
-    **{word: word for word in ("bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F")},
-}
-_ATOM_KINDS = {"P": "var", "p": "latom"}  # with digits after the letter
+# One match per token, the whitespace before it included, tried in this
+# order: a word is matched whole, so "P1x" is "P1" then "x"; a run of '(',
+# ')' or '!' is one token; any other character is a token of its own; and
+# the end of the text is the `eof` token "".  After trailing whitespace
+# `findall` returns `eof` twice, and nothing reads the second.
+_LEXEME_RE = re.compile(r"\s*(->|\|-|i!|i&|i\||o\*|[A-Za-z]+[0-9]*|\(+|\)+|!+|\S|\Z)")
+_WORDS = frozenset((
+    "->", "|-", "i!", "i&", "i|", "o*", "&", "|", "~", ",", ":", "=", "",
+    "bot", "ibot", "top", "itop", "nb", "box", "dia", "down", "up", "F",
+))
+_RUN_CHARS = frozenset("()!")
+_ATOM_LETTERS = frozenset("Pp")  # with digits after the letter
 
 
-def _lex(text: str) -> tuple[list[str], list[str]]:
-    """The token kinds and texts, each list ending with `eof`."""
+def _lex(text: str) -> list[str]:
+    """The token texts, ending with `eof`, each text its own kind.  A text
+    outside `_WORDS` must be a run or an atom, a letter with digits."""
     texts = _LEXEME_RE.findall(text)
-    table = dict(_KINDS)  # and each other word, classified once: an atom or None
-    for word in set(texts).difference(_KINDS):
-        table[word] = _ATOM_KINDS.get(word[0]) if word[1:].isdigit() else None
-    kinds = list(map(table.__getitem__, texts))
-    if None in kinds:
-        i = kinds.index(None)
+    bad = [word for word in set(texts).difference(_WORDS) if word[0] not in _RUN_CHARS
+           and not (word[0] in _ATOM_LETTERS and word[1:].isdigit())]
+    if bad:
+        i = min(map(texts.index, bad))
         word = texts[i]
         what = "unknown word" if word.isascii() and word[0].isalpha() else "unexpected character"
-        raise ParseError(f"{what} {word!r}", _offset(text, i))
-    kinds.append("eof")
-    texts.append("")
-    return kinds, texts
+        raise ParseError(f"{what} {word!r}", _offset(text, len(_per_character(texts, i))))
+    return texts
+
+
+def _per_character(texts: list[str], i: int) -> list[str]:
+    """The texts of the tokens before token i, a run split into one token
+    per character: the tokens that offsets and messages count."""
+    out: list[str] = []
+    for word in texts[:i]:
+        if word[:1] in _RUN_CHARS:
+            out += word
+        else:
+            out.append(word)
+    return out
 
 
 def _offset(text: str, i: int) -> int:
-    """The offset of token i, or of `eof` past the last token, found by
-    matching the tokens again: only an error reports an offset."""
-    starts = [match.start() for match in _LEXEME_RE.finditer(text)]
-    return starts[i] if i < len(starts) else len(text)
+    """The offset of token i, counting a run as one token per character,
+    found by matching the tokens again: only an error reports an offset."""
+    for match in _LEXEME_RE.finditer(text):
+        word = match[1]
+        width = len(word) if word[:1] in _RUN_CHARS else 1
+        if i < width:
+            return match.start(1) + i
+        i -= width
+    return len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +561,9 @@ def _derived_unary(tag: DerivedTag):
 
 class _Grammar(NamedTuple):
     """One expression language: its prefix operators, atoms (with the
-    expected set reported when no atom is found), conjunction-level and
-    disjunction-level operators by token kind, and whether '->' exists."""
+    expected set reported when no atom is found; an atom with digits is
+    found by its letter), conjunction-level and disjunction-level
+    operators, each by its text, and whether '->' exists."""
 
     prefix: dict
     atoms: dict
@@ -469,10 +575,10 @@ class _Grammar(NamedTuple):
 
 _FORMULA = _Grammar(
     prefix={
-        "bang": ExtNot,
-        "ibang": IntNot,
-        "tilde": _derived_unary(DerivedTag.STRICT_NOT),
-        **{kind: _derived_unary(DerivedTag(kind)) for kind in ("box", "dia", "down", "up")},
+        "!": ExtNot,
+        "i!": IntNot,
+        "~": _derived_unary(DerivedTag.STRICT_NOT),
+        **{word: _derived_unary(DerivedTag(word)) for word in ("box", "dia", "down", "up")},
     },
     atoms={
         "bot": lambda text: ExtBot(),
@@ -480,23 +586,23 @@ _FORMULA = _Grammar(
         "top": lambda text: Derived(DerivedTag.EXT_TOP),
         "itop": lambda text: Derived(DerivedTag.INT_TOP),
         "nb": lambda text: Derived(DerivedTag.NB),
-        "var": lambda text: Var(int(text[1:])),
+        "P": lambda text: Var(int(text[1:])),
     },
     atom_expect=("bot", "ibot", "top", "itop", "nb", "P<digits>", "'('"),
-    conj={"amp": ExtAnd, "iamp": IntAnd},
+    conj={"&": ExtAnd, "i&": IntAnd},
     disj={
-        "pipe": ExtOr,
-        "ipipe": IntOr,
-        "ostar": lambda left, right: Derived(DerivedTag.CIRCLE_STAR, (left, right)),
+        "|": ExtOr,
+        "i|": IntOr,
+        "o*": lambda left, right: Derived(DerivedTag.CIRCLE_STAR, (left, right)),
     },
     arrow=True,
 )
 _LABEL = _Grammar(
-    prefix={"bang": LNot},
-    atoms={"F": lambda text: LBot(), "latom": lambda text: LAtom(int(text[1:]))},
+    prefix={"!": LNot},
+    atoms={"F": lambda text: LBot(), "p": lambda text: LAtom(int(text[1:]))},
     atom_expect=("F", "p<digits>", "'('"),
-    conj={"amp": LAnd},
-    disj={"pipe": LOr},
+    conj={"&": LAnd},
+    disj={"|": LOr},
     arrow=False,
 )
 
@@ -504,21 +610,28 @@ _LABEL = _Grammar(
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts = _lex(text)
+        self.texts = _lex(text)
         self.i = 0
+        self.j = 0  # the characters of token i read, inside a run of ')'
 
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        """A ParseError at the current token."""
-        return ParseError(message, _offset(self.text, self.i), expected)
+        """A ParseError at the current token, or at the current character
+        of a run."""
+        before = _per_character(self.texts, self.i)
+        return ParseError(message, _offset(self.text, len(before) + self.j), expected)
+
+    def current(self) -> str:
+        """The text of the current token, one character of a run."""
+        word = self.texts[self.i]
+        return word[:1] if word[:1] in _RUN_CHARS else word
 
     def unexpected(self, expected: tuple[str, ...]) -> ParseError:
-        i = self.i
-        if self.kinds[i] == "eof":
+        if self.texts[self.i] == "":
             return self.error("unexpected end of input", expected)
-        return self.error(f"got {self.texts[i]!r}", expected)
+        return self.error(f"got {self.current()!r}", expected)
 
     def peek(self) -> str:
-        return self.kinds[self.i]
+        return self.texts[self.i]
 
     def formula(self) -> Formula:
         """formula := disj ['->' formula]; disj := conj (op conj)*;
@@ -537,97 +650,115 @@ class _Parser:
         A '(' saves the level's state on the stack and opens a new one;
         once a level's formula is complete, it takes its ')' and is an
         operand of the level below.  The outermost level's formula is the
-        result.  Equal atoms are built once and shared."""
-        kinds, texts, i = self.kinds, self.texts, self.i
+        result.  A run of '!' adds its operator once per character; a run
+        of '(' saves at most one state, and the levels after it, which
+        have nothing open, as one count that a run of ')' closes in one
+        step.  Equal atoms are built once and shared."""
+        texts, i, j = self.texts, self.i, 0
         prefix, atoms, conj, disj = grammar.prefix, grammar.atoms, grammar.conj, grammar.disj
-        arrow = "arrow" if grammar.arrow else None
-        stack: list[tuple] = []
+        arrow = "->" if grammar.arrow else None
+        stack: list = []
         leaves: dict = {}
         prefixes: list = []
         arrows: list = []
-        conj_left = conj_kind = disj_left = disj_kind = None
+        conj_left = conj_op = disj_left = disj_op = None
         while True:
-            kind = kinds[i]
-            while kind in prefix:
-                prefixes.append(prefix[kind])
-                i += 1
-                kind = kinds[i]
-            if kind == "lpar":  # a level with nothing open is saved as None
-                if prefixes or arrows or conj_kind or disj_kind:
-                    stack.append((prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind))
-                    prefixes, arrows, conj_kind, disj_kind = [], [], None, None
-                else:
-                    stack.append(None)
+            word = texts[i]
+            op = prefix.get(word)
+            if op is not None:
+                prefixes.append(op)
                 i += 1
                 continue
-            value = leaves.get(texts[i])
+            first = word[:1]
+            if first == "!":
+                prefixes += [prefix[first]] * len(word)
+                i += 1
+                continue
+            if first == "(":
+                depth = len(word)
+                if prefixes or arrows or conj_op or disj_op:
+                    stack.append((prefixes, arrows, conj_left, conj_op, disj_left, disj_op))
+                    prefixes, arrows, conj_op, disj_op = [], [], None, None
+                    depth -= 1
+                if depth:  # levels with nothing open: one count
+                    stack.append(depth)
+                i += 1
+                continue
+            value = leaves.get(word)
             if value is None:
-                make = atoms.get(kind)
+                make = atoms.get(word) or atoms.get(first)
                 if make is None:
-                    self.i = i
+                    self.i, self.j = i, j
                     raise self.unexpected(grammar.atom_expect)
                 try:
-                    value = leaves[texts[i]] = make(texts[i])
+                    value = leaves[word] = make(word)
                 except ValueError:  # an index with more digits than int() reads
-                    self.i, digits = i, len(texts[i]) - 1
-                    message = f"index of {texts[i][0]}<{digits} digits> is too large"
-                    raise self.error(message) from None
+                    self.i, self.j, digits = i, j, len(word) - 1
+                    raise self.error(f"index of {first}<{digits} digits> is too large") from None
             i += 1
             while True:  # close the operand in its level, and each level it completes
-                while prefixes:
-                    value = prefixes.pop()(value)
-                kind = kinds[i]
-                if conj_kind is not None:
-                    value = conj[conj_kind](conj_left, value)
-                    if kind != conj_kind and kind in conj:
-                        self.i = i
+                if prefixes:
+                    for op in reversed(prefixes):
+                        value = op(value)
+                    prefixes.clear()
+                word = texts[i]
+                if conj_op is not None:
+                    value = conj[conj_op](conj_left, value)
+                    if word != conj_op and word in conj:
+                        self.i, self.j = i, j
                         raise self._mixing("conjunction")
-                if kind in conj:
-                    conj_left, conj_kind = value, kind
+                if word in conj:
+                    conj_left, conj_op = value, word
                     break
-                conj_kind = None
-                if disj_kind is not None:
-                    value = disj[disj_kind](disj_left, value)
-                    if kind != disj_kind and kind in disj:
-                        self.i = i
+                conj_op = None
+                if disj_op is not None:
+                    value = disj[disj_op](disj_left, value)
+                    if word != disj_op and word in disj:
+                        self.i, self.j = i, j
                         raise self._mixing("disjunction")
-                if kind in disj:
-                    disj_left, disj_kind = value, kind
+                if word in disj:
+                    disj_left, disj_op = value, word
                     break
-                disj_kind = None
-                if kind == arrow:  # right-associative: fold at the end
+                disj_op = None
+                if word == arrow:  # right-associative: fold at the end
                     arrows.append(value)
                     break
                 while arrows:
                     value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
                 if not stack:
-                    self.i = i
+                    self.i, self.j = i, j
                     return value
-                if kinds[i] != "rpar":
-                    self.i = i
+                if word[:1] != ")":
+                    self.i, self.j = i, j
                     raise self.unexpected(("')'",))
-                i += 1
                 saved = stack.pop()
-                if saved is not None:  # else this level, now complete, has nothing open
-                    prefixes, arrows, conj_left, conj_kind, disj_left, disj_kind = saved
+                if type(saved) is tuple:
+                    prefixes, arrows, conj_left, conj_op, disj_left, disj_op = saved
+                    saved = 1
+                j += saved  # one character of the run closes each level
+                if j >= len(word):  # past the run: the levels it did not reach stay
+                    if j > len(word):
+                        stack.append(j - len(word))
+                    i += 1
+                    j = 0
             i += 1  # past the operator that asks for the next operand
 
     def _mixing(self, level_name: str) -> ParseError:
         return self.error(
             f"mixing {self.texts[self.i]!r} with a different {level_name}-level operator "
             "requires parentheses",
-            (self.texts[self.i - 2],),
+            (_per_character(self.texts, self.i)[-2],),
         )
 
     # -- labelled formulas and queries
 
     def labelled(self) -> LabelledFormula:
         label = self.label()
-        kind = self.peek()
-        if kind == "colon":
+        word = self.peek()
+        if word == ":":
             self.i += 1
             return LabelledFormula(label, self.formula())
-        if kind == "equals":
+        if word == "=":
             self.i += 1
             return equality(label, self.label())
         raise self.unexpected(("':'", "'='"))
@@ -636,12 +767,12 @@ class _Parser:
         """query := [item (',' item)*] '|-' item, each item read by
         read(self): the premises and the conclusion."""
         premises = []
-        if self.peek() != "turnstile":
+        if self.peek() != "|-":
             premises.append(read(self))
-            while self.peek() == "comma":
+            while self.peek() == ",":
                 self.i += 1
                 premises.append(read(self))
-        if self.peek() != "turnstile":
+        if self.peek() != "|-":
             raise self.unexpected(("'|-'",))
         self.i += 1
         return tuple(premises), read(self)
@@ -651,8 +782,8 @@ def _parse(text: str, read):
     """read(parser) over the whole text, which it must use up."""
     p = _Parser(text)
     value = read(p)
-    if p.peek() != "eof":
-        raise p.error(f"trailing input {p.texts[p.i]!r}", ("end of input",))
+    if p.peek() != "":
+        raise p.error(f"trailing input {p.current()!r}", ("end of input",))
     return value
 
 

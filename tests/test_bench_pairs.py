@@ -112,25 +112,30 @@ def test_the_parent_runs_from_its_commit_and_the_change_from_the_tree(tmp_path, 
     assert str(tmp_path) not in trees and not any(map(os.path.exists, trees))
 
 
-_ENV_RUN = '''import json, os, sys
-cache = os.environ.get("PYTHONPYCACHEPREFIX")
-print(json.dumps({"metrics": {}, "cache": cache, "prefix": sys.pycache_prefix,
-                  "empty": os.path.isdir(cache) and not os.listdir(cache),
-                  "no_writes": sys.dont_write_bytecode}))
+_ENV_RUN = '''import argparse, json, os, sys
+import helper  # a module of the tree, compiled from source
+print(json.dumps({"metrics": {}, "env_prefix": os.environ.get("PYTHONPYCACHEPREFIX"),
+                  "prefix": sys.pycache_prefix, "no_writes": sys.dont_write_bytecode,
+                  "stdlib_cached": argparse.__spec__.cached is not None}))
 '''
 
 
-def test_each_run_compiles_with_its_own_empty_bytecode_cache(tmp_path):
-    """No run reads bytecode: each gets a fresh, empty PYTHONPYCACHEPREFIX,
-    removed afterwards, and writes none, so a `__pycache__` left in one
-    tree cannot make its imports look cheaper than the other's."""
+def test_each_run_compiles_its_tree_from_source_and_reads_installed_bytecode(
+        tmp_path, monkeypatch):
+    """No run writes bytecode, so a `__pycache__` never appears in a tree
+    to make its imports look cheaper than the other's; and no run
+    redirects the bytecode lookup, even where the caller's environment
+    does, so the standard library reads its installed bytecode as a
+    user's does, and is not compiled from source in every process."""
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "elsewhere"))
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(_ENV_RUN)
+    (tmp_path / "bench" / "helper.py").write_text("X = 1\n")
     runs = [bench_pairs.run_bench(str(tmp_path), "w", 0, 0) for _ in range(2)]
     for run in runs:
-        assert run["prefix"] == run["cache"] and run["empty"] and run["no_writes"]
-        assert not os.path.exists(run["cache"])
-    assert runs[0]["cache"] != runs[1]["cache"]
+        assert run["env_prefix"] is None and run["prefix"] is None
+        assert run["no_writes"] and run["stdlib_cached"]
+    assert not list(tmp_path.rglob("__pycache__")) and not (tmp_path / "elsewhere").exists()
 
 
 # A stand-in for `python -m lt`: it logs its tree, its bytecode cache and

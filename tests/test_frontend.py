@@ -1,10 +1,17 @@
 """The front end against its oracles: the lexer, and the offset of each
-of its tokens, against the `finditer` lexer (tests/reference.py), and
-`expand` and `substitute`, which keep every unchanged subtree, against
-an expansion that builds every node anew."""
+of its tokens, against the `finditer` lexer (tests/reference.py), which
+reads a run of '(', ')' or '!' one character at a time; the parsers on
+inputs with long runs against the trees and errors pinned from the
+parser that lexed one token per character; and `expand` and
+`substitute`, which keep every unchanged subtree, against an expansion
+that builds every node anew."""
 
+import hashlib
+import json
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,26 +51,35 @@ _PIECES = (
 
 
 def _new(text):
-    """The tokens of the lexer under test as (kind, text, offset), the
-    offset of every token as `_offset` finds it again, or its error as
+    """The tokens of the lexer under test as (text, offset), a run of
+    '(', ')' or '!' split into one token per character at offsets
+    start + j, the start of each token as `_offset` finds it again; a
+    second `eof` after trailing whitespace is not read.  Or its error as
     (type, message, offset, expected)."""
     try:
-        kinds, texts = _lex(text)
+        texts = _lex(text)
     except Exception as exc:
         return type(exc), str(exc), exc.offset, exc.expected
-    return [(k, t, _offset(text, i)) for i, (k, t) in enumerate(zip(kinds, texts))]
+    tokens = []
+    for word in texts:
+        start = _offset(text, len(tokens))
+        chars = word if word[:1] in ("(", ")", "!") else [word]
+        tokens += [(char, start + j) for j, char in enumerate(chars)]
+        if word == "":
+            return tokens
 
 
 def _old(text):
+    """The texts and offsets of the `finditer` lexer's tokens, or its error."""
     try:
-        return ref.tokenize(text)
+        return [(word, offset) for _, word, offset in ref.tokenize(text)]
     except Exception as exc:
         return type(exc), str(exc), exc.offset, exc.expected
 
 
 def test_lexer_agrees_on_seeded_strings(seed):
     rng = random.Random(seed + 81)
-    assert _new("") == _old("") == [("eof", "", 0)]
+    assert _new("") == _old("") == [("", 0)]
     for _ in range(100_000):
         text = "".join(rng.choices(_PIECES, k=rng.randrange(9)))
         assert _new(text) == _old(text), text
@@ -81,7 +97,7 @@ def test_trailing_whitespace_lexes_in_linear_time(tail):
         new = _new(text)
         assert time.perf_counter() - start < 1.0
         assert new == _old(text)
-    assert new[-1] == ("eof", "", len(text))
+    assert new[-1] == ("", len(text))
     with pytest.raises(ParseError) as err:
         parse_formula(text)
     assert err.value.offset == len(text)
@@ -136,7 +152,7 @@ def test_lexer_and_parser_errors_agree_on_mutated_inputs(seed):
                     if type(old) is tuple:
                         assert (type(exc), str(exc), exc.offset, exc.expected) == old
                         continue
-                    at = {offset: word for _, word, offset in old}
+                    at = {offset: word for word, offset in old}
                     assert exc.offset in at, mutated
                     message = str(exc).split(": ", 1)[1]
                     if message.startswith(("got ", "trailing input ", "mixing ")):
@@ -145,6 +161,99 @@ def test_lexer_and_parser_errors_agree_on_mutated_inputs(seed):
                         assert at[exc.offset] == "", mutated
                 else:
                     assert type(old) is list, mutated
+
+
+_OPERATORS = ("&", "i&", "|", "i|", "o*", "->")
+_LEAVES = ("bot", "ibot", "top", "itop", "nb", "F")
+
+
+def _with_runs(rng, text):
+    """The text's tokens with one to three runs of '(', ')' or '!' of 1 to
+    3,000 characters: balanced ones, around an atom or before it, which
+    keep the text well formed, or one at a random place; in one text of
+    three an operator swapped for a random one, which may mix a level.
+    The tokens are joined by spaces, or where one is a run by nothing or
+    a space, so runs meet or not."""
+    words = [t for _, t, _ in ref.tokenize(text)][:-1]
+    for _ in range(rng.randint(1, 3)):
+        width = rng.choice((1, 2, 3, rng.randint(1, 3000)))
+        atoms = [k for k, w in enumerate(words) if w[:1] in ("P", "p") or w in _LEAVES]
+        if atoms and rng.random() < 0.7:
+            k = rng.choice(atoms)
+            words[k] = ("(" * width + words[k] + ")" * width if rng.random() < 0.5
+                        else "!" * width + words[k])
+        else:
+            words.insert(rng.randrange(len(words) + 1), rng.choice("()!") * width)
+    operators = [k for k, w in enumerate(words) if w in _OPERATORS]
+    if operators and rng.random() < 1 / 3:
+        words[rng.choice(operators)] = rng.choice(_OPERATORS)
+    text = words[0] if words else ""
+    for before, word in zip(words, words[1:]):
+        run = before[-1] in "()!" or word[0] in "()!"
+        text += rng.choice(("", " ")) + word if run else " " + word
+    return text
+
+
+def _runs_battery(seed: int, rounds: int):
+    """Seeded texts for each of the five parsers, and chains of three or
+    four operands whose operators may mix a level, with runs
+    (`_with_runs`)."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for parse, text in _texts(rng):
+            yield parse, _with_runs(rng, text)
+        level = rng.choice((("&", "i&"), ("|", "i|", "o*"), ("&", "|")))
+        chain = [f"P{rng.randrange(3)}"]
+        for _ in range(rng.randint(2, 3)):
+            chain += rng.choice(level), f"P{rng.randrange(3)}"
+        yield parse_formula, _with_runs(rng, " ".join(chain))
+
+
+def _outcome(parse, text):
+    """What a parse gives: a digest of the tree's repr, or the error as
+    [message, offset, expected]."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return [str(exc), exc.offset, list(exc.expected)]
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+_RUNS_FIXTURE = Path(__file__).with_name("frontend_runs.json")
+_RUNS_SEED, _RUNS_ROUNDS = 4545, 120
+
+
+def _case(parse, text):
+    return [parse.__name__, hashlib.sha256(text.encode()).hexdigest()[:12]]
+
+
+def _record_runs_fixture():
+    """Write `_RUNS_FIXTURE` from the `lt` on the path, one case a line."""
+    rows = ",\n".join(json.dumps(_case(parse, text) + [_outcome(parse, text)])
+                      for parse, text in _runs_battery(_RUNS_SEED, _RUNS_ROUNDS))
+    _RUNS_FIXTURE.write_text(
+        f'{{"seed": {_RUNS_SEED}, "rounds": {_RUNS_ROUNDS}, "cases": [\n{rows}]}}\n')
+
+
+def test_runs_parse_as_pinned():
+    """Formulas, labels, labelled formulas and queries with runs of 1 to
+    3,000 '(', ')' or '!' at random places, balanced and not, each give
+    the tree, or the error message, offset and `expected`, pinned in
+    tests/frontend_runs.json.  The pins were recorded from the parser
+    that lexed one token per character, run from the repository root as
+
+        PYTHONPATH=<that commit's tree>/src python tests/test_frontend.py --record-runs
+    """
+    pinned = json.loads(_RUNS_FIXTURE.read_text())
+    battery = list(_runs_battery(pinned["seed"], pinned["rounds"]))
+    assert len(battery) == len(pinned["cases"])
+    outcomes = {"tree": 0, "error": 0}
+    for (parse, text), (*case, want) in zip(battery, pinned["cases"]):
+        assert _case(parse, text) == case
+        assert _outcome(parse, text) == want, text
+        outcomes["error" if type(want) is list else "tree"] += 1
+    assert min(outcomes.values()) > len(battery) // 5, outcomes
+    assert sum(type(want) is list and "mixing" in want[0] for *_, want in pinned["cases"]) > 20
 
 
 def test_an_error_offset_is_summed_only_on_error(monkeypatch):
@@ -238,3 +347,7 @@ def test_equal_atoms_are_parsed_once():
     f = parse_formula("P3 & P3 & bot & bot")
     assert f.left.left.left is f.left.left.right and f.left.right is f.right
     assert f == ExtAnd(ExtAnd(ExtAnd(Var(3), Var(3)), f.right), f.right)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record-runs"]:
+    _record_runs_fixture()

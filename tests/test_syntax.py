@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -404,8 +406,8 @@ def _deep(depth: int, leaf=Var(0)):
 
 class TestNodes:
     """Every node stores a hash of its kind, its plain fields and its
-    children's hashes when it is built; equality and repr walk without
-    recursion."""
+    children's hashes on first use; hashing, equality and repr walk
+    without recursion."""
 
     def test_kinds_hash_apart_over_the_same_children(self):
         # a node hashes its class: the same fields under two classes, a
@@ -458,6 +460,70 @@ class TestNodes:
         for init, group in shared.items():
             nodes = [cls(*fields[init]) for cls in group] if init in fields else []
             assert len({hash(x) for x in nodes}) == len(nodes), group
+
+    def test_hashes_are_stored_on_first_use_by_each_class_formula(self, seed):
+        """No constructor hashes; the first hash of a root stores every
+        hash below it, each that of the class, the plain fields and the
+        children's hashes (a tuple of children hashed as the tuple)."""
+        from lt.proofcheck import Assume, Rule, derivation_from_json
+
+        rng = random.Random(seed + 17)
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        roots = [derivation_from_json(json.loads(path.read_text()))
+                 for path in sorted(corpus.glob("*.json"))]
+        for _ in range(300):
+            f, a = random_formula(rng, 5, 3), random_label(rng, 4, 3)
+            roots += [f, a, LabelledFormula(a, f)]
+        below = []
+        for root in roots:
+            nodes, todo = [], [root]
+            while todo:
+                nodes.append(node := todo.pop())
+                for name in type(node).__slots__:
+                    value = getattr(node, name)
+                    todo += value if type(value) is tuple and value and isinstance(
+                        value[0], Node) else [value] if isinstance(value, Node) else []
+            below.append(nodes)
+        assert all(node._hash is None for nodes in below for node in nodes)
+        for root, nodes in zip(roots, below):
+            hash(root)
+            assert all(node._hash is not None for node in nodes)
+            for node in nodes:
+                kind = type(node)
+                if kind is Rule:  # the formulas of each constructor before hashes were lazy
+                    want = hash((kind, node.name, node.conclusion._hash, node.premises,
+                                 node.discharges, node.fresh))
+                elif kind is Assume:
+                    want = hash((kind, node.id, node.formula._hash))
+                elif kind is LabelledFormula:
+                    want = hash((kind, node.label._hash, node.formula._hash))
+                elif kind is Derived:
+                    want = hash((kind, node.tag, node.args))
+                elif kind in (Var, LAtom):
+                    want = hash((kind, node.index))
+                elif kind in (ExtNot, IntNot, LNot):
+                    want = hash((kind, node.child._hash))
+                elif kind in (ExtBot, IntBot, LBot):
+                    want = hash((kind,))
+                else:
+                    want = hash((kind, node.left._hash, node.right._hash))
+                assert node._hash == want == hash(node), node
+
+    @pytest.mark.parametrize("make", [ExtNot, lambda f: ExtAnd(f, Var(1))], ids=["bang", "amp"])
+    def test_a_deep_chain_hashes_without_recursion(self, make):
+        f, g = Var(0), Var(0)
+        for _ in range(100_000):
+            f, g = make(f), make(g)
+        assert hash(f) == hash(g) and f == g
+
+    def test_a_shared_subtree_is_hashed_once(self):
+        # 200 levels of x & x: 2**200 paths, 201 nodes
+        f = Var(0)
+        for _ in range(200):
+            f = ExtAnd(f, f)
+        g = ExtAnd(f, Var(1))
+        assert hash(g) == hash((ExtAnd, hash(f), hash(Var(1))))
+        assert g == ExtAnd(f, Var(1)) and g != ExtAnd(f, Var(2))
 
     def test_derived_keeps_its_arity_check(self):
         with pytest.raises(ValueError, match="takes 1 argument"):
