@@ -6,10 +6,9 @@ Exit codes: 0 = positive logical result, 1 = negative logical result
 (countermodel, counterexample or proof violation), 2 = usage or parse
 error, 3 = budget exhausted, 4 = internal error (an unexpected exception,
 reported on one line of stderr).  A plain command line is read straight
-from the command table, and no parser is built for it.  Argparse reads,
-and reports on, every other one: the command's own parser is built on
-its first such use and kept for the process, and the whole tree only to
-print the top-level usage, help or error.
+from the command table, and no parser is built for it.  The whole
+argparse tree reads, and reports on, every other one: it is built on the
+first such line and kept for the process.
 """
 
 from __future__ import annotations
@@ -378,36 +377,26 @@ _GROUPS = {"pt": "valuational team semantics", "bridge": "bridges between the tw
            "classes": "homomorphism class tools"}
 
 
-def _with_command(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> argparse.ArgumentParser:
-    """`parser` with the arguments and the handler of the command at `path`."""
-    _, handler, arguments = _COMMANDS[path]
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the whole command tree, built from `_COMMANDS`."""
     top = argparse.ArgumentParser(prog="lt", description="Workbench for the logic of teams.")
     subparsers = {(): top.add_subparsers(dest="command", required=True)}
-    for path, (text, _, _) in _COMMANDS.items():
+    for path, (text, handler, arguments) in _COMMANDS.items():
         group = path[:-1]
         if group not in subparsers:  # the group's parser, before its first command's
             parser = subparsers[()].add_parser(group[0], help=_GROUPS[group[0]])
             subparsers[group] = parser.add_subparsers(dest=group[0] + "_command", required=True)
-        _with_command(subparsers[group].add_parser(path[-1], help=text), path)
+        parser = subparsers[group].add_parser(path[-1], help=text)
+        for flags, options in arguments:
+            parser.add_argument(*flags, **options)
+        parser.set_defaults(handler=handler)
     return top
 
 
-@functools.cache
-def _command_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
-    """The parser of the command at `path`, built on its first use and
-    reused for the rest of the process: parsing leaves it unchanged
-    (`--assign` appends to a copy of its default, and the handler is bound
-    by `set_defaults`).  Its prog, and so its usage, help and errors, are
-    those of the same command's parser in `build_parser`'s tree."""
-    return _with_command(argparse.ArgumentParser(prog="lt " + " ".join(path)), path)
+# The whole tree, built on the first argv that `_read` refuses and kept for
+# the process: parsing leaves it unchanged (`--assign` appends to a copy
+# of its default, and each handler is bound by `set_defaults`).
+_tree = functools.cache(build_parser)
 
 
 @functools.cache
@@ -431,13 +420,14 @@ def _command_spec(path: tuple[str, ...]):
 
 
 def _read(path: tuple[str, ...], items: list[str]) -> argparse.Namespace | None:
-    """The namespace that the parser of the command at `path` returns for
-    `items`, read straight from the table; None for anything but a plain
-    command line: an item that starts with `-` and is not one of the
-    command's options, an option with no value or one that starts with
-    `-`, a second positional, a missing required argument, or a value its
-    type or choices refuse.  Argparse reads, and reports on, the rest.
-    This never prints or raises."""
+    """The namespace that the whole tree returns for the command at `path`
+    and `items`, less the tree's `command` and `<group>_command` dests,
+    read straight from the table; None for anything but a plain command
+    line: an item that starts with `-` and is not one of the command's
+    options, an option with no value or one that starts with `-`, a
+    second positional, a missing required argument, or a value its type
+    or choices refuse.  The tree reads, and reports on, the rest.  This
+    never prints or raises."""
     if path not in _COMMANDS:
         return None
     entries, defaults, required, handler = _command_spec(path)
@@ -473,24 +463,16 @@ def _read(path: tuple[str, ...], items: list[str]) -> argparse.Namespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A plain command line is read straight from the
-    table (`_read`); anything else after the command's name, or after a
-    group's name and its command's, goes to that command's own parser.
-    The whole tree is built, and reads argv, only to report on it: no or
-    an unknown command, `-h` first, or arguments the command's parser
-    left."""
-    argv = sys.argv[1:] if argv is None else argv
-    path = tuple(argv[:1]) if tuple(argv[:1]) in _COMMANDS else tuple(argv[:2])
-    args = _read(path, argv[len(path):])
+    table (`_read`); the whole tree reads, and reports on, any other."""
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        path = tuple(argv[:1]) if tuple(argv[:1]) in _COMMANDS else tuple(argv[:2])
+        args = _read(path, argv[len(path):])
         if args is None:
-            command = _command_parser(path) if path in _COMMANDS else None
-            args, rest = command.parse_known_args(argv[len(path):]) if command else (None, ())
-            if args is None or rest:
-                args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    try:
+            args = _tree().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse's usage, help or error
+        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR

@@ -78,16 +78,17 @@ element, and h commutes with the Boolean operations, F included.  But
 ibot denotes {bottom}, whose preimage is the kernel of h, and so do the
 connectives spelled with it: itop, nb, ~ and o*.  So a countermodel of a
 query without ibot at n lifts to one at n + 1, and such a query entailed
-at n + 1 is entailed at n.  `Program.lifts` is set for such a query, and
-over all denotations `_deepen` takes its sizes in pairs (0, 1),
-(2, 3), ..., the larger first: a clean scan at n + 1 clears n, so n is
-scanned only when n + 1 has a countermodel or is over the cap.  The
+at n + 1 is entailed at n.  This holds over principal ideals too, as
+h⁻¹(↓a) = ↓(a ∪ {n}): the preimage of a principal ideal is the ideal of
+a with atom n added.  `Program.lifts` is set for such a query, and
+`_deepen` takes its sizes in pairs (0, 1), (2, 3), ..., the larger
+first: a clean scan at n + 1 clears n, so n is scanned only when n + 1
+has a countermodel or is over the cap.  The
 least size with a countermodel, and the first over the cap (the count of
 homomorphisms grows with n), are reported as an upward scan reports
 them.  Taking the top size first would clear an entailed query in one
 scan, but a query refuted at n = 1 would pay for a scan at the top size;
 in pairs it scans 1 and then 0, the work of an upward scan.
-`principal_variables` keeps the upward order.
 
 Symmetry.  A permutation of the n atoms is an automorphism of 2^n, and
 it lifts to denotations; every connective, internal or external,
@@ -870,11 +871,11 @@ def _decide(program: Program, n: int, class_restriction: str, cap: int):
 def _deepen(program: Program, max_n: int, class_restriction: str, cap: int):
     """Iterative deepening over algebra sizes up to max_n: the least size
     with a countermodel, or the first over the cap.  A query that lifts
-    takes the sizes over all denotations in pairs, the larger first (see
-    "Lifting"); any other query takes them upward."""
+    takes the sizes in pairs, the larger first (see "Lifting"); any other
+    query takes them upward."""
     if not 0 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be in 0..{MAX_N}, got {max_n}")
-    step = 2 if program.lifts and class_restriction == "all" else 1
+    step = 2 if program.lifts else 1
     for low in range(0, max_n + 1, step):
         high = min(low + step - 1, max_n)
         report = _scan_size(program, high, class_restriction, cap)

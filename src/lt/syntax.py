@@ -28,8 +28,9 @@ whitespace before it matched, ending with the `eof` token "": a run of
 '(', ')' or '!' is one token.  A token's text is its kind: the parser
 dispatches on it, applies a run in one step, keeps nesting on an
 explicit stack, and builds each distinct atom once.  Only an error finds
-its offset, by matching the tokens again.  A node stores its hash on
-first use.
+its offset: the start of its token's match, by matching the tokens
+again, plus the characters of a run read before it.  A node stores its
+hash on first use.
 `expand` and `substitute` keep every node whose children come back
 unchanged, so a formula with nothing to rewrite comes back as the
 identical object.  `fold` computes a formula in one walk, spelling each
@@ -40,6 +41,7 @@ labels, as one parser does.
 
 from __future__ import annotations
 
+import itertools
 import re
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -519,32 +521,14 @@ def _lex(text: str) -> list[str]:
         i = min(map(texts.index, bad))
         word = texts[i]
         what = "unknown word" if word.isascii() and word[0].isalpha() else "unexpected character"
-        raise ParseError(f"{what} {word!r}", _offset(text, len(_per_character(texts, i))))
+        raise ParseError(f"{what} {word!r}", _offset(text, i))
     return texts
 
 
-def _per_character(texts: list[str], i: int) -> list[str]:
-    """The texts of the tokens before token i, a run split into one token
-    per character: the tokens that offsets and messages count."""
-    out: list[str] = []
-    for word in texts[:i]:
-        if word[:1] in _RUN_CHARS:
-            out += word
-        else:
-            out.append(word)
-    return out
-
-
-def _offset(text: str, i: int) -> int:
-    """The offset of token i, counting a run as one token per character,
-    found by matching the tokens again: only an error reports an offset."""
-    for match in _LEXEME_RE.finditer(text):
-        word = match[1]
-        width = len(word) if word[:1] in _RUN_CHARS else 1
-        if i < width:
-            return match.start(1) + i
-        i -= width
-    return len(text)
+def _offset(text: str, i: int, j: int = 0) -> int:
+    """The offset of character j of token i, found by matching the tokens
+    again: only an error reports an offset."""
+    return next(itertools.islice(_LEXEME_RE.finditer(text), i, None)).start(1) + j
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +601,7 @@ class _Parser:
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         """A ParseError at the current token, or at the current character
         of a run."""
-        before = _per_character(self.texts, self.i)
-        return ParseError(message, _offset(self.text, len(before) + self.j), expected)
+        return ParseError(message, _offset(self.text, self.i, self.j), expected)
 
     def current(self) -> str:
         """The text of the current token, one character of a run."""
@@ -706,7 +689,7 @@ class _Parser:
                     value = conj[conj_op](conj_left, value)
                     if word != conj_op and word in conj:
                         self.i, self.j = i, j
-                        raise self._mixing("conjunction")
+                        raise self._mixing("conjunction", conj_op)
                 if word in conj:
                     conj_left, conj_op = value, word
                     break
@@ -715,7 +698,7 @@ class _Parser:
                     value = disj[disj_op](disj_left, value)
                     if word != disj_op and word in disj:
                         self.i, self.j = i, j
-                        raise self._mixing("disjunction")
+                        raise self._mixing("disjunction", disj_op)
                 if word in disj:
                     disj_left, disj_op = value, word
                     break
@@ -743,11 +726,13 @@ class _Parser:
                     j = 0
             i += 1  # past the operator that asks for the next operand
 
-    def _mixing(self, level_name: str) -> ParseError:
+    def _mixing(self, level_name: str, chain_op: str) -> ParseError:
+        """The error at an operator that mixes with `chain_op`, the open
+        chain's operator, which it expects."""
         return self.error(
             f"mixing {self.texts[self.i]!r} with a different {level_name}-level operator "
             "requires parentheses",
-            (_per_character(self.texts, self.i)[-2],),
+            (chain_op,),
         )
 
     # -- labelled formulas and queries

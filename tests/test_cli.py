@@ -1,4 +1,5 @@
 import argparse
+import copy
 import importlib
 import json
 import os
@@ -499,27 +500,41 @@ class TestUsage:
         assert main(["eval"]) == 2
 
 
+def _command_in(tree: argparse.ArgumentParser, path) -> argparse.ArgumentParser:
+    """The parser of the command at `path` in the tree."""
+    for name in path:
+        (subparsers,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
+        tree = subparsers.choices[name]
+    return tree
+
+
 class TestSharedParser:
     """`main` reads a plain command line from the table and builds no
-    parser for it; it builds a command's own parser once, for an argv
-    that argparse must read, and the whole tree only to print the
-    top-level usage, help or error."""
+    parser for it; the whole tree reads every other argv, built on the
+    first one and kept for the process."""
 
-    def test_a_command_builds_only_its_own_parser_once(self, monkeypatch, capsys):
-        calls, build, with_command = [], cli.build_parser, cli._with_command
-        monkeypatch.setattr(cli, "build_parser", lambda: calls.append("tree") or build())
-        monkeypatch.setattr(cli, "_with_command",
-                            lambda parser, path: calls.append(path) or with_command(parser, path))
-        cli._command_parser.cache_clear()
-        try:
-            for argv in (["parse", "P0"], ["eval", "--n", "1", "P0"], ["parse", "P1"],
-                         ["pt", "eval", "--k", "1", "P0"], ["entail", "--class", "bogus", "|- P0"],
-                         ["pt", "eval", "-h"], ["eval", "--n", "1", "P1"], ["expand", "P0"],
-                         ["entail", "--class", "bogus", "|- P1"]):
-                main(argv)
-        finally:
-            cli._command_parser.cache_clear()
-        assert calls == [("entail",), ("pt", "eval")]
+    def test_the_tree_is_built_at_most_once_and_never_for_a_plain_line(self):
+        """In a fresh process: plain lines of every kind build no tree, and
+        the refused lines after them (a bad choice, `-h` of a command, a bad
+        count, `--opt=value`, no command) share one."""
+        plain = [["parse", "P0"], ["eval", "--n", "1", "P0"], ["pt", "eval", "--k", "1", "P0"],
+                 ["expand", "P0"], ["entail", "--max-n", "0", "|- P0"]]
+        refused = [["entail", "--class", "bogus", "|- P0"], ["pt", "eval", "-h"],
+                   ["lentail", "--jobs", "0", "p0 : P0 |- p0 : P0"],
+                   ["entail", "--max-n=0", "|- P0"], []]
+        code = (
+            "import io, sys\n"
+            "from lt import cli\n"
+            "sys.stdout = sys.stderr = io.StringIO()\n"
+            "for lines in ({plain!r}, {refused!r}):\n"
+            "    statuses = [cli.main(argv) for argv in lines]\n"
+            "    print(statuses, cli._tree.cache_info().currsize, file=sys.__stdout__)\n"
+            "print(cli._tree.cache_info().misses, file=sys.__stdout__)\n"
+        ).format(plain=plain, refused=refused)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.stdout, done.stderr) == ("[0, 2, 0, 0, 1] 0\n[2, 0, 2, 1, 2] 1\n1\n", "")
 
     def test_a_plain_command_in_a_fresh_process_builds_no_parser(self):
         """The first command of a process, read from the table, builds no
@@ -530,7 +545,7 @@ class TestSharedParser:
             "before = 'locale' in sys.modules\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main(['entail', '--max-n', '0', '|- P0'])\n"
-            "print(status, cli._command_parser.cache_info().currsize,\n"
+            "print(status, cli._tree.cache_info().currsize,\n"
             "      before or 'locale' not in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -539,30 +554,47 @@ class TestSharedParser:
         assert (done.stdout, done.stderr) == ("1 0 True\n", "")  # P0 is refuted at n = 0
 
     @pytest.mark.parametrize("argv", [["frobnicate"], [], ["-h"], ["pt"], ["parse", "P0", "P1"]])
-    def test_the_whole_tree_is_built_once_to_report_on_argv(self, monkeypatch, capsys, argv):
-        calls, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-        assert main(argv) == (0 if argv == ["-h"] else 2)
-        assert len(calls) == 1 and capsys.readouterr().out.startswith("usage: lt") == (argv == ["-h"])
+    def test_the_whole_tree_is_built_once_to_report_on_argv(self, capsys, argv):
+        """Twice the same report, from one tree."""
+        cli._tree.cache_clear()
+        reports = [run(capsys, *argv) for _ in range(2)]
+        info = cli._tree.cache_info()
+        assert (info.misses, info.hits) == (1, 1) and reports[0] == reports[1]
+        code, out, _ = reports[0]
+        assert code == (0 if argv == ["-h"] else 2) and out.startswith("usage: lt") == (argv == ["-h"])
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
 
     @pytest.mark.parametrize("path", list(cli._COMMANDS), ids=" ".join)
-    def test_a_command_parser_prints_as_in_the_whole_tree(self, path):
-        tree = cli.build_parser()
-        for name in path:
-            (subparsers,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
-            tree = subparsers.choices[name]
-        own = cli._command_parser(path)
-        assert own.prog == tree.prog == "lt " + " ".join(path)
-        assert (own.format_usage(), own.format_help()) == (tree.format_usage(), tree.format_help())
+    def test_a_command_parser_prints_as_in_the_whole_tree(self, capsys, path):
+        """The command's parser in the kept tree, once it has read argv of
+        every kind, well formed or not, prints as the same command's parser
+        in a new tree did before, with the same defaults: parsing leaves
+        the tree unchanged (the trees share the table's default values)."""
+        def state(parser):
+            return (parser.prog, parser.format_usage(), parser.format_help(), parser._defaults,
+                    [(action.dest, action.default) for action in parser._actions])
+
+        before = copy.deepcopy(state(_command_in(cli.build_parser(), path)))
+        rng = random.Random(" ".join(path))
+        for _ in range(50):
+            try:
+                cli._tree().parse_known_args([*path, *_reader_argv(rng, cli._COMMANDS[path][2])])
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert state(_command_in(cli._tree(), path)) == before
+        assert before[0] == "lt " + " ".join(path)
 
     def test_assign_does_not_leak(self, capsys):
-        code, out, _ = run(capsys, "eval", "--n", "1", "--assign", "P0=[1]", "P0")
-        assert code == 0 and json.loads(out)["denotation"] == ["1"]
-        code, out, err = run(capsys, "eval", "--n", "1", "P0")
-        assert code == 2 and out == "" and "unbound variable" in err
+        # read by the table, and by the tree (`--opt=value`)
+        for given in (["--n", "1", "--assign", "P0=[1]"], ["--n=1", "--assign=P0=[1]"]):
+            code, out, _ = run(capsys, "eval", *given, "P0")
+            assert code == 0 and json.loads(out)["denotation"] == ["1"]
+            for line in (["--n", "1"], ["--n=1"]):
+                code, out, err = run(capsys, "eval", *line, "P0")
+                assert code == 2 and out == "" and "unbound variable" in err
 
     def test_usage_error_does_not_leak(self, capsys):
         expected = run(capsys, "entail", "ibot |- i! ibot")
@@ -670,8 +702,8 @@ def test_argv_battery_is_read_as_the_full_parser_reads_it(capsys, tmp_path, emit
     assert len(emitted) > 20  # each verdict written as json.dumps writes it
 
 
-# -- the table reader: each argv it reads, the command's parser reads
-# to the same namespace
+# -- the table reader: each argv it reads, the command's parser in the
+# whole tree reads to the same namespace
 
 _REFUSED = ["x", "0", "-5", "1.5", ""]  # values that some option's type refuses
 _DASHED = ["-x", "-h", "--timing", "-", "-P0"]
@@ -711,20 +743,22 @@ def _reader_argv(rng: random.Random, arguments: list) -> list[str]:
 
 def _reader_battery(rng: random.Random, draws: int = 400) -> dict:
     """For `draws` argv per command path of `cli._COMMANDS`, and per path
-    with a `dest=` again without it (so that the dests come from the
-    flags), require that `cli._read` returns None or the namespace the
-    command's parser returns, reading every item.  The counts of argv
-    read and refused, per path."""
+    with a `dest=` again without it, as a command of its own (so that the
+    dests come from the flags), require that `cli._read` returns None or
+    the namespace the whole tree returns for the path and the argv, less
+    its `command` and `<group>_command` dests, reading every item.  The
+    counts of argv read and refused, per path."""
     table = dict(cli._COMMANDS)
     for path, (text, handler, arguments) in cli._COMMANDS.items():
         if any("dest" in options for _, options in arguments):
             undest = [(flags, {k: v for k, v in options.items() if k != "dest"})
                       for flags, options in arguments]
-            table[path + ("(no dest)",)] = (text, handler, undest)
+            table[path[:-1] + (path[-1] + "-undest",)] = (text, handler, undest)
     counts = {}
     saved = cli._COMMANDS
     cli._COMMANDS = table
     try:
+        tree = cli.build_parser()
         for path, (_, _, arguments) in table.items():
             read = refused = 0
             for _ in range(draws):
@@ -734,16 +768,17 @@ def _reader_battery(rng: random.Random, draws: int = 400) -> dict:
                     refused += 1
                     continue
                 try:
-                    want, rest = cli._command_parser(path).parse_known_args(argv)
+                    want, rest = tree.parse_known_args([*path, *argv])
                 except SystemExit:
                     raise AssertionError(f"the table read what argparse refuses: {path} {argv}")
-                assert (rest, vars(want)) == ([], vars(got)), (path, argv)
+                want = {dest: value for dest, value in vars(want).items()
+                        if dest != "command" and not dest.endswith("_command")}
+                assert (rest, want) == ([], vars(got)), (path, argv)
                 read += 1
             counts[path] = (read, refused)
     finally:
         cli._COMMANDS = saved
         cli._command_spec.cache_clear()
-        cli._command_parser.cache_clear()
     assert cli._read(("eval",), ["--n", "1", "P0"]).assign == []  # the table's default
     return counts
 
@@ -776,7 +811,7 @@ def test_the_table_reads_every_well_formed_command_of_the_gated_streams(tmp_path
 
 @pytest.mark.parametrize("argv", [
     ["entail", "|- P0 -> P0"], ["entail", "--class", "bogus", "|- P0"], ["pt", "eval", "-h"],
-    ["frobnicate"], [],
+    ["frobnicate"], [], ["entail", "--jobs", "0", "|- P0"], ["entail", "--max-n=1", "|- P0"],
 ], ids=repr)
 def test_a_fresh_process_prints_what_main_prints(capsys, monkeypatch, argv):
     """`python -m lt` in a new process, where no parser is built yet, gives

@@ -53,7 +53,7 @@ _PIECES = (
 def _new(text):
     """The tokens of the lexer under test as (text, offset), a run of
     '(', ')' or '!' split into one token per character at offsets
-    start + j, the start of each token as `_offset` finds it again; a
+    start + j, the start of token i as `_offset(text, i)` finds it again; a
     second `eof` after trailing whitespace is not read.  Or its error as
     (type, message, offset, expected)."""
     try:
@@ -61,8 +61,8 @@ def _new(text):
     except Exception as exc:
         return type(exc), str(exc), exc.offset, exc.expected
     tokens = []
-    for word in texts:
-        start = _offset(text, len(tokens))
+    for i, word in enumerate(texts):
+        start = _offset(text, i)
         chars = word if word[:1] in ("(", ")", "!") else [word]
         tokens += [(char, start + j) for j, char in enumerate(chars)]
         if word == "":
@@ -243,7 +243,11 @@ def test_runs_parse_as_pinned():
     that lexed one token per character, run from the repository root as
 
         PYTHONPATH=<that commit's tree>/src python tests/test_frontend.py --record-runs
-    """
+
+    but for the `expected` of a mixing error, which named the token two
+    before the operator, one per character of a run, and now names the
+    open chain's operator: those entries were recorded again from this
+    tree."""
     pinned = json.loads(_RUNS_FIXTURE.read_text())
     battery = list(_runs_battery(pinned["seed"], pinned["rounds"]))
     assert len(battery) == len(pinned["cases"])
@@ -253,18 +257,25 @@ def test_runs_parse_as_pinned():
         assert _outcome(parse, text) == want, text
         outcomes["error" if type(want) is list else "tree"] += 1
     assert min(outcomes.values()) > len(battery) // 5, outcomes
-    assert sum(type(want) is list and "mixing" in want[0] for *_, want in pinned["cases"]) > 20
+    mixing = [want for *_, want in pinned["cases"] if type(want) is list and "mixing" in want[0]]
+    assert len(mixing) > 20
+    for message, _, (chain_op,) in mixing:  # another operator of the chain's level
+        level = ("&", "i&") if "conjunction-level" in message else ("|", "i|", "o*")
+        assert chain_op in level and f"mixing {chain_op!r} " not in message, message
 
 
 def test_an_error_offset_is_summed_only_on_error(monkeypatch):
     summed = []
     real = _offset
-    monkeypatch.setattr("lt.syntax._offset", lambda *a: summed.append(a[1]) or real(*a))
+    monkeypatch.setattr("lt.syntax._offset", lambda *a: summed.append(a[1:]) or real(*a))
     parse_formula("(" * 3000 + "P0" + ")" * 3000)
     assert summed == []
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError) as err:  # at character 0 of token 3, the run of ')'
         parse_formula("(" * 3000 + "P0 &" + ")" * 3000)
-    assert summed == [3002] and err.value.offset == 3004
+    assert summed == [(3, 0)] and err.value.offset == 3004
+    with pytest.raises(ParseError) as err:  # at character 2 of the run, token 2
+        parse_formula("((P0)))")
+    assert summed[1:] == [(2, 2)] and err.value.offset == 6
 
 
 @pytest.mark.parametrize("text", [

@@ -64,35 +64,42 @@ def _formula(rng: random.Random, n_vars: int):
             return f
 
 
-def _check_lifts(entails, replays, *query) -> bool:
+def _check_lifts(entails, replays, *query, **kwargs) -> bool:
     """One scan per size, n = 0..3: a query entailed at n + 1 is entailed at
     n, and from the least size that refutes it, the least countermodel at
-    each size lifts to one that replays one size up, where the scan's
-    assignment is no larger than the lifted one.  True if refuted at n <= 2."""
-    cms = [entails(n, *query)[1] for n in range(4)]
+    each size lifts to one that replays one size up, in the scan's class,
+    where the scan's assignment is no larger than the lifted one.  True if
+    refuted at n <= 2."""
+    cms = [entails(n, *query, **kwargs)[1] for n in range(4)]
     refuted = [cm is not None for cm in cms]
     assert refuted == sorted(refuted), (query, refuted)
     for cm, above in zip(cms, cms[1:]):
         if cm is not None:
             up = lift(cm)
             assert replays(up, *query), (query, cm.to_json_obj())
+            if kwargs.get("class_restriction") == "principal_variables":  # ↓a lifts to ↓(a ∪ {n})
+                assert all(map(up.algebra.is_principal_ideal, up.hom.bits_env().values()))
             assert scan_order(above) <= scan_order(up), (query, above.to_json_obj(), up.to_json_obj())
     return refuted[2]
 
 
-@pytest.mark.parametrize("filters, refuted", [(False, 703), (True, 445)], ids=["plain", "filters"])
-def test_countermodels_lift_to_every_larger_size(filters, refuted):
+@pytest.mark.parametrize("filters, klass, refuted", [
+    (False, "all", 703), (True, "all", 445), (False, "principal_variables", 673),
+], ids=["plain", "filters", "principal"])
+def test_countermodels_lift_to_every_larger_size(filters, klass, refuted):
     # 1-2 variables and 0-2 premises, each query refuted at n <= 2 lifted
     # to n = 3.  As filters, 1-2 premises box phi admit only the assignments
     # under which phi is the full carrier, so the least countermodels are
-    # seldom the empty or the full set, whose orbits are single
+    # seldom the empty or the full set, whose orbits are single.  Over
+    # principal ideals, the variables range over the ideals alone
     rng, lifted = random.Random(SEED), 0
     for _ in range(QUERIES):
         n_vars = rng.choice((1, 2))
         premises = [_formula(rng, n_vars) for _ in range(rng.randrange(filters, 3))]
         premises = boxed(premises) if filters else premises
         conclusion = _formula(rng, n_vars)
-        lifted += _check_lifts(algebra_entails, replay, premises, conclusion)
+        lifted += _check_lifts(algebra_entails, replay, premises, conclusion,
+                               class_restriction=klass)
     assert lifted == refuted  # of the draws at this seed
 
 
@@ -114,9 +121,11 @@ ORDER_SEED = 11
 ORDER_QUERIES = 300
 
 
-def _totals(program) -> list[int]:
-    """The homomorphisms the cap counts at n = 0..3 over all denotations."""
-    return [(1 << (1 << n)) ** len(program.variables) * (1 << n) ** len(program.atoms)
+def _totals(program, klass: str) -> list[int]:
+    """The homomorphisms the cap counts at n = 0..3: a variable takes one of
+    the 2^(2^n) denotations, or of the 2^n principal ideals."""
+    values = (lambda n: 1 << (1 << n)) if klass == "all" else (lambda n: 1 << n)
+    return [values(n) ** len(program.variables) * (1 << n) ** len(program.atoms)
             for n in range(4)]
 
 
@@ -126,8 +135,8 @@ def _totals(program) -> list[int]:
     ("P0 i| P1 |- P0 | P1", "all", [1, 3, 2], "countermodel", 2),  # valid on chains
     ("P0 & P1 |- P0 i& P1", "all", [1, 3], "exhausted", 3),
     ("|- (P0 i| P1) i& P2 -> (P0 i& P2) i| (P1 i& P2)", "all", [1, 3, 2], "budget_exceeded", 2),
-    ("P0 i& P1 |- P1 i& P0", "principal_variables", [0, 1, 2, 3], "exhausted", 3),
-    ("|- P0", "principal_variables", [0, 1], "countermodel", 1),
+    ("P0 i& P1 |- P1 i& P0", "principal_variables", [1, 3], "exhausted", 3),
+    ("|- P0", "principal_variables", [1, 0], "countermodel", 1),  # valid at n = 0 only
 ])
 def test_deepen_takes_lifting_sizes_in_pairs(monkeypatch, text, klass, sizes, status, n):
     query = parse_entailment_query(text)
@@ -167,7 +176,8 @@ def test_deepen_reports_as_one_scan_per_size_upward():
     # plain queries with and without ibot (written, or spelled by itop, nb,
     # ~ or o*), with box filters, labelled, and X i| Y |- X | Y, which
     # holds on chains, so some are refuted only from n = 2; every max_n,
-    # and caps that cut at each size up to it or at none
+    # and caps that cut at each size up to it or at none; each query
+    # without labels over all denotations and over principal ideals
     rng, seen = random.Random(ORDER_SEED), set()
     for i in range(ORDER_QUERIES):
         shape, n_vars = i % 4, rng.choice((1, 2))
@@ -189,15 +199,20 @@ def test_deepen_reports_as_one_scan_per_size_upward():
                 query = (boxed(premises) if shape else premises), draw()
             program, entails = entailment._compile_entailment(*query), algebra_entails
             search = find_countermodel
-        totals = _totals(program)
-        for max_n in range(4):
-            for cut in range(max_n + 2):
-                cap = totals[cut] - 1 if cut <= max_n else DEFAULT_CAP
-                report = search(*query, max_n=max_n, cap=cap)
-                assert report == deepen_upward(entails, max_n, *query, cap=cap), (query, max_n, cap)
-                seen.add((program.lifts, report.status, report.completed_n))
-    # every outcome, with the pair order and without, but a countermodel at
-    # n = 3 alone, which none of these draws has (see the pinned queries)
+        for klass in ("all",) if shape == 2 else ("all", "principal_variables"):
+            kwargs = {} if klass == "all" else {"class_restriction": klass}
+            totals = _totals(program, klass)
+            for max_n in range(4):
+                for cut in range(max_n + 2):
+                    cap = totals[cut] - 1 if cut <= max_n else DEFAULT_CAP
+                    report = search(*query, max_n=max_n, cap=cap, **kwargs)
+                    assert report == deepen_upward(entails, max_n, *query, cap=cap, **kwargs), (
+                        query, klass, max_n, cap)
+                    seen.add((klass, program.lifts, report.status, report.completed_n))
+    # every outcome in each class, with the pair order and without, but a
+    # countermodel at n = 3 alone, which none of these draws has (see the
+    # pinned queries)
     outcomes = {("budget_exceeded", n) for n in range(-1, 3)} | {("countermodel", n) for n in range(3)}
     outcomes |= {("exhausted", n) for n in range(4)}
-    assert {(lifts, *outcome) for lifts in (True, False) for outcome in outcomes} <= seen
+    assert {(klass, lifts, *outcome) for klass in ("all", "principal_variables")
+            for lifts in (True, False) for outcome in outcomes} <= seen

@@ -136,9 +136,15 @@ class TestParseExamples:
         [
             (parse_formula, "P0 & | P1", "syntax error at offset 5: got '|' (expected: bot, ibot, top, itop, nb, P<digits>, '(')"),
             (parse_formula, "P0 & P1 i& P2", "syntax error at offset 8: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: &)"),
-            (parse_formula, "(P0) & (P1) i& P2", "syntax error at offset 12: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: P1)"),
+            (parse_formula, "(P0) & (P1) i& P2", "syntax error at offset 12: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: &)"),
             (parse_formula, "P0 i| P1 | P2", "syntax error at offset 9: mixing '|' with a different disjunction-level operator requires parentheses (expected: i|)"),
             (parse_formula, "P0 | P1 o* P2", "syntax error at offset 8: mixing 'o*' with a different disjunction-level operator requires parentheses (expected: |)"),
+            # a mixing error expects the open chain's operator, whatever operand precedes it
+            (parse_formula, "(P0) | ((P1)) i| P2", "syntax error at offset 14: mixing 'i|' with a different disjunction-level operator requires parentheses (expected: |)"),
+            (parse_formula, "!!!P0 &!!P0 i& P2", "syntax error at offset 12: mixing 'i&' with a different conjunction-level operator requires parentheses (expected: &)"),
+            (parse_formula, "box P0 i& box P1 & P2", "syntax error at offset 17: mixing '&' with a different conjunction-level operator requires parentheses (expected: i&)"),
+            (parse_formula, "P0 | P1 & P2 i| P3", "syntax error at offset 13: mixing 'i|' with a different disjunction-level operator requires parentheses (expected: |)"),
+            (parse_formula, "P0 o* P1 i& P2 | P3", "syntax error at offset 15: mixing '|' with a different disjunction-level operator requires parentheses (expected: o*)"),
             (parse_formula, "!(P0 -> P1", "syntax error at offset 10: unexpected end of input (expected: ')')"),
             (parse_formula, "((P0)", "syntax error at offset 5: unexpected end of input (expected: ')')"),
             (parse_formula, "P0 )", "syntax error at offset 3: trailing input ')' (expected: end of input)"),
