@@ -30,7 +30,7 @@ from .entailment import (
 from .errors import BudgetExceededError, LTError, ParseError, load_json
 from .proofcheck import check, load_assumptions, load_derivation
 from .ptplus import f_map, pt_entails, pt_eval, verify_f_representation
-from .semantics import Homomorphism, evaluate
+from .semantics import Homomorphism, eval_text_bits
 from .syntax import (
     format_formula,
     formula_repr,
@@ -161,8 +161,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_eval(args) -> int:
     hom = _parse_assignment(algebra(args.n), args.assign or [])
-    formula = parse_formula(args.expr)
-    bits = evaluate(hom, formula).bits
+    bits = eval_text_bits(hom.algebra, hom.bits_env(), args.expr)
     _emit({"algebra_n": args.n, "denotation": hom.algebra.format_denotation(bits)})
     return EXIT_OK
 

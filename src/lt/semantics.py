@@ -3,15 +3,18 @@
 A homomorphism fixes an algebra and a denotation for each propositional
 variable; it then determines the value of every formula compositionally,
 in one `syntax.fold` into the algebra's operations, each derived
-connective through its core spelling in that walk.  The independent
-oracle in tests/reference.py computes every connective from its
-definition at the set level, and the tests cross-check the two.
+connective through its core spelling in that walk.  As the semantics is
+compositional, a formula given as text is evaluated as it is parsed: the
+parser's value grammar applies the same operations, from one table per
+algebra, and no tree is built (`eval_text_bits`, which `lt eval` runs).
+The independent oracle in tests/reference.py computes every connective
+from its definition at the set level, and the tests cross-check them.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import partial
+from functools import cache, partial
 from typing import Mapping
 
 from .algebra import Algebra, Denotation, same_fields
@@ -34,7 +37,9 @@ from .syntax import (
     LOr,
     Var,
     fold,
+    fold_formula,
     postorder,
+    value_grammar,
 )
 
 
@@ -72,17 +77,49 @@ class LabelValuation:
     __eq__ = same_fields
 
 
+@cache
+def _operations(algebra: Algebra) -> dict:
+    """The algebra's operation of each core formula class, built once per
+    algebra for both evaluators: `fold` over a tree, and the parser over
+    a text (`_value_grammar`)."""
+    return {
+        ExtBot: int, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
+        ExtAnd: operator.and_, ExtOr: operator.or_, IntAnd: algebra.int_and,
+        IntOr: algebra.int_or, IntNot: algebra.int_not,
+    }
+
+
+@cache
+def _value_grammar(algebra: Algebra):
+    return value_grammar(_operations(algebra))
+
+
 def eval_core_bits(algebra: Algebra, env: Mapping[int, int], formula: Formula) -> int:
     """Evaluate a formula to a denotation bitset: one `fold` into the
     algebra's operations, each derived connective through its core
     spelling.  env maps variable indices to denotation bitsets; unbound
     variables are an error."""
-    ops = {
-        ExtBot: int, IntBot: algebra.int_bot, ExtNot: partial(operator.xor, algebra.full),
-        ExtAnd: operator.and_, ExtOr: operator.or_, IntAnd: algebra.int_and,
-        IntOr: algebra.int_or, IntNot: algebra.int_not,
-    }
-    return fold(postorder(formula), _lookup(env, "variable P"), ops)
+    return fold(postorder(formula), _lookup(env, "variable P"), _operations(algebra))
+
+
+def eval_text_bits(algebra: Algebra, env: Mapping[int, int], text: str) -> int:
+    """The denotation bitset of the formula `text`, as eval_core_bits gives
+    it for the parsed formula, computed as the text is parsed: no tree is
+    built.  A syntax error anywhere in the text is raised first; then the
+    first unbound variable in the text is an error."""
+    unbound = []
+
+    def var(index: int) -> int:
+        value = env.get(index)
+        if value is None:
+            unbound.append(index)
+            return 0
+        return value
+
+    bits = fold_formula(text, _value_grammar(algebra), var)
+    if unbound:
+        raise EvalError(f"unbound variable P{unbound[0]}")
+    return bits
 
 
 def _lookup(env: Mapping[int, int], unbound: str):

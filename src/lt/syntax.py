@@ -27,10 +27,15 @@ not per character.  One `findall` returns the token texts, each with the
 whitespace before it matched, ending with the `eof` token "": a run of
 '(', ')' or '!' is one token.  A token's text is its kind: the parser
 dispatches on it, applies a run in one step, keeps nesting on an
-explicit stack, and builds each distinct atom once.  Only an error finds
-its offset: the start of its token's match, by matching the tokens
-again, plus the characters of a run read before it.  A node stores its
-hash on first use.
+explicit stack, and makes the value of each distinct atom once.  Every
+value is made by a constructor of the grammar the parser reads with, one
+per token text, and a variable's by the constructor of its index that
+each read passes in: so one parser builds a tree (`Var` or `LAtom`), or
+computes a value as it reads, with no tree built, in a `value_grammar`
+of operations (`fold_formula`, as `lt eval` folds its text).  Only an
+error finds its offset: the start of its token's match, by matching the
+tokens again, plus the characters of a run read before it.  A node
+stores its hash on first use.
 `expand` and `substitute` keep every node whose children come back
 unchanged, so a formula with nothing to rewrite comes back as the
 identical object.  `fold` computes a formula in one walk, spelling each
@@ -44,7 +49,7 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import ParseError
 
@@ -465,6 +470,11 @@ def _expand_derived(tag: DerivedTag, args: list, build):
     return build(ExtNot, build(IntOr, build(ExtAnd, down, build(ExtNot, build(IntBot))), top))
 
 
+def _spell(ops: dict):
+    """A builder for `_expand_derived` over values: kind is ops[kind]."""
+    return lambda kind, *values: ops[kind](*values)
+
+
 def fold(nodes: list, leaf, ops):
     """The value of a formula or label from its `postorder` list, children
     first: leaf(node) for a variable or label atom, and for a core node
@@ -475,7 +485,7 @@ def fold(nodes: list, leaf, ops):
     `_expand_derived` through the same operations."""
     out: list = []
     build = None if type(ops) is dict else ops
-    spell = build or (lambda kind, *values: ops[kind](*values))
+    spell = build or _spell(ops)
     for node in nodes:
         kind = type(node)
         if kind in _BINARY_NODES:
@@ -539,56 +549,61 @@ def _offset(text: str, i: int, j: int = 0) -> int:
 # otherwise parentheses are required.
 
 
-def _derived_unary(tag: DerivedTag):
-    return lambda child: Derived(tag, (child,))
-
-
 class _Grammar(NamedTuple):
-    """One expression language: its prefix operators, atoms (with the
-    expected set reported when no atom is found; an atom with digits is
-    found by its letter), conjunction-level and disjunction-level
-    operators, each by its text, and whether '->' exists."""
+    """One expression language, as the constructor of each of its token
+    texts: its prefix operators, its constant atoms, the letter of its
+    variables (an atom with digits, made by the constructor of its index
+    that each read passes in), the expected set reported when no atom is
+    found, its conjunction-level and disjunction-level operators, and
+    '->', None where the language has no '->'.  A constructor makes a
+    tree's node or a value, so one parser builds a tree or computes a
+    value as the text is read."""
 
     prefix: dict
     atoms: dict
+    letter: str
     atom_expect: tuple[str, ...]
     conj: dict
     disj: dict
-    arrow: bool
+    arrow: Callable | None
 
 
-_FORMULA = _Grammar(
-    prefix={
-        "!": ExtNot,
-        "i!": IntNot,
-        "~": _derived_unary(DerivedTag.STRICT_NOT),
-        **{word: _derived_unary(DerivedTag(word)) for word in ("box", "dia", "down", "up")},
-    },
-    atoms={
-        "bot": lambda text: ExtBot(),
-        "ibot": lambda text: IntBot(),
-        "top": lambda text: Derived(DerivedTag.EXT_TOP),
-        "itop": lambda text: Derived(DerivedTag.INT_TOP),
-        "nb": lambda text: Derived(DerivedTag.NB),
-        "P": lambda text: Var(int(text[1:])),
-    },
-    atom_expect=("bot", "ibot", "top", "itop", "nb", "P<digits>", "'('"),
-    conj={"&": ExtAnd, "i&": IntAnd},
-    disj={
-        "|": ExtOr,
-        "i|": IntOr,
-        "o*": lambda left, right: Derived(DerivedTag.CIRCLE_STAR, (left, right)),
-    },
-    arrow=True,
-)
+def _formula_grammar(core, derived) -> _Grammar:
+    """The formula language, each core connective of node class kind made
+    by core(kind), and each derived one by derived(tag)."""
+    def make(connectives: dict) -> dict:
+        return {word: derived(c) if type(c) is DerivedTag else core(c)
+                for word, c in connectives.items()}
+
+    tag = DerivedTag
+    return _Grammar(
+        prefix=make({"!": ExtNot, "i!": IntNot, "~": tag.STRICT_NOT,
+                     **{word: tag(word) for word in ("box", "dia", "down", "up")}}),
+        atoms=make({"bot": ExtBot, "ibot": IntBot,
+                    **{word: tag(word) for word in ("top", "itop", "nb")}}),
+        letter="P",
+        atom_expect=("bot", "ibot", "top", "itop", "nb", "P<digits>", "'('"),
+        conj=make({"&": ExtAnd, "i&": IntAnd}),
+        disj=make({"|": ExtOr, "i|": IntOr, "o*": tag.CIRCLE_STAR}),
+        arrow=derived(tag.IMPLIES),
+    )
+
+
+_FORMULA = _formula_grammar(lambda kind: kind, lambda tag: lambda *args: Derived(tag, args))
 _LABEL = _Grammar(
-    prefix={"!": LNot},
-    atoms={"F": lambda text: LBot(), "p": lambda text: LAtom(int(text[1:]))},
-    atom_expect=("F", "p<digits>", "'('"),
-    conj={"&": LAnd},
-    disj={"|": LOr},
-    arrow=False,
+    prefix={"!": LNot}, atoms={"F": LBot}, letter="p", atom_expect=("F", "p<digits>", "'('"),
+    conj={"&": LAnd}, disj={"|": LOr}, arrow=None,
 )
+
+
+def value_grammar(ops: dict) -> _Grammar:
+    """The formula language over values: each core connective of class
+    kind is the operation ops[kind], and each derived one its core
+    spelling through them, built by `_expand_derived`, as `fold`
+    computes it.  Read by `fold_formula`."""
+    spell = _spell(ops)
+    return _formula_grammar(
+        ops.__getitem__, lambda tag: lambda *args: _expand_derived(tag, args, spell))
 
 
 class _Parser:
@@ -619,27 +634,30 @@ class _Parser:
     def formula(self) -> Formula:
         """formula := disj ['->' formula]; disj := conj (op conj)*;
         conj := unary (op unary)*; unary := prefix* (atom | '(' formula ')')."""
-        return self._nested(_FORMULA)
+        return self._nested(_FORMULA, Var)
 
     def label(self) -> Label:
         """label := conj ('|' conj)*; conj := unary ('&' unary)*;
         unary := '!'* (atom | '(' label ')')."""
-        return self._nested(_LABEL)
+        return self._nested(_LABEL, LAtom)
 
-    def _nested(self, grammar: _Grammar):
+    def _nested(self, grammar: _Grammar, var):
         """Read unary operands, each completing the open chains of its
         level: its pending prefix operators, then the open conjunction,
         disjunction and '->' chains as far as the next token closes them.
         A '(' saves the level's state on the stack and opens a new one;
-        once a level's formula is complete, it takes its ')' and is an
-        operand of the level below.  The outermost level's formula is the
-        result.  A run of '!' adds its operator once per character; a run
-        of '(' saves at most one state, and the levels after it, which
-        have nothing open, as one count that a run of ')' closes in one
-        step.  Equal atoms are built once and shared."""
+        once a level's value is complete, it takes its ')' and is an
+        operand of the level below.  The outermost level's value is the
+        result.  Every value is made by a constructor of the grammar, and
+        a variable's by var(index).  A run of '!' adds its operator once
+        per character; a run of '(' saves at most one state, and the
+        levels after it, which have nothing open, as one count that a run
+        of ')' closes in one step.  The value of each distinct atom text is
+        made once and shared."""
         texts, i, j = self.texts, self.i, 0
         prefix, atoms, conj, disj = grammar.prefix, grammar.atoms, grammar.conj, grammar.disj
-        arrow = "->" if grammar.arrow else None
+        letter, implies = grammar.letter, grammar.arrow
+        arrow = "->" if implies else None
         stack: list = []
         leaves: dict = {}
         prefixes: list = []
@@ -669,12 +687,12 @@ class _Parser:
                 continue
             value = leaves.get(word)
             if value is None:
-                make = atoms.get(word) or atoms.get(first)
-                if make is None:
+                make = atoms.get(word)
+                if make is None and first != letter:  # the lexer puts digits after a letter
                     self.i, self.j = i, j
                     raise self.unexpected(grammar.atom_expect)
                 try:
-                    value = leaves[word] = make(word)
+                    value = leaves[word] = make() if make else var(int(word[1:]))
                 except ValueError:  # an index with more digits than int() reads
                     self.i, self.j, digits = i, j, len(word) - 1
                     raise self.error(f"index of {first}<{digits} digits> is too large") from None
@@ -707,7 +725,7 @@ class _Parser:
                     arrows.append(value)
                     break
                 while arrows:
-                    value = Derived(DerivedTag.IMPLIES, (arrows.pop(), value))
+                    value = implies(arrows.pop(), value)
                 if not stack:
                     self.i, self.j = i, j
                     return value
@@ -774,6 +792,13 @@ def _parse(text: str, read):
 
 def parse_formula(text: str) -> Formula:
     return _parse(text, _Parser.formula)
+
+
+def fold_formula(text: str, grammar: _Grammar, var):
+    """The value of the formula `text` in a `value_grammar`, each variable's
+    made by var(index): computed as the text is read, with no tree
+    built, and with the errors that `parse_formula` raises on the text."""
+    return _parse(text, lambda p: p._nested(grammar, var))
 
 
 def parse_label(text: str) -> Label:

@@ -3,28 +3,35 @@ each walk a formula or label once, with `syntax.fold`, and reach the
 derived connectives through their one core spelling instead of an
 expanded copy of the tree.  Each path is checked exhaustively at n <= 2
 against the expanded tree and the independent oracle in
-tests/reference.py."""
+tests/reference.py.  `eval_text_bits`, which `lt eval` runs, folds the
+text as the parser reads it, through the same operation table, and
+builds no tree."""
 
 import itertools
 import random
+import time
 
 import pytest
 
 import reference as ref
 from lt import entailment, semantics, syntax
-from lt.algebra import Algebra
+from lt.algebra import Algebra, algebra
+from lt.cli import main
 from lt.entailment import Program
-from lt.errors import EvalError
-from lt.semantics import Homomorphism, eval_core_bits, evaluate, label_bits
+from lt.errors import EvalError, ParseError
+from lt.semantics import Homomorphism, eval_core_bits, eval_text_bits, evaluate, label_bits
 from lt.syntax import (
     ARITY,
     Derived,
     DerivedTag,
     ExtAnd,
+    IntAnd,
     LabelledFormula,
     LAtom,
+    Node,
     Var,
     expand,
+    format_formula,
     parse_formula,
     postorder,
 )
@@ -160,3 +167,78 @@ def test_deep_chains_evaluate_and_compile(tag):
     want = program.run(alg, env)[program.bad] ^ alg.full  # bad is the conclusion's complement
     assert evaluate(Homomorphism.from_bits(alg, env), f).bits == want
     assert eval_core_bits(alg, env, f) == want
+
+
+def test_folding_the_text_agrees_with_the_tree(seed):
+    """Seeded formulas with every connective, printed, give the same
+    denotation folded as text as eval_core_bits gives their trees, at
+    n = 0..3."""
+    rng = random.Random(seed + 152)
+    for _ in range(400):
+        alg = Algebra(rng.randrange(4))
+        f = random_formula(rng, rng.randint(0, 6), 4)
+        env = {v: rng.randrange(alg.full + 1) for v in range(4)}
+        assert eval_text_bits(alg, env, format_formula(f)) == eval_core_bits(alg, env, f), f
+
+
+def test_one_operation_table_serves_both_evaluators():
+    """The operation table and the value grammar are built once per
+    algebra, and the grammar's core connectives are the table's."""
+    ops = semantics._operations(Algebra(2))
+    assert ops is semantics._operations(algebra(2))
+    grammar = semantics._value_grammar(algebra(2))
+    assert grammar is semantics._value_grammar(Algebra(2))
+    assert grammar.conj["i&"] is ops[IntAnd] and grammar.atoms["bot"] is ops[syntax.ExtBot]
+
+
+def test_a_syntax_error_wins_then_the_first_unbound_variable_in_the_text():
+    alg, env = Algebra(1), {0: 1}
+    for text in ("P0 & P3", "box (P0 i| P3)", "~ P3 -> P0", "P3 & P7", "P03 | P3", "P3 & P2"):
+        with pytest.raises(EvalError, match=r"^unbound variable P3$"):
+            eval_text_bits(alg, env, text)
+    for text in ("P3 & (P0", "P3 & P0 i& P0", "P3 & P" + "1" * 5000, "P3 P0"):
+        with pytest.raises(ParseError) as err:
+            eval_text_bits(alg, env, text)
+        with pytest.raises(ParseError) as want:
+            parse_formula(text)
+        assert (str(err.value), err.value.expected) == (str(want.value), want.value.expected)
+
+
+def _node_classes():
+    todo, out = [Node], []
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo += cls.__subclasses__()
+    return out
+
+
+@pytest.fixture
+def nodes_made(monkeypatch):
+    """A count of the syntax nodes constructed, of any class."""
+    made = []
+    for cls in _node_classes():
+        if "__init__" in vars(cls):
+            def counted(self, *args, real=vars(cls)["__init__"], **kwargs):
+                made.append(type(self))
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("text", [" & ".join(["P4"] * 30_000), "!" * 50_000 + "P4"],
+                         ids=["chain", "bang"])
+def test_lt_eval_builds_no_node(capsys, nodes_made, text):
+    """`lt eval` folds its text: on a 30,000-conjunct chain and 50,000 '!',
+    bound or not, it constructs no node, where `parse_formula` builds the
+    tree."""
+    start = time.perf_counter()
+    assert main(["eval", "--n", "1", text]) == 2
+    assert main(["eval", "--n", "1", "--assign", "P4=[1]", text]) == 0
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert err == "error: unbound variable P4\n" and '"denotation"' in out
+    assert nodes_made == []
+    parse_formula(text)
+    assert len(nodes_made) >= 30_000
